@@ -24,6 +24,7 @@ import gc
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -178,17 +179,77 @@ def setup_seconds(w, args, tally: Tally) -> list:
         if args.tiny:
             cmd.append("--tiny")
         start = time.monotonic()
+        # A session of its own, so a probe that hangs is killed together
+        # with every process it started.
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True, start_new_session=True)
         try:
-            child = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            stdout, stderr = child.communicate(timeout=120)
         except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
             tally.record(False)
             continue
-        lines = child.stdout.split()
+        lines = stdout.split()
         if tally.record(child.returncode == 0 and len(lines) == 1):
             times.append(float(lines[0]) - start)
         else:
-            sys.stderr.write(child.stderr)
+            sys.stderr.write(stderr)
     return times
+
+
+# ----------------------------------------------------------------------------
+# Teardown
+# ----------------------------------------------------------------------------
+def pids_where(field: str, value: int) -> list:
+    """Pids of the processes, zombies included, whose ``field`` (``"ppid"``
+    or ``"session"``) in ``/proc/<pid>/stat`` is ``value``."""
+    index, pids = {"ppid": 1, "session": 3}[field], []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended meanwhile
+        if int(fields[index]) == value:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def stop_children(grace: float = 10.0) -> None:
+    """Stop every process this one started and wait until each has ended.
+
+    Closes the default pools, then stops multiprocessing's resource tracker,
+    which the shared-memory transport starts: it exits only when its pipe
+    closes, so left alone it outlives this process.  A child still alive
+    ``grace`` seconds later is killed; every child is reaped.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    from repro.pro.backends.pool import clear_default_pools
+
+    clear_default_pools()
+    for child in multiprocessing.active_children():
+        child.join(grace)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    tracker = resource_tracker._resource_tracker
+    with tracker._lock:
+        if tracker._fd is not None:
+            os.close(tracker._fd)
+            tracker._fd = tracker._pid = None
+    deadline = time.monotonic() + grace
+    for pid in pids_where("ppid", os.getpid()):
+        try:
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    break
+                time.sleep(0.01)
+        except ChildProcessError:
+            pass  # reaped elsewhere
 
 
 # ----------------------------------------------------------------------------
@@ -597,16 +658,13 @@ def main(argv=None) -> int:
               f"{', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
     w = get_workload(args.workload, tiny=args.tiny)
-    if args.setup_probe:
-        return setup_probe(w, args.seed)
-
-    bench = Bench(w, args)
     try:
+        if args.setup_probe:
+            return setup_probe(w, args.seed)
+        bench = Bench(w, args)
         values = bench.per_layer() if args.trace else bench.end_to_end()
     finally:
-        from repro.pro.backends.pool import clear_default_pools
-
-        clear_default_pools()
+        stop_children()
     units = PER_LAYER if args.trace else END_TO_END
     tally = bench.tally
     correct = tally.failed == 0 and set(values) == set(units)
