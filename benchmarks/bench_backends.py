@@ -520,28 +520,13 @@ def dispatch_speedup(records):
     return _workload_speedup(records, "dispatch")
 
 
-def adaptive_ring_cells():
-    """The tracked adaptive-ring geometry of the default transport."""
-    from repro.pro.backends.sharedmem import SharedMemoryTransport
-
-    transport = SharedMemoryTransport()
-    return {
-        "ring_bytes": transport.ring_bytes,
-        "ring_max_bytes": transport.ring_max_bytes,
-        "ring_min_bytes": transport.ring_min_bytes,
-        "adaptive": transport.adaptive_ring,
-    }
-
-
 def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
     """Observed ring geometry and fallback rate of the warm default fleet.
 
-    ``adaptive_ring_cells`` above records what the transport is
-    *configured* to do; this cell records what a fleet actually *did*:
     ``runs`` permutations on one persistent process+sharedmem machine
     with a :class:`~repro.pro.telemetry.Telemetry` recorder attached,
     summarised into the repatriated per-rank ring geometry (capacity,
-    resizes, wraps) and the transport's oversize-fallback rate.
+    wraps) and the transport's oversize-fallback rate.
     """
     from repro.pro.telemetry import Telemetry
 
@@ -567,7 +552,6 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
         "oversize_fallbacks": fallbacks,
         "fallback_rate": round(fallbacks / encodes, 6) if encodes else 0.0,
         "ring_capacity_bytes": max((r["capacity"] for r in rings), default=None),
-        "ring_resizes": sum(r["resizes"] for r in rings),
         "ring_wraps": sum(r["wraps"] for r in rings),
         "parent_shared_encode_calls":
             report["parent_transport"]["shared_encode_calls"],
@@ -587,9 +571,8 @@ def main(argv=None):
         "suite": "bench_backends",
         "schema": 5,
         "rounds": args.rounds,
-        "adaptive_ring": adaptive_ring_cells(),
         # Schema 5: observed ring geometry + fallback rate of a warm fleet
-        # (repatriated telemetry), next to the configured geometry above.
+        # (repatriated telemetry).
         "fleet_telemetry": fleet_telemetry_cells(),
         "records": records,
     }

@@ -39,7 +39,7 @@ The process backend additionally takes a *payload transport*
 (``transport="sharedmem" | "pickle"``, see
 :mod:`repro.pro.backends.transport`): the queue fabric carries only small
 control records while bulk NumPy payloads travel through shared-memory
-segments (zero-copy on the receive side, adaptive per-sender rings,
+segments (zero-copy on the receive side, fixed-size per-sender rings,
 refcounted multi-consumer argument segments) or, with ``"pickle"``,
 through the queue pipe as raw buffers.  With ``persistent=True`` the
 backend runs on a standing :class:`~repro.pro.backends.pool.WorkerPool`

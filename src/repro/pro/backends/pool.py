@@ -1,11 +1,9 @@
-"""Persistent worker pool: amortise process spawn across machine runs.
+"""Worker pool: the process backend's one execution path.
 
-The plain :class:`~repro.pro.backends.process.ProcessBackend` forks ``p``
-fresh OS processes for every ``run()`` -- the dominant process-backend
-overhead on small problem sizes, paid again on every call.  The paper's
+Every process-backend run executes on a :class:`WorkerPool`.  The paper's
 coarse-grained model (like the PRO model it builds on) assumes the
-parallel machine is a *standing* resource whose setup is paid once; the
-:class:`WorkerPool` makes the backend behave that way:
+parallel machine is a *standing* resource whose setup is paid once; a
+standing pool makes the backend behave that way:
 
 * ``p`` long-lived daemon ranks are spawned **once**, inheriting the
   fabric (queues, barrier, shared-memory ring segments) that every later
@@ -14,25 +12,33 @@ parallel machine is a *standing* resource whose setup is paid once; the
   -- the rank's freshly built random stream and cost recorder plus the
   (pickled) program and arguments -- through a per-rank task queue;
 * results, cost records and variate counts flow back through a shared
-  result queue exactly as in the one-shot backend, so cost reports stay
-  backend-independent;
+  result queue, so cost reports stay backend-independent;
 * the per-rank RNG streams are still built *in the parent* for every run
-  (by the machine), so a fixed machine seed is bit-identical to the
-  non-persistent path -- and to every other backend and transport.
+  (by the machine), so a fixed machine seed is bit-identical to a cold
+  run -- and to every other backend and transport.
+
+A *cold* run (``persistent=False``) is a pool that lives for one epoch
+(:meth:`WorkerPool._one_epoch`): it adopts the fabric the backend built
+for the run's contexts, spawns its ranks inside :meth:`WorkerPool.run`
+with the epoch in their spawn arguments, collects through the same
+:meth:`WorkerPool._collect` and is closed right after.  Under ``fork``
+the ranks inherit program and arguments without pickling, so cold runs
+accept closures.  Standing and one-epoch pools share one worker entry
+point and one collect, poison and failure path.
 
 Determinism contract
 --------------------
 ``PROMachine(seed=s, persistent=True)`` run ``k`` times produces exactly
-the same ``k`` results as ``PROMachine(seed=s)`` (non-persistent) run
-``k`` times: persistence changes *where* the ranks live, never what they
-draw.  ``tests/integration/test_cross_backend_determinism.py`` and the
-pool lifecycle tests pin this.
+the same ``k`` results as ``PROMachine(seed=s)`` (cold) run ``k`` times:
+persistence changes *where* the ranks live, never what they draw.
+``tests/integration/test_cross_backend_determinism.py`` and the pool
+lifecycle tests pin this.
 
 Serialisation
 -------------
-Programs and arguments cross the dispatch queue, so they must be
-picklable even on ``fork`` platforms (the one-shot backend inherits them
-through the fork instead).  All the library's SPMD programs are
+A standing pool's programs and arguments cross the dispatch queue, so
+they must be picklable even on ``fork`` platforms (a cold run inherits
+them through the fork instead).  All the library's SPMD programs are
 module-level functions and qualify; when ``cloudpickle`` is installed it
 is used as a fallback serialiser, which widens support to closures and
 lambdas.  An unserialisable program raises
@@ -87,15 +93,12 @@ import pickle
 import queue as _pyqueue
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
-from repro.pro.backends.process import (
-    ProcessFabric,
-    _portable_exception,
-    _VariateCount,
-)
+from repro.pro.backends.process import ProcessFabric
 from repro.pro.backends.transport import PayloadTransport
 from repro.pro.communicator import Communicator
 from repro.pro.resilience import current_deadline
@@ -106,6 +109,7 @@ from repro.util.errors import (
     DeadlineError,
     TransientBackendError,
     ValidationError,
+    is_transient_failure,
     wrap_rank_failure,
 )
 from repro.util.timeouts import scale_timeout
@@ -133,29 +137,65 @@ def _dumps(obj) -> bytes:
         return _cloudpickle.dumps(obj)
 
 
-def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
-                      result_queue) -> None:
-    """Main loop of one standing rank (module-level for spawn support).
+class _VariateCount:
+    """Stand-in for a remote rank's CountingRNG after the run has finished."""
 
-    Blocks on the task queue; ``None`` is the shutdown sentinel.  Each
-    task carries one run-epoch: receipts for ring slots the parent has
-    released, the rank's fresh context pieces and the pickled program.
-    A failing epoch aborts the shared barrier (siblings fail fast),
-    reports the failure and *exits* -- the pool is poisoned either way,
-    and a worker that kept looping on a broken barrier could only produce
-    corrupt runs.
+    def __init__(self, total_variates: int):
+        self.total_variates = int(total_variates)
+
+
+def _portable_exception(exc: BaseException) -> BaseException:
+    """Return ``exc`` if it survives pickling, else a summarising BackendError.
+
+    Either way the worker-side traceback travels along as a plain
+    ``remote_traceback`` string attribute (it rides in the exception's
+    ``__dict__`` through pickling), so the parent's
+    :func:`~repro.util.errors.wrap_rank_failure` can chain the remote
+    stack into the caller-side error.  The unpicklable fallback keeps the
+    original's transient/fatal classification.
+    """
+    tb = traceback.format_exc()
+    try:
+        exc.remote_traceback = tb
+    except Exception:  # pragma: no cover - exotic __slots__ exceptions
+        pass
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        cls = TransientBackendError if is_transient_failure(exc) else BackendError
+        summary = cls(f"{type(exc).__name__}: {exc}")
+        summary.remote_traceback = tb
+        return summary
+
+
+def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
+               epoch_task) -> None:
+    """Main loop of one rank (module-level for spawn support).
+
+    A standing rank (``epoch_task`` is ``None``) blocks on its task queue;
+    ``None`` is the shutdown sentinel.  Each task carries one pickled
+    run-epoch: receipts for ring slots the parent has released, the rank's
+    fresh context pieces, the pickled program and the encoded arguments.
+    A rank of a one-epoch pool gets its single epoch as ``epoch_task``
+    instead -- the program and ``(args, kwargs)`` as plain objects,
+    inherited through ``fork`` -- and exits after it.  A failing epoch
+    aborts the shared barrier (siblings fail fast), reports the failure
+    and *exits* -- the pool is poisoned either way, and a worker that kept
+    looping on a broken barrier could only produce corrupt runs.
     """
     while True:
-        raw = task_queue.get()
-        if raw is None:
-            return
-        task = pickle.loads(raw)
-        (epoch, receipts, rng, cost, program_blob, args_record,
+        task = epoch_task
+        if task is None:
+            raw = task_queue.get()
+            if raw is None:
+                return
+            task = pickle.loads(raw)
+        (epoch, receipts, rng, cost, program, args_record,
          wait_timeout) = task
         # Scope this run's message tags to its epoch and drop anything a
         # previous run parked but never consumed: stale messages must not
-        # satisfy a later run's receive (the one-shot backend gets this
-        # for free by discarding the whole fabric).
+        # satisfy a later run's receive.
         fabric.epoch = epoch
         # Every dispatch re-stamps the fabric wait budget: runs under a
         # resilience deadline clamp it so a stuck receive/barrier surfaces
@@ -167,33 +207,32 @@ def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
                 fabric.transport.ring_ack(receipt)
             except Exception:  # pragma: no cover - acks are best effort
                 pass
-        # With the receipts applied the ring is in its settled state:
-        # let the transport close the previous traffic epoch and adapt
-        # the ring's logical capacity before this run's sends.
-        fabric.begin_epoch(rank)
         try:
-            program = pickle.loads(program_blob)
-            # Bulk arguments travel out-of-band through the payload
-            # transport (the control record above stays small); with the
-            # shared-memory transport the worker gets zero-copy views of
-            # the run's shared multi-consumer segment.  The attach receipt
-            # the decode fires goes straight back to the parent on the
-            # result queue, so the segment can be unlinked as soon as the
-            # last rank holds a mapping.
-            def _args_ack(receipt, _rank=rank):
-                try:
-                    result_queue.put((None, _rank, _SHARED_ACK, receipt))
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
+            if epoch_task is None:
+                program = pickle.loads(program)
+                # Bulk arguments travel out-of-band through the payload
+                # transport (the control record above stays small); with
+                # the shared-memory transport the worker gets zero-copy
+                # views of the run's shared multi-consumer segment.  The
+                # attach receipt the decode fires goes straight back to
+                # the parent on the result queue, so the segment can be
+                # unlinked as soon as the last rank holds a mapping.
+                def _args_ack(receipt, _rank=rank):
+                    try:
+                        result_queue.put((None, _rank, _SHARED_ACK, receipt))
+                    except Exception:  # pragma: no cover - queue already closed
+                        pass
 
-            if fabric._ack_aware:
-                args, kwargs = fabric.transport.decode(args_record,
-                                                       ack=_args_ack)
+                if fabric._ack_aware:
+                    args, kwargs = fabric.transport.decode(args_record,
+                                                           ack=_args_ack)
+                else:
+                    args, kwargs = fabric.transport.decode(args_record)
             else:
-                args, kwargs = fabric.transport.decode(args_record)
-            # Rebuild the context around the standing fabric: communicator
-            # state (parked messages, collective counters) starts fresh
-            # every epoch, exactly as in the one-shot backend.
+                args, kwargs = args_record
+            # Rebuild the context around the fabric: communicator state
+            # (parked messages, collective counters) starts fresh every
+            # epoch.
             from repro.pro.machine import ProcessorContext
 
             ctx = ProcessorContext(
@@ -223,10 +262,12 @@ def _pool_worker_main(rank: int, fabric: ProcessFabric, task_queue,
                 pass
             result_queue.put((epoch, rank, False, _portable_exception(exc)))
             return
+        if epoch_task is not None:
+            return
 
 
 class WorkerPool:
-    """``p`` standing daemon ranks sharing one persistent fabric.
+    """``p`` daemon ranks sharing one fabric: a standing fleet or one cold run.
 
     Parameters
     ----------
@@ -243,6 +284,9 @@ class WorkerPool:
     shutdown_grace:
         Seconds :meth:`close` waits for workers to exit before
         terminating them.
+
+    The constructor spawns a standing fleet; a cold run builds its pool
+    with :meth:`_one_epoch` instead.
     """
 
     def __init__(self, n_procs: int, *, timeout: float = 60.0, mp_context=None,
@@ -252,8 +296,32 @@ class WorkerPool:
         import multiprocessing
 
         mp = mp_context if mp_context is not None else multiprocessing.get_context()
-        self.n_procs = int(n_procs)
-        self.timeout = float(timeout)
+        self._adopt(ProcessFabric(n_procs, timeout=timeout, mp_context=mp,
+                                  transport=transport), mp, shutdown_grace)
+        self._task_queues = [mp.Queue() for _ in range(n_procs)]
+        self._workers = [self._spawn(rank) for rank in range(self.n_procs)]
+        record_event("pool-spawn", n_procs=self.n_procs, epoch=self._epoch)
+        atexit.register(self.close)
+
+    @classmethod
+    def _one_epoch(cls, fabric: ProcessFabric, mp_context,
+                   shutdown_grace: float) -> "WorkerPool":
+        """A pool for one cold run over ``fabric``, already wired to its contexts.
+
+        It has no task queues: :meth:`run` spawns the ranks with the epoch
+        in their spawn arguments.  It records no lifecycle events and
+        registers no ``atexit`` hook -- the backend closes it as soon as
+        the run returns.
+        """
+        one_epoch = cls.__new__(cls)
+        one_epoch._adopt(fabric, mp_context, shutdown_grace)
+        return one_epoch
+
+    def _adopt(self, fabric: ProcessFabric, mp, shutdown_grace: float) -> None:
+        """Initialise the state every pool keeps around its ``fabric``."""
+        self.fabric = fabric
+        self.n_procs = int(fabric.n_procs)
+        self.timeout = float(fabric.timeout)
         self.shutdown_grace = float(shutdown_grace)
         #: Process that spawned the fleet: only it may run or reap the
         #: workers (a forked child inherits this object but must not
@@ -265,9 +333,10 @@ class WorkerPool:
         #: of corrupting each other's dispatch.
         self._run_lock = threading.Lock()
         self._mp = mp  # kept for heal(): replacements spawn from the same context
-        self.fabric = ProcessFabric(n_procs, timeout=timeout, mp_context=mp,
-                                    transport=transport)
-        self._task_queues = [mp.Queue() for _ in range(n_procs)]
+        #: Per-rank dispatch queues of a standing fleet; ``None`` on a
+        #: one-epoch pool, whose ranks get their epoch as spawn arguments.
+        self._task_queues: list | None = None
+        self._workers: list = []
         self._result_queue = mp.Queue()
         self._epoch = 0
         self._poison_reason: str | None = None
@@ -279,20 +348,18 @@ class WorkerPool:
         #: last dispatch (appended from weakref finalizers; popped -- an
         #: atomic list operation -- when the next run ships them).
         self._pending_receipts: list = []
-        self._workers = [
-            mp.Process(
-                target=_pool_worker_main,
-                args=(rank, self.fabric, self._task_queues[rank],
-                      self._result_queue),
-                name=f"pro-pool-{rank}",
-                daemon=True,
-            )
-            for rank in range(n_procs)
-        ]
-        for proc in self._workers:
-            proc.start()
-        record_event("pool-spawn", n_procs=self.n_procs, epoch=self._epoch)
-        atexit.register(self.close)
+
+    def _spawn(self, rank: int, epoch_task=None):
+        """Start (and return) the worker process of ``rank``."""
+        task_queue = None if self._task_queues is None else self._task_queues[rank]
+        proc = self._mp.Process(
+            target=_rank_main,
+            args=(rank, self.fabric, task_queue, self._result_queue, epoch_task),
+            name=f"pro-pool-{rank}",
+            daemon=True,
+        )
+        proc.start()
+        return proc
 
     # -- state --------------------------------------------------------------
     @property
@@ -308,7 +375,8 @@ class WorkerPool:
     def _poison(self, reason: str) -> None:
         if self._poison_reason is None:
             self._poison_reason = reason
-            record_event("pool-poison", reason=reason, epoch=self._epoch)
+            if self._task_queues is not None:  # standing fleets only
+                record_event("pool-poison", reason=reason, epoch=self._epoch)
 
     @property
     def in_owner_process(self) -> bool:
@@ -322,7 +390,7 @@ class WorkerPool:
     # -- running ------------------------------------------------------------
     def run(self, contexts: Sequence, program: Callable, args: tuple,
             kwargs: dict) -> list:
-        """Dispatch one run-epoch to the standing ranks and collect results.
+        """Run one epoch on the pool's ranks and collect results.
 
         Serialised by a per-pool lock: the fleet has one result queue and
         one epoch counter, so exactly one run is in flight at a time (a
@@ -365,52 +433,20 @@ class WorkerPool:
             )
         self._epoch += 1
         epoch = self._epoch
-        receipts = self._drain_receipts()
         run_deadline = current_deadline()
         wait_timeout = (self.timeout if run_deadline is None
                         else run_deadline.clamp(self.timeout))
-        # Serialise the whole epoch *eagerly* in the parent: a task that
-        # cannot be pickled must raise here, as a clear BackendError,
-        # before any rank has been dispatched (handing raw objects to the
-        # queue would defer pickling to its feeder thread, turning the
-        # same failure into a hang).  Bulk array arguments travel
-        # out-of-band through the payload transport, encoded once **per
-        # run**: ``encode_shared`` puts them in one refcounted
-        # multi-consumer segment every rank attaches, and purely in-band
-        # records are reused verbatim for every rank.  Only duck-typed
-        # transports with out-of-band dispose but no ``encode_shared``
-        # still pay one encode per rank.
-        args_records: list = []
-        task_blobs: list = []
-        transport = self.fabric.transport
-        try:
-            program_blob = _dumps(program)
-            args_records = self._encode_args(transport, (args, kwargs), n)
-            for rank in range(n):
-                ctx = contexts[rank]
-                task_blobs.append(_dumps(
-                    (epoch, receipts.get(rank, []), ctx.rng, ctx.cost,
-                     program_blob, args_records[rank], wait_timeout)
-                ))
-        except Exception as exc:
-            for record in args_records:
-                try:
-                    self.fabric.transport.dispose(record)
-                except Exception:
-                    pass
-            # Nothing was dispatched: put the drained ring receipts back so
-            # the slots they name are still acked by a later, successful run
-            # (dropping them would pin ring space for the pool's lifetime).
-            for rank_receipts in receipts.values():
-                self._pending_receipts.extend(rank_receipts)
-            raise BackendError(
-                "persistent process runs dispatch the program and its "
-                "arguments through a queue, so they must be picklable "
-                "(module-level functions work; installing cloudpickle widens "
-                f"this to closures): {type(exc).__name__}: {exc}"
-            ) from exc
-        for rank in range(n):
-            self._task_queues[rank].put(task_blobs[rank])
+        if self._task_queues is None:
+            # One-epoch pool: the epoch rides the ranks' spawn arguments,
+            # so under fork program and arguments are inherited, never
+            # pickled.
+            for rank, ctx in enumerate(contexts):
+                self._workers.append(self._spawn(rank, (
+                    epoch, (), ctx.rng, ctx.cost, program, (args, kwargs),
+                    wait_timeout)))
+        else:
+            self._dispatch(epoch, contexts, program, args, kwargs,
+                           wait_timeout)
 
         outcomes = self._collect(epoch, n)
         failed = []
@@ -458,10 +494,60 @@ class WorkerPool:
             results[rank] = self.fabric.decode_payload(
                 encoded_value, ack=self._pending_receipts.append
             )
+            # Fold the worker-side accounting back into the caller's
+            # context: the parent's recorder/rng never advanced.
             contexts[rank].cost = cost
             if variates is not None:
                 contexts[rank].rng = _VariateCount(variates)
         return results
+
+    def _dispatch(self, epoch: int, contexts: Sequence, program: Callable,
+                  args: tuple, kwargs: dict, wait_timeout: float) -> None:
+        """Queue one pickled run-epoch record per standing rank."""
+        n = len(contexts)
+        receipts = self._drain_receipts()
+        # Serialise the whole epoch *eagerly* in the parent: a task that
+        # cannot be pickled must raise here, as a clear BackendError,
+        # before any rank has been dispatched (handing raw objects to the
+        # queue would defer pickling to its feeder thread, turning the
+        # same failure into a hang).  Bulk array arguments travel
+        # out-of-band through the payload transport, encoded once **per
+        # run**: ``encode_shared`` puts them in one refcounted
+        # multi-consumer segment every rank attaches, and purely in-band
+        # records are reused verbatim for every rank.  Only duck-typed
+        # transports with out-of-band dispose but no ``encode_shared``
+        # still pay one encode per rank.
+        args_records: list = []
+        task_blobs: list = []
+        transport = self.fabric.transport
+        try:
+            program_blob = _dumps(program)
+            args_records = self._encode_args(transport, (args, kwargs), n)
+            for rank in range(n):
+                ctx = contexts[rank]
+                task_blobs.append(_dumps(
+                    (epoch, receipts.get(rank, []), ctx.rng, ctx.cost,
+                     program_blob, args_records[rank], wait_timeout)
+                ))
+        except Exception as exc:
+            for record in args_records:
+                try:
+                    self.fabric.transport.dispose(record)
+                except Exception:
+                    pass
+            # Nothing was dispatched: put the drained ring receipts back so
+            # the slots they name are still acked by a later, successful run
+            # (dropping them would pin ring space for the pool's lifetime).
+            for rank_receipts in receipts.values():
+                self._pending_receipts.extend(rank_receipts)
+            raise BackendError(
+                "persistent process runs dispatch the program and its "
+                "arguments through a queue, so they must be picklable "
+                "(module-level functions work; installing cloudpickle widens "
+                f"this to closures): {type(exc).__name__}: {exc}"
+            ) from exc
+        for rank in range(n):
+            self._task_queues[rank].put(task_blobs[rank])
 
     @staticmethod
     def _encode_args(transport, payload, n: int) -> list:
@@ -509,16 +595,17 @@ class WorkerPool:
     def _collect(self, epoch: int, n: int) -> dict:
         """Gather this epoch's per-rank outcomes, watching worker liveness.
 
-        Like the one-shot backend there is no overall wall-clock deadline:
-        healthy ranks may compute for as long as they like, and blocked
-        communication times out inside the workers.  A worker that dies
-        without reporting breaks the run: the parent aborts the shared
-        barrier so surviving ranks fail fast, then gives them a short
-        grace period to report their (Communication)errors.
+        There is no overall wall-clock deadline: healthy ranks may compute
+        for as long as they like, and blocked communication times out
+        inside the workers.  A worker that dies without reporting breaks
+        the run: the parent aborts the shared barrier so surviving ranks
+        fail fast, then gives them a short grace period to report their
+        (Communication)errors.
         """
         outcomes: dict = {}
         aborted = False
         deadline = None
+        silent: set = set()
         run_deadline = current_deadline()
         while len(outcomes) < n:
             if deadline is not None and time.monotonic() > deadline:
@@ -550,14 +637,20 @@ class WorkerPool:
                         except Exception:
                             pass
                 raise DeadlineError(
-                    f"persistent run {epoch} exceeded its "
+                    f"run {epoch} exceeded its "
                     f"{run_deadline.seconds:g}s deadline with "
                     f"{n - len(outcomes)} rank(s) still outstanding"
                 )
             try:
                 e, rank, ok, payload = self._result_queue.get(timeout=0.2)
             except _pyqueue.Empty:
-                if not aborted and not all(p.is_alive() for p in self._workers):
+                # A worker flushes its report into the pipe before it exits
+                # (one-epoch ranks exit right after reporting), so a rank
+                # found dead here that is still unreported at the next
+                # empty poll died without reporting.
+                dead = {rank for rank in range(n) if rank not in outcomes
+                        and not self._workers[rank].is_alive()}
+                if not aborted and dead & silent:
                     aborted = True
                     try:
                         self.fabric.abort()
@@ -572,6 +665,7 @@ class WorkerPool:
                         pass
                     deadline = (time.monotonic()
                                 + scale_timeout(max(self.shutdown_grace, 1.0)))
+                silent = dead
                 continue
             except Exception:  # pragma: no cover - truncated pickle after a kill
                 continue
@@ -712,15 +806,7 @@ class WorkerPool:
         respawned = sorted(suspects)
         self.fabric.heal(respawned)
         for rank in respawned:
-            proc = self._mp.Process(
-                target=_pool_worker_main,
-                args=(rank, self.fabric, self._task_queues[rank],
-                      self._result_queue),
-                name=f"pro-pool-{rank}",
-                daemon=True,
-            )
-            self._workers[rank] = proc
-            proc.start()
+            self._workers[rank] = self._spawn(rank)
         self._suspect_ranks.clear()
         self._poison_reason = None
         record_event("pool-heal", respawned=respawned, epoch=self._epoch)
@@ -749,7 +835,9 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            record_event("pool-close", n_procs=self.n_procs, epoch=self._epoch)
+            if self._task_queues is not None:  # standing fleets only
+                record_event("pool-close", n_procs=self.n_procs,
+                             epoch=self._epoch)
             atexit.unregister(self.close)
             if not self.in_owner_process:
                 return  # inherited handle: the owner reaps the resources
@@ -760,7 +848,8 @@ class WorkerPool:
 
     def _close_resources(self) -> None:
         """Teardown body of :meth:`close` (runs in the owner process)."""
-        for task_queue in self._task_queues:
+        task_queues = self._task_queues or []
+        for task_queue in task_queues:
             try:
                 task_queue.put(None)
             except Exception:  # pragma: no cover - queue already broken
@@ -776,7 +865,7 @@ class WorkerPool:
         # task up leaves it queued) and results (a poisoned pool may
         # leave some): their out-of-band argument/value segments must be
         # unlinked, not leaked.
-        for task_queue in self._task_queues:
+        for task_queue in task_queues:
             while True:
                 try:
                     raw = task_queue.get_nowait()
@@ -806,7 +895,7 @@ class WorkerPool:
         # Retire the rings and unlink in-flight segments on the fabric.
         self.fabric.shutdown(
             drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
-        for task_queue in self._task_queues:
+        for task_queue in task_queues:
             task_queue.close()
             task_queue.cancel_join_thread()
         self._result_queue.close()

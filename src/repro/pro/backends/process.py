@@ -24,42 +24,42 @@ Design points:
   receive side, ``transport="pickle"`` keeps everything in the queue pipe
   as ``(dtype, shape, bytes)`` buffer records.  Results shipped back to
   the caller use the same transport.
-* **Cost accounting survives the address-space gap.**  Each worker ships
-  its :class:`~repro.pro.cost.CostRecorder` and random-variate count back
-  together with its result; :meth:`ProcessBackend.run` folds them into the
-  caller's contexts so cost reports are backend-independent.
+* **One execution path.**  Every run executes on a
+  :class:`~repro.pro.backends.pool.WorkerPool`, which owns the worker
+  entry point, result collection, cost repatriation and shutdown (see
+  :mod:`repro.pro.backends.pool`).  A *cold* run (``persistent=False``,
+  the default) is a pool that lives for one epoch: it adopts the fabric
+  :meth:`ProcessBackend.create_fabric` built for the run's contexts,
+  spawns the ranks with the epoch in their spawn arguments, collects
+  their results and closes.  With ``persistent=True`` the pool is a
+  standing fleet of long-lived daemon processes that keep their fabric
+  endpoints and shared-memory ring segments alive across runs, and
+  successive programs are dispatched as lightweight run-epoch records
+  (picklable programs, poison-on-failure crash semantics, explicit or
+  atexit shutdown).
 * **Error propagation** mirrors the thread backend: a failing rank aborts
   the shared barrier (siblings blocked in ``barrier()``/``recv`` fail fast),
   and the first real error by rank order -- preferring causes over
   :class:`~repro.util.errors.CommunicationError` symptoms -- is re-raised in
   the caller wrapped in :class:`~repro.util.errors.BackendError`.
 * **Clean shutdown.**  After every run -- successful, failed, aborted or
-  timed out -- the backend drains the fabric's queues and *disposes* every
-  undelivered record, so shared-memory segments of in-flight messages are
-  unlinked instead of leaking (no ``resource_tracker`` warnings).
+  timed out -- the fabric's queues are drained and every undelivered
+  record is *disposed*, so shared-memory segments of in-flight messages
+  are unlinked instead of leaking (no ``resource_tracker`` warnings).
 
-The backend prefers the ``fork`` start method (cheap, closures allowed);
-on platforms without it, ``spawn`` is used and programs/arguments must be
+The backend prefers the ``fork`` start method (cheap; cold runs inherit
+program and arguments through the fork, so closures are allowed); on
+platforms without it, ``spawn`` is used and programs/arguments must be
 picklable.
-
-With ``persistent=True`` the per-run spawn disappears entirely: ranks run
-on a standing :class:`~repro.pro.backends.pool.WorkerPool` of long-lived
-daemon processes that keep their fabric endpoints and shared-memory ring
-segments alive across runs, and successive programs are dispatched as
-lightweight run-epoch records (see :mod:`repro.pro.backends.pool` for the
-contract: picklable programs, poison-on-failure crash semantics, explicit
-or atexit shutdown).
 """
 
 from __future__ import annotations
 
 import inspect
 import multiprocessing
-import pickle
 import queue as _pyqueue
 import threading
 import time
-import traceback
 import uuid
 from typing import Callable, Sequence
 
@@ -68,32 +68,16 @@ from repro.pro.backends.registry import (
     ExecutionBackend,
     register_backend,
 )
-from repro.pro.backends.transport import (
-    PayloadTransport,
-    PickleTransport,
-    resolve_transport,
-)
-from repro.pro.resilience import current_deadline
-from repro.pro.telemetry import capture_rank_telemetry
+from repro.pro.backends.transport import PayloadTransport, resolve_transport
 from repro.util.errors import (
     BackendError,
     CommunicationError,
-    DeadlineError,
-    TransientBackendError,
     ValidationError,
     attach_wait_context,
-    is_transient_failure,
-    wrap_rank_failure,
 )
 from repro.util.timeouts import scale_timeout
 
 __all__ = ["ProcessBackend", "ProcessFabric"]
-
-# Backwards-compatible aliases of the historic module-level codec: the
-# buffer-based encoding now lives in the pickle transport.
-_PICKLE_CODEC = PickleTransport()
-_encode_payload = _PICKLE_CODEC.encode
-_decode_payload = _PICKLE_CODEC.decode
 
 #: Control-channel tag of ring-slot acknowledgements.  Records carrying it
 #: are transport receipts, not messages: ``get`` applies them to the local
@@ -142,14 +126,13 @@ class ProcessFabric:
         self._barrier = self._mp.Barrier(n_procs)
         # (src, tag) -> list of decoded payloads, private to the rank's process.
         self._parked: dict = {}
-        #: Run-epoch of a *standing* fabric (the worker pool's).  One-shot
-        #: fabrics leave it None and tags travel unscoped.  When set, every
-        #: message tag is wrapped as ``(epoch, tag)`` so a message that a
-        #: successful run sent but never consumed can never be delivered to
-        #: a later run's receive with the same tag -- it parks under its
-        #: own epoch until the worker clears stale state at the next
-        #: dispatch (see ``_pool_worker_main``).
-        self.epoch: int | None = None
+        #: Run-epoch of the fabric, stamped by the worker pool at every
+        #: dispatch.  Every message tag is wrapped as ``(epoch, tag)`` so a
+        #: message that a successful run sent but never consumed can never
+        #: be delivered to a later run's receive with the same tag -- it
+        #: parks under its own epoch until the worker clears stale state
+        #: at the next dispatch (see ``_rank_main`` in the pool module).
+        self.epoch = 0
         # One ring-segment name per sender rank (see the sharedmem
         # transport): a reusable bulk buffer that amortises segment
         # creation over every message the rank sends during this run.
@@ -209,33 +192,10 @@ class ProcessFabric:
                 return self.transport.decode(record, ack=ack)
         return self.transport.decode(record)
 
-    def begin_epoch(self, rank: int) -> None:
-        """Open a run-epoch for rank ``rank``'s sender ring (adaptive hook).
-
-        Persistent-pool workers call this at the start of every dispatched
-        run, *after* applying the receipts the dispatch batched in, so the
-        transport sees the ring in its settled state and can adapt its
-        logical capacity to the previous epoch's traffic.  A no-op for
-        transports without rings.
-        """
-        if self._ring_names is None:
-            return
-        hook = getattr(self.transport, "ring_epoch", None)
-        if hook is None:
-            return
-        try:
-            hook(self._ring_names[rank])
-        except Exception:  # pragma: no cover - adaptation is best effort
-            pass
-
-    def _scoped(self, tag):
-        """Wrap ``tag`` with the current run-epoch on standing fabrics."""
-        return tag if self.epoch is None else (self.epoch, tag)
-
     def put(self, src: int, dst: int, tag, payload) -> None:
         """Deposit a message; never blocks (queues are unbounded)."""
         self._inboxes[dst].put(
-            (src, self._scoped(tag), self.encode_payload(src, payload))
+            (src, (self.epoch, tag), self.encode_payload(src, payload))
         )
 
     def get(self, src: int, dst: int, tag, pending: list):
@@ -246,7 +206,7 @@ class ProcessFabric:
         internally, keyed by source *and* tag, because one inbox serves all
         sources.
         """
-        tag = self._scoped(tag)
+        tag = (self.epoch, tag)
         for idx, (msg_tag, payload) in enumerate(pending):
             if msg_tag == tag:
                 pending.pop(idx)
@@ -288,7 +248,7 @@ class ProcessFabric:
                 # Pills are stamped with the epoch they poisoned; one that
                 # outlived its epoch (deposited while this rank was idle)
                 # is stale and ignored.
-                if record is None or self.epoch is None or record == self.epoch:
+                if record == self.epoch:
                     raise attach_wait_context(
                         CommunicationError(
                             f"rank {dst} abandoned a receive from rank {src}: "
@@ -320,7 +280,7 @@ class ProcessFabric:
         """Break the barrier so that surviving ranks fail fast after a crash."""
         self._barrier.abort()
 
-    def poison_waits(self, epoch: int | None = None) -> None:
+    def poison_waits(self, epoch: int) -> None:
         """Deposit one abort poison pill per inbox so blocked receives fail fast.
 
         The complement of :meth:`abort` for queue waits: a rank parked in
@@ -329,8 +289,8 @@ class ProcessFabric:
         crucially for pool supervision, instead of having to be
         ``terminate()``-ed while it holds its inbox's shared reader lock
         (an orphaned lock would wedge the inbox for a respawned rank).
-        ``epoch`` scopes the pill on standing fabrics: ranks running a
-        *later* epoch skip stale pills.  Safe to call repeatedly.
+        ``epoch`` scopes the pill: ranks running a *later* epoch skip
+        stale pills.  Safe to call repeatedly.
         """
         for dst in range(self.n_procs):
             try:
@@ -360,8 +320,8 @@ class ProcessFabric:
 
         Ring acks parked in drained inboxes are dropped, not applied: ring
         bookkeeping lives in the owning worker's process, so a surviving
-        ring keeps any un-acked slots pinned until it adapts or retires --
-        bounded, and irrelevant in the common all-ranks-exited failure.
+        ring keeps any un-acked slots pinned until it retires -- bounded,
+        and irrelevant in the common all-ranks-exited failure.
         """
         disposes = True  # duck-typed transports: assume dispose matters
         if isinstance(self.transport, PayloadTransport):
@@ -401,13 +361,14 @@ class ProcessFabric:
     def shutdown(self, *, drain_timeout: float = 0.0) -> None:
         """Drain undelivered messages and release their transport resources.
 
-        Called by the backend after the workers have stopped -- on success,
-        failure, abort and timeout paths alike.  Every record still sitting
-        in an inbox is handed to ``transport.dispose`` so out-of-band
-        payloads (shared-memory segments) are unlinked rather than leaked.
+        Called by the worker pool's ``close()`` after the workers have
+        stopped -- on success, failure, abort and timeout paths alike.
+        Every record still sitting in an inbox is handed to
+        ``transport.dispose`` so out-of-band payloads (shared-memory
+        segments) are unlinked rather than leaked.
 
         ``drain_timeout`` is the per-inbox wait for straggling feeder
-        flushes; the backend passes 0 on clean runs (the inboxes are empty)
+        flushes; the pool passes 0 on clean runs (the inboxes are empty)
         and a short grace period after aborts and timeouts.
 
         Reading records back can block indefinitely: a worker terminated
@@ -462,72 +423,14 @@ class ProcessFabric:
                     break
                 except Exception:
                     # A worker terminated mid-put can leave a truncated
-                    # pickle in the pipe; shutdown runs inside the
-                    # backend's finally block, so nothing here may mask
-                    # the real run error -- skip to the next inbox.
+                    # pickle in the pipe; shutdown runs inside the pool's
+                    # close(), so nothing here may mask the real run
+                    # error -- skip to the next inbox.
                     break
                 try:
                     self.transport.dispose(record)
                 except Exception:  # pragma: no cover - disposal is best effort
                     pass
-
-
-class _VariateCount:
-    """Stand-in for a remote rank's CountingRNG after the run has finished."""
-
-    def __init__(self, total_variates: int):
-        self.total_variates = int(total_variates)
-
-
-def _portable_exception(exc: BaseException) -> BaseException:
-    """Return ``exc`` if it survives pickling, else a summarising BackendError.
-
-    Either way the worker-side traceback travels along as a plain
-    ``remote_traceback`` string attribute (it rides in the exception's
-    ``__dict__`` through pickling), so the parent's
-    :func:`~repro.util.errors.wrap_rank_failure` can chain the remote
-    stack into the caller-side error.  The unpicklable fallback keeps the
-    original's transient/fatal classification.
-    """
-    tb = traceback.format_exc()
-    try:
-        exc.remote_traceback = tb
-    except Exception:  # pragma: no cover - exotic __slots__ exceptions
-        pass
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        cls = TransientBackendError if is_transient_failure(exc) else BackendError
-        summary = cls(f"{type(exc).__name__}: {exc}")
-        summary.remote_traceback = tb
-        return summary
-
-
-def _worker_main(rank: int, ctx, program, args, kwargs, result_queue) -> None:
-    """Entry point of one rank's process (module-level for spawn support)."""
-    fabric = ctx.comm._fabric
-    try:
-        value = program(ctx, *args, **kwargs)
-        variates = getattr(ctx.rng, "total_variates", None)
-        encoded = fabric.encode_payload(rank, value)
-        # Snapshot this rank's transport counters and ring geometry onto the
-        # cost recorder so they repatriate with the existing result tuple.
-        ctx.cost.telemetry = capture_rank_telemetry(fabric, rank)
-        result_queue.put((rank, True, (encoded, ctx.cost, variates)))
-    except BaseException as exc:  # noqa: BLE001 - report any rank failure
-        try:
-            fabric.abort()
-        except Exception:
-            pass
-        try:
-            # The barrier abort cannot reach siblings parked in queue
-            # receives: poison every inbox so they fail fast instead of
-            # waiting out the fabric timeout.
-            fabric.poison_waits()
-        except Exception:
-            pass
-        result_queue.put((rank, False, _portable_exception(exc)))
 
 
 class ProcessBackend(ExecutionBackend):
@@ -549,10 +452,14 @@ class ProcessBackend(ExecutionBackend):
         or ``"pickle"`` (everything through the queue pipe).  Results are
         bit-identical across transports for a fixed machine seed.
     persistent:
-        When True, ranks run on a standing :class:`~repro.pro.backends.
-        pool.WorkerPool` of long-lived daemon processes instead of being
-        spawned per run: the pool (one per ``n_procs``) is created on the
-        first run and reused by every later run, amortising process spawn
+        When False (default), every run is a cold pool that lives for one
+        epoch: its ranks are spawned for the run, get program and
+        arguments through their spawn arguments (inherited, not pickled,
+        under ``fork``) and exit after it.  When True, ranks run on a
+        standing :class:`~repro.pro.backends.pool.WorkerPool` of
+        long-lived daemon processes instead: the pool (one per
+        ``n_procs``) is created on the first run and reused by every later
+        run, amortising process spawn
         and shared-memory ring setup.  Programs and arguments must then be
         picklable even under ``fork`` (they travel through the dispatch
         queue; ``cloudpickle`` widens this to closures when installed).
@@ -668,8 +575,8 @@ class ProcessBackend(ExecutionBackend):
         ranks are respawned into the standing fabric; a pool that cannot be
         healed is dropped so the next run builds a fresh one.  Pools
         borrowed from the process-wide cache are left to the cache, which
-        heals or evicts them on the next lookup.  Non-persistent runs have
-        nothing standing and always return True.
+        heals or evicts them on the next lookup.  Cold runs leave nothing
+        standing, so a non-persistent backend always returns True.
         """
         healthy = True
         for n_procs, pool in list(self._pools.items()):
@@ -696,7 +603,14 @@ class ProcessBackend(ExecutionBackend):
 
     # -- running ------------------------------------------------------------
     def run(self, contexts: Sequence, program: Callable, args: tuple, kwargs: dict) -> list:
-        """Execute ``program(ctx, *args, **kwargs)`` with one process per rank."""
+        """Execute ``program(ctx, *args, **kwargs)`` with one process per rank.
+
+        A persistent backend dispatches the run to its standing pool; a
+        cold run is a one-epoch pool over the contexts' fabric, closed on
+        every exit path.
+        """
+        from repro.pro.backends.pool import WorkerPool
+
         n = len(contexts)
         if n == 0:
             return []
@@ -707,124 +621,20 @@ class ProcessBackend(ExecutionBackend):
                 "create the machine with backend='process' instead of passing "
                 "contexts built for another backend"
             )
-        if self.persistent:
-            pool = self._pools.get(n)
-            if pool is None or pool.fabric is not fabric:
-                raise BackendError(
-                    "persistent runs need contexts wired to the pool's standing "
-                    "fabric; build them through the machine (create_fabric) "
-                    "rather than reusing contexts from another run"
-                )
-            return pool.run(contexts, program, args, kwargs)
-        result_queue = self._mp.Queue()
-        workers = [
-            self._mp.Process(
-                target=_worker_main,
-                args=(rank, contexts[rank], program, args, kwargs, result_queue),
-                name=f"pro-rank-{rank}",
-                daemon=True,
-            )
-            for rank in range(n)
-        ]
-        for proc in workers:
-            proc.start()
-
-        drain_timeout = 0.0
-        try:
-            outcomes = self._collect(workers, result_queue, n)
-            self._reap(workers)
-
-            failed = []
-            for rank in range(n):
-                entry = outcomes.get(rank)
-                if entry is None:
-                    failed.append((rank, CommunicationError(
-                        f"rank {rank} exited (code {workers[rank].exitcode}) "
-                        "without reporting a result"
-                    )))
-                elif not entry[0]:
-                    failed.append((rank, entry[1]))
-            if failed:
-                drain_timeout = scale_timeout(0.25)
-                # Undecoded success payloads may hold out-of-band resources.
-                for rank in range(n):
-                    entry = outcomes.get(rank)
-                    if entry is not None and entry[0]:
-                        try:
-                            fabric.transport.dispose(entry[1][0])
-                        except Exception:
-                            pass
-                primary = next(
-                    ((rank, exc) for rank, exc in failed
-                     if not isinstance(exc, CommunicationError)),
-                    failed[0],
-                )
-                rank, exc = primary
-                if isinstance(exc, Exception):
-                    raise wrap_rank_failure(rank, exc) from exc
-                raise exc  # KeyboardInterrupt and friends propagate unchanged
-
-            results: list = [None] * n
-            for rank in range(n):
-                encoded_value, cost, variates = outcomes[rank][1]
-                results[rank] = fabric.transport.decode(encoded_value)
-                # Fold the worker-side accounting back into the caller's
-                # context: the parent's recorder/rng never advanced.
-                contexts[rank].cost = cost
-                if variates is not None:
-                    contexts[rank].rng = _VariateCount(variates)
-            return results
-        finally:
-            # Unlink in-flight shared-memory payloads on every exit path
-            # (normal, failed rank, abort, timeout).
-            fabric.shutdown(drain_timeout=drain_timeout)
-
-    def _collect(self, workers, result_queue, n: int) -> dict:
-        """Read per-rank outcome messages until all arrive or the run is dead.
-
-        There is deliberately no overall wall-clock deadline: like the
-        thread backend, the run waits as long as healthy ranks keep
-        computing.  Blocked *communication* times out inside the workers
-        (the fabric's own timeout), which surfaces here as an error
-        outcome; a rank that dies without reporting (hard crash) is caught
-        by the liveness check.
-        """
-        outcomes: dict = {}
-        deadline = current_deadline()
-        while len(outcomes) < n:
-            if deadline is not None and deadline.expired:
-                for proc in workers:
-                    if proc.is_alive():
-                        proc.terminate()
-                raise DeadlineError(
-                    f"run exceeded its {deadline.seconds:g}s deadline with "
-                    f"{n - len(outcomes)} rank(s) still outstanding"
-                )
+        if not self.persistent:
+            cold = WorkerPool._one_epoch(fabric, self._mp, self.shutdown_grace)
             try:
-                rank, ok, payload = result_queue.get(timeout=0.2)
-                outcomes[rank] = (ok, payload)
-                continue
-            except _pyqueue.Empty:
-                pass
-            if not any(w.is_alive() for w in workers):
-                # Everybody exited; drain whatever is still in flight.
-                while len(outcomes) < n:
-                    try:
-                        rank, ok, payload = result_queue.get(timeout=1.0)
-                        outcomes[rank] = (ok, payload)
-                    except _pyqueue.Empty:
-                        break
-                break
-        return outcomes
-
-    def _reap(self, workers) -> None:
-        grace = scale_timeout(self.shutdown_grace)
-        for proc in workers:
-            proc.join(timeout=grace)
-        for proc in workers:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=grace)
+                return cold.run(contexts, program, args, kwargs)
+            finally:
+                cold.close()
+        pool = self._pools.get(n)
+        if pool is None or pool.fabric is not fabric:
+            raise BackendError(
+                "persistent runs need contexts wired to the pool's standing "
+                "fabric; build them through the machine (create_fabric) "
+                "rather than reusing contexts from another run"
+            )
+        return pool.run(contexts, program, args, kwargs)
 
 
 register_backend(

@@ -71,7 +71,8 @@ backend's :class:`~repro.pro.backends.pool.WorkerPool`:
 
 * per-rank RNG streams are still built by the machine in the parent for
   *every* run, so a fixed seed stays bit-identical between persistent and
-  one-shot execution;
+  cold execution (the process backend runs a cold run as a one-epoch
+  ``WorkerPool``, so both share one execution path);
 * a failed run poisons the standing fleet (subsequent runs raise
   :class:`~repro.util.errors.BackendError`) rather than silently reusing
   communication state that may hold stray messages; a *supervised* fleet
@@ -127,7 +128,7 @@ work:
   (``fallback=("thread", "inline")``-style) instead of retrying.  Set
   ``self_healing=True`` in :class:`BackendCapabilities` when provided.
   Backends without the hook are retried on a best-effort basis (the
-  machine rebuilds one-shot fabrics per attempt anyway).
+  machine rebuilds cold fabrics per attempt anyway).
 
 Kernel-tier sub-contract (sampling hot paths)
 ---------------------------------------------
@@ -159,7 +160,7 @@ gap with the existing result record, with no wire-format change.  Rules:
 * an out-of-address-space backend snapshots each rank's transport
   counters and sender-ring geometry onto ``ctx.cost.telemetry``
   (:func:`~repro.pro.telemetry.capture_rank_telemetry`) just before the
-  rank's result record is queued -- one-shot and persistent paths alike;
+  rank's result record is queued -- cold and persistent runs alike;
 * in-address-space backends (inline/thread/sim) attach nothing; the
   parent reports a **zeroed** transport section for their ranks rather
   than omitting it, so the report schema is backend-invariant;
@@ -264,7 +265,7 @@ class BackendCapabilities:
         The backend exposes a ``heal()`` hook that recovers its standing
         state (poisoned worker fleets) between retry attempts, per the
         resilience sub-contract above.  Backends without it are still
-        retryable -- one-shot substrates are rebuilt per attempt -- but a
+        retryable -- cold substrates are rebuilt per attempt -- but a
         failed heal cannot be distinguished from "nothing to heal".
     """
 

@@ -188,67 +188,30 @@ def _unlink_by_name(name: str) -> None:
     seg.close()
 
 
-#: Ring growth/shrink factor of the adaptive geometry.
-_RING_GROWTH = 2
-#: Consecutive quiet epochs (peak demand under a quarter of the capacity)
-#: before the logical capacity is halved.
-_RING_SHRINK_PATIENCE = 3
-
-
 class _SenderRing:
     """The sender side of one ring segment: a circular slot allocator.
 
-    The *physical* segment size is fixed at creation, but the allocator
-    cycles through a **logical capacity** that may be smaller: tmpfs pages
-    are committed lazily on first write, so bounding the bytes the ring
-    actually cycles through bounds its resident memory.  The logical
-    capacity *adapts*: :meth:`end_epoch` (called by persistent-pool
-    workers at every run boundary) grows it -- up to the physical size --
-    when the previous epoch's traffic did not fit, and shrinks it back
-    after several quiet epochs.  Geometry only ever changes while the ring
-    is empty (every slot acked), because outstanding slots pin their
-    physical positions.
+    The allocator cycles through the whole segment, whose size the
+    transport declares (``ring_bytes``) and never changes.
     """
 
-    __slots__ = ("shm", "capacity", "max_capacity", "min_capacity",
-                 "head", "tail", "_slots", "reclaimed_bytes", "wraps",
-                 "resizes", "epoch_demand", "epoch_fallbacks",
-                 "_quiet_epochs")
+    __slots__ = ("shm", "capacity", "head", "tail", "_slots",
+                 "reclaimed_bytes", "wraps")
 
-    def __init__(self, shm, *, capacity: int | None = None,
-                 min_capacity: int | None = None):
+    def __init__(self, shm):
         self.shm = shm
         # Physical offsets repeat modulo the capacity; keep it slot-aligned
         # so wrapped slots stay aligned too.
         if shm.size >= _ALIGN:
-            self.max_capacity = shm.size - shm.size % _ALIGN
+            self.capacity = shm.size - shm.size % _ALIGN
         else:
-            self.max_capacity = shm.size
-        if capacity is None:
-            self.capacity = self.max_capacity
-        else:
-            capacity = min(int(capacity), self.max_capacity)
-            if capacity >= _ALIGN:
-                capacity -= capacity % _ALIGN
-            self.capacity = max(capacity, 1)
-        if min_capacity is None:
-            self.min_capacity = self.capacity
-        else:
-            self.min_capacity = max(min(int(min_capacity), self.capacity), 1)
+            self.capacity = shm.size
         self.head = 0  # virtual offset of the next write
         self.tail = 0  # virtual offset of the oldest unacked byte
         # Outstanding slots in allocation order: [virtual_end, acked].
         self._slots: list = []
         self.reclaimed_bytes = 0  # observability / tests
         self.wraps = 0
-        self.resizes = 0
-        #: Peak bytes the current epoch needed live at once (outstanding
-        #: span or single-message size, whichever was larger).
-        self.epoch_demand = 0
-        #: Allocations the current epoch refused (degraded to dedicated
-        #: segments).
-        self.epoch_fallbacks = 0
-        self._quiet_epochs = 0
 
     def allocate(self, nbytes: int) -> tuple[int, int] | None:
         """Reserve ``nbytes`` contiguously; return (physical_start, receipt).
@@ -259,8 +222,6 @@ class _SenderRing:
         """
         aligned = (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
         if aligned > self.capacity:
-            self.epoch_fallbacks += 1
-            self.epoch_demand = max(self.epoch_demand, aligned)
             return None
         start = self.head
         position = start % self.capacity
@@ -277,61 +238,12 @@ class _SenderRing:
             position = 0
         end = start + aligned
         if end - self.tail > self.capacity:
-            self.epoch_fallbacks += 1
-            self.epoch_demand = max(self.epoch_demand, aligned)
             return None
         if wrapped:
             self.wraps += 1
         self.head = end
         self._slots.append([end, False])
-        self.epoch_demand = max(self.epoch_demand, end - self.tail)
         return position, end
-
-    def end_epoch(self) -> int:
-        """Close one traffic epoch; adapt the logical capacity; return it.
-
-        Grows (by doubling, clamped to the physical segment) when the
-        epoch had any refused allocation whose demand a bigger ring would
-        have served, and shrinks (by halving, floored at ``min_capacity``)
-        after :data:`_RING_SHRINK_PATIENCE` consecutive epochs whose peak
-        demand used under a quarter of the capacity.  A ring with
-        outstanding slots keeps its geometry and carries the epoch's
-        statistics forward.
-        """
-        if self.head != self.tail:  # outstanding slots pin the geometry
-            return self.capacity
-        demand, fallbacks = self.epoch_demand, self.epoch_fallbacks
-        self.epoch_demand = 0
-        self.epoch_fallbacks = 0
-        if fallbacks and self.capacity < self.max_capacity:
-            target = self.capacity * _RING_GROWTH
-            while target < demand:
-                target *= _RING_GROWTH
-            self._resize(min(target, self.max_capacity))
-            self._quiet_epochs = 0
-        elif demand * 4 <= self.capacity and self.capacity > self.min_capacity:
-            self._quiet_epochs += 1
-            if self._quiet_epochs >= _RING_SHRINK_PATIENCE:
-                self._resize(max(self.capacity // _RING_GROWTH,
-                                 self.min_capacity))
-                self._quiet_epochs = 0
-        else:
-            self._quiet_epochs = 0
-        return self.capacity
-
-    def _resize(self, target: int) -> None:
-        """Set a new logical capacity (only ever called on an empty ring)."""
-        if target >= _ALIGN:
-            target -= target % _ALIGN
-        target = max(min(target, self.max_capacity), 1)
-        if target == self.capacity:
-            return
-        self.capacity = target
-        # The ring is empty, so the virtual space can restart at zero;
-        # stale receipts for pre-resize slots find no matching slot and
-        # are ignored by ack() as usual.
-        self.head = self.tail = 0
-        self.resizes += 1
 
     def ack(self, receipt: int) -> None:
         """Mark the slot ending at virtual offset ``receipt`` as consumed."""
@@ -380,33 +292,16 @@ class _RingAttachment:
                 pass
 
 
-def _sender_ring(name: str, ring_bytes: int, *, max_bytes: int | None = None,
-                 min_bytes: int | None = None) -> "_SenderRing | None":
-    """This process's sender ring called ``name``, created on first use.
-
-    The physical segment is sized ``max_bytes`` (tmpfs commits pages
-    lazily, so headroom for adaptive growth is free until written) with
-    the logical capacity starting at ``ring_bytes``; when the bigger
-    segment cannot be created the ring falls back to a fixed-geometry
-    segment of ``ring_bytes``.
-    """
+def _sender_ring(name: str, ring_bytes: int) -> "_SenderRing | None":
+    """This process's sender ring called ``name``, created on first use."""
     key = (os.getpid(), name)
     ring = _SENDER_RINGS.get(key)
     if ring is None:
-        size = max(max_bytes or ring_bytes, ring_bytes)
-        shm = None
         try:
-            shm = _shm_module.SharedMemory(name=name, create=True, size=size)
+            shm = _shm_module.SharedMemory(name=name, create=True, size=ring_bytes)
         except Exception:
-            if size > ring_bytes:
-                try:
-                    shm = _shm_module.SharedMemory(name=name, create=True,
-                                                   size=ring_bytes)
-                except Exception:
-                    return None
-            else:
-                return None
-        ring = _SenderRing(shm, capacity=ring_bytes, min_capacity=min_bytes)
+            return None
+        ring = _SenderRing(shm)
         _SENDER_RINGS[key] = ring
     return ring
 
@@ -463,37 +358,22 @@ class SharedMemoryTransport(PayloadTransport):
         of 8 KiB keeps control traffic on the fast path while every block
         of a realistically sized permutation goes zero-copy.
     ring_bytes:
-        Initial *logical* capacity of one per-sender ring segment (default
-        32 MiB).  The ring wraps around: receiver acknowledgements
-        (flowing back on the fabric's control channel once the zero-copy
-        views of a slot are garbage collected) let the allocator reclaim
-        consumed slots, so sustained traffic cycles through the buffer
-        indefinitely.  A message that cannot be placed -- outstanding
-        unacknowledged slots still cover the ring -- uses a dedicated
-        per-message segment instead.
-    ring_max_bytes:
-        Physical size of the ring segment, and the ceiling of adaptive
-        growth (default ``8 * ring_bytes``).  tmpfs commits pages lazily,
-        so the headroom is free until traffic actually needs it.
-    ring_min_bytes:
-        Floor of adaptive shrinking (default ``ring_bytes // 32``, at
-        least one alignment unit).
-    adaptive_ring:
-        When True (default), persistent-pool workers adapt each ring's
-        logical capacity at run boundaries: epochs whose traffic did not
-        fit grow the ring (killing the oversize-segment fallback for
-        steady workloads), sustained quiet epochs shrink it back.  Set
-        False to pin the geometry at ``ring_bytes``.
+        Size of one per-sender ring segment (default 32 MiB), declared
+        once and fixed for the ring's lifetime.  The ring wraps around:
+        receiver acknowledgements (flowing back on the fabric's control
+        channel once the zero-copy views of a slot are garbage collected)
+        let the allocator reclaim consumed slots, so sustained traffic
+        cycles through the buffer indefinitely.  A message that cannot be
+        placed -- bigger than the ring, or outstanding unacknowledged
+        slots still cover it -- uses a dedicated per-message segment
+        instead (counted in ``stats.oversize_fallbacks``).
     """
 
     name = "sharedmem"
     #: Tells the fabric to start the shared resource tracker pre-fork.
     uses_shared_memory = True
 
-    def __init__(self, *, min_bytes: int = 8192, ring_bytes: int = 32 * 1024 * 1024,
-                 ring_max_bytes: int | None = None,
-                 ring_min_bytes: int | None = None,
-                 adaptive_ring: bool = True):
+    def __init__(self, *, min_bytes: int = 8192, ring_bytes: int = 32 * 1024 * 1024):
         self.min_bytes = int(min_bytes)
         self.ring_bytes = int(ring_bytes)
         if self.min_bytes < 1:
@@ -504,28 +384,16 @@ class SharedMemoryTransport(PayloadTransport):
             raise ValidationError(
                 f"ring_bytes must be >= 1, got {self.ring_bytes}"
             )
-        self.adaptive_ring = bool(adaptive_ring)
-        if ring_max_bytes is None:
-            ring_max_bytes = 8 * self.ring_bytes if self.adaptive_ring else self.ring_bytes
-        self.ring_max_bytes = int(ring_max_bytes)
-        if self.ring_max_bytes < self.ring_bytes:
-            raise ValidationError(
-                f"ring_max_bytes must be >= ring_bytes, got {self.ring_max_bytes}"
-            )
-        if ring_min_bytes is None:
-            ring_min_bytes = max(self.ring_bytes // 32, _ALIGN)
-        self.ring_min_bytes = max(int(ring_min_bytes), 1)
         #: Monotonic per-instance counters (see TransportStats); tests and
-        #: the bench harness assert the once-per-run encode and the
-        #: adaptive ring's fallback behaviour through these.
+        #: the bench harness assert the once-per-run encode and the ring's
+        #: fallback behaviour through these.
         self.stats = TransportStats()
         #: (creator pid, segment name) -> remaining consumer count of the
         #: multi-consumer segments this instance encoded (parent side).
         self._multi: dict = {}
 
     def cache_key(self) -> tuple:
-        return ("sharedmem", self.min_bytes, self.ring_bytes,
-                self.ring_max_bytes, self.ring_min_bytes, self.adaptive_ring)
+        return ("sharedmem", self.min_bytes, self.ring_bytes)
 
     # -- encoding -----------------------------------------------------------
     def _pack(self, payload):
@@ -589,9 +457,7 @@ class SharedMemoryTransport(PayloadTransport):
         self.stats.bytes_encoded += cursor
 
         if ring is not None:
-            sender = _sender_ring(ring, self.ring_bytes,
-                                  max_bytes=self.ring_max_bytes,
-                                  min_bytes=self.ring_min_bytes)
+            sender = _sender_ring(ring, self.ring_bytes)
             if sender is not None:
                 alloc = sender.allocate(cursor)
                 if alloc is not None:
@@ -605,12 +471,9 @@ class SharedMemoryTransport(PayloadTransport):
                     return (SHMRING, ring,
                             tuple(base + offset for offset in offsets),
                             receipt, inner)
-                # The allocator refused (message bigger than the logical
-                # capacity, or unacked slots still cover the ring): fall
-                # through to a dedicated segment.  The refusal is recorded
-                # in the ring's epoch statistics, so the adaptive geometry
-                # grows at the next epoch boundary and steady workloads
-                # stop paying this path.
+                # The allocator refused (message bigger than the ring, or
+                # unacked slots still cover it): fall through to a
+                # dedicated segment.
                 self.stats.oversize_fallbacks += 1
         name = self._write_segment(slabs, offsets, cursor)
         if name is None:
@@ -806,22 +669,6 @@ class SharedMemoryTransport(PayloadTransport):
             _unlink_by_name(key[1])
 
     # -- ring lifecycle -----------------------------------------------------
-    def ring_epoch(self, name: str) -> None:
-        """Epoch boundary of this process's sender ring called ``name``.
-
-        Persistent-pool workers call this at the start of every dispatched
-        run (after applying the receipts batched into the dispatch, so a
-        fully acked ring is observably empty); the ring closes its traffic
-        epoch and adapts its logical capacity within
-        ``[ring_min_bytes, ring_max_bytes]``.  A no-op for rings this
-        process does not own, and when ``adaptive_ring`` is off.
-        """
-        if not self.adaptive_ring:
-            return
-        ring = _SENDER_RINGS.get((os.getpid(), name))
-        if ring is not None:
-            ring.end_epoch()
-
     def retire_rings(self, names) -> None:
         """Unlink the named ring segments and drop this process's handles.
 

@@ -72,11 +72,6 @@ A transport is any object with
     Unlink every outstanding multi-consumer segment this process still
     tracks; called during fabric shutdown so crashed or abandoned runs
     leak nothing.
-``ring_epoch(name) -> None`` (optional)
-    Epoch boundary of the sender ring called ``name``: persistent-pool
-    workers call it at the start of every dispatched run so the ring can
-    adapt its logical capacity to the observed traffic (see the
-    shared-memory transport's adaptive ring geometry).
 ``cache_key() -> tuple | None`` (optional)
     Hashable configuration identity; equal keys mean two instances are
     interchangeable, which is what lets the process-wide default pool
@@ -133,8 +128,8 @@ class TransportStats:
     Every built-in transport exposes one as its ``stats`` attribute.  The
     interesting invariants they pin: persistent dispatch encodes bulk
     arguments **once per run** (``shared_encode_calls`` grows by one per
-    ``run()``, not by ``p``), and a steady warm workload stops paying
-    ``oversize_fallbacks`` once the adaptive ring has grown to fit.
+    ``run()``, not by ``p``), and ``oversize_fallbacks`` counts the
+    messages a sender ring could not place.
     """
 
     __slots__ = ("encode_calls", "shared_encode_calls", "decode_calls",
@@ -256,10 +251,6 @@ class PayloadTransport:
     def retire_shared(self) -> None:
         """Unlink every outstanding multi-consumer segment of this process."""
         # In-band transports have no shared segments.
-
-    def ring_epoch(self, name: str) -> None:
-        """Epoch boundary of the sender ring called ``name`` (adaptive hook)."""
-        # In-band transports have no rings to adapt.
 
     def cache_key(self) -> tuple | None:
         """Hashable identity for pool-cache keying, or ``None``.

@@ -1,6 +1,6 @@
 """Fleet-wide observability: repatriated telemetry and structured run events.
 
-Per-rank transport counters, adaptive-ring geometry, kernel-tier choices,
+Per-rank transport counters, ring geometry, kernel-tier choices,
 pool lifecycle and resilience events all *exist* somewhere in the fleet --
 but most of them are born inside worker processes and would die there.
 This module repatriates them along the same path the cost contract already
@@ -63,18 +63,13 @@ TRANSPORT_COUNTERS = (
     "bytes_encoded",
 )
 
-#: Geometry fields of one rank's adaptive sender ring (``None`` when the
-#: rank never opened a ring -- pickle transport, or payloads below the
-#: shared-memory threshold).
+#: Geometry fields of one rank's sender ring (``None`` when the rank never
+#: opened a ring -- pickle transport, or payloads below the shared-memory
+#: threshold).
 RING_FIELDS = (
     "capacity",
-    "max_capacity",
-    "min_capacity",
-    "resizes",
     "wraps",
     "reclaimed_bytes",
-    "epoch_demand",
-    "epoch_fallbacks",
 )
 
 #: The structured event taxonomy (every ``record_event`` kind in the tree).
@@ -141,8 +136,8 @@ def _ring_geometry(ring: Any) -> dict:
 def capture_rank_telemetry(fabric: Any, rank: int) -> dict | None:
     """Snapshot one worker rank's transport counters and ring geometry.
 
-    Called by the process-backend workers (one-shot and pool) right before
-    the result record is queued; the returned blob is attached to
+    Called by every process-backend worker right before the result
+    record is queued; the returned blob is attached to
     ``ctx.cost.telemetry`` so it repatriates through the existing result
     tuple.  Returns ``None`` for fabrics without a payload transport (the
     in-process fabrics), in which case the parent reports zeroed counters.
@@ -185,7 +180,7 @@ class FleetReport:
     """
 
     #: Version stamp of the ``to_dict()`` JSON shape; bump on breaking change.
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(
         self,
@@ -289,8 +284,8 @@ class FleetReport:
             if ring:
                 lines.append(
                     f"rank {rank['rank']}: ring capacity {ring['capacity']} B "
-                    f"(resizes {ring['resizes']}, wraps {ring['wraps']}, "
-                    f"epoch fallbacks {ring['epoch_fallbacks']})"
+                    f"(wraps {ring['wraps']}, "
+                    f"reclaimed {ring['reclaimed_bytes']} B)"
                 )
         retries = self.resilience.get("retries", 0)
         if retries:

@@ -6,7 +6,7 @@ must produce exactly the same matrices and permutations for a fixed seed.
 These tests pin that contract (it is what makes each backend a drop-in
 replacement rather than a different sampler) across every payload transport
 (``pickle`` / ``sharedmem``), both persistence modes of the process backend
-(one-shot spawn vs the standing worker pool), and the sim backend's
+(cold one-epoch pool vs the standing worker pool), and the sim backend's
 schedule seeds (interleavings must never change results; the exhaustive
 schedule sweep lives in ``tests/simulation/``).
 
@@ -183,7 +183,7 @@ class TestTransportDeterminism:
 
 
 class TestPersistentDeterminism:
-    """Standing worker pool vs one-shot spawn: bit-identical for a fixed seed.
+    """Standing worker pool vs cold runs: bit-identical for a fixed seed.
 
     Persistence only changes where the ranks live and how runs reach them
     (dispatch queue vs fork-per-run); the per-rank streams are still built
@@ -221,7 +221,7 @@ class TestPersistentDeterminism:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_run_sequences_agree_between_modes(self, transport):
-        """k runs on one standing pool == k one-shot runs, same seed."""
+        """k runs on one standing pool == k cold runs, same seed."""
         if True not in PERSISTENT_MODES:
             pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
         options = {"transport": transport}

@@ -1,14 +1,12 @@
 """Unit tests for the process backend and its multiprocessing fabric."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.pro.backends.process import (
-    ProcessBackend,
-    ProcessFabric,
-    _decode_payload,
-    _encode_payload,
-)
+from repro.pro.backends.process import ProcessBackend, ProcessFabric
+from repro.pro.backends.transport import PickleTransport
 from repro.pro.machine import PROMachine
 from repro.rng.counting import CountingRNG
 from repro.util.errors import BackendError, ValidationError
@@ -17,23 +15,28 @@ from repro.util.timeouts import scale_timeout
 pytestmark = pytest.mark.subprocess  # every test forks rank processes
 
 
+def _roundtrip(payload):
+    codec = PickleTransport()
+    return codec.decode(codec.encode(payload))
+
+
 class TestPayloadCodec:
     def test_array_roundtrip_preserves_dtype_shape_values(self):
         arr = np.arange(12, dtype=np.int64).reshape(3, 4)
-        out = _decode_payload(_encode_payload(arr))
+        out = _roundtrip(arr)
         assert out.dtype == arr.dtype
         assert out.shape == arr.shape
         assert np.array_equal(out, arr)
 
     def test_decoded_arrays_are_writable_copies(self):
         arr = np.arange(5)
-        out = _decode_payload(_encode_payload(arr))
+        out = _roundtrip(arr)
         out[0] = 99  # must not raise (frombuffer alone would be read-only)
         assert arr[0] == 0
 
     def test_nested_containers(self):
         payload = (3, [np.arange(2), {"k": np.ones(3)}], "text", None)
-        out = _decode_payload(_encode_payload(payload))
+        out = _roundtrip(payload)
         assert out[0] == 3
         assert np.array_equal(out[1][0], np.arange(2))
         assert np.array_equal(out[1][1]["k"], np.ones(3))
@@ -42,7 +45,7 @@ class TestPayloadCodec:
 
     def test_non_contiguous_arrays_supported(self):
         arr = np.arange(20).reshape(4, 5)[:, ::2]
-        out = _decode_payload(_encode_payload(arr))
+        out = _roundtrip(arr)
         assert np.array_equal(out, arr)
 
 
@@ -123,9 +126,28 @@ class TestProcessBackendRuns:
                 raise RuntimeError("boom on rank 1")
             ctx.comm.barrier()
 
+        before = set(multiprocessing.active_children())
         with pytest.raises(BackendError, match="rank 1"):
             PROMachine(3, seed=0, backend="process",
                        timeout=scale_timeout(15)).run(program)
+        # The failed cold run reaped every rank it spawned.
+        assert set(multiprocessing.active_children()) - before == set()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_cold_run_inherits_closures_without_cloudpickle(self, monkeypatch):
+        # A cold run's epoch reaches its ranks through their spawn
+        # arguments, so under fork a closure is inherited, never pickled.
+        import importlib
+
+        # (the package re-exports the pool() context manager as "pool")
+        pool_module = importlib.import_module("repro.pro.backends.pool")
+        monkeypatch.setattr(pool_module, "_cloudpickle", None)
+        weights = np.arange(10, dtype=np.int64)
+        machine = PROMachine(2, seed=0, backend="process", persistent=False,
+                             backend_options={"start_method": "fork"})
+        results = machine.run(lambda ctx: int(weights[ctx.rank::2].sum())).results
+        assert results == [20, 25]
 
     def test_mismatched_fabric_rejected(self):
         backend = ProcessBackend()

@@ -5,8 +5,8 @@ The contract under test (the telemetry/repatriation sub-contract in
 
 * out-of-address-space ranks snapshot their transport counters and ring
   geometry onto the cost recorder, so the numbers survive the
-  worker->parent gap on both the one-shot and the persistent process
-  backend;
+  worker->parent gap on both cold (one-epoch pool) and persistent process
+  runs;
 * in-address-space backends (inline/thread/sim) report the same counter
   keys **zeroed** rather than omitting them;
 * lifecycle transitions (pool spawn/heal, retries, degradations) are
@@ -66,10 +66,17 @@ class TestSchema:
         assert sorted(zeroed_transport_stats()) == sorted(TRANSPORT_COUNTERS)
         assert set(zeroed_transport_stats().values()) == {0}
 
+    def test_ring_fields_track_the_sender_ring_lockstep(self):
+        """The ring section is the fixed ring's geometry, read off its slots."""
+        from repro.pro.backends.sharedmem import _SenderRing
+
+        assert RING_FIELDS == ("capacity", "wraps", "reclaimed_bytes")
+        assert set(RING_FIELDS) <= set(_SenderRing.__slots__)
+
     def test_to_dict_key_stability(self):
         report = FleetReport(backend="thread", n_procs=2)
         payload = report.to_dict()
-        assert payload["schema"] == FleetReport.SCHEMA == 1
+        assert payload["schema"] == FleetReport.SCHEMA == 2
         assert sorted(payload) == [
             "backend", "events", "n_procs", "parent_transport", "ranks",
             "resilience", "schema", "transport", "wall_clock_seconds",
@@ -129,7 +136,7 @@ class TestInAddressSpaceBackends:
 
 @pytest.mark.subprocess
 class TestProcessRepatriation:
-    def test_one_shot_sharedmem_counters_and_ring_survive(self):
+    def test_cold_sharedmem_counters_and_ring_survive(self):
         telemetry, _ = _run_with_telemetry("process", "sharedmem")
         payload = telemetry.last.to_dict()
         assert payload["transport"] == "sharedmem"
@@ -146,7 +153,7 @@ class TestProcessRepatriation:
                 assert rank_record["ring"]["capacity"] > 0
         assert rings == P  # every sender repatriated its ring geometry
 
-    def test_one_shot_pickle_counters_without_rings(self):
+    def test_cold_pickle_counters_without_rings(self):
         telemetry, _ = _run_with_telemetry("process", "pickle")
         payload = telemetry.last.to_dict()
         for rank_record in payload["ranks"]:

@@ -328,6 +328,17 @@ class TestRingWrapAround:
         ring.ack(12345)                          # unknown: ignored
         assert ring.tail == 64
 
+    def test_stale_receipts_after_a_wrap_are_ignored(self):
+        ring = _SenderRing(self._FakeShm(256))
+        first = ring.allocate(100)
+        ring.ack(first[1])
+        second = ring.allocate(200)              # straddles the end: wraps
+        assert second == (0, 512) and ring.wraps == 1
+        ring.ack(first[1])                       # stale pre-wrap receipt
+        assert (ring.head, ring.tail) == (512, 256)
+        ring.ack(second[1])
+        assert ring.tail == 512
+
     def test_acked_traffic_never_degrades_to_segments(self):
         # 50 x 512-byte messages through a 4 KiB ring only stay on the
         # ring if acked slots are actually reclaimed (PR 2's ring, with
@@ -492,123 +503,3 @@ class TestMultiConsumerSegments:
         with pytest.raises(ValidationError):
             self._transport().encode_shared(np.arange(10), 0)
 
-
-class TestAdaptiveRing:
-    """Adaptive logical ring capacity: grow on pressure, shrink when quiet."""
-
-    class _FakeShm:
-        def __init__(self, size):
-            self.size = size
-            self.buf = memoryview(bytearray(size))
-
-    def test_grows_after_an_epoch_with_fallbacks(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=512, min_capacity=128)
-        assert ring.capacity == 512
-        assert ring.allocate(1024) is None       # does not fit: fallback
-        assert ring.epoch_fallbacks == 1
-        ring.end_epoch()
-        assert ring.capacity == 1024             # doubled until demand fits
-        slot = ring.allocate(1024)
-        assert slot is not None
-        ring.ack(slot[1])
-
-    def test_growth_clamped_to_physical_segment(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=1024, min_capacity=128)
-        assert ring.allocate(1_000_000) is None
-        ring.end_epoch()
-        assert ring.capacity == 4096             # the physical ceiling
-        assert ring.allocate(1_000_000) is None  # still too big: true oversize
-
-    def test_no_resize_while_slots_outstanding(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=512, min_capacity=128)
-        slot = ring.allocate(256)                # never acked
-        assert ring.allocate(512) is None        # pressure...
-        ring.end_epoch()
-        assert ring.capacity == 512              # ...but geometry is pinned
-        ring.ack(slot[1])
-        ring.end_epoch()                         # stats carried forward
-        assert ring.capacity == 1024
-
-    def test_shrinks_after_sustained_quiet_epochs(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=2048, min_capacity=256)
-        for _ in range(3):                       # patience = 3 quiet epochs
-            slot = ring.allocate(64)             # peak well under capacity/4
-            ring.ack(slot[1])
-            ring.end_epoch()
-        assert ring.capacity == 1024
-        for _ in range(6):                       # keeps shrinking to the floor
-            slot = ring.allocate(64)
-            ring.ack(slot[1])
-            ring.end_epoch()
-        assert ring.capacity == 256
-        ring.end_epoch()
-        assert ring.capacity == 256              # floored at min_capacity
-
-    def test_busy_epoch_resets_shrink_patience(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=2048, min_capacity=256)
-        for _ in range(2):
-            slot = ring.allocate(64)
-            ring.ack(slot[1])
-            ring.end_epoch()
-        slot = ring.allocate(1024)               # busy epoch: patience resets
-        ring.ack(slot[1])
-        ring.end_epoch()
-        slot = ring.allocate(64)
-        ring.ack(slot[1])
-        ring.end_epoch()
-        assert ring.capacity == 2048
-
-    def test_resize_restarts_virtual_space_and_ignores_stale_receipts(self):
-        ring = _SenderRing(self._FakeShm(4096), capacity=512, min_capacity=128)
-        slot = ring.allocate(256)
-        ring.ack(slot[1])
-        assert ring.allocate(1024) is None
-        ring.end_epoch()
-        assert (ring.head, ring.tail) == (0, 0)
-        ring.ack(slot[1])                        # stale pre-resize receipt
-        assert (ring.head, ring.tail) == (0, 0)
-
-    def test_transport_ring_epoch_grows_and_stops_fallbacks(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=1024,
-                                          ring_max_bytes=64 * 1024)
-        ring_name = "testring-adaptive"
-        receipts = []
-        try:
-            payload = np.arange(512, dtype=np.int64)  # 4 KiB > 1 KiB ring
-            record = transport.encode(payload, ring=ring_name)
-            assert record[0] == SHMSEG               # oversize fallback
-            assert transport.stats.oversize_fallbacks == 1
-            transport.dispose(record)
-            transport.ring_epoch(ring_name)          # epoch boundary: grow
-            record = transport.encode(payload, ring=ring_name)
-            assert record[0] == SHMRING              # the ring now fits it
-            out = transport.decode(record, ack=receipts.append)
-            assert np.array_equal(out, payload)
-            del out
-            gc.collect()
-            while receipts:
-                transport.ring_ack(receipts.pop())
-            assert transport.stats.oversize_fallbacks == 1  # no new fallbacks
-        finally:
-            transport.retire_rings([ring_name])
-
-    def test_adaptive_ring_disabled_keeps_geometry(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=1024,
-                                          adaptive_ring=False)
-        assert transport.ring_max_bytes == 1024
-        ring_name = "testring-pinned"
-        try:
-            payload = np.arange(512, dtype=np.int64)
-            record = transport.encode(payload, ring=ring_name)
-            assert record[0] == SHMSEG
-            transport.dispose(record)
-            transport.ring_epoch(ring_name)          # no-op when disabled
-            record = transport.encode(payload, ring=ring_name)
-            assert record[0] == SHMSEG               # still falls back
-            transport.dispose(record)
-        finally:
-            transport.retire_rings([ring_name])
-
-    def test_ring_geometry_validated(self):
-        with pytest.raises(ValidationError):
-            SharedMemoryTransport(ring_bytes=4096, ring_max_bytes=1024)

@@ -119,7 +119,7 @@ class TestPoolReuse:
         # Run 1 succeeds while leaving an unconsumed message (111) in
         # rank 1's inbox; run 2 sends 222 under the same tag and receives.
         # The standing fabric must deliver run 2's message, exactly like a
-        # fresh one-shot fabric would -- message tags are epoch-scoped.
+        # cold run's fresh fabric would -- message tags are epoch-scoped.
         machine = _persistent_machine(2, seed=0)
         try:
             machine.run(_send_unconsumed_program, 111)
