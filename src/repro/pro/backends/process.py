@@ -193,10 +193,21 @@ class ProcessFabric:
         return self.transport.decode(record)
 
     def put(self, src: int, dst: int, tag, payload) -> None:
-        """Deposit a message; never blocks (queues are unbounded)."""
-        self._inboxes[dst].put(
-            (src, (self.epoch, tag), self.encode_payload(src, payload))
-        )
+        """Deposit a message; never blocks (queues are unbounded).
+
+        A message a rank sends to itself is parked locally instead of
+        crossing its inbox: the receive then cannot race an abort poison
+        pill that a failing sibling deposits in the same inbox, so a rank
+        with no cross-rank dependency still finishes an aborted epoch.  It
+        is encoded and decoded as usual, so the receiver gets the same copy
+        and the transport counters see the same traffic.
+        """
+        record = self.encode_payload(src, payload)
+        if src == dst:
+            self._parked.setdefault((src, (self.epoch, tag)), []).append(
+                self.decode_payload(record, src=src))
+            return
+        self._inboxes[dst].put((src, (self.epoch, tag), record))
 
     def get(self, src: int, dst: int, tag, pending: list):
         """Fetch the next message from ``src`` to ``dst`` carrying ``tag``.

@@ -10,6 +10,7 @@ fallback to the pickle codec when segments cannot be created.
 
 import gc
 import os
+import queue
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.pro.backends.transport import (
     resolve_transport,
 )
 from repro.pro.machine import PROMachine
-from repro.util.errors import BackendError, ValidationError
+from repro.util.errors import BackendError, CommunicationError, ValidationError
 from repro.util.timeouts import scale_timeout
 
 TRANSPORTS = ["pickle", "sharedmem"]
@@ -229,6 +230,41 @@ class TestFabricIntegration:
         fabric.shutdown(drain_timeout=scale_timeout(0.5))
         assert shm_segments() == before
 
+    @pytest.mark.parametrize("transport_name", TRANSPORTS)
+    def test_self_message_is_a_private_copy_that_skips_the_inbox(
+            self, transport_name):
+        fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
+                               transport=make_transport(transport_name))
+        try:
+            payload = np.arange(3000, dtype=np.int64)
+            fabric.put(1, 1, "self", payload)
+            payload[:] = -1                 # the sender reuses its buffer
+            with pytest.raises(queue.Empty):
+                fabric._inboxes[1].get(timeout=scale_timeout(0.2))
+            out = fabric.get(1, 1, "self", [])
+            assert np.array_equal(out, np.arange(3000))
+        finally:
+            fabric.shutdown()
+
+    @pytest.mark.parametrize("transport_name", TRANSPORTS)
+    def test_self_receive_survives_a_sibling_poison_pill(self, transport_name):
+        # A failing sibling poisons every inbox, and its pill may reach an
+        # inbox before the message the rank sent itself; that rank must
+        # still receive its own message, while a receive from another rank
+        # still fails fast.
+        fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
+                               transport=make_transport(transport_name))
+        try:
+            fabric.epoch = 3
+            fabric.poison_waits(3)
+            fabric.put(1, 1, "self", np.arange(100, dtype=np.int64))
+            out = fabric.get(1, 1, "self", [])
+            assert np.array_equal(out, np.arange(100))
+            with pytest.raises(CommunicationError, match="aborted"):
+                fabric.get(0, 1, "other", [])
+        finally:
+            fabric.shutdown()
+
     def test_fabric_name_reports_transport(self):
         fabric = ProcessFabric(1, transport="pickle")
         try:
@@ -424,6 +460,48 @@ class TestRingWrapAround:
         assert np.array_equal(transport.decode(record, ack=lambda r: None),
                               np.arange(10))
         transport.ring_ack(("whatever", 0))  # must not raise
+
+
+@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+class TestFixedRing:
+    """The sender ring's capacity is the declared ``ring_bytes``, always."""
+
+    def test_capacity_is_the_declared_ring_bytes(self):
+        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
+        ring_name = "testring-declared"
+        try:
+            from repro.pro.backends.sharedmem import _SENDER_RINGS
+
+            record = transport.encode(np.arange(64, dtype=np.int64),
+                                      ring=ring_name)
+            assert record[0] == SHMRING
+            ring = _SENDER_RINGS[(os.getpid(), ring_name)]
+            assert ring.capacity == 4096
+            transport.dispose(record)
+        finally:
+            transport.retire_rings([ring_name])
+
+    def test_oversize_messages_fall_back_without_growing_the_ring(self):
+        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=1024)
+        ring_name = "testring-oversize"
+        payload = np.arange(512, dtype=np.int64)  # 4 KiB > 1 KiB ring
+        try:
+            from repro.pro.backends.sharedmem import _SENDER_RINGS
+
+            for expected_fallbacks in (1, 2):
+                record = transport.encode(payload, ring=ring_name)
+                assert record[0] == SHMSEG        # a dedicated segment
+                assert transport.stats.oversize_fallbacks == expected_fallbacks
+                assert np.array_equal(transport.decode(record), payload)
+            assert _SENDER_RINGS[(os.getpid(), ring_name)].capacity == 1024
+        finally:
+            transport.retire_rings([ring_name])
+
+    @pytest.mark.parametrize("option",
+                             ["ring_max_bytes", "ring_min_bytes", "adaptive_ring"])
+    def test_adaptive_ring_options_are_gone(self, option):
+        with pytest.raises(TypeError, match=option):
+            SharedMemoryTransport(ring_bytes=4096, **{option: 1})
 
 
 class TestMultiConsumerSegments:
