@@ -636,6 +636,13 @@ class WorkerPool:
                             self.fabric.transport.dispose(entry[1][0])
                         except Exception:
                             pass
+                if self._task_queues is None:
+                    # A one-epoch pool is closed right after this run: stop
+                    # its ranks now, so the error surfaces within the
+                    # deadline instead of after close()'s join grace.
+                    for proc in self._workers:
+                        if proc.is_alive():
+                            proc.terminate()
                 raise DeadlineError(
                     f"run {epoch} exceeded its "
                     f"{run_deadline.seconds:g}s deadline with "

@@ -126,6 +126,9 @@ class ProcessFabric:
         self._barrier = self._mp.Barrier(n_procs)
         # (src, tag) -> list of decoded payloads, private to the rank's process.
         self._parked: dict = {}
+        # Ring receipts of messages a rank sent itself (see ``put``); they
+        # are applied before the rank's next encode reuses its ring.
+        self._self_receipts: list = []
         #: Run-epoch of the fabric, stamped by the worker pool at every
         #: dispatch.  Every message tag is wrapped as ``(epoch, tag)`` so a
         #: message that a successful run sent but never consumed can never
@@ -154,6 +157,11 @@ class ProcessFabric:
 
     def encode_payload(self, src: int, payload):
         """Encode a payload sent by rank ``src`` (using its ring if any)."""
+        while self._self_receipts:
+            try:
+                self.transport.ring_ack(self._self_receipts.pop())
+            except Exception:  # pragma: no cover - acks are best effort
+                pass
         if self._ring_names is not None:
             return self.transport.encode(payload, ring=self._ring_names[src])
         return self.transport.encode(payload)
@@ -200,12 +208,13 @@ class ProcessFabric:
         pill that a failing sibling deposits in the same inbox, so a rank
         with no cross-rank dependency still finishes an aborted epoch.  It
         is encoded and decoded as usual, so the receiver gets the same copy
-        and the transport counters see the same traffic.
+        and the transport counters see the same traffic.  Its ring-slot
+        receipt stays local too: the sender ring lives in this process.
         """
         record = self.encode_payload(src, payload)
         if src == dst:
             self._parked.setdefault((src, (self.epoch, tag)), []).append(
-                self.decode_payload(record, src=src))
+                self.decode_payload(record, ack=self._self_receipts.append))
             return
         self._inboxes[dst].put((src, (self.epoch, tag), record))
 

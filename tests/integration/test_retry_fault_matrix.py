@@ -225,6 +225,21 @@ class TestSupervisionMechanics:
             machine.close()
         assert elapsed < scale_timeout(5)
 
+    def test_cold_deadline_is_typed_and_bounded(self):
+        # A cold run closes its one-epoch pool before the error reaches the
+        # caller, so the bound covers reaping the stalled rank too.
+        policy = RetryPolicy(max_attempts=1, deadline=1.0)
+        machine = PROMachine(P, seed=SEED, backend="process", persistent=False,
+                             retry=policy, timeout=scale_timeout(30))
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineError, match="deadline"):
+                machine.run(_rank0_stalls)
+            elapsed = time.monotonic() - started
+        finally:
+            machine.close()
+        assert elapsed < scale_timeout(5)
+
     def test_fallback_degrades_process_to_thread_bit_identical(self):
         # The crash fires on every run, so the process backend can never
         # succeed; the run must land on the thread backend with the same

@@ -454,6 +454,26 @@ class TestRingWrapAround:
         finally:
             fabric.shutdown()
 
+    def test_self_messages_release_their_ring_slots(self):
+        # A rank that only talks to itself (p=1) never reads an ack from
+        # its inbox, so its self-message slots must be reclaimed locally:
+        # 50 x 512-byte messages through a 4 KiB ring stay on the ring.
+        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
+        fabric = ProcessFabric(1, timeout=scale_timeout(5.0),
+                               transport=transport)
+        try:
+            for i in range(50):
+                fabric.put(0, 0, "self", np.full(64, i, dtype=np.int64))
+                view = fabric.get(0, 0, "self", [])
+                assert np.array_equal(view, np.full(64, i))
+                del view
+                gc.collect()
+            assert transport.stats.oversize_fallbacks == 0
+            with pytest.raises(queue.Empty):  # no ack records pile up
+                fabric._inboxes[0].get(timeout=scale_timeout(0.2))
+        finally:
+            fabric.shutdown()
+
     def test_pickle_transport_ignores_ack_machinery(self):
         transport = PickleTransport()
         record = transport.encode(np.arange(10))
