@@ -46,28 +46,31 @@ MIN_GATED_SECONDS = 0.010
 #: Supervision (a retry policy on the machine) may cost at most this much
 #: over an unsupervised warm dispatch.  The tracked dispatch median
 #: (~1.4ms) sits below the gate floor above, so this gate compares two
-#: *fresh* fleets back-to-back on the same runner instead of comparing
-#: against a tracked number -- runner-speed noise cancels out, and the
-#: best of three trials filters one-off scheduler hiccups.
+#: *fresh* fleets standing side by side on the same runner, their
+#: dispatches interleaved, instead of comparing against a tracked number --
+#: runner-speed noise cancels out, and the best of three trials filters
+#: one-off scheduler hiccups.
 SUPERVISION_FACTOR = 1.10
 
 #: Attaching a Telemetry recorder may cost at most this much over a plain
 #: warm dispatch.  Collection is passive -- the worker snapshots a handful
 #: of counters it already maintains, and the parent folds them into one
 #: FleetReport per run -- so the ratio should sit at ~1.0.  Measured the
-#: same way as the supervision gate: two fresh fleets back-to-back on the
-#: same runner, best of three trials.
+#: same way as the supervision gate (see warm_dispatch_overhead).
 TELEMETRY_FACTOR = 1.05
 
 
-def supervision_overhead_ratio(*, rounds=5, trials=3):
-    """Best-of-``trials`` supervised/unsupervised warm dispatch ratio.
+def warm_dispatch_overhead(*, rounds=6, trials=3, **option):
+    """Best-of-``trials`` ratio of a warm dispatch with ``option`` to one without.
 
-    Each trial spawns one unsupervised and one supervised (``retry=2``)
-    persistent fleet at the dispatch point and medians ``rounds`` warm
-    dispatches of the trivial program on each.  A healthy run through the
-    resilience layer only adds the deadline bookkeeping around the
-    dispatch, so the ratio should sit at ~1.0.
+    Each trial stands up two persistent fleets at the dispatch point, one
+    plain and one built with ``option`` (``retry=2`` for supervision,
+    ``telemetry=Telemetry()`` for observation), and warms both outside the
+    timing.  It then times ``rounds`` dispatches of the trivial program on
+    each, interleaved and alternating which fleet goes first, so runner
+    drift hits both alike.  Supervision only adds deadline bookkeeping
+    around the dispatch and the recorder only snapshots counters the
+    transport already keeps, so the ratio of the medians should sit at ~1.0.
     """
     import statistics
     import time
@@ -76,67 +79,26 @@ def supervision_overhead_ratio(*, rounds=5, trials=3):
     from repro.pro.machine import PROMachine
 
     _n, p = DISPATCH_POINT
-
-    def warm_dispatch_median(retry):
-        machine = PROMachine(p, seed=0, backend="process",
-                             backend_options={"transport": "sharedmem"},
-                             persistent=True, retry=retry)
-        try:
-            machine.run(_trivial_program)  # spawn + warm outside the timing
-            times = []
-            for _ in range(rounds):
-                start = time.perf_counter()
-                machine.run(_trivial_program)
-                times.append(time.perf_counter() - start)
-        finally:
-            machine.close()
-        return float(statistics.median(times))
-
     ratios = []
     for _ in range(trials):
-        plain = warm_dispatch_median(None)
-        supervised = warm_dispatch_median(2)
-        ratios.append(supervised / plain if plain > 0 else 1.0)
-    return min(ratios)
-
-
-def telemetry_overhead_ratio(*, rounds=5, trials=3):
-    """Best-of-``trials`` observed/plain warm dispatch ratio.
-
-    Each trial spawns one plain and one telemetry-carrying persistent
-    fleet at the dispatch point and medians ``rounds`` warm dispatches of
-    the trivial program on each.  The recorder only snapshots counters
-    the transport already maintains, so the ratio should sit at ~1.0.
-    """
-    import statistics
-    import time
-
-    from bench_backends import _trivial_program
-    from repro.pro.machine import PROMachine
-    from repro.pro.telemetry import Telemetry
-
-    _n, p = DISPATCH_POINT
-
-    def warm_dispatch_median(telemetry):
-        machine = PROMachine(p, seed=0, backend="process",
+        fleets = [PROMachine(p, seed=0, backend="process",
                              backend_options={"transport": "sharedmem"},
-                             persistent=True, telemetry=telemetry)
+                             persistent=True, **extra)
+                  for extra in ({}, option)]
+        times = ([], [])
         try:
-            machine.run(_trivial_program)  # spawn + warm outside the timing
-            times = []
-            for _ in range(rounds):
-                start = time.perf_counter()
-                machine.run(_trivial_program)
-                times.append(time.perf_counter() - start)
+            for machine in fleets:
+                machine.run(_trivial_program)  # spawn + warm outside the timing
+            for round_ in range(rounds):
+                for which in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+                    start = time.perf_counter()
+                    fleets[which].run(_trivial_program)
+                    times[which].append(time.perf_counter() - start)
         finally:
-            machine.close()
-        return float(statistics.median(times))
-
-    ratios = []
-    for _ in range(trials):
-        plain = warm_dispatch_median(None)
-        observed = warm_dispatch_median(Telemetry())
-        ratios.append(observed / plain if plain > 0 else 1.0)
+            for machine in fleets:
+                machine.close()
+        plain, varied = (statistics.median(t) for t in times)
+        ratios.append(varied / plain if plain > 0 else 1.0)
     return min(ratios)
 
 
@@ -237,33 +199,24 @@ def main(argv=None):
         judge(f"kernels-{record['workload']}-{record['kernels']}",
               record, seconds)
 
-    ratio = supervision_overhead_ratio()
-    supervision_ok = ratio <= SUPERVISION_FACTOR
-    fresh_records.append({
-        "workload": "supervision_overhead",
-        "ratio": round(ratio, 4),
-        "factor": SUPERVISION_FACTOR,
-    })
-    print(f"{'supervision-overhead (warm dispatch)':48s} "
-          f"supervised/plain x{ratio:5.2f}  "
-          f"{'ok' if supervision_ok else 'REGRESSED'} "
-          f"(gate {SUPERVISION_FACTOR:.2f})")
-    if not supervision_ok:
-        regressions.append(("supervision-overhead", ratio))
+    from repro.pro.telemetry import Telemetry
 
-    ratio = telemetry_overhead_ratio()
-    telemetry_ok = ratio <= TELEMETRY_FACTOR
-    fresh_records.append({
-        "workload": "telemetry_overhead",
-        "ratio": round(ratio, 4),
-        "factor": TELEMETRY_FACTOR,
-    })
-    print(f"{'telemetry-overhead (warm dispatch)':48s} "
-          f"observed/plain x{ratio:5.2f}  "
-          f"{'ok' if telemetry_ok else 'REGRESSED'} "
-          f"(gate {TELEMETRY_FACTOR:.2f})")
-    if not telemetry_ok:
-        regressions.append(("telemetry-overhead", ratio))
+    for name, label, factor, option in (
+        ("supervision-overhead", "supervised/plain", SUPERVISION_FACTOR, {"retry": 2}),
+        ("telemetry-overhead", "observed/plain", TELEMETRY_FACTOR,
+         {"telemetry": Telemetry()}),
+    ):
+        ratio = warm_dispatch_overhead(**option)
+        ok = ratio <= factor
+        fresh_records.append({
+            "workload": name.replace("-", "_"),
+            "ratio": round(ratio, 4),
+            "factor": factor,
+        })
+        print(f"{name + ' (warm dispatch)':48s} {label} x{ratio:5.2f}  "
+              f"{'ok' if ok else 'REGRESSED'} (gate {factor:.2f})")
+        if not ok:
+            regressions.append((name, ratio))
 
     with open(args.out, "w") as fh:
         json.dump({

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.permutation import local_shuffle
-from repro.pro.machine import PROMachine, ProcessorContext, RunResult
+from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
 
 __all__ = ["dart_throwing_program", "dart_throwing_permutation", "iterated_dart_throwing"]
@@ -63,8 +63,7 @@ def dart_throwing_permutation(
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"dart_throwing_permutation expects a 1-D vector, got shape {arr.shape}")
-    if machine is None:
-        machine = PROMachine(n_procs, seed=seed)
+    machine = resolve_machine(n_procs, machine=machine, seed=seed)
     n_procs = machine.n_procs
     bounds = np.linspace(0, arr.shape[0], n_procs + 1).astype(np.int64)
     blocks = [arr[bounds[i]:bounds[i + 1]] for i in range(n_procs)]

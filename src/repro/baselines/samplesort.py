@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pro.machine import PROMachine, ProcessorContext, RunResult
+from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
 
 __all__ = ["sample_sort_program", "parallel_sample_sort"]
@@ -89,8 +89,7 @@ def parallel_sample_sort(
     """
     if len(blocks) == 0:
         raise ValidationError("parallel_sample_sort needs at least one block")
-    if machine is None:
-        machine = PROMachine(len(blocks), seed=seed)
+    machine = resolve_machine(len(blocks), machine=machine, seed=seed)
     if machine.n_procs != len(blocks):
         raise ValidationError(
             f"machine has {machine.n_procs} processors but {len(blocks)} blocks were given"

@@ -33,54 +33,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    backend_kwargs = dict(
-        choices=["thread", "process", "sim", "inline"], default="thread",
-        help="execution backend: thread (default), process (one OS process per rank), "
-             "sim (all ranks stepped under a deterministic schedule, see "
+    # The machine flags shared by permute, matrix and stats.
+    machine_flags = argparse.ArgumentParser(add_help=False)
+    machine_flags.add_argument(
+        "--backend", choices=["thread", "process", "sim", "inline"], default=None,
+        help="execution backend: thread (default), process (one OS process per "
+             "rank), sim (all ranks stepped under a deterministic schedule, see "
              "--schedule-seed) or inline (p == 1 only); results are "
-             "seed-identical across backends",
-    )
+             "seed-identical across backends (the in-process matrix "
+             "algorithms reject it)")
     transport_kwargs = dict(
         choices=["sharedmem", "pickle"], default=None,
         help="payload transport of the process backend: sharedmem (zero-copy "
              "shared-memory segments, the default) or pickle (queue-borne "
              "buffers); rejected for other backends, seed-identical results",
     )
-    persistent_kwargs = dict(
-        action=argparse.BooleanOptionalAction, default=None,
+    machine_flags.add_argument("--transport", **transport_kwargs)
+    machine_flags.add_argument(
+        "--persistent", action=argparse.BooleanOptionalAction, default=None,
         help="standing worker pool of the process backend: the p rank "
              "processes and their shared-memory rings are spawned once and "
              "reused by every run.  This is the DEFAULT for --backend "
              "process (warm drivers); --no-persistent forces a cold spawn "
-             "per run; seed-identical results either way",
-    )
-    schedule_seed_kwargs = dict(
-        type=int, default=None, metavar="K",
+             "per run; seed-identical results either way")
+    machine_flags.add_argument(
+        "--schedule-seed", type=int, default=None, metavar="K",
         help="rank-interleaving seed of the sim backend (--backend sim): "
              "each K replays one deterministic schedule; rejected for other "
-             "backends, seed-identical results under every schedule",
-    )
-    kernels_kwargs = dict(
-        choices=["auto", "numba", "numpy"], default=None,
+             "backends, seed-identical results under every schedule")
+    machine_flags.add_argument(
+        "--kernels", choices=["auto", "numba", "numpy"], default=None,
         help="kernel tier of the sampling hot path: auto (default; compiled "
              "numba kernels when importable, NumPy otherwise), numba or "
              "numpy; unset defers to REPRO_KERNELS; seed-identical results "
-             "across tiers",
-    )
-    retries_kwargs = dict(
-        type=int, default=None, metavar="K",
+             "across tiers")
+    machine_flags.add_argument(
+        "--retries", type=int, default=None, metavar="K",
         help="total attempts a run gets against transient backend failures "
              "(crashed ranks, broken barriers): the supervised worker pool "
              "respawns dead ranks and replays the epoch with the same "
              "per-rank streams, so recovered output is seed-identical to a "
-             "fault-free run; unset = fail fast (no retry)",
-    )
-    deadline_kwargs = dict(
-        type=float, default=None, metavar="SECONDS",
+             "fault-free run; unset = fail fast (no retry)")
+    machine_flags.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the whole run including retries; when it "
              "expires the run fails with a DeadlineError instead of waiting "
-             "out communication timeouts (requires --retries)",
-    )
+             "out communication timeouts (requires --retries)")
     telemetry_json_kwargs = dict(
         type=str, default=None, metavar="PATH",
         help="write the run's FleetReport (per-rank transport counters, ring "
@@ -88,18 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
              "never perturbs the results",
     )
 
-    permute = sub.add_parser("permute", help="permute a vector of 0..n-1 and report resource usage")
+    permute = sub.add_parser("permute", parents=[machine_flags],
+                             help="permute a vector of 0..n-1 and report resource usage")
     permute.add_argument("--n", type=int, required=True, help="number of items")
     permute.add_argument("--procs", type=int, default=4, help="number of virtual processors")
     permute.add_argument("--seed", type=int, default=None, help="machine seed")
     permute.add_argument("--matrix-algorithm", choices=["root", "alg5", "alg6"], default="root")
-    permute.add_argument("--backend", **backend_kwargs)
-    permute.add_argument("--transport", **transport_kwargs)
-    permute.add_argument("--persistent", **persistent_kwargs)
-    permute.add_argument("--schedule-seed", **schedule_seed_kwargs)
-    permute.add_argument("--kernels", **kernels_kwargs)
-    permute.add_argument("--retries", **retries_kwargs)
-    permute.add_argument("--deadline", **deadline_kwargs)
     permute.add_argument("--repeats", type=int, default=1,
                          help="how many permutations to run on the same machine "
                               "(with --persistent the spawn cost is paid once)")
@@ -110,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "resilience events repatriated with the results)")
     permute.add_argument("--telemetry-json", **telemetry_json_kwargs)
 
-    matrix = sub.add_parser("matrix", help="sample a communication matrix (Problem 2)")
+    matrix = sub.add_parser("matrix", parents=[machine_flags],
+                            help="sample a communication matrix (Problem 2)")
     matrix.add_argument("--sizes", type=str, required=True,
                         help="comma-separated source block sizes, e.g. 10,10,10")
     matrix.add_argument("--target-sizes", type=str, default=None,
@@ -120,33 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
                         default="sequential",
                         help="sequential/recursive/batched sample in-process; "
                              "alg5/alg6/root run on a PRO machine")
-    matrix.add_argument("--backend", choices=["thread", "process", "sim", "inline"],
-                        default=None,
-                        help="execution backend for alg5/alg6/root (default thread); "
-                             "rejected for the in-process algorithms")
-    matrix.add_argument("--transport", **transport_kwargs)
-    matrix.add_argument("--persistent", **persistent_kwargs)
-    matrix.add_argument("--schedule-seed", **schedule_seed_kwargs)
-    matrix.add_argument("--kernels", **kernels_kwargs)
-    matrix.add_argument("--retries", **retries_kwargs)
-    matrix.add_argument("--deadline", **deadline_kwargs)
     matrix.add_argument("--telemetry-json", **telemetry_json_kwargs)
     matrix.add_argument("--seed", type=int, default=None)
 
     stats = sub.add_parser(
-        "stats",
+        "stats", parents=[machine_flags],
         help="run a fixed permutation workload and print its fleet report "
              "(repatriated telemetry: transport counters, ring geometry, events)")
     stats.add_argument("--n", type=int, default=100_000, help="number of items to permute")
     stats.add_argument("--procs", type=int, default=4, help="number of virtual processors")
     stats.add_argument("--seed", type=int, default=0, help="machine seed")
-    stats.add_argument("--backend", **backend_kwargs)
-    stats.add_argument("--transport", **transport_kwargs)
-    stats.add_argument("--persistent", **persistent_kwargs)
-    stats.add_argument("--schedule-seed", **schedule_seed_kwargs)
-    stats.add_argument("--kernels", **kernels_kwargs)
-    stats.add_argument("--retries", **retries_kwargs)
-    stats.add_argument("--deadline", **deadline_kwargs)
     stats.add_argument("--repeats", type=int, default=1,
                        help="how many permutations to run (each run appends one "
                             "FleetReport; the last one is printed)")
@@ -257,32 +233,38 @@ def _dump_telemetry_json(telemetry, path) -> None:
     print(f"fleet report written to {path}")
 
 
+def _build_machine(args, telemetry):
+    """The machine the permute/stats flags describe, counting random variates.
+
+    Warm by default: an unset --persistent means the process backend runs
+    on a standing pool (spawned once, reused by every --repeats run);
+    --no-persistent forces a cold spawn per run.
+    """
+    from repro.pro.machine import PROMachine
+
+    backend = args.backend or "thread"
+    backend_options = {name: value for name, value in (
+        ("transport", args.transport), ("schedule_seed", args.schedule_seed),
+    ) if value is not None}
+    persistent = backend == "process" if args.persistent is None else args.persistent
+    return PROMachine(
+        args.procs, seed=args.seed, backend=backend,
+        backend_options=backend_options, persistent=persistent,
+        count_random_variates=True, kernels=args.kernels,
+        retry=_resolve_retry(args), telemetry=telemetry,
+    )
+
+
+def _describe_backend(machine) -> str:
+    return f"{machine.backend.name}{' persistent' if machine.persistent else ''} backend"
+
+
 def _cmd_permute(args) -> int:
     from repro.core.blocks import BlockDistribution
     from repro.core.permutation import permute_distributed
-    from repro.pro.machine import PROMachine
 
-    backend_options = {}
-    if args.transport is not None:
-        backend_options["transport"] = args.transport
-    if args.schedule_seed is not None:
-        backend_options["schedule_seed"] = args.schedule_seed
-    # Warm by default: an unset --persistent means the process backend
-    # runs on a standing pool (spawned once, reused by every --repeats
-    # run); --no-persistent forces the historic cold spawn per run.
-    persistent = args.persistent
-    if persistent is None:
-        persistent = args.backend == "process"
     telemetry = _resolve_telemetry(args)
-    machine = PROMachine(
-        args.procs, seed=args.seed, backend=args.backend,
-        backend_options=backend_options,
-        persistent=persistent,
-        count_random_variates=True,
-        kernels=args.kernels,
-        retry=_resolve_retry(args),
-        telemetry=telemetry,
-    )
+    machine = _build_machine(args, telemetry)
     data = np.arange(args.n, dtype=np.int64)
     blocks = [b.copy() for b in BlockDistribution.balanced(args.n, args.procs).split(data)]
     try:
@@ -294,7 +276,7 @@ def _cmd_permute(args) -> int:
             label = (f"run {iteration + 1}/{repeats}: " if repeats > 1 else "")
             print(f"{label}permuted {args.n} items on {args.procs} virtual processors "
                   f"in {run.wall_clock_seconds * 1e3:.1f} ms (wall clock, "
-                  f"{args.backend}{' persistent' if persistent else ''} backend)")
+                  f"{_describe_backend(machine)})")
     finally:
         machine.close()
     out = np.concatenate([np.asarray(b) for b in out_blocks]) if args.n else np.empty(0, dtype=np.int64)
@@ -318,13 +300,10 @@ def _cmd_matrix(args) -> int:
     matrix = sample_communication_matrix(
         sizes, targets, parallel=parallel,
         algorithm=args.algorithm if args.algorithm != "sequential" or parallel else None,
-        backend=args.backend,  # the API rejects backend= for the in-process path
-        transport=args.transport,  # likewise parallel-path only
-        persistent=args.persistent,  # likewise parallel-path only
-        schedule_seed=args.schedule_seed,  # likewise parallel-path only
-        kernels=args.kernels,
-        retry=_resolve_retry(args),  # likewise parallel-path only
-        telemetry=telemetry,  # likewise parallel-path only
+        # The API rejects the machine flags for the in-process path.
+        backend=args.backend, transport=args.transport,
+        persistent=args.persistent, schedule_seed=args.schedule_seed,
+        kernels=args.kernels, retry=_resolve_retry(args), telemetry=telemetry,
         seed=args.seed,
     )
     print(f"communication matrix ({len(sizes)} x {len(targets) if targets else len(sizes)}), "
@@ -340,27 +319,10 @@ def _cmd_matrix(args) -> int:
 def _cmd_stats(args) -> int:
     from repro.core.blocks import BlockDistribution
     from repro.core.permutation import permute_distributed
-    from repro.pro.machine import PROMachine
     from repro.pro.telemetry import Telemetry
 
-    backend_options = {}
-    if args.transport is not None:
-        backend_options["transport"] = args.transport
-    if args.schedule_seed is not None:
-        backend_options["schedule_seed"] = args.schedule_seed
-    persistent = args.persistent
-    if persistent is None:
-        persistent = args.backend == "process"
     telemetry = Telemetry()
-    machine = PROMachine(
-        args.procs, seed=args.seed, backend=args.backend,
-        backend_options=backend_options,
-        persistent=persistent,
-        count_random_variates=True,
-        kernels=args.kernels,
-        retry=_resolve_retry(args),
-        telemetry=telemetry,
-    )
+    machine = _build_machine(args, telemetry)
     data = np.arange(args.n, dtype=np.int64)
     blocks = [b.copy() for b in BlockDistribution.balanced(args.n, args.procs).split(data)]
     try:
@@ -370,7 +332,7 @@ def _cmd_stats(args) -> int:
         machine.close()
     print(f"permuted {args.n} items x {max(int(args.repeats), 1)} run(s) on "
           f"{args.procs} virtual processors "
-          f"({args.backend}{' persistent' if persistent else ''} backend)")
+          f"({_describe_backend(machine)})")
     print(telemetry.last.summary())
     if args.json is not None:
         import json

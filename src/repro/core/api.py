@@ -16,11 +16,13 @@ baselines, the statistics) is available from the corresponding subpackages.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from repro.core import commmatrix
 from repro.core.parallel_matrix import sample_matrix_parallel
-from repro.pro.machine import PROMachine
+from repro.pro.machine import PROMachine, resolve_machine
 from repro.util.errors import ValidationError
 
 __all__ = ["sample_communication_matrix"]
@@ -33,16 +35,11 @@ def sample_communication_matrix(
     parallel: bool = False,
     machine: PROMachine | None = None,
     algorithm: str | None = None,
-    backend: str | object | None = None,
-    transport: str | object | None = None,
-    persistent: bool | None = None,
-    schedule_seed: int | None = None,
     kernels: str | None = None,
-    retry=None,
-    telemetry=None,
     seed=None,
     rng=None,
     method: str = "auto",
+    **machine_options,
 ) -> np.ndarray:
     """Sample a random communication matrix with the prescribed marginals.
 
@@ -66,48 +63,11 @@ def sample_communication_matrix(
         ``"batched"`` (vectorized :class:`~repro.core.engine.SamplerEngine`
         kernels; same law, fastest for large marginals).
         Parallel path: ``"alg5"``, ``"alg6"`` (default) or ``"root"``.
-    backend:
-        Execution backend for the parallel path (``"inline"``, ``"thread"``,
-        ``"process"`` or any registered name); forwarded to the machine
-        built when ``machine`` is omitted and mutually exclusive with
-        ``machine``.  For a fixed ``seed`` the matrix is identical across
-        backends.  Rejected for the sequential path, which runs no machine.
-    transport:
-        Payload transport for the process backend (``"sharedmem"`` or
-        ``"pickle"``); like ``backend``, parallel-path only and
-        seed-invariant.
-    persistent:
-        Standing-fleet control of the process backend (tri-state).  The
-        default ``None`` already runs **warm**: with
-        ``backend="process"`` the call reuses a keyed standing worker
-        fleet from the process-wide default pool cache
-        (:func:`repro.pro.backends.pool.get_default_pool`) instead of
-        spawning ``p`` processes.  ``False`` forces the cold per-call
-        spawn, ``True`` requests the warm fleet explicitly.  Like
-        ``backend``, parallel-path only and seed-invariant.
-    schedule_seed:
-        Rank-interleaving seed of the sim backend (``backend="sim"``;
-        see :mod:`repro.pro.backends.sim`).  Like ``backend``,
-        parallel-path only, and the matrix is identical under every
-        schedule.
     kernels:
         Kernel tier for the sampling hot path
         (``"auto"``/``"numba"``/``"numpy"``; ``None`` defers to
         ``REPRO_KERNELS``).  Applies to both paths and is bit-identical
         across tiers for a fixed seed; see :mod:`repro.core.kernels`.
-    retry:
-        Transient-failure recovery of the parallel path (an attempt count
-        or a :class:`~repro.pro.resilience.RetryPolicy`): crashed ranks
-        are respawned and the run replayed bit-identically.  Only applies
-        to ``parallel=True`` -- the sequential path has no substrate to
-        recover and rejects it.
-    telemetry:
-        A :class:`~repro.pro.telemetry.Telemetry` recorder collecting one
-        :class:`~repro.pro.telemetry.FleetReport` for the parallel run
-        (per-rank transport counters, ring geometry, pool/resilience
-        events; collection never perturbs the matrix).  Only applies to
-        ``parallel=True`` -- the sequential path runs no fleet and
-        rejects it.
     seed, rng:
         Randomness source.  Precedence is explicit:
 
@@ -121,6 +81,13 @@ def sample_communication_matrix(
     method:
         Hypergeometric sampling method (``"auto"``, ``"hin"``, ``"hrua"``,
         ``"numpy"``).
+    machine_options:
+        ``backend``, ``transport``, ``persistent``, ``schedule_seed``,
+        ``retry`` and ``telemetry`` for the parallel path, forwarded with
+        ``seed`` and ``kernels`` to
+        :func:`~repro.pro.machine.resolve_machine`, which documents them.
+        The sequential path runs no machine and rejects them, as it
+        rejects ``machine``.
 
     Returns
     -------
@@ -144,35 +111,15 @@ def sample_communication_matrix(
                 "sequential sampling supports 'sequential', 'recursive' or "
                 f"'batched', got {strategy!r}"
             )
-        if backend is not None:
+        if machine_options:
+            # A misspelled option raises TypeError, as on the parallel path.
+            inspect.signature(resolve_machine).bind(0, **machine_options)
+        given = [name for name, value in (("machine", machine), *machine_options.items())
+                 if value is not None]
+        if given:
             raise ValidationError(
-                "backend= only applies to parallel=True (the sequential path "
-                "runs in the calling process)"
-            )
-        if transport is not None:
-            raise ValidationError(
-                "transport= only applies to parallel=True (the sequential path "
-                "runs in the calling process)"
-            )
-        if persistent:
-            raise ValidationError(
-                "persistent= only applies to parallel=True (the sequential path "
-                "runs no worker pool)"
-            )
-        if schedule_seed is not None:
-            raise ValidationError(
-                "schedule_seed= only applies to parallel=True (the sequential "
-                "path schedules no ranks)"
-            )
-        if retry is not None:
-            raise ValidationError(
-                "retry= only applies to parallel=True (the sequential path has "
-                "no execution substrate to recover)"
-            )
-        if telemetry is not None:
-            raise ValidationError(
-                "telemetry= only applies to parallel=True (the sequential path "
-                "runs no fleet to observe)"
+                f"{', '.join(given)}: only for parallel=True (the sequential "
+                "path runs in the calling process, on no machine)"
             )
         generator = rng if rng is not None else seed
         return commmatrix.sample_matrix(
@@ -184,20 +131,8 @@ def sample_communication_matrix(
             "rng= only applies to the sequential path; the parallel path derives "
             "independent per-rank streams from seed="
         )
-    parallel_algorithm = algorithm or "alg6"
     matrix, _ = sample_matrix_parallel(
-        row_sums,
-        col_sums,
-        machine=machine,
-        algorithm=parallel_algorithm,
-        backend=backend,
-        transport=transport,
-        persistent=persistent,
-        schedule_seed=schedule_seed,
-        kernels=kernels,
-        retry=retry,
-        telemetry=telemetry,
-        seed=seed,
-        method=method,
+        row_sums, col_sums, machine=machine, algorithm=algorithm or "alg6",
+        method=method, kernels=kernels, seed=seed, **machine_options,
     )
     return matrix

@@ -322,16 +322,9 @@ def sample_matrix_parallel(
     *,
     machine: PROMachine | None = None,
     algorithm: str = "alg6",
-    backend: str | object | None = None,
-    transport: str | object | None = None,
-    persistent: bool | None = None,
-    schedule_seed: int | None = None,
-    kernels: str | None = None,
-    retry=None,
-    telemetry=None,
-    seed=None,
     method: str = "auto",
     tile_strategy: str = "auto",
+    **machine_options,
 ) -> tuple[np.ndarray, RunResult]:
     """Sample a communication matrix on a PRO machine and assemble it.
 
@@ -344,63 +337,20 @@ def sample_matrix_parallel(
         Target block sizes (defaults to ``row_sums``).
     machine:
         Optional pre-configured :class:`~repro.pro.PROMachine`; when omitted
-        a machine with ``len(row_sums)`` processors is built on ``backend``.
+        a machine with ``len(row_sums)`` processors is built from
+        ``machine_options``.
     algorithm:
         ``"alg5"``, ``"alg6"`` (default) or ``"root"``.
-    backend:
-        Execution backend name (``"inline"``, ``"thread"``, ``"process"`` or
-        any registered name) for the machine built when ``machine`` is
-        omitted; mutually exclusive with ``machine``.  For a fixed ``seed``
-        the sampled matrix is identical across backends.
-    transport:
-        Payload transport of the process backend (``"sharedmem"`` or
-        ``"pickle"``); rejected for backends without a transport option and
-        for pre-configured machines.  Seed-invariant like ``backend``.
-    persistent:
-        Standing-fleet control of the process backend, tri-state.  The
-        default (``None``) already runs **warm**: with
-        ``backend="process"`` the call borrows a keyed standing worker
-        fleet from the process-wide default pool cache
-        (:func:`repro.pro.backends.pool.get_default_pool`), so repeated
-        calls reuse the same ``p`` rank processes instead of spawning
-        fresh ones.  ``persistent=False`` forces the old cold path
-        (fresh processes for this call only); ``True`` makes the warm
-        request explicit.  Rejected for backends without the option and
-        for pre-configured machines.  Seed-invariant like ``backend``.
-    schedule_seed:
-        Rank-interleaving seed of the sim backend (``backend="sim"``):
-        each value explores a different deterministic schedule, every one
-        of which must yield the same matrix (results are
-        schedule-invariant).  Rejected for backends without the option
-        and for pre-configured machines.
-    kernels:
-        Kernel tier for the sampling hot path
-        (``"auto"``/``"numba"``/``"numpy"``; default ``None`` defers to
-        ``REPRO_KERNELS``).  Bit-identical across tiers for a fixed seed;
-        rejected for pre-configured machines (construct the machine with
-        ``kernels=`` instead).
-    retry:
-        Transient-failure recovery policy: ``None`` (default, fail fast),
-        an attempt count, or a
-        :class:`~repro.pro.resilience.RetryPolicy` with backoff, deadline
-        and a fallback-backend chain.  A recovered call samples the
-        matrix bit-identically to a fault-free one (per-rank streams are
-        replayed exactly); rejected for pre-configured machines (build
-        the machine with ``retry=`` instead).
-    telemetry:
-        A :class:`~repro.pro.telemetry.Telemetry` recorder collecting one
-        :class:`~repro.pro.telemetry.FleetReport` for the run (per-rank
-        transport counters, ring geometry, pool/resilience events).
-        Collection never perturbs the sampled matrix; rejected for
-        pre-configured machines (build the machine with ``telemetry=``
-        instead).
-    seed:
-        Machine seed used when ``machine`` is omitted.
+    method:
+        Hypergeometric sampling method forwarded to the samplers.
     tile_strategy:
         Local-tile sampler used by ``"alg6"`` (step 3) and ``"root"``:
         ``"auto"`` (default; the vectorized batched engine kernels whenever
         ``method`` permits them), ``"sequential"``, ``"recursive"`` or
         ``"batched"``.
+    machine_options:
+        Forwarded verbatim to :func:`~repro.pro.machine.resolve_machine`,
+        which documents them.
 
     Returns
     -------
@@ -424,11 +374,7 @@ def sample_matrix_parallel(
             f"unknown algorithm {algorithm!r}; choose from {sorted(MATRIX_ALGORITHMS)}"
         )
     owns_machine = machine is None
-    machine = resolve_machine(
-        rows.size, machine=machine, backend=backend, seed=seed,
-        transport=transport, persistent=persistent, schedule_seed=schedule_seed,
-        kernels=kernels, retry=retry, telemetry=telemetry,
-    )
+    machine = resolve_machine(rows.size, machine=machine, **machine_options)
     if machine.n_procs != rows.size:
         raise ValidationError(
             f"machine has {machine.n_procs} processors but row_sums has {rows.size} entries"

@@ -200,44 +200,16 @@ def permute_distributed(
     target_sizes=None,
     matrix_algorithm: str = "root",
     method: str = "auto",
-    backend: str | object | None = None,
-    transport: str | object | None = None,
-    persistent: bool | None = None,
-    schedule_seed: int | None = None,
-    kernels: str | None = None,
-    retry=None,
-    telemetry=None,
-    seed=None,
+    **machine_options,
 ) -> tuple[list[np.ndarray], RunResult]:
     """Permute a block-distributed vector; return the permuted blocks.
 
-    ``blocks`` is a list with one array per processor.  A machine with
-    ``len(blocks)`` processors is created when none is supplied, on
-    ``backend`` (``"thread"`` default; ``"process"`` runs one OS process
-    per rank and yields bit-identical output for the same seed).
-    ``transport`` selects the process backend's payload transport
-    (``"sharedmem"`` or ``"pickle"``; also seed-invariant).
-    ``persistent`` is tri-state: the default (``None``) already runs
-    **warm** -- with ``backend="process"`` the call borrows a keyed
-    standing worker fleet from the process-wide default pool cache, so
-    repeated calls skip the per-call process spawn -- while ``False``
-    forces the cold path (fresh processes for this call) and ``True``
-    makes the warm request explicit; all modes are seed-invariant.
-    ``schedule_seed`` picks the sim backend's rank interleaving
-    (``backend="sim"``; every schedule yields the same blocks).
-    ``kernels`` selects the kernel tier each rank runs the sampling hot
-    path on (``"auto"``/``"numba"``/``"numpy"``; also seed-invariant --
-    the tiers are bit-identical).  ``retry`` (an attempt count or a
-    :class:`~repro.pro.resilience.RetryPolicy`) turns on transient-failure
-    recovery: crashed ranks are respawned and the run replayed with the
-    same per-rank streams, so a recovered call returns blocks
-    bit-identical to a fault-free one.  ``telemetry`` (a
-    :class:`~repro.pro.telemetry.Telemetry` recorder) collects one
-    :class:`~repro.pro.telemetry.FleetReport` for the run -- per-rank
-    transport counters, ring geometry, pool/resilience events -- without
-    perturbing results.  The returned blocks follow
-    ``target_sizes`` (defaulting to the input sizes); the second element
-    of the returned pair is the machine's
+    ``blocks`` is a list with one array per processor.  Without a
+    ``machine``, one with ``len(blocks)`` processors is built from
+    ``machine_options``, which are forwarded verbatim to
+    :func:`~repro.pro.machine.resolve_machine`, which documents them.
+    The returned blocks follow ``target_sizes`` (defaulting to the input
+    sizes); the second element of the returned pair is the machine's
     :class:`~repro.pro.machine.RunResult`.
 
     Examples
@@ -251,11 +223,7 @@ def permute_distributed(
     if len(blocks) == 0:
         raise ValidationError("permute_distributed needs at least one block")
     owns_machine = machine is None
-    machine = resolve_machine(
-        len(blocks), machine=machine, backend=backend, seed=seed,
-        transport=transport, persistent=persistent, schedule_seed=schedule_seed,
-        kernels=kernels, retry=retry, telemetry=telemetry,
-    )
+    machine = resolve_machine(len(blocks), machine=machine, **machine_options)
     if machine.n_procs != len(blocks):
         raise ValidationError(
             f"machine has {machine.n_procs} processors but {len(blocks)} blocks were given"
@@ -285,37 +253,16 @@ def random_permutation(
     machine: PROMachine | None = None,
     matrix_algorithm: str = "root",
     method: str = "auto",
-    backend: str | object | None = None,
-    transport: str | object | None = None,
-    persistent: bool | None = None,
-    schedule_seed: int | None = None,
-    kernels: str | None = None,
-    retry=None,
-    telemetry=None,
-    seed=None,
     distribution: BlockDistribution | None = None,
+    **machine_options,
 ) -> np.ndarray:
     """Uniformly permute an in-memory vector with the coarse-grained algorithm.
 
     The vector is cut into ``n_procs`` balanced blocks (or according to
     ``distribution``), permuted by Algorithm 1 on a PRO machine and glued
     back together.  This is the "just permute my array" entry point of the
-    library.
-
-    The machine options mirror :func:`permute_distributed`: ``backend``
-    picks the execution substrate (``"thread"`` default, ``"process"``,
-    ``"sim"``, ``"inline"``), ``transport`` the process backend's payload
-    path (``"sharedmem"``/``"pickle"``), ``persistent`` the standing-fleet
-    mode (``None`` = warm by default on the process backend via the
-    default pool cache, ``False`` = cold spawn, ``True`` = explicit warm),
-    ``schedule_seed`` the sim backend's rank interleaving, ``kernels``
-    the sampling kernel tier (``"auto"``/``"numba"``/``"numpy"``) and
-    ``retry`` the transient-failure recovery policy (an attempt count or
-    a :class:`~repro.pro.resilience.RetryPolicy`) and ``telemetry`` a
-    :class:`~repro.pro.telemetry.Telemetry` recorder collecting one
-    :class:`~repro.pro.telemetry.FleetReport` per run.  A fixed ``seed``
-    is bit-identical across every combination of them -- including
-    recovered and telemetry-collected runs.
+    library.  ``machine_options`` are forwarded to
+    :func:`~repro.pro.machine.resolve_machine`, which documents them.
 
     Examples
     --------
@@ -342,18 +289,8 @@ def random_permutation(
         )
     blocks = distribution.split(arr)
     permuted_blocks, _ = permute_distributed(
-        blocks,
-        machine=machine,
-        matrix_algorithm=matrix_algorithm,
-        method=method,
-        backend=backend,
-        transport=transport,
-        persistent=persistent,
-        schedule_seed=schedule_seed,
-        kernels=kernels,
-        retry=retry,
-        telemetry=telemetry,
-        seed=seed,
+        blocks, machine=machine, matrix_algorithm=matrix_algorithm,
+        method=method, **machine_options,
     )
     sizes = [len(b) for b in permuted_blocks]
     return BlockDistribution(sizes).concatenate(permuted_blocks).astype(arr.dtype, copy=False)
@@ -365,24 +302,14 @@ def random_permutation_indices(
     *,
     machine: PROMachine | None = None,
     matrix_algorithm: str = "root",
-    backend: str | object | None = None,
-    transport: str | object | None = None,
-    persistent: bool | None = None,
-    schedule_seed: int | None = None,
-    kernels: str | None = None,
-    retry=None,
-    telemetry=None,
-    seed=None,
+    **machine_options,
 ) -> np.ndarray:
     """Sample a uniform permutation of ``0..n-1`` with the parallel algorithm.
 
-    Equivalent to ``random_permutation(np.arange(n), ...)`` and takes the
-    same machine options (``backend=``, ``transport=``, ``persistent=`` --
-    warm by default on the process backend -- ``schedule_seed=``,
-    ``kernels=``, ``retry=`` and ``telemetry=``; a fixed ``seed`` is
-    bit-identical across all of them, recovered and telemetry-collected
-    runs included); this is the form the statistical uniformity tests
-    consume.
+    Equivalent to ``random_permutation(np.arange(n), ...)``; this is the
+    form the statistical uniformity tests consume.  ``machine_options`` are
+    forwarded to :func:`~repro.pro.machine.resolve_machine`, which
+    documents them.
 
     Examples
     --------
@@ -393,17 +320,10 @@ def random_permutation_indices(
     n = int(n)
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
+    # method and distribution are pinned so that they stay out of this
+    # driver's keywords (passing either raises TypeError).
     return random_permutation(
-        np.arange(n, dtype=np.int64),
-        n_procs=n_procs,
-        machine=machine,
-        matrix_algorithm=matrix_algorithm,
-        backend=backend,
-        transport=transport,
-        persistent=persistent,
-        schedule_seed=schedule_seed,
-        kernels=kernels,
-        retry=retry,
-        telemetry=telemetry,
-        seed=seed,
+        np.arange(n, dtype=np.int64), n_procs, machine=machine,
+        matrix_algorithm=matrix_algorithm, method="auto", distribution=None,
+        **machine_options,
     )

@@ -1079,8 +1079,7 @@ atexit.register(clear_default_pools)
 
 
 @contextmanager
-def pool(n_procs: int, *, seed=None, transport=None, timeout: float = 60.0,
-         retry=None, telemetry=None, **machine_options):
+def pool(n_procs: int, *, transport=None, **machine_options):
     """Context manager: a persistent process machine, closed on exit.
 
     ::
@@ -1091,15 +1090,11 @@ def pool(n_procs: int, *, seed=None, transport=None, timeout: float = 60.0,
             for _ in range(100):
                 machine.run(program)   # spawn paid once, not 100 times
 
-    ``retry`` (an int or a :class:`~repro.pro.resilience.RetryPolicy`)
-    puts the machine under supervision: a run that fails transiently
-    heals the fleet -- respawning only the dead ranks -- and replays the
-    epoch bit-identically.  ``telemetry`` (a
-    :class:`~repro.pro.telemetry.Telemetry` recorder) collects one
-    :class:`~repro.pro.telemetry.FleetReport` per run, with the workers'
-    transport counters and ring geometry repatriated to the parent.
-    Extra keyword arguments are forwarded to
-    :class:`~repro.pro.machine.PROMachine` (e.g. ``topology=...`` or
+    ``transport`` selects the fleet's payload transport; every other
+    keyword argument is forwarded to :class:`~repro.pro.machine.PROMachine`
+    (e.g. ``seed=``, ``timeout=``, ``retry=`` to heal and replay transient
+    failures, ``telemetry=`` for one
+    :class:`~repro.pro.telemetry.FleetReport` per run, or
     ``count_random_variates=True``); the backend is always the persistent
     process backend.
     """
@@ -1109,9 +1104,8 @@ def pool(n_procs: int, *, seed=None, transport=None, timeout: float = 60.0,
     if transport is not None:
         backend_options = {**backend_options, "transport": transport}
     machine = PROMachine(
-        n_procs, seed=seed, backend="process", persistent=True,
-        backend_options=backend_options, timeout=timeout, retry=retry,
-        telemetry=telemetry, **machine_options,
+        n_procs, backend="process", persistent=True,
+        backend_options=backend_options, **machine_options,
     )
     try:
         yield machine

@@ -393,42 +393,56 @@ def resolve_machine(
     retry: int | RetryPolicy | None = None,
     telemetry=None,
 ) -> PROMachine:
-    """Return ``machine``, or build one with ``n_procs`` ranks on ``backend``.
+    """Return ``machine``, or build one with ``n_procs`` ranks from the machine options.
 
-    This is the shared machine-or-backend resolution of the driver layer
-    (:func:`~repro.core.parallel_matrix.sample_matrix_parallel`,
-    :func:`~repro.core.permutation.permute_distributed`): passing both a
-    pre-configured machine and a backend name is rejected because the
-    machine already fixes its backend.  ``transport`` selects the payload
-    transport of backends that take one (the process backend:
-    ``"sharedmem"`` or ``"pickle"``), and ``schedule_seed`` seeds the
-    rank-interleaving schedule of backends that take one (the sim
-    backend) -- both are rejected for backends without the option and for
-    pre-configured machines.
+    This is the one home of the driver-level machine options.  Every driver
+    (:func:`~repro.core.permutation.permute_distributed`,
+    :func:`~repro.core.permutation.random_permutation`,
+    :func:`~repro.core.permutation.random_permutation_indices`,
+    :func:`~repro.core.parallel_matrix.sample_matrix_parallel` and
+    :func:`~repro.core.api.sample_communication_matrix` with
+    ``parallel=True``) forwards its ``**machine_options`` here verbatim, so
+    this signature is the allow-list (a misspelled option raises
+    ``TypeError``) and the options are:
 
-    ``persistent`` is tri-state.  With ``backend="process"`` the default
-    (``None``) already runs **warm**: the machine borrows a keyed standing
-    fleet from the process-wide default pool cache
-    (:func:`repro.pro.backends.pool.get_default_pool`), so repeated driver
-    calls stop paying ``p`` process spawns each.  ``persistent=False``
-    forces the old cold path (fresh processes per call);
-    ``persistent=True`` makes the warm request explicit (and is rejected,
-    like the other options, by backends without the option and by
-    pre-configured machines).  ``kernels`` selects the sampling kernel
-    tier the drivers forward into their programs
-    (``"auto"``/``"numba"``/``"numpy"``); like the other options it is
-    rejected for pre-configured machines (build the machine with
-    ``kernels=`` instead).  ``retry`` (an attempt count or a
-    :class:`~repro.pro.resilience.RetryPolicy`) turns on transient-failure
-    recovery for the built machine -- also rejected for pre-configured
-    machines (build the machine with ``retry=`` instead).  ``telemetry``
-    (a :class:`~repro.pro.telemetry.Telemetry` recorder) attaches
-    fleet-wide observability to the built machine: every run appends a
-    :class:`~repro.pro.telemetry.FleetReport` -- also rejected for
-    pre-configured machines (build the machine with ``telemetry=``
-    instead).  None of these options affect what the ranks draw: a fixed
-    ``seed`` stays bit-identical across all of them -- including retried,
-    degraded and telemetry-collected runs.
+    ``backend``
+        A registered backend name -- ``"thread"`` (the default),
+        ``"process"``, ``"sim"`` or ``"inline"`` (``n_procs == 1`` only) --
+        or a backend instance.
+    ``seed``
+        Seed of the per-rank streams.  A fixed seed is bit-identical across
+        every combination of the other options, retried, degraded and
+        telemetry-collected runs included.
+    ``transport``
+        Payload transport of the process backend (``"sharedmem"`` or
+        ``"pickle"``); rejected for backends without the option.
+    ``persistent``
+        Tri-state standing-fleet control of the process backend.  The
+        default (``None``) already runs **warm**: the machine borrows a keyed
+        standing fleet from the process-wide default pool cache
+        (:func:`repro.pro.backends.pool.get_default_pool`), so repeated
+        driver calls stop paying ``p`` process spawns each.  ``False``
+        forces a cold spawn per call; ``True`` makes the warm request
+        explicit and is rejected by backends without the option.
+    ``schedule_seed``
+        Rank-interleaving seed of the sim backend; every schedule yields the
+        same results.  Rejected for backends without the option.
+    ``kernels``
+        Kernel tier of the sampling hot path (``"auto"``/``"numba"``/
+        ``"numpy"``; ``None`` defers to ``REPRO_KERNELS``), forwarded by the
+        drivers into their programs.
+    ``retry``
+        Transient-failure recovery: an attempt count or a
+        :class:`~repro.pro.resilience.RetryPolicy`.  Crashed ranks are
+        respawned and the run replayed with the same per-rank streams.
+    ``telemetry``
+        A :class:`~repro.pro.telemetry.Telemetry` recorder; every run
+        appends one :class:`~repro.pro.telemetry.FleetReport`.
+
+    A pre-configured ``machine`` already fixes all of them, so passing it
+    together with any option that is not ``None`` raises
+    :class:`~repro.util.errors.ValidationError` naming the options (build
+    the machine with them instead).
 
     Examples
     --------
@@ -441,56 +455,32 @@ def resolve_machine(
     >>> resolve_machine(4, backend="process", persistent=False).persistent
     False
     """
-    if machine is None:
-        options = {}
-        if transport is not None:
-            options["transport"] = transport
-        if schedule_seed is not None:
-            options["schedule_seed"] = schedule_seed
-        name = "thread" if backend is None else backend
-        # Warm-by-default: unless the caller forces the cold path, process
-        # machines built by the drivers share the process-wide default
-        # pool cache instead of spawning p ranks per call.
-        warm = (name == "process") if persistent is None else bool(persistent)
-        if warm and name == "process":
-            options.setdefault("pool_scope", "process")
-        return PROMachine(
-            n_procs, seed=seed, backend=name,
-            backend_options=options, persistent=warm, kernels=kernels,
-            retry=retry, telemetry=telemetry,
-        )
-    if backend is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or a backend name, not both"
-        )
+    if machine is not None:
+        given = [name for name, value in (
+            ("backend", backend), ("seed", seed), ("transport", transport),
+            ("persistent", persistent), ("schedule_seed", schedule_seed),
+            ("kernels", kernels), ("retry", retry), ("telemetry", telemetry),
+        ) if value is not None]
+        if given:
+            raise ValidationError(
+                f"pass either a pre-configured machine or {', '.join(given)}, "
+                "not both (build the machine with them instead)"
+            )
+        return machine
+    options = {}
     if transport is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or a transport name, not both "
-            "(the machine's backend already fixes its transport)"
-        )
-    if persistent:
-        raise ValidationError(
-            "pass either a pre-configured machine or persistent=True, not both "
-            "(build the machine with persistent=True instead)"
-        )
+        options["transport"] = transport
     if schedule_seed is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or schedule_seed, not both "
-            "(configure the machine's sim backend with schedule_seed instead)"
-        )
-    if kernels is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or kernels, not both "
-            "(build the machine with kernels= instead)"
-        )
-    if retry is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or retry, not both "
-            "(build the machine with retry= instead)"
-        )
-    if telemetry is not None:
-        raise ValidationError(
-            "pass either a pre-configured machine or telemetry, not both "
-            "(build the machine with telemetry= instead)"
-        )
-    return machine
+        options["schedule_seed"] = schedule_seed
+    name = "thread" if backend is None else backend
+    # Warm-by-default: unless the caller forces the cold path, process
+    # machines built by the drivers share the process-wide default pool
+    # cache instead of spawning p ranks per call.
+    warm = (name == "process") if persistent is None else bool(persistent)
+    if warm and name == "process":
+        options["pool_scope"] = "process"
+    return PROMachine(
+        n_procs, seed=seed, backend=name,
+        backend_options=options, persistent=warm, kernels=kernels,
+        retry=retry, telemetry=telemetry,
+    )

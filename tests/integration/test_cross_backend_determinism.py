@@ -104,11 +104,6 @@ class TestMatrixDeterminism:
                                              backend="inline", seed=2003)
         assert inline.sum() == 24
 
-    def test_backend_and_machine_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0)
-        with pytest.raises(ValidationError):
-            sample_matrix_parallel([4, 4], machine=machine, backend="process")
-
     def test_tile_strategy_rejected_for_alg5(self):
         with pytest.raises(ValidationError, match="alg5"):
             sample_matrix_parallel([4, 4], algorithm="alg5", seed=0,
@@ -119,10 +114,6 @@ class TestMatrixDeterminism:
             sample_communication_matrix(
                 [4, 4], parallel=True, rng=np.random.default_rng(0)
             )
-
-    def test_backend_rejected_on_sequential_path(self):
-        with pytest.raises(ValidationError, match="parallel"):
-            sample_communication_matrix([4, 4], backend="process")
 
 
 class TestTransportDeterminism:
@@ -160,11 +151,6 @@ class TestTransportDeterminism:
             assert np.array_equal(outputs[0], out)
         assert sorted(outputs[0].tolist()) == list(range(4000))
 
-    def test_transport_and_machine_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0)
-        with pytest.raises(ValidationError):
-            sample_matrix_parallel([4, 4], machine=machine, transport="sharedmem")
-
     def test_transport_rejected_for_thread_backend(self):
         with pytest.raises(ValidationError, match="does not accept"):
             sample_matrix_parallel([4, 4], backend="thread", transport="sharedmem")
@@ -176,10 +162,6 @@ class TestTransportDeterminism:
             for transport in self.TRANSPORTS
         ]
         assert np.array_equal(matrices[0], matrices[1])
-
-    def test_transport_rejected_on_sequential_path(self):
-        with pytest.raises(ValidationError, match="parallel"):
-            sample_communication_matrix([4, 4], transport="sharedmem")
 
 
 class TestPersistentDeterminism:
@@ -236,18 +218,9 @@ class TestPersistentDeterminism:
         finally:
             persistent.close()
 
-    def test_persistent_and_machine_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0)
-        with pytest.raises(ValidationError):
-            sample_matrix_parallel([4, 4], machine=machine, persistent=True)
-
     def test_persistent_rejected_for_thread_backend(self):
         with pytest.raises(ValidationError, match="does not accept"):
             sample_matrix_parallel([4, 4], backend="thread", persistent=True)
-
-    def test_persistent_rejected_on_sequential_path(self):
-        with pytest.raises(ValidationError, match="parallel"):
-            sample_communication_matrix([4, 4], persistent=True)
 
     def test_api_level_persistent_parity(self):
         if True not in PERSISTENT_MODES:
@@ -281,20 +254,9 @@ class TestPermutationDeterminism:
                                    matrix_algorithm=matrix_algorithm, seed=5)
             assert np.array_equal(a, b), backend
 
-    def test_schedule_seed_and_machine_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0, backend="sim")
-        with pytest.raises(ValidationError):
-            sample_matrix_parallel([4, 4], machine=machine, schedule_seed=3)
-
     def test_schedule_seed_rejected_for_thread_backend(self):
         with pytest.raises(ValidationError, match="does not accept"):
             sample_matrix_parallel([4, 4], backend="thread", schedule_seed=3)
-
-    def test_schedule_seed_rejected_on_sequential_path(self):
-        from repro.core.api import sample_communication_matrix
-
-        with pytest.raises(ValidationError, match="parallel"):
-            sample_communication_matrix([4, 4], schedule_seed=3)
 
 
 class TestKernelTierDeterminism:
@@ -371,14 +333,6 @@ class TestKernelTierDeterminism:
         )
         tiers = run.cost_report.kernel_tiers()
         assert [tier for tier, _ in tiers] == ["numpy"] * 3
-
-    def test_kernels_and_machine_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0)
-        try:
-            with pytest.raises(ValidationError, match="kernels"):
-                sample_matrix_parallel([4, 4], machine=machine, kernels="numpy")
-        finally:
-            machine.close()
 
     def test_api_level_tier_parity(self):
         matrices = [

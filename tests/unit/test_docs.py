@@ -101,7 +101,9 @@ class TestDocstringExamples:
         assert result.attempted > 0, f"{module.__name__} has no examples"
 
     def test_driver_docstrings_cover_the_machine_options(self):
-        """Every public driver documents all five machine options."""
+        """The drivers point to resolve_machine, which documents every option."""
+        import inspect
+
         from repro.core.api import sample_communication_matrix
         from repro.core.parallel_matrix import sample_matrix_parallel
         from repro.core.permutation import (
@@ -109,12 +111,16 @@ class TestDocstringExamples:
             random_permutation,
             random_permutation_indices,
         )
+        from repro.pro.machine import resolve_machine
 
         for fn in (sample_communication_matrix, sample_matrix_parallel,
                    permute_distributed, random_permutation,
                    random_permutation_indices):
-            doc = fn.__doc__
-            for option in ("backend", "transport", "persistent",
-                           "schedule_seed", "kernels", "telemetry"):
-                assert option in doc, (fn.__name__, option)
-            assert ">>>" in doc or fn is permute_distributed, fn.__name__
+            assert "resolve_machine" in fn.__doc__, fn.__name__
+            assert ">>>" in fn.__doc__, fn.__name__
+        options = [name for name, param in inspect.signature(resolve_machine).parameters.items()
+                   if param.kind is inspect.Parameter.KEYWORD_ONLY and name != "machine"]
+        assert len(options) == 8
+        for option in options:
+            assert f"``{option}``" in resolve_machine.__doc__, option
+        assert ">>>" in resolve_machine.__doc__

@@ -265,14 +265,6 @@ class TestMachineKernelsArgument:
         finally:
             machine.close()
 
-    def test_prebuilt_machine_and_kernels_mutually_exclusive(self):
-        machine = PROMachine(2, seed=0)
-        try:
-            with pytest.raises(ValidationError, match="kernels"):
-                resolve_machine(2, machine=machine, kernels="numpy")
-        finally:
-            machine.close()
-
 
 class TestCostRepatriation:
     def test_recorder_defaults(self):

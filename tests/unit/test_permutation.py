@@ -153,7 +153,7 @@ class TestRandomPermutation:
             random_permutation(np.arange(10), n_procs=3, distribution=BlockDistribution([5, 5]))
 
     def test_machine_overrides_n_procs(self, machine3):
-        out = random_permutation(np.arange(30), n_procs=99, machine=machine3, seed=0)
+        out = random_permutation(np.arange(30), n_procs=99, machine=machine3)
         assert sorted(out.tolist()) == list(range(30))
 
     def test_different_seeds_give_different_orders(self):

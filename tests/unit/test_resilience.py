@@ -16,11 +16,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.api import sample_communication_matrix
 from repro.core.permutation import random_permutation
 from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
 from repro.pro.cost import CostReport
-from repro.pro.machine import PROMachine, resolve_machine
+from repro.pro.machine import PROMachine
 from repro.pro.resilience import (
     Deadline,
     RetryPolicy,
@@ -155,15 +154,6 @@ class TestRetryWiring:
         assert PROMachine(2, seed=0, retry=3).retry_policy.max_attempts == 3
         with pytest.raises(ValidationError):
             PROMachine(2, seed=0, retry=0)
-
-    def test_resolve_machine_rejects_retry_with_machine(self):
-        machine = PROMachine(2, seed=0)
-        with pytest.raises(ValidationError, match="retry"):
-            resolve_machine(2, machine=machine, retry=2)
-
-    def test_sequential_matrix_path_rejects_retry(self):
-        with pytest.raises(ValidationError, match="retry"):
-            sample_communication_matrix([4, 4], retry=2, seed=0)
 
     def test_committed_chaos_plans_are_first_attempt_faults(self):
         plans = committed_chaos_plans()

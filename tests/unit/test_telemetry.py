@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.permutation import random_permutation
-from repro.pro.machine import PROMachine, resolve_machine
+from repro.pro.machine import PROMachine
 from repro.pro.telemetry import (
     EVENT_KINDS,
     RING_FIELDS,
@@ -216,20 +216,6 @@ class TestValidation:
     def test_machine_rejects_non_recorder(self):
         with pytest.raises(ValidationError, match="record"):
             PROMachine(2, telemetry=object())
-
-    def test_resolve_machine_rejects_telemetry_with_premade_machine(self):
-        machine = PROMachine(2, seed=0)
-        try:
-            with pytest.raises(ValidationError, match="telemetry"):
-                resolve_machine(2, machine=machine, telemetry=Telemetry())
-        finally:
-            machine.close()
-
-    def test_sequential_matrix_path_rejects_telemetry(self):
-        from repro.core.api import sample_communication_matrix
-
-        with pytest.raises(ValidationError, match="parallel"):
-            sample_communication_matrix([4, 4], seed=0, telemetry=Telemetry())
 
 
 #: (backend, transport, persistent) cells of the determinism guard.
