@@ -40,7 +40,8 @@ Direct execution writes the tracked perf-trajectory artifact::
 producing per-(workload, backend, transport, persistent, n, p) median
 wall times so that future PRs can diff the trajectory
 (``benchmarks/check_bench_regression.py`` is the CI smoke gate doing
-exactly that for the 1M / p=4 cell).
+exactly that for the 1M / p=4 cell and the persistent crash-recovery
+cells).
 """
 
 import argparse

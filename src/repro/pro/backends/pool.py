@@ -11,8 +11,8 @@ standing pool makes the backend behave that way:
 * each ``run()`` dispatches one lightweight *run-epoch record* per rank
   -- the rank's freshly built random stream and cost recorder plus the
   (pickled) program and arguments -- through a per-rank task queue;
-* results, cost records and variate counts flow back through a shared
-  result queue, so cost reports stay backend-independent;
+* results, cost records and variate counts flow back through one result
+  queue per rank, so cost reports stay backend-independent;
 * the per-rank RNG streams are still built *in the parent* for every run
   (by the machine), so a fixed machine seed is bit-identical to a cold
   run -- and to every other backend and transport.
@@ -71,8 +71,9 @@ The poison can be lifted *explicitly* through :meth:`WorkerPool.heal`,
 the supervision hook the resilience layer (:mod:`repro.pro.resilience`)
 calls between retry attempts: the pool stops and reaps exactly the
 suspect ranks (those that failed, died or never reported in the poisoned
-epoch), drains their task queues and the poisoned epoch's straggler
-results (disposing out-of-band records), restores the standing fabric
+epoch), drains their task queues and sweeps the poisoned epoch's
+straggler results without waiting (disposing out-of-band records),
+restores the standing fabric
 (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inbox drain,
 barrier reset, fresh sender rings for the replacements) and respawns
 **only the dead ranks** into it.  Survivor ranks keep their processes,
@@ -90,15 +91,15 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-import queue as _pyqueue
 import threading
 import time
 import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
+from multiprocessing.connection import wait as _wait
 from typing import Callable, Sequence
 
-from repro.pro.backends.process import ProcessFabric
+from repro.pro.backends.process import ProcessFabric, finishes_within
 from repro.pro.backends.transport import PayloadTransport
 from repro.pro.communicator import Communicator
 from repro.pro.resilience import current_deadline
@@ -327,7 +328,7 @@ class WorkerPool:
         #: workers (a forked child inherits this object but must not
         #: touch the parent's processes -- see :meth:`run`/:meth:`close`).
         self._owner_pid = os.getpid()
-        #: One run at a time: the fleet shares a single result queue and
+        #: One run at a time: the fleet shares its result queues and one
         #: epoch counter, so concurrent ``run()`` calls (e.g. two threads
         #: hitting the same default-cache fleet) serialise here instead
         #: of corrupting each other's dispatch.
@@ -337,7 +338,11 @@ class WorkerPool:
         #: one-epoch pool, whose ranks get their epoch as spawn arguments.
         self._task_queues: list | None = None
         self._workers: list = []
-        self._result_queue = mp.Queue()
+        #: One result queue per rank: a rank killed while its feeder
+        #: thread writes can orphan the queue's write lock or leave a
+        #: half-written record, and only its own queue -- which heal()
+        #: replaces -- is hurt, never a sibling's report.
+        self._result_queues = [mp.Queue() for _ in range(self.n_procs)]
         self._epoch = 0
         self._poison_reason: str | None = None
         #: Ranks implicated in the poisoned epoch (failed, died, or never
@@ -354,7 +359,8 @@ class WorkerPool:
         task_queue = None if self._task_queues is None else self._task_queues[rank]
         proc = self._mp.Process(
             target=_rank_main,
-            args=(rank, self.fabric, task_queue, self._result_queue, epoch_task),
+            args=(rank, self.fabric, task_queue, self._result_queues[rank],
+                  epoch_task),
             name=f"pro-pool-{rank}",
             daemon=True,
         )
@@ -392,8 +398,8 @@ class WorkerPool:
             kwargs: dict) -> list:
         """Run one epoch on the pool's ranks and collect results.
 
-        Serialised by a per-pool lock: the fleet has one result queue and
-        one epoch counter, so exactly one run is in flight at a time (a
+        Serialised by a per-pool lock: the fleet shares its result queues
+        and one epoch counter, so exactly one run is in flight at a time (a
         second thread's call queues behind the first -- relevant now that
         driver calls share fleets through the default cache).
         """
@@ -478,12 +484,11 @@ class WorkerPool:
                         self.fabric.transport.dispose(entry[1][0])
                     except Exception:
                         pass
-            primary = next(
-                ((rank, exc) for rank, exc in failed
-                 if not isinstance(exc, CommunicationError)),
-                failed[0],
-            )
-            rank, exc = primary
+            # Blame a real error first, then a rank that died silently,
+            # and only then the symptoms its siblings saw (broken barrier,
+            # poisoned receive); rank order breaks ties.
+            rank, exc = min(failed, key=lambda item: (
+                isinstance(item[1], CommunicationError), item[0] in outcomes))
             if isinstance(exc, Exception):
                 raise wrap_rank_failure(rank, exc) from exc
             raise exc  # KeyboardInterrupt and friends propagate unchanged
@@ -595,106 +600,152 @@ class WorkerPool:
     def _collect(self, epoch: int, n: int) -> dict:
         """Gather this epoch's per-rank outcomes, watching worker liveness.
 
+        The epoch is complete once every rank is *accounted for*: its
+        outcome is in, or its process is dead.  A dead rank's records are
+        already in its result pipe (a queue flushes on exit, and a rank's
+        shared-segment receipts precede its result), so one sweep after
+        the death is seen settles whether it reported.  The loop sleeps in
+        :func:`multiprocessing.connection.wait` on the result pipes and the
+        sentinels of the ranks still running, so a result or a death wakes
+        it at once, and it sweeps only the ranks that woke it.
+
         There is no overall wall-clock deadline: healthy ranks may compute
         for as long as they like, and blocked communication times out
         inside the workers.  A worker that dies without reporting breaks
         the run: the parent aborts the shared barrier so surviving ranks
-        fail fast, then gives them a short grace period to report their
-        (Communication)errors.
+        fail fast, then gives the ranks still alive a short grace period
+        to report their (Communication)errors.
         """
         outcomes: dict = {}
-        aborted = False
-        deadline = None
-        silent: set = set()
+        running = set(range(n))
+        grace_until = None
         run_deadline = current_deadline()
-        while len(outcomes) < n:
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            if run_deadline is not None and run_deadline.expired:
-                # The resilience deadline ran out while ranks were still
-                # outstanding (workers hung outside fabric waits, or the
-                # clamped fabric timeout has not fired yet): poison, break
-                # the barrier, release what did arrive and surface the
-                # typed error -- deliberately not transient.
-                self._suspect_ranks.update(
-                    rank for rank in range(n)
-                    if outcomes.get(rank) is None
-                    or outcomes[rank][0] is not True
-                )
-                self._poison(f"run {epoch} exceeded its deadline")
+        while running:
+            timeouts = []
+            if grace_until is not None:
+                timeouts.append(grace_until - time.monotonic())
+                if timeouts[-1] <= 0:
+                    break
+            if run_deadline is not None:
+                if run_deadline.expired:
+                    self._raise_expired(epoch, n, outcomes, run_deadline)
+                timeouts.append(run_deadline.remaining())
+            handles = {}
+            for rank in running:
+                handles[self._result_queues[rank]._reader] = rank
+                handles[self._workers[rank].sentinel] = rank
+            lost = False
+            for handle in _wait(list(handles),
+                                timeout=min(timeouts) if timeouts else None):
+                rank = handles[handle]
+                if rank not in running:
+                    continue  # its pipe and its sentinel were both ready
+                # A ready sentinel means the rank has exited, so the sweep
+                # after it sees every record the rank wrote.
+                self._sweep_results(rank, epoch, outcomes)
+                if rank in outcomes:
+                    running.discard(rank)
+                elif handle == self._workers[rank].sentinel:
+                    running.discard(rank)
+                    lost = True
+            if lost and grace_until is None:
                 try:
                     self.fabric.abort()
                 except Exception:
                     pass
                 try:
+                    # A hard-crashed rank never ran its own failure path:
+                    # unblock siblings parked in receives so they report
+                    # (and exit joinably) within grace.
                     self.fabric.poison_waits(epoch)
                 except Exception:
                     pass
-                for entry in outcomes.values():
-                    if entry[0] is True:
-                        try:
-                            self.fabric.transport.dispose(entry[1][0])
-                        except Exception:
-                            pass
-                if self._task_queues is None:
-                    # A one-epoch pool is closed right after this run: stop
-                    # its ranks now, so the error surfaces within the
-                    # deadline instead of after close()'s join grace.
-                    for proc in self._workers:
-                        if proc.is_alive():
-                            proc.terminate()
-                raise DeadlineError(
-                    f"run {epoch} exceeded its "
-                    f"{run_deadline.seconds:g}s deadline with "
-                    f"{n - len(outcomes)} rank(s) still outstanding"
-                )
+                grace_until = (time.monotonic()
+                               + scale_timeout(max(self.shutdown_grace, 1.0)))
+        return outcomes
+
+    def _raise_expired(self, epoch: int, n: int, outcomes: dict,
+                       run_deadline) -> None:
+        """Raise ``DeadlineError`` for an epoch with ranks still outstanding.
+
+        The resilience deadline ran out while ranks were still running
+        (workers hung outside fabric waits, or the clamped fabric timeout
+        has not fired yet): poison, break the barrier, release what did
+        arrive and surface the typed error -- deliberately not transient.
+        """
+        self._suspect_ranks.update(
+            rank for rank in range(n)
+            if outcomes.get(rank) is None or outcomes[rank][0] is not True
+        )
+        self._poison(f"run {epoch} exceeded its deadline")
+        try:
+            self.fabric.abort()
+        except Exception:
+            pass
+        try:
+            self.fabric.poison_waits(epoch)
+        except Exception:
+            pass
+        for entry in outcomes.values():
+            if entry[0] is True:
+                try:
+                    self.fabric.transport.dispose(entry[1][0])
+                except Exception:
+                    pass
+        if self._task_queues is None:
+            # A one-epoch pool is closed right after this run: stop its
+            # ranks now, so the error surfaces within the deadline instead
+            # of after close()'s join grace.
+            for proc in self._workers:
+                if proc.is_alive():
+                    proc.terminate()
+        raise DeadlineError(
+            f"run {epoch} exceeded its {run_deadline.seconds:g}s deadline "
+            f"with {n - len(outcomes)} rank(s) still outstanding"
+        )
+
+    def _sweep_results(self, rank: int, epoch: int | None = None,
+                       outcomes: dict | None = None) -> None:
+        """Take every record already in ``rank``'s result pipe, without waiting.
+
+        Shared-segment receipts are applied (the segment is unlinked after
+        the last one).  A record of ``epoch`` lands in ``outcomes``; any
+        other success record is a straggler -- of an earlier failed epoch,
+        or swept by heal or close -- whose undecoded value is disposed.
+        """
+        result_queue = self._result_queues[rank]
+        while not result_queue.empty():  # the parent is the only reader
             try:
-                e, rank, ok, payload = self._result_queue.get(timeout=0.2)
-            except _pyqueue.Empty:
-                # A worker flushes its report into the pipe before it exits
-                # (one-epoch ranks exit right after reporting), so a rank
-                # found dead here that is still unreported at the next
-                # empty poll died without reporting.
-                dead = {rank for rank in range(n) if rank not in outcomes
-                        and not self._workers[rank].is_alive()}
-                if not aborted and dead & silent:
-                    aborted = True
-                    try:
-                        self.fabric.abort()
-                    except Exception:
-                        pass
-                    try:
-                        # A hard-crashed rank never ran its own failure
-                        # path: unblock siblings parked in receives so
-                        # they report (and exit joinably) within grace.
-                        self.fabric.poison_waits(epoch)
-                    except Exception:
-                        pass
-                    deadline = (time.monotonic()
-                                + scale_timeout(max(self.shutdown_grace, 1.0)))
-                silent = dead
-                continue
+                e, _rank, ok, payload = result_queue.get()
             except Exception:  # pragma: no cover - truncated pickle after a kill
                 continue
             if ok == _SHARED_ACK:
-                # A rank attached the run's shared argument segment: apply
-                # the receipt so the segment is unlinked after the last one.
                 try:
                     self.fabric.transport.ring_ack(payload)
                 except Exception:  # pragma: no cover - acks are best effort
                     pass
-                continue
-            if e != epoch:
-                # Straggler from an earlier (failed) epoch: release any
-                # out-of-band resources and ignore it.
-                if ok:
-                    try:
-                        self.fabric.transport.dispose(payload[0])
-                    except Exception:
-                        pass
-                continue
-            outcomes[rank] = (ok, payload)
-        return outcomes
+            elif outcomes is not None and e == epoch:
+                outcomes[rank] = (ok, payload)
+            elif ok:
+                try:
+                    self.fabric.transport.dispose(payload[0])
+                except Exception:
+                    pass
+
+    def _sweep_stopped(self, ranks, terminated) -> None:
+        """Sweep the result pipes of stopped ranks, without waiting.
+
+        Nothing is still in flight once a rank has exited.  A rank that had
+        to be terminated may have died halfway through writing a record,
+        which a read would block on forever, so its pipe is swept on an
+        abandonable thread; callers replace or close that queue either way.
+        """
+        for rank in ranks:
+            if rank in terminated:
+                finishes_within(lambda rank=rank: self._sweep_results(rank),
+                                scale_timeout(2.0), name="pro-pool-sweep")
+            else:
+                self._sweep_results(rank)
 
     # -- supervision --------------------------------------------------------
     def heal(self) -> bool:
@@ -708,14 +759,18 @@ class WorkerPool:
         Recovery steps, in order:
 
         1. every *suspect* rank -- implicated in the poisoned epoch or
-           found dead -- is terminated and joined (survivors that reported
+           found dead -- is joined, and terminated only if it does not
+           exit within the shutdown grace (survivors that reported
            success are still blocked on their task queues and are left
            untouched: they keep their processes, transports and PIDs);
-        2. the suspects' task queues are drained (an undelivered epoch
-           holds encoded argument records) and replaced by fresh queues;
-        3. straggler results of the poisoned epoch are drained from the
-           shared result queue, applying shared-segment receipts and
-           disposing undecoded values;
+        2. straggler results of the poisoned epoch are swept from the
+           suspects' result queues, applying shared-segment receipts and
+           disposing undecoded values.  The sweep does not wait: every
+           suspect has exited and every survivor has reported, so nothing
+           is still in flight;
+        3. the suspects' task queues are drained (an undelivered epoch
+           holds encoded argument records), and both of their queues are
+           replaced by fresh ones;
         4. the standing fabric is healed
            (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
            inboxes drained and disposed, barrier reset, fresh sender-ring
@@ -746,26 +801,38 @@ class WorkerPool:
                         if not proc.is_alive())
         if self._poison_reason is None and not suspects:
             return True
+        started = time.perf_counter()
         grace = scale_timeout(self.shutdown_grace)
-        # Let suspects still parked in fabric waits exit on their own
-        # first (poison pills reach receives, the aborted barrier the
-        # rest): a clean exit releases the inbox reader lock a terminate()
-        # could orphan.  Only then terminate genuinely wedged workers.
+        # Let suspects exit on their own first: poison pills reach ranks
+        # parked in receives, the aborted barrier the rest, and the
+        # shutdown sentinel a rank that finishes its epoch late.  A clean
+        # exit releases the inbox reader lock a terminate() could orphan.
+        # Only then terminate genuinely wedged workers.
         try:
             self.fabric.poison_waits(self._epoch)
         except Exception:  # pragma: no cover - queues already broken
             pass
+        for rank in sorted(suspects):
+            try:
+                self._task_queues[rank].put(None)
+            except Exception:  # pragma: no cover - queue already broken
+                pass
         join_until = time.monotonic() + grace
         for rank in sorted(suspects):
             proc = self._workers[rank]
             proc.join(timeout=max(join_until - time.monotonic(), 0.1))
+        terminated = set()
         for rank in sorted(suspects):
             proc = self._workers[rank]
             if proc.is_alive():
+                terminated.add(rank)
                 proc.terminate()
                 proc.join(timeout=grace)
             if proc.is_alive():
                 return False  # unkillable worker: this fleet is lost
+        # Every suspect has exited and every survivor reported, so the
+        # poisoned epoch's stragglers are all in the suspects' pipes.
+        self._sweep_stopped(sorted(suspects), terminated)
         for rank in sorted(suspects):
             old_queue = self._task_queues[rank]
             while True:  # undelivered epochs hold encoded argument records
@@ -779,44 +846,25 @@ class WorkerPool:
                     self.fabric.transport.dispose(pickle.loads(raw)[5])
                 except Exception:
                     pass
-            try:
-                old_queue.close()
-                old_queue.cancel_join_thread()
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-            # A worker killed mid-get can leave the old queue's pipe in a
-            # torn state; the replacement gets a pristine one.
+            for stale in (old_queue, self._result_queues[rank]):
+                try:
+                    stale.close()
+                    stale.cancel_join_thread()
+                except Exception:  # pragma: no cover - queue already broken
+                    pass
+            # A worker killed mid-get or mid-put can leave an old queue's
+            # pipe in a torn state; the replacement gets pristine ones.
             self._task_queues[rank] = self._mp.Queue()
-        drain_until = time.monotonic() + scale_timeout(0.25)
-        while True:  # stragglers of the poisoned epoch
-            remaining = drain_until - time.monotonic()
-            try:
-                if remaining > 0:
-                    _e, _rank, ok, payload = self._result_queue.get(
-                        timeout=remaining)
-                else:
-                    _e, _rank, ok, payload = self._result_queue.get_nowait()
-            except _pyqueue.Empty:
-                break
-            except Exception:  # pragma: no cover - truncated pickle
-                continue
-            if ok == _SHARED_ACK:
-                try:
-                    self.fabric.transport.ring_ack(payload)
-                except Exception:
-                    pass
-            elif ok:
-                try:
-                    self.fabric.transport.dispose(payload[0])
-                except Exception:
-                    pass
+            self._result_queues[rank] = self._mp.Queue()
         respawned = sorted(suspects)
         self.fabric.heal(respawned)
         for rank in respawned:
             self._workers[rank] = self._spawn(rank)
         self._suspect_ranks.clear()
         self._poison_reason = None
-        record_event("pool-heal", respawned=respawned, epoch=self._epoch)
+        record_event("pool-heal", respawned=respawned,
+                     heal_ms=round((time.perf_counter() - started) * 1e3, 3),
+                     epoch=self._epoch)
         return True
 
     # -- shutdown -----------------------------------------------------------
@@ -864,8 +912,10 @@ class WorkerPool:
         grace = scale_timeout(self.shutdown_grace)
         for proc in self._workers:
             proc.join(timeout=grace)
-        for proc in self._workers:
+        terminated = set()
+        for rank, proc in enumerate(self._workers):
             if proc.is_alive():
+                terminated.add(rank)
                 proc.terminate()
                 proc.join(timeout=grace)
         # Dispose undelivered tasks (a rank that died before picking its
@@ -884,29 +934,16 @@ class WorkerPool:
                     self.fabric.transport.dispose(pickle.loads(raw)[5])
                 except Exception:
                     pass
-        while True:
-            try:
-                _e, _rank, ok, payload = self._result_queue.get_nowait()
-            except Exception:
-                break
-            if ok == _SHARED_ACK:
-                try:
-                    self.fabric.transport.ring_ack(payload)
-                except Exception:
-                    pass
-            elif ok:
-                try:
-                    self.fabric.transport.dispose(payload[0])
-                except Exception:
-                    pass
+        self._sweep_stopped(range(self.n_procs), terminated)
         # Retire the rings and unlink in-flight segments on the fabric.
         self.fabric.shutdown(
             drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
         for task_queue in task_queues:
             task_queue.close()
             task_queue.cancel_join_thread()
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+        for result_queue in self._result_queues:
+            result_queue.close()
+            result_queue.cancel_join_thread()
 
     def __enter__(self) -> "WorkerPool":
         return self

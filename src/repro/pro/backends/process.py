@@ -95,6 +95,22 @@ _RING_ACK_TAG = "__ring-ack__"
 _ABORT_TAG = "__abort__"
 
 
+def finishes_within(target: Callable[[], object], bound: float, *,
+                    name: str) -> bool:
+    """Run ``target`` on a daemon thread; True if it returned within ``bound`` s.
+
+    The guard for queue drains that may meet a *truncated* record: a
+    process terminated mid-``put`` leaves a message whose body
+    ``Queue.get`` waits on forever (its timeout only covers the readiness
+    poll).  A drain that hangs is abandoned rather than hanging its
+    caller; ``bound`` is only ever waited out in that case.
+    """
+    worker = threading.Thread(target=target, name=name, daemon=True)
+    worker.start()
+    worker.join(timeout=bound)
+    return not worker.is_alive()
+
+
 class ProcessFabric:
     """Message fabric over multiprocessing queues and a shared barrier.
 
@@ -324,11 +340,11 @@ class ProcessFabric:
         Called by :meth:`~repro.pro.backends.pool.WorkerPool.heal` once the
         failed epoch's workers have stopped and before replacements start:
 
-        * every inbox is drained and the undelivered records handed to
-          ``transport.dispose`` (the poisoned epoch's in-flight payloads
-          must not pin shared-memory segments for the fabric's remaining
-          lifetime) -- safe because no run is in flight and idle survivors
-          only read their *task* queues;
+        * every inbox is swept, without waiting, and the undelivered
+          records handed to ``transport.dispose`` (the poisoned epoch's
+          in-flight payloads must not pin shared-memory segments for the
+          fabric's remaining lifetime) -- safe because no run is in flight
+          and idle survivors only read their *task* queues;
         * the shared barrier, broken by ``abort()``, is reset for reuse;
         * each respawned rank gets a **fresh sender-ring name** and its old
           ring is retired: the dead worker owned the old segment, so the
@@ -343,20 +359,11 @@ class ProcessFabric:
         ring keeps any un-acked slots pinned until it retires -- bounded,
         and irrelevant in the common all-ranks-exited failure.
         """
-        disposes = True  # duck-typed transports: assume dispose matters
-        if isinstance(self.transport, PayloadTransport):
-            disposes = type(self.transport).dispose is not PayloadTransport.dispose
-        if disposes:
-            # In-band transports skip the drain (nothing out-of-band to
-            # release; epoch-scoped tags already quarantine stale records,
-            # and a worker killed mid-put can leave a truncated pickle the
-            # drain would block on -- hence the abandonable thread).
-            drain = threading.Thread(
-                target=self._drain_and_dispose, args=(scale_timeout(0.25),),
-                name="pro-fabric-heal-drain", daemon=True,
-            )
-            drain.start()
-            drain.join(timeout=scale_timeout(2.0))
+        # The suspects have exited, so what they sent is in the pipes
+        # already; a survivor's send still being flushed lands under the
+        # poisoned epoch's tag, which quarantines it, and close() disposes
+        # it if no rank reads it.  Hence no wait.
+        self._drain_inboxes(0.0, name="pro-fabric-heal-drain")
         try:
             self._barrier.reset()
         except Exception:  # pragma: no cover - a broken reset fails the heal later
@@ -387,9 +394,11 @@ class ProcessFabric:
         ``transport.dispose`` so out-of-band payloads (shared-memory
         segments) are unlinked rather than leaked.
 
-        ``drain_timeout`` is the per-inbox wait for straggling feeder
-        flushes; the pool passes 0 on clean runs (the inboxes are empty)
-        and a short grace period after aborts and timeouts.
+        ``drain_timeout`` bounds the wait for straggling feeder flushes,
+        once for the whole drain: an empty inbox waits out what is left of
+        it, so ``p`` empty inboxes cost one timeout, not ``p``.  The pool
+        passes 0 on clean runs (the inboxes are empty) and a short grace
+        period after aborts and timeouts.
 
         Reading records back can block indefinitely: a worker terminated
         mid-``put`` of a large in-band record leaves a *truncated* message
@@ -403,16 +412,7 @@ class ProcessFabric:
         the stranded segments left to the resource tracker's exit-time
         cleanup, which is what it is for -- rather than hanging the caller.
         """
-        disposes = True  # duck-typed transports: assume dispose matters
-        if isinstance(self.transport, PayloadTransport):
-            disposes = type(self.transport).dispose is not PayloadTransport.dispose
-        if disposes:
-            drain = threading.Thread(
-                target=self._drain_and_dispose, args=(drain_timeout,),
-                name="pro-fabric-drain", daemon=True,
-            )
-            drain.start()
-            drain.join(timeout=scale_timeout(2.0) + 4.0 * drain_timeout)
+        self._drain_inboxes(drain_timeout, name="pro-fabric-drain")
         if self._ring_names is not None:
             try:
                 self.transport.retire_rings(self._ring_names)
@@ -428,15 +428,26 @@ class ProcessFabric:
             inbox.close()
             inbox.cancel_join_thread()
 
+    def _drain_inboxes(self, drain_timeout: float, *, name: str) -> None:
+        """Dispose every undelivered record, on an abandonable thread."""
+        disposes = True  # duck-typed transports: assume dispose matters
+        if isinstance(self.transport, PayloadTransport):
+            disposes = type(self.transport).dispose is not PayloadTransport.dispose
+        if disposes:
+            finishes_within(lambda: self._drain_and_dispose(drain_timeout),
+                            scale_timeout(2.0) + drain_timeout, name=name)
+
     def _drain_and_dispose(self, drain_timeout: float) -> None:
-        """Body of the shutdown drain (run on an abandonable thread)."""
+        """Body of the inbox drain (see :meth:`shutdown` for ``drain_timeout``)."""
+        deadline = time.monotonic() + drain_timeout
         for inbox in self._inboxes:
             waited = False
             while True:
+                remaining = deadline - time.monotonic()
                 try:
-                    if drain_timeout > 0 and not waited:
+                    if remaining > 0 and not waited:
                         waited = True
-                        _src, _tag, record = inbox.get(timeout=drain_timeout)
+                        _src, _tag, record = inbox.get(timeout=remaining)
                     else:
                         _src, _tag, record = inbox.get_nowait()
                 except _pyqueue.Empty:

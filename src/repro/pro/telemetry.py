@@ -303,6 +303,12 @@ class FleetReport:
                 counts[event["kind"]] = counts.get(event["kind"], 0) + 1
             rendered = " ".join(f"{kind}({n})" for kind, n in sorted(counts.items()))
             lines.append(f"events: {rendered}")
+            for event in self.events:
+                if event["kind"] == "pool-heal":
+                    lines.append(
+                        f"pool-heal: respawned ranks {event['respawned']} in "
+                        f"{event['heal_ms']:.1f} ms"
+                    )
         else:
             lines.append("events: none")
         return "\n".join(lines)

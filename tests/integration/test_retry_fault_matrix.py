@@ -16,12 +16,14 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.permutation import random_permutation
 from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 from repro.pro.resilience import RetryPolicy, committed_chaos_plans
 from repro.util.errors import (
@@ -83,6 +85,13 @@ def _rank0_stalls(ctx):
         time.sleep(scale_timeout(8))
     ctx.comm.barrier()
     return ctx.rank
+
+
+def _rank0_reports_late(ctx, delay):
+    if ctx.rank == 0:
+        time.sleep(delay)
+        return np.arange(64_000)  # 512 KB: a dedicated segment, no ring
+    return None
 
 
 def _faulty_machine(backend, faults, *, retry, timeout, **backend_options):
@@ -175,6 +184,50 @@ class TestSupervisionMechanics:
         assert after[1] != before[1]  # the crashed rank was respawned...
         for rank in (0, 2, 3):
             assert after[rank] == before[rank]  # ...its siblings were not
+
+    def test_heal_after_every_rank_reported_does_not_wait(self):
+        # Every rank reported (the crashed one raised), so the epoch is
+        # fully accounted for and heal() has nothing to wait for.
+        machine, _wrapper = _faulty_machine(
+            "process", [CrashRank(rank=1, at_op=0)], retry=None,
+            timeout=scale_timeout(8), persistent=True)
+        try:
+            machine.run(_rank_pid_program)
+            pool = machine.backend.backend._pools[P]
+            with pytest.raises(TransientBackendError, match="rank 1"):
+                machine.run(_independent_rank_program)
+            started = time.monotonic()
+            assert pool.heal()
+            elapsed = time.monotonic() - started
+        finally:
+            machine.close()
+        assert elapsed < scale_timeout(0.1)
+
+    def test_late_success_of_a_suspect_is_disposed(self):
+        # Rank 0 misses the deadline, so it is a suspect, but it still
+        # finishes and reports a success while heal() reaps it.  Its
+        # result lives in a dedicated segment (bigger than the tiny
+        # ring), which only the straggler sweep can unlink.
+        shm = Path("/dev/shm")
+        if not shm.is_dir():
+            pytest.skip("no /dev/shm to inspect")
+        before = set(os.listdir(shm))
+        policy = RetryPolicy(max_attempts=1, deadline=scale_timeout(0.5))
+        machine = PROMachine(
+            2, seed=SEED, backend="process", persistent=True, retry=policy,
+            timeout=scale_timeout(20),
+            backend_options={"transport": SharedMemoryTransport(ring_bytes=4096)})
+        try:
+            with pytest.raises(DeadlineError):
+                machine.run(_rank0_reports_late, scale_timeout(1.0))
+            pool = machine.backend._pools[2]
+            assert pool._suspect_ranks == {0}
+            assert pool.heal()
+        finally:
+            machine.close()
+        left = {name for name in set(os.listdir(shm)) - before
+                if name.startswith(("pro", "psm_"))}
+        assert not left
 
     def test_retries_disabled_stays_poison_and_raise(self):
         machine, _wrapper = _faulty_machine(

@@ -1,6 +1,7 @@
 """Unit tests for the process backend and its multiprocessing fabric."""
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -179,3 +180,12 @@ class TestProcessFabric:
     def test_fabric_validates_n_procs(self):
         with pytest.raises(ValidationError):
             ProcessFabric(0)
+
+    def test_empty_inbox_drain_waits_one_timeout_not_one_per_inbox(self):
+        # drain_timeout is one deadline for the whole drain: eight empty
+        # inboxes must not wait it out eight times.
+        fabric = ProcessFabric(8, transport="sharedmem")
+        timeout = scale_timeout(0.25)
+        started = time.monotonic()
+        fabric.shutdown(drain_timeout=timeout)
+        assert time.monotonic() - started < 2 * timeout

@@ -200,8 +200,10 @@ class TestRecoveryEvents:
         assert kinds.index("retry") < kinds.index("pool-heal")
         heal = next(e for e in payload["events"] if e["kind"] == "pool-heal")
         assert 1 in heal["respawned"]
+        assert heal["heal_ms"] > 0.0
         text = telemetry.last.summary()
         assert "1 failed attempt(s) absorbed" in text
+        assert f"pool-heal: respawned ranks {heal['respawned']} in " in text
 
 
 def _barrier_program(ctx):

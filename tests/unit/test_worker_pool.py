@@ -7,9 +7,11 @@ full lifecycle.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.core.permutation import random_permutation
 from repro.pro.backends.pool import WorkerPool, pool
 from repro.pro.machine import PROMachine
 from repro.rng.counting import CountingRNG
-from repro.util.errors import BackendError, ValidationError
+from repro.util.errors import BackendError, TransientBackendError, ValidationError
 from repro.util.timeouts import scale_timeout
 
 pytestmark = pytest.mark.subprocess  # every test spawns a worker fleet
@@ -41,6 +43,13 @@ def _draw_program(ctx):
 def _crash_program(ctx):
     if ctx.rank == 1:
         os._exit(23)  # hard kill: no exception, no report
+    ctx.comm.barrier()
+    return ctx.rank
+
+
+def _sigkill_program(ctx):
+    if ctx.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)  # no exit path runs at all
     ctx.comm.barrier()
     return ctx.rank
 
@@ -148,7 +157,6 @@ class TestPoolReuse:
 
 
 class TestPoolFailure:
-    @pytest.mark.slow
     def test_worker_crash_poisons_pool(self):
         machine = _persistent_machine(2, seed=0)
         try:
@@ -158,6 +166,25 @@ class TestPoolFailure:
                 machine.run(_rank_pid_program)
         finally:
             machine.close()
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_hard_killed_rank_surfaces_at_once(self, persistent):
+        # The parent watches the worker sentinels, so the death is seen at
+        # once; its sibling, parked in the barrier, is released by the
+        # abort and reports.  Every rank is then accounted for, and the
+        # run raises without waiting out any grace period.
+        machine = PROMachine(2, seed=0, backend="process",
+                             persistent=persistent, timeout=scale_timeout(20))
+        try:
+            if persistent:
+                machine.run(_rank_pid_program)  # a standing, warm fleet
+            started = time.monotonic()
+            with pytest.raises(TransientBackendError, match="rank 1"):
+                machine.run(_sigkill_program)
+            elapsed = time.monotonic() - started
+        finally:
+            machine.close()
+        assert elapsed < scale_timeout(0.5)
 
     def test_program_exception_poisons_pool(self):
         machine = _persistent_machine(3, seed=0)
