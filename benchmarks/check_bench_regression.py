@@ -123,12 +123,6 @@ def gated_cells(tracked_records):
         )
         if point_ok:
             cells.append(record)
-    # Crash-recovery cells go last, after the thread-backend cells, as in
-    # bench_backends.py --json.  A respawned rank imports whatever
-    # modules of the program its parent has not imported yet on its first
-    # epoch; measured first, in a fresh process, those imports would be
-    # timed here but not in the tracked median.
-    cells.sort(key=lambda record: record["workload"] == "crash_recovery")
     return cells
 
 

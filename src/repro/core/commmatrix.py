@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import multivariate
+from repro.core.engine import get_engine
 from repro.rng.streams import default_rng
 from repro.util.errors import ValidationError
 from repro.util.validation import check_same_total, check_vector_of_nonnegative_ints
@@ -195,8 +196,6 @@ def sample_matrix(
     if strategy == "recursive":
         return sample_matrix_recursive(row_sums, col_sums, rng, method=method)
     if strategy == "batched":
-        from repro.core.engine import get_engine
-
         return get_engine(method, kernels=kernels).sample_matrix_batched(
             row_sums, col_sums, rng
         )

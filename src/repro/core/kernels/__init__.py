@@ -31,6 +31,11 @@ from __future__ import annotations
 
 import os
 
+# Imported here, not when a tier is first resolved, so that worker processes
+# forked from a parent that imported the registry start with these modules
+# loaded (``portable`` builds its log-factorial table at import time).
+from repro.core.kernels import numba_tier
+from repro.core.kernels.numpy_tier import NumpyKernels
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -82,12 +87,8 @@ def resolve_kernels(kernels=None):
 
 
 def _build_tier(name: str):
-    from repro.core.kernels.numpy_tier import NumpyKernels
-
     if name in ("auto", "numba"):
         try:
-            from repro.core.kernels import numba_tier
-
             return numba_tier.build()
         except Exception:
             # Silent degrade: numba missing, JIT failure or a self-check

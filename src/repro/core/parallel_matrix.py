@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import commmatrix, multivariate
+from repro.core.kernels import resolve_kernels
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
 from repro.util.validation import check_same_total, check_vector_of_nonnegative_ints
@@ -82,8 +83,6 @@ def resolve_tile_strategy(tile_strategy: str, method: str) -> str:
 
 def _note_kernel_tier(ctx: ProcessorContext, kernels):
     """Resolve the kernel tier and record it in this rank's cost record."""
-    from repro.core.kernels import resolve_kernels
-
     tier = resolve_kernels(kernels)
     ctx.cost.note_kernel_tier(tier.name, tier.warmup_seconds)
     return tier

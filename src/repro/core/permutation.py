@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocks import BlockDistribution
+from repro.core.kernels import resolve_kernels
 from repro.core.parallel_matrix import MATRIX_ALGORITHMS
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 
-def local_shuffle(values: np.ndarray, rng, kernels=None) -> np.ndarray:
-    """Return a uniformly shuffled copy of ``values`` using ``rng``.
+def local_shuffle(values: np.ndarray, rng, kernels=None, *, out=None) -> np.ndarray:
+    """Return ``values`` uniformly shuffled using ``rng``.
 
     Accepts both plain NumPy generators and
     :class:`~repro.rng.counting.CountingRNG` wrappers; the Fisher-Yates cost
@@ -60,17 +61,28 @@ def local_shuffle(values: np.ndarray, rng, kernels=None) -> np.ndarray:
     tier draws the Fisher-Yates permutation with a jitted kernel and gathers
     ``values`` through it -- bit-identical to ``rng.shuffle`` on the same
     seed -- and any tier that declines falls back to the in-place shuffle.
+
+    Without ``out`` the result is a fresh array and ``values`` is left
+    alone.  With ``out`` (an array shaped like ``values``, or ``values``
+    itself) the shuffled items are written into ``out``, which is returned;
+    ``out is values`` shuffles in place without any full-size copy on the
+    NumPy path.  Both forms consume ``rng`` identically, so they agree bit
+    for bit.
     """
     arr = np.asarray(values)
-    if arr.shape[0] <= 1:
-        return arr.copy()
-    from repro.core.kernels import resolve_kernels
-
-    perm = resolve_kernels(kernels).permutation(rng, arr.shape[0])
+    n = arr.shape[0]
+    perm = resolve_kernels(kernels).permutation(rng, n) if n > 1 else None
     if perm is not None:
-        return arr[perm]
-    out = arr.copy()
-    rng.shuffle(out)
+        if out is None:
+            return arr[perm]
+        out[...] = arr[perm]  # through a temporary: ``out`` may alias ``arr``
+        return out
+    if out is None:
+        out = arr.copy()
+    elif out is not arr:
+        out[...] = arr
+    if n > 1:
+        rng.shuffle(out)
     return out
 
 
@@ -96,6 +108,22 @@ def cut_rows(values, counts) -> list[np.ndarray]:
     return np.split(arr, np.cumsum(counts[:-1]))
 
 
+def _target_sizes(source_sizes: np.ndarray, target_sizes) -> np.ndarray:
+    """Validated target block sizes ``m'`` (``None`` keeps the source sizes)."""
+    if target_sizes is None:
+        return source_sizes
+    targets = check_vector_of_nonnegative_ints(target_sizes, "target_sizes")
+    if targets.size != source_sizes.size:
+        raise ValidationError(
+            f"target_sizes must have {source_sizes.size} entries, got {targets.size}"
+        )
+    if int(targets.sum()) != int(source_sizes.sum()):
+        raise ValidationError(
+            "target_sizes must redistribute exactly the items present in the blocks"
+        )
+    return targets
+
+
 def parallel_permutation_program(
     ctx: ProcessorContext,
     blocks,
@@ -104,6 +132,7 @@ def parallel_permutation_program(
     matrix_algorithm: str = "root",
     method: str = "auto",
     kernels=None,
+    out=None,
 ) -> np.ndarray:
     """SPMD program implementing Algorithm 1.
 
@@ -127,6 +156,13 @@ def parallel_permutation_program(
         Kernel-tier request (see :mod:`repro.core.kernels`); resolved once
         per rank, recorded in the rank's cost record, and forwarded to the
         shuffles and the matrix program.  Bit-identical across tiers.
+    out:
+        Optional sequence of ``ctx.n_procs`` writable arrays, ``out[i]``
+        sized like target block ``i``: the caller-owned slices of the
+        output vector.  Processor ``i`` gathers its received pieces
+        straight into ``out[i]``, shuffles them there and returns
+        ``out[i]`` itself.  Without it each rank gathers into an array of
+        its own.
 
     Returns
     -------
@@ -145,23 +181,17 @@ def parallel_permutation_program(
 
     local = np.asarray(blocks[ctx.rank])
     source_sizes = np.asarray([len(b) for b in blocks], dtype=np.int64)
-    if target_sizes is None:
-        targets = source_sizes
-    else:
-        targets = check_vector_of_nonnegative_ints(target_sizes, "target_sizes")
-        if targets.size != ctx.n_procs:
+    targets = _target_sizes(source_sizes, target_sizes)
+    dest = None
+    if out is not None:
+        if len(out) != ctx.n_procs or len(out[ctx.rank]) != targets[ctx.rank]:
             raise ValidationError(
-                f"target_sizes must have {ctx.n_procs} entries, got {targets.size}"
+                "out must hold one array per processor, sized like the target blocks"
             )
-        if int(targets.sum()) != int(source_sizes.sum()):
-            raise ValidationError(
-                "target_sizes must redistribute exactly the items present in the blocks"
-            )
+        dest = out[ctx.rank]
 
     # Resolve the kernel tier once per rank; the cost record carries which
     # tier actually ran here (and its JIT warm-up cost) back to the parent.
-    from repro.core.kernels import resolve_kernels
-
     tier = resolve_kernels(kernels)
     ctx.cost.note_kernel_tier(tier.name, tier.warmup_seconds)
 
@@ -179,12 +209,13 @@ def parallel_permutation_program(
     received = ctx.comm.alltoallv(pieces)
     ctx.comm.barrier()
 
-    # Superstep 3: concatenate and shuffle locally.
-    if received:
-        incoming = np.concatenate(received)
-    else:  # pragma: no cover - a machine always has >= 1 processor
-        incoming = np.empty(0, dtype=local.dtype)
-    result = local_shuffle(incoming, ctx.rng, kernels=tier)
+    # Superstep 3: gather the received pieces into the destination block
+    # and shuffle it there, in place.
+    if dest is None:
+        dest = np.concatenate(received)
+    else:
+        np.concatenate(received, out=dest)
+    result = local_shuffle(dest, ctx.rng, kernels=tier, out=dest)
     ctx.log_compute(len(result))
     ctx.cost.allocate(len(result))
     return result
@@ -193,6 +224,56 @@ def parallel_permutation_program(
 # ----------------------------------------------------------------------------
 # Front ends
 # ----------------------------------------------------------------------------
+def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_options):
+    """Run Algorithm 1 over ``blocks``; return ``(run, output)``.
+
+    On a backend whose ranks share the caller's address space, the output
+    vector is allocated once here and rank ``j`` is handed its target slice
+    to assemble in place (``out=`` of :func:`parallel_permutation_program`).
+    ``output`` is that vector when every rank returned the very slice it
+    was given; otherwise -- a backend in another address space, or a retry
+    that degraded into one -- the ranks' results are copies and ``output``
+    is ``None``.
+    """
+    if len(blocks) == 0:
+        raise ValidationError("permute_distributed needs at least one block")
+    arrays = [np.asarray(b) for b in blocks]
+    targets = _target_sizes(np.asarray([len(a) for a in arrays], dtype=np.int64),
+                            target_sizes)
+    owns_machine = machine is None
+    machine = resolve_machine(len(arrays), machine=machine, **machine_options)
+    if machine.n_procs != len(arrays):
+        raise ValidationError(
+            f"machine has {machine.n_procs} processors but {len(arrays)} blocks were given"
+        )
+    capabilities = getattr(machine.backend, "capabilities", None)
+    layout = (arrays[0].dtype, arrays[0].shape[1:])
+    output = out = None
+    if (getattr(capabilities, "shared_address_space", False)
+            and all((a.dtype, a.shape[1:]) == layout for a in arrays)):
+        output = np.empty((int(targets.sum()),) + layout[1], dtype=layout[0])
+        out = cut_rows(output, targets)
+    try:
+        run = machine.run(
+            parallel_permutation_program,
+            arrays,
+            target_sizes,
+            matrix_algorithm=matrix_algorithm,
+            method=method,
+            kernels=getattr(machine, "kernels", None),
+            out=out,
+        )
+    finally:
+        if owns_machine:
+            # Releases call-private resources only: fleets borrowed from
+            # the process-wide default pool cache stay warm for the next
+            # call (repro.pro.backends.pool owns and reaps those).
+            machine.close()
+    if out is None or any(r is not o for r, o in zip(run.results, out)):
+        output = None
+    return run, output
+
+
 def permute_distributed(
     blocks,
     *,
@@ -210,7 +291,8 @@ def permute_distributed(
     :func:`~repro.pro.machine.resolve_machine`, which documents them.
     The returned blocks follow ``target_sizes`` (defaulting to the input
     sizes); the second element of the returned pair is the machine's
-    :class:`~repro.pro.machine.RunResult`.
+    :class:`~repro.pro.machine.RunResult`.  On the shared-memory backends
+    the blocks are consecutive views of one freshly allocated vector.
 
     Examples
     --------
@@ -220,29 +302,8 @@ def permute_distributed(
     >>> sorted(np.concatenate(out_blocks).tolist())
     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
     """
-    if len(blocks) == 0:
-        raise ValidationError("permute_distributed needs at least one block")
-    owns_machine = machine is None
-    machine = resolve_machine(len(blocks), machine=machine, **machine_options)
-    if machine.n_procs != len(blocks):
-        raise ValidationError(
-            f"machine has {machine.n_procs} processors but {len(blocks)} blocks were given"
-        )
-    try:
-        run = machine.run(
-            parallel_permutation_program,
-            [np.asarray(b) for b in blocks],
-            target_sizes,
-            matrix_algorithm=matrix_algorithm,
-            method=method,
-            kernels=getattr(machine, "kernels", None),
-        )
-    finally:
-        if owns_machine:
-            # Releases call-private resources only: fleets borrowed from
-            # the process-wide default pool cache stay warm for the next
-            # call (repro.pro.backends.pool owns and reaps those).
-            machine.close()
+    run, _ = _permute(blocks, machine, target_sizes, matrix_algorithm, method,
+                      machine_options)
     return run.results, run
 
 
@@ -259,9 +320,11 @@ def random_permutation(
     """Uniformly permute an in-memory vector with the coarse-grained algorithm.
 
     The vector is cut into ``n_procs`` balanced blocks (or according to
-    ``distribution``), permuted by Algorithm 1 on a PRO machine and glued
-    back together.  This is the "just permute my array" entry point of the
-    library.  ``machine_options`` are forwarded to
+    ``distribution``) and permuted by Algorithm 1 on a PRO machine.  This is
+    the "just permute my array" entry point of the library.  On the
+    shared-memory backends the ranks assemble the result in place, each in
+    its slice of one output vector; otherwise the permuted blocks are glued
+    back together here.  ``machine_options`` are forwarded to
     :func:`~repro.pro.machine.resolve_machine`, which documents them.
 
     Examples
@@ -287,13 +350,13 @@ def random_permutation(
         raise ValidationError(
             f"distribution has {distribution.n_blocks} blocks but n_procs is {n_procs}"
         )
-    blocks = distribution.split(arr)
-    permuted_blocks, _ = permute_distributed(
-        blocks, machine=machine, matrix_algorithm=matrix_algorithm,
-        method=method, **machine_options,
-    )
-    sizes = [len(b) for b in permuted_blocks]
-    return BlockDistribution(sizes).concatenate(permuted_blocks).astype(arr.dtype, copy=False)
+    run, output = _permute(distribution.split(arr), machine, None, matrix_algorithm,
+                           method, machine_options)
+    if output is not None:
+        return output
+    blocks = run.results
+    return BlockDistribution([len(b) for b in blocks]).concatenate(blocks).astype(
+        arr.dtype, copy=False)
 
 
 def random_permutation_indices(

@@ -252,9 +252,13 @@ class BackendCapabilities:
         serialised by the CPython GIL for pure-Python work.
     shared_address_space:
         Ranks share the caller's address space: programs may close over
-        arbitrary objects and mutate shared state.  Backends without it
-        (process) require picklable programs/arguments and ship results,
-        cost records and variate counts back explicitly.
+        arbitrary objects and mutate shared state, including output
+        buffers the caller owns and passes as arguments (Algorithm 1's
+        drivers hand each rank its slice of the result vector this way).
+        A backend that copies its arguments before calling the program
+        must therefore declare ``False``.  Backends without it (process)
+        require picklable programs/arguments and ship results, cost
+        records and variate counts back explicitly.
     deterministic_schedule:
         The interleaving of rank execution is fully determined by the
         backend's configuration (sim, and trivially inline): two identical

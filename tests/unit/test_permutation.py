@@ -1,5 +1,9 @@
 """Unit tests for Algorithm 1 (parallel permutation) and its front ends."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +15,11 @@ from repro.core.permutation import (
     random_permutation,
     random_permutation_indices,
 )
+from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+from repro.pro.machine import PROMachine
+from repro.pro.resilience import RetryPolicy
 from repro.util.errors import BackendError, ValidationError
+from repro.util.timeouts import scale_timeout
 
 
 class TestLocalShuffle:
@@ -28,6 +36,55 @@ class TestLocalShuffle:
     def test_empty_and_single(self, rng):
         assert local_shuffle(np.empty(0), rng).size == 0
         assert local_shuffle(np.array([7]), rng).tolist() == [7]
+
+
+class _DrawingTier:
+    """A kernel tier that serves ``permutation()``, as the compiled tier does."""
+
+    name = "drawing"
+    warmup_seconds = 0.0
+
+    def __init__(self):
+        self.calls = []
+
+    def warm_up(self):
+        return self
+
+    def permutation(self, rng, n):
+        self.calls.append(n)
+        return rng.permutation(n)
+
+
+class TestLocalShuffleInPlace:
+    @pytest.mark.parametrize("kernels", [None, _DrawingTier()], ids=["numpy", "gather"])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_out_matches_the_copying_path(self, kernels, dtype):
+        values = np.arange(257).astype(dtype)
+        expected = local_shuffle(values, np.random.default_rng(5), kernels)
+        out = np.empty_like(values)
+        result = local_shuffle(values, np.random.default_rng(5), kernels, out=out)
+        assert result is out
+        assert np.array_equal(out, expected)
+        assert np.array_equal(values, np.arange(257))  # the source is left alone
+
+    @pytest.mark.parametrize("kernels", [None, _DrawingTier()], ids=["numpy", "gather"])
+    def test_out_may_be_the_input(self, kernels):
+        expected = local_shuffle(np.arange(257), np.random.default_rng(6), kernels)
+        values = np.arange(257)
+        result = local_shuffle(values, np.random.default_rng(6), kernels, out=values)
+        assert result is values
+        assert np.array_equal(values, expected)
+
+    def test_gather_path_is_taken(self):
+        tier = _DrawingTier()
+        values = np.arange(257)
+        local_shuffle(values, np.random.default_rng(7), tier, out=values)
+        assert tier.calls == [257]
+
+    def test_empty_and_single_in_place(self, rng):
+        empty, single = np.empty(0), np.array([7])
+        assert local_shuffle(empty, rng, out=empty) is empty
+        assert local_shuffle(single, rng, out=single).tolist() == [7]
 
 
 class TestPermuteDistributed:
@@ -166,6 +223,96 @@ class TestRandomPermutation:
         assert not np.array_equal(out, np.arange(500))
 
 
+def _forbid_concatenate(monkeypatch):
+    def forbidden(self, blocks):
+        raise AssertionError("the driver glued the blocks back together")
+
+    monkeypatch.setattr(BlockDistribution, "concatenate", forbidden)
+
+
+def _count_concatenate(monkeypatch) -> list:
+    calls = []
+    original = BlockDistribution.concatenate
+
+    def counting(self, blocks):
+        calls.append(len(blocks))
+        return original(self, blocks)
+
+    monkeypatch.setattr(BlockDistribution, "concatenate", counting)
+    return calls
+
+
+class TestInPlaceAssembly:
+    """Shared-memory ranks assemble the driver's output vector in place."""
+
+    def test_thread_backend_never_concatenates(self, monkeypatch):
+        data = np.arange(10_007)
+        expected = random_permutation(data, n_procs=4, backend="sim", seed=9)
+        _forbid_concatenate(monkeypatch)
+        out = random_permutation(data, n_procs=4, backend="thread", seed=9)
+        assert np.array_equal(out, expected)
+        assert not np.shares_memory(out, data)
+        assert np.array_equal(data, np.arange(10_007))
+
+    def test_crashed_attempt_replays_into_the_same_buffer(self, monkeypatch):
+        data = np.arange(5_003)
+        clean = random_permutation(data, n_procs=2, backend="thread", seed=13)
+        _forbid_concatenate(monkeypatch)
+        faulty = FaultInjectingBackend("thread", [CrashRank(rank=1, at_op=1, at_run=0)])
+        machine = PROMachine(2, seed=13, backend=faulty, retry=2,
+                             timeout=scale_timeout(10))
+        recovered = random_permutation(data, machine=machine)
+        assert faulty.runs_started == 2
+        assert np.array_equal(recovered, clean)
+
+    def test_fallback_into_another_address_space_concatenates(self, monkeypatch):
+        data = np.arange(4_001)
+        calls = _count_concatenate(monkeypatch)
+        clean = random_permutation(data, n_procs=2, backend="thread", seed=21)
+        assert calls == []
+        faulty = FaultInjectingBackend("thread", [CrashRank(rank=0, at_op=0)])
+        policy = RetryPolicy(max_attempts=1, fallback=("process",))
+        machine = PROMachine(2, seed=21, backend=faulty, retry=policy,
+                             timeout=scale_timeout(10))
+        degraded = random_permutation(data, machine=machine)
+        assert calls == [2]
+        assert degraded.dtype == data.dtype
+        assert np.array_equal(degraded, clean)
+
+    def test_uneven_target_sizes_land_in_one_vector(self):
+        blocks = [np.arange(0, 9), np.arange(9, 10), np.arange(10, 16)]
+        targets = [2, 11, 3]
+        out_blocks, _ = permute_distributed(blocks, target_sizes=targets,
+                                            backend="thread", seed=4)
+        copied, _ = permute_distributed(blocks, target_sizes=targets,
+                                        backend="process", seed=4)
+        assert [len(b) for b in out_blocks] == targets
+        assert all(b.base is out_blocks[0].base is not None for b in out_blocks)
+        for ours, theirs in zip(out_blocks, copied):
+            assert np.array_equal(ours, theirs)
+
+    def test_object_and_structured_payloads_in_place(self):
+        dtype = [("key", np.int64), ("value", np.float64)]
+        records = np.zeros(9, dtype=dtype)
+        records["key"] = np.arange(9)
+        records["value"] = np.arange(9) * 0.5
+        words = np.array(list("abcdefghi"), dtype=object)
+        for data in (records, words):
+            blocks = [data[:5], data[5:]]
+            out_blocks, _ = permute_distributed(blocks, backend="thread", seed=8)
+            copied, _ = permute_distributed(blocks, backend="process", seed=8)
+            assert out_blocks[0].base is out_blocks[1].base is not None
+            assert out_blocks[0].dtype == data.dtype
+            for ours, theirs in zip(out_blocks, copied):
+                assert np.array_equal(ours, theirs)
+
+    def test_mixed_dtypes_keep_the_promoting_gather(self):
+        blocks = [np.arange(4, dtype=np.int32), np.arange(4, 9, dtype=np.int64)]
+        out_blocks, _ = permute_distributed(blocks, backend="thread", seed=2)
+        assert all(b.dtype == np.int64 for b in out_blocks)
+        assert sorted(np.concatenate(out_blocks).tolist()) == list(range(9))
+
+
 class TestRandomPermutationIndices:
     def test_returns_permutation(self):
         perm = random_permutation_indices(16, n_procs=4, seed=5)
@@ -191,3 +338,20 @@ class TestProgramValidation:
         _, run = permute_distributed(blocks, seed=0)
         # At least: shuffle barrier + exchange barrier.
         assert run.cost_report.n_supersteps() >= 3
+
+
+def test_import_loads_the_rank_modules():
+    """A rank forked from a parent that only imported the driver finds the
+    engine, the kernel registry and its tiers already loaded, so a rank
+    respawned by heal() imports nothing on its first epoch."""
+    script = ("import sys, repro.core.permutation; "
+              "missing = {'repro.core.engine', 'repro.core.kernels', "
+              "'repro.core.kernels.numba_tier', 'repro.core.kernels.numpy_tier'}"
+              " - set(sys.modules); "
+              "assert not missing, missing")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=scale_timeout(60))
+    assert proc.returncode == 0, proc.stderr
