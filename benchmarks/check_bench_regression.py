@@ -48,8 +48,8 @@ MIN_GATED_SECONDS = 0.010
 #: Supervision (a retry policy on the machine) may cost at most this much
 #: over an unsupervised warm dispatch.  The tracked dispatch median
 #: (~1.4ms) sits below the gate floor above, so this gate compares two
-#: *fresh* fleets standing side by side on the same runner, their
-#: dispatches interleaved, instead of comparing against a tracked number --
+#: machines dispatching to one *fresh* fleet, their dispatches
+#: interleaved, instead of comparing against a tracked number --
 #: runner-speed noise cancels out, and the best of three trials filters
 #: one-off scheduler hiccups.
 SUPERVISION_FACTOR = 1.10
@@ -62,43 +62,47 @@ SUPERVISION_FACTOR = 1.10
 TELEMETRY_FACTOR = 1.05
 
 
-def warm_dispatch_overhead(*, rounds=6, trials=3, **option):
+def warm_dispatch_overhead(*, rounds=100, trials=3, **option):
     """Best-of-``trials`` ratio of a warm dispatch with ``option`` to one without.
 
-    Each trial stands up two persistent fleets at the dispatch point, one
-    plain and one built with ``option`` (``retry=2`` for supervision,
-    ``telemetry=Telemetry()`` for observation), and warms both outside the
-    timing.  It then times ``rounds`` dispatches of the trivial program on
-    each, interleaved and alternating which fleet goes first, so runner
-    drift hits both alike.  Supervision only adds deadline bookkeeping
-    around the dispatch and the recorder only snapshots counters the
-    transport already keeps, so the ratio of the medians should sit at ~1.0.
+    Each trial stands up one persistent fleet at the dispatch point and
+    two machines that dispatch to it, one plain and one built with
+    ``option`` (``retry=2`` for supervision, ``telemetry=Telemetry()`` for
+    observation), and warms the fleet outside the timing.  It then times
+    ``rounds`` dispatches of the trivial program through each machine,
+    interleaved and alternating which goes first, so runner drift hits
+    both alike.  Sharing the fleet matters: two fleets of their own differ
+    by several percent for as long as they live (where the scheduler put
+    their processes), which no number of rounds averages out and which
+    alone could cross the 5% telemetry gate; 100 rounds then pin each
+    median to about a percent.  Supervision only adds deadline
+    bookkeeping around the dispatch and the recorder only snapshots
+    counters the transport already keeps, so the ratio of the medians
+    should sit near 1.0 (telemetry reads about 1.02 on a 2-core host).
     """
     import statistics
     import time
 
     from bench_backends import _trivial_program
+    from repro.pro.backends.registry import get_backend
     from repro.pro.machine import PROMachine
 
     _n, p = DISPATCH_POINT
     ratios = []
     for _ in range(trials):
-        fleets = [PROMachine(p, seed=0, backend="process",
-                             backend_options={"transport": "sharedmem"},
-                             persistent=True, **extra)
-                  for extra in ({}, option)]
+        fleet = get_backend("process", transport="sharedmem", persistent=True)
+        machines = [PROMachine(p, seed=0, backend=fleet, **extra)
+                    for extra in ({}, option)]
         times = ([], [])
         try:
-            for machine in fleets:
-                machine.run(_trivial_program)  # spawn + warm outside the timing
+            machines[0].run(_trivial_program)  # spawn + warm outside the timing
             for round_ in range(rounds):
                 for which in ((0, 1) if round_ % 2 == 0 else (1, 0)):
                     start = time.perf_counter()
-                    fleets[which].run(_trivial_program)
+                    machines[which].run(_trivial_program)
                     times[which].append(time.perf_counter() - start)
         finally:
-            for machine in fleets:
-                machine.close()
+            fleet.close()
         plain, varied = (statistics.median(t) for t in times)
         ratios.append(varied / plain if plain > 0 else 1.0)
     return min(ratios)

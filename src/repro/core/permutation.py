@@ -224,35 +224,61 @@ def parallel_permutation_program(
 # ----------------------------------------------------------------------------
 # Front ends
 # ----------------------------------------------------------------------------
+def _occupies(result, dest: np.ndarray) -> bool:
+    """True when ``result`` is exactly the memory of the slice ``dest``."""
+    if not isinstance(result, np.ndarray):
+        return False
+    if (result.dtype, result.shape) != (dest.dtype, dest.shape):
+        return False
+    return dest.size == 0 or (
+        result.__array_interface__["data"][0] == dest.__array_interface__["data"][0]
+        and result.strides == dest.strides)
+
+
 def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_options):
     """Run Algorithm 1 over ``blocks``; return ``(run, output)``.
 
-    On a backend whose ranks share the caller's address space, the output
-    vector is allocated once here and rank ``j`` is handed its target slice
-    to assemble in place (``out=`` of :func:`parallel_permutation_program`).
-    ``output`` is that vector when every rank returned the very slice it
-    was given; otherwise -- a backend in another address space, or a retry
-    that degraded into one -- the ranks' results are copies and ``output``
-    is ``None``.
+    The output vector comes from the backend's ``empty`` hook and rank
+    ``j`` is handed its target slice to assemble in place (``out=`` of
+    :func:`parallel_permutation_program`): plain memory on the backends
+    that share the caller's address space, a shared segment whose slices
+    cross by reference on the process backend with ``sharedmem``.
+    ``output`` is that vector when every rank's result occupies exactly
+    the slice it was given; otherwise -- a backend whose ``empty``
+    declines, or a retry that degraded into another address space -- the
+    results are copies and ``output`` is ``None``.
+
+    When the ranks do not share the caller's address space and the run
+    has a single attempt, the input is staged in the output vector too,
+    so rank ``j`` reads its source block from it and overwrites its
+    target slice in place.  That is safe because every read of ``blocks``
+    precedes the superstep-1 barrier and every write to ``out`` follows
+    the superstep-2 barrier.  A retried attempt must read an unmodified
+    input, so under a ``RetryPolicy`` the input is not staged.
     """
     if len(blocks) == 0:
         raise ValidationError("permute_distributed needs at least one block")
     arrays = [np.asarray(b) for b in blocks]
-    targets = _target_sizes(np.asarray([len(a) for a in arrays], dtype=np.int64),
-                            target_sizes)
+    sources = np.asarray([len(a) for a in arrays], dtype=np.int64)
+    targets = _target_sizes(sources, target_sizes)
     owns_machine = machine is None
     machine = resolve_machine(len(arrays), machine=machine, **machine_options)
     if machine.n_procs != len(arrays):
         raise ValidationError(
             f"machine has {machine.n_procs} processors but {len(arrays)} blocks were given"
         )
-    capabilities = getattr(machine.backend, "capabilities", None)
+    empty = getattr(machine.backend, "empty", None)
     layout = (arrays[0].dtype, arrays[0].shape[1:])
     output = out = None
-    if (getattr(capabilities, "shared_address_space", False)
-            and all((a.dtype, a.shape[1:]) == layout for a in arrays)):
-        output = np.empty((int(targets.sum()),) + layout[1], dtype=layout[0])
+    if empty is not None and all((a.dtype, a.shape[1:]) == layout for a in arrays):
+        output = empty((int(targets.sum()),) + layout[1], layout[0])
+    if output is not None:
         out = cut_rows(output, targets)
+        capabilities = getattr(machine.backend, "capabilities", None)
+        if (not getattr(capabilities, "shared_address_space", True)
+                and getattr(machine, "retry_policy", None) is None):
+            np.concatenate(arrays, out=output)
+            arrays = cut_rows(output, sources)
     try:
         run = machine.run(
             parallel_permutation_program,
@@ -269,7 +295,7 @@ def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_op
             # the process-wide default pool cache stay warm for the next
             # call (repro.pro.backends.pool owns and reaps those).
             machine.close()
-    if out is None or any(r is not o for r, o in zip(run.results, out)):
+    if out is None or not all(_occupies(r, o) for r, o in zip(run.results, out)):
         output = None
     return run, output
 
@@ -291,8 +317,9 @@ def permute_distributed(
     :func:`~repro.pro.machine.resolve_machine`, which documents them.
     The returned blocks follow ``target_sizes`` (defaulting to the input
     sizes); the second element of the returned pair is the machine's
-    :class:`~repro.pro.machine.RunResult`.  On the shared-memory backends
-    the blocks are consecutive views of one freshly allocated vector.
+    :class:`~repro.pro.machine.RunResult`.  When the backend's ``empty``
+    hook provides an output vector (thread, sim, inline, and process with
+    the ``sharedmem`` transport) the blocks are consecutive views of it.
 
     Examples
     --------
@@ -321,10 +348,13 @@ def random_permutation(
 
     The vector is cut into ``n_procs`` balanced blocks (or according to
     ``distribution``) and permuted by Algorithm 1 on a PRO machine.  This is
-    the "just permute my array" entry point of the library.  On the
-    shared-memory backends the ranks assemble the result in place, each in
-    its slice of one output vector; otherwise the permuted blocks are glued
-    back together here.  ``machine_options`` are forwarded to
+    the "just permute my array" entry point of the library.  The ranks
+    assemble the result in place, each in its slice of one output vector
+    from the backend's ``empty`` hook -- on the process backend with the
+    ``sharedmem`` transport a shared segment, returned as is -- and only
+    where the hook declines (``pickle`` transport, object dtypes) are the
+    permuted blocks glued back together here.  ``machine_options`` are
+    forwarded to
     :func:`~repro.pro.machine.resolve_machine`, which documents them.
 
     Examples

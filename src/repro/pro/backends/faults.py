@@ -355,7 +355,8 @@ class FaultInjectingBackend:
     The wrapper leaves fabric construction to the inner backend (so the
     process backend keeps its real fabric, transports, pools) and only
     wraps the dispatched program; everything else -- capabilities,
-    ``close()``, ``persistent`` -- is delegated.  Pass an instance of this
+    ``close()``, ``persistent``, the ``empty`` allocation hook -- is
+    delegated.  Pass an instance of this
     class as ``PROMachine(..., backend=...)``.
     """
 

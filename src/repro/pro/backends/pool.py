@@ -242,12 +242,16 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             )
             value = program(ctx, *args, **kwargs)
             variates = getattr(ctx.rng, "total_variates", None)
-            encoded = fabric.encode_payload(rank, value)
+            encoded = fabric.encode_payload(rank, value, result=True)
             # Counters accumulate across epochs in a standing worker; the
             # snapshot repatriates the running totals with this epoch's
             # result record (the parent reports the latest view).
             ctx.cost.telemetry = capture_rank_telemetry(fabric, rank)
             result_queue.put((epoch, rank, True, (encoded, ctx.cost, variates)))
+            # Views of by-reference segments must not outlive the epoch:
+            # dropping them closes this rank's mappings now, not at the
+            # next dispatch.
+            del args, kwargs, value
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             try:
                 fabric.abort()
@@ -504,6 +508,12 @@ class WorkerPool:
             contexts[rank].cost = cost
             if variates is not None:
                 contexts[rank].rng = _VariateCount(variates)
+        # Every rank has attached what the run dispatched by reference,
+        # so the segment names can go (a failed run keeps them for the
+        # retry that re-dispatches the same arrays).
+        end_run = getattr(self.fabric.transport, "end_run", None)
+        if end_run is not None:
+            end_run()
         return results
 
     def _dispatch(self, epoch: int, contexts: Sequence, program: Callable,

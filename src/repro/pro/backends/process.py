@@ -23,7 +23,9 @@ Design points:
   ``multiprocessing.shared_memory`` segments with zero-copy views on the
   receive side, ``transport="pickle"`` keeps everything in the queue pipe
   as ``(dtype, shape, bytes)`` buffer records.  Results shipped back to
-  the caller use the same transport.
+  the caller use the same transport; with ``sharedmem`` a result lying in
+  a segment the caller allocated through :meth:`ProcessBackend.empty`
+  comes back by reference, uncopied.
 * **One execution path.**  Every run executes on a
   :class:`~repro.pro.backends.pool.WorkerPool`, which owns the worker
   entry point, result collection, cost repatriation and shutdown (see
@@ -162,6 +164,11 @@ class ProcessFabric:
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
             ring_aware = False
         try:
+            self._byref_aware = ("by_reference"
+                                 in inspect.signature(self.transport.encode).parameters)
+        except (TypeError, ValueError):  # pragma: no cover - exotic callables
+            self._byref_aware = False
+        try:
             ack_aware = "ack" in inspect.signature(self.transport.decode).parameters
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
             ack_aware = False
@@ -171,16 +178,24 @@ class ProcessFabric:
             [f"pro{token}r{src}" for src in range(n_procs)] if ring_aware else None
         )
 
-    def encode_payload(self, src: int, payload):
-        """Encode a payload sent by rank ``src`` (using its ring if any)."""
+    def encode_payload(self, src: int, payload, *, result: bool = False):
+        """Encode a payload sent by rank ``src`` (using its ring if any).
+
+        ``result=True`` marks the rank's returned result, whose arrays may
+        cross by reference when they lie in memory the parent owns (see
+        the transport contract); messages between ranks are always copied.
+        """
         while self._self_receipts:
             try:
                 self.transport.ring_ack(self._self_receipts.pop())
             except Exception:  # pragma: no cover - acks are best effort
                 pass
+        options = {}
         if self._ring_names is not None:
-            return self.transport.encode(payload, ring=self._ring_names[src])
-        return self.transport.encode(payload)
+            options["ring"] = self._ring_names[src]
+        if result and self._byref_aware:
+            options["by_reference"] = True
+        return self.transport.encode(payload, **options)
 
     def _ack_sink(self, src: int):
         """Callable routing a decode acknowledgement back to rank ``src``.
@@ -418,12 +433,15 @@ class ProcessFabric:
                 self.transport.retire_rings(self._ring_names)
             except Exception:  # pragma: no cover - retirement is best effort
                 pass
-        retire_shared = getattr(self.transport, "retire_shared", None)
-        if retire_shared is not None:
-            try:
-                retire_shared()  # multi-consumer segments abandoned mid-run
-            except Exception:  # pragma: no cover - retirement is best effort
-                pass
+        for retire in ("retire_shared", "end_run"):
+            # Multi-consumer segments abandoned mid-run, and the names of
+            # the by-reference segments the fabric's runs used.
+            hook = getattr(self.transport, retire, None)
+            if hook is not None:
+                try:
+                    hook()
+                except Exception:  # pragma: no cover - retirement is best effort
+                    pass
         for inbox in self._inboxes:
             inbox.close()
             inbox.cancel_join_thread()
@@ -624,6 +642,16 @@ class ProcessBackend(ExecutionBackend):
                 self._pools.pop(n_procs, None)
                 healthy = False
         return healthy
+
+    def empty(self, shape, dtype):
+        """An array the ranks can fill in place, or ``None`` (see the registry).
+
+        Delegates to the transport: ``sharedmem`` allocates it in a
+        shared segment whose arrays cross by reference, ``pickle``
+        declines, and the caller then keeps the copying path.
+        """
+        allocate = getattr(self.transport, "empty", None)
+        return None if allocate is None else allocate(shape, dtype)
 
     def create_fabric(self, n_procs: int, *, timeout: float) -> ProcessFabric:
         """Build (or, when persistent, reuse) the multiprocess message fabric."""

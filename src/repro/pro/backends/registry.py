@@ -25,6 +25,15 @@ A backend is any object with
 ``run(contexts, program, args, kwargs)``
     Execute ``program(ctx, *args, **kwargs)`` once per context and return
     the per-rank results ordered by rank.
+``empty(shape, dtype)`` (optional)
+    Allocate an array the ranks can fill in place when it is passed to
+    them as an argument, or return ``None`` when they cannot.  The default
+    of :class:`ExecutionBackend` returns ``np.empty`` (the ranks share the
+    caller's memory); the process backend asks its transport, whose
+    ``sharedmem`` segment arrays cross by reference and whose ``pickle``
+    declines.  Algorithm 1's drivers allocate their output vector here and
+    keep it only if every rank's result occupies exactly the slice it was
+    handed.
 
 Error-propagation rules (all backends mirror the thread backend):
 
@@ -220,6 +229,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.pro.communicator import MessageFabric
 from repro.util.errors import ValidationError
 
@@ -252,11 +263,13 @@ class BackendCapabilities:
         serialised by the CPython GIL for pure-Python work.
     shared_address_space:
         Ranks share the caller's address space: programs may close over
-        arbitrary objects and mutate shared state, including output
-        buffers the caller owns and passes as arguments (Algorithm 1's
-        drivers hand each rank its slice of the result vector this way).
-        A backend that copies its arguments before calling the program
-        must therefore declare ``False``.  Backends without it (process)
+        arbitrary objects and mutate shared state, including buffers the
+        caller owns and passes as arguments.  A backend that copies its
+        arguments before calling the program must declare ``False``;
+        Algorithm 1's drivers then copy their input into the output
+        vector from ``empty`` (single-attempt runs only), since handing
+        the ranks the caller's own blocks would cost a copy anyway.
+        Backends without it (process)
         require picklable programs/arguments and ship results, cost
         records and variate counts back explicitly.
     deterministic_schedule:
@@ -309,6 +322,10 @@ class ExecutionBackend:
     def run(self, contexts: Sequence, program: Callable, args: tuple, kwargs: dict) -> list:
         """Execute ``program`` once per context; return per-rank results."""
         raise NotImplementedError
+
+    def empty(self, shape, dtype):
+        """An array the ranks can fill in place (see the backend contract)."""
+        return np.empty(shape, dtype=dtype)
 
 
 # ----------------------------------------------------------------------------

@@ -23,6 +23,11 @@ of every bulk NumPy payload travel through a
   through the pool's result channel, and the encoder unlinks the name
   after the last acknowledgement -- mappings (and hence the zero-copy
   views) stay valid until each receiver's views die.
+* **By-reference arrays** (``empty``): the parent allocates an array in a
+  segment of its own; arrays inside it cross in dispatched arguments and
+  in returned results as ``(segment, offset, dtype, shape)`` references,
+  with no copy at all.  Ranks write into the parent's memory and the
+  parent gets its own array's slices back.
 
 Lifecycle discipline
 --------------------
@@ -35,8 +40,10 @@ share one tracker (the file descriptor is inherited by both ``fork`` and
 segments), and records that are never decoded are unlinked by ``dispose``
 when the fabric drains its queues on shutdown/abort/timeout paths
 (``retire_shared`` covers multi-consumer segments abandoned mid-run).  A
-segment abandoned by a hard-crashed run is the one case left to the
-tracker's exit-time cleanup (which is exactly what the tracker is for).
+by-reference segment is unlinked by its creator only: by ``end_run`` once
+the run that used it has returned, or when its array dies.  A segment
+abandoned by a hard-crashed run is the one case left to the tracker's
+exit-time cleanup (which is exactly what the tracker is for).
 
 When shared memory is unavailable (no ``/dev/shm``, permissions, exotic
 platforms) the transport degrades transparently to the pickle codec; the
@@ -45,6 +52,7 @@ probe runs once per process and is re-run after a ``fork``.
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 
@@ -55,6 +63,7 @@ from repro.pro.backends.transport import (
     SHMREF,
     SHMRING,
     SHMSEG,
+    SHMVIEW,
     PayloadTransport,
     TransportStats,
     register_transport,
@@ -134,6 +143,128 @@ class _SegmentLease:
                 seg.close()
             except Exception:  # pragma: no cover - interpreter shutdown races
                 pass
+
+
+# ----------------------------------------------------------------------------
+# By-reference segments: memory both sides map, so arrays cross uncopied
+# ----------------------------------------------------------------------------
+class _ByRefSegment:
+    """One mapped segment whose arrays cross the transport by reference.
+
+    ``raw`` is a weak reference to the flat ``uint8`` array over the
+    mapping; every array handed out is a view of it, so it -- and with it
+    the mapping -- lives exactly as long as the last such view.  Only the
+    creating process (``creator``) unlinks the name, once; ``linked``
+    records whether it has not done so yet.
+    """
+
+    __slots__ = ("seg", "raw", "address", "nbytes", "creator", "linked")
+
+    def __init__(self, seg, raw: np.ndarray, creator: int):
+        self.seg = seg
+        self.raw = weakref.ref(raw)
+        self.address = raw.__array_interface__["data"][0]
+        self.nbytes = raw.nbytes
+        self.creator = creator
+        self.linked = True
+
+    def unlink(self) -> None:
+        """Remove the name (the creator's job; mappings stay valid)."""
+        if self.linked and self.creator == os.getpid():
+            self.linked = False
+            try:
+                self.seg.unlink()
+            except FileNotFoundError:  # pragma: no cover - unlinked elsewhere
+                pass
+
+
+#: segment name -> _ByRefSegment mapped in this process.  A forked child
+#: inherits the parent's entries together with the mappings they describe.
+_BYREF: dict = {}
+
+
+def _release_byref(name: str, entry: _ByRefSegment) -> None:
+    """Finalizer of a by-reference mapping: its last view has died."""
+    if _BYREF.get(name) is entry:
+        del _BYREF[name]
+    entry.unlink()
+    try:
+        entry.seg.close()
+    except Exception:  # pragma: no cover - interpreter shutdown races
+        pass
+
+
+def _map_byref(seg, creator: int) -> np.ndarray:
+    """Register ``seg`` for by-reference encoding; return its flat array."""
+    raw = np.ndarray((seg.size,), dtype=np.uint8, buffer=seg.buf)
+    entry = _ByRefSegment(seg, raw, creator)
+    _BYREF[seg.name] = entry
+    weakref.finalize(raw, _release_byref, seg.name, entry)
+    return raw
+
+
+def _byref_record(arr: np.ndarray, *, dispatch: bool):
+    """A by-reference record of ``arr``, or ``None`` when it must be copied.
+
+    ``arr`` must be contiguous and lie inside one registered mapping that
+    the receiver can map: for a ``dispatch`` to ranks, a segment this
+    process created whose name is still linked (the ranks attach it);
+    for a rank's result, a segment the parent process created (it maps it
+    already).
+    """
+    if arr.nbytes == 0 or not arr.flags.c_contiguous or not _BYREF:
+        return None
+    start = arr.__array_interface__["data"][0]
+    for name, entry in list(_BYREF.items()):
+        if not entry.address <= start <= entry.address + entry.nbytes - arr.nbytes:
+            continue
+        if dispatch:
+            crosses = entry.creator == os.getpid() and entry.linked
+        else:
+            crosses = entry.creator == os.getppid()
+        if not crosses:
+            return None
+        return (SHMVIEW, name, entry.creator, start - entry.address,
+                arr.dtype, arr.shape)
+    return None
+
+
+def _resolver(slot_view=None):
+    """A ``walk_decode`` hook for one decoded record.
+
+    SHMVIEW references resolve to views of this process's mapping of the
+    named segment, attached at most once per record; SHMREF slots go to
+    ``slot_view`` (the record's own segment).
+    """
+    raws: dict = {}
+
+    def resolve(ref):
+        if ref[0] != SHMVIEW:
+            if slot_view is None:
+                raise ValidationError(
+                    "shared-memory reference record outside a shared-memory segment"
+                )
+            return slot_view(ref)
+        _, name, creator, offset, dtype, shape = ref
+        raw = raws.get(name)
+        if raw is None:
+            entry = _BYREF.get(name)
+            raw = entry.raw() if entry is not None else None
+            if raw is None:
+                try:
+                    seg = _shm_module.SharedMemory(name=name)
+                except FileNotFoundError:
+                    raise CommunicationError(
+                        f"by-reference segment {name!r} vanished before the "
+                        "record naming it was received"
+                    ) from None
+                raw = _map_byref(seg, creator)
+            raws[name] = raw
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        return raw[offset:offset + nbytes].view(dtype).reshape(shape)
+
+    return resolve
 
 
 # ----------------------------------------------------------------------------
@@ -391,19 +522,75 @@ class SharedMemoryTransport(PayloadTransport):
         #: (creator pid, segment name) -> remaining consumer count of the
         #: multi-consumer segments this instance encoded (parent side).
         self._multi: dict = {}
+        #: Names of the by-reference segments this instance allocated or
+        #: dispatched and has not yet unlinked (see :meth:`end_run`).
+        self._byref_names: set = set()
 
     def cache_key(self) -> tuple:
         return ("sharedmem", self.min_bytes, self.ring_bytes)
 
     # -- encoding -----------------------------------------------------------
-    def _pack(self, payload):
-        """Walk ``payload`` claiming bulk arrays: (slabs, offsets, cursor, inner)."""
+    def empty(self, shape, dtype):
+        """An array in a fresh segment of this process, crossing by reference.
+
+        Arrays lying inside it travel as ``(segment, offset, dtype,
+        shape)`` references in dispatched arguments and returned results
+        instead of being copied.  The array's ``base`` owns the mapping:
+        it is closed -- and the name unlinked, if :meth:`end_run` has not
+        done so yet -- once the last view of it is garbage collected.
+        Returns ``None`` for object dtypes (their items are pointers into
+        this address space) and when shared memory is unavailable.
+        """
+        dtype = np.dtype(dtype)
+        shape = (int(shape),) if np.ndim(shape) == 0 else tuple(int(s) for s in shape)
+        if dtype.hasobject or not shared_memory_available():
+            return None
+        nbytes = math.prod(shape) * dtype.itemsize
+        try:
+            seg = _shm_module.SharedMemory(create=True, size=max(nbytes, 1))
+        except Exception:
+            return None
+        raw = _map_byref(seg, os.getpid())
+        # Forget names already gone: a backend whose fleet comes from the
+        # default pool cache allocates here, but its own transport never
+        # sees an end_run.
+        self._byref_names = {name for name in self._byref_names
+                             if name in _BYREF and _BYREF[name].linked}
+        self._byref_names.add(seg.name)
+        return raw[:nbytes].view(dtype).reshape(shape)
+
+    def end_run(self) -> None:
+        """Unlink the by-reference segments of the run that just returned.
+
+        Mappings -- the parent's array, and rank views not yet collected
+        -- stay valid; only the names go, so nothing can attach them any
+        more and a later dispatch of the same array copies it instead.
+        """
+        names, self._byref_names = self._byref_names, set()
+        for name in names:
+            entry = _BYREF.get(name)
+            if entry is not None:
+                entry.unlink()
+
+    def _pack(self, payload, reference: str | None = None):
+        """Walk ``payload`` claiming bulk arrays: (slabs, offsets, cursor, inner).
+
+        ``reference`` (``"dispatch"`` or ``"result"``) lets arrays inside
+        by-reference segments the receiver can map cross uncopied (see
+        :func:`_byref_record`).
+        """
         slabs: list[np.ndarray] = []
         offsets: list[int] = []
         cursor = 0
 
         def claim(arr: np.ndarray):
             nonlocal cursor
+            if reference is not None:
+                ref = _byref_record(arr, dispatch=reference == "dispatch")
+                if ref is not None:
+                    if reference == "dispatch":
+                        self._byref_names.add(ref[1])
+                    return ref
             if arr.nbytes < self.min_bytes:
                 return None
             contiguous = np.ascontiguousarray(arr)
@@ -446,12 +633,19 @@ class SharedMemoryTransport(PayloadTransport):
         self.stats.segments_created += 1
         return name
 
-    def encode(self, payload, *, ring: str | None = None):
+    def encode(self, payload, *, ring: str | None = None, by_reference: bool = False):
+        """Encode one message; ``by_reference`` marks a rank's returned result.
+
+        Only results cross by reference -- arrays inside a segment the
+        receiving parent process created; ordinary messages are always
+        copied.
+        """
         self.stats.encode_calls += 1
         if not shared_memory_available():
             return walk_encode(payload, lambda arr: None)
 
-        slabs, offsets, cursor, inner = self._pack(payload)
+        slabs, offsets, cursor, inner = self._pack(
+            payload, "result" if by_reference else None)
         if not slabs:
             return inner
         self.stats.bytes_encoded += cursor
@@ -489,7 +683,9 @@ class SharedMemoryTransport(PayloadTransport):
         encoder's :meth:`ring_ack` unlinks the segment after the last
         acknowledgement (undelivered copies are released by
         :meth:`dispose`, abandoned ones by :meth:`retire_shared`).
-        Payloads without bulk arrays return the plain in-band record,
+        Arrays inside this process's by-reference segments (see
+        :meth:`empty`) travel as references, not copies.  Payloads
+        without bulk arrays to copy return the plain in-band record,
         which any number of consumers can decode.
         """
         if n_consumers < 1:
@@ -499,7 +695,7 @@ class SharedMemoryTransport(PayloadTransport):
         self.stats.shared_encode_calls += 1
         if not shared_memory_available():
             return walk_encode(payload, lambda arr: None)
-        slabs, offsets, cursor, inner = self._pack(payload)
+        slabs, offsets, cursor, inner = self._pack(payload, "dispatch")
         if not slabs:
             return inner
         self.stats.bytes_encoded += cursor
@@ -519,7 +715,7 @@ class SharedMemoryTransport(PayloadTransport):
         if record[0] == SHMMULTI:
             return self._decode_multi(record, ack)
         if record[0] != SHMSEG:
-            return walk_decode(record)
+            return walk_decode(record, _resolver())
         _, name, offsets, inner = record
         try:
             seg = _shm_module.SharedMemory(name=name)
@@ -541,7 +737,7 @@ class SharedMemoryTransport(PayloadTransport):
             lease.watch(view)
             return view
 
-        return walk_decode(inner, resolve)
+        return walk_decode(inner, _resolver(resolve))
 
     def _decode_ring(self, record, ack=None):
         _, name, offsets, receipt, inner = record
@@ -563,7 +759,7 @@ class SharedMemoryTransport(PayloadTransport):
                 weakref.finalize(view, release)
             return view
 
-        return walk_decode(inner, resolve)
+        return walk_decode(inner, _resolver(resolve))
 
     def _decode_multi(self, record, ack=None):
         """Decode one consumer's copy of a multi-consumer record.
@@ -593,7 +789,7 @@ class SharedMemoryTransport(PayloadTransport):
             lease.watch(view)
             return view
 
-        payload = walk_decode(inner, resolve)
+        payload = walk_decode(inner, _resolver(resolve))
         if ack is not None:
             try:
                 ack((name, _MULTI_TOKEN))

@@ -72,6 +72,17 @@ A transport is any object with
     Unlink every outstanding multi-consumer segment this process still
     tracks; called during fabric shutdown so crashed or abandoned runs
     leak nothing.
+``empty(shape, dtype) -> numpy.ndarray | None`` (optional)
+    Allocate an array whose memory crosses this transport **by
+    reference** (see below), or return ``None`` to decline -- which is
+    what in-band transports do.  The process backend's ``empty`` hook
+    delegates here, so Algorithm 1's drivers get their output vector from
+    it.
+``end_run() -> None`` (optional)
+    The run that dispatched by-reference arrays has returned: unlink the
+    names of their segments.  Called by the worker pool after every
+    successful run and by the fabric at shutdown; never between the
+    attempts of a retried run, which re-dispatch the same arrays.
 ``cache_key() -> tuple | None`` (optional)
     Hashable configuration identity; equal keys mean two instances are
     interchangeable, which is what lets the process-wide default pool
@@ -80,6 +91,25 @@ A transport is any object with
     True when the transport creates shared-memory segments; the fabric
     then starts the ``multiprocessing`` resource tracker in the parent
     before the rank processes fork, so every process shares one tracker.
+
+By-reference arrays
+-------------------
+An array that lies inside a segment returned by ``empty`` is not copied
+when it crosses the shared-memory transport in either of two directions:
+in the bulk arguments the parent dispatches (``encode_shared``), and in a
+rank's returned result (``encode(..., by_reference=True)``, which the
+fabric uses for results only).  The record then carries a ``(segment,
+offset, dtype, shape)`` reference, and the receiver maps the segment --
+once per decoded record -- and hands out views into it.  Lifetimes:
+
+* the parent's array owns its mapping through its ``base``; the mapping
+  is closed, and the name unlinked if still linked, when the last view of
+  it is garbage collected, so the array stays valid after the pool that
+  filled it is closed;
+* the name is unlinked when the run that dispatched it returns
+  (``end_run``); a rank's mapping is closed once its views die;
+* ordinary fabric messages (``put``) keep copy semantics: a rank that
+  sends a view into such a segment sends a copy.
 
 Transports are deliberately independent of the random streams, so a fixed
 machine seed produces bit-identical results on every transport (enforced by
@@ -120,6 +150,10 @@ SHMRING = "shmring"
 #: arguments), unlinked by the encoder once the last consumer has
 #: acknowledged its attach (see ``PayloadTransport.encode_shared``).
 SHMMULTI = "shmmulti"
+#: Marker of a *by-reference* array: ``(SHMVIEW, segment name, creator
+#: pid, byte offset, dtype, shape)`` names memory both sides map (see
+#: ``PayloadTransport.empty``); nothing was copied to encode it.
+SHMVIEW = "shmview"
 
 
 class TransportStats:
@@ -182,12 +216,12 @@ def walk_encode(obj, array_hook: Callable[[np.ndarray], tuple | None]):
 
 
 def walk_decode(enc, ref_hook: Callable[[tuple], np.ndarray] | None = None):
-    """Inverse of :func:`walk_encode`; ``ref_hook`` resolves SHMREF records."""
+    """Inverse of :func:`walk_encode`; ``ref_hook`` resolves SHMREF/SHMVIEW records."""
     kind, value = enc[0], enc[1]
     if kind == _ND:
         _, dtype, shape, data = enc
         return np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape).copy()
-    if kind == SHMREF:
+    if kind == SHMREF or kind == SHMVIEW:
         if ref_hook is None:
             raise ValidationError(
                 "shared-memory reference record outside a shared-memory segment"
@@ -251,6 +285,18 @@ class PayloadTransport:
     def retire_shared(self) -> None:
         """Unlink every outstanding multi-consumer segment of this process."""
         # In-band transports have no shared segments.
+
+    def empty(self, shape, dtype):
+        """An array that crosses this transport by reference, or ``None``.
+
+        ``None`` (this implementation) declines: the transport copies
+        every array, so the caller should keep its own memory.
+        """
+        return None
+
+    def end_run(self) -> None:
+        """Unlink the names of the by-reference segments the last run used."""
+        # In-band transports have no by-reference segments.
 
     def cache_key(self) -> tuple | None:
         """Hashable identity for pool-cache keying, or ``None``.

@@ -45,6 +45,10 @@ def _raise_program(ctx):
     raise RuntimeError("boom")
 
 
+def _block_sum_program(ctx, blocks):
+    return int(blocks[ctx.rank].sum())
+
+
 def _slow_program(ctx):
     import time
 
@@ -106,19 +110,34 @@ class TestWarmDrivers:
     def test_args_encoded_once_per_run_not_per_rank(self):
         # The pool's dispatch writes one run's bulk arguments into one
         # multi-consumer segment: p ranks, but exactly one shared encode
-        # and one multi segment per driver call.
-        random_permutation(np.arange(50_000), n_procs=4, backend="process",
-                           seed=0)
-        stats = next(iter(default_pools().values())).fabric.transport.stats
-        first = stats.snapshot()
-        assert first["shared_encode_calls"] == 1
-        assert first["multi_segments_created"] == 1
-        random_permutation(np.arange(50_000), n_procs=4, backend="process",
-                           seed=0)
-        second = stats.snapshot()
+        # and one multi segment per run.
+        blocks = [np.arange(50_000) + rank for rank in range(4)]
+        machine = resolve_machine(4, backend="process", seed=0)
+        try:
+            assert machine.run(_block_sum_program, blocks).results == [
+                int(block.sum()) for block in blocks]
+            stats = next(iter(default_pools().values())).fabric.transport.stats
+            first = stats.snapshot()
+            assert first["shared_encode_calls"] == 1
+            assert first["multi_segments_created"] == 1
+            machine.run(_block_sum_program, blocks)
+            second = stats.snapshot()
+        finally:
+            machine.close()
         assert second["shared_encode_calls"] == first["shared_encode_calls"] + 1
         assert (second["multi_segments_created"]
                 == first["multi_segments_created"] + 1)
+
+    def test_single_attempt_driver_call_creates_no_multi_segment(self):
+        # random_permutation stages its input in the shared output vector,
+        # whose slices cross by reference: nothing is copied to dispatch.
+        for _ in range(2):
+            random_permutation(np.arange(50_000), n_procs=4,
+                               backend="process", seed=0)
+        stats = next(iter(default_pools().values())).fabric.transport.stats
+        assert stats.shared_encode_calls == 2
+        assert stats.multi_segments_created == 0
+        assert stats.bytes_encoded == 0
 
 
 class TestKeyedIsolation:

@@ -377,3 +377,36 @@ class TestLogBinomialMemoization:
         info_second = hg._log_binomial.cache_info()
         assert info_second.hits > info_first.hits
         assert info_second.misses == info_first.misses
+
+
+class TestLogFactorialTable:
+    def test_literal_table_matches_decimal_regeneration_bit_for_bit(self):
+        # The portable tier ships ln(k!) for k = 0..125 as literals; they
+        # must be the correctly-rounded doubles of the exact values.
+        import decimal
+        import math
+
+        from repro.core.kernels.portable import _LOGFACT
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            expected = np.array(
+                [float(decimal.Decimal(math.factorial(k)).ln())
+                 for k in range(126)], dtype=np.float64)
+        assert _LOGFACT.dtype == np.float64 and _LOGFACT.shape == (126,)
+        assert np.array_equal(_LOGFACT.view(np.uint64), expected.view(np.uint64))
+
+    def test_portable_import_does_not_load_decimal(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import sys; import repro.core.kernels.portable; "
+                "print('decimal' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"

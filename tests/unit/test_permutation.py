@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -311,6 +312,164 @@ class TestInPlaceAssembly:
         out_blocks, _ = permute_distributed(blocks, backend="thread", seed=2)
         assert all(b.dtype == np.int64 for b in out_blocks)
         assert sorted(np.concatenate(out_blocks).tolist()) == list(range(9))
+
+
+def _segment_of(array):
+    """Name of the by-reference shared segment ``array`` lies in, or None."""
+    from repro.pro.backends.sharedmem import _BYREF
+
+    start = array.__array_interface__["data"][0]
+    for name, entry in _BYREF.items():
+        if entry.address <= start and start + array.nbytes <= entry.address + entry.nbytes:
+            return name
+    return None
+
+
+def _linked_segments():
+    try:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
+        return set()
+
+
+@pytest.mark.subprocess
+class TestSharedSegmentAssembly:
+    """Process ranks assemble the output in one shared segment, by reference."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pools(self):
+        from repro.pro.backends.pool import clear_default_pools
+
+        clear_default_pools()
+        yield
+        clear_default_pools()
+
+    @pytest.mark.parametrize("persistent", [None, False], ids=["warm", "cold"])
+    def test_output_is_the_segment_vector(self, monkeypatch, persistent):
+        from repro.pro.backends.pool import clear_default_pools
+
+        data = np.arange(20_011)
+        expected = random_permutation(data, n_procs=3, backend="thread", seed=5)
+        _forbid_concatenate(monkeypatch)
+        out = random_permutation(data, n_procs=3, backend="process", seed=5,
+                                 persistent=persistent)
+        name = _segment_of(out)
+        assert name is not None and out.base is not None
+        assert name not in _linked_segments()  # unlinked when the run returned
+        clear_default_pools()
+        assert np.array_equal(out, expected)
+        assert np.array_equal(data, np.arange(20_011))  # the input is untouched
+
+    def test_dropped_output_leaves_no_segment(self):
+        script = textwrap.dedent("""
+            import gc, os
+            import numpy as np
+            from repro.core.permutation import random_permutation
+            from repro.pro.backends import sharedmem
+            from repro.pro.backends.pool import clear_default_pools
+
+            def linked():
+                return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+
+            before = linked()
+            for persistent in (None, False):
+                out = random_permutation(np.arange(30_000), n_procs=2,
+                                         backend="process", seed=1,
+                                         persistent=persistent)
+                assert sorted(out.tolist()) == list(range(30_000))
+                del out
+                gc.collect()
+                assert not sharedmem._BYREF, sharedmem._BYREF
+            clear_default_pools()
+            assert not linked() - before, linked() - before
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=scale_timeout(120))
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+
+    def test_uneven_targets_overwrite_other_ranks_sources(self):
+        # Rank 1's target slice covers all of rank 0's and part of rank
+        # 2's staged source regions; every read precedes the first barrier.
+        blocks = [np.arange(0, 9_000), np.arange(9_000, 10_000),
+                  np.arange(10_000, 16_000)]
+        targets = [2_000, 11_000, 3_000]
+        ours, _ = permute_distributed(blocks, target_sizes=targets,
+                                      backend="thread", seed=4)
+        theirs, _ = permute_distributed(blocks, target_sizes=targets,
+                                        backend="process", seed=4)
+        assert [len(b) for b in theirs] == targets
+        names = {_segment_of(b) for b in theirs}
+        assert len(names) == 1 and None not in names
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a, b)
+        assert np.array_equal(blocks[0], np.arange(9_000))
+
+    def test_pickle_and_object_dtype_concatenate(self, monkeypatch):
+        data = np.arange(12_345)
+        words = np.array([f"w{i}" for i in range(501)], dtype=object)
+        expected = [random_permutation(x, n_procs=2, backend="thread", seed=3)
+                    for x in (data, words)]
+        calls = _count_concatenate(monkeypatch)
+        pickled = random_permutation(data, n_procs=2, backend="process",
+                                     transport="pickle", seed=3)
+        objects = random_permutation(words, n_procs=2, backend="process", seed=3)
+        assert calls == [2, 2]
+        assert pickled.dtype == data.dtype and objects.dtype == words.dtype
+        assert np.array_equal(pickled, expected[0])
+        assert objects.tolist() == expected[1].tolist()
+        random_permutation(data, n_procs=2, backend="process", seed=3)
+        assert calls == [2, 2]  # sharedmem with a plain dtype stays in place
+
+    def test_rank_death_while_writing_the_output_replays_exactly(
+            self, monkeypatch, tmp_path):
+        # Rank 1 of a standing pool dies in superstep 3 of the first
+        # attempt, after gathering into its slice of the shared output
+        # and after rank 0 has written its own.  Had the driver staged the
+        # input in that vector, the replay would read the half-written
+        # slices as input; under a RetryPolicy it must not stage.
+        import multiprocessing
+        import time
+
+        from repro.core import permutation
+
+        data = np.arange(40_000)
+        clean = random_permutation(data, n_procs=2, backend="thread", seed=17)
+        marker = tmp_path / "died"
+        marker.touch()  # disarmed for the warm-up run
+        real_shuffle = permutation.local_shuffle
+
+        def dying_shuffle(values, rng, kernels=None, *, out=None):
+            if (out is not None
+                    and multiprocessing.current_process().name == "pro-pool-1"):
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    time.sleep(0.2)  # let rank 0 finish writing its slice
+                    os._exit(1)
+            return real_shuffle(values, rng, kernels, out=out)
+
+        monkeypatch.setattr(permutation, "local_shuffle", dying_shuffle)
+        machine = PROMachine(2, seed=17, backend="process", persistent=True,
+                             retry=2, timeout=scale_timeout(20))
+        try:
+            random_permutation(data, machine=machine)  # spawns the pool warm
+            marker.unlink()
+            machine = PROMachine(2, seed=17, backend=machine.backend, retry=2,
+                                 timeout=scale_timeout(20))
+            recovered = random_permutation(data, machine=machine)
+        finally:
+            machine.close()
+        assert marker.exists()  # the first attempt really died
+        assert np.array_equal(recovered, clean)
+        assert _segment_of(recovered) is not None  # the replay stayed in place
 
 
 class TestRandomPermutationIndices:

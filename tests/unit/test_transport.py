@@ -601,3 +601,69 @@ class TestMultiConsumerSegments:
         with pytest.raises(ValidationError):
             self._transport().encode_shared(np.arange(10), 0)
 
+
+
+class TestByReferenceArrays:
+    """Arrays inside an ``empty`` segment cross uncopied in dispatch and results."""
+
+    def test_dispatch_references_instead_of_copying(self):
+        from repro.pro.backends.transport import SHMVIEW
+
+        transport = SharedMemoryTransport(min_bytes=16)
+        out = transport.empty((1000,), np.int64)
+        out[:] = np.arange(1000)
+        record = transport.encode_shared((out[100:300], out[300:]), 2)
+        assert [ref[0] for ref in record[1]] == [SHMVIEW, SHMVIEW]
+        assert transport.stats.bytes_encoded == 0
+        assert transport.stats.multi_segments_created == 0
+        head, tail = transport.decode(record)
+        assert np.array_equal(head, np.arange(100, 300))
+        head[0] = -1  # the decoded view is the owner's memory
+        assert out[100] == -1
+        transport.end_run()
+
+    def test_messages_keep_copy_semantics(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        out = transport.empty(512, np.int64)
+        out[:] = 7
+        record = transport.encode(out[:256])
+        received = transport.decode(record)
+        received[0] = 0
+        assert out[0] == 7
+        assert transport.stats.bytes_encoded > 0
+        transport.end_run()
+
+    def test_end_run_unlinks_but_the_array_stays_valid(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        out = transport.empty((4, 8), np.float64)
+        created = shm_segments() - before
+        assert len(created) == 1
+        transport.encode_shared({"out": out}, 1)
+        transport.end_run()
+        assert not created & shm_segments()
+        out[:] = 1.5
+        assert out.sum() == 48.0
+        # A later dispatch of the same array copies it: nothing can attach
+        # the name any more.
+        record = transport.encode_shared(out, 1)
+        assert transport.stats.bytes_encoded == out.nbytes
+        transport.dispose(record)
+
+    def test_dropped_array_unlinks_and_unmaps(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        out = transport.empty(100, np.int32)
+        view = out[10:20]
+        del out
+        gc.collect()
+        assert shm_segments() - before  # a view keeps it alive
+        del view
+        gc.collect()
+        assert not shm_segments() - before
+        assert not sharedmem_module._BYREF
+
+    def test_declines_object_dtype_and_in_band_transports(self):
+        assert SharedMemoryTransport().empty(4, object) is None
+        assert PickleTransport().empty(4, np.int64) is None
+        assert ProcessBackend(transport="pickle").empty(4, np.int64) is None
