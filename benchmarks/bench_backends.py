@@ -530,7 +530,9 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
     ``runs`` permutations on one persistent process+sharedmem machine
     with a :class:`~repro.pro.telemetry.Telemetry` recorder attached,
     summarised into the repatriated per-rank ring geometry (capacity,
-    wraps) and the transport's oversize-fallback rate.
+    wraps) and the transport's oversize-fallback rate.  Algorithm 1's
+    exchange writes straight into the shared output here, so no rank
+    creates a ring and ``ring_capacity_bytes`` reads ``None``.
     """
     from repro.pro.telemetry import Telemetry
 

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--budget", type=int, default=500,
                          help="total simulated runs to spend (default 500)")
     explore.add_argument("--programs", type=str, default=",".join(
-        ("alg5", "alg6", "barrier-ring", "scatter-gather")),
+        ("alg1", "alg5", "alg6", "barrier-ring", "scatter-gather")),
         help="comma-separated explore programs (see repro.pro.explore."
              "EXPLORE_PROGRAMS); default sweeps the paper algorithms plus "
              "the barrier/scatter micro-programs")

@@ -48,6 +48,7 @@ __all__ = [
     "algorithm6_program",
     "root_scatter_program",
     "final_tile_ranges",
+    "column_prefixes",
     "sample_matrix_parallel",
     "resolve_tile_strategy",
     "MATRIX_ALGORITHMS",
@@ -99,12 +100,35 @@ def _validate_inputs(ctx: ProcessorContext, row_sums, col_sums) -> tuple[np.ndar
     return rows, cols
 
 
+def column_prefixes(ctx: ProcessorContext, row) -> np.ndarray:
+    """Exclusive column scan of the matrix: entry ``j`` is ``sum_{k<rank} a_{k,j}``.
+
+    That is where rank ``rank``'s piece lands in target block ``j`` when
+    the pieces are laid out in source order (Algorithm 1's one-sided
+    exchange).  Needs a square matrix (``p' = p``).  Each rank sends
+    ``a_{rank,j}`` to the column owner ``j``, which scans its column and
+    sends every rank its offset back: two rounds of one word to each
+    remote rank, so ``2(p - 1)`` words and messages each way per rank.
+    (:meth:`~repro.pro.communicator.Communicator.scan` gathers whole rows
+    everywhere instead, ``Theta(p^2)`` words per rank.)
+    """
+    row = np.asarray(row, dtype=np.int64)
+    if row.size != ctx.n_procs:
+        raise ValidationError(
+            f"column prefixes need one column per processor ({ctx.n_procs}), got {row.size}"
+        )
+    column = np.asarray(ctx.comm.alltoall([int(a) for a in row]), dtype=np.int64)
+    offsets = np.cumsum(column) - column
+    return np.asarray(ctx.comm.alltoall([int(o) for o in offsets]), dtype=np.int64)
+
+
 # ----------------------------------------------------------------------------
 # Algorithm 5: head-splitting with a log factor
 # ----------------------------------------------------------------------------
 def algorithm5_program(
-    ctx: ProcessorContext, row_sums, col_sums, *, method: str = "auto", kernels=None
-) -> np.ndarray:
+    ctx: ProcessorContext, row_sums, col_sums, *, method: str = "auto", kernels=None,
+    column_prefix: bool = False,
+):
     """SPMD program: return row ``ctx.rank`` of a random communication matrix.
 
     Implements Algorithm 5 of the paper.  ``row_sums`` must have length
@@ -113,7 +137,9 @@ def algorithm5_program(
     for the processor's own decisions, but every processor is given the full
     (O(p)-sized) marginal vectors, as the PRO model permits.  ``kernels`` is
     accepted for program-signature uniformity and recorded in the cost
-    record; the algorithm itself draws through the scalar samplers.
+    record; the algorithm itself draws through the scalar samplers.  With
+    ``column_prefix=True`` (``p' = p`` only) the program returns
+    ``(row, column_prefixes(ctx, row))``.
     """
     _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
@@ -142,6 +168,8 @@ def algorithm5_program(
 
     # beta now holds the column capacities reserved for the singleton range
     # {rank}, i.e. the rank-th row of the matrix.
+    if column_prefix:
+        return beta, column_prefixes(ctx, beta)
     return beta
 
 
@@ -184,7 +212,8 @@ def algorithm6_program(
     method: str = "auto",
     tile_strategy: str = "auto",
     kernels=None,
-) -> np.ndarray:
+    column_prefix: bool = False,
+):
     """SPMD program: return row ``ctx.rank`` of a random communication matrix.
 
     Implements Algorithm 6 of the paper: alternating-dimension splitting of
@@ -195,7 +224,8 @@ def algorithm6_program(
     ``"sequential"``, ``"recursive"`` or ``"batched"``); all choices draw
     from the same law.  ``kernels`` selects the kernel tier the step-3
     batched sampler runs on (bit-identical across tiers) and is recorded in
-    the rank's cost record.
+    the rank's cost record.  With ``column_prefix=True`` (``p' = p``
+    only) the program returns ``(row, column_prefixes(ctx, row))``.
     """
     tile_strategy = resolve_tile_strategy(tile_strategy, method)
     kernels = _note_kernel_tier(ctx, kernels)
@@ -267,6 +297,8 @@ def algorithm6_program(
         if r_lo <= rank < r_hi:
             col_offset, piece = ctx.comm.recv(owner, tag=("alg6-redist", 0))
             my_row[col_offset:col_offset + piece.size] = piece
+    if column_prefix:
+        return my_row, column_prefixes(ctx, my_row)
     return my_row
 
 
@@ -281,7 +313,8 @@ def root_scatter_program(
     method: str = "auto",
     tile_strategy: str = "auto",
     kernels=None,
-) -> np.ndarray:
+    column_prefix: bool = False,
+):
     """SPMD program: processor 0 samples the whole matrix, rows are scattered.
 
     Per-processor cost ``O(p^2)`` on the root and ``O(p)`` elsewhere; fine as
@@ -290,6 +323,10 @@ def root_scatter_program(
     selects the root's sampler (``"auto"`` default -- the vectorized
     ``"batched"`` engine kernel -- ``"sequential"`` or ``"recursive"``) and
     ``kernels`` the kernel tier it runs on (bit-identical across tiers).
+    With ``column_prefix=True`` the root scatters ``(row, prefixes)``
+    pairs -- the exclusive column sums of :func:`column_prefixes`, which
+    it holds already -- and the program returns that pair: the same
+    messages, ``p`` more words each.
     """
     tile_strategy = resolve_tile_strategy(tile_strategy, method)
     kernels = _note_kernel_tier(ctx, kernels)
@@ -300,6 +337,9 @@ def root_scatter_program(
         )
         ctx.log_compute(matrix.size)
         row_payloads = [matrix[i, :] for i in range(ctx.n_procs)]
+        if column_prefix:
+            prefixes = np.cumsum(matrix, axis=0) - matrix
+            row_payloads = list(zip(row_payloads, prefixes))
     else:
         row_payloads = None
     return ctx.comm.scatter(row_payloads, root=0)

@@ -159,10 +159,14 @@ def parallel_permutation_program(
     out:
         Optional sequence of ``ctx.n_procs`` writable arrays, ``out[i]``
         sized like target block ``i``: the caller-owned slices of the
-        output vector.  Processor ``i`` gathers its received pieces
-        straight into ``out[i]``, shuffles them there and returns
-        ``out[i]`` itself.  Without it each rank gathers into an array of
-        its own.
+        output vector.  When every rank shares every slice
+        (``ctx.comm.is_shared``), the exchange is one-sided: sender ``i``
+        writes its piece for ``j`` straight into ``out[j]`` at the column
+        prefix ``sum_{k<i} a_{k,j}``, which is where ``np.concatenate``
+        of the received pieces would put it, and processor ``j`` shuffles
+        ``out[j]`` in place and returns it.  Otherwise ``out`` is not
+        used: the pieces cross the fabric and each rank gathers them into
+        an array of its own, as without ``out``.
 
     Returns
     -------
@@ -182,13 +186,13 @@ def parallel_permutation_program(
     local = np.asarray(blocks[ctx.rank])
     source_sizes = np.asarray([len(b) for b in blocks], dtype=np.int64)
     targets = _target_sizes(source_sizes, target_sizes)
-    dest = None
-    if out is not None:
-        if len(out) != ctx.n_procs or len(out[ctx.rank]) != targets[ctx.rank]:
-            raise ValidationError(
-                "out must hold one array per processor, sized like the target blocks"
-            )
-        dest = out[ctx.rank]
+    if out is not None and (len(out) != ctx.n_procs
+                            or len(out[ctx.rank]) != targets[ctx.rank]):
+        raise ValidationError(
+            "out must hold one array per processor, sized like the target blocks"
+        )
+    # Every rank sees the same ``out``, so every rank takes the same branch.
+    one_sided = out is not None and all(ctx.comm.is_shared(o) for o in out)
 
     # Resolve the kernel tier once per rank; the cost record carries which
     # tier actually ran here (and its JIT warm-up cost) back to the parent.
@@ -202,19 +206,21 @@ def parallel_permutation_program(
     ctx.comm.barrier()
 
     # Superstep 2: sample the communication matrix and exchange the data.
+    # Reads of ``blocks`` are over, so the one-sided writes may overwrite
+    # input staged in ``out``; no rank reads ``out`` before the barrier.
     matrix_program = MATRIX_ALGORITHMS[matrix_algorithm]
-    my_row = matrix_program(ctx, source_sizes, targets, method=method, kernels=tier)
-
-    pieces = cut_rows(shuffled, my_row)
-    received = ctx.comm.alltoallv(pieces)
+    if one_sided:
+        my_row, prefixes = matrix_program(ctx, source_sizes, targets, method=method,
+                                          kernels=tier, column_prefix=True)
+        ctx.comm.alltoallv(cut_rows(shuffled, my_row), out=out, offsets=prefixes)
+    else:
+        my_row = matrix_program(ctx, source_sizes, targets, method=method, kernels=tier)
+        received = ctx.comm.alltoallv(cut_rows(shuffled, my_row))
     ctx.comm.barrier()
 
-    # Superstep 3: gather the received pieces into the destination block
-    # and shuffle it there, in place.
-    if dest is None:
-        dest = np.concatenate(received)
-    else:
-        np.concatenate(received, out=dest)
+    # Superstep 3: shuffle the destination block in place -- the slice the
+    # senders wrote, or the received pieces gathered in source order.
+    dest = out[ctx.rank] if one_sided else np.concatenate(received)
     result = local_shuffle(dest, ctx.rng, kernels=tier, out=dest)
     ctx.log_compute(len(result))
     ctx.cost.allocate(len(result))
@@ -245,16 +251,17 @@ def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_op
     cross by reference on the process backend with ``sharedmem``.
     ``output`` is that vector when every rank's result occupies exactly
     the slice it was given; otherwise -- a backend whose ``empty``
-    declines, or a retry that degraded into another address space -- the
-    results are copies and ``output`` is ``None``.
+    declines, or a retry that degraded into another address space, where
+    the slices are not shared -- the results are arrays of the ranks' own
+    and ``output`` is ``None``.
 
     When the ranks do not share the caller's address space and the run
     has a single attempt, the input is staged in the output vector too,
-    so rank ``j`` reads its source block from it and overwrites its
-    target slice in place.  That is safe because every read of ``blocks``
-    precedes the superstep-1 barrier and every write to ``out`` follows
-    the superstep-2 barrier.  A retried attempt must read an unmodified
-    input, so under a ``RetryPolicy`` the input is not staged.
+    so rank ``j`` reads its source block from it and the senders
+    overwrite it.  That is safe because every read of ``blocks`` precedes
+    the superstep-1 barrier and every write to ``out`` follows it.  A
+    retried attempt must read an unmodified input, so under a
+    ``RetryPolicy`` the input is not staged.
     """
     if len(blocks) == 0:
         raise ValidationError("permute_distributed needs at least one block")

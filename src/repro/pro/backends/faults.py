@@ -325,6 +325,10 @@ class _RankFaultView:
     def abort(self) -> None:
         self._inner.abort()
 
+    def is_shared(self, array) -> bool:
+        predicate = getattr(self._inner, "is_shared", None)
+        return bool(predicate is not None and predicate(array))
+
 
 class _FaultedProgram:
     """Picklable program wrapper installing the per-rank fault view."""

@@ -331,6 +331,15 @@ class ProcessFabric:
         """Break the barrier so that surviving ranks fail fast after a crash."""
         self._barrier.abort()
 
+    def is_shared(self, array) -> bool:
+        """True when every rank maps ``array``'s memory (the transport decides).
+
+        With ``sharedmem``: only arrays in a by-reference segment the
+        ranks' parent created; with ``pickle``: nothing.
+        """
+        predicate = getattr(self.transport, "is_shared", None)
+        return bool(predicate is not None and predicate(array))
+
     def poison_waits(self, epoch: int) -> None:
         """Deposit one abort poison pill per inbox so blocked receives fail fast.
 

@@ -21,7 +21,13 @@ A backend is any object with
     MessageFabric` interface (``put`` / ``get`` / ``barrier_wait`` /
     ``abort`` plus ``n_procs`` and ``timeout`` attributes); the default of
     :class:`ExecutionBackend` returns the in-process fabric shared by the
-    inline and thread backends.
+    inline and thread backends.  The fabric may also offer the rank-side
+    sharing predicate ``is_shared(array)``: True only when every rank of
+    the run sees a rank's writes to ``array`` (in-process and sim fabrics:
+    always; the process fabric: arrays in a by-reference segment of the
+    ranks' parent, per its transport).  Algorithm 1 writes its exchange
+    pieces straight into the receivers' output slices when it holds for
+    all of them.  A fabric without it shares nothing.
 ``run(contexts, program, args, kwargs)``
     Execute ``program(ctx, *args, **kwargs)`` once per context and return
     the per-rank results ordered by rank.

@@ -203,6 +203,21 @@ def _map_byref(seg, creator: int) -> np.ndarray:
     return raw
 
 
+def _byref_mapping(arr: np.ndarray):
+    """``(name, entry)`` of the registered mapping holding all of ``arr``, or None.
+
+    Only contiguous arrays qualify: their bytes are ``[start, start +
+    nbytes)``.
+    """
+    if not arr.flags.c_contiguous or not _BYREF:
+        return None
+    start = arr.__array_interface__["data"][0]
+    for name, entry in list(_BYREF.items()):
+        if entry.address <= start <= entry.address + entry.nbytes - arr.nbytes:
+            return name, entry
+    return None
+
+
 def _byref_record(arr: np.ndarray, *, dispatch: bool):
     """A by-reference record of ``arr``, or ``None`` when it must be copied.
 
@@ -212,21 +227,19 @@ def _byref_record(arr: np.ndarray, *, dispatch: bool):
     for a rank's result, a segment the parent process created (it maps it
     already).
     """
-    if arr.nbytes == 0 or not arr.flags.c_contiguous or not _BYREF:
+    found = None if arr.nbytes == 0 else _byref_mapping(arr)
+    if found is None:
+        return None
+    name, entry = found
+    if dispatch:
+        crosses = entry.creator == os.getpid() and entry.linked
+    else:
+        crosses = entry.creator == os.getppid()
+    if not crosses:
         return None
     start = arr.__array_interface__["data"][0]
-    for name, entry in list(_BYREF.items()):
-        if not entry.address <= start <= entry.address + entry.nbytes - arr.nbytes:
-            continue
-        if dispatch:
-            crosses = entry.creator == os.getpid() and entry.linked
-        else:
-            crosses = entry.creator == os.getppid()
-        if not crosses:
-            return None
-        return (SHMVIEW, name, entry.creator, start - entry.address,
-                arr.dtype, arr.shape)
-    return None
+    return (SHMVIEW, name, entry.creator, start - entry.address,
+            arr.dtype, arr.shape)
 
 
 def _resolver(slot_view=None):
@@ -558,6 +571,19 @@ class SharedMemoryTransport(PayloadTransport):
                              if name in _BYREF and _BYREF[name].linked}
         self._byref_names.add(seg.name)
         return raw[:nbytes].view(dtype).reshape(shape)
+
+    def is_shared(self, array) -> bool:
+        """True when ``array`` lies in a by-reference segment of this rank's parent.
+
+        Every rank of a run maps such a segment -- the parent dispatched
+        it by reference, or the ranks inherited the mapping through
+        ``fork`` -- so one rank's writes into it are the others' reads.
+        Any other memory of a rank is its own, even where it looks like a
+        slice of one buffer: a ``fork`` hands each rank a copy-on-write
+        image of the parent's private arrays.
+        """
+        found = _byref_mapping(np.asarray(array))
+        return found is not None and found[1].creator == os.getppid()
 
     def end_run(self) -> None:
         """Unlink the by-reference segments of the run that just returned.

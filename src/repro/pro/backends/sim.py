@@ -393,6 +393,10 @@ class SimFabric:
             return
         scheduler.block_on_barrier(rank)  # raises when broken or deadlocked
 
+    def is_shared(self, array) -> bool:
+        """True: the sim ranks are threads of the caller's process."""
+        return True
+
     def abort(self) -> None:
         """Break the barrier so surviving ranks fail fast after a crash."""
         self._broken = True

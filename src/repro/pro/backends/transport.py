@@ -78,6 +78,13 @@ A transport is any object with
     what in-band transports do.  The process backend's ``empty`` hook
     delegates here, so Algorithm 1's drivers get their output vector from
     it.
+``is_shared(array) -> bool`` (optional)
+    Called in a rank: True when every rank of the run maps ``array``'s
+    memory, so that one rank's writes are the others' reads.  The
+    process fabric's sharing predicate delegates here; Algorithm 1 then
+    writes its exchange pieces straight into the receivers' slices of
+    the output vector instead of sending them.  In-band transports (and
+    the base class) answer ``False``.
 ``end_run() -> None`` (optional)
     The run that dispatched by-reference arrays has returned: unlink the
     names of their segments.  Called by the worker pool after every
@@ -110,6 +117,16 @@ once per decoded record -- and hands out views into it.  Lifetimes:
   (``end_run``); a rank's mapping is closed once its views die;
 * ordinary fabric messages (``put``) keep copy semantics: a rank that
   sends a view into such a segment sends a copy.
+
+What the rings carry
+--------------------
+Fabric messages -- control traffic (scatters, matrix rows, scan
+offsets, ring acks) and the bulk messages of programs that send them --
+still go through ``encode``/``decode`` and, with ``sharedmem``, through
+the sender rings.  Algorithm 1's exchange pieces do not when its output
+vector is a by-reference segment: ``is_shared`` holds for every slice,
+so the senders write their pieces into the receivers' slices directly
+and a single-attempt driver call encodes no bulk byte.
 
 Transports are deliberately independent of the random streams, so a fixed
 machine seed produces bit-identical results on every transport (enforced by
@@ -297,6 +314,14 @@ class PayloadTransport:
     def end_run(self) -> None:
         """Unlink the names of the by-reference segments the last run used."""
         # In-band transports have no by-reference segments.
+
+    def is_shared(self, array) -> bool:
+        """True when every rank of the run maps ``array``'s memory.
+
+        ``False`` (this implementation): an in-band transport gives each
+        rank its own copy of everything.
+        """
+        return False
 
     def cache_key(self) -> tuple | None:
         """Hashable identity for pool-cache keying, or ``None``.

@@ -13,7 +13,8 @@ Two design points matter for faithfulness to the paper:
   can be checked experimentally, including for the collectives (which are
   built from point-to-point messages, e.g. binomial trees for broadcast and
   reduce -- the extra words of the tree construction are charged to whoever
-  sends them).
+  sends them).  A one-sided ``alltoallv`` into shared memory is charged
+  like the messages it replaces.
 
 * **Non-blocking sends.**  Sends never block (mailboxes are unbounded), so
   the irregular all-to-all exchange of Algorithm 1 and the head-to-head
@@ -148,6 +149,10 @@ class MessageFabric:
         for dst in range(self.n_procs):
             for src in range(self.n_procs):
                 self._queues[dst][src].put((_ABORT, None))
+
+    def is_shared(self, array) -> bool:
+        """True: every rank of an in-process run writes the caller's memory."""
+        return True
 
 
 class Communicator:
@@ -360,19 +365,58 @@ class Communicator:
                 out[src] = self._recv_raw(src, tag)
         return out
 
-    def alltoallv(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def is_shared(self, array: np.ndarray) -> bool:
+        """True when every rank of the run sees this rank's writes to ``array``.
+
+        Asks the fabric (see the backend contract in
+        :mod:`repro.pro.backends.registry`): in-process fabrics answer yes,
+        the process fabric only for memory its ranks all map.  An empty
+        array is trivially shared; a fabric without the predicate shares
+        nothing.
+        """
+        if np.asarray(array).size == 0:
+            return True
+        predicate = getattr(self._fabric, "is_shared", None)
+        return bool(predicate is not None and predicate(array))
+
+    def alltoallv(self, arrays: Sequence[np.ndarray], *, out=None, offsets=None):
         """All-to-all exchange of NumPy arrays of varying lengths.
 
         ``arrays[j]`` is sent to rank ``j``; the return value is a list whose
         ``i``-th entry is the array received from rank ``i``.  This is the
         primitive behind the data-exchange superstep of Algorithm 1.
+
+        With ``out`` -- one writable array per rank, each shared by every
+        rank (:meth:`is_shared`) -- and ``offsets``, the exchange is
+        one-sided: ``arrays[j]`` is written straight into
+        ``out[j][offsets[j]:offsets[j] + len(arrays[j])]``, nothing crosses
+        the fabric, and ``None`` is returned.  Rank ``j`` may read
+        ``out[j]`` after the next barrier.  The pieces all ranks write into
+        ``out[j]`` must tile it exactly, which is what lets the receiving
+        side be charged like the two-sided exchange: one message per
+        remote rank, and the words of ``out[j]`` that other ranks filled.
         """
         if len(arrays) != self.size:
             raise ValidationError(
                 f"alltoallv needs exactly {self.size} arrays, got {len(arrays)}"
             )
         converted = [np.asarray(a) for a in arrays]
-        return self.alltoall(converted)
+        if out is None:
+            return self.alltoall(converted)
+        if len(out) != self.size or offsets is None or len(offsets) != self.size:
+            raise ValidationError(
+                f"a one-sided alltoallv needs {self.size} output arrays and offsets"
+            )
+        for dst, piece in enumerate(converted):
+            start = int(offsets[dst])
+            out[dst][start:start + len(piece)] = piece
+            if dst != self._rank:
+                self._record_send(piece)
+        if self._cost is not None and self.size > 1:
+            incoming = payload_words(np.asarray(out[self._rank]))
+            self._cost.record_receive(incoming - payload_words(converted[self._rank]),
+                                      n_messages=self.size - 1)
+        return None
 
     def scan(self, value, op: Callable = add, *, inclusive: bool = True):
         """Prefix reduction across ranks ordered by rank id.

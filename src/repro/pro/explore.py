@@ -238,6 +238,28 @@ def _matrix_program(algorithm: str) -> Callable:
     return run
 
 
+def _alg1(machine: PROMachine):
+    """Algorithm 1 with the root and the alg6 matrix, on uneven blocks.
+
+    On the sim backend the output slices are shared, so the exchange is
+    one-sided: every rank writes its pieces into the other ranks' slices
+    between the two barriers.  The permutations must not depend on the
+    interleaving.  Both outputs are in the digest; the recorded trace the
+    explorer flips is the last run's (alg6), and the same replay prefix
+    steers the root run too.
+    """
+    from repro.core.blocks import BlockDistribution
+    from repro.core.permutation import random_permutation
+
+    sizes = default_row_sums(machine.n_procs)
+    data = np.arange(int(sizes.sum()), dtype=np.int64)
+    return tuple(
+        random_permutation(data, machine=machine, matrix_algorithm=algorithm,
+                           distribution=BlockDistribution(sizes))
+        for algorithm in ("root", "alg6")
+    )
+
+
 def _barrier_ring(machine: PROMachine):
     """Two rounds of ring token passing with a barrier between send/recv."""
 
@@ -286,6 +308,7 @@ def _racy_append(machine: PROMachine):
 
 
 EXPLORE_PROGRAMS: dict[str, Callable] = {
+    "alg1": _alg1,
     "alg5": _matrix_program("alg5"),
     "alg6": _matrix_program("alg6"),
     "barrier-ring": _barrier_ring,
@@ -297,7 +320,8 @@ EXPLORE_PROGRAMS: dict[str, Callable] = {
 }
 
 #: The product-sweep defaults: every program here must be schedule-independent.
-DEFAULT_PROGRAMS: tuple[str, ...] = ("alg5", "alg6", "barrier-ring", "scatter-gather")
+DEFAULT_PROGRAMS: tuple[str, ...] = ("alg1", "alg5", "alg6", "barrier-ring",
+                                     "scatter-gather")
 
 
 def _resolve_program(program) -> tuple[str, Callable]:

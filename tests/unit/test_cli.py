@@ -419,3 +419,9 @@ class TestExploreCommand:
         assert args.plans == "auto"
         assert args.procs == "2,4,8"
         assert args.min_distinct is None
+
+    def test_explore_default_programs_are_the_explorers(self):
+        from repro.pro.explore import DEFAULT_PROGRAMS
+
+        args = build_parser().parse_args(["explore"])
+        assert args.programs == ",".join(DEFAULT_PROGRAMS)

@@ -241,3 +241,77 @@ class TestCollectives:
         machine = PROMachine(4, seed=0)
         run_result = machine.run(program)
         assert run_result.cost_report.total("words_sent") >= 300  # 3 tree edges x 100 words
+
+
+def _uneven_pieces(rank, n_procs):
+    """Rank ``rank``'s piece for every target: ``rank + dst + 1`` copies of its rank."""
+    return [np.full(rank + dst + 1, rank) for dst in range(n_procs)]
+
+
+class TestOneSidedAlltoallv:
+    """alltoallv(..., out=, offsets=): senders write into shared slices."""
+
+    P = 3
+
+    def _targets(self):
+        # out[j] holds every rank's piece for j: sum_i (i + j + 1) items.
+        return [np.full(sum(i + j + 1 for i in range(self.P)), -1)
+                for j in range(self.P)]
+
+    @staticmethod
+    def _offsets(rank, n_procs):
+        # The column prefixes of the piece sizes: sum_{k<rank} (k + j + 1).
+        return [sum(k + j + 1 for k in range(rank)) for j in range(n_procs)]
+
+    def test_pieces_land_at_their_offsets_in_source_order(self):
+        out = self._targets()
+
+        def program(ctx, out):
+            pieces = _uneven_pieces(ctx.rank, ctx.n_procs)
+            assert ctx.comm.alltoallv(
+                pieces, out=out, offsets=self._offsets(ctx.rank, ctx.n_procs)) is None
+            ctx.comm.barrier()
+            return out[ctx.rank].tolist()
+
+        results = PROMachine(self.P, seed=1).run(program, out).results
+        for j in range(self.P):
+            two_sided = np.concatenate(
+                [_uneven_pieces(i, self.P)[j] for i in range(self.P)])
+            assert results[j] == two_sided.tolist()
+
+    def test_charged_like_the_two_sided_exchange(self):
+        def program(ctx, out):
+            pieces = _uneven_pieces(ctx.rank, ctx.n_procs)
+            if out is None:
+                ctx.comm.alltoallv(pieces)
+            else:
+                ctx.comm.alltoallv(pieces, out=out,
+                                   offsets=self._offsets(ctx.rank, ctx.n_procs))
+
+        reports = [PROMachine(self.P, seed=1).run(program, out).cost_report
+                   for out in (None, self._targets())]
+        assert reports[0].per_rank_totals() == reports[1].per_rank_totals()
+
+    def test_rejects_missing_offsets(self):
+        def program(ctx, out):
+            ctx.comm.alltoallv(_uneven_pieces(ctx.rank, ctx.n_procs), out=out)
+
+        with pytest.raises(BackendError, match="offsets"):
+            PROMachine(self.P, seed=1).run(program, self._targets())
+
+    @pytest.mark.parametrize("backend", ["thread", "sim", "inline"])
+    def test_in_process_fabrics_share_everything(self, backend):
+        n_procs = 1 if backend == "inline" else 2
+        results = PROMachine(n_procs, seed=1, backend=backend).run(
+            lambda ctx: ctx.comm.is_shared(np.zeros(4))).results
+        assert results == [True] * n_procs
+
+    def test_fabric_without_the_predicate_shares_only_empty_arrays(self):
+        from repro.pro.communicator import Communicator
+
+        class BareFabric:
+            n_procs = 1
+
+        comm = Communicator(BareFabric(), 0)
+        assert not comm.is_shared(np.zeros(4))
+        assert comm.is_shared(np.zeros(0))

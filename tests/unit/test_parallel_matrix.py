@@ -8,6 +8,7 @@ from repro.core.parallel_matrix import (
     MATRIX_ALGORITHMS,
     algorithm5_program,
     algorithm6_program,
+    column_prefixes,
     final_tile_ranges,
     root_scatter_program,
     sample_matrix_parallel,
@@ -195,3 +196,35 @@ class TestCostStructure:
         other_ops = max(r["compute_ops"] for r in per_rank[1:])
         assert root_ops >= other_ops
         assert root_ops >= p * p  # the O(p^2) matrix lives on the root
+
+
+class TestColumnPrefixes:
+    """``column_prefix=True``: each rank also gets sum_{k<rank} a_{k,j}."""
+
+    @staticmethod
+    def _run(algorithm, p, column_prefix, seed=5):
+        rows = (np.arange(1, p + 1) * 3) % 7 + 2
+        cols = rows[::-1].copy()
+
+        def program(ctx):
+            return MATRIX_ALGORITHMS[algorithm](ctx, rows, cols,
+                                                column_prefix=column_prefix)
+
+        return PROMachine(p, seed=seed).run(program)
+
+    @pytest.mark.parametrize("algorithm", ["root", "alg5", "alg6"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_prefixes_are_the_exclusive_column_sums(self, algorithm, p):
+        plain = self._run(algorithm, p, False)
+        paired = self._run(algorithm, p, True)
+        matrix = np.vstack(plain.results)
+        assert np.array_equal(np.vstack([row for row, _ in paired.results]), matrix)
+        expected = np.cumsum(matrix, axis=0) - matrix
+        assert np.array_equal(np.vstack([pre for _, pre in paired.results]), expected)
+
+    def test_scan_needs_one_column_per_processor(self):
+        def program(ctx):
+            return column_prefixes(ctx, [1, 2, 3])
+
+        with pytest.raises(BackendError, match="one column per processor"):
+            PROMachine(2, seed=0).run(program)

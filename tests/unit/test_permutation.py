@@ -332,6 +332,30 @@ def _linked_segments():
         return set()
 
 
+#: Uneven p = 4 cells: rank 1's target slice spans rank 0's whole source
+#: block and more, so every rank writes into some other rank's slice.
+UNEVEN_SOURCES = (9_000, 1_000, 6_000, 4_000)
+UNEVEN_TARGETS = (2_000, 11_000, 3_000, 4_000)
+
+
+def _uneven_blocks():
+    bounds = np.cumsum((0,) + UNEVEN_SOURCES)
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _offset_words(algorithm, p, rank):
+    """What the one-sided exchange adds to a rank's cost record, by design.
+
+    ``(words sent, words received, messages each way)``: the root program
+    scatters ``(row, prefixes)`` pairs (``p`` more words in each of its
+    ``p - 1`` messages); Alg. 5 and Alg. 6 run one scan exchange of
+    ``2(p - 1)`` one-word messages each way per rank.
+    """
+    if algorithm == "root":
+        return (p * (p - 1), 0, 0) if rank == 0 else (0, p, 0)
+    return 2 * (p - 1), 2 * (p - 1), 2 * (p - 1)
+
+
 @pytest.mark.subprocess
 class TestSharedSegmentAssembly:
     """Process ranks assemble the output in one shared segment, by reference."""
@@ -428,8 +452,8 @@ class TestSharedSegmentAssembly:
     def test_rank_death_while_writing_the_output_replays_exactly(
             self, monkeypatch, tmp_path):
         # Rank 1 of a standing pool dies in superstep 3 of the first
-        # attempt, after gathering into its slice of the shared output
-        # and after rank 0 has written its own.  Had the driver staged the
+        # attempt, after the pieces were written into its slice of the
+        # shared output and after rank 0 has shuffled its own.  Had the driver staged the
         # input in that vector, the replay would read the half-written
         # slices as input; under a RetryPolicy it must not stage.
         import multiprocessing
@@ -470,6 +494,127 @@ class TestSharedSegmentAssembly:
         assert marker.exists()  # the first attempt really died
         assert np.array_equal(recovered, clean)
         assert _segment_of(recovered) is not None  # the replay stayed in place
+
+    @pytest.mark.parametrize("algorithm,uneven", [
+        ("root", False), ("alg5", True), ("alg6", True),
+    ])
+    def test_rank_death_after_its_writes_replays_exactly(
+            self, monkeypatch, tmp_path, algorithm, uneven):
+        # Rank 0 of a standing pool writes its pieces into the other
+        # ranks' slices of the shared output, then dies before the
+        # superstep-2 barrier of the first attempt (a module-level hook:
+        # the pool forks after the patch).  The replay rewrites every
+        # position of the output, so the result is the fault-free one.
+        import multiprocessing
+
+        from repro.pro.communicator import Communicator
+
+        if uneven:
+            blocks, targets = _uneven_blocks(), UNEVEN_TARGETS
+        else:
+            blocks, targets = [np.arange(0, 20_000), np.arange(20_000, 40_000)], None
+        p = len(blocks)
+        clean, _ = permute_distributed(blocks, target_sizes=targets, backend="thread",
+                                       seed=17, matrix_algorithm=algorithm)
+        marker = tmp_path / "died"
+        marker.touch()  # disarmed for the warm-up run
+        real_alltoallv = Communicator.alltoallv
+
+        def dying_alltoallv(self, arrays, *, out=None, offsets=None):
+            received = real_alltoallv(self, arrays, out=out, offsets=offsets)
+            if (out is not None
+                    and multiprocessing.current_process().name == "pro-pool-0"):
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    os._exit(1)
+            return received
+
+        monkeypatch.setattr(Communicator, "alltoallv", dying_alltoallv)
+        machine = PROMachine(p, seed=17, backend="process", persistent=True,
+                             retry=2, timeout=scale_timeout(20))
+        try:
+            permute_distributed(blocks, target_sizes=targets, machine=machine,
+                                matrix_algorithm=algorithm)  # spawns the pool
+            marker.unlink()
+            machine = PROMachine(p, seed=17, backend=machine.backend, retry=2,
+                                 timeout=scale_timeout(20))
+            recovered, run = permute_distributed(
+                blocks, target_sizes=targets, machine=machine,
+                matrix_algorithm=algorithm)
+        finally:
+            machine.close()
+        assert marker.exists()  # the first attempt really died
+        assert run.cost_report.retries == 1
+        for ours, theirs in zip(recovered, clean):
+            assert np.array_equal(ours, theirs)
+        names = {_segment_of(block) for block in recovered}
+        assert len(names) == 1 and None not in names  # still the segment vector
+
+
+class TestOneSidedExchange:
+    """Senders write their pieces straight into the receivers' slices."""
+
+    @pytest.mark.parametrize(
+        "backend", ["thread", pytest.param("process", marks=pytest.mark.subprocess)])
+    @pytest.mark.parametrize("algorithm", ["root", "alg5", "alg6"])
+    def test_cost_report_matches_alltoallv_up_to_offset_words(self, backend, algorithm):
+        # The two-sided path: the same program without output slices.
+        blocks, p = _uneven_blocks(), len(UNEVEN_SOURCES)
+        ours, one_sided = permute_distributed(
+            blocks, target_sizes=UNEVEN_TARGETS, backend=backend, seed=6,
+            matrix_algorithm=algorithm)
+        machine = PROMachine(p, seed=6, backend=backend)
+        try:
+            two_sided = machine.run(parallel_permutation_program, blocks,
+                                    UNEVEN_TARGETS, matrix_algorithm=algorithm)
+        finally:
+            machine.close()
+        for a, b in zip(ours, two_sided.results):
+            assert np.array_equal(a, b)
+        fields = ("words_sent", "words_received", "messages_sent",
+                  "messages_received")
+        for rank, (mine, theirs) in enumerate(zip(
+                one_sided.cost_report.per_rank_totals(),
+                two_sided.cost_report.per_rank_totals())):
+            sent, received, messages = _offset_words(algorithm, p, rank)
+            assert mine["words_sent"] - theirs["words_sent"] == sent
+            assert mine["words_received"] - theirs["words_received"] == received
+            assert mine["messages_sent"] - theirs["messages_sent"] == messages
+            assert mine["messages_received"] - theirs["messages_received"] == messages
+            for field in set(mine) - set(fields):
+                assert mine[field] == theirs[field], field
+
+    def test_out_that_is_not_shared_is_not_used(self):
+        # Slices the fabric does not share (a fork's private copies, say)
+        # are left alone: the pieces cross the fabric into arrays of the
+        # ranks' own, charged exactly like a run without ``out``.
+        class PrivateFabric:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def is_shared(self, array):
+                return False
+
+        def program(ctx, blocks, out):
+            ctx.comm._fabric = PrivateFabric(ctx.comm._fabric)
+            return parallel_permutation_program(ctx, blocks, out=out)
+
+        blocks = [np.arange(0, 700), np.arange(700, 1000)]
+        out = [np.full(700, -1), np.full(300, -1)]
+        private = PROMachine(2, seed=3).run(program, blocks, out)
+        plain = PROMachine(2, seed=3).run(parallel_permutation_program, blocks)
+        assert all((o == -1).all() for o in out)
+        for a, b in zip(private.results, plain.results):
+            assert np.array_equal(a, b)
+        assert (private.cost_report.per_rank_totals()
+                == plain.cost_report.per_rank_totals())
 
 
 class TestRandomPermutationIndices:

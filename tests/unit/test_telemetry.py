@@ -134,10 +134,31 @@ class TestInAddressSpaceBackends:
         assert "resilience: no retries" in text
 
 
+#: Items of one bulk-exchange piece: 8 KiB of int64, the sharedmem
+#: transport's default ``min_bytes``, so every piece crosses a ring.
+BULK_ITEMS = 1024
+
+
+def _bulk_exchange_program(ctx):
+    # Algorithm 1's pieces no longer cross the fabric on sharedmem (the
+    # exchange is one-sided), so ring traffic comes from a plain program.
+    pieces = [np.full(BULK_ITEMS, ctx.rank, dtype=np.int64)
+              for _ in range(ctx.n_procs)]
+    return [int(piece[0]) for piece in ctx.comm.alltoallv(pieces)]
+
+
 @pytest.mark.subprocess
 class TestProcessRepatriation:
     def test_cold_sharedmem_counters_and_ring_survive(self):
-        telemetry, _ = _run_with_telemetry("process", "sharedmem")
+        telemetry = Telemetry()
+        machine = PROMachine(P, seed=SEED, backend="process",
+                             backend_options={"transport": "sharedmem"},
+                             telemetry=telemetry)
+        try:
+            result = machine.run(_bulk_exchange_program)
+        finally:
+            machine.close()
+        assert result.results == [list(range(P))] * P
         payload = telemetry.last.to_dict()
         assert payload["transport"] == "sharedmem"
         rings = 0
@@ -152,6 +173,31 @@ class TestProcessRepatriation:
                 assert sorted(rank_record["ring"]) == sorted(RING_FIELDS)
                 assert rank_record["ring"]["capacity"] > 0
         assert rings == P  # every sender repatriated its ring geometry
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_warm_driver_call_puts_no_bytes_on_the_rings(self, p):
+        # A single-attempt call stages its input in the output segment,
+        # the ranks write their pieces straight into it and return their
+        # slices by reference: no bulk byte is encoded anywhere.
+        from repro.pro.backends.pool import clear_default_pools
+
+        clear_default_pools()
+        telemetry = Telemetry()
+        data = np.arange(N_ITEMS, dtype=np.int64)
+        try:
+            for seed in (1, 2):  # the second call runs on the warm fleet
+                out = random_permutation(data, n_procs=p, backend="process",
+                                         seed=seed, telemetry=telemetry)
+                assert sorted(out.tolist()) == data.tolist()
+        finally:
+            clear_default_pools()
+        for report in telemetry.reports:
+            payload = report.to_dict()
+            assert payload["transport"] == "sharedmem"
+            assert payload["parent_transport"]["bytes_encoded"] == 0
+            for rank_record in payload["ranks"]:
+                assert rank_record["transport"]["ring_messages"] == 0
+                assert rank_record["transport"]["bytes_encoded"] == 0
 
     def test_cold_pickle_counters_without_rings(self):
         telemetry, _ = _run_with_telemetry("process", "pickle")

@@ -667,3 +667,37 @@ class TestByReferenceArrays:
         assert SharedMemoryTransport().empty(4, object) is None
         assert PickleTransport().empty(4, np.int64) is None
         assert ProcessBackend(transport="pickle").empty(4, np.int64) is None
+
+
+def _sharing(ctx, arrays):
+    return [ctx.comm.is_shared(a) for a in arrays]
+
+
+@pytest.mark.subprocess
+class TestSharingPredicate:
+    """A rank shares only memory in a by-reference segment of its parent."""
+
+    @pytest.mark.parametrize("persistent", [False, True], ids=["cold", "warm"])
+    def test_only_the_parents_segments_are_shared(self, persistent):
+        backend = ProcessBackend(transport="sharedmem", persistent=persistent)
+        out = backend.empty(2048, np.int64)
+        private = np.zeros(2048, dtype=np.int64)  # forked or copied: private
+        machine = PROMachine(2, seed=0, backend=backend)
+        try:
+            results = machine.run(_sharing, [out[:1024], out[1024:], private,
+                                             out[:0]]).results
+        finally:
+            machine.close()
+        assert results == [[True, True, False, True]] * 2
+
+    def test_in_band_transport_shares_nothing(self):
+        # A cold fork inherits the segment's mapping, but the pickle
+        # fabric gives no sharing guarantee, so it answers no.
+        out = ProcessBackend(transport="sharedmem").empty(2048, np.int64)
+        machine = PROMachine(2, seed=0, backend="process",
+                             backend_options={"transport": "pickle"})
+        try:
+            results = machine.run(_sharing, [out[:1024], out[1024:]]).results
+        finally:
+            machine.close()
+        assert results == [[False, False]] * 2
