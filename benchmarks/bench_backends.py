@@ -389,7 +389,7 @@ if pytest is not None:
         path must also encode each run's dispatch arguments exactly once
         per call, not once per rank; since the driver stages its input in
         its shared output vector, whose slices cross by reference, that
-        encode copies nothing and creates no multi-consumer segment.
+        encode copies nothing and creates no staging segment.
         Both are asserted through the standing fleet's transport counters.
         """
         from repro.pro.backends.pool import clear_default_pools, default_pools
@@ -413,8 +413,8 @@ if pytest is not None:
                 )
             # Encode-once-per-run: k warm driver calls on a fresh fleet
             # produce exactly k shared encodes, and -- the staged blocks
-            # and output slices crossing by reference -- no multi-consumer
-            # segment and no encoded byte at all.
+            # and output slices crossing by reference -- no segment and
+            # no encoded byte at all.
             clear_default_pools()
             for _ in range(4):
                 _run_warm_driver("process", "sharedmem", 200_000, n_procs,
@@ -423,7 +423,7 @@ if pytest is not None:
             assert len(pools) == 1, pools
             stats = pools[0].fabric.transport.stats
             assert stats.shared_encode_calls == 4, stats.snapshot()
-            assert stats.multi_segments_created == 0, stats.snapshot()
+            assert stats.segments_created == 0, stats.snapshot()
             assert stats.bytes_encoded == 0, stats.snapshot()
         finally:
             clear_default_pools()
@@ -525,14 +525,12 @@ def dispatch_speedup(records):
 
 
 def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
-    """Observed ring geometry and fallback rate of the warm default fleet.
+    """Observed fallback rate of the warm default fleet.
 
     ``runs`` permutations on one persistent process+sharedmem machine
     with a :class:`~repro.pro.telemetry.Telemetry` recorder attached,
-    summarised into the repatriated per-rank ring geometry (capacity,
-    wraps) and the transport's oversize-fallback rate.  Algorithm 1's
-    exchange writes straight into the shared output here, so no rank
-    creates a ring and ``ring_capacity_bytes`` reads ``None``.
+    summarised into the repatriated per-rank encode counts and the
+    transport's in-band fallback rate.
     """
     from repro.pro.telemetry import Telemetry
 
@@ -549,7 +547,6 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
     report = telemetry.last.to_dict()
     encodes = sum(r["transport"]["encode_calls"] for r in report["ranks"])
     fallbacks = sum(r["transport"]["oversize_fallbacks"] for r in report["ranks"])
-    rings = [r["ring"] for r in report["ranks"] if r.get("ring")]
     return {
         "runs": runs,
         "n": n_items,
@@ -557,8 +554,6 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
         "encode_calls": encodes,
         "oversize_fallbacks": fallbacks,
         "fallback_rate": round(fallbacks / encodes, 6) if encodes else 0.0,
-        "ring_capacity_bytes": max((r["capacity"] for r in rings), default=None),
-        "ring_wraps": sum(r["wraps"] for r in rings),
         "parent_shared_encode_calls":
             report["parent_transport"]["shared_encode_calls"],
     }
@@ -577,8 +572,8 @@ def main(argv=None):
         "suite": "bench_backends",
         "schema": 5,
         "rounds": args.rounds,
-        # Schema 5: observed ring geometry + fallback rate of a warm fleet
-        # (repatriated telemetry).
+        # Schema 5: observed fallback rate of a warm fleet (repatriated
+        # telemetry).
         "fleet_telemetry": fleet_telemetry_cells(),
         "records": records,
     }

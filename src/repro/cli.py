@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     machine_flags.add_argument(
         "--persistent", action=argparse.BooleanOptionalAction, default=None,
         help="standing worker pool of the process backend: the p rank "
-             "processes and their shared-memory rings are spawned once and "
+             "processes are spawned once and "
              "reused by every run.  This is the DEFAULT for --backend "
              "process (warm drivers); --no-persistent forces a cold spawn "
              "per run; seed-identical results either way")
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
              "out communication timeouts (requires --retries)")
     telemetry_json_kwargs = dict(
         type=str, default=None, metavar="PATH",
-        help="write the run's FleetReport (per-rank transport counters, ring "
-             "geometry, pool/resilience events) to PATH as JSON; collection "
+        help="write the run's FleetReport (per-rank transport counters, "
+             "pool/resilience events) to PATH as JSON; collection "
              "never perturbs the results",
     )
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     permute.add_argument("--head", type=int, default=10, help="how many output items to print")
     permute.add_argument("--verbose", action="store_true",
                          help="also print the fleet report (per-rank kernel "
-                              "tiers, transport counters, ring geometry and "
+                              "tiers, transport counters and "
                               "resilience events repatriated with the results)")
     permute.add_argument("--telemetry-json", **telemetry_json_kwargs)
 
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", parents=[machine_flags],
         help="run a fixed permutation workload and print its fleet report "
-             "(repatriated telemetry: transport counters, ring geometry, events)")
+             "(repatriated telemetry: transport counters, events)")
     stats.add_argument("--n", type=int, default=100_000, help="number of items to permute")
     stats.add_argument("--procs", type=int, default=4, help="number of virtual processors")
     stats.add_argument("--seed", type=int, default=0, help="machine seed")

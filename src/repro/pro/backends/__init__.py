@@ -39,12 +39,12 @@ The process backend additionally takes a *payload transport*
 (``transport="sharedmem" | "pickle"``, see
 :mod:`repro.pro.backends.transport`): the queue fabric carries only small
 control records while bulk NumPy payloads travel through shared-memory
-segments (zero-copy on the receive side, fixed-size per-sender rings,
-refcounted multi-consumer argument segments) or, with ``"pickle"``,
-through the queue pipe as raw buffers.  With ``persistent=True`` the
-backend runs on a standing :class:`~repro.pro.backends.pool.WorkerPool`
-of long-lived daemon ranks, amortising process spawn and ring setup
-across runs (the module-level :func:`~repro.pro.backends.pool.pool`
+segments (zero-copy on the receive side; one segment per bulk message,
+and by reference for memory the parent allocated) or, with
+``"pickle"``, through the queue pipe as raw buffers.  With
+``persistent=True`` the backend runs on a standing
+:class:`~repro.pro.backends.pool.WorkerPool` of long-lived daemon ranks,
+amortising process spawn across runs (the module-level :func:`~repro.pro.backends.pool.pool`
 context manager wraps the whole machine lifecycle).  Driver calls are
 *warm by default*: with ``backend="process"`` they borrow a keyed fleet
 from the process-wide default pool cache

@@ -4,7 +4,7 @@ The permutation and matrix algorithms are only trustworthy if the whole
 backend matrix fails *cleanly*: a crashed rank, a dropped message or a
 broken barrier must surface as a :class:`~repro.util.errors.BackendError`
 in the caller, with siblings failing fast and every out-of-band resource
-(shared-memory segment, ring slot) released.  This module makes those
+(shared-memory segment) released.  This module makes those
 failures injectable on demand, against *any* backend, by wrapping the
 fabric each rank sees:
 

@@ -6,8 +6,7 @@ parallel machine is a *standing* resource whose setup is paid once; a
 standing pool makes the backend behave that way:
 
 * ``p`` long-lived daemon ranks are spawned **once**, inheriting the
-  fabric (queues, barrier, shared-memory ring segments) that every later
-  run reuses;
+  fabric (queues, barrier) that every later run reuses;
 * each ``run()`` dispatches one lightweight *run-epoch record* per rank
   -- the rank's freshly built random stream and cost recorder plus the
   (pickled) program and arguments -- through a per-rank task queue;
@@ -46,10 +45,10 @@ lambdas.  An unserialisable program raises
 
 Bulk arguments are encoded through the payload transport once **per
 run**: transports with ``encode_shared`` (the default ``sharedmem``)
-write them into a single refcounted multi-consumer segment that every
-rank attaches -- one memcpy total, unlinked after the last rank's
-acknowledgement -- and purely in-band transports (``pickle``) reuse one
-encoded record for every rank.  Only duck-typed transports with
+stage them in one by-reference segment that every rank attaches -- one
+memcpy total, unlinked by ``end_run`` once the run has returned -- and
+purely in-band transports (``pickle``) reuse one encoded record for
+every rank.  Only duck-typed transports with
 out-of-band ``dispose`` but no ``encode_shared`` still pay one encode
 per rank.  A fork still inherits the arguments for free, so with the
 in-band ``pickle`` transport large-argument workloads can be slower
@@ -75,15 +74,15 @@ epoch), drains their task queues and sweeps the poisoned epoch's
 straggler results without waiting (disposing out-of-band records),
 restores the standing fabric
 (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inbox drain,
-barrier reset, fresh sender rings for the replacements) and respawns
-**only the dead ranks** into it.  Survivor ranks keep their processes,
-their warm transports and their PIDs.  Because per-rank streams are
-rebuilt by the machine for every attempt, the replayed epoch is
-bit-identical to a fault-free run.
+barrier reset, or fresh inboxes and barrier when no rank survives) and
+respawns **only the dead ranks** into it.  Survivor ranks keep their
+processes, their warm transports and their PIDs.  Because per-rank
+streams are rebuilt by the machine for every attempt, the replayed epoch
+is bit-identical to a fault-free run.
 
-``close()`` drains and disposes undelivered records and retires every
-shared-memory ring segment, so a full lifecycle leaks no segments and no
-``resource_tracker`` warnings.
+``close()`` drains and disposes undelivered records and unlinks the
+by-reference segments of the fleet's runs, so a full lifecycle leaks no
+segments and no ``resource_tracker`` warnings.
 """
 
 from __future__ import annotations
@@ -122,11 +121,6 @@ except ImportError:  # pragma: no cover - exercised where cloudpickle is absent
 
 __all__ = ["WorkerPool", "pool", "get_default_pool", "clear_default_pools",
            "default_pools"]
-
-#: Result-queue sentinel of a multi-consumer argument-segment receipt
-#: (``(epoch, rank, ok, payload)`` entries carry it in the ``ok`` slot).
-_SHARED_ACK = "__shared-ack__"
-
 
 def _dumps(obj) -> bytes:
     """Serialise ``obj`` for the dispatch queue (cloudpickle fallback)."""
@@ -176,8 +170,8 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
 
     A standing rank (``epoch_task`` is ``None``) blocks on its task queue;
     ``None`` is the shutdown sentinel.  Each task carries one pickled
-    run-epoch: receipts for ring slots the parent has released, the rank's
-    fresh context pieces, the pickled program and the encoded arguments.
+    run-epoch: the rank's fresh context pieces, the pickled program and
+    the encoded arguments.
     A rank of a one-epoch pool gets its single epoch as ``epoch_task``
     instead -- the program and ``(args, kwargs)`` as plain objects,
     inherited through ``fork`` -- and exits after it.  A failing epoch
@@ -192,8 +186,7 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             if raw is None:
                 return
             task = pickle.loads(raw)
-        (epoch, receipts, rng, cost, program, args_record,
-         wait_timeout) = task
+        epoch, rng, cost, program, args_record, wait_timeout = task
         # Scope this run's message tags to its epoch and drop anything a
         # previous run parked but never consumed: stale messages must not
         # satisfy a later run's receive.
@@ -203,32 +196,14 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
         # inside the remaining budget instead of the standing default.
         fabric.timeout = wait_timeout
         fabric._parked.clear()
-        for receipt in receipts:
-            try:
-                fabric.transport.ring_ack(receipt)
-            except Exception:  # pragma: no cover - acks are best effort
-                pass
         try:
             if epoch_task is None:
                 program = pickle.loads(program)
                 # Bulk arguments travel out-of-band through the payload
                 # transport (the control record above stays small); with
                 # the shared-memory transport the worker gets zero-copy
-                # views of the run's shared multi-consumer segment.  The
-                # attach receipt the decode fires goes straight back to
-                # the parent on the result queue, so the segment can be
-                # unlinked as soon as the last rank holds a mapping.
-                def _args_ack(receipt, _rank=rank):
-                    try:
-                        result_queue.put((None, _rank, _SHARED_ACK, receipt))
-                    except Exception:  # pragma: no cover - queue already closed
-                        pass
-
-                if fabric._ack_aware:
-                    args, kwargs = fabric.transport.decode(args_record,
-                                                           ack=_args_ack)
-                else:
-                    args, kwargs = fabric.transport.decode(args_record)
+                # views of the parent's segments.
+                args, kwargs = fabric.transport.decode(args_record)
             else:
                 args, kwargs = args_record
             # Rebuild the context around the fabric: communicator state
@@ -242,11 +217,11 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             )
             value = program(ctx, *args, **kwargs)
             variates = getattr(ctx.rng, "total_variates", None)
-            encoded = fabric.encode_payload(rank, value, result=True)
+            encoded = fabric.encode_result(value)
             # Counters accumulate across epochs in a standing worker; the
             # snapshot repatriates the running totals with this epoch's
             # result record (the parent reports the latest view).
-            ctx.cost.telemetry = capture_rank_telemetry(fabric, rank)
+            ctx.cost.telemetry = capture_rank_telemetry(fabric)
             result_queue.put((epoch, rank, True, (encoded, ctx.cost, variates)))
             # Views of by-reference segments must not outlive the epoch:
             # dropping them closes this rank's mappings now, not at the
@@ -353,10 +328,6 @@ class WorkerPool:
         #: reported): exactly the set heal() stops and respawns.
         self._suspect_ranks: set = set()
         self._closed = False
-        #: Ring receipts released by parent-side result views since the
-        #: last dispatch (appended from weakref finalizers; popped -- an
-        #: atomic list operation -- when the next run ships them).
-        self._pending_receipts: list = []
 
     def _spawn(self, rank: int, epoch_task=None):
         """Start (and return) the worker process of ``rank``."""
@@ -452,7 +423,7 @@ class WorkerPool:
             # pickled.
             for rank, ctx in enumerate(contexts):
                 self._workers.append(self._spawn(rank, (
-                    epoch, (), ctx.rng, ctx.cost, program, (args, kwargs),
+                    epoch, ctx.rng, ctx.cost, program, (args, kwargs),
                     wait_timeout)))
         else:
             self._dispatch(epoch, contexts, program, args, kwargs,
@@ -500,17 +471,15 @@ class WorkerPool:
         results: list = [None] * n
         for rank in range(n):
             encoded_value, cost, variates = outcomes[rank][1]
-            results[rank] = self.fabric.decode_payload(
-                encoded_value, ack=self._pending_receipts.append
-            )
+            results[rank] = self.fabric.transport.decode(encoded_value)
             # Fold the worker-side accounting back into the caller's
             # context: the parent's recorder/rng never advanced.
             contexts[rank].cost = cost
             if variates is not None:
                 contexts[rank].rng = _VariateCount(variates)
-        # Every rank has attached what the run dispatched by reference,
-        # so the segment names can go (a failed run keeps them for the
-        # retry that re-dispatches the same arrays).
+        # Every rank has attached what the run dispatched by reference
+        # or staged, so the segment names can go (a failed run keeps them
+        # for the retry that re-dispatches the same arrays).
         end_run = getattr(self.fabric.transport, "end_run", None)
         if end_run is not None:
             end_run()
@@ -520,18 +489,17 @@ class WorkerPool:
                   args: tuple, kwargs: dict, wait_timeout: float) -> None:
         """Queue one pickled run-epoch record per standing rank."""
         n = len(contexts)
-        receipts = self._drain_receipts()
         # Serialise the whole epoch *eagerly* in the parent: a task that
         # cannot be pickled must raise here, as a clear BackendError,
         # before any rank has been dispatched (handing raw objects to the
         # queue would defer pickling to its feeder thread, turning the
         # same failure into a hang).  Bulk array arguments travel
         # out-of-band through the payload transport, encoded once **per
-        # run**: ``encode_shared`` puts them in one refcounted
-        # multi-consumer segment every rank attaches, and purely in-band
-        # records are reused verbatim for every rank.  Only duck-typed
-        # transports with out-of-band dispose but no ``encode_shared``
-        # still pay one encode per rank.
+        # run**: ``encode_shared`` stages them in one by-reference
+        # segment every rank attaches, and purely in-band records are
+        # reused verbatim for every rank.  Only duck-typed transports
+        # with out-of-band dispose but no ``encode_shared`` still pay one
+        # encode per rank.
         args_records: list = []
         task_blobs: list = []
         transport = self.fabric.transport
@@ -541,8 +509,8 @@ class WorkerPool:
             for rank in range(n):
                 ctx = contexts[rank]
                 task_blobs.append(_dumps(
-                    (epoch, receipts.get(rank, []), ctx.rng, ctx.cost,
-                     program_blob, args_records[rank], wait_timeout)
+                    (epoch, ctx.rng, ctx.cost, program_blob,
+                     args_records[rank], wait_timeout)
                 ))
         except Exception as exc:
             for record in args_records:
@@ -550,11 +518,6 @@ class WorkerPool:
                     self.fabric.transport.dispose(record)
                 except Exception:
                     pass
-            # Nothing was dispatched: put the drained ring receipts back so
-            # the slots they name are still acked by a later, successful run
-            # (dropping them would pin ring space for the pool's lifetime).
-            for rank_receipts in receipts.values():
-                self._pending_receipts.extend(rank_receipts)
             raise BackendError(
                 "persistent process runs dispatch the program and its "
                 "arguments through a queue, so they must be picklable "
@@ -568,8 +531,8 @@ class WorkerPool:
     def _encode_args(transport, payload, n: int) -> list:
         """Encode one run's bulk arguments for ``n`` ranks -- once if possible.
 
-        Preference order: ``encode_shared`` (one refcounted multi-consumer
-        record, accepted unless the transport declines with ``None``);
+        Preference order: ``encode_shared`` (one record for every rank,
+        accepted unless the transport declines with ``None``);
         one plain record reused for every rank when the transport is
         purely in-band (its ``dispose`` is the base-class no-op, so a
         record holds no single-consumer resources); per-rank ``encode``
@@ -588,36 +551,17 @@ class WorkerPool:
             return [transport.encode(payload)] * n
         return [transport.encode(payload) for _ in range(n)]
 
-    def _drain_receipts(self) -> dict:
-        """Pending ring receipts grouped by the owning rank."""
-        drained = []
-        while self._pending_receipts:
-            try:
-                drained.append(self._pending_receipts.pop())
-            except IndexError:  # pragma: no cover - finalizer race
-                break
-        if not drained or self.fabric._ring_names is None:
-            return {}
-        by_rank: dict = {}
-        ring_to_rank = {name: rank
-                        for rank, name in enumerate(self.fabric._ring_names)}
-        for receipt in drained:
-            rank = ring_to_rank.get(receipt[0]) if receipt else None
-            if rank is not None:
-                by_rank.setdefault(rank, []).append(receipt)
-        return by_rank
-
     def _collect(self, epoch: int, n: int) -> dict:
         """Gather this epoch's per-rank outcomes, watching worker liveness.
 
         The epoch is complete once every rank is *accounted for*: its
         outcome is in, or its process is dead.  A dead rank's records are
-        already in its result pipe (a queue flushes on exit, and a rank's
-        shared-segment receipts precede its result), so one sweep after
-        the death is seen settles whether it reported.  The loop sleeps in
-        :func:`multiprocessing.connection.wait` on the result pipes and the
-        sentinels of the ranks still running, so a result or a death wakes
-        it at once, and it sweeps only the ranks that woke it.
+        already in its result pipe (a queue flushes on exit), so one sweep
+        after the death is seen settles whether it reported.  The loop
+        sleeps in :func:`multiprocessing.connection.wait` on the result
+        pipes and the sentinels of the ranks still running, so a result or
+        a death wakes it at once, and it sweeps only the ranks that woke
+        it.
 
         There is no overall wall-clock deadline: healthy ranks may compute
         for as long as they like, and blocked communication times out
@@ -718,10 +662,9 @@ class WorkerPool:
                        outcomes: dict | None = None) -> None:
         """Take every record already in ``rank``'s result pipe, without waiting.
 
-        Shared-segment receipts are applied (the segment is unlinked after
-        the last one).  A record of ``epoch`` lands in ``outcomes``; any
-        other success record is a straggler -- of an earlier failed epoch,
-        or swept by heal or close -- whose undecoded value is disposed.
+        A record of ``epoch`` lands in ``outcomes``; any other success
+        record is a straggler -- of an earlier failed epoch, or swept by
+        heal or close -- whose undecoded value is disposed.
         """
         result_queue = self._result_queues[rank]
         while not result_queue.empty():  # the parent is the only reader
@@ -729,12 +672,7 @@ class WorkerPool:
                 e, _rank, ok, payload = result_queue.get()
             except Exception:  # pragma: no cover - truncated pickle after a kill
                 continue
-            if ok == _SHARED_ACK:
-                try:
-                    self.fabric.transport.ring_ack(payload)
-                except Exception:  # pragma: no cover - acks are best effort
-                    pass
-            elif outcomes is not None and e == epoch:
+            if outcomes is not None and e == epoch:
                 outcomes[rank] = (ok, payload)
             elif ok:
                 try:
@@ -774,19 +712,17 @@ class WorkerPool:
            success are still blocked on their task queues and are left
            untouched: they keep their processes, transports and PIDs);
         2. straggler results of the poisoned epoch are swept from the
-           suspects' result queues, applying shared-segment receipts and
-           disposing undecoded values.  The sweep does not wait: every
-           suspect has exited and every survivor has reported, so nothing
-           is still in flight;
+           suspects' result queues, disposing undecoded values.  The
+           sweep does not wait: every suspect has exited and every
+           survivor has reported, so nothing is still in flight;
         3. the suspects' task queues are drained (an undelivered epoch
            holds encoded argument records), and both of their queues are
            replaced by fresh ones;
         4. the standing fabric is healed
            (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
-           inboxes drained and disposed, barrier reset, fresh sender-ring
-           names for the replacements, orphaned shared segments retired;
-        5. replacement workers are spawned for the suspect ranks only,
-           re-handshaking their transports against the healed fabric.
+           inboxes drained and disposed, barrier reset -- or inboxes
+           and barrier replaced, when every rank is a suspect;
+        5. replacement workers are spawned for the suspect ranks only.
 
         Determinism is untouched: the machine rebuilds every rank's stream
         per attempt, so the replayed epoch -- on the mixed fleet of
@@ -853,7 +789,7 @@ class WorkerPool:
                 if raw is None:
                     continue
                 try:
-                    self.fabric.transport.dispose(pickle.loads(raw)[5])
+                    self.fabric.transport.dispose(pickle.loads(raw)[4])
                 except Exception:
                     pass
             for stale in (old_queue, self._result_queues[rank]):
@@ -941,11 +877,11 @@ class WorkerPool:
                 if raw is None:
                     continue
                 try:
-                    self.fabric.transport.dispose(pickle.loads(raw)[5])
+                    self.fabric.transport.dispose(pickle.loads(raw)[4])
                 except Exception:
                     pass
         self._sweep_stopped(range(self.n_procs), terminated)
-        # Retire the rings and unlink in-flight segments on the fabric.
+        # Unlink in-flight and by-reference segments on the fabric.
         self.fabric.shutdown(
             drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
         for task_queue in task_queues:

@@ -35,10 +35,9 @@ Design points:
   spawns the ranks with the epoch in their spawn arguments, collects
   their results and closes.  With ``persistent=True`` the pool is a
   standing fleet of long-lived daemon processes that keep their fabric
-  endpoints and shared-memory ring segments alive across runs, and
-  successive programs are dispatched as lightweight run-epoch records
-  (picklable programs, poison-on-failure crash semantics, explicit or
-  atexit shutdown).
+  endpoints alive across runs, and successive programs are dispatched
+  as lightweight run-epoch records (picklable programs,
+  poison-on-failure crash semantics, explicit or atexit shutdown).
 * **Error propagation** mirrors the thread backend: a failing rank aborts
   the shared barrier (siblings blocked in ``barrier()``/``recv`` fail fast),
   and the first real error by rank order -- preferring causes over
@@ -62,7 +61,6 @@ import multiprocessing
 import queue as _pyqueue
 import threading
 import time
-import uuid
 from typing import Callable, Sequence
 
 from repro.pro.backends.registry import (
@@ -80,11 +78,6 @@ from repro.util.errors import (
 from repro.util.timeouts import scale_timeout
 
 __all__ = ["ProcessBackend", "ProcessFabric"]
-
-#: Control-channel tag of ring-slot acknowledgements.  Records carrying it
-#: are transport receipts, not messages: ``get`` applies them to the local
-#: sender rings and keeps waiting for the real message.
-_RING_ACK_TAG = "__ring-ack__"
 
 #: Control-channel tag of run-abort poison pills (see
 #: :meth:`ProcessFabric.poison_waits`).  ``abort()`` only breaks the
@@ -144,9 +137,6 @@ class ProcessFabric:
         self._barrier = self._mp.Barrier(n_procs)
         # (src, tag) -> list of decoded payloads, private to the rank's process.
         self._parked: dict = {}
-        # Ring receipts of messages a rank sent itself (see ``put``); they
-        # are applied before the rank's next encode reuses its ring.
-        self._self_receipts: list = []
         #: Run-epoch of the fabric, stamped by the worker pool at every
         #: dispatch.  Every message tag is wrapped as ``(epoch, tag)`` so a
         #: message that a successful run sent but never consumed can never
@@ -154,82 +144,22 @@ class ProcessFabric:
         #: parks under its own epoch until the worker clears stale state
         #: at the next dispatch (see ``_rank_main`` in the pool module).
         self.epoch = 0
-        # One ring-segment name per sender rank (see the sharedmem
-        # transport): a reusable bulk buffer that amortises segment
-        # creation over every message the rank sends during this run.
-        # Transports whose encode() has no ring parameter simply never see
-        # the names.
-        try:
-            ring_aware = "ring" in inspect.signature(self.transport.encode).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            ring_aware = False
         try:
             self._byref_aware = ("by_reference"
                                  in inspect.signature(self.transport.encode).parameters)
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
             self._byref_aware = False
-        try:
-            ack_aware = "ack" in inspect.signature(self.transport.decode).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            ack_aware = False
-        self._ack_aware = ack_aware and hasattr(self.transport, "ring_ack")
-        token = uuid.uuid4().hex[:12]
-        self._ring_names = (
-            [f"pro{token}r{src}" for src in range(n_procs)] if ring_aware else None
-        )
 
-    def encode_payload(self, src: int, payload, *, result: bool = False):
-        """Encode a payload sent by rank ``src`` (using its ring if any).
+    def encode_result(self, payload):
+        """Encode a rank's returned result.
 
-        ``result=True`` marks the rank's returned result, whose arrays may
-        cross by reference when they lie in memory the parent owns (see
-        the transport contract); messages between ranks are always copied.
+        Its arrays may cross by reference when they lie in memory the
+        parent owns (see the transport contract); messages between ranks
+        are always copied.
         """
-        while self._self_receipts:
-            try:
-                self.transport.ring_ack(self._self_receipts.pop())
-            except Exception:  # pragma: no cover - acks are best effort
-                pass
-        options = {}
-        if self._ring_names is not None:
-            options["ring"] = self._ring_names[src]
-        if result and self._byref_aware:
-            options["by_reference"] = True
-        return self.transport.encode(payload, **options)
-
-    def _ack_sink(self, src: int):
-        """Callable routing a decode acknowledgement back to rank ``src``.
-
-        The receipt travels as an in-band control record through the
-        sender's inbox; the sender applies it to its ring the next time it
-        reads the inbox.  Fired from ``weakref`` finalizers, possibly
-        during interpreter shutdown, so failures are swallowed.
-        """
-        inbox = self._inboxes[src]
-
-        def _ack(receipt) -> None:
-            try:
-                inbox.put((-1, _RING_ACK_TAG, receipt))
-            except Exception:  # pragma: no cover - queue already closed
-                pass
-
-        return _ack
-
-    def decode_payload(self, record, *, src: int | None = None, ack=None):
-        """Decode ``record``, wiring up slot acknowledgements when possible.
-
-        ``src`` routes acks back through the control channel (messages read
-        by ``get``); ``ack`` passes an explicit callback instead (results
-        decoded in the pool's parent, which batches receipts into the next
-        dispatch).  With neither -- or an ack-unaware transport -- slots
-        simply stay allocated until the ring is retired.
-        """
-        if self._ack_aware:
-            if ack is None and src is not None and src >= 0:
-                ack = self._ack_sink(src)
-            if ack is not None:
-                return self.transport.decode(record, ack=ack)
-        return self.transport.decode(record)
+        if self._byref_aware:
+            return self.transport.encode(payload, by_reference=True)
+        return self.transport.encode(payload)
 
     def put(self, src: int, dst: int, tag, payload) -> None:
         """Deposit a message; never blocks (queues are unbounded).
@@ -239,13 +169,12 @@ class ProcessFabric:
         pill that a failing sibling deposits in the same inbox, so a rank
         with no cross-rank dependency still finishes an aborted epoch.  It
         is encoded and decoded as usual, so the receiver gets the same copy
-        and the transport counters see the same traffic.  Its ring-slot
-        receipt stays local too: the sender ring lives in this process.
+        and the transport counters see the same traffic.
         """
-        record = self.encode_payload(src, payload)
+        record = self.transport.encode(payload)
         if src == dst:
             self._parked.setdefault((src, (self.epoch, tag)), []).append(
-                self.decode_payload(record, ack=self._self_receipts.append))
+                self.transport.decode(record))
             return
         self._inboxes[dst].put((src, (self.epoch, tag), record))
 
@@ -286,14 +215,6 @@ class ProcessFabric:
                     ),
                     rank=dst, op="recv", src=src,
                 ) from None
-            if msg_tag == _RING_ACK_TAG:
-                # A receiver finished with one of our ring slots: reclaim
-                # it and keep waiting for the real message.
-                try:
-                    self.transport.ring_ack(record)
-                except Exception:  # pragma: no cover - acks are best effort
-                    pass
-                continue
             if msg_tag == _ABORT_TAG:
                 # Poison pill: the run this receive belongs to was aborted.
                 # Pills are stamped with the epoch they poisoned; one that
@@ -308,7 +229,7 @@ class ProcessFabric:
                         rank=dst, op="recv", src=src,
                     )
                 continue
-            payload = self.decode_payload(record, src=msg_src)
+            payload = self.transport.decode(record)
             if msg_src == src and msg_tag == tag:
                 return payload
             self._parked.setdefault((msg_src, msg_tag), []).append(payload)
@@ -358,56 +279,46 @@ class ProcessFabric:
             except Exception:  # pragma: no cover - queue already closed
                 pass
 
-    def heal(self, respawned_ranks: Sequence[int] = ()) -> None:
+    def heal(self, respawned_ranks: Sequence[int]) -> None:
         """Restore a *standing* fabric after a failed epoch (pool supervision).
 
         Called by :meth:`~repro.pro.backends.pool.WorkerPool.heal` once the
-        failed epoch's workers have stopped and before replacements start:
+        failed epoch's workers have stopped and before replacements start
+        for ``respawned_ranks``:
 
         * every inbox is swept, without waiting, and the undelivered
           records handed to ``transport.dispose`` (the poisoned epoch's
           in-flight payloads must not pin shared-memory segments for the
           fabric's remaining lifetime) -- safe because no run is in flight
           and idle survivors only read their *task* queues;
-        * the shared barrier, broken by ``abort()``, is reset for reuse;
-        * each respawned rank gets a **fresh sender-ring name** and its old
-          ring is retired: the dead worker owned the old segment, so the
-          replacement re-handshakes its transport from scratch (receivers
-          attach by the name embedded in each record, and survivors never
-          read another rank's ring name, so the swap is race-free);
-        * multi-consumer shared segments whose consumers died before
-          acknowledging are retired (``retire_shared``).
+        * when every rank is respawned, the inboxes and the barrier are
+          replaced by fresh ones: a rank that died inside a queue or
+          barrier operation -- ``os._exit`` or a kill while its queue
+          feeder thread held an inbox's write lock -- leaves that lock held
+          for good, and no live process could ever release it;
+        * otherwise survivors keep using them, and the barrier, broken by
+          ``abort()``, is reset for reuse.
 
-        Ring acks parked in drained inboxes are dropped, not applied: ring
-        bookkeeping lives in the owning worker's process, so a surviving
-        ring keeps any un-acked slots pinned until it retires -- bounded,
-        and irrelevant in the common all-ranks-exited failure.
+        The replacements need nothing else: a rank's transport holds no
+        state that outlives the messages it sent.
         """
         # The suspects have exited, so what they sent is in the pipes
         # already; a survivor's send still being flushed lands under the
         # poisoned epoch's tag, which quarantines it, and close() disposes
         # it if no rank reads it.  Hence no wait.
         self._drain_inboxes(0.0, name="pro-fabric-heal-drain")
+        if set(respawned_ranks) >= set(range(self.n_procs)):
+            stale, self._inboxes = (self._inboxes,
+                                    [self._mp.Queue() for _ in range(self.n_procs)])
+            self._barrier = self._mp.Barrier(self.n_procs)
+            for inbox in stale:
+                inbox.close()
+                inbox.cancel_join_thread()
+            return
         try:
             self._barrier.reset()
         except Exception:  # pragma: no cover - a broken reset fails the heal later
             pass
-        if self._ring_names is not None and respawned_ranks:
-            token = uuid.uuid4().hex[:12]
-            retired = []
-            for rank in respawned_ranks:
-                retired.append(self._ring_names[rank])
-                self._ring_names[rank] = f"pro{token}r{rank}"
-            try:
-                self.transport.retire_rings(retired)
-            except Exception:  # pragma: no cover - retirement is best effort
-                pass
-        retire_shared = getattr(self.transport, "retire_shared", None)
-        if retire_shared is not None:
-            try:
-                retire_shared()
-            except Exception:  # pragma: no cover - retirement is best effort
-                pass
 
     def shutdown(self, *, drain_timeout: float = 0.0) -> None:
         """Drain undelivered messages and release their transport resources.
@@ -437,20 +348,13 @@ class ProcessFabric:
         cleanup, which is what it is for -- rather than hanging the caller.
         """
         self._drain_inboxes(drain_timeout, name="pro-fabric-drain")
-        if self._ring_names is not None:
+        # The names of the by-reference segments the fabric's runs used.
+        end_run = getattr(self.transport, "end_run", None)
+        if end_run is not None:
             try:
-                self.transport.retire_rings(self._ring_names)
-            except Exception:  # pragma: no cover - retirement is best effort
+                end_run()
+            except Exception:  # pragma: no cover - unlinking is best effort
                 pass
-        for retire in ("retire_shared", "end_run"):
-            # Multi-consumer segments abandoned mid-run, and the names of
-            # the by-reference segments the fabric's runs used.
-            hook = getattr(self.transport, retire, None)
-            if hook is not None:
-                try:
-                    hook()
-                except Exception:  # pragma: no cover - retirement is best effort
-                    pass
         for inbox in self._inboxes:
             inbox.close()
             inbox.cancel_join_thread()
@@ -517,8 +421,7 @@ class ProcessBackend(ExecutionBackend):
         standing :class:`~repro.pro.backends.pool.WorkerPool` of
         long-lived daemon processes instead: the pool (one per
         ``n_procs``) is created on the first run and reused by every later
-        run, amortising process spawn
-        and shared-memory ring setup.  Programs and arguments must then be
+        run, amortising process spawn.  Programs and arguments must then be
         picklable even under ``fork`` (they travel through the dispatch
         queue; ``cloudpickle`` widens this to closures when installed).
         Results stay bit-identical to the non-persistent path for a fixed

@@ -173,7 +173,7 @@ a rank's :class:`~repro.pro.cost.CostRecorder` crosses the address-space
 gap with the existing result record, with no wire-format change.  Rules:
 
 * an out-of-address-space backend snapshots each rank's transport
-  counters and sender-ring geometry onto ``ctx.cost.telemetry``
+  counters onto ``ctx.cost.telemetry``
   (:func:`~repro.pro.telemetry.capture_rank_telemetry`) just before the
   rank's result record is queued -- cold and persistent runs alike;
 * in-address-space backends (inline/thread/sim) attach nothing; the

@@ -16,12 +16,13 @@ the library:
 
 ``"sharedmem"`` (:class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`)
     Bulk array payloads travel through ``multiprocessing.shared_memory``
-    segments: the sender copies each large array into a dedicated segment
-    exactly once and ships only ``(segment name, offset, dtype, shape)``
-    control records through the queue; the receiver attaches the segment
-    and hands out **zero-copy** NumPy views.  Small arrays and non-array
-    payloads fall back to the pickle codec, as does everything when shared
-    memory is unavailable on the platform.
+    segments: the sender copies a message's large arrays into a segment of
+    its own exactly once and ships only ``(segment name, offset, dtype,
+    shape)`` control records through the queue; the receiver attaches the
+    segment and hands out **zero-copy** NumPy views.  Memory the parent
+    allocated crosses by reference instead (see below).  Small arrays and
+    non-array payloads fall back to the pickle codec, as does everything
+    when shared memory is unavailable on the platform.
 
 Transport contract
 ------------------
@@ -29,49 +30,26 @@ A transport is any object with
 
 ``name``
     A short identifier (``"pickle"``, ``"sharedmem"``, ...).
-``encode(payload, *, ring=None) -> record``
+``encode(payload) -> record``
     Turn a payload into a picklable control record.  Called in the sending
-    process; must not consume randomness or mutate the payload.  ``ring``
-    is an optional fabric-provided name of a reusable per-sender buffer
-    (see the shared-memory transport's ring segments); transports may
-    ignore it.
-``decode(record, *, ack=None) -> payload``
+    process; must not consume randomness or mutate the payload.
+``decode(record) -> payload``
     Inverse of ``encode``; called exactly once per delivered record in the
     receiving process.  Arrays may be returned as views into transport
     owned buffers provided the buffer outlives every returned view.
-    ``ack`` is an optional fabric-provided callable; a transport that
-    allocated reclaimable out-of-band space for the record (a ring slot)
-    calls ``ack(receipt)`` once the receiver is done with the payload (all
-    zero-copy views garbage collected), and the fabric routes the receipt
-    back to the sending process, which applies it via :meth:`ring_ack`.
-    Transports may ignore ``ack``; fabrics only pass it to transports
-    whose ``decode`` signature accepts it.
-``ring_ack(receipt) -> None`` (optional)
-    Apply a receiver acknowledgement in the *sending* process: the space
-    named by ``receipt`` may be reused for future messages.  This is what
-    lets the shared-memory ring segments wrap around instead of degrading
-    to per-message segments on long runs.
-``encode_shared(payload, n_consumers, *, ring=None) -> record | None`` (optional)
+    Nothing is acknowledged back to the sender.
+``encode_shared(payload, n_consumers) -> record | None`` (optional)
     Encode once for ``n_consumers`` independent receivers: the same record
     is delivered to (and decoded by) every consumer, so persistent pools
     can ship one run's bulk dispatch arguments with a single encode
-    instead of one per rank.  The shared-memory transport backs this with
-    a *refcounted* segment unlinked after the last consumer's ack;
-    returning ``None`` declines and the caller falls back to per-consumer
-    ``encode``.
+    instead of one per rank.  The shared-memory transport copies the bulk
+    arguments once into a by-reference staging segment that stays linked
+    until ``end_run``; returning ``None`` declines and the caller falls
+    back to per-consumer ``encode``.
 ``dispose(record) -> None``
     Release any out-of-band resources (e.g. shared-memory segments) held
     by a record that will *never* be decoded -- the fabric calls this when
     draining undelivered messages on shutdown, abort and timeout paths.
-    For a multi-consumer record, one ``dispose`` call releases one
-    undelivered copy's share of the refcount.
-``retire_rings(names) -> None`` (optional)
-    Unlink/release the named ring buffers at the end of a fabric run;
-    only called by fabrics that handed out ring names.
-``retire_shared() -> None`` (optional)
-    Unlink every outstanding multi-consumer segment this process still
-    tracks; called during fabric shutdown so crashed or abandoned runs
-    leak nothing.
 ``empty(shape, dtype) -> numpy.ndarray | None`` (optional)
     Allocate an array whose memory crosses this transport **by
     reference** (see below), or return ``None`` to decline -- which is
@@ -118,15 +96,13 @@ once per decoded record -- and hands out views into it.  Lifetimes:
 * ordinary fabric messages (``put``) keep copy semantics: a rank that
   sends a view into such a segment sends a copy.
 
-What the rings carry
---------------------
-Fabric messages -- control traffic (scatters, matrix rows, scan
-offsets, ring acks) and the bulk messages of programs that send them --
-still go through ``encode``/``decode`` and, with ``sharedmem``, through
-the sender rings.  Algorithm 1's exchange pieces do not when its output
-vector is a by-reference segment: ``is_shared`` holds for every slice,
-so the senders write their pieces into the receivers' slices directly
-and a single-attempt driver call encodes no bulk byte.
+Fabric messages -- control traffic (scatters, matrix rows, scan offsets)
+and the bulk messages of programs that send them -- go through
+``encode``/``decode``, a bulk one in a segment of its own.  Algorithm 1's
+exchange pieces do not when its output vector is a by-reference segment:
+``is_shared`` holds for every slice, so the senders write their pieces
+into the receivers' slices directly and a single-attempt driver call
+encodes no bulk byte.
 
 Transports are deliberately independent of the random streams, so a fixed
 machine seed produces bit-identical results on every transport (enforced by
@@ -158,18 +134,10 @@ SHMREF = "shmref"
 #: Marker of a record whose bulk arrays live in one dedicated segment
 #: (created per message, unlinked by the receiver on decode).
 SHMSEG = "shmseg"
-#: Marker of a record whose bulk arrays live in a per-sender ring segment
-#: (created once per fabric, reclaimed slot-by-slot through receiver
-#: acknowledgements, retired by the fabric at shutdown).
-SHMRING = "shmring"
-#: Marker of a *multi-consumer* record: one refcounted segment read by
-#: ``n_consumers`` independent receivers (the worker pool's bulk dispatch
-#: arguments), unlinked by the encoder once the last consumer has
-#: acknowledged its attach (see ``PayloadTransport.encode_shared``).
-SHMMULTI = "shmmulti"
 #: Marker of a *by-reference* array: ``(SHMVIEW, segment name, creator
-#: pid, byte offset, dtype, shape)`` names memory both sides map (see
-#: ``PayloadTransport.empty``); nothing was copied to encode it.
+#: pid, shared, byte offset, dtype, shape)`` names memory both sides map
+#: (see ``PayloadTransport.empty``); nothing was copied to encode it.
+#: ``shared`` is False for a staged copy of a run's private arguments.
 SHMVIEW = "shmview"
 
 
@@ -179,21 +147,19 @@ class TransportStats:
     Every built-in transport exposes one as its ``stats`` attribute.  The
     interesting invariants they pin: persistent dispatch encodes bulk
     arguments **once per run** (``shared_encode_calls`` grows by one per
-    ``run()``, not by ``p``), and ``oversize_fallbacks`` counts the
-    messages a sender ring could not place.
+    ``run()``, not by ``p``), ``segments_created`` counts message and
+    staging segments, and ``oversize_fallbacks`` counts the bulk
+    payloads sent in-band because segment creation failed.
     """
 
     __slots__ = ("encode_calls", "shared_encode_calls", "decode_calls",
-                 "segments_created", "multi_segments_created",
-                 "ring_messages", "oversize_fallbacks", "bytes_encoded")
+                 "segments_created", "oversize_fallbacks", "bytes_encoded")
 
     def __init__(self):
         self.encode_calls = 0
         self.shared_encode_calls = 0
         self.decode_calls = 0
         self.segments_created = 0
-        self.multi_segments_created = 0
-        self.ring_messages = 0
         self.oversize_fallbacks = 0
         self.bytes_encoded = 0
 
@@ -258,50 +224,31 @@ class PayloadTransport:
 
     name = "abstract"
 
-    def encode(self, payload, *, ring: str | None = None):
+    def encode(self, payload):
         """Turn ``payload`` into a picklable control record."""
         raise NotImplementedError
 
-    def decode(self, record, *, ack=None):
-        """Rebuild the payload of a delivered control record.
-
-        ``ack``, when given, is called with a receipt once the receiver has
-        released the record's reclaimable out-of-band space (if any).
-        """
+    def decode(self, record):
+        """Rebuild the payload of a delivered control record."""
         raise NotImplementedError
 
-    def encode_shared(self, payload, n_consumers: int, *, ring: str | None = None):
+    def encode_shared(self, payload, n_consumers: int):
         """Encode ``payload`` once for ``n_consumers`` independent receivers.
 
         Used by the worker pool to ship one run's bulk dispatch arguments:
         the same returned record is delivered to every rank, so the
         encoding must be safe to :meth:`decode` ``n_consumers`` times (the
-        shared-memory transport backs it with one *refcounted* segment
-        unlinked after the last consumer's acknowledgement).  Returning
-        ``None`` declines -- the caller falls back to per-consumer
-        :meth:`encode` -- which is what this base implementation does.
+        shared-memory transport stages the bulk arguments in one
+        by-reference segment that stays linked until :meth:`end_run`).
+        Returning ``None`` declines -- the caller falls back to
+        per-consumer :meth:`encode` -- which is what this base
+        implementation does.
         """
         return None
 
     def dispose(self, record) -> None:
-        """Release out-of-band resources of a record that won't be decoded.
-
-        For multi-consumer records this is called once per *undelivered
-        copy* and must release that copy's share of the refcount.
-        """
+        """Release out-of-band resources of a record that won't be decoded."""
         # In-band transports hold nothing outside the record itself.
-
-    def ring_ack(self, receipt) -> None:
-        """Apply a receiver acknowledgement in the sending process."""
-        # In-band transports have no reclaimable out-of-band space.
-
-    def retire_rings(self, names) -> None:
-        """Release the named per-sender ring buffers (end of a fabric run)."""
-        # In-band transports have no rings.
-
-    def retire_shared(self) -> None:
-        """Unlink every outstanding multi-consumer segment of this process."""
-        # In-band transports have no shared segments.
 
     def empty(self, shape, dtype):
         """An array that crosses this transport by reference, or ``None``.
@@ -341,7 +288,7 @@ class PickleTransport(PayloadTransport):
 
     This is the historic process-backend codec; receivers always get fresh
     writable copies.  It holds no out-of-band state, so :meth:`dispose` is
-    a no-op and ``ring`` hints are ignored.
+    a no-op.
     """
 
     name = "pickle"
@@ -349,16 +296,16 @@ class PickleTransport(PayloadTransport):
     def __init__(self):
         self.stats = TransportStats()
 
-    def encode(self, payload, *, ring: str | None = None):
+    def encode(self, payload):
         self.stats.encode_calls += 1
         return walk_encode(payload, lambda arr: None)
 
-    def encode_shared(self, payload, n_consumers: int, *, ring: str | None = None):
+    def encode_shared(self, payload, n_consumers: int):
         """One in-band record, safely decodable by any number of consumers."""
         self.stats.shared_encode_calls += 1
         return walk_encode(payload, lambda arr: None)
 
-    def decode(self, record, *, ack=None):
+    def decode(self, record):
         self.stats.decode_calls += 1
         return walk_decode(record)
 

@@ -134,8 +134,7 @@ class PROMachine:
         When True the machine runs on a *standing* worker fleet instead of
         paying backend start-up per run -- currently supported by the
         process backend, whose :class:`~repro.pro.backends.pool.WorkerPool`
-        keeps ``p`` daemon ranks (and their shared-memory rings) alive
-        across ``run()`` calls.  Results stay bit-identical to the
+        keeps ``p`` daemon ranks alive across ``run()`` calls.  Results stay bit-identical to the
         non-persistent machine for a fixed seed, because the per-rank
         streams are still derived in the parent on every run.  Requires a
         backend *name* (the flag is forwarded as the factory option
@@ -173,7 +172,7 @@ class PROMachine:
         A :class:`~repro.pro.telemetry.Telemetry` recorder (or ``None``,
         the default, for no collection).  Every completed ``run()``
         appends one :class:`~repro.pro.telemetry.FleetReport` merging the
-        per-rank transport counters and ring geometry repatriated on the
+        per-rank transport counters repatriated on the
         cost recorders with the pool/resilience events observed during
         the run.  Collection is passive: results and RNG accounting stay
         bit-identical with telemetry on or off.

@@ -1,14 +1,14 @@
 """Fleet-wide observability: repatriated telemetry and structured run events.
 
-Per-rank transport counters, ring geometry, kernel-tier choices,
-pool lifecycle and resilience events all *exist* somewhere in the fleet --
+Per-rank transport counters, kernel-tier choices, pool lifecycle and
+resilience events all *exist* somewhere in the fleet --
 but most of them are born inside worker processes and would die there.
 This module repatriates them along the same path the cost contract already
 guarantees for RNG accounting:
 
 * **Per-rank data rides the CostRecorder.**  Workers on out-of-address-space
-  backends snapshot their transport counters and sender-ring geometry onto
-  ``ctx.cost.telemetry`` (see :func:`capture_rank_telemetry`) just before
+  backends snapshot their transport counters onto ``ctx.cost.telemetry``
+  (see :func:`capture_rank_telemetry`) just before
   the result record is queued, so the existing ``(payload, cost, variates)``
   result tuple carries them to the parent with no wire-format change.
 * **Parent-side events go to a process-wide log.**  The pool supervisor and
@@ -30,7 +30,6 @@ at <= 1.05x in ``benchmarks/check_bench_regression.py``.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from typing import Any
@@ -39,7 +38,6 @@ __all__ = [
     "Telemetry",
     "FleetReport",
     "TRANSPORT_COUNTERS",
-    "RING_FIELDS",
     "EVENT_KINDS",
     "record_event",
     "event_seq",
@@ -57,19 +55,8 @@ TRANSPORT_COUNTERS = (
     "shared_encode_calls",
     "decode_calls",
     "segments_created",
-    "multi_segments_created",
-    "ring_messages",
     "oversize_fallbacks",
     "bytes_encoded",
-)
-
-#: Geometry fields of one rank's sender ring (``None`` when the rank never
-#: opened a ring -- pickle transport, or payloads below the shared-memory
-#: threshold).
-RING_FIELDS = (
-    "capacity",
-    "wraps",
-    "reclaimed_bytes",
 )
 
 #: The structured event taxonomy (every ``record_event`` kind in the tree).
@@ -129,12 +116,8 @@ def zeroed_transport_stats() -> dict:
     return {name: 0 for name in TRANSPORT_COUNTERS}
 
 
-def _ring_geometry(ring: Any) -> dict:
-    return {name: int(getattr(ring, name, 0)) for name in RING_FIELDS}
-
-
-def capture_rank_telemetry(fabric: Any, rank: int) -> dict | None:
-    """Snapshot one worker rank's transport counters and ring geometry.
+def capture_rank_telemetry(fabric: Any) -> dict | None:
+    """Snapshot one worker rank's transport counters.
 
     Called by every process-backend worker right before the result
     record is queued; the returned blob is attached to
@@ -146,18 +129,7 @@ def capture_rank_telemetry(fabric: Any, rank: int) -> dict | None:
     stats = getattr(transport, "stats", None)
     if stats is None:
         return None
-    blob: dict = {"transport": dict(stats.snapshot()), "ring": None}
-    ring_names = getattr(fabric, "_ring_names", None)
-    if ring_names:
-        try:
-            from repro.pro.backends.sharedmem import _SENDER_RINGS
-
-            ring = _SENDER_RINGS.get((os.getpid(), ring_names[rank]))
-        except Exception:  # pragma: no cover - sharedmem tier unavailable
-            ring = None
-        if ring is not None:
-            blob["ring"] = _ring_geometry(ring)
-    return blob
+    return {"transport": dict(stats.snapshot())}
 
 
 class FleetReport:
@@ -171,7 +143,7 @@ class FleetReport:
     --------
     >>> report = FleetReport(backend="thread", n_procs=1,
     ...                      ranks=[{"rank": 0, "transport": zeroed_transport_stats(),
-    ...                              "ring": None, "kernel_tier": None,
+    ...                              "kernel_tier": None,
     ...                              "kernel_warmup_seconds": 0.0}])
     >>> sorted(report.to_dict())
     ['backend', 'events', 'n_procs', 'parent_transport', 'ranks', 'resilience', 'schema', 'transport', 'wall_clock_seconds']
@@ -180,7 +152,7 @@ class FleetReport:
     """
 
     #: Version stamp of the ``to_dict()`` JSON shape; bump on breaking change.
-    SCHEMA = 2
+    SCHEMA = 3
 
     def __init__(
         self,
@@ -219,7 +191,6 @@ class FleetReport:
             ranks.append({
                 "rank": recorder.rank,
                 "transport": dict(blob.get("transport") or zeroed_transport_stats()),
-                "ring": blob.get("ring"),
                 "kernel_tier": recorder.kernel_tier,
                 "kernel_warmup_seconds": recorder.kernel_warmup_seconds,
             })
@@ -277,16 +248,9 @@ class FleetReport:
                 f"rank {rank['rank']}: transport "
                 f"{stats.get('encode_calls', 0)} encodes / "
                 f"{stats.get('decode_calls', 0)} decodes / "
-                f"{stats.get('ring_messages', 0)} ring messages / "
+                f"{stats.get('segments_created', 0)} segments / "
                 f"{stats.get('oversize_fallbacks', 0)} fallbacks"
             )
-            ring = rank.get("ring")
-            if ring:
-                lines.append(
-                    f"rank {rank['rank']}: ring capacity {ring['capacity']} B "
-                    f"(wraps {ring['wraps']}, "
-                    f"reclaimed {ring['reclaimed_bytes']} B)"
-                )
         retries = self.resilience.get("retries", 0)
         if retries:
             degraded = self.resilience.get("degraded_to")

@@ -90,7 +90,7 @@ def _rank0_stalls(ctx):
 def _rank0_reports_late(ctx, delay):
     if ctx.rank == 0:
         time.sleep(delay)
-        return np.arange(64_000)  # 512 KB: a dedicated segment, no ring
+        return np.arange(64_000)  # 512 KB: a segment of its own
     return None
 
 
@@ -206,8 +206,8 @@ class TestSupervisionMechanics:
     def test_late_success_of_a_suspect_is_disposed(self):
         # Rank 0 misses the deadline, so it is a suspect, but it still
         # finishes and reports a success while heal() reaps it.  Its
-        # result lives in a dedicated segment (bigger than the tiny
-        # ring), which only the straggler sweep can unlink.
+        # result lives in a segment of its own, which only the straggler
+        # sweep can unlink.
         shm = Path("/dev/shm")
         if not shm.is_dir():
             pytest.skip("no /dev/shm to inspect")
@@ -216,7 +216,7 @@ class TestSupervisionMechanics:
         machine = PROMachine(
             2, seed=SEED, backend="process", persistent=True, retry=policy,
             timeout=scale_timeout(20),
-            backend_options={"transport": SharedMemoryTransport(ring_bytes=4096)})
+            backend_options={"transport": SharedMemoryTransport()})
         try:
             with pytest.raises(DeadlineError):
                 machine.run(_rank0_reports_late, scale_timeout(1.0))

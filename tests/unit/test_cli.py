@@ -344,7 +344,7 @@ class TestStatsAndTelemetry:
         reports = json.loads(path.read_text())
         assert len(reports) == 3
         for report in reports:
-            assert report["schema"] == 2
+            assert report["schema"] == 3
             assert len(report["ranks"]) == 2
         assert "3 fleet report(s)" in capsys.readouterr().out
 
@@ -364,7 +364,7 @@ class TestStatsAndTelemetry:
         assert main(["permute", "--n", "2000", "--procs", "2",
                      "--telemetry-json", str(path)]) == 0
         report = json.loads(path.read_text())
-        assert report["schema"] == 2 and report["n_procs"] == 2
+        assert report["schema"] == 3 and report["n_procs"] == 2
         assert f"fleet report written to {path}" in capsys.readouterr().out
 
     def test_matrix_sequential_rejects_telemetry_json(self):

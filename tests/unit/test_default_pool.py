@@ -6,8 +6,8 @@ Contract (see :mod:`repro.pro.backends.pool`): driver calls with
 a poisoned fleet is evicted and respawned, ``clear_default_pools()`` and
 the interpreter-exit hook release everything leak-free, and warm calls
 stay bit-identical to the cold path for a fixed seed.  Bulk dispatch
-arguments are encoded once per *run*, not once per rank (multi-consumer
-segments), pinned here through the transport counters.
+arguments are encoded once per *run*, not once per rank (one staging
+segment), pinned here through the transport counters.
 """
 
 import os
@@ -108,9 +108,9 @@ class TestWarmDrivers:
             assert np.array_equal(warm, thread), seed
 
     def test_args_encoded_once_per_run_not_per_rank(self):
-        # The pool's dispatch writes one run's bulk arguments into one
-        # multi-consumer segment: p ranks, but exactly one shared encode
-        # and one multi segment per run.
+        # The pool's dispatch stages one run's bulk arguments in one
+        # by-reference segment: p ranks, but exactly one shared encode
+        # and one staging segment per run.
         blocks = [np.arange(50_000) + rank for rank in range(4)]
         machine = resolve_machine(4, backend="process", seed=0)
         try:
@@ -119,16 +119,16 @@ class TestWarmDrivers:
             stats = next(iter(default_pools().values())).fabric.transport.stats
             first = stats.snapshot()
             assert first["shared_encode_calls"] == 1
-            assert first["multi_segments_created"] == 1
+            assert first["segments_created"] == 1
             machine.run(_block_sum_program, blocks)
             second = stats.snapshot()
         finally:
             machine.close()
         assert second["shared_encode_calls"] == first["shared_encode_calls"] + 1
-        assert (second["multi_segments_created"]
-                == first["multi_segments_created"] + 1)
+        assert (second["segments_created"]
+                == first["segments_created"] + 1)
 
-    def test_single_attempt_driver_call_creates_no_multi_segment(self):
+    def test_single_attempt_driver_call_creates_no_segment(self):
         # random_permutation stages its input in the shared output vector,
         # whose slices cross by reference: nothing is copied to dispatch.
         for _ in range(2):
@@ -136,7 +136,7 @@ class TestWarmDrivers:
                                backend="process", seed=0)
         stats = next(iter(default_pools().values())).fabric.transport.stats
         assert stats.shared_encode_calls == 2
-        assert stats.multi_segments_created == 0
+        assert stats.segments_created == 0
         assert stats.bytes_encoded == 0
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the process backend and its multiprocessing fabric."""
 
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -14,6 +15,11 @@ from repro.util.errors import BackendError, ValidationError
 from repro.util.timeouts import scale_timeout
 
 pytestmark = pytest.mark.subprocess  # every test forks rank processes
+
+
+def _die_holding(lock):
+    lock.acquire()
+    os._exit(0)  # no cleanup runs: the lock stays held
 
 
 def _roundtrip(payload):
@@ -189,3 +195,25 @@ class TestProcessFabric:
         started = time.monotonic()
         fabric.shutdown(drain_timeout=timeout)
         assert time.monotonic() - started < 2 * timeout
+
+    def test_heal_replaces_a_wedged_inbox_when_no_rank_survives(self):
+        # A rank that dies while its queue feeder holds an inbox's write
+        # lock leaves the lock held for good, so a send into that inbox
+        # never arrives.  A heal that keeps a survivor keeps the inboxes it
+        # uses; one that respawns every rank replaces them.
+        fork = multiprocessing.get_context("fork")
+        fabric = ProcessFabric(2, timeout=scale_timeout(2.0), mp_context=fork)
+        try:
+            holder = fork.Process(target=_die_holding,
+                                  args=(fabric._inboxes[1]._wlock,))
+            holder.start()
+            holder.join(scale_timeout(5.0))
+            assert not fabric._inboxes[1]._wlock.acquire(timeout=0.05)
+            kept = list(fabric._inboxes)
+            fabric.heal([1])
+            assert fabric._inboxes == kept
+            fabric.heal([0, 1])
+            fabric.put(0, 1, "t", "after heal")
+            assert fabric.get(0, 1, "t", []) == "after heal"
+        finally:
+            fabric.shutdown()

@@ -3,8 +3,8 @@
 The contract under test (the telemetry/repatriation sub-contract in
 ``repro.pro.backends.registry``):
 
-* out-of-address-space ranks snapshot their transport counters and ring
-  geometry onto the cost recorder, so the numbers survive the
+* out-of-address-space ranks snapshot their transport counters onto the
+  cost recorder, so the numbers survive the
   worker->parent gap on both cold (one-epoch pool) and persistent process
   runs;
 * in-address-space backends (inline/thread/sim) report the same counter
@@ -23,7 +23,6 @@ from repro.core.permutation import random_permutation
 from repro.pro.machine import PROMachine
 from repro.pro.telemetry import (
     EVENT_KINDS,
-    RING_FIELDS,
     TRANSPORT_COUNTERS,
     FleetReport,
     Telemetry,
@@ -34,8 +33,8 @@ from repro.pro.telemetry import (
 )
 from repro.util.errors import ValidationError
 
-#: Large enough that every rank's result block travels through the
-#: sharedmem ring (out-of-band) instead of riding the control queue.
+#: Large enough that every rank's block is bulk for the sharedmem
+#: transport (out-of-band) instead of riding the control queue.
 N_ITEMS = 50_000
 P = 4
 SEED = 20030607
@@ -66,17 +65,10 @@ class TestSchema:
         assert sorted(zeroed_transport_stats()) == sorted(TRANSPORT_COUNTERS)
         assert set(zeroed_transport_stats().values()) == {0}
 
-    def test_ring_fields_track_the_sender_ring_lockstep(self):
-        """The ring section is the fixed ring's geometry, read off its slots."""
-        from repro.pro.backends.sharedmem import _SenderRing
-
-        assert RING_FIELDS == ("capacity", "wraps", "reclaimed_bytes")
-        assert set(RING_FIELDS) <= set(_SenderRing.__slots__)
-
     def test_to_dict_key_stability(self):
         report = FleetReport(backend="thread", n_procs=2)
         payload = report.to_dict()
-        assert payload["schema"] == FleetReport.SCHEMA == 2
+        assert payload["schema"] == FleetReport.SCHEMA == 3
         assert sorted(payload) == [
             "backend", "events", "n_procs", "parent_transport", "ranks",
             "resilience", "schema", "transport", "wall_clock_seconds",
@@ -123,7 +115,7 @@ class TestInAddressSpaceBackends:
         assert len(payload["ranks"]) == P
         for rank_record in payload["ranks"]:
             assert rank_record["transport"] == zeroed_transport_stats()
-            assert rank_record["ring"] is None
+            assert "ring" not in rank_record
             assert rank_record["kernel_tier"] is not None
         assert payload["parent_transport"] == zeroed_transport_stats()
 
@@ -135,13 +127,13 @@ class TestInAddressSpaceBackends:
 
 
 #: Items of one bulk-exchange piece: 8 KiB of int64, the sharedmem
-#: transport's default ``min_bytes``, so every piece crosses a ring.
+#: transport's default ``min_bytes``, so every piece crosses in a segment.
 BULK_ITEMS = 1024
 
 
 def _bulk_exchange_program(ctx):
     # Algorithm 1's pieces no longer cross the fabric on sharedmem (the
-    # exchange is one-sided), so ring traffic comes from a plain program.
+    # exchange is one-sided), so bulk messages come from a plain program.
     pieces = [np.full(BULK_ITEMS, ctx.rank, dtype=np.int64)
               for _ in range(ctx.n_procs)]
     return [int(piece[0]) for piece in ctx.comm.alltoallv(pieces)]
@@ -149,7 +141,7 @@ def _bulk_exchange_program(ctx):
 
 @pytest.mark.subprocess
 class TestProcessRepatriation:
-    def test_cold_sharedmem_counters_and_ring_survive(self):
+    def test_cold_sharedmem_counters_and_segments_survive(self):
         telemetry = Telemetry()
         machine = PROMachine(P, seed=SEED, backend="process",
                              backend_options={"transport": "sharedmem"},
@@ -161,21 +153,19 @@ class TestProcessRepatriation:
         assert result.results == [list(range(P))] * P
         payload = telemetry.last.to_dict()
         assert payload["transport"] == "sharedmem"
-        rings = 0
+        senders = 0
         for rank_record in payload["ranks"]:
             stats = rank_record["transport"]
             assert sorted(stats) == sorted(TRANSPORT_COUNTERS)
             assert stats["encode_calls"] > 0
-            assert stats["ring_messages"] > 0  # ring-ack traffic crossed over
+            assert stats["segments_created"] > 0  # bulk messages crossed over
             assert stats["bytes_encoded"] > 0
-            if rank_record["ring"] is not None:
-                rings += 1
-                assert sorted(rank_record["ring"]) == sorted(RING_FIELDS)
-                assert rank_record["ring"]["capacity"] > 0
-        assert rings == P  # every sender repatriated its ring geometry
+            assert "ring" not in rank_record
+            senders += 1
+        assert senders == P  # every sender repatriated its counters
 
     @pytest.mark.parametrize("p", [2, 4])
-    def test_warm_driver_call_puts_no_bytes_on_the_rings(self, p):
+    def test_warm_driver_call_encodes_no_bulk_bytes(self, p):
         # A single-attempt call stages its input in the output segment,
         # the ranks write their pieces straight into it and return their
         # slices by reference: no bulk byte is encoded anywhere.
@@ -195,8 +185,9 @@ class TestProcessRepatriation:
             payload = report.to_dict()
             assert payload["transport"] == "sharedmem"
             assert payload["parent_transport"]["bytes_encoded"] == 0
+            assert payload["parent_transport"]["segments_created"] == 0
             for rank_record in payload["ranks"]:
-                assert rank_record["transport"]["ring_messages"] == 0
+                assert rank_record["transport"]["segments_created"] == 0
                 assert rank_record["transport"]["bytes_encoded"] == 0
 
     def test_cold_pickle_counters_without_rings(self):
@@ -204,7 +195,7 @@ class TestProcessRepatriation:
         payload = telemetry.last.to_dict()
         for rank_record in payload["ranks"]:
             assert rank_record["transport"]["encode_calls"] > 0
-            assert rank_record["ring"] is None
+            assert "ring" not in rank_record
 
     def test_persistent_pool_counters_accumulate_and_encode_once(self):
         telemetry, _ = _run_with_telemetry("process", "sharedmem",

@@ -19,12 +19,11 @@ from repro.pro.backends import sharedmem as sharedmem_module
 from repro.pro.backends.process import ProcessBackend, ProcessFabric
 from repro.pro.backends.sharedmem import (
     SharedMemoryTransport,
-    _SenderRing,
     shared_memory_available,
 )
 from repro.pro.backends.transport import (
-    SHMRING,
     SHMSEG,
+    SHMVIEW,
     PickleTransport,
     available_transports,
     get_transport,
@@ -86,6 +85,12 @@ class TestTransportRegistry:
     def test_min_bytes_validated(self):
         with pytest.raises(ValidationError):
             SharedMemoryTransport(min_bytes=0)
+
+    @pytest.mark.parametrize("option", ["ring_bytes", "ring_max_bytes",
+                                        "ring_min_bytes", "adaptive_ring"])
+    def test_ring_options_are_gone(self, option):
+        with pytest.raises(TypeError, match=option):
+            SharedMemoryTransport(**{option: 1})
 
 
 class TestRoundTrip:
@@ -200,6 +205,8 @@ class TestSharedMemoryLifecycle:
         record = transport.encode(np.arange(1000, dtype=np.int64))
         assert record[0] != SHMSEG
         assert np.array_equal(PickleTransport().decode(record), np.arange(1000))
+        # The bulk payload went in-band: the one fallback left to count.
+        assert transport.stats.oversize_fallbacks == 1
 
 
 class TestFabricIntegration:
@@ -322,210 +329,8 @@ class TestBackendIntegration:
 
 
 @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
-class TestRingWrapAround:
-    """Receiver-acked ring slots: reclamation, wrap-around, fallback."""
-
-    class _FakeShm:
-        def __init__(self, size=256):
-            self.size = size
-            self.buf = memoryview(bytearray(size))
-
-    def test_allocator_reclaims_acked_slots_in_order(self):
-        ring = _SenderRing(self._FakeShm(256))
-        assert ring.allocate(100) == (0, 128)    # 100 -> 128 aligned
-        assert ring.allocate(100) == (128, 256)
-        assert ring.allocate(100) is None        # full until acked
-        ring.ack(256)                            # out of order: tail pinned
-        assert ring.tail == 0
-        ring.ack(128)                            # prefix complete: both free
-        assert ring.tail == 256
-        assert ring.reclaimed_bytes == 256
-
-    def test_allocator_wraps_physically(self):
-        ring = _SenderRing(self._FakeShm(256))
-        first = ring.allocate(100)
-        ring.ack(first[1])
-        second = ring.allocate(100)
-        ring.ack(second[1])
-        third = ring.allocate(100)               # virtual 256: back to offset 0
-        assert third == (0, 384)
-        # a slot that would straddle the physical end skips to the boundary
-        ring.ack(third[1])
-        fourth = ring.allocate(160)              # phys 128 + 192 > 256: pad
-        assert fourth[0] == 0
-        assert ring.wraps == 1
-
-    def test_allocator_rejects_oversize_and_duplicate_acks(self):
-        ring = _SenderRing(self._FakeShm(256))
-        assert ring.allocate(512) is None        # bigger than the ring
-        slot = ring.allocate(64)
-        ring.ack(slot[1])
-        ring.ack(slot[1])                        # duplicate: ignored
-        ring.ack(12345)                          # unknown: ignored
-        assert ring.tail == 64
-
-    def test_stale_receipts_after_a_wrap_are_ignored(self):
-        ring = _SenderRing(self._FakeShm(256))
-        first = ring.allocate(100)
-        ring.ack(first[1])
-        second = ring.allocate(200)              # straddles the end: wraps
-        assert second == (0, 512) and ring.wraps == 1
-        ring.ack(first[1])                       # stale pre-wrap receipt
-        assert (ring.head, ring.tail) == (512, 256)
-        ring.ack(second[1])
-        assert ring.tail == 512
-
-    def test_acked_traffic_never_degrades_to_segments(self):
-        # 50 x 512-byte messages through a 4 KiB ring only stay on the
-        # ring if acked slots are actually reclaimed (PR 2's ring, with
-        # no wrap-around, fell back to dedicated segments after 8).
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        ring_name = "testring-acked"
-        receipts = []
-        try:
-            for i in range(50):
-                record = transport.encode(np.full(64, i, dtype=np.int64),
-                                          ring=ring_name)
-                assert record[0] == SHMRING, (i, record[0])
-                view = transport.decode(record, ack=receipts.append)
-                assert np.array_equal(view, np.full(64, i))
-                del view
-                gc.collect()
-                while receipts:
-                    transport.ring_ack(receipts.pop())
-        finally:
-            transport.retire_rings([ring_name])
-
-    def test_unacked_traffic_falls_back_to_segments(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        ring_name = "testring-unacked"
-        kinds = []
-        try:
-            for i in range(50):
-                record = transport.encode(np.full(64, i, dtype=np.int64),
-                                          ring=ring_name)
-                kinds.append(record[0])
-                transport.dispose(record)
-        finally:
-            transport.retire_rings([ring_name])
-        assert kinds[0] == SHMRING
-        assert SHMSEG in kinds  # ring exhausted without acks: graceful fallback
-
-    def test_ack_fires_only_after_last_view_dies(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        ring_name = "testring-lastview"
-        receipts = []
-        try:
-            payload = {"a": np.arange(64, dtype=np.int64),
-                       "b": np.arange(32, dtype=np.float64)}
-            record = transport.encode(payload, ring=ring_name)
-            assert record[0] == SHMRING
-            out = transport.decode(record, ack=receipts.append)
-            del out["a"]
-            gc.collect()
-            assert receipts == []  # "b" still alive: slot not released
-            del out
-            gc.collect()
-            assert len(receipts) == 1
-            transport.ring_ack(receipts[0])
-        finally:
-            transport.retire_rings([ring_name])
-
-    def test_fabric_routes_acks_between_ranks(self):
-        # Single-process fabric: rank 0 sends to rank 1, rank 1's views
-        # die, and the ack record parked in rank 0's inbox is applied the
-        # next time rank 0 reads its inbox.
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
-                               transport=transport)
-        try:
-            from repro.pro.backends.sharedmem import _SENDER_RINGS
-
-            fabric.put(0, 1, "bulk", np.arange(512, dtype=np.int64))
-            view = fabric.get(0, 1, "bulk", [])
-            assert np.array_equal(view, np.arange(512))
-            ring = _SENDER_RINGS[(os.getpid(), fabric._ring_names[0])]
-            assert ring.tail == 0
-            del view
-            gc.collect()                    # ack lands in rank 0's inbox
-            fabric.put(1, 0, "reply", "pong")
-            assert fabric.get(1, 0, "reply", []) == "pong"
-            assert ring.tail > 0            # ...and was applied on the read
-        finally:
-            fabric.shutdown()
-
-    def test_self_messages_release_their_ring_slots(self):
-        # A rank that only talks to itself (p=1) never reads an ack from
-        # its inbox, so its self-message slots must be reclaimed locally:
-        # 50 x 512-byte messages through a 4 KiB ring stay on the ring.
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        fabric = ProcessFabric(1, timeout=scale_timeout(5.0),
-                               transport=transport)
-        try:
-            for i in range(50):
-                fabric.put(0, 0, "self", np.full(64, i, dtype=np.int64))
-                view = fabric.get(0, 0, "self", [])
-                assert np.array_equal(view, np.full(64, i))
-                del view
-                gc.collect()
-            assert transport.stats.oversize_fallbacks == 0
-            with pytest.raises(queue.Empty):  # no ack records pile up
-                fabric._inboxes[0].get(timeout=scale_timeout(0.2))
-        finally:
-            fabric.shutdown()
-
-    def test_pickle_transport_ignores_ack_machinery(self):
-        transport = PickleTransport()
-        record = transport.encode(np.arange(10))
-        assert np.array_equal(transport.decode(record, ack=lambda r: None),
-                              np.arange(10))
-        transport.ring_ack(("whatever", 0))  # must not raise
-
-
-@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
-class TestFixedRing:
-    """The sender ring's capacity is the declared ``ring_bytes``, always."""
-
-    def test_capacity_is_the_declared_ring_bytes(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=4096)
-        ring_name = "testring-declared"
-        try:
-            from repro.pro.backends.sharedmem import _SENDER_RINGS
-
-            record = transport.encode(np.arange(64, dtype=np.int64),
-                                      ring=ring_name)
-            assert record[0] == SHMRING
-            ring = _SENDER_RINGS[(os.getpid(), ring_name)]
-            assert ring.capacity == 4096
-            transport.dispose(record)
-        finally:
-            transport.retire_rings([ring_name])
-
-    def test_oversize_messages_fall_back_without_growing_the_ring(self):
-        transport = SharedMemoryTransport(min_bytes=16, ring_bytes=1024)
-        ring_name = "testring-oversize"
-        payload = np.arange(512, dtype=np.int64)  # 4 KiB > 1 KiB ring
-        try:
-            from repro.pro.backends.sharedmem import _SENDER_RINGS
-
-            for expected_fallbacks in (1, 2):
-                record = transport.encode(payload, ring=ring_name)
-                assert record[0] == SHMSEG        # a dedicated segment
-                assert transport.stats.oversize_fallbacks == expected_fallbacks
-                assert np.array_equal(transport.decode(record), payload)
-            assert _SENDER_RINGS[(os.getpid(), ring_name)].capacity == 1024
-        finally:
-            transport.retire_rings([ring_name])
-
-    @pytest.mark.parametrize("option",
-                             ["ring_max_bytes", "ring_min_bytes", "adaptive_ring"])
-    def test_adaptive_ring_options_are_gone(self, option):
-        with pytest.raises(TypeError, match=option):
-            SharedMemoryTransport(ring_bytes=4096, **{option: 1})
-
-
 class TestMultiConsumerSegments:
-    """encode_shared: one refcounted segment serves n independent receivers."""
+    """encode_shared: one staged by-reference copy serves n independent receivers."""
 
     def _transport(self):
         return SharedMemoryTransport(min_bytes=16)
@@ -534,61 +339,53 @@ class TestMultiConsumerSegments:
         transport = self._transport()
         payload = {"big": np.arange(512, dtype=np.int64), "tag": "x"}
         record = transport.encode_shared(payload, 3)
-        from repro.pro.backends.transport import SHMMULTI
-
-        assert record[0] == SHMMULTI
+        assert record[1]["big"][0] == SHMVIEW  # a reference to the staged copy
         for _ in range(3):
             out = transport.decode(record)
             assert np.array_equal(out["big"], payload["big"])
             assert out["tag"] == "x"
-        transport.retire_shared()
+        transport.end_run()
 
-    def test_unlinked_after_last_consumer_ack(self):
+    def test_staged_copy_stays_linked_until_end_run(self):
         transport = self._transport()
         before = shm_segments()
-        record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
-        name = record[1]
-        assert name in shm_segments() - before
-        receipts = []
-        out1 = transport.decode(record, ack=receipts.append)
-        assert len(receipts) == 1  # ack fires at attach time
-        transport.ring_ack(receipts.pop())
-        assert name in shm_segments()  # one consumer left: still linked
-        out2 = transport.decode(record, ack=receipts.append)
-        transport.ring_ack(receipts.pop())
-        assert name not in shm_segments()  # last ack unlinked the name
+        payload = np.arange(512, dtype=np.int64)
+        record = transport.encode_shared(payload, 2)
+        staged = shm_segments() - before
+        assert len(staged) == 1
+        assert transport.stats.segments_created == 1
+        assert transport.stats.bytes_encoded == payload.nbytes
+        transport.dispose(record)  # undelivered copies hold no name
+        out1 = transport.decode(record)
+        out2 = transport.decode(record)  # e.g. the next attempt of a retry
+        assert staged <= shm_segments()
+        transport.end_run()
+        assert not staged & shm_segments()
         # mappings outlive the unlink: the views stay readable
-        assert np.array_equal(out1, np.arange(512))
-        assert np.array_equal(out2, np.arange(512))
+        assert np.array_equal(out1, payload)
+        assert np.array_equal(out2, payload)
         del out1, out2
         gc.collect()
-
-    def test_dispose_releases_each_undelivered_copy(self):
-        transport = self._transport()
-        record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
-        name = record[1]
-        transport.dispose(record)
-        assert name in shm_segments()   # one copy still undelivered
-        transport.dispose(record)
-        assert name not in shm_segments()
-
-    def test_retire_shared_reaps_abandoned_segments(self):
-        transport = self._transport()
-        record = transport.encode_shared(np.arange(512, dtype=np.int64), 4)
-        name = record[1]
-        assert name in shm_segments()
-        transport.retire_shared()
-        assert name not in shm_segments()
-        transport.ring_ack((name, "multi"))  # late ack: ignored, no raise
 
     def test_small_payloads_stay_inband_and_reusable(self):
         transport = self._transport()
         record = transport.encode_shared((1, "two", np.arange(1)), 5)
-        from repro.pro.backends.transport import SHMMULTI
-
-        assert record[0] != SHMMULTI  # nothing bulk: plain in-band record
+        assert transport.stats.segments_created == 0  # nothing bulk: in-band
         for _ in range(5):
             assert transport.decode(record)[1] == "two"
+
+    def test_staging_failure_degrades_to_inband(self, monkeypatch):
+        transport = self._transport()
+
+        def boom(*args, **kwargs):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(sharedmem_module._shm_module, "SharedMemory", boom)
+        monkeypatch.setattr(sharedmem_module, "_PROBE", (os.getpid(), True))
+        record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
+        assert np.array_equal(PickleTransport().decode(record), np.arange(512))
+        assert transport.stats.oversize_fallbacks == 1
+        assert transport.stats.segments_created == 0
 
     def test_pickle_transport_encode_shared_is_inband(self):
         transport = PickleTransport()
@@ -602,20 +399,17 @@ class TestMultiConsumerSegments:
             self._transport().encode_shared(np.arange(10), 0)
 
 
-
 class TestByReferenceArrays:
     """Arrays inside an ``empty`` segment cross uncopied in dispatch and results."""
 
     def test_dispatch_references_instead_of_copying(self):
-        from repro.pro.backends.transport import SHMVIEW
-
         transport = SharedMemoryTransport(min_bytes=16)
         out = transport.empty((1000,), np.int64)
         out[:] = np.arange(1000)
         record = transport.encode_shared((out[100:300], out[300:]), 2)
         assert [ref[0] for ref in record[1]] == [SHMVIEW, SHMVIEW]
         assert transport.stats.bytes_encoded == 0
-        assert transport.stats.multi_segments_created == 0
+        assert transport.stats.segments_created == 0
         head, tail = transport.decode(record)
         assert np.array_equal(head, np.arange(100, 300))
         head[0] = -1  # the decoded view is the owner's memory
@@ -649,6 +443,7 @@ class TestByReferenceArrays:
         record = transport.encode_shared(out, 1)
         assert transport.stats.bytes_encoded == out.nbytes
         transport.dispose(record)
+        transport.end_run()
 
     def test_dropped_array_unlinks_and_unmaps(self):
         transport = SharedMemoryTransport(min_bytes=16)

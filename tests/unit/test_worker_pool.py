@@ -281,3 +281,97 @@ class TestPoolShutdown:
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
+
+
+def _shm_names():
+    """Names of the POSIX shared-memory segments currently linked."""
+    try:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
+        pytest.skip("no /dev/shm to inspect")
+
+
+def _echo_block_program(ctx, blocks):
+    return blocks[ctx.rank]
+
+
+def _sum_unless_failing_program(ctx, blocks, fail):
+    if fail and ctx.rank == 1:
+        raise RuntimeError("boom on rank 1")
+    ctx.comm.barrier()
+    return int(blocks[ctx.rank].sum())
+
+
+class TestStagedDispatch:
+    """A standing pool stages private bulk arguments in one segment per dispatch."""
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_retried_run_is_thread_identical_and_leaves_no_name(self, p):
+        from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+
+        data = np.arange(50_000, dtype=np.int64)
+        expected = random_permutation(data, machine=PROMachine(p, seed=5))
+        before = _shm_names()
+        faulty = FaultInjectingBackend(
+            "process", [CrashRank(rank=1, at_op=1, at_run=0)],
+            transport="sharedmem", persistent=True)
+        machine = PROMachine(p, seed=5, backend=faulty, retry=2)
+        try:
+            out = random_permutation(data, machine=machine)
+            assert np.array_equal(out, expected)
+            # Under a retry policy the input is not staged in the output
+            # vector, so each of the two attempts staged its own copy.
+            stats = faulty.backend.transport.stats
+            assert stats.shared_encode_calls == 2
+            assert stats.segments_created == 2
+            assert not _shm_names() - before  # every name of the run is gone
+        finally:
+            machine.close()
+        assert not _shm_names() - before
+        assert np.array_equal(out, expected)  # the output outlives the pool
+
+    def test_returned_staged_block_outlives_the_default_pool(self):
+        from repro.pro.backends.pool import clear_default_pools
+        from repro.pro.machine import resolve_machine
+        from repro.pro.telemetry import Telemetry
+
+        blocks = [np.arange(20_000, dtype=np.int64) * (rank + 1)
+                  for rank in range(2)]
+        originals = [block.copy() for block in blocks]
+        before = _shm_names()
+        telemetry = Telemetry()
+        clear_default_pools()
+        machine = resolve_machine(2, backend="process", seed=0,
+                                  telemetry=telemetry)
+        try:
+            results = machine.run(_echo_block_program, blocks).results
+        finally:
+            machine.close()
+            clear_default_pools()
+        # The blocks came back by reference to the staged copy: no rank
+        # encoded a byte, and the caller's own arrays are not aliased.
+        for rank_record in telemetry.last.to_dict()["ranks"]:
+            assert rank_record["transport"]["bytes_encoded"] == 0
+        for block in blocks:
+            block[:] = -1
+        for result, original in zip(results, originals):
+            assert np.array_equal(result, original)
+        assert not _shm_names() - before
+        del results
+
+    def test_heal_then_success_leaves_no_staging_name(self):
+        blocks = [np.arange(20_000, dtype=np.int64) + rank for rank in range(2)]
+        before = _shm_names()
+        machine = PROMachine(2, seed=0, backend="process", persistent=True)
+        try:
+            with pytest.raises(BackendError, match="rank 1"):
+                machine.run(_sum_unless_failing_program, blocks, True)
+            # A failed run keeps its staging copy linked for a retry.
+            assert _shm_names() - before
+            assert machine.backend._pools[2].heal()
+            assert machine.run(_sum_unless_failing_program, blocks,
+                               False).results == [int(b.sum()) for b in blocks]
+            assert not _shm_names() - before
+        finally:
+            machine.close()
+        assert not _shm_names() - before
