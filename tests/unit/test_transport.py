@@ -92,6 +92,19 @@ class TestTransportRegistry:
         with pytest.raises(TypeError, match=option):
             SharedMemoryTransport(**{option: 1})
 
+    @pytest.mark.parametrize("transport_name", TRANSPORTS)
+    def test_contract_carries_no_acknowledgements(self, transport_name):
+        transport = make_transport(transport_name)
+        payload = np.arange(100, dtype=np.int64)
+        with pytest.raises(TypeError, match="ring"):
+            transport.encode(payload, ring=0)
+        with pytest.raises(TypeError, match="ring"):
+            transport.encode_shared(payload, 1, ring=0)
+        with pytest.raises(TypeError, match="ack"):
+            transport.decode(transport.encode(payload), ack=None)
+        assert not hasattr(transport, "ring_ack")
+        assert not hasattr(transport, "retire_shared")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("transport_name", TRANSPORTS)
@@ -209,6 +222,84 @@ class TestSharedMemoryLifecycle:
         assert transport.stats.oversize_fallbacks == 1
 
 
+def mapped_segments():
+    """Names of the shared-memory segments this process has mapped."""
+    with open("/proc/self/maps") as maps:
+        return {line.split("/dev/shm/")[1].split()[0]
+                for line in maps if "/dev/shm/psm_" in line}
+
+
+@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+class TestPerMessageSegments:
+    """A bulk fabric message travels in a segment of its own, with no ack."""
+
+    @pytest.mark.parametrize("delta", [-8, 0, 8], ids=["below", "at", "above"])
+    def test_min_bytes_threshold_is_inclusive(self, delta):
+        transport = SharedMemoryTransport(min_bytes=4096)
+        payload = np.zeros((4096 + delta) // 8, dtype=np.int64)
+        record = transport.encode(payload)
+        assert (record[0] == SHMSEG) == (delta >= 0)
+        assert transport.stats.segments_created == int(delta >= 0)
+        assert np.array_equal(transport.decode(record), payload)
+
+    def test_each_message_gets_a_segment_of_its_own(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        records = [transport.encode(np.full(1000, i, dtype=np.int64))
+                   for i in range(3)]
+        names = {record[1] for record in records}
+        assert len(names) == 3
+        assert {name.lstrip("/") for name in names} <= shm_segments()
+        assert transport.stats.segments_created == 3
+        # Receivers may take them in any order; each unlinks its own.
+        for i in (2, 0, 1):
+            assert np.array_equal(transport.decode(records[i]),
+                                  np.full(1000, i))
+        assert not {name.lstrip("/") for name in names} & shm_segments()
+
+    def test_one_segment_holds_every_bulk_array_of_a_message(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        payload = {"a": np.arange(10, dtype=np.int8),  # 10 bytes: inline
+                   "b": np.arange(100, dtype=np.int16),
+                   "c": np.arange(30, dtype=np.float64)}
+        record = transport.encode(payload)
+        assert record[0] == SHMSEG
+        assert record[2] == (0, 256)  # 200 bytes of "b", padded to 64
+        assert transport.stats.bytes_encoded == 256 + 256
+        out = transport.decode(record)
+        for key in payload:
+            assert np.array_equal(out[key], payload[key])
+
+    def test_decoding_a_disposed_record_fails_loudly(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        record = transport.encode(np.arange(1000, dtype=np.int64))
+        transport.dispose(record)
+        with pytest.raises(CommunicationError, match="vanished"):
+            transport.decode(record)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_mapping_closes_after_the_last_view_dies(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        record = transport.encode((np.arange(1000), np.ones(500)))
+        name = record[1].lstrip("/")
+        first, second = transport.decode(record)
+        assert name in mapped_segments()
+        del first
+        gc.collect()
+        assert name in mapped_segments()  # the other view still needs it
+        assert np.array_equal(second, np.ones(500))
+        del second
+        gc.collect()
+        assert name not in mapped_segments()
+
+    def test_end_run_leaves_messages_to_their_receivers(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        record = transport.encode(np.arange(1000, dtype=np.int64))
+        transport.end_run()  # only by-reference names are the run's
+        assert np.array_equal(transport.decode(record), np.arange(1000))
+        transport.end_run()  # idempotent
+
+
 class TestFabricIntegration:
     @pytest.mark.parametrize("transport_name", TRANSPORTS)
     def test_put_get_roundtrip(self, transport_name):
@@ -220,6 +311,24 @@ class TestFabricIntegration:
             out = fabric.get(0, 1, "t", [])
             assert np.array_equal(out["data"], payload["data"])
             assert out["tag"] == "x"
+        finally:
+            fabric.shutdown()
+
+    def test_received_bulk_message_leaves_no_segment(self):
+        if not shared_memory_available():
+            pytest.skip("no shared memory")
+        before = shm_segments()
+        transport = SharedMemoryTransport(min_bytes=16)
+        fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
+                               transport=transport)
+        try:
+            for i in range(4):
+                fabric.put(0, 1, i, np.full(2000, i, dtype=np.int64))
+            for i in range(4):
+                assert np.array_equal(fabric.get(0, 1, i, []),
+                                      np.full(2000, i))
+            assert transport.stats.segments_created == 4
+            assert shm_segments() == before
         finally:
             fabric.shutdown()
 
