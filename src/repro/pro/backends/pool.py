@@ -80,9 +80,11 @@ processes, their warm transports and their PIDs.  Because per-rank
 streams are rebuilt by the machine for every attempt, the replayed epoch
 is bit-identical to a fault-free run.
 
-``close()`` drains and disposes undelivered records and unlinks the
-by-reference segments of the fleet's runs, so a full lifecycle leaks no
-segments and no ``resource_tracker`` warnings.
+``close()`` drains and disposes undelivered records and releases the
+staging segments of the fleet's runs; by-reference outputs are unlinked
+when their arrays die or, once parked for reuse, by
+:func:`clear_default_pools`.  So a full lifecycle leaks no segments and
+no ``resource_tracker`` warnings.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ from multiprocessing.connection import wait as _wait
 from typing import Callable, Sequence
 
 from repro.pro.backends.process import ProcessFabric, finishes_within
+from repro.pro.backends.sharedmem import release_parked
 from repro.pro.backends.transport import PayloadTransport
 from repro.pro.communicator import Communicator
 from repro.pro.resilience import current_deadline
@@ -224,8 +227,8 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             ctx.cost.telemetry = capture_rank_telemetry(fabric)
             result_queue.put((epoch, rank, True, (encoded, ctx.cost, variates)))
             # Views of by-reference segments must not outlive the epoch:
-            # dropping them closes this rank's mappings now, not at the
-            # next dispatch.
+            # dropping them closes this rank's mappings now, except the
+            # few output segments the transport holds for later epochs.
             del args, kwargs, value
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             try:
@@ -478,8 +481,9 @@ class WorkerPool:
             if variates is not None:
                 contexts[rank].rng = _VariateCount(variates)
         # Every rank has attached what the run dispatched by reference
-        # or staged, so the segment names can go (a failed run keeps them
-        # for the retry that re-dispatches the same arrays).
+        # or staged, so the staging names can go and the output segments
+        # may be recycled (a failed run keeps them for the retry that
+        # re-dispatches the same arrays).
         end_run = getattr(self.fabric.transport, "end_run", None)
         if end_run is not None:
             end_run()
@@ -1039,7 +1043,8 @@ def clear_default_pools() -> None:
     too (their next ``run()`` raises ``BackendError``); build a new
     machine -- or just call the driver again -- to respawn.  In a forked
     child the inherited handles are only dropped -- the owning process
-    reaps the actual workers.
+    reaps the actual workers.  The shared-memory transport's parked
+    output segment is unlinked too.
     """
     drained: list = []
     with _DEFAULT_POOLS_LOCK:
@@ -1050,6 +1055,7 @@ def clear_default_pools() -> None:
             pool.close()
         except Exception:  # pragma: no cover - teardown is best effort
             pass
+    release_parked()
 
 
 def default_pools() -> dict:

@@ -348,7 +348,8 @@ class ProcessFabric:
         cleanup, which is what it is for -- rather than hanging the caller.
         """
         self._drain_inboxes(drain_timeout, name="pro-fabric-drain")
-        # The names of the by-reference segments the fabric's runs used.
+        # Settle the by-reference segments of a run that never returned:
+        # its staging copies go, and its outputs are never recycled.
         end_run = getattr(self.transport, "end_run", None)
         if end_run is not None:
             try:

@@ -24,6 +24,10 @@ record via the pickle codec.  Bytes move under two rules:
   *staging* segment of the same kind, so every rank -- and every attempt
   of a retried run -- attaches the one copy.
 
+The parent names its by-reference segments ``psm_<pid hex>_<counter
+hex>``; a name is never reused while the parent lives, so a mapping kept
+under a name always shows the segment that name was given to.
+
 Lifecycle discipline
 --------------------
 CPython's ``resource_tracker`` pairs a *register* on segment creation with
@@ -35,12 +39,33 @@ segment**, and no acknowledgement travels back to make it:
 1. a message segment is unlinked by its receiver on decode, or by
    ``dispose`` when the fabric drains an undelivered record on its
    shutdown, abort and timeout paths;
-2. a by-reference segment -- staging included -- is unlinked by its
-   creator only: by ``end_run`` once the run that used it has returned,
-   or when its array dies.
+2. a by-reference segment is unlinked by its creator only, and its name
+   stays linked while the creator maps it -- except a staging segment,
+   whose name ``end_run`` unlinks once its run has returned.  An
+   ``empty`` segment is unlinked when its array dies -- unless the run
+   that last dispatched it returned, in which case it is *parked*:
+   kept mapped and linked in a one-slot free list, from which the next
+   ``empty`` of the same byte size takes it, pages already faulted in.
+   Parking a segment unlinks the one parked before it;
+   ``clear_default_pools()`` and interpreter exit unlink the last one.
+   A segment named by a run that never returned (a failed attempt, a
+   deadline, a poisoned pool), a staging segment and a segment another
+   process created are never parked.
 
-A segment abandoned by a hard-crashed run is the one case left to the
-tracker's exit-time cleanup (which is exactly what the tracker is for).
+Recycled bytes never reach a result: every rank finishes its writes
+before it reports, the parent parks a segment only after its own last
+view died, and every run rewrites every output slot.
+
+A rank keeps its mappings of the last :data:`_HOLD_DEPTH` output
+segments its parent dispatched, so a dispatch that names one of them
+again skips the attach, the ``mmap`` and the page faults.  A held
+segment's memory lives until the rank drops it, even once the parent
+has unlinked the name.
+
+A hard-killed parent leaves its parked segment's name and the names of
+its live outputs behind; the tracker's exit-time cleanup removes them,
+as it does a segment abandoned by a hard-crashed run (which is exactly
+what the tracker is for).
 
 When shared memory is unavailable (no ``/dev/shm``, permissions, exotic
 platforms) the transport degrades transparently to the pickle codec; the
@@ -49,9 +74,12 @@ probe runs once per process and is re-run after a ``fork``.
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import math
 import os
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -76,6 +104,10 @@ __all__ = ["SharedMemoryTransport", "shared_memory_available"]
 
 #: Byte alignment of array slots inside a segment (cache-line sized).
 _ALIGN = 64
+
+#: How many of its parent's output segments a rank keeps mapped between
+#: epochs (see :func:`_hold`).
+_HOLD_DEPTH = 2
 
 # Per-process availability probe result, keyed by pid so that forked
 # children re-probe instead of trusting the parent's cached answer.
@@ -152,11 +184,13 @@ class _ByRefSegment:
     creating process (``creator``) unlinks the name, once; ``linked``
     records whether it has not done so yet.  ``shared`` is False for a
     staging segment: the copy of a run's private arguments, which the
-    ranks' sharing predicate does not count.
+    ranks' sharing predicate does not count.  ``reusable`` is set
+    when the run that last dispatched the segment returned; ``tainted``,
+    once a run that named it did not return, keeps it False for good.
     """
 
     __slots__ = ("seg", "raw", "address", "nbytes", "creator", "shared",
-                 "linked")
+                 "linked", "reusable", "tainted")
 
     def __init__(self, seg, raw: np.ndarray, creator: int, shared: bool):
         self.seg = seg
@@ -166,6 +200,8 @@ class _ByRefSegment:
         self.creator = creator
         self.shared = shared
         self.linked = True
+        self.reusable = False
+        self.tainted = False
 
     def unlink(self) -> None:
         """Remove the name (the creator's job; mappings stay valid)."""
@@ -176,21 +212,88 @@ class _ByRefSegment:
             except FileNotFoundError:  # pragma: no cover - unlinked elsewhere
                 pass
 
+    def discard(self) -> None:
+        """Unlink the name and close this process's mapping."""
+        self.unlink()
+        try:
+            self.seg.close()
+        except Exception:  # pragma: no cover - interpreter shutdown races
+            pass
+
 
 #: segment name -> _ByRefSegment mapped in this process.  A forked child
 #: inherits the parent's entries together with the mappings they describe.
 _BYREF: dict = {}
+
+#: The parked output segment (at most one): mapped, linked, no live view.
+#: Only single list operations touch it -- atomic under the interpreter
+#: lock -- because ``_park`` runs from the garbage collector, which may
+#: fire inside ``_take_parked``, and a lock could be inherited held by a
+#: forked child.
+_PARKED: list = []
+
+#: Cleared at interpreter exit: a mapping released after the parked slot
+#: was drained must not park again.
+_PARKING = True
+
+#: Counter of the by-reference segment names (see :func:`_create_byref`).
+_NAME_SEQ = itertools.count()
+
+#: name -> flat array of the parent's output segments a rank keeps mapped.
+_HELD: OrderedDict = OrderedDict()
+
+
+def _park(entry: _ByRefSegment) -> None:
+    """Keep ``entry`` for the next same-size ``empty``; drop the one before."""
+    _PARKED.append(entry)
+    while len(_PARKED) > 1:
+        try:
+            _PARKED.pop(0).discard()
+        except IndexError:  # another thread trimmed it first
+            break
+
+
+def _take_parked(nbytes: int):
+    """The parked segment if it has ``nbytes`` bytes and is this process's."""
+    try:
+        entry = _PARKED.pop()
+    except IndexError:
+        return None
+    if entry.creator != os.getpid():
+        entry.discard()  # a forked child never hands out its parent's segment
+    elif entry.nbytes == nbytes:
+        return entry
+    else:
+        _park(entry)
+    return None
+
+
+def release_parked() -> None:
+    """Unlink the parked output segment, if any (pool teardown, exit)."""
+    while _PARKED:
+        try:
+            _PARKED.pop().discard()
+        except IndexError:  # pragma: no cover - another thread took it
+            break
+
+
+def _stop_parking() -> None:
+    global _PARKING
+    _PARKING = False
+    release_parked()
+
+
+atexit.register(_stop_parking)
 
 
 def _release_byref(name: str, entry: _ByRefSegment) -> None:
     """Finalizer of a by-reference mapping: its last view has died."""
     if _BYREF.get(name) is entry:
         del _BYREF[name]
-    entry.unlink()
-    try:
-        entry.seg.close()
-    except Exception:  # pragma: no cover - interpreter shutdown races
-        pass
+    if _PARKING and entry.reusable and entry.creator == os.getpid():
+        _park(entry)
+    else:
+        entry.discard()
 
 
 def _map_byref(seg, creator: int, shared: bool) -> np.ndarray:
@@ -200,6 +303,29 @@ def _map_byref(seg, creator: int, shared: bool) -> np.ndarray:
     _BYREF[seg.name] = entry
     weakref.finalize(raw, _release_byref, seg.name, entry)
     return raw
+
+
+def _create_byref(nbytes: int):
+    """A new segment named ``psm_<pid hex>_<counter hex>``.
+
+    The counter never repeats in this process, so a rank holding a
+    mapping under a name can trust it shows that name's segment.
+    """
+    pid = os.getpid()
+    while True:
+        name = f"psm_{pid:x}_{next(_NAME_SEQ):x}"
+        try:
+            return _shm_module.SharedMemory(name=name, create=True, size=nbytes)
+        except FileExistsError:  # left behind by a dead process with this pid
+            continue
+
+
+def _hold(name: str, raw: np.ndarray) -> None:
+    """Keep a rank's mapping of an output segment across epochs (LRU)."""
+    _HELD[name] = raw
+    _HELD.move_to_end(name)
+    while len(_HELD) > _HOLD_DEPTH:
+        _HELD.popitem(last=False)
 
 
 def _byref_mapping(arr: np.ndarray):
@@ -245,7 +371,8 @@ def _resolver(slot_view=None):
     """A ``walk_decode`` hook for one decoded record.
 
     SHMVIEW references resolve to views of this process's mapping of the
-    named segment, attached at most once per record; SHMREF slots go to
+    named segment, attached at most once per record; a rank holds its
+    parent's output segments (:func:`_hold`).  SHMREF slots go to
     ``slot_view`` (the record's own segment).
     """
     raws: dict = {}
@@ -271,6 +398,8 @@ def _resolver(slot_view=None):
                         "record naming it was received"
                     ) from None
                 raw = _map_byref(seg, creator, shared)
+            if shared and creator == os.getppid():
+                _hold(name, raw)
             raws[name] = raw
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
@@ -320,9 +449,12 @@ class SharedMemoryTransport(PayloadTransport):
         #: the bench harness assert the once-per-run encode and the
         #: in-band fallback through these.
         self.stats = TransportStats()
-        #: Names of the by-reference segments this instance allocated or
-        #: dispatched and has not yet unlinked (see :meth:`end_run`).
-        self._byref_names: set = set()
+        #: Output segments dispatched since the last :meth:`end_run`.
+        self._dispatched: set = set()
+        #: Whether a result was decoded since the last dispatch.  The pool
+        #: decodes results only for a run that returned; the fabric's
+        #: shutdown also calls :meth:`end_run`, possibly after a failure.
+        self._collected = False
         #: Staging arrays of the runs dispatched since the last
         #: :meth:`end_run`; holding them keeps their names linked.
         self._staged: list = []
@@ -332,15 +464,17 @@ class SharedMemoryTransport(PayloadTransport):
 
     # -- encoding -----------------------------------------------------------
     def empty(self, shape, dtype):
-        """An array in a fresh segment of this process, crossing by reference.
+        """An array in a segment of this process, crossing by reference.
 
         Arrays lying inside it travel as ``(segment, offset, dtype,
         shape)`` references in dispatched arguments and returned results
-        instead of being copied.  The array's ``base`` owns the mapping:
-        it is closed -- and the name unlinked, if :meth:`end_run` has not
-        done so yet -- once the last view of it is garbage collected.
-        Returns ``None`` for object dtypes (their items are pointers into
-        this address space) and when shared memory is unavailable.
+        instead of being copied.  The segment is the parked one when its
+        byte size matches, a fresh one otherwise.  The array's ``base``
+        owns the mapping: once the last view of it is garbage collected
+        the segment is parked, if the run that last dispatched it
+        returned, or unlinked and closed.  Returns ``None`` for object
+        dtypes (their items are pointers into this address space) and
+        when shared memory is unavailable.
         """
         return self._byref_empty(shape, dtype, shared=True)
 
@@ -351,17 +485,15 @@ class SharedMemoryTransport(PayloadTransport):
         if dtype.hasobject or not shared_memory_available():
             return None
         nbytes = math.prod(shape) * dtype.itemsize
-        try:
-            seg = _shm_module.SharedMemory(create=True, size=max(nbytes, 1))
-        except Exception:
-            return None
+        parked = _take_parked(max(nbytes, 1)) if shared else None
+        if parked is not None:
+            seg = parked.seg
+        else:
+            try:
+                seg = _create_byref(max(nbytes, 1))
+            except Exception:
+                return None
         raw = _map_byref(seg, os.getpid(), shared)
-        # Forget names already gone: a backend whose fleet comes from the
-        # default pool cache allocates here, but its own transport never
-        # sees an end_run.
-        self._byref_names = {name for name in self._byref_names
-                             if name in _BYREF and _BYREF[name].linked}
-        self._byref_names.add(seg.name)
         return raw[:nbytes].view(dtype).reshape(shape)
 
     def is_shared(self, array) -> bool:
@@ -381,19 +513,28 @@ class SharedMemoryTransport(PayloadTransport):
                 and found[1].creator == os.getppid())
 
     def end_run(self) -> None:
-        """Unlink the by-reference segments of the run that just returned.
+        """Settle the by-reference segments of the run that just returned.
 
-        Mappings -- the parent's array, and rank views not yet collected
-        -- stay valid; only the names go, so nothing can attach them any
-        more and a later dispatch of the same array copies it instead.
-        The staging segments of the run's dispatches are released too.
+        The output segments it dispatched become reusable: parked once
+        their last view dies.  If no result was decoded since the
+        dispatch -- the fabric shutting down after a failed run -- they
+        are marked never to be parked instead.  The staging segments of
+        the run's dispatches are unlinked; views of them stay valid.
         """
-        names, self._byref_names = self._byref_names, set()
-        for name in names:
-            entry = _BYREF.get(name)
-            if entry is not None:
-                entry.unlink()
+        self._settle(returned=self._collected)
+        for staging in self._staged:
+            _byref_mapping(staging)[1].unlink()
         self._staged.clear()
+
+    def _settle(self, *, returned: bool) -> None:
+        """Mark the dispatched output segments reusable, or never reusable."""
+        for entry in self._dispatched:
+            if returned and not entry.tainted:
+                entry.reusable = True
+            else:
+                entry.tainted = True
+        self._dispatched = set()
+        self._collected = False
 
     def _pack(self, payload, reference: str | None = None, *, into=None):
         """Walk ``payload`` claiming bulk arrays: (slabs, offsets, cursor, inner).
@@ -414,8 +555,10 @@ class SharedMemoryTransport(PayloadTransport):
             if reference is not None:
                 ref = _byref_record(arr, dispatch=reference == "dispatch")
                 if ref is not None:
-                    if reference == "dispatch":
-                        self._byref_names.add(ref[1])
+                    if reference == "dispatch" and ref[3]:  # an output segment
+                        entry = _BYREF[ref[1]]
+                        entry.reusable = False  # in flight until end_run
+                        self._dispatched.add(entry)
                     return ref
             if arr.nbytes < self.min_bytes:
                 return None
@@ -500,11 +643,15 @@ class SharedMemoryTransport(PayloadTransport):
         process, kept linked until :meth:`end_run`, and travel as
         references to the copy -- so every attempt of a retried run can
         attach it.  The record is safe to decode any number of times.
+        Output segments still left from a dispatch with no
+        :meth:`end_run` belong to a run that never returned: they are
+        marked never to be parked.
         """
         if n_consumers < 1:
             raise ValidationError(
                 f"n_consumers must be >= 1, got {n_consumers}"
             )
+        self._settle(returned=False)
         self.stats.shared_encode_calls += 1
         if not shared_memory_available():
             return walk_encode(payload, lambda arr: None)
@@ -522,6 +669,7 @@ class SharedMemoryTransport(PayloadTransport):
     # -- decoding -----------------------------------------------------------
     def decode(self, record):
         self.stats.decode_calls += 1
+        self._collected = True
         if record[0] != SHMSEG:
             return walk_decode(record, _resolver())
         _, name, offsets, inner = record
@@ -552,7 +700,7 @@ class SharedMemoryTransport(PayloadTransport):
         """Release a record that will never be decoded.
 
         A per-message segment is unlinked outright.  By-reference records
-        hold no name of their own: :meth:`end_run` unlinks those.
+        hold no name of their own: their segments' owners release those.
         """
         if isinstance(record, tuple) and record and record[0] == SHMSEG:
             _unlink_by_name(record[1])

@@ -64,10 +64,13 @@ A transport is any object with
     the output vector instead of sending them.  In-band transports (and
     the base class) answer ``False``.
 ``end_run() -> None`` (optional)
-    The run that dispatched by-reference arrays has returned: unlink the
-    names of their segments.  Called by the worker pool after every
-    successful run and by the fabric at shutdown; never between the
-    attempts of a retried run, which re-dispatch the same arrays.
+    The run that dispatched by-reference arrays has returned: release its
+    staging segments and let the shared-memory transport recycle its
+    output segments once their arrays die.  Called by the worker pool
+    after every successful run and by the fabric at shutdown (where the
+    run may have failed, and its outputs are then never recycled); never
+    between the attempts of a retried run, which re-dispatch the same
+    arrays.
 ``cache_key() -> tuple | None`` (optional)
     Hashable configuration identity; equal keys mean two instances are
     interchangeable, which is what lets the process-wide default pool
@@ -87,12 +90,17 @@ fabric uses for results only).  The record then carries a ``(segment,
 offset, dtype, shape)`` reference, and the receiver maps the segment --
 once per decoded record -- and hands out views into it.  Lifetimes:
 
-* the parent's array owns its mapping through its ``base``; the mapping
-  is closed, and the name unlinked if still linked, when the last view of
-  it is garbage collected, so the array stays valid after the pool that
-  filled it is closed;
-* the name is unlinked when the run that dispatched it returns
-  (``end_run``); a rank's mapping is closed once its views die;
+* the parent's array owns its mapping through its ``base``, so the
+  array stays valid after the pool that filled it is closed.  The name
+  stays linked while the array lives.  When the last view of it is
+  garbage collected the segment is parked for the next ``empty`` of the
+  same size -- if the run that last dispatched it returned -- or
+  unlinked and closed.  ``clear_default_pools()`` and interpreter exit
+  unlink the parked segment; a hard-killed parent leaves it and its live
+  outputs to the resource tracker's exit-time cleanup;
+* a staging segment is unlinked when its run returns (``end_run``);
+* a rank's mapping is closed once its views die, except that a rank
+  keeps its last two output segments mapped for later dispatches;
 * ordinary fabric messages (``put``) keep copy semantics: a rank that
   sends a view into such a segment sends a copy.
 
@@ -259,7 +267,7 @@ class PayloadTransport:
         return None
 
     def end_run(self) -> None:
-        """Unlink the names of the by-reference segments the last run used."""
+        """Settle the by-reference segments the last run used."""
         # In-band transports have no by-reference segments.
 
     def is_shared(self, array) -> bool:

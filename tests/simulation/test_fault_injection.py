@@ -244,7 +244,11 @@ class TestProcessFaults:
                            "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script],
+            [sys.executable, "-W", "error",
+             # ...but let the resource tracker print its leak warning,
+             # which -W error would turn into a swallowed exception.
+             "-W", "default::UserWarning:multiprocessing.resource_tracker",
+             "-c", script],
             capture_output=True, text=True, env=env,
             timeout=scale_timeout(120),
         )

@@ -1,5 +1,6 @@
 """Unit tests for Algorithm 1 (parallel permutation) and its front ends."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -314,6 +315,16 @@ class TestInPlaceAssembly:
         assert sorted(np.concatenate(out_blocks).tolist()) == list(range(9))
 
 
+def _stall_writing_program(ctx, out, seconds):
+    """Write into the shared output; rank 0 then stalls past the deadline."""
+    import time
+
+    out[ctx.rank::ctx.n_procs] = ctx.rank
+    if ctx.rank == 0:
+        time.sleep(seconds)
+    return ctx.rank
+
+
 def _segment_of(array):
     """Name of the by-reference shared segment ``array`` lies in, or None."""
     from repro.pro.backends.sharedmem import _BYREF
@@ -370,19 +381,28 @@ class TestSharedSegmentAssembly:
 
     @pytest.mark.parametrize("persistent", [None, False], ids=["warm", "cold"])
     def test_output_is_the_segment_vector(self, monkeypatch, persistent):
+        from repro.pro.backends import sharedmem
         from repro.pro.backends.pool import clear_default_pools
 
         data = np.arange(20_011)
         expected = random_permutation(data, n_procs=3, backend="thread", seed=5)
         _forbid_concatenate(monkeypatch)
+        before = _linked_segments()
         out = random_permutation(data, n_procs=3, backend="process", seed=5,
                                  persistent=persistent)
         name = _segment_of(out)
         assert name is not None and out.base is not None
-        assert name not in _linked_segments()  # unlinked when the run returned
+        # Linked while the array lives; no staging name is left.
+        assert _linked_segments() - before == {name}
         clear_default_pools()
+        assert name in _linked_segments()
         assert np.array_equal(out, expected)
         assert np.array_equal(data, np.arange(20_011))  # the input is untouched
+        del out
+        gc.collect()
+        clear_default_pools()
+        assert not _linked_segments() - before
+        assert not sharedmem._BYREF, sharedmem._BYREF
 
     def test_dropped_output_leaves_no_segment(self):
         script = textwrap.dedent("""
@@ -401,20 +421,98 @@ class TestSharedSegmentAssembly:
                                          backend="process", seed=1,
                                          persistent=persistent)
                 assert sorted(out.tolist()) == list(range(30_000))
+                (name,) = sharedmem._BYREF
+                assert linked() - before == {name}  # no staging name left
                 del out
                 gc.collect()
                 assert not sharedmem._BYREF, sharedmem._BYREF
-            clear_default_pools()
-            assert not linked() - before, linked() - before
+                # A warm output is parked for the next call; a cold one
+                # was never dispatched, so its name went with it.
+                parked = [entry.seg.name for entry in sharedmem._PARKED]
+                assert parked == ([name] if persistent is None else [])
+                clear_default_pools()
+                assert not linked() - before, linked() - before
         """)
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
-                              capture_output=True, text=True, env=env,
-                              timeout=scale_timeout(120))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error",
+             # ...but let the resource tracker print its leak warning,
+             # which -W error would turn into a swallowed exception.
+             "-W", "default::UserWarning:multiprocessing.resource_tracker",
+             "-c", script],
+            capture_output=True, text=True, env=env,
+            timeout=scale_timeout(120))
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
+
+    def test_warm_calls_recycle_one_segment(self):
+        from repro.pro.backends import sharedmem
+
+        data = np.arange(20_000)
+        before = _linked_segments()
+        names = set()
+        for seed in range(50):
+            out = random_permutation(data, n_procs=2, backend="process",
+                                     seed=seed)
+            expected = random_permutation(data, n_procs=2, backend="thread",
+                                          seed=seed)
+            assert np.array_equal(out, expected)
+            names.add(_segment_of(out))
+            assert len(_linked_segments() - before) == 1  # flat
+            del out
+            gc.collect()
+        assert len(names) == 1  # the first call's segment, every time
+        assert [entry.seg.name for entry in sharedmem._PARKED] == list(names)
+
+    def test_a_held_output_is_never_handed_out_again(self):
+        data = np.arange(20_000)
+        expected = [random_permutation(data, n_procs=2, backend="thread",
+                                       seed=seed) for seed in range(3)]
+        out0 = random_permutation(data, n_procs=2, backend="process", seed=0)
+        out1 = random_permutation(data, n_procs=2, backend="process", seed=1)
+        assert _segment_of(out1) != _segment_of(out0)
+        assert np.array_equal(out0, expected[0])
+        name = _segment_of(out0)
+        del out0
+        gc.collect()  # parked now
+        out2 = random_permutation(data, n_procs=2, backend="process", seed=2)
+        assert _segment_of(out2) == name
+        assert np.array_equal(out1, expected[1])
+        assert np.array_equal(out2, expected[2])
+
+    @pytest.mark.parametrize("failure", ["crash", "deadline"])
+    def test_segment_of_a_run_that_never_returned_is_not_parked(self, failure):
+        from repro.pro.backends import sharedmem
+        from repro.util.errors import DeadlineError
+
+        data = np.arange(20_000)
+        before = _linked_segments()
+        if failure == "crash":
+            backend = FaultInjectingBackend(
+                "process", [CrashRank(rank=1, at_op=1)], persistent=True)
+            machine = PROMachine(2, seed=3, backend=backend)
+            error = BackendError
+        else:
+            machine = PROMachine(
+                2, seed=3, backend="process", persistent=True,
+                retry=RetryPolicy(max_attempts=1, deadline=scale_timeout(0.5)),
+                timeout=scale_timeout(20))
+            error = DeadlineError
+        out = machine.backend.empty(data.size, data.dtype)
+        try:
+            with pytest.raises(error) as excinfo:
+                if failure == "crash":  # the driver allocates its own output
+                    random_permutation(data, machine=machine)
+                else:
+                    machine.run(_stall_writing_program, out, scale_timeout(1.0))
+        finally:
+            machine.close()  # shuts the fabric down after the failure
+        del excinfo, out
+        gc.collect()
+        assert not sharedmem._PARKED
+        assert not _linked_segments() - before
 
     def test_uneven_targets_overwrite_other_ranks_sources(self):
         # Rank 1's target slice covers all of rank 0's and part of rank

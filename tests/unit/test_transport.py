@@ -11,11 +11,15 @@ fallback to the pickle codec when segments cannot be created.
 import gc
 import os
 import queue
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.pro.backends import sharedmem as sharedmem_module
+from repro.pro.backends.pool import clear_default_pools
 from repro.pro.backends.process import ProcessBackend, ProcessFabric
 from repro.pro.backends.sharedmem import (
     SharedMemoryTransport,
@@ -536,23 +540,28 @@ class TestByReferenceArrays:
         assert transport.stats.bytes_encoded > 0
         transport.end_run()
 
-    def test_end_run_unlinks_but_the_array_stays_valid(self):
+    def test_end_run_keeps_the_name_while_the_array_lives(self):
         transport = SharedMemoryTransport(min_bytes=16)
         before = shm_segments()
         out = transport.empty((4, 8), np.float64)
         created = shm_segments() - before
         assert len(created) == 1
-        transport.encode_shared({"out": out}, 1)
+        record = transport.encode_shared({"out": out}, 1)
+        transport.decode(record)
         transport.end_run()
-        assert not created & shm_segments()
+        assert shm_segments() - before == created  # linked while it lives
         out[:] = 1.5
         assert out.sum() == 48.0
-        # A later dispatch of the same array copies it: nothing can attach
-        # the name any more.
+        # A later dispatch of the same array still crosses by reference.
         record = transport.encode_shared(out, 1)
-        assert transport.stats.bytes_encoded == out.nbytes
-        transport.dispose(record)
+        assert record[0] == SHMVIEW
+        assert transport.stats.bytes_encoded == 0
         transport.end_run()
+        del out, record
+        gc.collect()
+        clear_default_pools()
+        assert not shm_segments() - before
+        assert not sharedmem_module._BYREF
 
     def test_dropped_array_unlinks_and_unmaps(self):
         transport = SharedMemoryTransport(min_bytes=16)
@@ -571,6 +580,172 @@ class TestByReferenceArrays:
         assert SharedMemoryTransport().empty(4, object) is None
         assert PickleTransport().empty(4, np.int64) is None
         assert ProcessBackend(transport="pickle").empty(4, np.int64) is None
+
+    def test_names_never_repeat(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        pattern = re.compile(f"psm_{os.getpid():x}_[0-9a-f]+")
+        names = []
+        for size in range(1, 13):  # every size new: nothing is recycled
+            out = transport.empty(size, np.int64)
+            names.append(segment_name(out))
+            _returned_run(transport, out)
+            del out
+            gc.collect()
+        clear_default_pools()
+        assert len(set(names)) == len(names)
+        assert all(pattern.fullmatch(name) for name in names), names
+
+
+def segment_name(array):
+    """Name of the by-reference segment ``array`` lies in."""
+    return sharedmem_module._byref_mapping(array)[0]
+
+
+def _returned_run(transport, array):
+    """Dispatch ``array`` by reference, receive it, and return the run."""
+    transport.decode(transport.encode_shared(array, 1))
+    transport.end_run()
+
+
+def _parked_names():
+    return [entry.seg.name for entry in sharedmem_module._PARKED]
+
+
+@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory")
+class TestParkedSegments:
+    """An output segment whose run returned is recycled by the next ``empty``."""
+
+    @pytest.fixture(autouse=True)
+    def _drained(self):
+        clear_default_pools()
+        yield
+        clear_default_pools()
+
+    def test_same_size_takes_the_parked_segment(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        out = transport.empty(1000, np.int64)
+        name, address = segment_name(out), out.__array_interface__["data"][0]
+        _returned_run(transport, out)
+        del out
+        gc.collect()
+        assert _parked_names() == [name]
+        assert shm_segments() - before == {name}  # parked: still linked
+        again = transport.empty((10, 100), np.int64)  # same byte size
+        assert segment_name(again) == name
+        assert again.__array_interface__["data"][0] == address
+        assert not _parked_names()
+        other = transport.empty(1000, np.int64)  # nothing parked: a new one
+        assert segment_name(other) != name
+        del other
+        gc.collect()  # never dispatched: unlinked, not parked
+        assert shm_segments() - before == {name}
+        _returned_run(transport, again)
+        del again
+        gc.collect()
+        smaller = transport.empty(999, np.int64)  # another size: a new one
+        assert segment_name(smaller) != name
+        assert _parked_names() == [name]
+        del smaller
+        clear_default_pools()
+        assert not shm_segments() - before
+        assert not sharedmem_module._BYREF
+
+    def test_parking_unlinks_the_segment_parked_before(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        first, second = (transport.empty(size, np.int64) for size in (64, 128))
+        names = [segment_name(first), segment_name(second)]
+        _returned_run(transport, (first, second))
+        del first
+        gc.collect()
+        del second
+        gc.collect()
+        assert _parked_names() == names[1:]
+        assert shm_segments() - before == {names[1]}
+        clear_default_pools()
+        assert not shm_segments() - before
+
+    @pytest.mark.parametrize("retried", [False, True], ids=["shutdown", "retry"])
+    def test_run_that_never_returned_is_not_parked(self, retried):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        out = transport.empty(512, np.int64)
+        transport.encode_shared(out, 2)  # the attempt fails: nothing decoded
+        if retried:  # a retry re-dispatches the same vector and returns
+            _returned_run(transport, out)
+        else:  # the fabric shuts down after the failure
+            transport.end_run()
+        del out
+        gc.collect()
+        assert not _parked_names()
+        assert not shm_segments() - before
+
+    def test_staging_segments_are_never_parked(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        before = shm_segments()
+        _returned_run(transport, np.arange(512))  # private: staged
+        assert transport.stats.segments_created == 1
+        assert not _parked_names()
+        assert not shm_segments() - before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_never_takes_the_parents_segment(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        out = transport.empty(512, np.int64)
+        name = segment_name(out)
+        _returned_run(transport, out)
+        del out
+        gc.collect()
+        assert _parked_names() == [name]
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                child = transport.empty(512, np.int64)
+                taken = segment_name(child) == name
+                del child
+                clear_default_pools()  # drops the parent's slot, no unlink
+                code = 2 if taken else 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert _parked_names() == [name]
+        assert name in shm_segments()  # the child did not unlink it
+        assert segment_name(transport.empty(512, np.int64)) == name
+
+    def test_concurrent_callers_never_share_a_segment(self):
+        # More threads than cores, a short switch interval: a segment
+        # handed to two callers would show up as a clobbered fill.
+        errors = []
+
+        def caller(tag):
+            transport = SharedMemoryTransport(min_bytes=16)
+            try:
+                for _ in range(60):
+                    out = transport.empty(256, np.int64)
+                    out[:] = tag
+                    _returned_run(transport, out)
+                    if not (out == tag).all():
+                        errors.append(tag)
+                    del out
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(tag,))
+                       for tag in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=scale_timeout(60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
 
 
 def _sharing(ctx, arrays):

@@ -6,6 +6,7 @@ fleet on any failure, idempotent close, and no shared-memory leaks over a
 full lifecycle.
 """
 
+import gc
 import os
 import signal
 import subprocess
@@ -257,30 +258,48 @@ class TestPoolShutdown:
     def test_no_sharedmem_leak_warnings_over_full_lifecycle(self):
         """A run->reuse->close lifecycle must not trip -W error or the
         multiprocessing resource tracker (leaked segment warnings appear
-        on stderr at interpreter exit, so check a subprocess)."""
+        on stderr at interpreter exit, so check a subprocess).  The
+        interpreter exits with an output segment parked and another one
+        still held, and neither name may outlive it -- also when the
+        program's first ``weakref.finalize`` predates the library, so the
+        finalizers run after the pool cache's exit hook."""
         script = textwrap.dedent("""
+            import os
+            import weakref
+            early = weakref.finalize(os, print)
+            early.atexit = False  # registered, never called
             import numpy as np
             from repro.pro.machine import PROMachine
             from repro.core.permutation import random_permutation
 
+            print(os.getpid())
             machine = PROMachine(3, seed=1, backend="process", persistent=True)
             for _ in range(3):
                 out = random_permutation(np.arange(20_000), machine=machine)
                 assert out.shape == (20_000,)
+            del out  # parked
             machine.close()
+            held = random_permutation(np.arange(10_000), n_procs=2,
+                                      backend="process", seed=2)
         """)
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script],
+            [sys.executable, "-W", "error",
+             # ...but let the resource tracker print its leak warning,
+             # which -W error would turn into a swallowed exception.
+             "-W", "default::UserWarning:multiprocessing.resource_tracker",
+             "-c", script],
             capture_output=True, text=True, env=env,
             timeout=scale_timeout(120),
         )
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
+        prefix = f"psm_{int(proc.stdout.split()[0]):x}_"
+        assert not {name for name in _shm_names() if name.startswith(prefix)}
 
 
 def _shm_names():
@@ -289,6 +308,25 @@ def _shm_names():
         return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
     except FileNotFoundError:  # pragma: no cover - non-Linux fallback
         pytest.skip("no /dev/shm to inspect")
+
+
+#: Segment names a rank attached (``sharedmem._map_byref`` calls).
+_ATTACHES: list = []
+
+
+def _fill_program(ctx, out):
+    half = out.size // ctx.n_procs
+    out[ctx.rank * half:(ctx.rank + 1) * half] = ctx.rank
+
+
+def _held_segments_program(ctx):
+    """The output segments this rank holds and the ones it has mapped."""
+    from repro.pro.backends import sharedmem
+
+    with open("/proc/self/maps") as maps:
+        mapped = {line.split("/dev/shm/")[1].split()[0]
+                  for line in maps if "/dev/shm/psm_" in line}
+    return list(sharedmem._HELD), mapped, len(_ATTACHES)
 
 
 def _echo_block_program(ctx, blocks):
@@ -307,7 +345,9 @@ class TestStagedDispatch:
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_retried_run_is_thread_identical_and_leaves_no_name(self, p):
+        from repro.pro.backends import sharedmem
         from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+        from repro.pro.backends.pool import clear_default_pools
 
         data = np.arange(50_000, dtype=np.int64)
         expected = random_permutation(data, machine=PROMachine(p, seed=5))
@@ -324,11 +364,59 @@ class TestStagedDispatch:
             stats = faulty.backend.transport.stats
             assert stats.shared_encode_calls == 2
             assert stats.segments_created == 2
-            assert not _shm_names() - before  # every name of the run is gone
+            # Every staging name of the run is gone; the output's stays
+            # linked while the array lives.
+            (name,) = _shm_names() - before
+            assert sharedmem._byref_mapping(out)[0] == name
         finally:
             machine.close()
-        assert not _shm_names() - before
+        assert _shm_names() - before == {name}
         assert np.array_equal(out, expected)  # the output outlives the pool
+        del out
+        gc.collect()
+        # The failed first attempt named it: unlinked, never parked.
+        assert not _shm_names() - before
+        clear_default_pools()
+        assert not _shm_names() - before
+        assert not sharedmem._BYREF, sharedmem._BYREF
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_a_rank_holds_its_last_two_output_segments(self, monkeypatch):
+        from repro.pro.backends import sharedmem
+
+        real_map = sharedmem._map_byref
+
+        def counting_map(seg, creator, shared):  # inherited by the ranks
+            _ATTACHES.append(seg.name)
+            return real_map(seg, creator, shared)
+
+        monkeypatch.setattr(sharedmem, "_map_byref", counting_map)
+        machine = PROMachine(2, seed=0, backend="process", persistent=True)
+        try:
+            machine.run(_held_segments_program)  # spawn before allocating
+            outs = [machine.backend.empty(size, np.int64)
+                    for size in (4_000, 5_000, 6_000)]
+            a, b, c = (sharedmem._byref_mapping(out)[0] for out in outs)
+
+            def fill(out):
+                machine.run(_fill_program, out)
+                assert (out == np.repeat([0, 1], out.size // 2)).all()
+                return machine.run(_held_segments_program).results
+
+            expected = [[a], [a, b], [b, c]]
+            for out, held in zip(outs, expected):
+                for held_now, mapped, _ in fill(out):
+                    assert held_now == held
+                    assert mapped & {a, b, c} == set(held)  # a's is closed
+            attaches = [count for *_, count in fill(outs[2])]
+            # b is held: naming it again attaches nothing; a is not.
+            assert [(held, count) for held, _, count in fill(outs[1])] == [
+                ([c, b], n) for n in attaches]
+            assert [(held, count) for held, _, count in fill(outs[0])] == [
+                ([b, a], n + 1) for n in attaches]
+        finally:
+            machine.close()
 
     def test_returned_staged_block_outlives_the_default_pool(self):
         from repro.pro.backends.pool import clear_default_pools
