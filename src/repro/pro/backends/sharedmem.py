@@ -47,7 +47,9 @@ segment**, and no acknowledgement travels back to make it:
    kept mapped and linked in a one-slot free list, from which the next
    ``empty`` of the same byte size takes it, pages already faulted in.
    Parking a segment unlinks the one parked before it;
-   ``clear_default_pools()`` and interpreter exit unlink the last one.
+   ``clear_default_pools()`` and the exit of the process -- interpreter
+   exit, or the end of a ``multiprocessing`` child -- unlink the last
+   one, and the exit unlinks the names of live outputs too.
    A segment named by a run that never returned (a failed attempt, a
    deadline, a poisoned pool), a staging segment and a segment another
    process created are never parked.
@@ -74,12 +76,12 @@ probe runs once per process and is re-run after a ``fork``.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import math
 import os
 import weakref
 from collections import OrderedDict
+from multiprocessing import util as _mp_util
 
 import numpy as np
 
@@ -232,12 +234,11 @@ _BYREF: dict = {}
 #: forked child.
 _PARKED: list = []
 
-#: Cleared at interpreter exit: a mapping released after the parked slot
-#: was drained must not park again.
-_PARKING = True
-
 #: Counter of the by-reference segment names (see :func:`_create_byref`).
 _NAME_SEQ = itertools.count()
+
+#: The process that registered :func:`_at_exit` (see :func:`_create_byref`).
+_EXIT_HOOK_PID: int | None = None
 
 #: name -> flat array of the parent's output segments a rank keeps mapped.
 _HELD: OrderedDict = OrderedDict()
@@ -277,20 +278,24 @@ def release_parked() -> None:
             break
 
 
-def _stop_parking() -> None:
-    global _PARKING
-    _PARKING = False
+def _at_exit() -> None:
+    """Unlink the names of this process's by-reference segments at exit.
+
+    The parked segment goes, and so do the names of outputs still alive:
+    a ``multiprocessing`` child ends without running ``atexit``, so the
+    ``weakref`` finalizers that would unlink them never run there.  A
+    segment whose name is gone is never parked again.
+    """
     release_parked()
-
-
-atexit.register(_stop_parking)
+    for entry in list(_BYREF.values()):
+        entry.unlink()
 
 
 def _release_byref(name: str, entry: _ByRefSegment) -> None:
     """Finalizer of a by-reference mapping: its last view has died."""
     if _BYREF.get(name) is entry:
         del _BYREF[name]
-    if _PARKING and entry.reusable and entry.creator == os.getpid():
+    if entry.reusable and entry.linked and entry.creator == os.getpid():
         _park(entry)
     else:
         entry.discard()
@@ -311,7 +316,13 @@ def _create_byref(nbytes: int):
     The counter never repeats in this process, so a rank holding a
     mapping under a name can trust it shows that name's segment.
     """
+    global _EXIT_HOOK_PID
     pid = os.getpid()
+    if _EXIT_HOOK_PID != pid:
+        # multiprocessing's exit function runs at interpreter exit and at
+        # the end of a multiprocessing child; atexit covers only the first.
+        _mp_util.Finalize(None, _at_exit, exitpriority=0)
+        _EXIT_HOOK_PID = pid
     while True:
         name = f"psm_{pid:x}_{next(_NAME_SEQ):x}"
         try:

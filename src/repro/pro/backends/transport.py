@@ -95,9 +95,9 @@ once per decoded record -- and hands out views into it.  Lifetimes:
   stays linked while the array lives.  When the last view of it is
   garbage collected the segment is parked for the next ``empty`` of the
   same size -- if the run that last dispatched it returned -- or
-  unlinked and closed.  ``clear_default_pools()`` and interpreter exit
-  unlink the parked segment; a hard-killed parent leaves it and its live
-  outputs to the resource tracker's exit-time cleanup;
+  unlinked and closed.  ``clear_default_pools()`` and the exit of the
+  process unlink the parked segment; a hard-killed parent leaves it and
+  its live outputs to the resource tracker's exit-time cleanup;
 * a staging segment is unlinked when its run returns (``end_run``);
 * a rank's mapping is closed once its views die, except that a rank
   keeps its last two output segments mapped for later dispatches;

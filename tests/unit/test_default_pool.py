@@ -290,11 +290,14 @@ class TestSharing:
         random_permutation(np.arange(2000), n_procs=2, backend="process",
                            seed=1)
         parent_pids = set(_default_pool_pids())
+        held = []  # the child's copy keeps an output alive until it exits
 
         def child_main(conn):
             try:
                 out = random_permutation(np.arange(2000), n_procs=2,
                                          backend="process", seed=1)
+                held.append(random_permutation(np.arange(1000), n_procs=2,
+                                               backend="process", seed=2))
                 child_pids = set(_default_pool_pids())
                 conn.send(("ok", sorted(child_pids), out.tolist()))
             except Exception as exc:  # pragma: no cover - the failure mode
@@ -308,6 +311,11 @@ class TestSharing:
         child.join(timeout=scale_timeout(60))
         assert status == "ok", payload
         assert child.exitcode == 0  # atexit in the child reaped cleanly
+        if os.path.isdir("/dev/shm"):
+            # Neither its parked output nor its live one outlives the child.
+            prefix = f"psm_{child.pid:x}_"
+            assert not {name for name in os.listdir("/dev/shm")
+                        if name.startswith(prefix)}
         assert parent_pids.isdisjoint(payload)  # fresh fleet, not the parent's
         # the parent's fleet survived the child's lifecycle untouched
         out = random_permutation(np.arange(2000), n_procs=2,

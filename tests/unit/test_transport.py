@@ -104,8 +104,10 @@ class TestTransportRegistry:
             transport.encode(payload, ring=0)
         with pytest.raises(TypeError, match="ring"):
             transport.encode_shared(payload, 1, ring=0)
+        record = transport.encode(payload)
         with pytest.raises(TypeError, match="ack"):
-            transport.decode(transport.encode(payload), ack=None)
+            transport.decode(record, ack=None)
+        transport.dispose(record)  # never decoded: its segment must go
         assert not hasattr(transport, "ring_ack")
         assert not hasattr(transport, "retire_shared")
 
