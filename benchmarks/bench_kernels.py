@@ -128,13 +128,17 @@ def speedups(records):
 
 
 def merge_into_artifact(path, records):
-    """Attach the kernel cells to the tracked artifact (schema 4)."""
+    """Attach the kernel cells to the tracked artifact (schema 4 or later).
+
+    A newer artifact keeps its schema number: the kernel cells are one part
+    of it, and ``bench_backends.py`` owns the rest.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         payload = {"suite": "bench_backends", "records": []}
-    payload["schema"] = 4
+    payload["schema"] = max(payload.get("schema", 4), 4)
     payload["kernel_records"] = records
     ratios = speedups(records)
     for workload, ratio in ratios.items():

@@ -22,6 +22,19 @@ consolidates both concerns:
   instead of ``P * P'`` interpreted Python calls, which is the hot path of
   Algorithm 6's step 3 and of the sequential baseline.
 
+* **Array-form levels.**  No Python loop runs over the segments of a
+  level.  The segments still to split (row blocks, for the matrix) are
+  ``lo``/``hi`` arrays in ascending order, and segment ``[lo, hi)`` keeps
+  its draw count in column ``lo`` of the result (a block its column
+  capacities in row ``lo`` of the matrix).  A level is then a few
+  fancy-indexed gathers, one ``hypergeometric`` call and two scatters --
+  the left half's share back to ``lo``, the right half's to ``mid`` -- and
+  the leaves end where they belong.  Each level's draws run over (batch
+  row, segment) in C order, the same parameter arrays in the same order as
+  a left-to-right walk of the tree, so the output and the stream position
+  do not depend on this bookkeeping (``tests/property/
+  test_property_engine_tree.py`` holds the per-segment loop as an oracle).
+
 The batched path samples from exactly the same distribution as the scalar
 samplers (every split is an exact hypergeometric draw; the factorisation is
 the same one Algorithm 4 uses), but consumes the random stream differently,
@@ -50,6 +63,54 @@ VALID_METHODS = ("auto", "hin", "hrua", "numpy")
 # uniforms than the rejection method on average (mirrors production
 # libraries).  This is the single authoritative copy of the threshold.
 _HIN_THRESHOLD = 10
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """``values`` as a non-negative ``int64`` array of any shape.
+
+    Booleans and non-integral numbers raise :class:`ValidationError`
+    instead of being cast (``True`` would become 1, ``2.7`` would become 2).
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValidationError(f"{name} must be a rectangular array of integers") from exc
+    kind = arr.dtype.kind
+    if kind == "f":
+        fractional = ~np.isfinite(arr) | (arr != np.floor(arr))
+        if fractional.any():
+            raise ValidationError(
+                f"{name} must contain integers, got {arr[fractional].flat[0]!r}"
+            )
+    elif kind not in "iu":
+        raise ValidationError(f"{name} must contain integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValidationError(f"{name} must be non-negative")
+    return arr
+
+
+def _root(n: int):
+    """The root segment ``[0, n)`` of a splitting tree, if it splits at all."""
+    k = int(n > 1)
+    return np.zeros(k, dtype=np.int64), np.full(k, n, dtype=np.int64)
+
+
+def _split_level(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
+    """The children of one tree level's segments that still need splitting.
+
+    Segment ``[lo, hi)`` splits into ``[lo, mid)`` and ``[mid, hi)``; the
+    children are interleaved, so ascending parents give ascending children.
+    """
+    n = lo.size
+    child_lo = np.empty(2 * n, dtype=np.int64)
+    child_hi = np.empty(2 * n, dtype=np.int64)
+    child_lo[0::2] = lo
+    child_lo[1::2] = mid
+    child_hi[0::2] = mid
+    child_hi[1::2] = hi
+    keep = child_hi - child_lo > 1
+    return child_lo[keep], child_hi[keep]
 
 
 def _kernel_rng(rng) -> "np.random.Generator":
@@ -196,15 +257,17 @@ class SamplerEngine:
 
         Degenerate entries (no draws, an empty colour class, or a draw of the
         whole urn) are resolved deterministically without touching the random
-        stream, mirroring the scalar samplers' trivial-case handling.
+        stream, mirroring the scalar samplers' trivial-case handling; their
+        value is ``min(nsample, ngood)``.  When no entry is degenerate the
+        whole arrays go to one ``hypergeometric`` call, which draws in the
+        same C order as the masked call would.
         """
-        full = nsample >= ngood + nbad
-        out = np.where(full, ngood, 0).astype(np.int64)
-        forced_zero = (ngood == 0) | (nsample == 0)
-        forced_all = (nbad == 0) & ~forced_zero & ~full
-        out[forced_all] = nsample[forced_all]
-        random_mask = ~(full | forced_zero | forced_all)
-        if np.any(random_mask):
+        trivial = (nsample >= ngood + nbad) | (ngood == 0) | (nbad == 0) | (nsample == 0)
+        if trivial.size and not trivial.any():
+            return np.asarray(rng.hypergeometric(ngood, nbad, nsample), dtype=np.int64)
+        out = np.minimum(nsample, ngood)
+        random_mask = ~trivial
+        if random_mask.any():
             out[random_mask] = rng.hypergeometric(
                 ngood[random_mask], nbad[random_mask], nsample[random_mask]
             )
@@ -213,72 +276,59 @@ class SamplerEngine:
     def multivariate_batch(self, n_draws, class_sizes, rng=None) -> np.ndarray:
         """Draw a batch of independent multivariate hypergeometric vectors.
 
-        ``class_sizes`` is a ``(B, L)`` array; row ``i`` of the result is one
-        sample of ``MVH(n_draws[i], class_sizes[i])``.  All ``B`` samples
-        share the balanced binary splitting tree over the ``L`` classes, so
-        every tree level costs one vectorized ``Generator.hypergeometric``
-        call covering all batch rows and all same-level segments at once:
-        ``O(log L)`` kernel calls in total.
+        ``class_sizes`` is a ``(B, L)`` array and ``n_draws`` a scalar or a
+        length-``B`` vector; row ``i`` of the result is one sample of
+        ``MVH(n_draws[i], class_sizes[i])``.  All ``B`` samples share the
+        balanced binary splitting tree over the ``L`` classes, so every tree
+        level costs one vectorized ``Generator.hypergeometric`` call covering
+        all batch rows and all same-level segments at once: ``O(log L)``
+        kernel calls in total.  Booleans, non-integral numbers, negative
+        entries, mismatched shapes and overdrawn urns raise
+        :class:`~repro.util.errors.ValidationError`.
         """
         self._check_batched_method()
-        sizes = np.asarray(class_sizes, dtype=np.int64)
+        sizes = _int_array(class_sizes, "class_sizes")
         if sizes.ndim != 2:
             raise ValidationError(
                 f"class_sizes must be a (batch, classes) array, got shape {sizes.shape}"
             )
-        if np.any(sizes < 0):
-            raise ValidationError("class_sizes must be non-negative")
         n_batch, n_classes = sizes.shape
-        draws = np.broadcast_to(np.asarray(n_draws, dtype=np.int64), (n_batch,)).copy()
-        if np.any(draws < 0):
-            raise ValidationError("n_draws must be non-negative")
-        if np.any(draws > sizes.sum(axis=1)):
+        draws = _int_array(n_draws, "n_draws")
+        if draws.ndim == 0:
+            draws = np.full(n_batch, draws, dtype=np.int64)
+        elif draws.shape != (n_batch,):
+            raise ValidationError(
+                f"n_draws must be a scalar or one count per batch row ({n_batch}), "
+                f"got shape {draws.shape}"
+            )
+        prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
+        np.cumsum(sizes, axis=1, out=prefix[:, 1:])
+        if (draws > prefix[:, -1]).any():
             raise ValidationError("cannot draw more balls than an urn contains")
         if n_classes == 0:
-            if np.any(draws):
-                raise ValidationError("cannot draw from an urn with no classes")
             return np.zeros((n_batch, 0), dtype=np.int64)
         rng = _kernel_rng(rng)
         compiled = self._resolve_tier().multivariate_batch(rng, draws, sizes)
         if compiled is not None:
             return compiled
 
+        # Segment [lo, hi) of the splitting tree keeps its draw count in
+        # column lo; splitting it at mid moves the right half's share to
+        # column mid, so the leaves end in place.  Only segments of two or
+        # more classes are tracked, in ascending order: one level's draws run
+        # over (batch row, segment) in C order, left to right.
         counts = np.zeros((n_batch, n_classes), dtype=np.int64)
-        prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
-        np.cumsum(sizes, axis=1, out=prefix[:, 1:])
-
-        # Every batch row shares the segment structure (same L), so segments
-        # are tracked once and the per-segment draw counts are (B, S) columns.
-        segments = [(0, n_classes)]
-        seg_draws = draws.reshape(n_batch, 1)
-        while any(hi - lo > 1 for lo, hi in segments):
-            split_idx = [i for i, (lo, hi) in enumerate(segments) if hi - lo > 1]
-            los = np.array([segments[i][0] for i in split_idx])
-            his = np.array([segments[i][1] for i in split_idx])
-            mids = (los + his) // 2
-            left_totals = prefix[:, mids] - prefix[:, los]
-            right_totals = prefix[:, his] - prefix[:, mids]
-            split_draws = seg_draws[:, split_idx]
-            into_left = self._hypergeometric_block(rng, left_totals, right_totals, split_draws)
-
-            new_segments: list[tuple[int, int]] = []
-            new_draw_cols: list[np.ndarray] = []
-            j = 0
-            for i, (lo, hi) in enumerate(segments):
-                if hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    new_segments.append((lo, mid))
-                    new_draw_cols.append(into_left[:, j])
-                    new_segments.append((mid, hi))
-                    new_draw_cols.append(split_draws[:, j] - into_left[:, j])
-                    j += 1
-                else:
-                    new_segments.append((lo, hi))
-                    new_draw_cols.append(seg_draws[:, i])
-            segments = new_segments
-            seg_draws = np.stack(new_draw_cols, axis=1)
-        for i, (lo, _hi) in enumerate(segments):
-            counts[:, lo] = seg_draws[:, i]
+        counts[:, 0] = draws
+        lo, hi = _root(n_classes)
+        while lo.size:
+            mid = (lo + hi) // 2
+            seg_draws = counts[:, lo]
+            into_left = self._hypergeometric_block(
+                rng, prefix[:, mid] - prefix[:, lo], prefix[:, hi] - prefix[:, mid], seg_draws
+            )
+            counts[:, lo] = into_left
+            counts[:, mid] = seg_draws - into_left
+            lo, hi = _split_level(lo, mid, hi)
         return counts
 
     def multivariate(self, n_draws: int, class_sizes, rng=None) -> np.ndarray:
@@ -310,36 +360,21 @@ class SamplerEngine:
         if compiled is not None:
             return compiled
 
-        row_prefix = np.concatenate([[0], np.cumsum(rows)])
-        # One block per current row range; caps[i] holds the column capacities
-        # reserved for block i.  All blocks at one level split simultaneously.
-        blocks = [(0, rows.size)]
-        caps = cols.reshape(1, -1).astype(np.int64)
-        while any(hi - lo > 1 for lo, hi in blocks):
-            split_idx = [i for i, (lo, hi) in enumerate(blocks) if hi - lo > 1]
-            mids = np.array([(blocks[i][0] + blocks[i][1]) // 2 for i in split_idx])
-            his = np.array([blocks[i][1] for i in split_idx])
-            upper_masses = row_prefix[his] - row_prefix[mids]
-            to_up = self.multivariate_batch(upper_masses, caps[split_idx], rng)
-
-            new_blocks: list[tuple[int, int]] = []
-            new_caps: list[np.ndarray] = []
-            j = 0
-            for i, (lo, hi) in enumerate(blocks):
-                if hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    new_blocks.append((lo, mid))
-                    new_caps.append(caps[i] - to_up[j])
-                    new_blocks.append((mid, hi))
-                    new_caps.append(to_up[j])
-                    j += 1
-                else:
-                    new_blocks.append((lo, hi))
-                    new_caps.append(caps[i])
-            blocks = new_blocks
-            caps = np.stack(new_caps, axis=0)
-        for i, (lo, _hi) in enumerate(blocks):
-            matrix[lo, :] = caps[i]
+        row_prefix = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(rows, out=row_prefix[1:])
+        # Row lo of ``matrix`` holds the column capacities reserved for the
+        # row block [lo, hi); splitting it at mid moves the upper half's
+        # share to row mid.  All blocks of one level split in one
+        # multivariate_batch call, in ascending order.
+        matrix[0] = cols
+        lo, hi = _root(rows.size)
+        while lo.size:
+            mid = (lo + hi) // 2
+            caps = matrix[lo]
+            to_up = self.multivariate_batch(row_prefix[hi] - row_prefix[mid], caps, rng)
+            matrix[lo] = caps - to_up
+            matrix[mid] = to_up
+            lo, hi = _split_level(lo, mid, hi)
         return matrix
 
 

@@ -341,9 +341,11 @@ def fill_multivariate_batch(words, cur, draws, sizes, out, stats):
 
     ``sizes`` is the (batch, classes) urn array, ``draws`` the per-row draw
     counts, ``out`` the (batch, classes) result.  Levels proceed exactly as
-    the NumPy tier's segment bookkeeping, and within one level the draws run
-    row-major over (batch row, splitting segment) -- the flat order NumPy's
-    vectorized call consumes -- so a fixed seed yields identical output.
+    the NumPy tier's array-form tree (every segment of two or more classes
+    splits at ``(lo + hi) // 2``, segments in ascending order), and within
+    one level the draws run row-major over (batch row, splitting segment)
+    -- the flat order NumPy's vectorized call consumes -- so a fixed seed
+    yields identical output.
 
     ``stats[0]`` accumulates the number of non-degenerate draws and
     ``stats[1]`` the number of levels that drew at all (the CountingRNG

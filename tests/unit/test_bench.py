@@ -174,3 +174,37 @@ class TestFigure1:
         assert len(lines) == 2
         assert lines[0].startswith("v ")
         assert lines[1].startswith("v'")
+
+
+class TestKernelArtifactMerge:
+    @staticmethod
+    def _bench_kernels():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernels.py"
+        spec = importlib.util.spec_from_file_location("bench_kernels", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_merge_keeps_a_newer_schema(self, tmp_path):
+        import json
+
+        artifact = tmp_path / "BENCH.json"
+        artifact.write_text(json.dumps({"suite": "bench_backends", "schema": 5,
+                                        "records": [{"kept": True}]}))
+        cell = {"workload": "matrix_tree", "kernels": "numpy", "tier_active": "numpy",
+                "units": 1, "median_seconds": 0.5, "samples_per_second": 2}
+        self._bench_kernels().merge_into_artifact(artifact, [cell])
+        payload = json.loads(artifact.read_text())
+        assert payload["schema"] == 5
+        assert payload["records"] == [{"kept": True}]
+        assert payload["kernel_records"] == [cell]
+
+    def test_merge_into_a_missing_artifact_writes_schema_4(self, tmp_path):
+        import json
+
+        artifact = tmp_path / "BENCH.json"
+        self._bench_kernels().merge_into_artifact(artifact, [])
+        assert json.loads(artifact.read_text())["schema"] == 4

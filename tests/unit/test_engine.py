@@ -98,6 +98,46 @@ class TestMultivariateBatch:
         with pytest.raises(ValidationError):
             get_engine().multivariate_batch([1], [3, 4], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("draws, sizes", [
+        ([2.7], [[3, 4]]),
+        ([2], [[1.5, 4]]),
+        ([float("nan")], [[3, 4]]),
+        ([2], [[float("inf"), 4]]),
+    ], ids=["fractional-draws", "fractional-size", "nan-draws", "inf-size"])
+    def test_non_integral_inputs_rejected(self, draws, sizes):
+        # Casting would truncate (2.7 draws -> 2) instead of rejecting.
+        with pytest.raises(ValidationError, match="must contain integers"):
+            get_engine().multivariate_batch(draws, sizes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("draws, sizes", [
+        (True, [[3, 4]]),
+        ([True], [[3, 4]]),
+        ([1], [[True, True]]),
+    ], ids=["scalar-draws", "vector-draws", "sizes"])
+    def test_booleans_rejected(self, draws, sizes):
+        with pytest.raises(ValidationError, match="must contain integers"):
+            get_engine().multivariate_batch(draws, sizes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("draws", [[1, 2, 3], [1], [], [[1], [2]]],
+                             ids=["too-many", "one-for-two", "none", "2-d"])
+    def test_draw_count_shape_mismatch_rejected(self, draws):
+        with pytest.raises(ValidationError, match="n_draws must be a scalar"):
+            get_engine().multivariate_batch(draws, [[3, 4], [5, 6]],
+                                            np.random.default_rng(0))
+
+    def test_ragged_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="rectangular"):
+            get_engine().multivariate_batch([1, 1], [[3, 4], [5]], np.random.default_rng(0))
+
+    def test_integral_floats_and_scalar_draws_accepted(self):
+        # 3.0 is an integer; a scalar draw count applies to every batch row.
+        sizes = [[3, 4], [5, 6]]
+        ints = get_engine().multivariate_batch([3, 3], sizes, np.random.default_rng(4))
+        floats = get_engine().multivariate_batch(
+            3.0, np.asarray(sizes, dtype=float), np.random.default_rng(4))
+        assert floats.dtype == np.int64
+        assert np.array_equal(ints, floats)
+
     def test_counting_rng_accepted(self):
         rng = CountingRNG(np.random.default_rng(0))
         counts = get_engine().multivariate_batch([5, 3], [[4, 4], [2, 6]], rng)
