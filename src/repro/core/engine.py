@@ -50,8 +50,9 @@ from repro.rng.streams import default_rng
 from repro.util.errors import DistributionError, ValidationError
 from repro.util.validation import (
     check_nonnegative_int,
-    check_same_total,
+    check_totals_agree,
     check_vector_of_nonnegative_ints,
+    holds_bool,
 )
 
 __all__ = ["SamplerEngine", "get_engine", "VALID_METHODS"]
@@ -71,6 +72,8 @@ def _int_array(values, name: str) -> np.ndarray:
     Booleans and non-integral numbers raise :class:`ValidationError`
     instead of being cast (``True`` would become 1, ``2.7`` would become 2).
     """
+    if not isinstance(values, np.ndarray) and holds_bool(values):
+        raise ValidationError(f"{name} must contain integers, got a boolean")
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError) as exc:  # ragged nesting
@@ -273,7 +276,7 @@ class SamplerEngine:
             )
         return out
 
-    def multivariate_batch(self, n_draws, class_sizes, rng=None) -> np.ndarray:
+    def multivariate_batch(self, n_draws, class_sizes, rng=None, *, _tier=None) -> np.ndarray:
         """Draw a batch of independent multivariate hypergeometric vectors.
 
         ``class_sizes`` is a ``(B, L)`` array and ``n_draws`` a scalar or a
@@ -286,6 +289,10 @@ class SamplerEngine:
         entries, mismatched shapes and overdrawn urns raise
         :class:`~repro.util.errors.ValidationError`.
         """
+        if _tier is not None:
+            # A level of sample_matrix_batched: its arrays are valid by
+            # construction and it resolved the tier once for the matrix.
+            return self._split_batch(n_draws, class_sizes, rng, _tier)
         self._check_batched_method()
         sizes = _int_array(class_sizes, "class_sizes")
         if sizes.ndim != 2:
@@ -301,14 +308,15 @@ class SamplerEngine:
                 f"n_draws must be a scalar or one count per batch row ({n_batch}), "
                 f"got shape {draws.shape}"
             )
-        prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
-        np.cumsum(sizes, axis=1, out=prefix[:, 1:])
-        if (draws > prefix[:, -1]).any():
+        if (draws > sizes.sum(axis=1)).any():
             raise ValidationError("cannot draw more balls than an urn contains")
         if n_classes == 0:
             return np.zeros((n_batch, 0), dtype=np.int64)
-        rng = _kernel_rng(rng)
-        compiled = self._resolve_tier().multivariate_batch(rng, draws, sizes)
+        return self._split_batch(draws, sizes, _kernel_rng(rng), self._resolve_tier())
+
+    def _split_batch(self, draws, sizes, rng, tier) -> np.ndarray:
+        """The splitting trees of :meth:`multivariate_batch` on valid input."""
+        compiled = tier.multivariate_batch(rng, draws, sizes)
         if compiled is not None:
             return compiled
 
@@ -317,6 +325,9 @@ class SamplerEngine:
         # column mid, so the leaves end in place.  Only segments of two or
         # more classes are tracked, in ascending order: one level's draws run
         # over (batch row, segment) in C order, left to right.
+        n_batch, n_classes = sizes.shape
+        prefix = np.zeros((n_batch, n_classes + 1), dtype=np.int64)
+        np.cumsum(sizes, axis=1, out=prefix[:, 1:])
         counts = np.zeros((n_batch, n_classes), dtype=np.int64)
         counts[:, 0] = draws
         lo, hi = _root(n_classes)
@@ -351,12 +362,13 @@ class SamplerEngine:
         self._check_batched_method()
         rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
         cols = check_vector_of_nonnegative_ints(col_sums, "col_sums")
-        check_same_total(rows, cols, "row_sums", "col_sums")
+        check_totals_agree(rows, cols, "row_sums", "col_sums")
         matrix = np.zeros((rows.size, cols.size), dtype=np.int64)
         if rows.size == 0 or cols.size == 0:
             return matrix
         rng = _kernel_rng(rng)
-        compiled = self._resolve_tier().sample_matrix(rng, rows, cols)
+        tier = self._resolve_tier()
+        compiled = tier.sample_matrix(rng, rows, cols)
         if compiled is not None:
             return compiled
 
@@ -371,7 +383,8 @@ class SamplerEngine:
         while lo.size:
             mid = (lo + hi) // 2
             caps = matrix[lo]
-            to_up = self.multivariate_batch(row_prefix[hi] - row_prefix[mid], caps, rng)
+            to_up = self.multivariate_batch(row_prefix[hi] - row_prefix[mid], caps, rng,
+                                            _tier=tier)
             matrix[lo] = caps - to_up
             matrix[mid] = to_up
             lo, hi = _split_level(lo, mid, hi)

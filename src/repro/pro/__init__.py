@@ -45,7 +45,6 @@ ordinary Python function ``program(ctx, ...)`` that receives a
 machine on any number of virtual processors.
 """
 
-from repro.pro.analysis import PROAssessment, SequentialReference, assess_run, granularity
 from repro.pro.backends.registry import (
     BackendCapabilities,
     available_backends,
@@ -70,6 +69,19 @@ from repro.pro.topology import (
     Hypercube,
     topology_from_name,
 )
+
+_ANALYSIS = ("PROAssessment", "SequentialReference", "assess_run", "granularity")
+
+
+def __getattr__(name):
+    # The analysis exports load their module on first access (PEP 562):
+    # no driver needs them.
+    if name in _ANALYSIS:
+        from repro.pro import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PROMachine",

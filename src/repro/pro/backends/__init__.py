@@ -7,6 +7,15 @@ everything above the machine layer -- the drivers, the CLI, the bench
 harness -- selects one with ``backend="inline" | "thread" | "process"`` (or
 any custom registered name).
 
+The registry knows the built-in backends by name and module path and
+imports a built-in's module on the first lookup of its name, so a caller
+loads only what it uses: importing this package loads the registry and the
+thread and inline backends, and a thread or matrix caller never loads the
+process stack (``multiprocessing``, shared memory, the worker pool).  The
+package's other names (:class:`ProcessBackend`, :class:`SimBackend`, the
+transports, the pool and the fault classes) load their module on first
+access.  Third-party backends still register when their module is imported.
+
 Built-in backends:
 
 * :class:`~repro.pro.backends.thread.ThreadBackend` (``"thread"``) -- one
@@ -56,6 +65,10 @@ semantics, error-propagation rules, transport sub-contract) and for how to
 register your own.
 """
 
+import sys
+import types
+from importlib import import_module
+
 from repro.pro.backends.registry import (
     BackendCapabilities,
     BackendSpec,
@@ -68,29 +81,62 @@ from repro.pro.backends.registry import (
 )
 from repro.pro.backends.thread import ThreadBackend
 from repro.pro.backends.inline import InlineBackend
-from repro.pro.backends.process import ProcessBackend, ProcessFabric
-from repro.pro.backends.transport import (
-    PayloadTransport,
-    PickleTransport,
-    available_transports,
-    get_transport,
-    register_transport,
-    resolve_transport,
-)
-from repro.pro.backends.sharedmem import SharedMemoryTransport
-from repro.pro.backends.pool import WorkerPool, pool
-from repro.pro.backends.sim import SimBackend, SimFabric
-from repro.pro.backends.faults import (
-    AbortTransfer,
-    BarrierTimeout,
-    CrashRank,
-    DelayMessage,
-    DropMessage,
-    FaultInjectingBackend,
-    FaultPlan,
-    InjectedFault,
-    shrink_schedule,
-)
+
+# Every other public name loads its module on first access (PEP 562), so
+# importing the package does not load the process stack.
+_LAZY = {
+    "ProcessBackend": "process",
+    "ProcessFabric": "process",
+    "PayloadTransport": "transport",
+    "PickleTransport": "transport",
+    "available_transports": "transport",
+    "get_transport": "transport",
+    "register_transport": "transport",
+    "resolve_transport": "transport",
+    "SharedMemoryTransport": "sharedmem",
+    "WorkerPool": "pool",
+    "SimBackend": "sim",
+    "SimFabric": "sim",
+    "AbortTransfer": "faults",
+    "BarrierTimeout": "faults",
+    "CrashRank": "faults",
+    "DelayMessage": "faults",
+    "DropMessage": "faults",
+    "FaultInjectingBackend": "faults",
+    "FaultPlan": "faults",
+    "InjectedFault": "faults",
+    "shrink_schedule": "faults",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+class _Package(types.ModuleType):
+    """Keeps ``pool`` the context manager of :mod:`repro.pro.backends.pool`.
+
+    Importing that submodule binds the package attribute ``pool`` to the
+    module; this property, which takes precedence over the module's
+    namespace, answers with the function instead.
+    """
+
+    @property
+    def pool(self):
+        value = self.__dict__.get("pool")
+        if value is None or isinstance(value, types.ModuleType):
+            from repro.pro.backends.pool import pool as value
+        return value
+
+    @pool.setter
+    def pool(self, value):
+        self.__dict__["pool"] = value
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "WorkerPool",

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.pro.backends.registry import (
-    BackendCapabilities,
-    ExecutionBackend,
-    register_backend,
-)
+from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
 from repro.util.errors import BackendError
 
 __all__ = ["InlineBackend"]
@@ -41,10 +37,3 @@ class InlineBackend(ExecutionBackend):
                 "use the thread backend for multi-processor runs"
             )
         return [program(contexts[0], *args, **kwargs)]
-
-
-register_backend(
-    "inline",
-    InlineBackend,
-    description="single rank in the calling thread (p == 1 only)",
-)

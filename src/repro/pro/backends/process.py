@@ -56,6 +56,7 @@ picklable.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import multiprocessing
 import queue as _pyqueue
@@ -63,11 +64,7 @@ import threading
 import time
 from typing import Callable, Sequence
 
-from repro.pro.backends.registry import (
-    BackendCapabilities,
-    ExecutionBackend,
-    register_backend,
-)
+from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
 from repro.pro.backends.transport import PayloadTransport, resolve_transport
 from repro.util.errors import (
     BackendError,
@@ -483,15 +480,11 @@ class ProcessBackend(ExecutionBackend):
         transport that opts out of cache keying (``cache_key() is None``)
         falls back to a backend-private pool.
         """
-        # (imported from the submodule directly: the package __init__
-        # re-exports the pool() context manager under the same name)
-        from repro.pro.backends.pool import WorkerPool, get_default_pool
-
         if self.pool_scope == "process":
             # Always resolved through the cache (no local fast path): the
             # lookup refreshes the fleet's LRU recency and applies the
             # cache's health checks (poison eviction, fork ownership).
-            shared = get_default_pool(
+            shared = _pool_module.get_default_pool(
                 n_procs, timeout=timeout, mp_context=self._mp,
                 transport=self.transport, shutdown_grace=self.shutdown_grace,
                 start_method=self.start_method,
@@ -507,7 +500,7 @@ class ProcessBackend(ExecutionBackend):
             return existing
         pool = self._pools.get(n_procs)
         if pool is None or pool.closed:
-            pool = WorkerPool(
+            pool = _pool_module.WorkerPool(
                 n_procs, timeout=timeout, mp_context=self._mp,
                 transport=self.transport, shutdown_grace=self.shutdown_grace,
             )
@@ -581,8 +574,6 @@ class ProcessBackend(ExecutionBackend):
         cold run is a one-epoch pool over the contexts' fabric, closed on
         every exit path.
         """
-        from repro.pro.backends.pool import WorkerPool
-
         n = len(contexts)
         if n == 0:
             return []
@@ -594,7 +585,7 @@ class ProcessBackend(ExecutionBackend):
                 "contexts built for another backend"
             )
         if not self.persistent:
-            cold = WorkerPool._one_epoch(fabric, self._mp, self.shutdown_grace)
+            cold = _pool_module.WorkerPool._one_epoch(fabric, self._mp, self.shutdown_grace)
             try:
                 return cold.run(contexts, program, args, kwargs)
             finally:
@@ -609,9 +600,7 @@ class ProcessBackend(ExecutionBackend):
         return pool.run(contexts, program, args, kwargs)
 
 
-register_backend(
-    "process",
-    ProcessBackend,
-    description="one OS process per rank; true parallelism, queue fabric with "
-                "pluggable payload transport (sharedmem default, pickle)",
-)
+# The worker pool imports this module's fabric, so it is bound as a module
+# object (either module may be imported first).  Importing it here loads the
+# whole process path at the first lookup of "process", before any rank forks.
+_pool_module = importlib.import_module("repro.pro.backends.pool")

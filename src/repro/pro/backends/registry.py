@@ -228,10 +228,15 @@ Registering a backend
                      description="one rank per <whatever>")
 
     PROMachine(4, backend="my-backend")
+
+The built-in backends are not registered this way: the registry knows
+them by name and module path and imports a built-in's module at the first
+lookup of its name, so a caller loads only the backends it uses.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -337,10 +342,25 @@ class ExecutionBackend:
 # ----------------------------------------------------------------------------
 # The registry proper
 # ----------------------------------------------------------------------------
-# The built-in backends register themselves at import time (each module
-# calls register_backend at its bottom), and importing this module always
-# executes the repro.pro.backends package __init__ first, which imports all
-# three -- so by the time any lookup below can run, the builtins are there.
+# The built-in backends by name: the module that defines each, its factory
+# and its description.  A built-in's module is imported on the first lookup
+# of its name, so a caller loads only the backends it uses (a thread or
+# matrix caller never loads the process stack: multiprocessing, shared
+# memory, the worker pool).  Third-party backends register at import time
+# through register_backend; a name registered that way, built-in or not,
+# takes precedence over the table.
+_BUILTINS: dict[str, tuple[str, str, str]] = {
+    "inline": ("repro.pro.backends.inline", "InlineBackend",
+               "single rank in the calling thread (p == 1 only)"),
+    "thread": ("repro.pro.backends.thread", "ThreadBackend",
+               "one Python thread per rank sharing the caller's address space"),
+    "process": ("repro.pro.backends.process", "ProcessBackend",
+                "one OS process per rank; true parallelism, queue fabric with "
+                "pluggable payload transport (sharedmem default, pickle)"),
+    "sim": ("repro.pro.backends.sim", "SimBackend",
+            "all ranks stepped cooperatively under a seedable, "
+            "replayable deterministic schedule (single execution baton)"),
+}
 _REGISTRY: dict[str, BackendSpec] = {}
 
 
@@ -355,14 +375,14 @@ def register_backend(
     """Register ``factory`` (usually the backend class) under ``name``.
 
     ``capabilities`` defaults to the factory's class-level ``capabilities``
-    attribute.  Re-registering an existing name raises unless
-    ``overwrite=True`` (useful in tests that stub a backend).
+    attribute.  Re-registering an existing name, a built-in one included,
+    raises unless ``overwrite=True`` (useful in tests that stub a backend).
     """
     if not isinstance(name, str) or not name:
         raise ValidationError(f"backend name must be a non-empty string, got {name!r}")
     if not callable(factory):
         raise ValidationError(f"backend factory for {name!r} must be callable")
-    if name in _REGISTRY and not overwrite:
+    if (name in _REGISTRY or name in _BUILTINS) and not overwrite:
         raise ValidationError(
             f"backend {name!r} is already registered; pass overwrite=True to replace it"
         )
@@ -380,8 +400,28 @@ def register_backend(
 
 
 def unregister_backend(name: str) -> None:
-    """Remove a registered backend (intended for test clean-up)."""
+    """Remove a registered backend (intended for test clean-up).
+
+    A built-in name falls back to its built-in backend at the next lookup.
+    """
     _REGISTRY.pop(name, None)
+
+
+def _spec(name: str) -> BackendSpec:
+    """The registry entry for ``name``, loading a built-in on its first lookup."""
+    spec = _REGISTRY.get(name)
+    if spec is None and name in _BUILTINS:
+        module, attribute, description = _BUILTINS[name]
+        factory = getattr(importlib.import_module(module), attribute)
+        # setdefault: a stub registered meanwhile keeps the name.
+        spec = _REGISTRY.setdefault(
+            name, BackendSpec(name, factory, factory.capabilities, description)
+        )
+    if spec is None:
+        raise ValidationError(
+            f"unknown backend {name!r}; registered backends: {', '.join(available_backends())}"
+        )
+    return spec
 
 
 def get_backend(name: str, **options) -> ExecutionBackend:
@@ -390,27 +430,17 @@ def get_backend(name: str, **options) -> ExecutionBackend:
     ``options`` are forwarded to the factory (e.g.
     ``get_backend("process", start_method="spawn")``).
     """
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise ValidationError(
-            f"unknown backend {name!r}; registered backends: {', '.join(available_backends())}"
-        )
-    return spec.factory(**options)
+    return _spec(name).factory(**options)
 
 
 def backend_capabilities(name: str) -> BackendCapabilities:
     """Capability flags of the backend registered under ``name``."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise ValidationError(
-            f"unknown backend {name!r}; registered backends: {', '.join(available_backends())}"
-        )
-    return spec.capabilities
+    return _spec(name).capabilities
 
 
 def available_backends() -> tuple[str, ...]:
-    """Sorted names of all registered backends."""
-    return tuple(sorted(_REGISTRY))
+    """Sorted names of all registered backends, built-ins not yet loaded included."""
+    return tuple(sorted(_REGISTRY.keys() | _BUILTINS.keys()))
 
 
 def resolve_backend(backend: str | ExecutionBackend, **options) -> ExecutionBackend:

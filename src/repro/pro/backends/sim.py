@@ -53,11 +53,7 @@ import threading
 from collections import deque
 from typing import Callable, Sequence
 
-from repro.pro.backends.registry import (
-    BackendCapabilities,
-    ExecutionBackend,
-    register_backend,
-)
+from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
 from repro.util.errors import BackendError, CommunicationError, ValidationError
 
 __all__ = ["SimBackend", "SimFabric", "ScheduleLimitExceeded"]
@@ -571,11 +567,3 @@ class SimBackend(ExecutionBackend):
                 raise wrap_rank_failure(rank, exc) from exc
             raise exc  # KeyboardInterrupt and friends propagate unchanged
         return [state.result for state in scheduler._ranks]
-
-
-register_backend(
-    "sim",
-    SimBackend,
-    description="all ranks stepped cooperatively under a seedable, "
-                "replayable deterministic schedule (single execution baton)",
-)

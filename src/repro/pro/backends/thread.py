@@ -19,11 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Sequence
 
-from repro.pro.backends.registry import (
-    BackendCapabilities,
-    ExecutionBackend,
-    register_backend,
-)
+from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
 from repro.util.errors import BackendError
 
 __all__ = ["ThreadBackend"]
@@ -86,10 +82,3 @@ class ThreadBackend(ExecutionBackend):
                 raise wrap_rank_failure(rank, exc) from exc
             raise exc  # KeyboardInterrupt and friends propagate unchanged
         return results
-
-
-register_backend(
-    "thread",
-    ThreadBackend,
-    description="one Python thread per rank sharing the caller's address space",
-)

@@ -23,17 +23,35 @@ __all__ = [
     "check_probability",
     "check_vector_of_nonnegative_ints",
     "check_same_total",
+    "check_totals_agree",
     "check_in_range",
     "as_int_array",
+    "holds_bool",
 ]
+
+
+def holds_bool(values) -> bool:
+    """Whether ``values`` is a boolean, or a list, tuple or array holding one.
+
+    ``int(True)`` is 1 and ``np.asarray([True, 2])`` is ``[1, 2]``, so the
+    validators ask this before converting; an array answers by its dtype.
+    """
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if isinstance(values, (list, tuple)):
+        return any(holds_bool(value) for value in values)
+    return isinstance(values, (bool, np.bool_))
 
 
 def check_nonnegative_int(value, name: str) -> int:
     """Validate that ``value`` is an integer ``>= 0`` and return it as ``int``.
 
     NumPy integer scalars are accepted; floats are accepted only when they
-    are exactly integral (``3.0`` is fine, ``3.5`` is not).
+    are exactly integral (``3.0`` is fine, ``3.5`` is not).  Booleans are
+    rejected.
     """
+    if holds_bool(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
         as_int = int(value)
     except (TypeError, ValueError) as exc:  # non numeric
@@ -67,8 +85,18 @@ def check_probability(value, name: str) -> float:
 
 
 def as_int_array(values: Iterable, name: str) -> np.ndarray:
-    """Convert ``values`` to a 1-D ``int64`` array, rejecting non-integral input."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
+    """Convert ``values`` to a 1-D ``int64`` array, rejecting non-integral input.
+
+    Booleans are rejected: an array by its dtype, any other input element
+    by element.
+    """
+    if isinstance(values, np.ndarray):
+        arr = values
+    else:
+        values = list(values)
+        if holds_bool(values):
+            raise ValidationError(f"{name} must contain integers, got a boolean")
+        arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
     if arr.size == 0:
@@ -99,8 +127,14 @@ def check_same_total(left: Sequence, right: Sequence, left_name: str, right_name
     """
     left_arr = check_vector_of_nonnegative_ints(left, left_name)
     right_arr = check_vector_of_nonnegative_ints(right, right_name)
-    left_total = int(left_arr.sum())
-    right_total = int(right_arr.sum())
+    return check_totals_agree(left_arr, right_arr, left_name, right_name)
+
+
+def check_totals_agree(left: np.ndarray, right: np.ndarray, left_name: str,
+                       right_name: str) -> int:
+    """:func:`check_same_total` for vectors that are already validated."""
+    left_total = int(left.sum())
+    right_total = int(right.sum())
     if left_total != right_total:
         raise ValidationError(
             f"sum({left_name}) == {left_total} but sum({right_name}) == {right_total}; "

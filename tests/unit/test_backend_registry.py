@@ -1,5 +1,10 @@
 """Unit tests for the execution-backend registry."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.pro.backends import (
@@ -17,6 +22,18 @@ from repro.pro.backends import (
 from repro.pro.backends.registry import unregister_backend
 from repro.pro.machine import PROMachine
 from repro.util.errors import ValidationError
+from repro.util.timeouts import scale_timeout
+
+BUILTINS = ("inline", "process", "sim", "thread")
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=scale_timeout(60))
 
 
 class TestRegistryLookups:
@@ -36,6 +53,13 @@ class TestRegistryLookups:
     def test_unknown_name_rejected_with_choices(self):
         with pytest.raises(ValidationError, match="thread"):
             get_backend("gpu")
+
+    def test_unknown_name_error_lists_every_builtin(self):
+        # Built-ins not loaded yet are listed too: they are known by name.
+        with pytest.raises(ValidationError) as excinfo:
+            get_backend("gpu")
+        listed = str(excinfo.value).split("registered backends: ")[1].split(", ")
+        assert set(BUILTINS) <= set(listed)
 
     def test_capabilities_by_name(self):
         assert backend_capabilities("inline").multirank is False
@@ -131,3 +155,123 @@ class TestMachineIntegration:
 
     def test_repr_names_backend(self):
         assert "process" in repr(PROMachine(2, backend="process"))
+
+
+class TestLazyLoading:
+    """The registry imports a built-in's module at the first lookup of its name."""
+
+    @pytest.mark.subprocess
+    def test_stub_registered_before_first_use_stays(self):
+        script = """if True:
+            import sys
+            from repro.pro.backends.registry import (
+                BackendCapabilities, ExecutionBackend, backend_capabilities,
+                get_backend, register_backend)
+
+            class Stub(ExecutionBackend):
+                capabilities = BackendCapabilities(multirank=False)
+
+            register_backend("process", Stub, overwrite=True)
+            assert "repro.pro.backends.process" not in sys.modules
+            assert isinstance(get_backend("process"), Stub)
+            import repro.pro.backends.process  # the built-in loads, and neither
+            assert isinstance(get_backend("process"), Stub)  # clobbers nor raises
+            assert backend_capabilities("process").multirank is False
+        """
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unregistering_a_stubbed_builtin_restores_it(self):
+        from repro.pro.backends.sim import SimBackend
+
+        class Stub(ExecutionBackend):
+            capabilities = BackendCapabilities(multirank=False)
+
+        register_backend("sim", Stub, overwrite=True)
+        try:
+            assert isinstance(get_backend("sim"), Stub)
+        finally:
+            unregister_backend("sim")
+        assert isinstance(get_backend("sim"), SimBackend)
+
+    @pytest.mark.subprocess
+    def test_builtin_name_is_taken_before_first_use(self):
+        script = """if True:
+            from repro.pro.backends.registry import register_backend
+            from repro.pro.backends.thread import ThreadBackend
+            from repro.util.errors import ValidationError
+            try:
+                register_backend("sim", ThreadBackend)
+            except ValidationError as exc:
+                assert "already registered" in str(exc)
+            else:
+                raise AssertionError("registered over a built-in name")
+        """
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_pool_export_stays_the_context_manager(self):
+        import repro.pro.backends
+        import repro.pro.backends.pool  # binds the package attribute to the module
+
+        from repro.pro.backends import pool
+        from repro.pro.backends.pool import pool as context_manager
+
+        assert pool is context_manager
+        assert repro.pro.backends.pool is context_manager
+
+    def test_every_exported_name_resolves(self):
+        import repro.pro
+        import repro.pro.backends
+
+        for package in (repro.pro, repro.pro.backends):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, name
+        with pytest.raises(AttributeError):
+            repro.pro.backends.NoSuchBackend
+
+    @pytest.mark.subprocess
+    def test_thread_caller_never_loads_the_process_stack(self):
+        script = """if True:
+            import importlib.util, sys
+            import numpy as np
+            from repro.core.permutation import random_permutation
+
+            process_path = {"repro.pro.backends." + name for name in
+                            ("process", "pool", "sharedmem", "transport", "sim", "faults")}
+            process_path |= {"multiprocessing", "multiprocessing.shared_memory", "cloudpickle"}
+            out = random_permutation(np.arange(1000), n_procs=2, seed=1)
+            assert sorted(out.tolist()) == list(range(1000))
+            loaded = sorted(process_path & set(sys.modules))
+            assert not loaded, loaded
+
+            from repro.pro.machine import PROMachine
+            machine = PROMachine(2, backend="process", seed=1)
+            wanted = process_path - {"repro.pro.backends.sim", "repro.pro.backends.faults"}
+            if importlib.util.find_spec("cloudpickle") is None:
+                wanted.discard("cloudpickle")
+            missing = sorted(wanted - set(sys.modules))
+            assert not missing, missing  # loaded before any worker forks
+            import multiprocessing
+            assert multiprocessing.active_children() == []
+            out = random_permutation(np.arange(1000), machine=machine)
+            assert sorted(out.tolist()) == list(range(1000))
+            machine.close()
+        """
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.subprocess
+    def test_spawned_ranks_import_the_process_path_by_name(self):
+        # A spawned child inherits no modules: it imports the pool first,
+        # which imports the process backend, which imports the pool back.
+        backend = get_backend("process", start_method="spawn")
+        assert backend.start_method == "spawn"
+        machine = PROMachine(2, backend=backend, seed=3)
+        try:
+            from repro.core.permutation import random_permutation
+
+            out = random_permutation(np.arange(200), machine=machine)
+        finally:
+            machine.close()
+        assert np.array_equal(out, random_permutation(np.arange(200), n_procs=2, seed=3))

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from repro.core import api
 from repro.core import commmatrix as cm
 from repro.core import hypergeometric as hg
 from repro.core import multivariate as mv
+from repro.core.blocks import BlockDistribution
 from repro.core.engine import VALID_METHODS, SamplerEngine, get_engine
+from repro.core.permutation import random_permutation
 from repro.rng.counting import CountingRNG
+from repro.util import validation
 from repro.util.errors import ValidationError
 
 
@@ -113,7 +117,11 @@ class TestMultivariateBatch:
         (True, [[3, 4]]),
         ([True], [[3, 4]]),
         ([1], [[True, True]]),
-    ], ids=["scalar-draws", "vector-draws", "sizes"])
+        ([1], [[True, 2]]),
+        ([True, 2], [[3, 4], [5, 6]]),
+        ([1], [np.array([True, False]), [2, 3]]),
+    ], ids=["scalar-draws", "vector-draws", "sizes", "mixed-sizes", "mixed-draws",
+            "bool-array-row"])
     def test_booleans_rejected(self, draws, sizes):
         with pytest.raises(ValidationError, match="must contain integers"):
             get_engine().multivariate_batch(draws, sizes, np.random.default_rng(0))
@@ -221,3 +229,43 @@ class TestBatchedMatrix:
         # Every nontrivial split consumes one variate; an 8x8 matrix needs
         # far more than the handful of vectorized calls that produce them.
         assert rng.uniforms_drawn > 8
+
+    def test_one_validation_and_one_tier_resolution_per_call(self, monkeypatch):
+        # The row tree's levels still go through multivariate_batch by name
+        # (perfbench times it there), but neither re-validate the marginals
+        # nor re-resolve the kernel tier.
+        engine = SamplerEngine(kernels="numpy")
+        calls = {"tier": 0, "levels": 0, "vector": 0}
+        resolve, level = SamplerEngine._resolve_tier, SamplerEngine.multivariate_batch
+        convert = validation.as_int_array
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(SamplerEngine, "_resolve_tier", counting("tier", resolve))
+        monkeypatch.setattr(SamplerEngine, "multivariate_batch", counting("levels", level))
+        monkeypatch.setattr(validation, "as_int_array", counting("vector", convert))
+        rows = cols = np.full(8, 20, dtype=np.int64)
+        expected = SamplerEngine(kernels="numpy").sample_matrix_batched(
+            rows, cols, np.random.default_rng(3))
+        calls.update(tier=0, levels=0, vector=0)
+        matrix = engine.sample_matrix_batched(rows, cols, np.random.default_rng(3))
+        assert np.array_equal(matrix, expected)
+        assert calls == {"tier": 1, "levels": 3, "vector": 2}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: api.sample_communication_matrix([True, 2], [1, 2], algorithm="batched", seed=1),
+    lambda: SamplerEngine().multivariate(True, [3, 4], np.random.default_rng(0)),
+    lambda: BlockDistribution([True, 3]),
+    lambda: random_permutation(np.arange(6), n_procs=True),
+    lambda: hg.sample(True, 3, 4, np.random.default_rng(0)),
+], ids=["matrix-marginal", "multivariate-draws", "block-sizes", "n_procs",
+        "hypergeometric-draws"])
+def test_entry_points_reject_booleans(call):
+    # Each of these once read True as 1 and returned a result.
+    with pytest.raises(ValidationError, match="integer"):
+        call()

@@ -44,6 +44,13 @@ class TestCheckNonnegativeInt:
         with pytest.raises(ValidationError, match="n_procs"):
             check_nonnegative_int(-3, "n_procs")
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.array(True)],
+                             ids=["True", "False", "np.bool_", "0-d-bool-array"])
+    def test_rejects_booleans(self, value):
+        # int(True) is 1: a boolean must not pass as a count.
+        with pytest.raises(ValidationError, match="must be an integer"):
+            check_nonnegative_int(value, "x")
+
 
 class TestCheckPositiveInt:
     def test_accepts_one(self):
@@ -56,6 +63,10 @@ class TestCheckPositiveInt:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             check_positive_int(-2, "x")
+
+    def test_rejects_true(self):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            check_positive_int(True, "x")
 
 
 class TestCheckProbability:
@@ -107,6 +118,18 @@ class TestAsIntArray:
     def test_rejects_strings(self):
         with pytest.raises(ValidationError):
             as_int_array(["a", "b"], "v")
+
+    @pytest.mark.parametrize("values", [[True, 2], [2, np.bool_(False)], (True, 3.0),
+                                        [True, False], np.array([True, False])],
+                             ids=["mixed-list", "np.bool_", "tuple-with-float",
+                                  "all-bool-list", "bool-array"])
+    def test_rejects_booleans(self, values):
+        # np.asarray([True, 2]) is an int64 array; the boolean must not vanish.
+        with pytest.raises(ValidationError, match="must contain integers"):
+            as_int_array(values, "v")
+
+    def test_integer_array_needs_no_element_check(self):
+        assert as_int_array(np.array([1, 0, 2]), "v").tolist() == [1, 0, 2]
 
 
 class TestCheckVectorOfNonnegativeInts:
