@@ -21,6 +21,9 @@ import sys
 
 import numpy as np
 
+from repro.util.errors import ValidationError
+from repro.util.validation import as_int_array
+
 __all__ = ["main", "build_parser"]
 
 
@@ -196,8 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_sizes(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _parse_sizes(text: str, flag: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    return as_int_array(values, flag).tolist()
 
 
 def _resolve_retry(args):
@@ -293,8 +300,8 @@ def _cmd_permute(args) -> int:
 def _cmd_matrix(args) -> int:
     from repro.core.api import sample_communication_matrix
 
-    sizes = _parse_sizes(args.sizes)
-    targets = _parse_sizes(args.target_sizes) if args.target_sizes else None
+    sizes = _parse_sizes(args.sizes, "--sizes")
+    targets = _parse_sizes(args.target_sizes, "--target-sizes") if args.target_sizes else None
     parallel = args.algorithm in ("alg5", "alg6", "root")
     telemetry = _resolve_telemetry(args)
     matrix = sample_communication_matrix(
@@ -363,7 +370,7 @@ def _cmd_scaling(args) -> int:
               f"crossover at p = {crossover_processors(rows)}")
         did_something = True
     if args.measure is not None:
-        procs = _parse_sizes(args.procs)
+        procs = _parse_sizes(args.procs, "--procs")
         rows = measured_scaling_table(
             args.measure, proc_counts=procs, repeats=1, backend=args.backend,
             transport=args.transport,
@@ -418,7 +425,7 @@ def _cmd_explore(args) -> int:
 
     report = explore(
         programs=[name for name in args.programs.split(",") if name.strip()],
-        procs=_parse_sizes(args.procs),
+        procs=_parse_sizes(args.procs, "--procs"),
         plans=args.plans,
         budget=args.budget,
         machine_seed=args.seed,

@@ -47,7 +47,7 @@ class BlockDistribution:
     """
 
     def __init__(self, sizes: Iterable[int]):
-        self._sizes = check_vector_of_nonnegative_ints(sizes, "sizes")
+        self._sizes = check_vector_of_nonnegative_ints(sizes, "sizes").copy()
         if self._sizes.size == 0:
             raise ValidationError("a BlockDistribution needs at least one block")
         self._offsets = np.concatenate(([0], np.cumsum(self._sizes)))

@@ -33,7 +33,7 @@ from repro.core import multivariate
 from repro.core.engine import get_engine
 from repro.rng.streams import default_rng
 from repro.util.errors import ValidationError
-from repro.util.validation import check_same_total, check_vector_of_nonnegative_ints
+from repro.util.validation import as_int_array, check_marginals
 
 __all__ = [
     "sample_matrix",
@@ -44,48 +44,32 @@ __all__ = [
 ]
 
 
-def _validate_marginals(row_sums, col_sums) -> tuple[np.ndarray, np.ndarray, int]:
-    rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
-    cols = check_vector_of_nonnegative_ints(col_sums, "col_sums")
-    total = check_same_total(rows, cols, "row_sums", "col_sums")
-    return rows, cols, total
-
-
 def is_valid_communication_matrix(matrix, row_sums, col_sums) -> bool:
     """True when ``matrix`` is non-negative with the prescribed marginals.
 
-    This is exactly the pair of conditions (2) and (3) of the paper.
+    This is exactly the pair of conditions (2) and (3) of the paper: a
+    matrix :func:`check_matrix` accepts, of an integer dtype.
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
-    arr = np.asarray(matrix)
-    if arr.shape != (rows.size, cols.size):
+    rows, cols, _ = check_marginals(row_sums, col_sums)
+    try:
+        check_matrix(matrix, rows, cols)
+    except ValidationError:
         return False
-    if arr.size and (np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer)):
-        return False
-    return bool(
-        np.array_equal(arr.sum(axis=1), rows) and np.array_equal(arr.sum(axis=0), cols)
-    )
+    return np.asarray(matrix).dtype.kind in "iu"
 
 
 def check_matrix(matrix, row_sums, col_sums) -> np.ndarray:
     """Validate a communication matrix, returning it as an ``int64`` array.
 
-    Raises :class:`~repro.util.errors.ValidationError` when the matrix shape,
-    sign or marginals are wrong.
+    Raises :class:`~repro.util.errors.ValidationError` when the entries are
+    not non-negative integers or the shape or marginals are wrong.
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
-    arr = np.asarray(matrix)
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError("communication matrices must be integer valued")
-        arr = arr.astype(np.int64)
-    arr = arr.astype(np.int64)
+    rows, cols, _ = check_marginals(row_sums, col_sums)
+    arr = as_int_array(matrix, "matrix", ndim=2)
     if arr.shape != (rows.size, cols.size):
         raise ValidationError(
             f"matrix shape {arr.shape} does not match ({rows.size}, {cols.size})"
         )
-    if arr.size and arr.min() < 0:
-        raise ValidationError("communication matrices must be non-negative")
     if not np.array_equal(arr.sum(axis=1), rows):
         raise ValidationError("row sums do not match the source block sizes (equation (2))")
     if not np.array_equal(arr.sum(axis=0), cols):
@@ -105,9 +89,13 @@ def sample_matrix_sequential(row_sums, col_sums, rng=None, *, method: str = "aut
 
     Cost: ``O(p * p')`` operations and hypergeometric samples.
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
+    rows, cols, _ = check_marginals(row_sums, col_sums)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    return _sequential(rows, cols, rng, get_engine(method))
 
+
+def _sequential(rows: np.ndarray, cols: np.ndarray, rng, engine) -> np.ndarray:
+    """:func:`sample_matrix_sequential` on valid marginals and a generator."""
     matrix = np.zeros((rows.size, cols.size), dtype=np.int64)
     if rows.size == 0 or cols.size == 0:
         # Degenerate tiles arise in Algorithm 6 when a dimension range empties
@@ -117,7 +105,7 @@ def sample_matrix_sequential(row_sums, col_sums, rng=None, *, method: str = "aut
     # The paper iterates i = p-1, ..., 0; the order is immaterial for the law
     # (Proposition 6 applies to any split), we keep the paper's order.
     for i in range(rows.size - 1, -1, -1):
-        row = multivariate.sample_sequential(int(rows[i]), remaining, rng, method=method)
+        row = multivariate._sequential(int(rows[i]), remaining, rng, engine)
         matrix[i, :] = row
         remaining -= row
     return matrix
@@ -143,8 +131,9 @@ def sample_matrix_recursive(
     sampler; the default of 1 follows the paper's pseudo-code (a single row
     is itself a multivariate hypergeometric sample).
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
+    rows, cols, _ = check_marginals(row_sums, col_sums)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    engine = get_engine(method)
     leaf_rows = max(1, int(leaf_rows))
 
     matrix = np.zeros((rows.size, cols.size), dtype=np.int64)
@@ -157,11 +146,11 @@ def sample_matrix_recursive(
             matrix[lo, :] = caps
             return
         if width <= leaf_rows:
-            matrix[lo:hi, :] = sample_matrix_sequential(rows[lo:hi], caps, rng, method=method)
+            matrix[lo:hi, :] = _sequential(rows[lo:hi], caps, rng, engine)
             return
         q = (lo + hi) // 2
         upper_total = int(rows[q:hi].sum())
-        to_up = multivariate.sample_sequential(upper_total, caps, rng, method=method)
+        to_up = multivariate._sequential(upper_total, caps, rng, engine)
         to_lo = caps - to_up
         recurse(lo, q, to_lo)
         recurse(q, hi, to_up)

@@ -48,12 +48,7 @@ import numpy as np
 
 from repro.rng.streams import default_rng
 from repro.util.errors import DistributionError, ValidationError
-from repro.util.validation import (
-    check_nonnegative_int,
-    check_totals_agree,
-    check_vector_of_nonnegative_ints,
-    holds_bool,
-)
+from repro.util.validation import as_int_array, check_marginals, check_nonnegative_int
 
 __all__ = ["SamplerEngine", "get_engine", "VALID_METHODS"]
 
@@ -64,33 +59,6 @@ VALID_METHODS = ("auto", "hin", "hrua", "numpy")
 # uniforms than the rejection method on average (mirrors production
 # libraries).  This is the single authoritative copy of the threshold.
 _HIN_THRESHOLD = 10
-
-
-def _int_array(values, name: str) -> np.ndarray:
-    """``values`` as a non-negative ``int64`` array of any shape.
-
-    Booleans and non-integral numbers raise :class:`ValidationError`
-    instead of being cast (``True`` would become 1, ``2.7`` would become 2).
-    """
-    if not isinstance(values, np.ndarray) and holds_bool(values):
-        raise ValidationError(f"{name} must contain integers, got a boolean")
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError) as exc:  # ragged nesting
-        raise ValidationError(f"{name} must be a rectangular array of integers") from exc
-    kind = arr.dtype.kind
-    if kind == "f":
-        fractional = ~np.isfinite(arr) | (arr != np.floor(arr))
-        if fractional.any():
-            raise ValidationError(
-                f"{name} must contain integers, got {arr[fractional].flat[0]!r}"
-            )
-    elif kind not in "iu":
-        raise ValidationError(f"{name} must contain integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.size and arr.min() < 0:
-        raise ValidationError(f"{name} must be non-negative")
-    return arr
 
 
 def _root(n: int):
@@ -199,8 +167,8 @@ class SamplerEngine:
                 raise DistributionError("the provided rng does not expose hypergeometric()")
             return int(rng.hypergeometric(w, b, t))
         if concrete == "hin":
-            return hypergeometric.sample_hin(t, w, b, rng)
-        return hypergeometric.sample_hrua(t, w, b, rng)
+            return hypergeometric._hin(t, w, b, rng)
+        return hypergeometric._hrua(t, w, b, rng)
 
     def draw(self, t: int, w: int, b: int, rng=None) -> int:
         """One variate of ``h(t, w, b)`` with full validation and recording."""
@@ -294,13 +262,9 @@ class SamplerEngine:
             # construction and it resolved the tier once for the matrix.
             return self._split_batch(n_draws, class_sizes, rng, _tier)
         self._check_batched_method()
-        sizes = _int_array(class_sizes, "class_sizes")
-        if sizes.ndim != 2:
-            raise ValidationError(
-                f"class_sizes must be a (batch, classes) array, got shape {sizes.shape}"
-            )
+        sizes = as_int_array(class_sizes, "class_sizes", ndim=2)
         n_batch, n_classes = sizes.shape
-        draws = _int_array(n_draws, "n_draws")
+        draws = as_int_array(n_draws, "n_draws", ndim=None)
         if draws.ndim == 0:
             draws = np.full(n_batch, draws, dtype=np.int64)
         elif draws.shape != (n_batch,):
@@ -345,10 +309,8 @@ class SamplerEngine:
     def multivariate(self, n_draws: int, class_sizes, rng=None) -> np.ndarray:
         """One multivariate hypergeometric sample via the batched kernel."""
         n_draws = check_nonnegative_int(n_draws, "n_draws")
-        class_sizes = check_vector_of_nonnegative_ints(class_sizes, "class_sizes")
-        return self.multivariate_batch(
-            np.array([n_draws], dtype=np.int64), class_sizes.reshape(1, -1), rng
-        )[0]
+        sizes = as_int_array(class_sizes, "class_sizes")
+        return self.multivariate_batch(n_draws, sizes[None], rng)[0]
 
     def sample_matrix_batched(self, row_sums, col_sums, rng=None) -> np.ndarray:
         """Sample a whole communication matrix with vectorized kernels.
@@ -360,9 +322,7 @@ class SamplerEngine:
         calls over all same-level blocks at once.
         """
         self._check_batched_method()
-        rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
-        cols = check_vector_of_nonnegative_ints(col_sums, "col_sums")
-        check_totals_agree(rows, cols, "row_sums", "col_sums")
+        rows, cols, _ = check_marginals(row_sums, col_sums)
         matrix = np.zeros((rows.size, cols.size), dtype=np.int64)
         if rows.size == 0 or cols.size == 0:
             return matrix

@@ -164,7 +164,8 @@ def _log_binomial(n: int, k: int) -> float:
 def log_pmf(k: int, t: int, w: int, b: int) -> float:
     """Natural log of ``P[X = k]`` for ``X ~ h(t, w, b)``; ``-inf`` outside the support."""
     t, w, b = _validate_parameters(t, w, b)
-    k = int(k)
+    if not (isinstance(k, (int, np.integer)) and k < 0):  # negative k: outside the support
+        k = check_nonnegative_int(k, "k")
     lo, hi = max(0, t - b), min(t, w)
     if k < lo or k > hi:
         return float("-inf")
@@ -228,8 +229,11 @@ def sample_hin(t: int, w: int, b: int, rng=None) -> int:
     trivial = _trivial_sample(t, w, b)
     if trivial is not None:
         return trivial
-    rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    return _hin(t, w, b, default_rng(rng) if not hasattr(rng, "random") else rng)
 
+
+def _hin(t: int, w: int, b: int, rng) -> int:
+    """:func:`sample_hin` on valid, non-degenerate parameters and a generator."""
     good, bad, draws = w, b, t
     d1 = bad + good - draws
     d2 = float(min(bad, good))
@@ -265,8 +269,11 @@ def sample_hrua(t: int, w: int, b: int, rng=None) -> int:
     trivial = _trivial_sample(t, w, b)
     if trivial is not None:
         return trivial
-    rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    return _hrua(t, w, b, default_rng(rng) if not hasattr(rng, "random") else rng)
 
+
+def _hrua(t: int, w: int, b: int, rng) -> int:
+    """:func:`sample_hrua` on valid, non-degenerate parameters and a generator."""
     good, bad, draws = w, b, t
     popsize = good + bad
     mingoodbad = min(good, bad)
@@ -337,7 +344,11 @@ def sample(t: int, w: int, b: int, rng=None, *, method: str = "auto") -> int:
 
     engine = get_engine(method)  # raises ValidationError for unknown names
     t, w, b = _validate_parameters(t, w, b)
-    rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    return _draw(t, w, b, default_rng(rng) if not hasattr(rng, "random") else rng, engine)
+
+
+def _draw(t: int, w: int, b: int, rng, engine) -> int:
+    """:func:`sample` on valid parameters and a generator: the samplers' inner call."""
     recorder = _active_recorder()
     uniforms_before = getattr(rng, "uniforms_drawn", None) if recorder is not None else None
 
@@ -403,7 +414,7 @@ def sample_many(t: int, w: int, b: int, size: int, rng=None, *, method: str = "a
                     recorder.record(int(u) if counting else 0)
             return out
 
-    return np.array([sample(t, w, b, rng, method=method) for _ in range(size)], dtype=np.int64)
+    return np.array([_draw(t, w, b, rng, engine) for _ in range(size)], dtype=np.int64)
 
 
 # ----------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core import hypergeometric
 from repro.core.commmatrix import check_matrix
 from repro.util.errors import ValidationError
-from repro.util.validation import check_same_total, check_vector_of_nonnegative_ints
+from repro.util.validation import check_marginals
 
 __all__ = [
     "log_number_of_realizing_permutations",
@@ -54,33 +54,26 @@ def _log_factorial(k: int) -> float:
     return lgamma(k + 1)
 
 
-def _validate_marginals(row_sums, col_sums) -> tuple[np.ndarray, np.ndarray, int]:
-    rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
-    cols = check_vector_of_nonnegative_ints(col_sums, "col_sums")
-    total = check_same_total(rows, cols, "row_sums", "col_sums")
-    return rows, cols, total
-
-
 # ----------------------------------------------------------------------------
 # The exact law
 # ----------------------------------------------------------------------------
 def log_number_of_realizing_permutations(matrix, row_sums, col_sums) -> float:
     """Natural log of the number of permutations whose communication matrix is ``matrix``."""
-    arr = check_matrix(matrix, row_sums, col_sums)
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
-    value = sum(_log_factorial(int(m)) for m in rows)
-    value += sum(_log_factorial(int(m)) for m in cols)
+    return _log_count(check_matrix(matrix, row_sums, col_sums))
+
+
+def _log_count(arr: np.ndarray) -> float:
+    # check_matrix has pinned the row and column sums to the marginals.
+    value = sum(_log_factorial(int(m)) for m in arr.sum(axis=1))
+    value += sum(_log_factorial(int(m)) for m in arr.sum(axis=0))
     value -= float(sum(_log_factorial(int(a)) for a in arr.ravel()))
     return value
 
 
 def log_pmf(matrix, row_sums, col_sums) -> float:
     """Natural log of ``P[A = matrix]`` under a uniform random permutation."""
-    rows, cols, total = _validate_marginals(row_sums, col_sums)
-    return (
-        log_number_of_realizing_permutations(matrix, rows, cols)
-        - _log_factorial(total)
-    )
+    arr = check_matrix(matrix, row_sums, col_sums)
+    return _log_count(arr) - _log_factorial(int(arr.sum()))
 
 
 def pmf(matrix, row_sums, col_sums) -> float:
@@ -90,7 +83,7 @@ def pmf(matrix, row_sums, col_sums) -> float:
 
 def expected_matrix(row_sums, col_sums) -> np.ndarray:
     """Expectation ``E[a_ij] = m_i * m'_j / n`` of the communication matrix."""
-    rows, cols, total = _validate_marginals(row_sums, col_sums)
+    rows, cols, total = check_marginals(row_sums, col_sums)
     if total == 0:
         return np.zeros((rows.size, cols.size))
     return np.outer(rows, cols) / total
@@ -102,7 +95,7 @@ def entry_distribution(i: int, j: int, row_sums, col_sums) -> tuple[int, int, in
     Proposition 3: ``a_ij ~ h(m'_j, m_i, n - m_i)``.  The returned triple can
     be fed directly to :mod:`repro.core.hypergeometric`.
     """
-    rows, cols, total = _validate_marginals(row_sums, col_sums)
+    rows, cols, total = check_marginals(row_sums, col_sums)
     if not (0 <= i < rows.size):
         raise ValidationError(f"row index {i} out of range [0, {rows.size})")
     if not (0 <= j < cols.size):
@@ -122,7 +115,7 @@ def enumerate_matrices(row_sums, col_sums, *, max_matrices: int = 2_000_000) -> 
     accidental huge enumerations (a :class:`ValidationError` is raised when
     the limit is hit).
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
+    rows, cols, _ = check_marginals(row_sums, col_sums)
     p, q = rows.size, cols.size
     matrix = np.zeros((p, q), dtype=np.int64)
     count = 0
@@ -168,11 +161,12 @@ def exact_distribution(row_sums, col_sums, *, max_matrices: int = 2_000_000) -> 
     point error) and each key can be rebuilt with
     ``np.frombuffer(key, dtype=np.int64).reshape(p, p')``.
     """
-    rows, cols, _ = _validate_marginals(row_sums, col_sums)
-    out: dict[bytes, float] = {}
-    for matrix in enumerate_matrices(rows, cols, max_matrices=max_matrices):
-        out[matrix.tobytes()] = pmf(matrix, rows, cols)
-    return out
+    rows, cols, total = check_marginals(row_sums, col_sums)
+    log_n_factorial = _log_factorial(total)
+    return {
+        matrix.tobytes(): float(np.exp(_log_count(matrix) - log_n_factorial))
+        for matrix in enumerate_matrices(rows, cols, max_matrices=max_matrices)
+    }
 
 
 # ----------------------------------------------------------------------------

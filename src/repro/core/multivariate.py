@@ -33,6 +33,7 @@ from math import lgamma
 import numpy as np
 
 from repro.core import hypergeometric
+from repro.core.engine import get_engine
 from repro.rng.streams import default_rng
 from repro.util.errors import ValidationError
 from repro.util.validation import (
@@ -138,14 +139,18 @@ def sample_sequential(n_draws: int, class_sizes, rng=None, *, method: str = "aut
     """
     n_draws, class_sizes = _validate(n_draws, class_sizes)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    return _sequential(n_draws, class_sizes, rng, get_engine(method))
 
+
+def _sequential(n_draws: int, class_sizes: np.ndarray, rng, engine) -> np.ndarray:
+    """:func:`sample_sequential` on valid input: the matrix samplers' inner call."""
     remaining_total = int(class_sizes.sum())
     remaining_draws = n_draws
     counts = np.zeros(class_sizes.size, dtype=np.int64)
     for i, class_size in enumerate(class_sizes.tolist()):
         # toRight = number of the remaining draws that fall outside class i.
-        to_right = hypergeometric.sample(
-            remaining_draws, remaining_total - class_size, class_size, rng, method=method
+        to_right = hypergeometric._draw(
+            remaining_draws, remaining_total - class_size, class_size, rng, engine
         )
         counts[i] = remaining_draws - to_right
         remaining_total -= class_size
@@ -171,6 +176,7 @@ def sample_recursive(
     """
     n_draws, class_sizes = _validate(n_draws, class_sizes)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
+    engine = get_engine(method)
     leaf_size = max(1, int(leaf_size))
 
     counts = np.zeros(class_sizes.size, dtype=np.int64)
@@ -183,12 +189,12 @@ def sample_recursive(
             counts[lo] = draws
             return
         if width <= leaf_size:
-            counts[lo:hi] = sample_sequential(draws, class_sizes[lo:hi], rng, method=method)
+            counts[lo:hi] = _sequential(draws, class_sizes[lo:hi], rng, engine)
             return
         mid = (lo + hi) // 2
         left_total = int(class_sizes[lo:mid].sum())
         right_total = int(class_sizes[mid:hi].sum())
-        into_left = hypergeometric.sample(draws, left_total, right_total, rng, method=method)
+        into_left = hypergeometric._draw(draws, left_total, right_total, rng, engine)
         recurse(lo, mid, into_left)
         recurse(mid, hi, draws - into_left)
 
@@ -212,10 +218,8 @@ def sample(n_draws: int, class_sizes, rng=None, *, method: str = "auto", strateg
     if strategy == "recursive":
         return sample_recursive(n_draws, class_sizes, rng, method=method)
     if strategy == "batched":
-        from repro.core.engine import get_engine
-
         n_draws, class_sizes = _validate(n_draws, class_sizes)
-        return get_engine(method).multivariate(n_draws, class_sizes, rng)
+        return get_engine(method).multivariate_batch(n_draws, class_sizes[None], rng)[0]
     if strategy == "numpy":
         n_draws, class_sizes = _validate(n_draws, class_sizes)
         generator = default_rng(rng) if not hasattr(rng, "random") else rng

@@ -38,10 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import commmatrix, multivariate
+from repro.core.engine import get_engine
 from repro.core.kernels import resolve_kernels
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
-from repro.util.validation import check_same_total, check_vector_of_nonnegative_ints
+from repro.util.validation import check_marginals
 
 __all__ = [
     "algorithm5_program",
@@ -90,9 +91,7 @@ def _note_kernel_tier(ctx: ProcessorContext, kernels):
 
 
 def _validate_inputs(ctx: ProcessorContext, row_sums, col_sums) -> tuple[np.ndarray, np.ndarray]:
-    rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
-    cols = check_vector_of_nonnegative_ints(col_sums, "col_sums")
-    check_same_total(rows, cols, "row_sums", "col_sums")
+    rows, cols, _ = check_marginals(row_sums, col_sums)
     if rows.size != ctx.n_procs:
         raise ValidationError(
             f"row_sums must have one entry per processor ({ctx.n_procs}), got {rows.size}"
@@ -143,6 +142,7 @@ def algorithm5_program(
     """
     _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
+    engine = get_engine(method)
     rank, p = ctx.rank, ctx.n_procs
 
     beta = cols.copy() if rank == 0 else None
@@ -153,7 +153,7 @@ def algorithm5_program(
         if rank == low:
             # Mass of the upper half of the processor range [mid, high).
             upper_mass = int(rows[mid:high].sum())
-            to_up = multivariate.sample_sequential(upper_mass, beta, ctx.rng, method=method)
+            to_up = multivariate._sequential(upper_mass, beta, ctx.rng, engine)
             ctx.comm.send(to_up, mid, tag=("alg5", iteration))
             beta = beta - to_up
             ctx.log_compute(beta.size)
@@ -230,6 +230,7 @@ def algorithm6_program(
     tile_strategy = resolve_tile_strategy(tile_strategy, method)
     kernels = _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
+    engine = get_engine(method)
     rank, p = ctx.rank, ctx.n_procs
 
     # beta[d] is the marginal vector of dimension d (0 = rows, 1 = columns)
@@ -254,9 +255,7 @@ def algorithm6_program(
             upper_marginals = beta[split_dim][offset:]
             upper_mass = int(upper_marginals.sum())
             ctx.comm.send(upper_marginals, mid, tag=("alg6-delta", iteration))
-            to_up = multivariate.sample_sequential(
-                upper_mass, beta[other_dim], ctx.rng, method=method
-            )
+            to_up = multivariate._sequential(upper_mass, beta[other_dim], ctx.rng, engine)
             ctx.comm.send(to_up, mid, tag=("alg6-nabla", iteration))
             beta[other_dim] = beta[other_dim] - to_up
             beta[split_dim] = beta[split_dim][:offset]
@@ -405,9 +404,7 @@ def sample_matrix_parallel(
     >>> run.n_procs
     3
     """
-    rows = check_vector_of_nonnegative_ints(row_sums, "row_sums")
-    cols = rows if col_sums is None else check_vector_of_nonnegative_ints(col_sums, "col_sums")
-    check_same_total(rows, cols, "row_sums", "col_sums")
+    rows, cols, _ = check_marginals(row_sums, row_sums if col_sums is None else col_sums)
     if algorithm not in MATRIX_ALGORITHMS:
         raise ValidationError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(MATRIX_ALGORITHMS)}"

@@ -37,8 +37,9 @@ from repro.core.parallel_matrix import MATRIX_ALGORITHMS
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
 from repro.util.validation import (
+    check_marginals,
+    check_nonnegative_int,
     check_positive_int,
-    check_vector_of_nonnegative_ints,
 )
 
 __all__ = [
@@ -112,14 +113,10 @@ def _target_sizes(source_sizes: np.ndarray, target_sizes) -> np.ndarray:
     """Validated target block sizes ``m'`` (``None`` keeps the source sizes)."""
     if target_sizes is None:
         return source_sizes
-    targets = check_vector_of_nonnegative_ints(target_sizes, "target_sizes")
+    _, targets, _ = check_marginals(source_sizes, target_sizes, "block sizes", "target_sizes")
     if targets.size != source_sizes.size:
         raise ValidationError(
             f"target_sizes must have {source_sizes.size} entries, got {targets.size}"
-        )
-    if int(targets.sum()) != int(source_sizes.sum()):
-        raise ValidationError(
-            "target_sizes must redistribute exactly the items present in the blocks"
         )
     return targets
 
@@ -417,9 +414,7 @@ def random_permutation_indices(
     >>> sorted(perm.tolist())
     [0, 1, 2, 3, 4, 5]
     """
-    n = int(n)
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    n = check_nonnegative_int(n, "n")
     # method and distribution are pinned so that they stay out of this
     # driver's keywords (passing either raises TypeError).
     return random_permutation(

@@ -928,16 +928,8 @@ _DEFAULT_POOLS: "OrderedDict[tuple, WorkerPool]" = OrderedDict()
 #: Guards the cache dict itself; each pool's run() has its own lock.
 _DEFAULT_POOLS_LOCK = threading.Lock()
 #: Standing fleets kept warm at once; the least recently used fleet is
-#: closed when the cache grows past this (override with the
-#: REPRO_DEFAULT_POOL_CAP environment variable).
+#: closed when the cache grows past this.
 _DEFAULT_POOL_CAP = 4
-
-
-def _default_pool_cap() -> int:
-    try:
-        return max(int(os.environ.get("REPRO_DEFAULT_POOL_CAP", "")), 1)
-    except ValueError:
-        return _DEFAULT_POOL_CAP
 
 
 def _default_pool_key(n_procs, transport, timeout, start_method):
@@ -969,8 +961,8 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     either way.  Returns ``None`` -- the caller should keep a private
     pool -- when the transport opts out of cache keying.
 
-    The cache holds at most ``REPRO_DEFAULT_POOL_CAP`` (default 4) fleets;
-    the least recently used one is closed on overflow.  All cached fleets
+    The cache holds at most ``_DEFAULT_POOL_CAP`` (4) fleets; the least
+    recently used one is closed on overflow.  All cached fleets
     are released by :func:`clear_default_pools`, which also runs at
     interpreter exit.
 
@@ -1018,8 +1010,7 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
         pool = WorkerPool(n_procs, timeout=timeout, mp_context=mp_context,
                           transport=transport, shutdown_grace=shutdown_grace)
         _DEFAULT_POOLS[key] = pool
-        cap = _default_pool_cap()
-        while len(_DEFAULT_POOLS) > cap:
+        while len(_DEFAULT_POOLS) > _DEFAULT_POOL_CAP:
             _key, coldest = _DEFAULT_POOLS.popitem(last=False)
             record_event("pool-evict", n_procs=coldest.n_procs, reason="lru")
             evicted.append(coldest)

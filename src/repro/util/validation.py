@@ -1,9 +1,18 @@
-"""Argument-validation helpers.
+"""Argument validation: the one boundary between outside input and trusted ints.
 
-Every public entry point of the library validates its inputs through these
-helpers so that error messages are uniform and informative.  The helpers
-return the validated (and possibly converted) value so they can be used in a
-fluent style::
+The rule is: each public entry point validates its integer arguments once,
+through these helpers, and the layers below take the plain ``int`` values
+and ``int64`` arrays they return without checking them again.  The
+samplers' loops and recursions, the engine's tree levels and the matrix
+programs' splits all run on trusted values.
+
+:func:`as_int_array` is the one integer rule for arrays (the vector and
+marginal helpers wrap it); :func:`check_nonnegative_int` is its scalar
+form, with an ``operator.index`` fast path.  Both raise
+:class:`~repro.util.errors.ValidationError` for booleans, strings and other
+objects, NaN, infinities, fractions and negative counts, rather than cast
+them (``int(2.7)`` is 2, ``int(True)`` is 1).  They return the validated
+value, so they read fluently::
 
     m = check_vector_of_nonnegative_ints(m, "m")
     p = check_positive_int(p, "p")
@@ -11,6 +20,7 @@ fluent style::
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,44 +32,77 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_vector_of_nonnegative_ints",
+    "check_marginals",
     "check_same_total",
-    "check_totals_agree",
     "check_in_range",
     "as_int_array",
-    "holds_bool",
 ]
 
 
-def holds_bool(values) -> bool:
-    """Whether ``values`` is a boolean, or a list, tuple or array holding one.
-
-    ``int(True)`` is 1 and ``np.asarray([True, 2])`` is ``[1, 2]``, so the
-    validators ask this before converting; an array answers by its dtype.
-    """
+def _holds_bool(values) -> bool:
+    # np.asarray([True, 2]) is an int64 array: look for the boolean first.
     if isinstance(values, np.ndarray):
         return values.dtype.kind == "b"
     if isinstance(values, (list, tuple)):
-        return any(holds_bool(value) for value in values)
+        return any(map(_holds_bool, values))
     return isinstance(values, (bool, np.bool_))
+
+
+def as_int_array(values: Iterable, name: str, ndim: int | None = 1) -> np.ndarray:
+    """``values`` as a non-negative ``int64`` array of rank ``ndim`` (``None``: any).
+
+    An ndarray is judged by its dtype, and an ``int64`` one is returned as
+    is, without a copy; other input goes through ``np.asarray`` after its
+    lists and tuples are searched for booleans.  Raises
+    :class:`ValidationError` for booleans, strings and objects, ragged
+    nesting, NaN, infinities, fractions, values outside the ``int64``
+    range, the wrong rank and negative entries.
+    """
+    if isinstance(values, np.ndarray):
+        arr = values
+    elif _holds_bool(values):
+        raise ValidationError(f"{name} must contain integers, got a boolean")
+    else:
+        try:
+            arr = np.asarray(values)
+        except (TypeError, ValueError, OverflowError):  # ragged nesting
+            raise ValidationError(f"{name} must be a rectangular array of integers") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    kind, must = arr.dtype.kind, "be an integer" if arr.ndim == 0 else "contain integers"
+    if kind == "f":
+        bad = ~((arr >= -2.0**63) & (arr < 2.0**63)) | (arr != np.floor(arr))
+        if bad.any():
+            raise ValidationError(
+                f"{name} must {must} in the int64 range, got {float(arr[bad].flat[0])!r}")
+    elif kind == "u":
+        if arr.size and arr.max() > np.iinfo(np.int64).max:
+            raise ValidationError(f"{name} must {must} in the int64 range")
+    elif kind != "i":
+        raise ValidationError(f"{name} must {must}, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValidationError(f"{name} must be >= 0 elementwise, got min {arr.min()}")
+    return arr
 
 
 def check_nonnegative_int(value, name: str) -> int:
     """Validate that ``value`` is an integer ``>= 0`` and return it as ``int``.
 
-    NumPy integer scalars are accepted; floats are accepted only when they
-    are exactly integral (``3.0`` is fine, ``3.5`` is not).  Booleans are
-    rejected.
+    ``int`` and NumPy integers of any size pass unchanged.  Otherwise only
+    a finite, integral real float is accepted (a Python or NumPy float, or
+    a 0-d float array): ``3.0`` is fine, ``3.5``, ``inf``, ``True``,
+    ``"3"``, ``Fraction(7, 2)`` and ``Decimal("3.5")`` are not.
     """
-    if holds_bool(value):
+    if isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     try:
-        as_int = int(value)
-    except (TypeError, ValueError) as exc:  # non numeric
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
-    if isinstance(value, float) and value != as_int:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, (np.floating,)) and float(value) != as_int:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        as_int = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, (float, np.floating))
+                or isinstance(value, np.ndarray) and value.dtype.kind == "f"):
+            raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        return int(as_int_array(value, name, ndim=0))
     if as_int < 0:
         raise ValidationError(f"{name} must be >= 0, got {as_int}")
     return as_int
@@ -84,63 +127,32 @@ def check_probability(value, name: str) -> float:
     return as_float
 
 
-def as_int_array(values: Iterable, name: str) -> np.ndarray:
-    """Convert ``values`` to a 1-D ``int64`` array, rejecting non-integral input.
-
-    Booleans are rejected: an array by its dtype, any other input element
-    by element.
-    """
-    if isinstance(values, np.ndarray):
-        arr = values
-    else:
-        values = list(values)
-        if holds_bool(values):
-            raise ValidationError(f"{name} must contain integers, got a boolean")
-        arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-D sequence, got shape {arr.shape}")
-    if arr.size == 0:
-        return arr.astype(np.int64)
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError(f"{name} must contain integers, got {arr!r}")
-        arr = arr.astype(np.int64)
-    elif arr.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must contain integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
-
-
 def check_vector_of_nonnegative_ints(values: Iterable, name: str) -> np.ndarray:
     """Validate a vector of non-negative integers, returning an ``int64`` array."""
-    arr = as_int_array(values, name)
-    if arr.size and arr.min() < 0:
-        raise ValidationError(f"{name} must be >= 0 elementwise, got min {arr.min()}")
-    return arr
+    return as_int_array(values, name)
+
+
+def check_marginals(row_sums, col_sums, row_name: str = "row_sums",
+                    col_name: str = "col_sums") -> tuple[np.ndarray, np.ndarray, int]:
+    """Problem 2's marginals as trusted ``int64`` vectors, plus their common total.
+
+    The source block sizes ``m`` and the target block sizes ``m'`` must
+    describe the same number of items ``n`` (equation (1) of the paper).
+    """
+    rows = as_int_array(row_sums, row_name)
+    cols = as_int_array(col_sums, col_name)
+    total, col_total = int(rows.sum()), int(cols.sum())
+    if total != col_total:
+        raise ValidationError(
+            f"sum({row_name}) == {total} but sum({col_name}) == {col_total}; "
+            "the source and target layouts must hold the same number of items"
+        )
+    return rows, cols, total
 
 
 def check_same_total(left: Sequence, right: Sequence, left_name: str, right_name: str) -> int:
-    """Validate ``sum(left) == sum(right)`` and return the common total.
-
-    Used for the communication-matrix marginals, where the source block sizes
-    and target block sizes must describe the same number of items
-    (equation (1) of the paper).
-    """
-    left_arr = check_vector_of_nonnegative_ints(left, left_name)
-    right_arr = check_vector_of_nonnegative_ints(right, right_name)
-    return check_totals_agree(left_arr, right_arr, left_name, right_name)
-
-
-def check_totals_agree(left: np.ndarray, right: np.ndarray, left_name: str,
-                       right_name: str) -> int:
-    """:func:`check_same_total` for vectors that are already validated."""
-    left_total = int(left.sum())
-    right_total = int(right.sum())
-    if left_total != right_total:
-        raise ValidationError(
-            f"sum({left_name}) == {left_total} but sum({right_name}) == {right_total}; "
-            "the source and target layouts must hold the same number of items"
-        )
-    return left_total
+    """Validate ``sum(left) == sum(right)`` and return the common total."""
+    return check_marginals(left, right, left_name, right_name)[2]
 
 
 def check_in_range(value, low, high, name: str):

@@ -209,6 +209,18 @@ class TestCommands:
         with pytest.raises(ValidationError, match="parallel"):
             main(["matrix", "--sizes", "5,5", "--retries", "2"])
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--sizes", ["--sizes", "1,x"]),
+        ("--sizes", ["--sizes", "1.5,2"]),
+        ("--sizes", ["--sizes=-1,2", "--target-sizes", "1"]),
+        ("--target-sizes", ["--sizes", "3,3", "--target-sizes", "3,y"]),
+        ("--target-sizes", ["--sizes", "3,3", "--target-sizes", "6.0"]),
+    ], ids=["letter", "fraction", "negative", "target-letter", "target-float"])
+    def test_matrix_sizes_must_be_counts(self, flag, argv):
+        # A ValidationError naming the flag, not a raw ValueError.
+        with pytest.raises(ValidationError, match=flag):
+            main(["matrix", *argv])
+
     def test_scaling_paper(self, capsys):
         code = main(["scaling", "--paper"])
         out = capsys.readouterr().out

@@ -116,3 +116,48 @@ class TestSequentialSampler:
         samples = np.array([cm.sample_matrix(rows, cols, rng) for _ in range(2000)], dtype=float)
         expected = np.outer(rows, cols) / 30
         assert np.allclose(samples.mean(axis=0), expected, atol=0.35)
+
+
+class TestValidationBoundary:
+    def test_sequential_matrix_validates_its_marginals_once(self, monkeypatch):
+        # The marginals are checked at the entry point; the row loop, the
+        # multivariate peeling and every h(,) draw run on trusted ints.
+        import sys
+
+        from repro.util import validation
+
+        calls = {"vector": 0, "scalar": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        rows = cols = [40] * 16
+        expected = cm.sample_matrix(rows, cols, np.random.default_rng(9))
+        kinds = {"as_int_array": "vector", "check_nonnegative_int": "scalar",
+                 "check_positive_int": "scalar"}
+        originals = {attr: getattr(validation, attr) for attr in kinds}
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attr, key in kinds.items():
+                    if getattr(module, attr, None) is originals[attr]:
+                        monkeypatch.setattr(module, attr, counting(key, originals[attr]))
+        with SampleRecorder() as rec:
+            matrix = cm.sample_matrix(rows, cols, np.random.default_rng(9))
+        assert np.array_equal(matrix, expected)
+        assert rec.n_calls == 16 * 16
+        assert calls["vector"] <= 2 and calls["scalar"] == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("matrix, fault", [
+        (np.eye(2, dtype=bool), "dtype bool"),
+        ([[float("inf"), 0], [0, 1]], "int64 range"),
+    ], ids=["boolean", "inf"])
+    def test_matrix_checks_agree_and_name_the_fault(self, matrix, fault):
+        # check_matrix once returned a boolean matrix as [[1, 0], [0, 1]]
+        # and cast inf to int64 min ("must be non-negative").
+        with pytest.raises(ValidationError, match=fault):
+            cm.check_matrix(matrix, [1, 1], [1, 1])
+        assert not cm.is_valid_communication_matrix(matrix, [1, 1], [1, 1])

@@ -160,7 +160,9 @@ class TestKeyedIsolation:
         assert names == ["pickle", "sharedmem"]
 
     def test_lru_cap_closes_coldest_fleet(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_POOL_CAP", "2")
+        # The package's ``pool`` attribute is the context manager, so the
+        # module holding the cap is reached through sys.modules.
+        monkeypatch.setattr(sys.modules[get_default_pool.__module__], "_DEFAULT_POOL_CAP", 2)
         transport = resolve_transport("sharedmem")
         pools = [get_default_pool(p, timeout=scale_timeout(20),
                                   transport=transport) for p in (1, 2, 3)]

@@ -10,7 +10,7 @@ from repro.core import hypergeometric as hg
 from repro.core import multivariate as mv
 from repro.core.blocks import BlockDistribution
 from repro.core.engine import VALID_METHODS, SamplerEngine, get_engine
-from repro.core.permutation import random_permutation
+from repro.core.permutation import random_permutation, random_permutation_indices
 from repro.rng.counting import CountingRNG
 from repro.util import validation
 from repro.util.errors import ValidationError
@@ -269,3 +269,11 @@ def test_entry_points_reject_booleans(call):
     # Each of these once read True as 1 and returned a result.
     with pytest.raises(ValidationError, match="integer"):
         call()
+
+
+@pytest.mark.parametrize("n", [2.7, True, "5", float("inf")],
+                         ids=["fraction", "boolean", "string", "inf"])
+def test_permutation_indices_reject_non_counts(n):
+    # int(n) once turned 2.7 into 2 items, True into 1 and "5" into 5.
+    with pytest.raises(ValidationError, match="integer"):
+        random_permutation_indices(n, n_procs=2, seed=0)
