@@ -33,7 +33,7 @@ from repro.core import multivariate
 from repro.core.engine import get_engine
 from repro.rng.streams import default_rng
 from repro.util.errors import ValidationError
-from repro.util.validation import as_int_array, check_marginals
+from repro.util.validation import as_int_array, check_marginals, check_positive_int
 
 __all__ = [
     "sample_matrix",
@@ -134,7 +134,7 @@ def sample_matrix_recursive(
     rows, cols, _ = check_marginals(row_sums, col_sums)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
     engine = get_engine(method)
-    leaf_rows = max(1, int(leaf_rows))
+    leaf_rows = check_positive_int(leaf_rows, "leaf_rows")
 
     matrix = np.zeros((rows.size, cols.size), dtype=np.int64)
     if rows.size == 0 or cols.size == 0:

@@ -128,7 +128,7 @@ class SamplerEngine:
                 f"unknown method {method!r}; use auto, hin, hrua or numpy"
             )
         self.method = method
-        self.hin_threshold = int(hin_threshold)
+        self.hin_threshold = check_nonnegative_int(hin_threshold, "hin_threshold")
         if kernels is not None:
             from repro.core.kernels import normalize_kernels
 

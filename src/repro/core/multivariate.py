@@ -38,6 +38,7 @@ from repro.rng.streams import default_rng
 from repro.util.errors import ValidationError
 from repro.util.validation import (
     check_nonnegative_int,
+    check_positive_int,
     check_vector_of_nonnegative_ints,
 )
 
@@ -177,7 +178,7 @@ def sample_recursive(
     n_draws, class_sizes = _validate(n_draws, class_sizes)
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
     engine = get_engine(method)
-    leaf_size = max(1, int(leaf_size))
+    leaf_size = check_positive_int(leaf_size, "leaf_size")
 
     counts = np.zeros(class_sizes.size, dtype=np.int64)
 

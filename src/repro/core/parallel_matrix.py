@@ -429,7 +429,7 @@ def sample_matrix_parallel(
     try:
         run = machine.run(
             program, rows, cols, method=method,
-            kernels=getattr(machine, "kernels", None), **extra,
+            kernels=machine.kernels, **extra,
         )
     finally:
         if owns_machine:

@@ -271,16 +271,14 @@ def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_op
         raise ValidationError(
             f"machine has {machine.n_procs} processors but {len(arrays)} blocks were given"
         )
-    empty = getattr(machine.backend, "empty", None)
     layout = (arrays[0].dtype, arrays[0].shape[1:])
     output = out = None
-    if empty is not None and all((a.dtype, a.shape[1:]) == layout for a in arrays):
-        output = empty((int(targets.sum()),) + layout[1], layout[0])
+    if all((a.dtype, a.shape[1:]) == layout for a in arrays):
+        output = machine.backend.empty((int(targets.sum()),) + layout[1], layout[0])
     if output is not None:
         out = cut_rows(output, targets)
-        capabilities = getattr(machine.backend, "capabilities", None)
-        if (not getattr(capabilities, "shared_address_space", True)
-                and getattr(machine, "retry_policy", None) is None):
+        if (not machine.backend.capabilities.shared_address_space
+                and machine.retry_policy is None):
             np.concatenate(arrays, out=output)
             arrays = cut_rows(output, sources)
     try:
@@ -290,7 +288,7 @@ def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_op
             target_sizes,
             matrix_algorithm=matrix_algorithm,
             method=method,
-            kernels=getattr(machine, "kernels", None),
+            kernels=machine.kernels,
             out=out,
         )
     finally:

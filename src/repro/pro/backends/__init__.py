@@ -89,9 +89,6 @@ _LAZY = {
     "ProcessFabric": "process",
     "PayloadTransport": "transport",
     "PickleTransport": "transport",
-    "available_transports": "transport",
-    "get_transport": "transport",
-    "register_transport": "transport",
     "resolve_transport": "transport",
     "SharedMemoryTransport": "sharedmem",
     "WorkerPool": "pool",
@@ -163,12 +160,9 @@ __all__ = [
     "PickleTransport",
     "SharedMemoryTransport",
     "available_backends",
-    "available_transports",
     "backend_capabilities",
     "get_backend",
-    "get_transport",
     "register_backend",
-    "register_transport",
     "resolve_backend",
     "resolve_transport",
 ]

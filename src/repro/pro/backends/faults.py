@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.pro.backends.registry import resolve_backend
+from repro.pro.backends.registry import ExecutionBackend, resolve_backend
 from repro.util.errors import CommunicationError, ReproError, ValidationError
 
 __all__ = [
@@ -326,8 +326,7 @@ class _RankFaultView:
         self._inner.abort()
 
     def is_shared(self, array) -> bool:
-        predicate = getattr(self._inner, "is_shared", None)
-        return bool(predicate is not None and predicate(array))
+        return self._inner.is_shared(array)
 
 
 class _FaultedProgram:
@@ -342,7 +341,7 @@ class _FaultedProgram:
         return self._program(ctx, *args, **kwargs)
 
 
-class FaultInjectingBackend:
+class FaultInjectingBackend(ExecutionBackend):
     """Wrap any execution backend so its runs act out a fault plan.
 
     Parameters
@@ -358,10 +357,11 @@ class FaultInjectingBackend:
 
     The wrapper leaves fabric construction to the inner backend (so the
     process backend keeps its real fabric, transports, pools) and only
-    wraps the dispatched program; everything else -- capabilities,
-    ``close()``, ``persistent``, the ``empty`` allocation hook -- is
-    delegated.  Pass an instance of this
-    class as ``PROMachine(..., backend=...)``.
+    wraps the dispatched program; every other hook of the backend
+    contract -- capabilities, ``persistent``, ``transport``, ``empty``,
+    ``close()``, ``heal()`` -- is delegated, as is any other public
+    attribute (a sim backend's ``last_schedule``, say).  Pass an instance
+    of this class as ``PROMachine(..., backend=...)``.
     """
 
     def __init__(self, backend, faults, **backend_options):
@@ -375,11 +375,19 @@ class FaultInjectingBackend:
 
     @property
     def name(self) -> str:
-        return f"faulty+{getattr(self._backend, 'name', '?')}"
+        return f"faulty+{self._backend.name}"
 
     @property
     def capabilities(self):
-        return getattr(self._backend, "capabilities", None)
+        return self._backend.capabilities
+
+    @property
+    def persistent(self) -> bool:
+        return self._backend.persistent
+
+    @property
+    def transport(self):
+        return self._backend.transport
 
     @property
     def backend(self):
@@ -389,6 +397,9 @@ class FaultInjectingBackend:
     def create_fabric(self, n_procs: int, *, timeout: float):
         return self._backend.create_fabric(n_procs, timeout=timeout)
 
+    def empty(self, shape, dtype):
+        return self._backend.empty(shape, dtype)
+
     def run(self, contexts: Sequence, program: Callable, args: tuple, kwargs: dict) -> list:
         run_index = self.runs_started
         self.runs_started += 1
@@ -397,12 +408,13 @@ class FaultInjectingBackend:
         )
 
     def close(self) -> None:
-        closer = getattr(self._backend, "close", None)
-        if closer is not None:
-            closer()
+        self._backend.close()
+
+    def heal(self) -> bool:
+        return self._backend.heal()
 
     def __getattr__(self, item):
-        # Delegate everything else (persistent, last_schedule, transport...).
+        # Delegate everything else (last_schedule, start_method...).
         # Private names are never delegated: that keeps the lookup of
         # self._backend itself from recursing while __init__ is underway.
         if item.startswith("_"):

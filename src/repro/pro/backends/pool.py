@@ -43,14 +43,12 @@ is used as a fallback serialiser, which widens support to closures and
 lambdas.  An unserialisable program raises
 :class:`~repro.util.errors.BackendError` *before* anything is dispatched.
 
-Bulk arguments are encoded through the payload transport once **per
-run**: transports with ``encode_shared`` (the default ``sharedmem``)
-stage them in one by-reference segment that every rank attaches -- one
-memcpy total, unlinked by ``end_run`` once the run has returned -- and
-purely in-band transports (``pickle``) reuse one encoded record for
-every rank.  Only duck-typed transports with
-out-of-band ``dispose`` but no ``encode_shared`` still pay one encode
-per rank.  A fork still inherits the arguments for free, so with the
+Bulk arguments are encoded through the payload transport's
+``encode_shared`` once **per run**, into one record every rank decodes:
+the default ``sharedmem`` stages them in one by-reference segment that
+every rank attaches -- one memcpy total, unlinked by ``end_run`` once the
+run has returned -- and the in-band ``pickle`` encodes them once into
+the record itself.  A fork still inherits the arguments for free, so with the
 in-band ``pickle`` transport large-argument workloads can be slower
 than cold fork -- prefer ``sharedmem``, or keep huge constant state out
 of the per-run arguments.
@@ -102,7 +100,7 @@ from typing import Callable, Sequence
 
 from repro.pro.backends.process import ProcessFabric, finishes_within
 from repro.pro.backends.sharedmem import release_parked
-from repro.pro.backends.transport import PayloadTransport
+from repro.pro.backends.transport import resolve_transport
 from repro.pro.communicator import Communicator
 from repro.pro.resilience import current_deadline
 from repro.pro.telemetry import capture_rank_telemetry, record_event
@@ -220,7 +218,9 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             )
             value = program(ctx, *args, **kwargs)
             variates = getattr(ctx.rng, "total_variates", None)
-            encoded = fabric.encode_result(value)
+            # A result may cross by reference when it lies in memory the
+            # parent owns (see the transport contract).
+            encoded = fabric.transport.encode(value, by_reference=True)
             # Counters accumulate across epochs in a standing worker; the
             # snapshot repatriates the running totals with this epoch's
             # result record (the parent reports the latest view).
@@ -484,9 +484,7 @@ class WorkerPool:
         # or staged, so the staging names can go and the output segments
         # may be recycled (a failed run keeps them for the retry that
         # re-dispatches the same arrays).
-        end_run = getattr(self.fabric.transport, "end_run", None)
-        if end_run is not None:
-            end_run()
+        self.fabric.transport.end_run()
         return results
 
     def _dispatch(self, epoch: int, contexts: Sequence, program: Callable,
@@ -499,27 +497,22 @@ class WorkerPool:
         # queue would defer pickling to its feeder thread, turning the
         # same failure into a hang).  Bulk array arguments travel
         # out-of-band through the payload transport, encoded once **per
-        # run**: ``encode_shared`` stages them in one by-reference
-        # segment every rank attaches, and purely in-band records are
-        # reused verbatim for every rank.  Only duck-typed transports
-        # with out-of-band dispose but no ``encode_shared`` still pay one
-        # encode per rank.
-        args_records: list = []
+        # run** into one record every rank decodes (``encode_shared``).
+        args_record = None
         task_blobs: list = []
-        transport = self.fabric.transport
         try:
             program_blob = _dumps(program)
-            args_records = self._encode_args(transport, (args, kwargs), n)
+            args_record = self.fabric.transport.encode_shared((args, kwargs), n)
             for rank in range(n):
                 ctx = contexts[rank]
                 task_blobs.append(_dumps(
                     (epoch, ctx.rng, ctx.cost, program_blob,
-                     args_records[rank], wait_timeout)
+                     args_record, wait_timeout)
                 ))
         except Exception as exc:
-            for record in args_records:
+            if args_record is not None:
                 try:
-                    self.fabric.transport.dispose(record)
+                    self.fabric.transport.dispose(args_record)
                 except Exception:
                     pass
             raise BackendError(
@@ -530,30 +523,6 @@ class WorkerPool:
             ) from exc
         for rank in range(n):
             self._task_queues[rank].put(task_blobs[rank])
-
-    @staticmethod
-    def _encode_args(transport, payload, n: int) -> list:
-        """Encode one run's bulk arguments for ``n`` ranks -- once if possible.
-
-        Preference order: ``encode_shared`` (one record for every rank,
-        accepted unless the transport declines with ``None``);
-        one plain record reused for every rank when the transport is
-        purely in-band (its ``dispose`` is the base-class no-op, so a
-        record holds no single-consumer resources); per-rank ``encode``
-        otherwise.  The returned list always has ``n`` entries (repeated
-        for the shared cases) so failure paths can dispose each queued
-        copy uniformly.
-        """
-        encode_shared = getattr(transport, "encode_shared", None)
-        if encode_shared is not None:
-            record = encode_shared(payload, n)
-            if record is not None:
-                return [record] * n
-        in_band = (isinstance(transport, PayloadTransport)
-                   and type(transport).dispose is PayloadTransport.dispose)
-        if in_band:
-            return [transport.encode(payload)] * n
-        return [transport.encode(payload) for _ in range(n)]
 
     def _collect(self, epoch: int, n: int) -> dict:
         """Gather this epoch's per-rank outcomes, watching worker liveness.
@@ -932,23 +901,9 @@ _DEFAULT_POOLS_LOCK = threading.Lock()
 _DEFAULT_POOL_CAP = 4
 
 
-def _default_pool_key(n_procs, transport, timeout, start_method):
-    """Cache key of one warm fleet, or ``None`` when not shareable."""
-    key_fn = getattr(transport, "cache_key", None)
-    if key_fn is None:
-        return None
-    try:
-        transport_key = key_fn()
-    except Exception:
-        return None
-    if transport_key is None:
-        return None
-    return (int(n_procs), transport_key, float(timeout), start_method)
-
-
 def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
                      transport=None, shutdown_grace: float = 5.0,
-                     start_method: str | None = None) -> "WorkerPool | None":
+                     start_method: str | None = None) -> "WorkerPool":
     """The process-wide warm :class:`WorkerPool` for this configuration.
 
     Returns the cached standing fleet when one exists for the key
@@ -958,8 +913,7 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     warm); when healing fails -- or the fleet is closed or inherited
     across a fork -- it is evicted, closed and replaced by a fresh spawn,
     so a crashed run degrades one call and the cache recovers itself
-    either way.  Returns ``None`` -- the caller should keep a private
-    pool -- when the transport opts out of cache keying.
+    either way.
 
     The cache holds at most ``_DEFAULT_POOL_CAP`` (4) fleets; the least
     recently used one is closed on overflow.  All cached fleets
@@ -977,9 +931,8 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     >>> from repro.pro.backends.pool import clear_default_pools
     >>> clear_default_pools()              # explicit teardown (atexit does too)
     """
-    key = _default_pool_key(n_procs, transport, timeout, start_method)
-    if key is None:
-        return None
+    transport = resolve_transport(transport)
+    key = (int(n_procs), transport.cache_key(), float(timeout), start_method)
     evicted: list = []
     with _DEFAULT_POOLS_LOCK:
         pool = _DEFAULT_POOLS.get(key)

@@ -57,7 +57,6 @@ picklable.
 from __future__ import annotations
 
 import importlib
-import inspect
 import multiprocessing
 import queue as _pyqueue
 import threading
@@ -121,7 +120,7 @@ class ProcessFabric:
         self.n_procs = n_procs
         self.timeout = timeout
         self.transport = resolve_transport(transport)
-        if getattr(self.transport, "uses_shared_memory", False):
+        if self.transport.uses_shared_memory:
             # The resource tracker must exist before the rank processes
             # fork so that all of them share it (see
             # ensure_resource_tracker); in-band transports never touch
@@ -141,22 +140,6 @@ class ProcessFabric:
         #: parks under its own epoch until the worker clears stale state
         #: at the next dispatch (see ``_rank_main`` in the pool module).
         self.epoch = 0
-        try:
-            self._byref_aware = ("by_reference"
-                                 in inspect.signature(self.transport.encode).parameters)
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._byref_aware = False
-
-    def encode_result(self, payload):
-        """Encode a rank's returned result.
-
-        Its arrays may cross by reference when they lie in memory the
-        parent owns (see the transport contract); messages between ranks
-        are always copied.
-        """
-        if self._byref_aware:
-            return self.transport.encode(payload, by_reference=True)
-        return self.transport.encode(payload)
 
     def put(self, src: int, dst: int, tag, payload) -> None:
         """Deposit a message; never blocks (queues are unbounded).
@@ -255,8 +238,7 @@ class ProcessFabric:
         With ``sharedmem``: only arrays in a by-reference segment the
         ranks' parent created; with ``pickle``: nothing.
         """
-        predicate = getattr(self.transport, "is_shared", None)
-        return bool(predicate is not None and predicate(array))
+        return self.transport.is_shared(array)
 
     def poison_waits(self, epoch: int) -> None:
         """Deposit one abort poison pill per inbox so blocked receives fail fast.
@@ -338,31 +320,26 @@ class ProcessFabric:
         the readiness poll, not the body read -- even the sharedmem
         transport queues multi-KB in-band bodies for sub-``min_bytes``
         arrays and when segment creation degrades to the inline codec).
-        Two defences: transports whose ``dispose`` is the base-class no-op
-        hold nothing out-of-band and are not drained at all, and the drain
-        of the others runs on a watchdog thread that is abandoned -- with
+        Two defences: transports without shared memory hold nothing
+        out-of-band and are not drained at all, and the drain of the
+        others runs on a watchdog thread that is abandoned -- with
         the stranded segments left to the resource tracker's exit-time
         cleanup, which is what it is for -- rather than hanging the caller.
         """
         self._drain_inboxes(drain_timeout, name="pro-fabric-drain")
         # Settle the by-reference segments of a run that never returned:
         # its staging copies go, and its outputs are never recycled.
-        end_run = getattr(self.transport, "end_run", None)
-        if end_run is not None:
-            try:
-                end_run()
-            except Exception:  # pragma: no cover - unlinking is best effort
-                pass
+        try:
+            self.transport.end_run()
+        except Exception:  # pragma: no cover - unlinking is best effort
+            pass
         for inbox in self._inboxes:
             inbox.close()
             inbox.cancel_join_thread()
 
     def _drain_inboxes(self, drain_timeout: float, *, name: str) -> None:
         """Dispose every undelivered record, on an abandonable thread."""
-        disposes = True  # duck-typed transports: assume dispose matters
-        if isinstance(self.transport, PayloadTransport):
-            disposes = type(self.transport).dispose is not PayloadTransport.dispose
-        if disposes:
+        if self.transport.uses_shared_memory:
             finishes_within(lambda: self._drain_and_dispose(drain_timeout),
                             scale_timeout(2.0) + drain_timeout, name=name)
 
@@ -469,16 +446,13 @@ class ProcessBackend(ExecutionBackend):
         self.pool_scope = pool_scope
         self._mp = multiprocessing.get_context(start_method)
         self._pools: dict = {}  # n_procs -> WorkerPool
-        self._shared_pools: set = set()  # n_procs owned by the default cache
 
     def _pool(self, n_procs: int, *, timeout: float):
         """The standing pool for ``n_procs`` ranks, created on first use.
 
         With ``pool_scope="process"`` the pool comes from (and is owned
         by) the process-wide default cache, so several backend instances
-        with an equivalent configuration share one warm fleet; a
-        transport that opts out of cache keying (``cache_key() is None``)
-        falls back to a backend-private pool.
+        with an equivalent configuration share one warm fleet.
         """
         if self.pool_scope == "process":
             # Always resolved through the cache (no local fast path): the
@@ -489,15 +463,8 @@ class ProcessBackend(ExecutionBackend):
                 transport=self.transport, shutdown_grace=self.shutdown_grace,
                 start_method=self.start_method,
             )
-            if shared is not None:
-                self._pools[n_procs] = shared
-                self._shared_pools.add(n_procs)
-                return shared
-        existing = self._pools.get(n_procs)
-        if (existing is not None and not existing.closed
-                and not existing.poisoned
-                and getattr(existing, "in_owner_process", True)):
-            return existing
+            self._pools[n_procs] = shared
+            return shared
         pool = self._pools.get(n_procs)
         if pool is None or pool.closed:
             pool = _pool_module.WorkerPool(
@@ -505,7 +472,6 @@ class ProcessBackend(ExecutionBackend):
                 transport=self.transport, shutdown_grace=self.shutdown_grace,
             )
             self._pools[n_procs] = pool
-            self._shared_pools.discard(n_procs)
         return pool
 
     def close(self) -> None:
@@ -515,11 +481,10 @@ class ProcessBackend(ExecutionBackend):
         -- they are owned by :mod:`repro.pro.backends.pool` and released
         by ``clear_default_pools()`` or the interpreter-exit hook.
         """
-        for n_procs, pool in list(self._pools.items()):
-            if n_procs not in self._shared_pools:
+        if self.pool_scope == "backend":
+            for pool in self._pools.values():
                 pool.close()
         self._pools.clear()
-        self._shared_pools.clear()
 
     def heal(self) -> bool:
         """Recover poisoned standing pools in place (resilience hook).
@@ -533,14 +498,13 @@ class ProcessBackend(ExecutionBackend):
         heals or evicts them on the next lookup.  Cold runs leave nothing
         standing, so a non-persistent backend always returns True.
         """
+        if self.pool_scope == "process":
+            # The default cache owns them; drop our references so _pool()
+            # re-resolves (and the cache heals/evicts) next run.
+            self._pools.clear()
+            return True
         healthy = True
         for n_procs, pool in list(self._pools.items()):
-            if n_procs in self._shared_pools:
-                # The default cache owns it; drop our reference so _pool()
-                # re-resolves (and the cache heals/evicts) next run.
-                self._pools.pop(n_procs, None)
-                self._shared_pools.discard(n_procs)
-                continue
             if pool.closed or not pool.poisoned:
                 continue
             if not pool.heal():
@@ -556,8 +520,7 @@ class ProcessBackend(ExecutionBackend):
         shared segment whose arrays cross by reference, ``pickle``
         declines, and the caller then keeps the copying path.
         """
-        allocate = getattr(self.transport, "empty", None)
-        return None if allocate is None else allocate(shape, dtype)
+        return self.transport.empty(shape, dtype)
 
     def create_fabric(self, n_procs: int, *, timeout: float) -> ProcessFabric:
         """Build (or, when persistent, reuse) the multiprocess message fabric."""

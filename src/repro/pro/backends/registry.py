@@ -8,38 +8,54 @@ so a new backend becomes available everywhere by registering it once.
 
 Backend contract
 ----------------
-A backend is any object with
+A backend is an instance of a subclass of :class:`ExecutionBackend`;
+:func:`resolve_backend` rejects any other object.  A subclass sets
+``name`` and ``capabilities`` and overrides :meth:`~ExecutionBackend.run`;
+every other hook has a default in the base class that is right for a
+backend whose ranks share the caller's address space and that keeps
+nothing across runs:
 
 ``name``
     A short identifier (``"inline"``, ``"thread"``, ``"process"``, ...).
 ``capabilities``
     A :class:`BackendCapabilities` record the machine uses for validation
     (e.g. a backend with ``multirank=False`` is rejected for ``p > 1``).
+``run(contexts, program, args, kwargs)``
+    Execute ``program(ctx, *args, **kwargs)`` once per context and return
+    the per-rank results ordered by rank.  The only hook without a
+    default.
 ``create_fabric(n_procs, *, timeout)``
-    Build the message fabric the ranks of one run communicate through.  The
-    returned object must implement the :class:`~repro.pro.communicator.
-    MessageFabric` interface (``put`` / ``get`` / ``barrier_wait`` /
-    ``abort`` plus ``n_procs`` and ``timeout`` attributes); the default of
-    :class:`ExecutionBackend` returns the in-process fabric shared by the
-    inline and thread backends.  The fabric may also offer the rank-side
-    sharing predicate ``is_shared(array)``: True only when every rank of
-    the run sees a rank's writes to ``array`` (in-process and sim fabrics:
+    Build the message fabric the ranks of one run communicate through:
+    ``put`` / ``get`` / ``barrier_wait`` / ``abort`` / ``is_shared`` plus
+    ``n_procs`` and ``timeout`` attributes.  Default: the in-process
+    :class:`~repro.pro.communicator.MessageFabric`.  ``is_shared(array)``
+    is the rank-side sharing predicate: True only when every rank of the
+    run sees a rank's writes to ``array`` (in-process and sim fabrics:
     always; the process fabric: arrays in a by-reference segment of the
     ranks' parent, per its transport).  Algorithm 1 writes its exchange
     pieces straight into the receivers' output slices when it holds for
-    all of them.  A fabric without it shares nothing.
-``run(contexts, program, args, kwargs)``
-    Execute ``program(ctx, *args, **kwargs)`` once per context and return
-    the per-rank results ordered by rank.
-``empty(shape, dtype)`` (optional)
+    all of them.
+``empty(shape, dtype)``
     Allocate an array the ranks can fill in place when it is passed to
-    them as an argument, or return ``None`` when they cannot.  The default
-    of :class:`ExecutionBackend` returns ``np.empty`` (the ranks share the
-    caller's memory); the process backend asks its transport, whose
-    ``sharedmem`` segment arrays cross by reference and whose ``pickle``
-    declines.  Algorithm 1's drivers allocate their output vector here and
-    keep it only if every rank's result occupies exactly the slice it was
-    handed.
+    them as an argument, or return ``None`` when they cannot.  Default:
+    ``np.empty`` (the ranks share the caller's memory); the process
+    backend asks its transport, whose ``sharedmem`` segment arrays cross
+    by reference and whose ``pickle`` declines.  Algorithm 1's drivers
+    allocate their output vector here and keep it only if every rank's
+    result occupies exactly the slice it was handed.
+``persistent``
+    True when the backend keeps a standing worker fleet across runs
+    (default ``False``; see the persistence sub-contract).
+``transport``
+    The :class:`~repro.pro.backends.transport.PayloadTransport` of an
+    out-of-address-space backend, read by telemetry; default ``None``.
+``close()``
+    Release what the backend holds across runs; idempotent.  Default: a
+    no-op.
+``heal() -> bool``
+    Restore standing state between the attempts of a retried run (see
+    the resilience sub-contract).  Default: ``True`` -- a backend that
+    keeps nothing across runs gets a fresh fabric per attempt anyway.
 
 Error-propagation rules (all backends mirror the thread backend):
 
@@ -63,9 +79,11 @@ backend-independent.
 Transport sub-contract (out-of-address-space backends)
 ------------------------------------------------------
 How payload bytes cross the address-space gap is itself pluggable: such a
-backend should accept a ``transport=`` option (a name resolved through
-:mod:`repro.pro.backends.transport` or a duck-typed object with
-``encode``/``decode``/``dispose``) and honour three rules:
+backend should accept a ``transport=`` option (``"sharedmem"``,
+``"pickle"`` or a :class:`~repro.pro.backends.transport.PayloadTransport`
+instance, resolved through
+:func:`~repro.pro.backends.transport.resolve_transport`) and honour three
+rules:
 
 * the queue/control channel carries only small records -- bulk array bytes
   go through the transport (``"sharedmem"`` ships them through
@@ -91,11 +109,11 @@ backend's :class:`~repro.pro.backends.pool.WorkerPool`:
 * a failed run poisons the standing fleet (subsequent runs raise
   :class:`~repro.util.errors.BackendError`) rather than silently reusing
   communication state that may hold stray messages; a *supervised* fleet
-  may additionally offer ``heal()`` (see the resilience sub-contract) to
-  lift the poison explicitly -- poison-by-default stays the contract;
-* the backend exposes an idempotent ``close()`` (wired to
-  ``PROMachine.close`` and an ``atexit`` hook) that releases every
-  out-of-band resource the fleet held.
+  overrides ``heal()`` (see the resilience sub-contract) to lift the
+  poison explicitly -- poison-by-default stays the contract;
+* the backend overrides the idempotent ``close()`` (wired to
+  ``PROMachine.close`` and an ``atexit`` hook) to release every
+  out-of-band resource the fleet held, and sets ``persistent``.
 
 A backend may additionally accept ``pool_scope="process"`` to borrow its
 fleets from the process-wide default pool cache
@@ -134,16 +152,17 @@ work:
   timeout should additionally consult
   :func:`~repro.pro.resilience.current_deadline` and raise
   :class:`~repro.util.errors.DeadlineError` when it expires.
-* **Self-healing (optional).**  A backend with standing state may expose
+* **Self-healing.**  A backend with standing state overrides
   ``heal() -> bool``, called between attempts: return True once the next
   run can proceed on a clean substrate (the process backend respawns only
   the dead ranks of its poisoned pools into the standing fabric,
   re-handshaking their transports -- see ``WorkerPool.heal``), or False
   to make the resilience layer fall through to its degradation chain
   (``fallback=("thread", "inline")``-style) instead of retrying.  Set
-  ``self_healing=True`` in :class:`BackendCapabilities` when provided.
-  Backends without the hook are retried on a best-effort basis (the
-  machine rebuilds cold fabrics per attempt anyway).
+  ``self_healing=True`` in :class:`BackendCapabilities` when overriding
+  it.  The base class's ``heal()`` returns True: a backend without
+  standing state is retried on the fresh fabric the machine builds per
+  attempt.
 
 Kernel-tier sub-contract (sampling hot paths)
 ---------------------------------------------
@@ -212,7 +231,8 @@ unchanged.
 
 Registering a backend
 ---------------------
-::
+A backend subclasses :class:`ExecutionBackend`; the registry and the
+machine accept nothing else::
 
     from repro.pro.backends.registry import (
         BackendCapabilities, ExecutionBackend, register_backend,
@@ -290,8 +310,8 @@ class BackendCapabilities:
         failures replay exactly.  Backends whose ranks are scheduled by the
         OS (thread, process) cannot promise this.
     self_healing:
-        The backend exposes a ``heal()`` hook that recovers its standing
-        state (poisoned worker fleets) between retry attempts, per the
+        The backend overrides ``heal()`` to recover its standing state
+        (poisoned worker fleets) between retry attempts, per the
         resilience sub-contract above.  Backends without it are still
         retryable -- cold substrates are rebuilt per attempt -- but a
         failed heal cannot be distinguished from "nothing to heal".
@@ -316,15 +336,19 @@ class BackendSpec:
 
 
 class ExecutionBackend:
-    """Base class for execution backends (subclassing is optional).
+    """Base class of every execution backend (see the backend contract).
 
-    Provides the default in-process message fabric; subclasses override
-    :meth:`run` and, when ranks live outside the calling address space,
-    :meth:`create_fabric` as well.
+    Subclasses override :meth:`run`, and the other hooks when the
+    defaults here -- in-process fabric, ``np.empty``, no standing state
+    -- do not fit.
     """
 
     name = "abstract"
     capabilities = BackendCapabilities()
+    #: True when the backend keeps a standing worker fleet across runs.
+    persistent = False
+    #: The payload transport of an out-of-address-space backend.
+    transport = None
 
     def create_fabric(self, n_procs: int, *, timeout: float) -> MessageFabric:
         """Build the message fabric one run's ranks communicate through."""
@@ -337,6 +361,13 @@ class ExecutionBackend:
     def empty(self, shape, dtype):
         """An array the ranks can fill in place (see the backend contract)."""
         return np.empty(shape, dtype=dtype)
+
+    def close(self) -> None:
+        """Release resources held across runs (idempotent)."""
+
+    def heal(self) -> bool:
+        """Restore standing state between retry attempts; True when ready."""
+        return True
 
 
 # ----------------------------------------------------------------------------
@@ -374,8 +405,8 @@ def register_backend(
 ) -> BackendSpec:
     """Register ``factory`` (usually the backend class) under ``name``.
 
-    ``capabilities`` defaults to the factory's class-level ``capabilities``
-    attribute.  Re-registering an existing name, a built-in one included,
+    ``capabilities`` defaults to those of ``factory`` when it is an
+    :class:`ExecutionBackend` subclass.  Re-registering an existing name, a built-in one included,
     raises unless ``overwrite=True`` (useful in tests that stub a backend).
     """
     if not isinstance(name, str) or not name:
@@ -386,11 +417,12 @@ def register_backend(
         raise ValidationError(
             f"backend {name!r} is already registered; pass overwrite=True to replace it"
         )
-    if capabilities is None:
-        capabilities = getattr(factory, "capabilities", None)
+    if capabilities is None and isinstance(factory, type) and issubclass(factory, ExecutionBackend):
+        capabilities = factory.capabilities
     if not isinstance(capabilities, BackendCapabilities):
         raise ValidationError(
-            f"backend {name!r} needs BackendCapabilities (given or as a factory attribute)"
+            f"backend {name!r} needs BackendCapabilities (given, or those of "
+            "the ExecutionBackend subclass it registers)"
         )
     spec = BackendSpec(
         name=name, factory=factory, capabilities=capabilities, description=description
@@ -448,30 +480,31 @@ def resolve_backend(backend: str | ExecutionBackend, **options) -> ExecutionBack
 
     This is what :class:`~repro.pro.machine.PROMachine` calls: strings go
     through the registry (with ``options`` forwarded to the factory, e.g.
-    ``transport="sharedmem"`` for the process backend), objects are
-    accepted as-is provided they expose a ``run()`` method (duck-typed
-    custom backends remain supported).  Options that a backend's factory
-    does not understand are rejected with a
-    :class:`~repro.util.errors.ValidationError` rather than silently
-    ignored.
+    ``transport="sharedmem"`` for the process backend), and
+    :class:`ExecutionBackend` instances are accepted as-is.  Any other
+    object -- given, or built by a registered factory -- and options that
+    a backend's factory does not understand are rejected with a
+    :class:`~repro.util.errors.ValidationError`.
     """
     if isinstance(backend, str):
-        if not options:
-            return get_backend(backend)
+        name = backend
         try:
-            return get_backend(backend, **options)
+            backend = get_backend(name, **options)
         except TypeError as exc:
-            # Only a call with options can fail on an unexpected keyword;
-            # factory-internal TypeErrors without options propagate as-is.
+            if not options:
+                raise  # a factory-internal TypeError propagates as-is
             raise ValidationError(
-                f"backend {backend!r} does not accept the options "
+                f"backend {name!r} does not accept the options "
                 f"{sorted(options)}: {exc}"
             ) from None
-    if options:
+    elif options:
         raise ValidationError(
             "backend options (e.g. transport=) only apply when the backend is "
             "given by name; configure a backend instance directly instead"
         )
-    if not hasattr(backend, "run"):
-        raise ValidationError("a backend object must expose a run() method")
+    if not isinstance(backend, ExecutionBackend):
+        raise ValidationError(
+            f"a backend must be a registered name or an ExecutionBackend "
+            f"instance, got {type(backend).__name__}"
+        )
     return backend

@@ -90,8 +90,6 @@ from repro.pro.backends.transport import (
     SHMSEG,
     SHMVIEW,
     PayloadTransport,
-    TransportStats,
-    register_transport,
     walk_decode,
     walk_encode,
 )
@@ -451,15 +449,12 @@ class SharedMemoryTransport(PayloadTransport):
     uses_shared_memory = True
 
     def __init__(self, *, min_bytes: int = 8192):
+        super().__init__()
         self.min_bytes = int(min_bytes)
         if self.min_bytes < 1:
             raise ValidationError(
                 f"min_bytes must be >= 1, got {self.min_bytes}"
             )
-        #: Monotonic per-instance counters (see TransportStats); tests and
-        #: the bench harness assert the once-per-run encode and the
-        #: in-band fallback through these.
-        self.stats = TransportStats()
         #: Output segments dispatched since the last :meth:`end_run`.
         self._dispatched: set = set()
         #: Whether a result was decoded since the last dispatch.  The pool
@@ -716,5 +711,3 @@ class SharedMemoryTransport(PayloadTransport):
         if isinstance(record, tuple) and record and record[0] == SHMSEG:
             _unlink_by_name(record[1])
 
-
-register_transport("sharedmem", SharedMemoryTransport)

@@ -26,59 +26,69 @@ the library:
 
 Transport contract
 ------------------
-A transport is any object with
+A transport is an instance of a subclass of :class:`PayloadTransport`;
+:func:`resolve_transport` rejects any other object.  A subclass
+implements ``encode``, ``decode`` and ``encode_shared``; every other hook
+has a default in the base class that is right for an in-band transport:
 
 ``name``
     A short identifier (``"pickle"``, ``"sharedmem"``, ...).
-``encode(payload) -> record``
+``stats``
+    The instance's :class:`TransportStats` counters, created by the base
+    class's ``__init__``.
+``encode(payload, *, by_reference=False) -> record``
     Turn a payload into a picklable control record.  Called in the sending
-    process; must not consume randomness or mutate the payload.
+    process; must not consume randomness or mutate the payload.  The
+    fabric passes ``by_reference=True`` for a rank's returned result only
+    (see below); an in-band transport ignores it.
 ``decode(record) -> payload``
     Inverse of ``encode``; called exactly once per delivered record in the
     receiving process.  Arrays may be returned as views into transport
     owned buffers provided the buffer outlives every returned view.
     Nothing is acknowledged back to the sender.
-``encode_shared(payload, n_consumers) -> record | None`` (optional)
+``encode_shared(payload, n_consumers) -> record``
     Encode once for ``n_consumers`` independent receivers: the same record
-    is delivered to (and decoded by) every consumer, so persistent pools
-    can ship one run's bulk dispatch arguments with a single encode
-    instead of one per rank.  The shared-memory transport copies the bulk
+    is delivered to (and decoded by) every consumer, so the worker pool
+    ships one run's bulk dispatch arguments with a single encode instead
+    of one per rank.  The shared-memory transport copies the bulk
     arguments once into a by-reference staging segment that stays linked
-    until ``end_run``; returning ``None`` declines and the caller falls
-    back to per-consumer ``encode``.
+    until ``end_run``.
 ``dispose(record) -> None``
     Release any out-of-band resources (e.g. shared-memory segments) held
     by a record that will *never* be decoded -- the fabric calls this when
     draining undelivered messages on shutdown, abort and timeout paths.
-``empty(shape, dtype) -> numpy.ndarray | None`` (optional)
+    Default: a no-op.
+``empty(shape, dtype) -> numpy.ndarray | None``
     Allocate an array whose memory crosses this transport **by
-    reference** (see below), or return ``None`` to decline -- which is
-    what in-band transports do.  The process backend's ``empty`` hook
-    delegates here, so Algorithm 1's drivers get their output vector from
-    it.
-``is_shared(array) -> bool`` (optional)
+    reference** (see below), or return ``None`` to decline, as the
+    default does.  The process backend's ``empty`` hook delegates here,
+    so Algorithm 1's drivers get their output vector from it.
+``is_shared(array) -> bool``
     Called in a rank: True when every rank of the run maps ``array``'s
     memory, so that one rank's writes are the others' reads.  The
     process fabric's sharing predicate delegates here; Algorithm 1 then
     writes its exchange pieces straight into the receivers' slices of
-    the output vector instead of sending them.  In-band transports (and
-    the base class) answer ``False``.
-``end_run() -> None`` (optional)
+    the output vector instead of sending them.  Default: ``False``.
+``end_run() -> None``
     The run that dispatched by-reference arrays has returned: release its
     staging segments and let the shared-memory transport recycle its
     output segments once their arrays die.  Called by the worker pool
     after every successful run and by the fabric at shutdown (where the
     run may have failed, and its outputs are then never recycled); never
     between the attempts of a retried run, which re-dispatch the same
-    arrays.
-``cache_key() -> tuple | None`` (optional)
+    arrays.  Default: a no-op.
+``cache_key() -> tuple``
     Hashable configuration identity; equal keys mean two instances are
     interchangeable, which is what lets the process-wide default pool
-    cache reuse one warm worker fleet across driver calls.
-``uses_shared_memory`` (optional attribute)
-    True when the transport creates shared-memory segments; the fabric
-    then starts the ``multiprocessing`` resource tracker in the parent
-    before the rank processes fork, so every process shares one tracker.
+    cache reuse one warm worker fleet across driver calls.  Every
+    transport has one; the default ``(name,)`` fits a transport without
+    options.
+``uses_shared_memory``
+    True when the transport's records hold shared-memory segments; the
+    fabric then starts the ``multiprocessing`` resource tracker in the
+    parent before the rank processes fork, so every process shares one
+    tracker, and hands undelivered records to ``dispose`` at shutdown.
+    Default: ``False``.
 
 By-reference arrays
 -------------------
@@ -129,9 +139,6 @@ __all__ = [
     "PayloadTransport",
     "PickleTransport",
     "TransportStats",
-    "register_transport",
-    "get_transport",
-    "available_transports",
     "resolve_transport",
 ]
 
@@ -228,11 +235,16 @@ def walk_decode(enc, ref_hook: Callable[[tuple], np.ndarray] | None = None):
 
 
 class PayloadTransport:
-    """Base class for payload transports (subclassing is optional)."""
+    """Base class of every payload transport (see the transport contract)."""
 
     name = "abstract"
+    #: True when records hold shared-memory segments (see the contract).
+    uses_shared_memory = False
 
-    def encode(self, payload):
+    def __init__(self):
+        self.stats = TransportStats()
+
+    def encode(self, payload, *, by_reference: bool = False):
         """Turn ``payload`` into a picklable control record."""
         raise NotImplementedError
 
@@ -248,11 +260,8 @@ class PayloadTransport:
         encoding must be safe to :meth:`decode` ``n_consumers`` times (the
         shared-memory transport stages the bulk arguments in one
         by-reference segment that stays linked until :meth:`end_run`).
-        Returning ``None`` declines -- the caller falls back to
-        per-consumer :meth:`encode` -- which is what this base
-        implementation does.
         """
-        return None
+        raise NotImplementedError
 
     def dispose(self, record) -> None:
         """Release out-of-band resources of a record that won't be decoded."""
@@ -278,17 +287,17 @@ class PayloadTransport:
         """
         return False
 
-    def cache_key(self) -> tuple | None:
-        """Hashable identity for pool-cache keying, or ``None``.
+    def cache_key(self) -> tuple:
+        """Hashable identity for pool-cache keying.
 
-        Two transport instances with equal (non-``None``) keys are
-        interchangeable: the process-wide default pool cache
+        Two transport instances with equal keys are interchangeable: the
+        process-wide default pool cache
         (:func:`repro.pro.backends.pool.get_default_pool`) reuses a warm
-        worker fleet across driver calls only when the keys match.
-        ``None`` (the default) opts out of sharing -- the backend then
-        keeps a private fleet instead.
+        worker fleet across driver calls only when the keys match.  This
+        default, ``(name,)``, fits a transport without options; one with
+        options adds them.
         """
-        return None
+        return (self.name,)
 
 
 class PickleTransport(PayloadTransport):
@@ -301,10 +310,7 @@ class PickleTransport(PayloadTransport):
 
     name = "pickle"
 
-    def __init__(self):
-        self.stats = TransportStats()
-
-    def encode(self, payload):
+    def encode(self, payload, *, by_reference: bool = False):
         self.stats.encode_calls += 1
         return walk_encode(payload, lambda arr: None)
 
@@ -317,64 +323,30 @@ class PickleTransport(PayloadTransport):
         self.stats.decode_calls += 1
         return walk_decode(record)
 
-    def cache_key(self) -> tuple:
-        return ("pickle",)
-
-
-# ----------------------------------------------------------------------------
-# Transport registry
-# ----------------------------------------------------------------------------
-_TRANSPORTS: dict[str, Callable[..., PayloadTransport]] = {}
-
-
-def register_transport(name: str, factory: Callable[..., PayloadTransport],
-                       *, overwrite: bool = False) -> None:
-    """Register a transport factory (usually the class) under ``name``."""
-    if not isinstance(name, str) or not name:
-        raise ValidationError(f"transport name must be a non-empty string, got {name!r}")
-    if name in _TRANSPORTS and not overwrite:
-        raise ValidationError(
-            f"transport {name!r} is already registered; pass overwrite=True to replace it"
-        )
-    _TRANSPORTS[name] = factory
-
-
-def available_transports() -> tuple[str, ...]:
-    """Sorted names of all registered transports."""
-    return tuple(sorted(_TRANSPORTS))
-
-
-def get_transport(name: str, **options) -> PayloadTransport:
-    """Instantiate the transport registered under ``name``."""
-    factory = _TRANSPORTS.get(name)
-    if factory is None:
-        raise ValidationError(
-            f"unknown transport {name!r}; registered transports: "
-            f"{', '.join(available_transports())}"
-        )
-    return factory(**options)
-
 
 def resolve_transport(transport: str | PayloadTransport | None) -> PayloadTransport:
     """Turn a transport name, instance or ``None`` into a transport instance.
 
-    ``None`` resolves to the default :class:`PickleTransport`; strings go
-    through the registry; objects are accepted as-is provided they expose
-    ``encode``/``decode`` (duck-typed custom transports remain supported).
+    ``None`` and ``"pickle"`` resolve to a new :class:`PickleTransport`,
+    ``"sharedmem"`` to a new
+    :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`, and
+    :class:`PayloadTransport` instances pass through.  Anything else
+    raises :class:`~repro.util.errors.ValidationError`.
     """
-    if transport is None:
+    if transport is None or transport == "pickle":
         return PickleTransport()
+    if transport == "sharedmem":
+        # Imported here: the shared-memory module builds on this one.
+        from repro.pro.backends.sharedmem import SharedMemoryTransport
+
+        return SharedMemoryTransport()
     if isinstance(transport, str):
-        return get_transport(transport)
-    if not (hasattr(transport, "encode") and hasattr(transport, "decode")):
         raise ValidationError(
-            "a transport object must expose encode() and decode() methods"
+            f"unknown transport {transport!r}; choose 'sharedmem' or 'pickle'"
+        )
+    if not isinstance(transport, PayloadTransport):
+        raise ValidationError(
+            f"a transport must be 'sharedmem', 'pickle' or a PayloadTransport "
+            f"instance, got {type(transport).__name__}"
         )
     return transport
-
-
-register_transport("pickle", PickleTransport)
-
-# The shared-memory transport registers itself on import; importing it here
-# keeps the registry complete whenever any transport lookup is possible.
-from repro.pro.backends import sharedmem as _sharedmem  # noqa: E402,F401  (self-registers)

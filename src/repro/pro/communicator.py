@@ -371,13 +371,9 @@ class Communicator:
         Asks the fabric (see the backend contract in
         :mod:`repro.pro.backends.registry`): in-process fabrics answer yes,
         the process fabric only for memory its ranks all map.  An empty
-        array is trivially shared; a fabric without the predicate shares
-        nothing.
+        array is trivially shared.
         """
-        if np.asarray(array).size == 0:
-            return True
-        predicate = getattr(self._fabric, "is_shared", None)
-        return bool(predicate is not None and predicate(array))
+        return np.asarray(array).size == 0 or self._fabric.is_shared(array)
 
     def alltoallv(self, arrays: Sequence[np.ndarray], *, out=None, offsets=None):
         """All-to-all exchange of NumPy arrays of varying lengths.

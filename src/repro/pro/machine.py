@@ -33,8 +33,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.pro.backends.registry import resolve_backend
-from repro.pro.communicator import Communicator, MessageFabric
+from repro.pro.backends.registry import ExecutionBackend, resolve_backend
+from repro.pro.communicator import Communicator
 from repro.pro.cost import CostRecorder, CostReport, MachineParameters
 from repro.pro.resilience import RetryPolicy, active_deadline, run_with_recovery
 from repro.pro.topology import Topology, topology_from_name
@@ -108,9 +108,9 @@ class PROMachine:
         ``"process"`` (one OS process per rank), ``"sim"`` (all ranks
         stepped cooperatively under a deterministic, seedable schedule;
         see :mod:`repro.pro.backends.sim`) or ``"inline"`` (only for
-        ``n_procs == 1``) -- or an object with a
-        ``run(contexts, program, args, kwargs)`` method (see
-        :mod:`repro.pro.backends.registry` for the full contract).  For a
+        ``n_procs == 1``) -- or an
+        :class:`~repro.pro.backends.registry.ExecutionBackend` instance
+        (see :mod:`repro.pro.backends.registry` for the contract).  For a
         fixed ``seed`` the per-rank streams, and hence the results, are
         identical across backends.
     backend_options:
@@ -183,7 +183,7 @@ class PROMachine:
         n_procs: int,
         *,
         seed=None,
-        backend: str | object = "thread",
+        backend: str | ExecutionBackend = "thread",
         backend_options: dict | None = None,
         topology: str | Topology = "fully-connected",
         count_random_variates: bool = False,
@@ -231,24 +231,15 @@ class PROMachine:
             self.topology = topology_from_name(str(topology), self.n_procs)
 
         self.backend = resolve_backend(backend, **(backend_options or {}))
-        capabilities = getattr(self.backend, "capabilities", None)
-        if (
-            capabilities is not None
-            and not capabilities.multirank
-            and self.n_procs != 1
-        ):
+        if not self.backend.capabilities.multirank and self.n_procs != 1:
             raise ValidationError(
-                f"the {getattr(self.backend, 'name', '?')} backend requires n_procs == 1"
+                f"the {self.backend.name} backend requires n_procs == 1"
             )
 
     # -- running programs -------------------------------------------------------
     def _build_contexts(self, children=None, *, timeout: float | None = None) -> list[ProcessorContext]:
-        make_fabric = getattr(self.backend, "create_fabric", None)
         timeout = self.timeout if timeout is None else float(timeout)
-        if make_fabric is not None:
-            fabric = make_fabric(self.n_procs, timeout=timeout)
-        else:  # duck-typed custom backend without a fabric hook
-            fabric = MessageFabric(self.n_procs, timeout=timeout)
+        fabric = self.backend.create_fabric(self.n_procs, timeout=timeout)
         if children is None:
             streams = self._stream_factory.processor_streams(self.n_procs)
         else:
@@ -333,7 +324,7 @@ class PROMachine:
     @property
     def persistent(self) -> bool:
         """True when the machine's backend keeps a standing worker fleet."""
-        return bool(getattr(self.backend, "persistent", False))
+        return self.backend.persistent
 
     def close(self) -> None:
         """Release backend resources held across runs (idempotent).
@@ -346,9 +337,7 @@ class PROMachine:
         :class:`~repro.util.errors.BackendError` until the machine is
         rebuilt.
         """
-        closer = getattr(self.backend, "close", None)
-        if closer is not None:
-            closer()
+        self.backend.close()
 
     def __enter__(self) -> "PROMachine":
         return self

@@ -18,7 +18,7 @@ machine and its backends:
   (:func:`~repro.util.errors.is_transient_failure`: crashed ranks, broken
   barriers, communication timeouts, injected faults) are retried; program
   exceptions are fatal because the replay is deterministic and would
-  simply fail again.  Between attempts the backend's optional ``heal()``
+  simply fail again.  Between attempts the backend's ``heal()``
   hook runs, which is how a poisoned persistent
   :class:`~repro.pro.backends.pool.WorkerPool` respawns its dead ranks in
   place instead of being thrown away.
@@ -193,19 +193,20 @@ def active_deadline(deadline: Deadline | None):
 # The recovery loop
 # ----------------------------------------------------------------------------
 def _skip_fallback(name: str, machine: "PROMachine") -> bool:
-    current = str(getattr(machine.backend, "name", ""))
-    if name == current or current.endswith("+" + name):
+    from repro.pro.backends.faults import FaultInjectingBackend  # lazy: see committed_chaos_plans
+
+    current = machine.backend
+    while isinstance(current, FaultInjectingBackend):
+        current = current.backend
+    if name == current.name:
         return True  # the substrate that just failed (possibly fault-wrapped)
     return name == "inline" and machine.n_procs > 1
 
 
 def _heal_backend(machine: "PROMachine") -> bool:
-    """Run the backend's optional ``heal()`` hook between attempts."""
-    healer = getattr(machine.backend, "heal", None)
-    if healer is None:
-        return True  # stateless backends build a fresh fabric per attempt
+    """Run the backend's ``heal()`` hook between attempts."""
     try:
-        return healer() is not False
+        return bool(machine.backend.heal())
     except Exception:
         return False
 

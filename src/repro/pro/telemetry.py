@@ -116,20 +116,16 @@ def zeroed_transport_stats() -> dict:
     return {name: 0 for name in TRANSPORT_COUNTERS}
 
 
-def capture_rank_telemetry(fabric: Any) -> dict | None:
+def capture_rank_telemetry(fabric: Any) -> dict:
     """Snapshot one worker rank's transport counters.
 
-    Called by every process-backend worker right before the result
-    record is queued; the returned blob is attached to
-    ``ctx.cost.telemetry`` so it repatriates through the existing result
-    tuple.  Returns ``None`` for fabrics without a payload transport (the
-    in-process fabrics), in which case the parent reports zeroed counters.
+    Called by every process-backend worker, with its process fabric,
+    right before the result record is queued; the returned blob is
+    attached to ``ctx.cost.telemetry`` so it repatriates through the
+    existing result tuple.  Ranks of the in-process fabrics attach
+    nothing, and the parent reports zeroed counters for them.
     """
-    transport = getattr(fabric, "transport", None)
-    stats = getattr(transport, "stats", None)
-    if stats is None:
-        return None
-    return {"transport": dict(stats.snapshot())}
+    return {"transport": fabric.transport.stats.snapshot()}
 
 
 class FleetReport:
@@ -181,13 +177,11 @@ class FleetReport:
     @classmethod
     def from_run(cls, machine: Any, result: Any, events: list[dict]) -> "FleetReport":
         """Merge one :class:`~repro.pro.machine.RunResult` into a report."""
-        backend = machine.backend
-        transport = getattr(backend, "transport", None)
-        stats = getattr(transport, "stats", None)
+        transport = machine.backend.transport
         report = result.cost_report
         ranks = []
         for recorder in report.recorders:
-            blob = getattr(recorder, "telemetry", None) or {}
+            blob = recorder.telemetry or {}
             ranks.append({
                 "rank": recorder.rank,
                 "transport": dict(blob.get("transport") or zeroed_transport_stats()),
@@ -195,14 +189,13 @@ class FleetReport:
                 "kernel_warmup_seconds": recorder.kernel_warmup_seconds,
             })
         return cls(
-            backend=str(getattr(backend, "name", type(backend).__name__)),
-            transport=getattr(transport, "name", None)
-            if transport is not None else "in-process",
+            backend=machine.backend.name,
+            transport="in-process" if transport is None else transport.name,
             n_procs=result.n_procs,
             wall_clock_seconds=result.wall_clock_seconds,
             ranks=ranks,
-            parent_transport=dict(stats.snapshot()) if stats is not None
-            else zeroed_transport_stats(),
+            parent_transport=zeroed_transport_stats() if transport is None
+            else transport.stats.snapshot(),
             resilience={
                 "retries": report.retries,
                 "recovery_seconds": report.recovery_seconds,

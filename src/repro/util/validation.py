@@ -132,16 +132,35 @@ def check_vector_of_nonnegative_ints(values: Iterable, name: str) -> np.ndarray:
     return as_int_array(values, name)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _total(values: np.ndarray, name: str) -> int:
+    """The exact sum of a validated vector; it must stay in the ``int64`` range.
+
+    ``np.sum`` wraps around silently in ``int64``, so a vector whose
+    largest entry times its length could leave the range is summed in
+    Python integers instead.
+    """
+    if values.size and int(values.max()) > _INT64_MAX // values.size:
+        total = sum(values.tolist())
+        if total > _INT64_MAX:
+            raise ValidationError(f"sum({name}) == {total} is beyond the int64 range")
+        return total
+    return int(values.sum())
+
+
 def check_marginals(row_sums, col_sums, row_name: str = "row_sums",
                     col_name: str = "col_sums") -> tuple[np.ndarray, np.ndarray, int]:
     """Problem 2's marginals as trusted ``int64`` vectors, plus their common total.
 
     The source block sizes ``m`` and the target block sizes ``m'`` must
-    describe the same number of items ``n`` (equation (1) of the paper).
+    describe the same number of items ``n`` (equation (1) of the paper),
+    and ``n`` must lie in the ``int64`` range.
     """
     rows = as_int_array(row_sums, row_name)
     cols = as_int_array(col_sums, col_name)
-    total, col_total = int(rows.sum()), int(cols.sum())
+    total, col_total = _total(rows, row_name), _total(cols, col_name)
     if total != col_total:
         raise ValidationError(
             f"sum({row_name}) == {total} but sum({col_name}) == {col_total}; "

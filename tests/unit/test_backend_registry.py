@@ -20,6 +20,7 @@ from repro.pro.backends import (
     resolve_backend,
 )
 from repro.pro.backends.registry import unregister_backend
+from repro.pro.backends.transport import PayloadTransport, TransportStats, resolve_transport
 from repro.pro.machine import PROMachine
 from repro.util.errors import ValidationError
 from repro.util.timeouts import scale_timeout
@@ -34,6 +35,28 @@ def run_python(script: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=scale_timeout(60))
+
+
+@pytest.mark.parametrize("kind, name", [("backend", name) for name in available_backends()]
+                         + [("transport", name) for name in ("pickle", "sharedmem")])
+def test_builtins_subclass_their_base_class_with_its_defaults(kind, name):
+    if kind == "transport":
+        transport = resolve_transport(name)
+        assert isinstance(transport, PayloadTransport)
+        assert isinstance(transport.stats, TransportStats)
+        assert transport.uses_shared_memory is (name == "sharedmem")
+        assert transport.cache_key() == resolve_transport(name).cache_key()
+        hash(transport.cache_key())
+        record = transport.encode(np.arange(4), by_reference=True)
+        assert np.array_equal(transport.decode(record), np.arange(4))
+        return
+    backend = get_backend(name)
+    assert isinstance(backend, ExecutionBackend)
+    assert backend.persistent is False
+    assert backend.transport is None or isinstance(backend.transport, PayloadTransport)
+    assert backend.heal() is True  # nothing standing to heal
+    backend.close()
+    backend.close()  # idempotent
 
 
 class TestRegistryLookups:
@@ -129,6 +152,31 @@ class TestResolveBackend:
     def test_object_without_run_rejected(self):
         with pytest.raises(ValidationError):
             resolve_backend(object())
+
+    def test_duck_typed_backend_rejected(self):
+        class DuckBackend:
+            name = "duck"
+            capabilities = BackendCapabilities()
+
+            def run(self, contexts, program, args, kwargs):
+                return [program(ctx, *args, **kwargs) for ctx in contexts]
+
+        with pytest.raises(ValidationError, match="ExecutionBackend"):
+            resolve_backend(DuckBackend())
+        with pytest.raises(ValidationError, match="ExecutionBackend"):
+            PROMachine(1, backend=DuckBackend())
+
+    def test_factory_building_a_duck_rejected(self):
+        class DuckBackend:
+            def run(self, contexts, program, args, kwargs):
+                return []
+
+        register_backend("duck-test", DuckBackend, capabilities=BackendCapabilities())
+        try:
+            with pytest.raises(ValidationError, match="ExecutionBackend"):
+                resolve_backend("duck-test")
+        finally:
+            unregister_backend("duck-test")
 
     def test_options_forwarded_to_named_factories(self):
         backend = resolve_backend("process", transport="pickle")

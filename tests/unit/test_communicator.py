@@ -305,13 +305,3 @@ class TestOneSidedAlltoallv:
         results = PROMachine(n_procs, seed=1, backend=backend).run(
             lambda ctx: ctx.comm.is_shared(np.zeros(4))).results
         assert results == [True] * n_procs
-
-    def test_fabric_without_the_predicate_shares_only_empty_arrays(self):
-        from repro.pro.communicator import Communicator
-
-        class BareFabric:
-            n_procs = 1
-
-        comm = Communicator(BareFabric(), 0)
-        assert not comm.is_shared(np.zeros(4))
-        assert comm.is_shared(np.zeros(0))

@@ -170,17 +170,6 @@ class TestKeyedIsolation:
         assert not pools[1].closed and not pools[2].closed
         assert len(default_pools()) == 2
 
-    def test_unkeyable_transport_declines_the_cache(self):
-        class DuckTransport:
-            def encode(self, payload, **kw):
-                return payload
-
-            def decode(self, record, **kw):
-                return record
-
-        assert get_default_pool(2, transport=DuckTransport()) is None
-        assert default_pools() == {}
-
 
 class TestPoisonEviction:
     def test_poisoned_fleet_is_healed_in_place(self):

@@ -37,6 +37,16 @@ class TestEngineConstruction:
         with pytest.raises(ValidationError):
             get_engine("bogus")
 
+    @pytest.mark.parametrize("threshold", [7.9, -1, True, "7"])
+    def test_hin_threshold_must_be_a_count(self, threshold):
+        # int() once turned 7.9 into 7.
+        with pytest.raises(ValidationError, match="hin_threshold"):
+            SamplerEngine(hin_threshold=threshold)
+
+    def test_hin_threshold_accepts_counts(self):
+        assert SamplerEngine(hin_threshold=0).hin_threshold == 0
+        assert SamplerEngine(hin_threshold=7.0).hin_threshold == 7
+
 
 class TestMethodDispatch:
     def test_auto_resolution_threshold(self):
@@ -269,6 +279,18 @@ def test_entry_points_reject_booleans(call):
     # Each of these once read True as 1 and returned a result.
     with pytest.raises(ValidationError, match="integer"):
         call()
+
+
+@pytest.mark.parametrize("knob", [2.7, 0, -1, True])
+@pytest.mark.parametrize("call", [
+    lambda knob: cm.sample_matrix_recursive([3, 3, 3], [4, 5], np.random.default_rng(0),
+                                            leaf_rows=knob),
+    lambda knob: mv.sample_recursive(5, [3, 4, 5], np.random.default_rng(0), leaf_size=knob),
+], ids=["leaf_rows", "leaf_size"])
+def test_recursion_leaf_knobs_must_be_positive_counts(call, knob):
+    # int() once ran 2.7 as 2, and 0 was silently clamped to 1.
+    with pytest.raises(ValidationError, match="leaf_"):
+        call(knob)
 
 
 @pytest.mark.parametrize("n", [2.7, True, "5", float("inf")],

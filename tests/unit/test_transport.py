@@ -29,8 +29,6 @@ from repro.pro.backends.transport import (
     SHMSEG,
     SHMVIEW,
     PickleTransport,
-    available_transports,
-    get_transport,
     resolve_transport,
 )
 from repro.pro.machine import PROMachine
@@ -44,7 +42,7 @@ def make_transport(name):
     if name == "sharedmem":
         # A tiny threshold so even small test arrays exercise the segments.
         return SharedMemoryTransport(min_bytes=16)
-    return get_transport(name)
+    return resolve_transport(name)
 
 
 def shm_segments():
@@ -67,13 +65,17 @@ PAYLOADS = [
 ]
 
 
-class TestTransportRegistry:
-    def test_builtins_registered(self):
-        assert set(TRANSPORTS) <= set(available_transports())
+class TestResolveTransport:
+    @pytest.mark.parametrize("name, cls", [("pickle", PickleTransport),
+                                           ("sharedmem", SharedMemoryTransport)])
+    def test_names_build_fresh_builtins(self, name, cls):
+        first, second = resolve_transport(name), resolve_transport(name)
+        assert type(first) is cls and first.name == name
+        assert first is not second  # one instance per resolution
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValidationError, match="unknown transport"):
-            get_transport("carrier-pigeon")
+            resolve_transport("carrier-pigeon")
 
     def test_resolve_none_gives_pickle(self):
         assert isinstance(resolve_transport(None), PickleTransport)
@@ -83,8 +85,23 @@ class TestTransportRegistry:
         assert resolve_transport(transport) is transport
 
     def test_resolve_rejects_non_transport(self):
-        with pytest.raises(ValidationError, match="encode"):
+        with pytest.raises(ValidationError, match="PayloadTransport"):
             resolve_transport(object())
+
+    def test_resolve_rejects_duck_typed_transport(self):
+        class DuckTransport:
+            name = "duck"
+
+            def encode(self, payload, *, by_reference=False):
+                return payload
+
+            def decode(self, record):
+                return record
+
+        with pytest.raises(ValidationError, match="PayloadTransport"):
+            resolve_transport(DuckTransport())
+        with pytest.raises(ValidationError, match="PayloadTransport"):
+            ProcessBackend(transport=DuckTransport())
 
     def test_min_bytes_validated(self):
         with pytest.raises(ValidationError):

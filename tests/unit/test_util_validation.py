@@ -7,6 +7,7 @@ from repro.util.errors import ValidationError
 from repro.util.validation import (
     as_int_array,
     check_in_range,
+    check_marginals,
     check_nonnegative_int,
     check_positive_int,
     check_probability,
@@ -152,6 +153,16 @@ class TestCheckSameTotal:
 
     def test_empty_vectors(self):
         assert check_same_total([], [], "a", "b") == 0
+
+    @pytest.mark.parametrize("copies", [2, 4], ids=["wraps-negative", "wraps-to-zero"])
+    def test_total_beyond_int64_rejected(self, copies):
+        # The int64 sum wrapped: two copies of 2**62 read -2**63, four read 0.
+        with pytest.raises(ValidationError, match="int64 range"):
+            check_marginals([2**62] * copies, [2**62] * copies)
+
+    def test_total_at_the_int64_limit_is_exact(self):
+        top = 2**63 - 1
+        assert check_marginals([top - 5, 5], [top])[2] == top
 
 
 class TestCheckInRange:
