@@ -23,10 +23,7 @@ class InlineBackend(ExecutionBackend):
     name = "inline"
     capabilities = BackendCapabilities(
         multirank=False,
-        blocking_p2p=False,
-        true_parallelism=False,
         shared_address_space=True,
-        deterministic_schedule=True,
     )
 
     def run(self, contexts: Sequence, program: Callable, args: tuple, kwargs: dict) -> list:

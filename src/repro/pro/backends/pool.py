@@ -6,15 +6,20 @@ parallel machine is a *standing* resource whose setup is paid once; a
 standing pool makes the backend behave that way:
 
 * ``p`` long-lived daemon ranks are spawned **once**, inheriting the
-  fabric (queues, barrier) that every later run reuses;
-* each ``run()`` dispatches one lightweight *run-epoch record* per rank
-  -- the rank's freshly built random stream and cost recorder plus the
-  (pickled) program and arguments -- through a per-rank task queue;
-* results, cost records and variate counts flow back through one result
-  queue per rank, so cost reports stay backend-independent;
+  fabric (inbox queues, barrier) that every later run reuses;
+* each rank has one duplex pipe to the parent: each ``run()`` sends one
+  lightweight *run-epoch record* down it -- the rank's freshly built
+  random stream and cost recorder plus the (pickled) program and
+  arguments -- and the rank's result, cost record and variate count come
+  back up it, so cost reports stay backend-independent;
 * the per-rank RNG streams are still built *in the parent* for every run
   (by the machine), so a fixed machine seed is bit-identical to a cold
   run -- and to every other backend and transport.
+
+The parent closes a rank's end of the pipe right after the spawn, so the
+rank is the pipe's only writer towards the parent: a rank that dies
+halfway through writing a record leaves an end of file, which the parent
+reads as "no result", never a read that waits forever.
 
 A *cold* run (``persistent=False``) is a pool that lives for one epoch
 (:meth:`WorkerPool._one_epoch`): it adopts the fabric the backend built
@@ -35,7 +40,7 @@ lifecycle tests pin this.
 
 Serialisation
 -------------
-A standing pool's programs and arguments cross the dispatch queue, so
+A standing pool's programs and arguments cross the rank's pipe, so
 they must be picklable even on ``fork`` platforms (a cold run inherits
 them through the fork instead).  All the library's SPMD programs are
 module-level functions and qualify; when ``cloudpickle`` is installed it
@@ -68,18 +73,20 @@ The poison can be lifted *explicitly* through :meth:`WorkerPool.heal`,
 the supervision hook the resilience layer (:mod:`repro.pro.resilience`)
 calls between retry attempts: the pool stops and reaps exactly the
 suspect ranks (those that failed, died or never reported in the poisoned
-epoch), drains their task queues and sweeps the poisoned epoch's
-straggler results without waiting (disposing out-of-band records),
-restores the standing fabric
+epoch), sweeps the poisoned epoch's straggler results from their pipes
+without waiting (disposing out-of-band records), restores the standing
+fabric
 (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inbox drain,
 barrier reset, or fresh inboxes and barrier when no rank survives) and
-respawns **only the dead ranks** into it.  Survivor ranks keep their
-processes, their warm transports and their PIDs.  Because per-rank
+respawns **only the dead ranks** into it, each over a fresh pipe.
+Survivor ranks keep their processes, their pipes, their warm transports
+and their PIDs.  Because per-rank
 streams are rebuilt by the machine for every attempt, the replayed epoch
 is bit-identical to a fault-free run.
 
-``close()`` drains and disposes undelivered records and releases the
-staging segments of the fleet's runs; by-reference outputs are unlinked
+``close()`` stops every rank the same way, disposes undelivered results
+and releases the staging segments of the fleet's runs; by-reference
+outputs are unlinked
 when their arrays die or, once parked for reuse, by
 :func:`clear_default_pools`.  So a full lifecycle leaks no segments and
 no ``resource_tracker`` warnings.
@@ -98,7 +105,7 @@ from contextlib import contextmanager
 from multiprocessing.connection import wait as _wait
 from typing import Callable, Sequence
 
-from repro.pro.backends.process import ProcessFabric, finishes_within
+from repro.pro.backends.process import ProcessFabric
 from repro.pro.backends.sharedmem import release_parked
 from repro.pro.backends.transport import resolve_transport
 from repro.pro.communicator import Communicator
@@ -123,8 +130,14 @@ except ImportError:  # pragma: no cover - exercised where cloudpickle is absent
 __all__ = ["WorkerPool", "pool", "get_default_pool", "clear_default_pools",
            "default_pools"]
 
+#: Held from a rank pipe's creation until the parent has closed the rank's
+#: end: a fork in between (another pool spawning on another thread) would
+#: inherit that end and keep the pipe open after the rank died.
+_SPAWN_LOCK = threading.Lock()
+
+
 def _dumps(obj) -> bytes:
-    """Serialise ``obj`` for the dispatch queue (cloudpickle fallback)."""
+    """Serialise ``obj`` for a rank's pipe (cloudpickle fallback)."""
     try:
         return pickle.dumps(obj)
     except Exception:
@@ -165,26 +178,25 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return summary
 
 
-def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
-               epoch_task) -> None:
+def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
     """Main loop of one rank (module-level for spawn support).
 
-    A standing rank (``epoch_task`` is ``None``) blocks on its task queue;
-    ``None`` is the shutdown sentinel.  Each task carries one pickled
-    run-epoch: the rank's fresh context pieces, the pickled program and
-    the encoded arguments.
+    A standing rank (``epoch_task`` is ``None``) blocks on its pipe; an
+    empty message is the shutdown sentinel.  Each task carries one
+    pickled run-epoch: the rank's fresh context pieces, the pickled
+    program and the encoded arguments.
     A rank of a one-epoch pool gets its single epoch as ``epoch_task``
     instead -- the program and ``(args, kwargs)`` as plain objects,
     inherited through ``fork`` -- and exits after it.  A failing epoch
-    aborts the shared barrier (siblings fail fast), reports the failure
-    and *exits* -- the pool is poisoned either way, and a worker that kept
+    aborts the fabric (siblings fail fast), reports the failure and
+    *exits* -- the pool is poisoned either way, and a worker that kept
     looping on a broken barrier could only produce corrupt runs.
     """
     while True:
         task = epoch_task
         if task is None:
-            raw = task_queue.get()
-            if raw is None:
+            raw = pipe.recv_bytes()
+            if not raw:
                 return
             task = pickle.loads(raw)
         epoch, rng, cost, program, args_record, wait_timeout = task
@@ -225,25 +237,21 @@ def _rank_main(rank: int, fabric: ProcessFabric, task_queue, result_queue,
             # snapshot repatriates the running totals with this epoch's
             # result record (the parent reports the latest view).
             ctx.cost.telemetry = capture_rank_telemetry(fabric)
-            result_queue.put((epoch, rank, True, (encoded, ctx.cost, variates)))
+            pipe.send((epoch, True, (encoded, ctx.cost, variates)))
             # Views of by-reference segments must not outlive the epoch:
             # dropping them closes this rank's mappings now, except the
             # few output segments the transport holds for later epochs.
             del args, kwargs, value
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             try:
+                # Siblings blocked in the barrier or in a receive fail fast
+                # and exit through their own clean error paths -- which is
+                # what lets heal() join them instead of terminating readers
+                # mid-lock.
                 fabric.abort()
             except Exception:
                 pass
-            try:
-                # Siblings parked in queue receives fail fast too (the
-                # barrier abort alone cannot reach them) and exit through
-                # their own clean error paths -- which is what lets heal()
-                # join them instead of terminating readers mid-lock.
-                fabric.poison_waits(epoch)
-            except Exception:
-                pass
-            result_queue.put((epoch, rank, False, _portable_exception(exc)))
+            pipe.send((epoch, False, _portable_exception(exc)))
             return
         if epoch_task is not None:
             return
@@ -281,8 +289,9 @@ class WorkerPool:
         mp = mp_context if mp_context is not None else multiprocessing.get_context()
         self._adopt(ProcessFabric(n_procs, timeout=timeout, mp_context=mp,
                                   transport=transport), mp, shutdown_grace)
-        self._task_queues = [mp.Queue() for _ in range(n_procs)]
-        self._workers = [self._spawn(rank) for rank in range(self.n_procs)]
+        self._standing = True
+        for rank in range(self.n_procs):
+            self._spawn(rank)
         record_event("pool-spawn", n_procs=self.n_procs, epoch=self._epoch)
         atexit.register(self.close)
 
@@ -291,8 +300,8 @@ class WorkerPool:
                    shutdown_grace: float) -> "WorkerPool":
         """A pool for one cold run over ``fabric``, already wired to its contexts.
 
-        It has no task queues: :meth:`run` spawns the ranks with the epoch
-        in their spawn arguments.  It records no lifecycle events and
+        It has no ranks yet: :meth:`run` spawns them with the epoch in
+        their spawn arguments.  It records no lifecycle events and
         registers no ``atexit`` hook -- the backend closes it as soon as
         the run returns.
         """
@@ -310,21 +319,18 @@ class WorkerPool:
         #: workers (a forked child inherits this object but must not
         #: touch the parent's processes -- see :meth:`run`/:meth:`close`).
         self._owner_pid = os.getpid()
-        #: One run at a time: the fleet shares its result queues and one
+        #: One run at a time: the fleet shares its rank pipes and one
         #: epoch counter, so concurrent ``run()`` calls (e.g. two threads
         #: hitting the same default-cache fleet) serialise here instead
         #: of corrupting each other's dispatch.
         self._run_lock = threading.Lock()
         self._mp = mp  # kept for heal(): replacements spawn from the same context
-        #: Per-rank dispatch queues of a standing fleet; ``None`` on a
-        #: one-epoch pool, whose ranks get their epoch as spawn arguments.
-        self._task_queues: list | None = None
+        #: False on a one-epoch pool, whose ranks get their epoch as spawn
+        #: arguments and which records no lifecycle events.
+        self._standing = False
+        #: Per rank: its worker process and the parent's end of its pipe.
         self._workers: list = []
-        #: One result queue per rank: a rank killed while its feeder
-        #: thread writes can orphan the queue's write lock or leave a
-        #: half-written record, and only its own queue -- which heal()
-        #: replaces -- is hurt, never a sibling's report.
-        self._result_queues = [mp.Queue() for _ in range(self.n_procs)]
+        self._pipes: list = []
         self._epoch = 0
         self._poison_reason: str | None = None
         #: Ranks implicated in the poisoned epoch (failed, died, or never
@@ -332,18 +338,21 @@ class WorkerPool:
         self._suspect_ranks: set = set()
         self._closed = False
 
-    def _spawn(self, rank: int, epoch_task=None):
-        """Start (and return) the worker process of ``rank``."""
-        task_queue = None if self._task_queues is None else self._task_queues[rank]
-        proc = self._mp.Process(
-            target=_rank_main,
-            args=(rank, self.fabric, task_queue, self._result_queues[rank],
-                  epoch_task),
-            name=f"pro-pool-{rank}",
-            daemon=True,
-        )
-        proc.start()
-        return proc
+    def _spawn(self, rank: int, epoch_task=None) -> None:
+        """Start ``rank``'s worker over a fresh pipe (replacing any old one)."""
+        with _SPAWN_LOCK:
+            pipe, rank_end = self._mp.Pipe()
+            proc = self._mp.Process(
+                target=_rank_main, args=(rank, self.fabric, rank_end, epoch_task),
+                name=f"pro-pool-{rank}", daemon=True,
+            )
+            proc.start()
+            rank_end.close()  # the rank is its end's only holder
+        if rank < len(self._workers):
+            self._workers[rank], self._pipes[rank] = proc, pipe
+        else:
+            self._workers.append(proc)
+            self._pipes.append(pipe)
 
     # -- state --------------------------------------------------------------
     @property
@@ -359,7 +368,7 @@ class WorkerPool:
     def _poison(self, reason: str) -> None:
         if self._poison_reason is None:
             self._poison_reason = reason
-            if self._task_queues is not None:  # standing fleets only
+            if self._standing:
                 record_event("pool-poison", reason=reason, epoch=self._epoch)
 
     @property
@@ -376,8 +385,8 @@ class WorkerPool:
             kwargs: dict) -> list:
         """Run one epoch on the pool's ranks and collect results.
 
-        Serialised by a per-pool lock: the fleet shares its result queues
-        and one epoch counter, so exactly one run is in flight at a time (a
+        Serialised by a per-pool lock: the fleet shares its rank pipes and
+        one epoch counter, so exactly one run is in flight at a time (a
         second thread's call queues behind the first -- relevant now that
         driver calls share fleets through the default cache).
         """
@@ -417,20 +426,21 @@ class WorkerPool:
             )
         self._epoch += 1
         epoch = self._epoch
+        # The parent's abort() pills are stamped with the fabric's epoch.
+        self.fabric.epoch = epoch
         run_deadline = current_deadline()
         wait_timeout = (self.timeout if run_deadline is None
                         else run_deadline.clamp(self.timeout))
-        if self._task_queues is None:
+        if self._standing:
+            self._dispatch(epoch, contexts, program, args, kwargs,
+                           wait_timeout)
+        else:
             # One-epoch pool: the epoch rides the ranks' spawn arguments,
             # so under fork program and arguments are inherited, never
             # pickled.
             for rank, ctx in enumerate(contexts):
-                self._workers.append(self._spawn(rank, (
-                    epoch, ctx.rng, ctx.cost, program, (args, kwargs),
-                    wait_timeout)))
-        else:
-            self._dispatch(epoch, contexts, program, args, kwargs,
-                           wait_timeout)
+                self._spawn(rank, (epoch, ctx.rng, ctx.cost, program,
+                                   (args, kwargs), wait_timeout))
 
         outcomes = self._collect(epoch, n)
         failed = []
@@ -446,22 +456,8 @@ class WorkerPool:
             elif not entry[0]:
                 failed.append((rank, entry[1]))
         if failed:
-            self._poison(f"rank {failed[0][0]} failed during run {epoch}")
-            # A failing rank exits its main loop by contract, and a rank
-            # that never reported is dead or wedged: both are suspects for
-            # heal() to reap and respawn.  Ranks that reported success are
-            # alive and keep looping on their task queues.
-            self._suspect_ranks.update(
-                rank for rank in range(n)
-                if outcomes.get(rank) is None or outcomes[rank][0] is not True
-            )
-            for rank in range(n):  # undecoded successes may hold segments
-                entry = outcomes.get(rank)
-                if entry is not None and entry[0]:
-                    try:
-                        self.fabric.transport.dispose(entry[1][0])
-                    except Exception:
-                        pass
+            self._abandon(n, outcomes,
+                          f"rank {failed[0][0]} failed during run {epoch}")
             # Blame a real error first, then a rank that died silently,
             # and only then the symptoms its siblings saw (broken barrier,
             # poisoned receive); rank order breaks ties.
@@ -489,15 +485,14 @@ class WorkerPool:
 
     def _dispatch(self, epoch: int, contexts: Sequence, program: Callable,
                   args: tuple, kwargs: dict, wait_timeout: float) -> None:
-        """Queue one pickled run-epoch record per standing rank."""
+        """Send one pickled run-epoch record down each standing rank's pipe."""
         n = len(contexts)
-        # Serialise the whole epoch *eagerly* in the parent: a task that
-        # cannot be pickled must raise here, as a clear BackendError,
-        # before any rank has been dispatched (handing raw objects to the
-        # queue would defer pickling to its feeder thread, turning the
-        # same failure into a hang).  Bulk array arguments travel
-        # out-of-band through the payload transport, encoded once **per
-        # run** into one record every rank decodes (``encode_shared``).
+        # Serialise the whole epoch in the parent before sending anything:
+        # a task that cannot be pickled must raise here, as a clear
+        # BackendError, before any rank has been dispatched.  Bulk array
+        # arguments travel out-of-band through the payload transport,
+        # encoded once **per run** into one record every rank decodes
+        # (``encode_shared``).
         args_record = None
         task_blobs: list = []
         try:
@@ -517,31 +512,33 @@ class WorkerPool:
                     pass
             raise BackendError(
                 "persistent process runs dispatch the program and its "
-                "arguments through a queue, so they must be picklable "
+                "arguments through a pipe, so they must be picklable "
                 "(module-level functions work; installing cloudpickle widens "
                 f"this to closures): {type(exc).__name__}: {exc}"
             ) from exc
         for rank in range(n):
-            self._task_queues[rank].put(task_blobs[rank])
+            try:
+                self._pipes[rank].send_bytes(task_blobs[rank])
+            except OSError:
+                pass  # the rank died since the liveness check: _collect sees it
 
     def _collect(self, epoch: int, n: int) -> dict:
         """Gather this epoch's per-rank outcomes, watching worker liveness.
 
         The epoch is complete once every rank is *accounted for*: its
-        outcome is in, or its process is dead.  A dead rank's records are
-        already in its result pipe (a queue flushes on exit), so one sweep
+        outcome is in, or its process is dead.  A dead rank's pipe ends in
+        end of file -- after a half-written record too -- so one sweep
         after the death is seen settles whether it reported.  The loop
-        sleeps in :func:`multiprocessing.connection.wait` on the result
-        pipes and the sentinels of the ranks still running, so a result or
-        a death wakes it at once, and it sweeps only the ranks that woke
-        it.
+        sleeps in :func:`multiprocessing.connection.wait` on the pipes and
+        the sentinels of the ranks still running, so a result or a death
+        wakes it at once, and it sweeps only the ranks that woke it.
 
         There is no overall wall-clock deadline: healthy ranks may compute
         for as long as they like, and blocked communication times out
         inside the workers.  A worker that dies without reporting breaks
-        the run: the parent aborts the shared barrier so surviving ranks
-        fail fast, then gives the ranks still alive a short grace period
-        to report their (Communication)errors.
+        the run: the parent aborts the fabric so surviving ranks fail
+        fast, then gives the ranks still alive a short grace period to
+        report their (Communication)errors.
         """
         outcomes: dict = {}
         running = set(range(n))
@@ -555,11 +552,22 @@ class WorkerPool:
                     break
             if run_deadline is not None:
                 if run_deadline.expired:
-                    self._raise_expired(epoch, n, outcomes, run_deadline)
+                    self._abandon(n, outcomes, f"run {epoch} exceeded its deadline")
+                    if not self._standing:
+                        # A one-epoch pool is closed right after this run:
+                        # stop its ranks now, so the error surfaces within
+                        # the deadline instead of after close()'s join grace.
+                        for proc in self._workers:
+                            proc.terminate()
+                    raise DeadlineError(
+                        f"run {epoch} exceeded its {run_deadline.seconds:g}s "
+                        f"deadline with {n - len(outcomes)} rank(s) still "
+                        "outstanding"
+                    )
                 timeouts.append(run_deadline.remaining())
             handles = {}
             for rank in running:
-                handles[self._result_queues[rank]._reader] = rank
+                handles[self._pipes[rank]] = rank
                 handles[self._workers[rank].sentinel] = rank
             lost = False
             for handle in _wait(list(handles),
@@ -576,97 +584,95 @@ class WorkerPool:
                     running.discard(rank)
                     lost = True
             if lost and grace_until is None:
+                # A hard-crashed rank never ran its own failure path:
+                # unblock siblings parked in the barrier or in receives so
+                # they report (and exit joinably) within grace.
                 try:
                     self.fabric.abort()
-                except Exception:
-                    pass
-                try:
-                    # A hard-crashed rank never ran its own failure path:
-                    # unblock siblings parked in receives so they report
-                    # (and exit joinably) within grace.
-                    self.fabric.poison_waits(epoch)
                 except Exception:
                     pass
                 grace_until = (time.monotonic()
                                + scale_timeout(max(self.shutdown_grace, 1.0)))
         return outcomes
 
-    def _raise_expired(self, epoch: int, n: int, outcomes: dict,
-                       run_deadline) -> None:
-        """Raise ``DeadlineError`` for an epoch with ranks still outstanding.
+    def _abandon(self, n: int, outcomes: dict, reason: str) -> None:
+        """Poison the pool over an epoch that will not return its results.
 
-        The resilience deadline ran out while ranks were still running
-        (workers hung outside fabric waits, or the clamped fabric timeout
-        has not fired yet): poison, break the barrier, release what did
-        arrive and surface the typed error -- deliberately not transient.
+        Every rank that did not report success becomes a suspect for
+        heal(): a failing rank exits its main loop by contract, and one
+        that never reported is dead or wedged, while ranks that reported
+        success keep looping on their pipes.  The fabric is aborted so
+        ranks still running fail fast, and the undecoded successes are
+        disposed (they may hold segments).
         """
         self._suspect_ranks.update(
             rank for rank in range(n)
             if outcomes.get(rank) is None or outcomes[rank][0] is not True
         )
-        self._poison(f"run {epoch} exceeded its deadline")
+        self._poison(reason)
         try:
             self.fabric.abort()
         except Exception:
             pass
-        try:
-            self.fabric.poison_waits(epoch)
-        except Exception:
-            pass
-        for entry in outcomes.values():
-            if entry[0] is True:
-                try:
-                    self.fabric.transport.dispose(entry[1][0])
-                except Exception:
-                    pass
-        if self._task_queues is None:
-            # A one-epoch pool is closed right after this run: stop its
-            # ranks now, so the error surfaces within the deadline instead
-            # of after close()'s join grace.
-            for proc in self._workers:
-                if proc.is_alive():
-                    proc.terminate()
-        raise DeadlineError(
-            f"run {epoch} exceeded its {run_deadline.seconds:g}s deadline "
-            f"with {n - len(outcomes)} rank(s) still outstanding"
-        )
-
-    def _sweep_results(self, rank: int, epoch: int | None = None,
-                       outcomes: dict | None = None) -> None:
-        """Take every record already in ``rank``'s result pipe, without waiting.
-
-        A record of ``epoch`` lands in ``outcomes``; any other success
-        record is a straggler -- of an earlier failed epoch, or swept by
-        heal or close -- whose undecoded value is disposed.
-        """
-        result_queue = self._result_queues[rank]
-        while not result_queue.empty():  # the parent is the only reader
-            try:
-                e, _rank, ok, payload = result_queue.get()
-            except Exception:  # pragma: no cover - truncated pickle after a kill
-                continue
-            if outcomes is not None and e == epoch:
-                outcomes[rank] = (ok, payload)
-            elif ok:
+        for ok, payload in outcomes.values():
+            if ok is True:
                 try:
                     self.fabric.transport.dispose(payload[0])
                 except Exception:
                     pass
 
-    def _sweep_stopped(self, ranks, terminated) -> None:
-        """Sweep the result pipes of stopped ranks, without waiting.
+    def _sweep_results(self, rank: int, epoch: int | None = None,
+                       outcomes: dict | None = None) -> None:
+        """Take every record already in ``rank``'s pipe, without waiting.
 
-        Nothing is still in flight once a rank has exited.  A rank that had
-        to be terminated may have died halfway through writing a record,
-        which a read would block on forever, so its pipe is swept on an
-        abandonable thread; callers replace or close that queue either way.
+        A record of ``epoch`` lands in ``outcomes``; any other success
+        record is a straggler -- of an earlier failed epoch, or swept by
+        heal or close -- whose undecoded value is disposed.  A read that
+        meets the end of a dead rank's pipe, mid-record or not, ends the
+        sweep.
+        """
+        pipe = self._pipes[rank]
+        try:
+            while pipe.poll():
+                e, ok, payload = pipe.recv()
+                if outcomes is not None and e == epoch:
+                    outcomes[rank] = (ok, payload)
+                elif ok:
+                    self.fabric.transport.dispose(payload[0])
+        except Exception:  # end of file, or a record that does not load
+            pass
+
+    def _stop(self, ranks) -> bool:
+        """Stop ``ranks``' workers, sweep their pipes and close them.
+
+        Each worker gets the shutdown sentinel and the shutdown grace to
+        exit on its own: a clean exit releases the inbox reader lock a
+        terminate() could orphan.  Only then is a wedged worker
+        terminated.  A stopped rank's pipe holds every record it wrote,
+        up to an end of file, so the sweep does not wait.  Returns False
+        when a worker refuses to die; its pipe is left unread.
         """
         for rank in ranks:
-            if rank in terminated:
-                finishes_within(lambda rank=rank: self._sweep_results(rank),
-                                scale_timeout(2.0), name="pro-pool-sweep")
+            try:
+                self._pipes[rank].send_bytes(b"")
+            except OSError:
+                pass  # the rank has exited already
+        grace = scale_timeout(self.shutdown_grace)
+        join_until = time.monotonic() + grace
+        for rank in ranks:
+            self._workers[rank].join(timeout=max(join_until - time.monotonic(), 0.1))
+        stopped = True
+        for rank in ranks:
+            proc = self._workers[rank]
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=grace)
+            if proc.is_alive():
+                stopped = False
             else:
                 self._sweep_results(rank)
+            self._pipes[rank].close()
+        return stopped
 
     # -- supervision --------------------------------------------------------
     def heal(self) -> bool:
@@ -680,22 +686,25 @@ class WorkerPool:
         Recovery steps, in order:
 
         1. every *suspect* rank -- implicated in the poisoned epoch or
-           found dead -- is joined, and terminated only if it does not
-           exit within the shutdown grace (survivors that reported
-           success are still blocked on their task queues and are left
-           untouched: they keep their processes, transports and PIDs);
+           found dead -- is stopped (:meth:`_stop`): sent the shutdown
+           sentinel, joined, and terminated only if it does not exit
+           within the shutdown grace.  A suspect blocked in the barrier
+           or in a receive has been released already: the run that
+           poisoned the pool aborted the fabric.  Survivors that
+           reported success are blocked on their pipes and are left
+           untouched: they keep their processes, pipes, transports and
+           PIDs;
         2. straggler results of the poisoned epoch are swept from the
-           suspects' result queues, disposing undecoded values.  The
-           sweep does not wait: every suspect has exited and every
-           survivor has reported, so nothing is still in flight;
-        3. the suspects' task queues are drained (an undelivered epoch
-           holds encoded argument records), and both of their queues are
-           replaced by fresh ones;
-        4. the standing fabric is healed
+           suspects' pipes, disposing undecoded values.  The sweep does
+           not wait: every suspect has exited, so each pipe ends in an
+           end of file -- after a record a killed rank left half-written
+           too -- and every survivor has reported;
+        3. the standing fabric is healed
            (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
            inboxes drained and disposed, barrier reset -- or inboxes
            and barrier replaced, when every rank is a suspect;
-        5. replacement workers are spawned for the suspect ranks only.
+        4. replacement workers are spawned for the suspect ranks only,
+           each over a fresh pipe.
 
         Determinism is untouched: the machine rebuilds every rank's stream
         per attempt, so the replayed epoch -- on the mixed fleet of
@@ -721,64 +730,12 @@ class WorkerPool:
         if self._poison_reason is None and not suspects:
             return True
         started = time.perf_counter()
-        grace = scale_timeout(self.shutdown_grace)
-        # Let suspects exit on their own first: poison pills reach ranks
-        # parked in receives, the aborted barrier the rest, and the
-        # shutdown sentinel a rank that finishes its epoch late.  A clean
-        # exit releases the inbox reader lock a terminate() could orphan.
-        # Only then terminate genuinely wedged workers.
-        try:
-            self.fabric.poison_waits(self._epoch)
-        except Exception:  # pragma: no cover - queues already broken
-            pass
-        for rank in sorted(suspects):
-            try:
-                self._task_queues[rank].put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        join_until = time.monotonic() + grace
-        for rank in sorted(suspects):
-            proc = self._workers[rank]
-            proc.join(timeout=max(join_until - time.monotonic(), 0.1))
-        terminated = set()
-        for rank in sorted(suspects):
-            proc = self._workers[rank]
-            if proc.is_alive():
-                terminated.add(rank)
-                proc.terminate()
-                proc.join(timeout=grace)
-            if proc.is_alive():
-                return False  # unkillable worker: this fleet is lost
-        # Every suspect has exited and every survivor reported, so the
-        # poisoned epoch's stragglers are all in the suspects' pipes.
-        self._sweep_stopped(sorted(suspects), terminated)
-        for rank in sorted(suspects):
-            old_queue = self._task_queues[rank]
-            while True:  # undelivered epochs hold encoded argument records
-                try:
-                    raw = old_queue.get_nowait()
-                except Exception:
-                    break
-                if raw is None:
-                    continue
-                try:
-                    self.fabric.transport.dispose(pickle.loads(raw)[4])
-                except Exception:
-                    pass
-            for stale in (old_queue, self._result_queues[rank]):
-                try:
-                    stale.close()
-                    stale.cancel_join_thread()
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
-            # A worker killed mid-get or mid-put can leave an old queue's
-            # pipe in a torn state; the replacement gets pristine ones.
-            self._task_queues[rank] = self._mp.Queue()
-            self._result_queues[rank] = self._mp.Queue()
         respawned = sorted(suspects)
+        if not self._stop(respawned):
+            return False  # unkillable worker: this fleet is lost
         self.fabric.heal(respawned)
         for rank in respawned:
-            self._workers[rank] = self._spawn(rank)
+            self._spawn(rank)
         self._suspect_ranks.clear()
         self._poison_reason = None
         record_event("pool-heal", respawned=respawned,
@@ -799,7 +756,7 @@ class WorkerPool:
 
         In a forked copy of the owning process this only marks the local
         handle closed: joining or terminating the workers (and draining
-        the queues) is the owner's job, and CPython refuses to join
+        the pipes) is the owner's job, and CPython refuses to join
         another process's children anyway.
         """
         if self._closed:
@@ -809,60 +766,19 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            if self._task_queues is not None:  # standing fleets only
+            if self._standing:
                 record_event("pool-close", n_procs=self.n_procs,
                              epoch=self._epoch)
             atexit.unregister(self.close)
             if not self.in_owner_process:
                 return  # inherited handle: the owner reaps the resources
-            self._close_resources()
+            self._stop(range(len(self._workers)))
+            # Unlink in-flight and by-reference segments on the fabric.
+            self.fabric.shutdown(
+                drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
         finally:
             if locked:
                 self._run_lock.release()
-
-    def _close_resources(self) -> None:
-        """Teardown body of :meth:`close` (runs in the owner process)."""
-        task_queues = self._task_queues or []
-        for task_queue in task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        grace = scale_timeout(self.shutdown_grace)
-        for proc in self._workers:
-            proc.join(timeout=grace)
-        terminated = set()
-        for rank, proc in enumerate(self._workers):
-            if proc.is_alive():
-                terminated.add(rank)
-                proc.terminate()
-                proc.join(timeout=grace)
-        # Dispose undelivered tasks (a rank that died before picking its
-        # task up leaves it queued) and results (a poisoned pool may
-        # leave some): their out-of-band argument/value segments must be
-        # unlinked, not leaked.
-        for task_queue in task_queues:
-            while True:
-                try:
-                    raw = task_queue.get_nowait()
-                except Exception:
-                    break
-                if raw is None:
-                    continue
-                try:
-                    self.fabric.transport.dispose(pickle.loads(raw)[4])
-                except Exception:
-                    pass
-        self._sweep_stopped(range(self.n_procs), terminated)
-        # Unlink in-flight and by-reference segments on the fabric.
-        self.fabric.shutdown(
-            drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
-        for task_queue in task_queues:
-            task_queue.close()
-            task_queue.cancel_join_thread()
-        for result_queue in self._result_queues:
-            result_queue.close()
-            result_queue.cancel_join_thread()
 
     def __enter__(self) -> "WorkerPool":
         return self

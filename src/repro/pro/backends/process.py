@@ -29,7 +29,8 @@ Design points:
 * **One execution path.**  Every run executes on a
   :class:`~repro.pro.backends.pool.WorkerPool`, which owns the worker
   entry point, result collection, cost repatriation and shutdown (see
-  :mod:`repro.pro.backends.pool`).  A *cold* run (``persistent=False``,
+  :mod:`repro.pro.backends.pool`) and talks to each rank over one duplex
+  pipe of its own.  A *cold* run (``persistent=False``,
   the default) is a pool that lives for one epoch: it adopts the fabric
   :meth:`ProcessBackend.create_fabric` built for the run's contexts,
   spawns the ranks with the epoch in their spawn arguments, collects
@@ -39,7 +40,9 @@ Design points:
   as lightweight run-epoch records (picklable programs,
   poison-on-failure crash semantics, explicit or atexit shutdown).
 * **Error propagation** mirrors the thread backend: a failing rank aborts
-  the shared barrier (siblings blocked in ``barrier()``/``recv`` fail fast),
+  the fabric -- :meth:`ProcessFabric.abort` breaks the barrier and puts a
+  poison pill in every inbox, so siblings blocked in ``barrier()`` or
+  ``recv`` fail fast --
   and the first real error by rank order -- preferring causes over
   :class:`~repro.util.errors.CommunicationError` symptoms -- is re-raised in
   the caller wrapped in :class:`~repro.util.errors.BackendError`.
@@ -76,13 +79,12 @@ from repro.util.timeouts import scale_timeout
 __all__ = ["ProcessBackend", "ProcessFabric"]
 
 #: Control-channel tag of run-abort poison pills (see
-#: :meth:`ProcessFabric.poison_waits`).  ``abort()`` only breaks the
-#: *barrier*; a rank blocked in a queue receive keeps waiting out its full
-#: fabric timeout -- while holding the inbox's shared reader lock, which a
-#: ``terminate()`` would orphan and wedge the queue for any respawned
-#: successor.  A poison record makes the blocked receive fail fast with a
-#: :class:`~repro.util.errors.CommunicationError` instead, so the rank
-#: exits cleanly through its own error path.
+#: :meth:`ProcessFabric.abort`).  A pill makes a receive blocked on its
+#: inbox fail fast with a :class:`~repro.util.errors.CommunicationError`
+#: instead of waiting out the fabric timeout -- while holding the inbox's
+#: shared reader lock, which a ``terminate()`` would orphan and wedge the
+#: queue for any respawned successor -- so the rank exits cleanly through
+#: its own error path.
 _ABORT_TAG = "__abort__"
 
 
@@ -229,8 +231,21 @@ class ProcessFabric:
             ) from None
 
     def abort(self) -> None:
-        """Break the barrier so that surviving ranks fail fast after a crash."""
+        """Make surviving ranks fail fast after a crash.
+
+        Breaks the barrier and puts one poison pill in every inbox, as
+        :meth:`MessageFabric.abort <repro.pro.communicator.MessageFabric.abort>`
+        does: a rank parked in ``get`` consumes the pill and raises
+        ``CommunicationError`` at once.  Pills carry the fabric's current
+        epoch, so ranks running a *later* epoch skip them as stale.  Safe
+        to call repeatedly, from a rank or from the pool's parent.
+        """
         self._barrier.abort()
+        for inbox in self._inboxes:
+            try:
+                inbox.put((-1, _ABORT_TAG, self.epoch))
+            except Exception:  # pragma: no cover - queue already closed
+                pass
 
     def is_shared(self, array) -> bool:
         """True when every rank maps ``array``'s memory (the transport decides).
@@ -239,24 +254,6 @@ class ProcessFabric:
         ranks' parent created; with ``pickle``: nothing.
         """
         return self.transport.is_shared(array)
-
-    def poison_waits(self, epoch: int) -> None:
-        """Deposit one abort poison pill per inbox so blocked receives fail fast.
-
-        The complement of :meth:`abort` for queue waits: a rank parked in
-        ``get`` consumes the pill and raises ``CommunicationError``
-        immediately instead of burning the full fabric timeout -- and,
-        crucially for pool supervision, instead of having to be
-        ``terminate()``-ed while it holds its inbox's shared reader lock
-        (an orphaned lock would wedge the inbox for a respawned rank).
-        ``epoch`` scopes the pill: ranks running a *later* epoch skip
-        stale pills.  Safe to call repeatedly.
-        """
-        for dst in range(self.n_procs):
-            try:
-                self._inboxes[dst].put((-1, _ABORT_TAG, epoch))
-            except Exception:  # pragma: no cover - queue already closed
-                pass
 
     def heal(self, respawned_ranks: Sequence[int]) -> None:
         """Restore a *standing* fabric after a failed epoch (pool supervision).
@@ -269,7 +266,7 @@ class ProcessFabric:
           records handed to ``transport.dispose`` (the poisoned epoch's
           in-flight payloads must not pin shared-memory segments for the
           fabric's remaining lifetime) -- safe because no run is in flight
-          and idle survivors only read their *task* queues;
+          and idle survivors only read their pipes to the pool;
         * when every rank is respawned, the inboxes and the barrier are
           replaced by fresh ones: a rank that died inside a queue or
           barrier operation -- ``os._exit`` or a kill while its queue
@@ -397,8 +394,8 @@ class ProcessBackend(ExecutionBackend):
         long-lived daemon processes instead: the pool (one per
         ``n_procs``) is created on the first run and reused by every later
         run, amortising process spawn.  Programs and arguments must then be
-        picklable even under ``fork`` (they travel through the dispatch
-        queue; ``cloudpickle`` widens this to closures when installed).
+        picklable even under ``fork`` (they travel through each rank's
+        pipe; ``cloudpickle`` widens this to closures when installed).
         Results stay bit-identical to the non-persistent path for a fixed
         machine seed.  Call :meth:`close` (or let the pool's ``atexit``
         hook run) to release the workers; a failed run *poisons* the pool
@@ -418,10 +415,7 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
     capabilities = BackendCapabilities(
         multirank=True,
-        blocking_p2p=True,
-        true_parallelism=True,
         shared_address_space=False,
-        self_healing=True,
     )
 
     def __init__(self, *, start_method: str | None = None, shutdown_grace: float = 5.0,

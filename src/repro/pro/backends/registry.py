@@ -158,9 +158,8 @@ work:
   the dead ranks of its poisoned pools into the standing fabric,
   re-handshaking their transports -- see ``WorkerPool.heal``), or False
   to make the resilience layer fall through to its degradation chain
-  (``fallback=("thread", "inline")``-style) instead of retrying.  Set
-  ``self_healing=True`` in :class:`BackendCapabilities` when overriding
-  it.  The base class's ``heal()`` returns True: a backend without
+  (``fallback=("thread", "inline")``-style) instead of retrying.  The
+  base class's ``heal()`` returns True: a backend without
   standing state is retried on the fresh fabric the machine builds per
   attempt.
 
@@ -211,8 +210,8 @@ gap with the existing result record, with no wire-format change.  Rules:
 
 Exploration sub-contract (schedule coverage)
 --------------------------------------------
-A backend that advertises ``deterministic_schedule=True`` is a *model
-checker's substrate*, and :mod:`repro.pro.explore` drives it through four
+A backend whose rank interleaving is fully determined by its
+configuration is a *model checker's substrate*, and :mod:`repro.pro.explore` drives it through four
 surfaces the sim backend defines: a replayable decision trace published on
 ``last_schedule`` after **every** run -- completed, failed or interrupted,
 reset to ``None`` when a new run starts so stale traces cannot masquerade
@@ -286,12 +285,6 @@ class BackendCapabilities:
     multirank:
         The backend can execute programs with more than one rank.  Backends
         without it (inline) are rejected by the machine for ``p > 1``.
-    blocking_p2p:
-        Ranks may block in ``recv``/``barrier`` waiting for one another
-        (required by the head/worker protocols of Algorithms 5 and 6).
-    true_parallelism:
-        Ranks run on separate OS schedulable entities that are not
-        serialised by the CPython GIL for pure-Python work.
     shared_address_space:
         Ranks share the caller's address space: programs may close over
         arbitrary objects and mutate shared state, including buffers the
@@ -303,26 +296,10 @@ class BackendCapabilities:
         Backends without it (process)
         require picklable programs/arguments and ship results, cost
         records and variate counts back explicitly.
-    deterministic_schedule:
-        The interleaving of rank execution is fully determined by the
-        backend's configuration (sim, and trivially inline): two identical
-        runs step their ranks in the identical order, so schedule-dependent
-        failures replay exactly.  Backends whose ranks are scheduled by the
-        OS (thread, process) cannot promise this.
-    self_healing:
-        The backend overrides ``heal()`` to recover its standing state
-        (poisoned worker fleets) between retry attempts, per the
-        resilience sub-contract above.  Backends without it are still
-        retryable -- cold substrates are rebuilt per attempt -- but a
-        failed heal cannot be distinguished from "nothing to heal".
     """
 
     multirank: bool = True
-    blocking_p2p: bool = True
-    true_parallelism: bool = False
     shared_address_space: bool = True
-    deterministic_schedule: bool = False
-    self_healing: bool = False
 
 
 @dataclass(frozen=True)

@@ -445,10 +445,7 @@ class SimBackend(ExecutionBackend):
     name = "sim"
     capabilities = BackendCapabilities(
         multirank=True,
-        blocking_p2p=True,
-        true_parallelism=False,
         shared_address_space=True,
-        deterministic_schedule=True,
     )
 
     def __init__(self, *, schedule_seed: int | None = None, schedule=None,

@@ -31,8 +31,6 @@ class ThreadBackend(ExecutionBackend):
     name = "thread"
     capabilities = BackendCapabilities(
         multirank=True,
-        blocking_p2p=True,
-        true_parallelism=False,
         shared_address_space=True,
     )
 

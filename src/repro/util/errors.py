@@ -50,7 +50,7 @@ class CommunicationError(ReproError):
     ``rank`` (the rank that was waiting), ``op`` (``"recv"`` / ``"barrier"``)
     and ``src`` (the awaited sender, for receives).  Attributes rather than
     constructor arguments so the exception stays trivially picklable across
-    the process backend's result queue.
+    the pipe each process-backend rank reports its result on.
     """
 
     #: Substrate failures are retry-safe: replaying the epoch with the same

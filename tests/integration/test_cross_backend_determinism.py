@@ -168,7 +168,7 @@ class TestPersistentDeterminism:
     """Standing worker pool vs cold runs: bit-identical for a fixed seed.
 
     Persistence only changes where the ranks live and how runs reach them
-    (dispatch queue vs fork-per-run); the per-rank streams are still built
+    (rank pipes vs fork-per-run); the per-rank streams are still built
     in the parent for every run, so every {inline, thread, process} x
     {pickle, sharedmem} x {persistent, cold} combination must agree.
     """

@@ -50,7 +50,7 @@ PROCESS_CELLS = [
 ]
 
 
-# Module-level programs: the process cells pickle them onto dispatch queues.
+# Module-level programs: the process cells pickle them into the rank pipes.
 def _chaos_program(ctx):
     # Exercises every fault surface the committed plans target: an rng
     # draw (stream parity under replay), an all-to-all (0->1 messages for

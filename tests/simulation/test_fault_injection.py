@@ -66,7 +66,7 @@ class TestFaultPlan:
     def test_wrapper_delegates_capabilities_and_name(self):
         backend = FaultInjectingBackend("sim", [CrashRank(rank=0)])
         assert backend.name == "faulty+sim"
-        assert backend.capabilities.deterministic_schedule
+        assert backend.capabilities is backend.backend.capabilities
         assert backend.plan.faults == (CrashRank(rank=0),)
 
 

@@ -87,9 +87,9 @@ class TestRegistryLookups:
     def test_capabilities_by_name(self):
         assert backend_capabilities("inline").multirank is False
         assert backend_capabilities("thread").multirank is True
-        assert backend_capabilities("thread").true_parallelism is False
+        assert backend_capabilities("thread").shared_address_space is True
         process = backend_capabilities("process")
-        assert process.true_parallelism is True
+        assert process.multirank is True
         assert process.shared_address_space is False
 
     def test_capabilities_unknown_name(self):
@@ -101,7 +101,7 @@ class TestRegistration:
     def test_register_and_use_custom_backend(self):
         class EchoBackend(ExecutionBackend):
             name = "echo-test"
-            capabilities = BackendCapabilities(multirank=False, blocking_p2p=False)
+            capabilities = BackendCapabilities(multirank=False)
 
             def run(self, contexts, program, args, kwargs):
                 return [program(ctx, *args, **kwargs) for ctx in contexts]

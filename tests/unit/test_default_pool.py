@@ -208,7 +208,7 @@ class TestSharing:
         # The default cache hands two threads the same fleet; WorkerPool
         # serialises the runs internally, so both calls must succeed with
         # correct (seed-exact) results instead of corrupting each other's
-        # epochs on the shared result queue.
+        # epochs on the shared rank pipes.
         import threading
 
         results: dict = {}

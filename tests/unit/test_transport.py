@@ -45,12 +45,22 @@ def make_transport(name):
     return resolve_transport(name)
 
 
-def shm_segments():
+def shm_segments(prefix="psm_"):
     """Names of the POSIX shared-memory segments currently linked."""
     try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+        return {f for f in os.listdir("/dev/shm") if f.startswith(prefix)}
     except FileNotFoundError:  # pragma: no cover - non-Linux fallback
         return set()
+
+
+def own_segments():
+    """Names of the by-reference segments this process has linked.
+
+    Every by-reference segment is named ``psm_<pid hex>_...`` after the
+    process that created it, so this listing is unaffected by segments
+    other processes on the host create or unlink meanwhile.
+    """
+    return shm_segments(f"psm_{os.getpid():x}_")
 
 
 PAYLOADS = [
@@ -395,7 +405,7 @@ class TestFabricIntegration:
                                transport=make_transport(transport_name))
         try:
             fabric.epoch = 3
-            fabric.poison_waits(3)
+            fabric.abort()
             fabric.put(1, 1, "self", np.arange(100, dtype=np.int64))
             out = fabric.get(1, 1, "self", [])
             assert np.array_equal(out, np.arange(100))
@@ -561,14 +571,14 @@ class TestByReferenceArrays:
 
     def test_end_run_keeps_the_name_while_the_array_lives(self):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         out = transport.empty((4, 8), np.float64)
-        created = shm_segments() - before
+        created = own_segments() - before
         assert len(created) == 1
         record = transport.encode_shared({"out": out}, 1)
         transport.decode(record)
         transport.end_run()
-        assert shm_segments() - before == created  # linked while it lives
+        assert own_segments() - before == created  # linked while it lives
         out[:] = 1.5
         assert out.sum() == 48.0
         # A later dispatch of the same array still crosses by reference.
@@ -579,20 +589,20 @@ class TestByReferenceArrays:
         del out, record
         gc.collect()
         clear_default_pools()
-        assert not shm_segments() - before
+        assert not own_segments() - before
         assert not sharedmem_module._BYREF
 
     def test_dropped_array_unlinks_and_unmaps(self):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         out = transport.empty(100, np.int32)
         view = out[10:20]
         del out
         gc.collect()
-        assert shm_segments() - before  # a view keeps it alive
+        assert own_segments() - before  # a view keeps it alive
         del view
         gc.collect()
-        assert not shm_segments() - before
+        assert not own_segments() - before
         assert not sharedmem_module._BYREF
 
     def test_declines_object_dtype_and_in_band_transports(self):
@@ -642,14 +652,14 @@ class TestParkedSegments:
 
     def test_same_size_takes_the_parked_segment(self):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         out = transport.empty(1000, np.int64)
         name, address = segment_name(out), out.__array_interface__["data"][0]
         _returned_run(transport, out)
         del out
         gc.collect()
         assert _parked_names() == [name]
-        assert shm_segments() - before == {name}  # parked: still linked
+        assert own_segments() - before == {name}  # parked: still linked
         again = transport.empty((10, 100), np.int64)  # same byte size
         assert segment_name(again) == name
         assert again.__array_interface__["data"][0] == address
@@ -658,7 +668,7 @@ class TestParkedSegments:
         assert segment_name(other) != name
         del other
         gc.collect()  # never dispatched: unlinked, not parked
-        assert shm_segments() - before == {name}
+        assert own_segments() - before == {name}
         _returned_run(transport, again)
         del again
         gc.collect()
@@ -667,12 +677,12 @@ class TestParkedSegments:
         assert _parked_names() == [name]
         del smaller
         clear_default_pools()
-        assert not shm_segments() - before
+        assert not own_segments() - before
         assert not sharedmem_module._BYREF
 
     def test_parking_unlinks_the_segment_parked_before(self):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         first, second = (transport.empty(size, np.int64) for size in (64, 128))
         names = [segment_name(first), segment_name(second)]
         _returned_run(transport, (first, second))
@@ -681,14 +691,14 @@ class TestParkedSegments:
         del second
         gc.collect()
         assert _parked_names() == names[1:]
-        assert shm_segments() - before == {names[1]}
+        assert own_segments() - before == {names[1]}
         clear_default_pools()
-        assert not shm_segments() - before
+        assert not own_segments() - before
 
     @pytest.mark.parametrize("retried", [False, True], ids=["shutdown", "retry"])
     def test_run_that_never_returned_is_not_parked(self, retried):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         out = transport.empty(512, np.int64)
         transport.encode_shared(out, 2)  # the attempt fails: nothing decoded
         if retried:  # a retry re-dispatches the same vector and returns
@@ -698,15 +708,15 @@ class TestParkedSegments:
         del out
         gc.collect()
         assert not _parked_names()
-        assert not shm_segments() - before
+        assert not own_segments() - before
 
     def test_staging_segments_are_never_parked(self):
         transport = SharedMemoryTransport(min_bytes=16)
-        before = shm_segments()
+        before = own_segments()
         _returned_run(transport, np.arange(512))  # private: staged
         assert transport.stats.segments_created == 1
         assert not _parked_names()
-        assert not shm_segments() - before
+        assert not own_segments() - before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_never_takes_the_parents_segment(self):

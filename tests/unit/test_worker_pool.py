@@ -27,7 +27,7 @@ from repro.util.timeouts import scale_timeout
 pytestmark = pytest.mark.subprocess  # every test spawns a worker fleet
 
 
-# Module-level programs: the dispatch queue pickles them, and unlike
+# Module-level programs: the rank pipes carry them pickled, and unlike
 # closures they stay picklable without cloudpickle.
 def _rank_pid_program(ctx):
     return ctx.rank, os.getpid()
@@ -186,6 +186,89 @@ class TestPoolFailure:
         finally:
             machine.close()
         assert elapsed < scale_timeout(0.5)
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_rank_killed_mid_result_surfaces_at_once(self, persistent):
+        # Rank 1 writes half of its 32 MB result record and is then
+        # SIGKILLed.  The parent must read the torn record as the end of
+        # the rank's pipe and raise, not wait forever for the rest of it.
+        # The scenario runs in its own process session, so that a hung
+        # parent and the ranks it would leave behind can all be killed on
+        # timeout.
+        script = textwrap.dedent("""
+            import multiprocessing
+            import os
+            import signal
+            import sys
+            import time
+            from multiprocessing import connection
+
+            import numpy as np
+
+            from repro.pro.machine import PROMachine
+            from repro.util.errors import TransientBackendError
+
+            _send = connection.Connection._send
+
+            def torn_send(self, buf):
+                if len(buf) > 1 << 20:
+                    _send(self, buf[:len(buf) // 2])
+                    os.kill(os.getpid(), signal.SIGKILL)
+                _send(self, buf)
+
+            def warm(ctx):
+                return ctx.rank
+
+            def program(ctx):
+                if ctx.rank == 1:
+                    connection.Connection._send = torn_send
+                return np.zeros(4_000_000)
+
+            persistent = sys.argv[1] == "True"
+            machine = PROMachine(2, seed=0, backend="process",
+                                 persistent=persistent, timeout=60.0,
+                                 backend_options={"transport": "pickle"})
+            try:
+                if persistent:
+                    machine.run(warm)
+                started = time.monotonic()
+                try:
+                    machine.run(program)
+                except TransientBackendError as exc:
+                    print("raised", time.monotonic() - started, exc)
+            finally:
+                machine.close()
+            print("children", len(multiprocessing.active_children()))
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(persistent)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=scale_timeout(30))
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the parent hung on the torn result record")
+        assert proc.returncode == 0, err
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert "rank 1" in lines["raised"], out
+        assert float(lines["raised"].split()[0]) < scale_timeout(10), out
+        assert lines["children"] == "0", out
+        # Nothing in the scenario's process group outlives it.
+        deadline = time.monotonic() + scale_timeout(10)
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a rank outlived its parent"
+            time.sleep(0.05)
 
     def test_program_exception_poisons_pool(self):
         machine = _persistent_machine(3, seed=0)
