@@ -8,8 +8,13 @@ Each cell injects the plan's fault on the first attempt and must (a)
 complete, (b) spend exactly one retry, and (c) return results
 bit-identical to a fault-free reference run (results are
 backend-invariant for a fixed seed, so one clean thread run references
-every cell).  Writes the per-cell outcomes as a JSON artifact for the
-workflow to upload.
+every cell).  A persistent process cell must also (d) heal in scope:
+its ``pool-heal`` events respawn no rank outside the plan's
+:data:`EXPECTED_RESPAWN` set -- the rank whose own code failed, and none
+for a fault that only surfaces as a communication error -- while the
+ranks that only saw the abort keep their processes.  Writes the per-cell
+outcomes, with the expected and observed respawn sets, as a JSON
+artifact for the workflow to upload.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -34,6 +39,7 @@ import time
 from repro.pro.backends.faults import FaultInjectingBackend
 from repro.pro.machine import PROMachine
 from repro.pro.resilience import RetryPolicy, committed_chaos_plans
+from repro.pro.telemetry import event_seq, events_since
 from repro.util.timeouts import scale_timeout
 
 P = 4  # the rank count the committed plans address
@@ -48,6 +54,17 @@ CELLS = [
     ("process", "sharedmem", True),
     ("process", "pickle", True),
 ]
+
+#: Plan -> the ranks a persistent fleet's heal may respawn.  A crashed rank
+#: reported its own failure and exited; a dropped message or a barrier
+#: timeout is a communication error, after which every rank keeps its
+#: process.
+EXPECTED_RESPAWN = {
+    "crash-root-early": [0],
+    "crash-rank1-mid": [1],
+    "drop-first-0-to-1": [],
+    "barrier-timeout-last-rank": [],
+}
 
 
 def _chaos_program(ctx):
@@ -96,6 +113,7 @@ def run_sweep(*, fleet_reports=None):
             machine = PROMachine(P, seed=SEED, backend=wrapper, retry=policy,
                                  timeout=scale_timeout(5), telemetry=telemetry)
             started = time.perf_counter()
+            seq = event_seq()
             verdict, detail = "recovered", ""
             try:
                 try:
@@ -113,6 +131,22 @@ def run_sweep(*, fleet_reports=None):
                 verdict = "FAILED"
                 detail = repr(exc)
             elapsed = time.perf_counter() - started
+            scope = {}
+            if backend == "process" and persistent:
+                heals = [event for event in events_since(seq)
+                         if event["kind"] == "pool-heal"]
+                scope = {
+                    "expected_respawn": EXPECTED_RESPAWN[plan_name],
+                    "respawned": sorted({rank for event in heals
+                                         for rank in event["respawned"]}),
+                }
+                if verdict == "recovered" and not heals:
+                    verdict, detail = "NO HEAL", "no pool-heal event"
+                elif verdict == "recovered" and (set(scope["respawned"])
+                                                 - set(scope["expected_respawn"])):
+                    verdict = "WRONG SCOPE"
+                    detail = (f"heal respawned {scope['respawned']}, expected "
+                              f"at most {scope['expected_respawn']}")
             ok = verdict == "recovered"
             reports.append({
                 "plan": plan_name,
@@ -120,6 +154,7 @@ def run_sweep(*, fleet_reports=None):
                 "verdict": verdict,
                 "detail": detail,
                 "seconds": round(elapsed, 3),
+                **scope,
             })
             if not ok:
                 failures.append((plan_name, cell, verdict, detail))

@@ -69,20 +69,35 @@ resources.  Poisoning is deliberate -- after a broken barrier or an
 interrupted exchange the fabric may hold stray messages, and silently
 reusing it could corrupt a later run's results.
 
+The failing rank aborts the fabric, so its siblings fail fast with a
+:class:`~repro.util.errors.CommunicationError`.  Such an error is only a
+symptom of a sibling's failure -- a poison pill, a broken barrier or a
+wait timeout -- so a rank that ends its epoch with one keeps its process:
+it drops the epoch's views, reports "aborted" and waits on its pipe
+again.  Only a rank whose own code failed reports its failure and exits.
+
 The poison can be lifted *explicitly* through :meth:`WorkerPool.heal`,
 the supervision hook the resilience layer (:mod:`repro.pro.resilience`)
-calls between retry attempts: the pool stops and reaps exactly the
-suspect ranks (those that failed, died or never reported in the poisoned
-epoch), sweeps the poisoned epoch's straggler results from their pipes
-without waiting (disposing out-of-band records), restores the standing
-fabric
+calls between retry attempts.  Its suspects are the ranks that died,
+never reported, or raised anything but a ``CommunicationError`` in the
+poisoned epoch.  The pool stops and reaps them, sweeping the poisoned
+epoch's straggler results from their pipes without waiting (disposing
+out-of-band records).  When every suspect reported its own failure and
+then exited by itself with exit code 0, it cannot have left an inbox or
+the barrier locked: the survivors keep their processes, pipes, warm
+transports, PIDs and inboxes, the fabric is restored around them
 (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inbox drain,
-barrier reset, or fresh inboxes and barrier when no rank survives) and
-respawns **only the dead ranks** into it, each over a fresh pipe.
-Survivor ranks keep their processes, their pipes, their warm transports
-and their PIDs.  Because per-rank
-streams are rebuilt by the machine for every attempt, the replayed epoch
-is bit-identical to a fault-free run.
+barrier reset) and only the suspects respawn, each over a fresh pipe.
+In every other case -- a rank killed, wedged or silent -- heal stops
+every rank, replaces the inboxes and the barrier, and respawns all
+ranks.  Because per-rank streams are rebuilt by the machine for every
+attempt, the replayed epoch is bit-identical to a fault-free run,
+whichever processes survived.
+
+Standing ranks never outlive the pool's process: a forked rank drops its
+copies of every rank pipe's parent end as it starts, so when the parent
+dies -- even by ``SIGKILL`` -- each rank reads an end of file on its pipe
+and exits.
 
 ``close()`` stops every rank the same way, disposes undelivered results
 and releases the staging segments of the fleet's runs; by-reference
@@ -102,6 +117,7 @@ import time
 import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
+from multiprocessing import util as _mp_util
 from multiprocessing.connection import wait as _wait
 from typing import Callable, Sequence
 
@@ -156,14 +172,18 @@ class _VariateCount:
 def _portable_exception(exc: BaseException) -> BaseException:
     """Return ``exc`` if it survives pickling, else a summarising BackendError.
 
-    Either way the worker-side traceback travels along as a plain
-    ``remote_traceback`` string attribute (it rides in the exception's
+    Either way the worker-side traceback travels along as a
+    ``remote_traceback`` attribute (it rides in the exception's
     ``__dict__`` through pickling), so the parent's
     :func:`~repro.util.errors.wrap_rank_failure` can chain the remote
-    stack into the caller-side error.  The unpicklable fallback keeps the
+    stack into the caller-side error.  It is a
+    :class:`traceback.TracebackException` captured without source lines:
+    the parent reads those from the same files when the text is first
+    rendered, so formatting stays off the rank's failure path.  The
+    unpicklable fallback carries the rendered text instead, and keeps the
     original's transient/fatal classification.
     """
-    tb = traceback.format_exc()
+    tb = traceback.TracebackException.from_exception(exc, lookup_lines=False)
     try:
         exc.remote_traceback = tb
     except Exception:  # pragma: no cover - exotic __slots__ exceptions
@@ -174,85 +194,117 @@ def _portable_exception(exc: BaseException) -> BaseException:
     except Exception:
         cls = TransientBackendError if is_transient_failure(exc) else BackendError
         summary = cls(f"{type(exc).__name__}: {exc}")
-        summary.remote_traceback = tb
+        summary.remote_traceback = "".join(tb.format())
         return summary
+
+
+#: Status of a rank's result record ``(epoch, status, payload)``.
+#: ``_DONE``: the payload is ``(encoded value, cost, variates)``.
+#: ``_FAILED``: the rank's own code raised the payload exception, and the
+#: rank exits after reporting it.  ``_ABORTED``: the rank only saw a
+#: sibling's failure -- a poison pill, a broken barrier or a wait timeout,
+#: all :class:`CommunicationError` -- and keeps its process.
+_DONE, _FAILED, _ABORTED = "done", "failed", "aborted"
+
+
+def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
+               standing: bool) -> None:
+    """Run one epoch's program on ``rank`` and send its ``_DONE`` record."""
+    epoch, rng, cost, program, args_record, wait_timeout = task
+    # Scope this run's message tags to its epoch and drop anything a
+    # previous run parked but never consumed: stale messages must not
+    # satisfy a later run's receive.
+    fabric.epoch = epoch
+    # Every dispatch re-stamps the fabric wait budget: runs under a
+    # resilience deadline clamp it so a stuck receive/barrier surfaces
+    # inside the remaining budget instead of the standing default.
+    fabric.timeout = wait_timeout
+    fabric._parked.clear()
+    if standing:
+        program = pickle.loads(program)
+        # Bulk arguments travel out-of-band through the payload transport
+        # (the control record above stays small); with the shared-memory
+        # transport the worker gets zero-copy views of the parent's
+        # segments.
+        args, kwargs = fabric.transport.decode(args_record)
+    else:
+        args, kwargs = args_record
+    # Rebuild the context around the fabric: communicator state (parked
+    # messages, collective counters) starts fresh every epoch.
+    from repro.pro.machine import ProcessorContext
+
+    ctx = ProcessorContext(
+        rank=rank, n_procs=fabric.n_procs,
+        comm=Communicator(fabric, rank, cost), rng=rng, cost=cost,
+    )
+    value = program(ctx, *args, **kwargs)
+    variates = getattr(ctx.rng, "total_variates", None)
+    # A result may cross by reference when it lies in memory the parent
+    # owns (see the transport contract).
+    encoded = fabric.transport.encode(value, by_reference=True)
+    # Counters accumulate across epochs in a standing worker; the snapshot
+    # repatriates the running totals with this epoch's result record (the
+    # parent reports the latest view).
+    ctx.cost.telemetry = capture_rank_telemetry(fabric)
+    pipe.send((epoch, _DONE, (encoded, ctx.cost, variates)))
+    # Returning drops this epoch's views of by-reference segments, after
+    # the send: that closes the rank's mappings off the caller's critical
+    # path, except the few output segments the transport holds for later
+    # epochs.
 
 
 def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
     """Main loop of one rank (module-level for spawn support).
 
     A standing rank (``epoch_task`` is ``None``) blocks on its pipe; an
-    empty message is the shutdown sentinel.  Each task carries one
-    pickled run-epoch: the rank's fresh context pieces, the pickled
-    program and the encoded arguments.
+    empty message, or an end of file, is the shutdown sentinel.  The end
+    of file comes when the pool's process has died: a forked rank holds no
+    copy of any rank pipe's parent end (an after-fork hook that
+    :meth:`WorkerPool._spawn` registers closes them as it starts), so
+    standing ranks never outlive their parent.  Each
+    task carries one pickled run-epoch: the rank's fresh context pieces,
+    the pickled program and the encoded arguments.
     A rank of a one-epoch pool gets its single epoch as ``epoch_task``
     instead -- the program and ``(args, kwargs)`` as plain objects,
-    inherited through ``fork`` -- and exits after it.  A failing epoch
-    aborts the fabric (siblings fail fast), reports the failure and
-    *exits* -- the pool is poisoned either way, and a worker that kept
-    looping on a broken barrier could only produce corrupt runs.
+    inherited through ``fork`` -- and exits after it.
+
+    A failing epoch aborts the fabric (siblings fail fast) and reports the
+    failure.  A standing rank whose epoch ended in a
+    :class:`~repro.util.errors.CommunicationError` only saw a sibling's
+    failure: it drops the epoch's views, reports ``_ABORTED`` and goes back
+    to its pipe, keeping its process.  Only a rank whose own code failed
+    reports ``_FAILED`` and *exits*; heal() respawns it.
     """
     while True:
         task = epoch_task
         if task is None:
-            raw = pipe.recv_bytes()
+            try:
+                raw = pipe.recv_bytes()
+            except EOFError:
+                return  # the pool's process is gone
             if not raw:
                 return
             task = pickle.loads(raw)
-        epoch, rng, cost, program, args_record, wait_timeout = task
-        # Scope this run's message tags to its epoch and drop anything a
-        # previous run parked but never consumed: stale messages must not
-        # satisfy a later run's receive.
-        fabric.epoch = epoch
-        # Every dispatch re-stamps the fabric wait budget: runs under a
-        # resilience deadline clamp it so a stuck receive/barrier surfaces
-        # inside the remaining budget instead of the standing default.
-        fabric.timeout = wait_timeout
-        fabric._parked.clear()
         try:
-            if epoch_task is None:
-                program = pickle.loads(program)
-                # Bulk arguments travel out-of-band through the payload
-                # transport (the control record above stays small); with
-                # the shared-memory transport the worker gets zero-copy
-                # views of the parent's segments.
-                args, kwargs = fabric.transport.decode(args_record)
-            else:
-                args, kwargs = args_record
-            # Rebuild the context around the fabric: communicator state
-            # (parked messages, collective counters) starts fresh every
-            # epoch.
-            from repro.pro.machine import ProcessorContext
-
-            ctx = ProcessorContext(
-                rank=rank, n_procs=fabric.n_procs,
-                comm=Communicator(fabric, rank, cost), rng=rng, cost=cost,
-            )
-            value = program(ctx, *args, **kwargs)
-            variates = getattr(ctx.rng, "total_variates", None)
-            # A result may cross by reference when it lies in memory the
-            # parent owns (see the transport contract).
-            encoded = fabric.transport.encode(value, by_reference=True)
-            # Counters accumulate across epochs in a standing worker; the
-            # snapshot repatriates the running totals with this epoch's
-            # result record (the parent reports the latest view).
-            ctx.cost.telemetry = capture_rank_telemetry(fabric)
-            pipe.send((epoch, True, (encoded, ctx.cost, variates)))
-            # Views of by-reference segments must not outlive the epoch:
-            # dropping them closes this rank's mappings now, except the
-            # few output segments the transport holds for later epochs.
-            del args, kwargs, value
+            _run_epoch(rank, fabric, pipe, task, epoch_task is None)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             try:
                 # Siblings blocked in the barrier or in a receive fail fast
-                # and exit through their own clean error paths -- which is
-                # what lets heal() join them instead of terminating readers
-                # mid-lock.
+                # and report through their own error paths.
                 fabric.abort()
             except Exception:
                 pass
-            pipe.send((epoch, False, _portable_exception(exc)))
-            return
+            stays = epoch_task is None and isinstance(exc, CommunicationError)
+            try:
+                pipe.send((task[0], _ABORTED if stays else _FAILED,
+                           _portable_exception(exc)))
+            except OSError:
+                return  # the pool's process is gone
+            if not stays:
+                return
+            # The traceback's frames hold the epoch's views of shared
+            # segments: clear them, so the rank idles without mapping them.
+            traceback.clear_frames(exc.__traceback__)
         if epoch_task is not None:
             return
 
@@ -334,14 +386,21 @@ class WorkerPool:
         self._epoch = 0
         self._poison_reason: str | None = None
         #: Ranks implicated in the poisoned epoch (failed, died, or never
-        #: reported): exactly the set heal() stops and respawns.
+        #: reported): the set heal() stops and respawns.
         self._suspect_ranks: set = set()
+        #: The suspects that reported their own failure (``_FAILED``):
+        #: they end their processes by themselves.
+        self._failed_ranks: set = set()
         self._closed = False
 
     def _spawn(self, rank: int, epoch_task=None) -> None:
         """Start ``rank``'s worker over a fresh pipe (replacing any old one)."""
         with _SPAWN_LOCK:
             pipe, rank_end = self._mp.Pipe()
+            # Every process multiprocessing forks from now on closes its
+            # copy of this end as it starts, so the rank reads an end of
+            # file once the parent is gone.
+            _mp_util.register_after_fork(pipe, type(pipe).close)
             proc = self._mp.Process(
                 target=_rank_main, args=(rank, self.fabric, rank_end, epoch_task),
                 name=f"pro-pool-{rank}", daemon=True,
@@ -453,7 +512,7 @@ class WorkerPool:
                 failed.append((rank, CommunicationError(
                     f"rank {rank} {state} without reporting a result"
                 )))
-            elif not entry[0]:
+            elif entry[0] != _DONE:
                 failed.append((rank, entry[1]))
         if failed:
             self._abandon(n, outcomes,
@@ -598,24 +657,26 @@ class WorkerPool:
     def _abandon(self, n: int, outcomes: dict, reason: str) -> None:
         """Poison the pool over an epoch that will not return its results.
 
-        Every rank that did not report success becomes a suspect for
-        heal(): a failing rank exits its main loop by contract, and one
-        that never reported is dead or wedged, while ranks that reported
-        success keep looping on their pipes.  The fabric is aborted so
-        ranks still running fail fast, and the undecoded successes are
-        disposed (they may hold segments).
+        The suspects for heal() are the ranks that reported their own
+        failure -- they exit their main loop by contract -- and those that
+        never reported, which are dead or wedged.  Ranks that reported
+        success or ``_ABORTED`` keep looping on their pipes.  The fabric is
+        aborted so ranks still running fail fast, and the undecoded
+        successes are disposed (they may hold segments).
         """
-        self._suspect_ranks.update(
-            rank for rank in range(n)
-            if outcomes.get(rank) is None or outcomes[rank][0] is not True
-        )
+        failed = {rank for rank, (status, _) in outcomes.items()
+                  if status == _FAILED}
+        self._failed_ranks.update(failed)
+        self._suspect_ranks.update(failed)
+        self._suspect_ranks.update(rank for rank in range(n)
+                                   if rank not in outcomes)
         self._poison(reason)
         try:
             self.fabric.abort()
         except Exception:
             pass
-        for ok, payload in outcomes.values():
-            if ok is True:
+        for status, payload in outcomes.values():
+            if status == _DONE:
                 try:
                     self.fabric.transport.dispose(payload[0])
                 except Exception:
@@ -634,10 +695,10 @@ class WorkerPool:
         pipe = self._pipes[rank]
         try:
             while pipe.poll():
-                e, ok, payload = pipe.recv()
+                e, status, payload = pipe.recv()
                 if outcomes is not None and e == epoch:
-                    outcomes[rank] = (ok, payload)
-                elif ok:
+                    outcomes[rank] = (status, payload)
+                elif status == _DONE:
                     self.fabric.transport.dispose(payload[0])
         except Exception:  # end of file, or a record that does not load
             pass
@@ -676,34 +737,40 @@ class WorkerPool:
 
     # -- supervision --------------------------------------------------------
     def heal(self) -> bool:
-        """Lift the poison by respawning exactly the dead ranks (supervision).
+        """Lift the poison, respawning what died (supervision).
 
         Returns True when the fleet is ready to run again, False when it
-        cannot be recovered (closed, inherited across a fork, or a suspect
-        worker refused to die) -- the caller should fall back to a fresh
-        pool or another backend.  A live, unpoisoned pool heals trivially.
+        cannot be recovered (closed, inherited across a fork, or a worker
+        refused to die) -- the caller should fall back to a fresh pool or
+        another backend.  A live, unpoisoned pool heals trivially.
 
-        Recovery steps, in order:
+        The suspects are the ranks whose own code failed, that died, or
+        that never reported in the poisoned epoch.  A rank that only saw a
+        sibling's failure (``_ABORTED``) or reported success is a survivor:
+        it is blocked on its pipe.  Recovery steps, in order:
 
-        1. every *suspect* rank -- implicated in the poisoned epoch or
-           found dead -- is stopped (:meth:`_stop`): sent the shutdown
+        1. every suspect is stopped (:meth:`_stop`): sent the shutdown
            sentinel, joined, and terminated only if it does not exit
            within the shutdown grace.  A suspect blocked in the barrier
            or in a receive has been released already: the run that
-           poisoned the pool aborted the fabric.  Survivors that
-           reported success are blocked on their pipes and are left
-           untouched: they keep their processes, pipes, transports and
-           PIDs;
-        2. straggler results of the poisoned epoch are swept from the
-           suspects' pipes, disposing undecoded values.  The sweep does
-           not wait: every suspect has exited, so each pipe ends in an
-           end of file -- after a record a killed rank left half-written
-           too -- and every survivor has reported;
+           poisoned the pool aborted the fabric.  Straggler results of
+           the poisoned epoch are swept from the suspects' pipes without
+           waiting, disposing undecoded values: each stopped rank's pipe
+           ends in an end of file, after a record a killed rank left
+           half-written too;
+        2. the survivors are kept -- processes, pipes, warm transports,
+           PIDs and the inboxes they read -- only when every suspect
+           reported its own failure and then exited by itself with exit
+           code 0.  Such a rank ended through ``multiprocessing``'s normal
+           exit, which joins its queue feeders, so it cannot have left an
+           inbox's write lock or the barrier held.  In every other case
+           (a rank killed, wedged, found dead or silent) the survivors are
+           stopped too and every rank counts as respawned;
         3. the standing fabric is healed
            (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
-           inboxes drained and disposed, barrier reset -- or inboxes
-           and barrier replaced, when every rank is a suspect;
-        4. replacement workers are spawned for the suspect ranks only,
+           inboxes drained and disposed, barrier reset -- or inboxes and
+           barrier replaced, when every rank is respawned;
+        4. replacement workers are spawned for the respawned ranks only,
            each over a fresh pipe.
 
         Determinism is untouched: the machine rebuilds every rank's stream
@@ -730,13 +797,20 @@ class WorkerPool:
         if self._poison_reason is None and not suspects:
             return True
         started = time.perf_counter()
-        respawned = sorted(suspects)
-        if not self._stop(respawned):
+        if not self._stop(sorted(suspects)):
             return False  # unkillable worker: this fleet is lost
+        if not all(rank in self._failed_ranks
+                   and self._workers[rank].exitcode == 0 for rank in suspects):
+            survivors = sorted(set(range(self.n_procs)) - suspects)
+            if not self._stop(survivors):
+                return False
+            suspects.update(survivors)
+        respawned = sorted(suspects)
         self.fabric.heal(respawned)
         for rank in respawned:
             self._spawn(rank)
         self._suspect_ranks.clear()
+        self._failed_ranks.clear()
         self._poison_reason = None
         record_event("pool-heal", respawned=respawned,
                      heal_ms=round((time.perf_counter() - started) * 1e3, 3),
@@ -825,8 +899,8 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     Returns the cached standing fleet when one exists for the key
     ``(n_procs, transport.cache_key(), timeout, start_method)``.  A
     *poisoned* cached fleet is first healed in place
-    (:meth:`WorkerPool.heal`: only the dead ranks respawn, survivors stay
-    warm); when healing fails -- or the fleet is closed or inherited
+    (:meth:`WorkerPool.heal`: ranks that only saw the failure stay warm);
+    when healing fails -- or the fleet is closed or inherited
     across a fork -- it is evicted, closed and replaced by a fresh spawn,
     so a crashed run degrades one call and the cache recovers itself
     either way.
@@ -858,9 +932,8 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
             return pool
         if (pool is not None and pool.in_owner_process
                 and not pool.closed and pool.poisoned):
-            # Heal in place before evict-and-respawn: only the dead ranks
-            # are replaced, so the warm survivors (and their transports)
-            # are kept.  Healing under the cache lock is acceptable --
+            # Heal in place before evict-and-respawn: the warm survivors
+            # (and their transports) are kept when the failure allows it.  Healing under the cache lock is acceptable --
             # poison is rare, and the bounded reap beats a full respawn.
             try:
                 healed = pool.heal()

@@ -83,8 +83,8 @@ __all__ = ["ProcessBackend", "ProcessFabric"]
 #: inbox fail fast with a :class:`~repro.util.errors.CommunicationError`
 #: instead of waiting out the fabric timeout -- while holding the inbox's
 #: shared reader lock, which a ``terminate()`` would orphan and wedge the
-#: queue for any respawned successor -- so the rank exits cleanly through
-#: its own error path.
+#: queue for any respawned successor -- so the rank leaves the receive
+#: through its own error path, reports and keeps its process.
 _ABORT_TAG = "__abort__"
 
 
@@ -271,9 +271,12 @@ class ProcessFabric:
           replaced by fresh ones: a rank that died inside a queue or
           barrier operation -- ``os._exit`` or a kill while its queue
           feeder thread held an inbox's write lock -- leaves that lock held
-          for good, and no live process could ever release it;
+          for good, and no live process could ever release it.  The pool
+          respawns every rank whenever a suspect did not end normally;
         * otherwise survivors keep using them, and the barrier, broken by
-          ``abort()``, is reset for reuse.
+          ``abort()``, is reset for reuse.  Every stopped rank ended
+          through ``multiprocessing``'s normal exit, which joins its queue
+          feeders, so it holds no lock of theirs.
 
         The replacements need nothing else: a rank's transport holds no
         state that outlives the messages it sent.
@@ -485,8 +488,9 @@ class ProcessBackend(ExecutionBackend):
 
         Called by :func:`~repro.pro.resilience.run_with_recovery` between
         attempts.  Backend-private pools are healed through
-        :meth:`~repro.pro.backends.pool.WorkerPool.heal` -- only the dead
-        ranks are respawned into the standing fabric; a pool that cannot be
+        :meth:`~repro.pro.backends.pool.WorkerPool.heal` -- the ranks that
+        failed are respawned, and those that only saw the failure keep
+        their processes when no rank was killed; a pool that cannot be
         healed is dropped so the next run builds a fresh one.  Pools
         borrowed from the process-wide cache are left to the cache, which
         heals or evicts them on the next lookup.  Cold runs leave nothing

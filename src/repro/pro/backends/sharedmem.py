@@ -285,7 +285,7 @@ def _at_exit() -> None:
     segment whose name is gone is never parked again.
     """
     release_parked()
-    for entry in list(_BYREF.values()):
+    for entry in _BYREF.copy().values():
         entry.unlink()
 
 
@@ -346,7 +346,9 @@ def _byref_mapping(arr: np.ndarray):
     if not arr.flags.c_contiguous or not _BYREF:
         return None
     start = arr.__array_interface__["data"][0]
-    for name, entry in list(_BYREF.items()):
+    # dict.copy() allocates no object per item, so the garbage collector
+    # cannot run a _release_byref finalizer midway through the snapshot.
+    for name, entry in _BYREF.copy().items():
         if entry.address <= start <= entry.address + entry.nbytes - arr.nbytes:
             return name, entry
     return None

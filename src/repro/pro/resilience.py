@@ -260,10 +260,13 @@ def run_with_recovery(machine: "PROMachine", program, args, kwargs, children) ->
                          error=type(exc).__name__)
             if attempt + 1 >= policy.max_attempts:
                 break  # respawn budget spent; degrade if configured
-            if not _heal_backend(machine):
-                break  # the substrate cannot be restored; degrade
-            if policy.backoff:
-                time.sleep(scale_timeout(policy.backoff))
+        # Heal outside the handler: a rank forked inside it would inherit
+        # the failure as the exception being handled, and chain it as the
+        # context of every error that rank raises.
+        if not _heal_backend(machine):
+            break  # the substrate cannot be restored; degrade
+        if policy.backoff:
+            time.sleep(scale_timeout(policy.backoff))
 
     for name in policy.fallback:
         if _skip_fallback(name, machine):

@@ -89,16 +89,26 @@ class DeadlineError(BackendError):
 class RemoteTraceback(ReproError):
     """Carrier for a worker-side traceback that crossed a process boundary.
 
-    The worker formats its traceback as text (the frames themselves are not
-    picklable); the parent chains this as the ``__cause__`` of the remote
-    exception so a normal ``traceback.print_exception`` of the caller-side
+    The frames themselves are not picklable, so the worker sends a
+    :class:`traceback.TracebackException` captured without source lines
+    (or, rarely, text it already formatted).  The parent chains this as
+    the ``__cause__`` of the remote exception so a normal
+    ``traceback.print_exception`` of the caller-side
     :class:`BackendError` shows the full remote stack -- the same idiom
-    :mod:`concurrent.futures.process` uses.
+    :mod:`concurrent.futures.process` uses.  The text is rendered on first
+    use, reading the source lines from the same files the worker ran.
     """
 
-    def __init__(self, tb: str):
+    def __init__(self, tb):
         super().__init__(tb)
-        self.tb = tb
+        self._tb = tb
+
+    @property
+    def tb(self) -> str:
+        """The remote traceback as ``traceback.format_exc()`` text."""
+        if not isinstance(self._tb, str):
+            self._tb = "".join(self._tb.format())
+        return self._tb
 
     def __str__(self) -> str:
         return f"\n{self.tb}"
@@ -143,7 +153,8 @@ def wrap_rank_failure(rank: int, exc: BaseException) -> BackendError:
     :class:`TransientBackendError` when the root cause is transient (so
     retry policies can tell substrate failures from program bugs), and a
     worker-side traceback recorded by the process backend's
-    ``_portable_exception`` is chained through as a :class:`RemoteTraceback`
+    ``_portable_exception`` (a ``TracebackException`` or its text) is
+    chained through as a :class:`RemoteTraceback`
     cause of ``exc``.  Callers ``raise wrap_rank_failure(rank, exc) from
     exc`` for plain exceptions and re-raise ``KeyboardInterrupt`` and
     friends unchanged.

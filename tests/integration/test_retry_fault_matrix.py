@@ -3,8 +3,9 @@
 Every committed chaos plan (:func:`repro.pro.resilience.committed_chaos_plans`)
 must recover on every backend cell under ``RetryPolicy(max_attempts=2)`` with
 output bit-identical to a fault-free run -- including the process backend's
-supervised standing fleets, where recovery means respawning only the dead
-ranks into the live fabric rather than rebuilding the world.  The suite also
+supervised standing fleets, where recovery respawns only the failed ranks
+into the live fabric, rather than rebuilding the world, unless a rank was
+killed.  The suite also
 pins the contracts around recovery: retries disabled stays poison-and-raise,
 worker tracebacks are chained into the caller's exception, deadlines surface
 as a typed bounded error, degradation falls back across backends without
@@ -26,6 +27,7 @@ from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
 from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 from repro.pro.resilience import RetryPolicy, committed_chaos_plans
+from repro.pro.telemetry import event_seq, events_since
 from repro.util.errors import (
     BackendError,
     DeadlineError,
@@ -76,6 +78,16 @@ def _independent_rank_program(ctx):
 def _raise_original_sin(ctx):
     if ctx.rank == 1:
         raise ValueError("original sin on rank 1")
+    ctx.comm.barrier()
+    return ctx.rank
+
+
+def _raise_from_a_cause(ctx):
+    if ctx.rank == 1:
+        try:
+            raise KeyError("the root cause on rank 1")
+        except KeyError as cause:
+            raise ValueError("the effect on rank 1") from cause
     ctx.comm.barrier()
     return ctx.rank
 
@@ -185,6 +197,35 @@ class TestSupervisionMechanics:
         for rank in (0, 2, 3):
             assert after[rank] == before[rank]  # ...its siblings were not
 
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_ranks_that_only_saw_the_poison_keep_their_process(self, p):
+        # Rank 1 crashes inside Algorithm 1; its siblings only see the
+        # abort (a poison pill or the broken barrier), report it and keep
+        # looping.  So heal() respawns rank 1 alone into the kept fabric,
+        # and the replay on that mixed fleet matches the thread backend.
+        inputs = np.arange(20_000)
+        wrapper = FaultInjectingBackend(
+            "process", [CrashRank(rank=1, at_op=1, at_run=1)], persistent=True)
+        machine = PROMachine(p, seed=SEED, backend=wrapper, retry=2,
+                             timeout=scale_timeout(8))
+        reference = PROMachine(p, seed=SEED, backend="thread")
+        try:
+            before = dict(machine.run(_rank_pid_program).results)  # run 0
+            reference.run(_rank_pid_program)
+            seq = event_seq()
+            out = random_permutation(inputs, machine=machine)  # run 1 crashes
+            heals = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
+            after = dict(machine.run(_rank_pid_program).results)
+        finally:
+            machine.close()
+        expected = random_permutation(inputs, machine=reference)
+        assert [e["respawned"] for e in heals] == [[1]]
+        assert after[1] != before[1]
+        for rank in range(p):
+            if rank != 1:
+                assert after[rank] == before[rank]
+        assert np.array_equal(out, expected)
+
     def test_heal_after_every_rank_reported_does_not_wait(self):
         # Every rank reported (the crashed one raised), so the epoch is
         # fully accounted for and heal() has nothing to wait for.
@@ -260,6 +301,43 @@ class TestSupervisionMechanics:
         text = str(remote[0])
         assert "original sin on rank 1" in text
         assert "Traceback (most recent call last)" in text
+
+    def test_chained_worker_causes_reach_the_caller(self):
+        machine = PROMachine(P, seed=SEED, backend="process",
+                             timeout=scale_timeout(15))
+        try:
+            with pytest.raises(BackendError, match="rank 1") as excinfo:
+                machine.run(_raise_from_a_cause)
+        finally:
+            machine.close()
+        remote = excinfo.value.__cause__.__cause__
+        assert isinstance(remote, RemoteTraceback)
+        text = str(remote)
+        # The worker's text, cause first, as traceback.format_exc() has it.
+        cause = text.index("KeyError: 'the root cause on rank 1'")
+        link = text.index("The above exception was the direct cause")
+        effect = text.index("ValueError: the effect on rank 1")
+        assert cause < link < effect
+        assert text.count("Traceback (most recent call last)") == 2
+        assert "raise KeyError(\"the root cause on rank 1\")" in text
+
+    def test_a_respawned_rank_does_not_chain_the_callers_failure(self):
+        # Heal forks rank 1's replacement while the caller is recovering
+        # from the first attempt's failure.  That failure must not become
+        # the context of the errors the new rank raises later.
+        machine, _wrapper = _faulty_machine(
+            "process", [CrashRank(rank=1, at_op=0, at_run=0)], retry=2,
+            timeout=scale_timeout(8), persistent=True)
+        try:
+            machine.run(_chaos_program)  # crashes once, heals, replays
+            with pytest.raises(BackendError, match="rank 1") as excinfo:
+                machine.run(_raise_original_sin)
+        finally:
+            machine.close()
+        text = str(excinfo.value.__cause__.__cause__)
+        assert "original sin on rank 1" in text
+        assert "InjectedFault" not in text
+        assert "During handling of the above exception" not in text
 
     def test_deadline_is_typed_and_bounded(self):
         policy = RetryPolicy(max_attempts=1, deadline=1.0)

@@ -625,6 +625,70 @@ class TestByReferenceArrays:
         assert all(pattern.fullmatch(name) for name in names), names
 
 
+class _CollectsMidScan(dict):
+    """A by-reference registry whose item and value scans let the collector
+    run after the first item, as an allocation inside the scan can."""
+
+    def items(self):
+        return self._collect_after_first(dict.items(self))
+
+    def values(self):
+        return self._collect_after_first(dict.values(self))
+
+    @staticmethod
+    def _collect_after_first(view):
+        for index, item in enumerate(view):
+            yield item
+            if index == 0:
+                gc.collect()
+
+
+class TestByReferenceRegistryScans:
+    """A mapping's finalizer may run while the registry is being scanned."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        """Two registered mappings; only a garbage cycle keeps the second.
+
+        The collector's next run fires the second mapping's finalizer,
+        which deletes its entry from the registry.
+        """
+        transport = SharedMemoryTransport(min_bytes=16)
+        gc.collect()
+        gc.disable()  # only the scan's own collection may free the cycle
+        try:
+            kept = transport.empty(64, np.int64)
+            dying = transport.empty(64, np.int64)
+            names = {segment_name(kept), segment_name(dying)}
+            cycle = [dying]
+            cycle.append(cycle)
+            del dying, cycle
+            real = sharedmem_module._BYREF
+            patched = _CollectsMidScan(
+                {name: entry for name, entry in real.items() if name in names})
+            monkeypatch.setattr(sharedmem_module, "_BYREF", patched)
+            yield kept, patched
+        finally:
+            gc.enable()
+            monkeypatch.undo()
+            for name in names - set(patched):  # the finalizer ran on the copy
+                sharedmem_module._BYREF.pop(name, None)
+            del kept
+            gc.collect()
+
+    def test_lookup_survives_a_finalizer_mid_scan(self, registry):
+        kept, patched = registry
+        name, entry = sharedmem_module._byref_mapping(kept)
+        assert patched[name] is entry
+        gc.collect()
+        assert list(patched) == [name]  # the dying mapping is gone
+
+    def test_exit_hook_survives_a_finalizer_mid_scan(self, registry):
+        kept, patched = registry
+        sharedmem_module._at_exit()
+        assert not any(entry.linked for entry in dict.values(patched))
+
+
 def segment_name(array):
     """Name of the by-reference segment ``array`` lies in."""
     return sharedmem_module._byref_mapping(array)[0]

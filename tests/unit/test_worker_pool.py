@@ -20,6 +20,7 @@ import pytest
 from repro.core.permutation import random_permutation
 from repro.pro.backends.pool import WorkerPool, pool
 from repro.pro.machine import PROMachine
+from repro.pro.telemetry import event_seq, events_since
 from repro.rng.counting import CountingRNG
 from repro.util.errors import BackendError, TransientBackendError, ValidationError
 from repro.util.timeouts import scale_timeout
@@ -68,6 +69,14 @@ def _count_program(ctx):
     return None
 
 
+def _sigkill_holding_inbox_program(ctx):
+    if ctx.rank == 1:
+        ctx.comm._fabric._inboxes[0]._wlock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    ctx.comm.barrier()
+    return ctx.rank
+
+
 def _send_unconsumed_program(ctx, value):
     # A legal (sends never block) program that completes successfully
     # while leaving a message in rank 1's inbox.
@@ -81,6 +90,28 @@ def _send_and_recv_program(ctx, value):
         ctx.comm.send(value, 1, tag="stale")
         return None
     return ctx.comm.recv(0, tag="stale")
+
+
+def _src_env():
+    """The environment of a scenario subprocess: this checkout's ``src`` first."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _running(pid):
+    """True while ``pid`` runs: a zombie nobody has reaped yet has ended."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: trust the signal probe
+        return True
 
 
 def _persistent_machine(n, **kwargs):
@@ -240,14 +271,10 @@ class TestPoolFailure:
                 machine.close()
             print("children", len(multiprocessing.active_children()))
         """)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(persistent)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env, start_new_session=True,
+            env=_src_env(), start_new_session=True,
         )
         try:
             out, err = proc.communicate(timeout=scale_timeout(30))
@@ -269,6 +296,77 @@ class TestPoolFailure:
                 break
             assert time.monotonic() < deadline, "a rank outlived its parent"
             time.sleep(0.05)
+
+    def test_standing_ranks_exit_when_their_caller_is_killed(self):
+        # The caller starts a warm fleet, prints its rank pids and
+        # SIGKILLs itself, so no exit path of its own runs.  Each rank
+        # must then read an end of file on its pipe and exit -- releasing
+        # the caller's stdout, which it inherited.  The scenario runs in
+        # its own process session, so that ranks left behind can all be
+        # killed on timeout.
+        script = textwrap.dedent("""
+            import os
+            import signal
+
+            from repro.pro.machine import PROMachine
+
+            def warm(ctx):
+                return os.getpid()
+
+            machine = PROMachine(2, seed=0, backend="process",
+                                 persistent=True, timeout=60.0)
+            print(*machine.run(warm).results, flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=_src_env(),
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=scale_timeout(30))
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the ranks outlived their killed caller")
+        assert proc.returncode == -signal.SIGKILL
+        ranks = [int(pid) for pid in out.split()]
+        assert len(ranks) == 2, out
+        deadline = time.monotonic() + scale_timeout(10)
+        while any(_running(pid) for pid in ranks):
+            assert time.monotonic() < deadline, "a rank outlived its caller"
+            time.sleep(0.05)
+
+    def test_killed_rank_makes_heal_replace_the_whole_fleet(self):
+        # Rank 1 dies by SIGKILL holding rank 0's inbox write lock, as a
+        # rank killed while its queue feeder writes would.  Its siblings
+        # only see the broken barrier, so they report and keep their
+        # processes; but a killed rank may leave any inbox or the barrier
+        # wedged, so heal() must stop them too, replace the inboxes and
+        # the barrier, and respawn every rank.
+        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
+        try:
+            before = machine.run(_rank_pid_program).results
+            pool = machine.backend._pools[3]
+            fabric = pool.fabric
+            inboxes, barrier = list(fabric._inboxes), fabric._barrier
+            with pytest.raises(TransientBackendError, match="rank 1"):
+                machine.run(_sigkill_holding_inbox_program)
+            assert pool._suspect_ranks == {1}
+            assert pool._workers[0].is_alive() and pool._workers[2].is_alive()
+            seq = event_seq()
+            assert pool.heal()
+            heal = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
+            assert [e["respawned"] for e in heal] == [[0, 1, 2]]
+            assert not set(fabric._inboxes) & set(inboxes)
+            assert fabric._barrier is not barrier
+            after = machine.run(_rank_pid_program).results
+            assert not {pid for _, pid in after} & {pid for _, pid in before}
+            # The replay sends into rank 0's inbox, which the dead rank
+            # wedged: it reaches the result only through a fresh inbox.
+            assert machine.run(_allreduce_program).results == [3, 3, 3]
+        finally:
+            machine.close()
 
     def test_program_exception_poisons_pool(self):
         machine = _persistent_machine(3, seed=0)
