@@ -9,12 +9,13 @@ complete, (b) spend exactly one retry, and (c) return results
 bit-identical to a fault-free reference run (results are
 backend-invariant for a fixed seed, so one clean thread run references
 every cell).  A persistent process cell must also (d) heal in scope:
-its ``pool-heal`` events respawn no rank outside the plan's
-:data:`EXPECTED_RESPAWN` set -- the rank whose own code failed, and none
-for a fault that only surfaces as a communication error -- while the
-ranks that only saw the abort keep their processes.  Writes the per-cell
-outcomes, with the expected and observed respawn sets, as a JSON
-artifact for the workflow to upload.
+its ``pool-heal`` events respawn no rank.  Every committed plan raises
+(a crashed rank, a dropped message, a barrier timeout) rather than
+kills, and a rank that raised, like one that only saw the abort,
+reports and keeps its process; only a rank that dies makes heal respawn
+the fleet.  Writes the per-cell outcomes, with each persistent cell's
+observed respawn set and heal time (``heal_ms``), as a JSON artifact
+for the workflow to upload.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -54,18 +55,6 @@ CELLS = [
     ("process", "sharedmem", True),
     ("process", "pickle", True),
 ]
-
-#: Plan -> the ranks a persistent fleet's heal may respawn.  A crashed rank
-#: reported its own failure and exited; a dropped message or a barrier
-#: timeout is a communication error, after which every rank keeps its
-#: process.
-EXPECTED_RESPAWN = {
-    "crash-root-early": [0],
-    "crash-rank1-mid": [1],
-    "drop-first-0-to-1": [],
-    "barrier-timeout-last-rank": [],
-}
-
 
 def _chaos_program(ctx):
     # One surface per committed fault class: an rng draw (stream parity
@@ -136,17 +125,16 @@ def run_sweep(*, fleet_reports=None):
                 heals = [event for event in events_since(seq)
                          if event["kind"] == "pool-heal"]
                 scope = {
-                    "expected_respawn": EXPECTED_RESPAWN[plan_name],
                     "respawned": sorted({rank for event in heals
                                          for rank in event["respawned"]}),
+                    "heal_ms": [event["heal_ms"] for event in heals],
                 }
                 if verdict == "recovered" and not heals:
                     verdict, detail = "NO HEAL", "no pool-heal event"
-                elif verdict == "recovered" and (set(scope["respawned"])
-                                                 - set(scope["expected_respawn"])):
+                elif verdict == "recovered" and scope["respawned"]:
                     verdict = "WRONG SCOPE"
-                    detail = (f"heal respawned {scope['respawned']}, expected "
-                              f"at most {scope['expected_respawn']}")
+                    detail = (f"heal respawned {scope['respawned']}, "
+                              "expected none")
             ok = verdict == "recovered"
             reports.append({
                 "plan": plan_name,

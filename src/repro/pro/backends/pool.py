@@ -70,29 +70,28 @@ interrupted exchange the fabric may hold stray messages, and silently
 reusing it could corrupt a later run's results.
 
 The failing rank aborts the fabric, so its siblings fail fast with a
-:class:`~repro.util.errors.CommunicationError`.  Such an error is only a
-symptom of a sibling's failure -- a poison pill, a broken barrier or a
-wait timeout -- so a rank that ends its epoch with one keeps its process:
-it drops the epoch's views, reports "aborted" and waits on its pipe
-again.  Only a rank whose own code failed reports its failure and exits.
+:class:`~repro.util.errors.CommunicationError`.  A standing rank whose
+epoch ended in any ``Exception`` -- its own code's, or such a symptom of
+a sibling's failure -- keeps its process: it reports the exception,
+drops the epoch's views and waits on its pipe again.  Only a rank that
+raised a ``BaseException`` outside ``Exception`` (``SystemExit``,
+``KeyboardInterrupt``) reports and exits.
 
 The poison can be lifted *explicitly* through :meth:`WorkerPool.heal`,
 the supervision hook the resilience layer (:mod:`repro.pro.resilience`)
-calls between retry attempts.  Its suspects are the ranks that died,
-never reported, or raised anything but a ``CommunicationError`` in the
-poisoned epoch.  The pool stops and reaps them, sweeping the poisoned
-epoch's straggler results from their pipes without waiting (disposing
-out-of-band records).  When every suspect reported its own failure and
-then exited by itself with exit code 0, it cannot have left an inbox or
-the barrier locked: the survivors keep their processes, pipes, warm
-transports, PIDs and inboxes, the fabric is restored around them
+calls between retry attempts.  Its suspects are the ranks that were
+killed, wedged, silent or exited in the poisoned epoch.  With
+no suspect, every rank is idle on its pipe and holds no lock of the
+fabric's, so every process, pipe, warm transport and inbox is kept and
+the fabric is restored around them
 (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inbox drain,
-barrier reset) and only the suspects respawn, each over a fresh pipe.
-In every other case -- a rank killed, wedged or silent -- heal stops
-every rank, replaces the inboxes and the barrier, and respawns all
-ranks.  Because per-rank streams are rebuilt by the machine for every
-attempt, the replayed epoch is bit-identical to a fault-free run,
-whichever processes survived.
+barrier reset).  Any suspect may have left an inbox or the barrier
+locked, so heal stops every rank, sweeping the poisoned epoch's
+straggler results from their pipes without waiting (disposing
+out-of-band records), replaces the inboxes and the barrier, and
+respawns all ranks.  Because per-rank streams are rebuilt by the machine
+for every attempt, the replayed epoch is bit-identical to a fault-free
+run, whichever processes served it.
 
 Standing ranks never outlive the pool's process: a forked rank drops its
 copies of every rank pipe's parent end as it starts, so when the parent
@@ -200,11 +199,11 @@ def _portable_exception(exc: BaseException) -> BaseException:
 
 #: Status of a rank's result record ``(epoch, status, payload)``.
 #: ``_DONE``: the payload is ``(encoded value, cost, variates)``.
-#: ``_FAILED``: the rank's own code raised the payload exception, and the
-#: rank exits after reporting it.  ``_ABORTED``: the rank only saw a
-#: sibling's failure -- a poison pill, a broken barrier or a wait timeout,
-#: all :class:`CommunicationError` -- and keeps its process.
-_DONE, _FAILED, _ABORTED = "done", "failed", "aborted"
+#: ``_KEPT``: the standing rank's epoch raised the payload ``Exception``
+#: -- its own code's, or a sibling's failure seen as a
+#: :class:`CommunicationError` -- and the rank keeps its process.
+#: ``_EXITS``: the rank exits after reporting the payload exception.
+_DONE, _EXITS, _KEPT = "done", "exits", "kept"
 
 
 def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
@@ -269,11 +268,14 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
     inherited through ``fork`` -- and exits after it.
 
     A failing epoch aborts the fabric (siblings fail fast) and reports the
-    failure.  A standing rank whose epoch ended in a
-    :class:`~repro.util.errors.CommunicationError` only saw a sibling's
-    failure: it drops the epoch's views, reports ``_ABORTED`` and goes back
-    to its pipe, keeping its process.  Only a rank whose own code failed
-    reports ``_FAILED`` and *exits*; heal() respawns it.
+    failure.  A standing rank whose epoch ended in any ``Exception`` --
+    raised by its program, or a
+    :class:`~repro.util.errors.CommunicationError` that a sibling's
+    failure caused -- reports ``_KEPT``, drops the epoch's views and
+    goes back to its pipe, keeping its process: the next epoch rebuilds
+    everything it uses.  A rank that raised a ``BaseException`` outside
+    ``Exception`` reports ``_EXITS`` and *exits*, as does every rank of
+    a one-epoch pool; heal() replaces the whole fleet after such an exit.
     """
     while True:
         task = epoch_task
@@ -294,17 +296,19 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
                 fabric.abort()
             except Exception:
                 pass
-            stays = epoch_task is None and isinstance(exc, CommunicationError)
+            stays = epoch_task is None and isinstance(exc, Exception)
             try:
-                pipe.send((task[0], _ABORTED if stays else _FAILED,
+                pipe.send((task[0], _KEPT if stays else _EXITS,
                            _portable_exception(exc)))
             except OSError:
                 return  # the pool's process is gone
             if not stays:
                 return
-            # The traceback's frames hold the epoch's views of shared
-            # segments: clear them, so the rank idles without mapping them.
+            # The traceback's frames and the parked messages hold the
+            # epoch's views of shared segments: drop them, so the rank
+            # idles without mapping them.
             traceback.clear_frames(exc.__traceback__)
+            fabric._parked.clear()
         if epoch_task is not None:
             return
 
@@ -385,12 +389,9 @@ class WorkerPool:
         self._pipes: list = []
         self._epoch = 0
         self._poison_reason: str | None = None
-        #: Ranks implicated in the poisoned epoch (failed, died, or never
-        #: reported): the set heal() stops and respawns.
+        #: Ranks of the poisoned epoch that died, exited or never reported:
+        #: any of them makes heal() respawn the whole fleet.
         self._suspect_ranks: set = set()
-        #: The suspects that reported their own failure (``_FAILED``):
-        #: they end their processes by themselves.
-        self._failed_ranks: set = set()
         self._closed = False
 
     def _spawn(self, rank: int, epoch_task=None) -> None:
@@ -657,24 +658,23 @@ class WorkerPool:
     def _abandon(self, n: int, outcomes: dict, reason: str) -> None:
         """Poison the pool over an epoch that will not return its results.
 
-        The suspects for heal() are the ranks that reported their own
-        failure -- they exit their main loop by contract -- and those that
-        never reported, which are dead or wedged.  Ranks that reported
-        success or ``_ABORTED`` keep looping on their pipes.  The fabric is
-        aborted so ranks still running fail fast, and the undecoded
-        successes are disposed (they may hold segments).
+        The suspects for heal() are the ranks that reported ``_EXITS`` --
+        they exit their main loop by contract -- and those that never
+        reported, which are dead or wedged.  Ranks that reported success
+        or ``_KEPT`` keep looping on their pipes.  The fabric is aborted
+        so ranks still running fail fast -- none is when every rank
+        reported -- and the undecoded successes are disposed (they may
+        hold segments).
         """
-        failed = {rank for rank, (status, _) in outcomes.items()
-                  if status == _FAILED}
-        self._failed_ranks.update(failed)
-        self._suspect_ranks.update(failed)
-        self._suspect_ranks.update(rank for rank in range(n)
-                                   if rank not in outcomes)
+        self._suspect_ranks.update(
+            rank for rank in range(n)
+            if outcomes.get(rank, (_EXITS,))[0] == _EXITS)
         self._poison(reason)
-        try:
-            self.fabric.abort()
-        except Exception:
-            pass
+        if len(outcomes) < n:
+            try:
+                self.fabric.abort()
+            except Exception:
+                pass
         for status, payload in outcomes.values():
             if status == _DONE:
                 try:
@@ -744,39 +744,32 @@ class WorkerPool:
         refused to die) -- the caller should fall back to a fresh pool or
         another backend.  A live, unpoisoned pool heals trivially.
 
-        The suspects are the ranks whose own code failed, that died, or
-        that never reported in the poisoned epoch.  A rank that only saw a
-        sibling's failure (``_ABORTED``) or reported success is a survivor:
-        it is blocked on its pipe.  Recovery steps, in order:
+        The suspects are the ranks that died, exited (``_EXITS``) or never
+        reported in the poisoned epoch.  A rank that reported success or
+        ``_KEPT`` -- whether its own code raised or it only saw a
+        sibling's failure -- is blocked on its pipe and keeps its process.
 
-        1. every suspect is stopped (:meth:`_stop`): sent the shutdown
-           sentinel, joined, and terminated only if it does not exit
-           within the shutdown grace.  A suspect blocked in the barrier
-           or in a receive has been released already: the run that
-           poisoned the pool aborted the fabric.  Straggler results of
-           the poisoned epoch are swept from the suspects' pipes without
-           waiting, disposing undecoded values: each stopped rank's pipe
-           ends in an end of file, after a record a killed rank left
-           half-written too;
-        2. the survivors are kept -- processes, pipes, warm transports,
-           PIDs and the inboxes they read -- only when every suspect
-           reported its own failure and then exited by itself with exit
-           code 0.  Such a rank ended through ``multiprocessing``'s normal
-           exit, which joins its queue feeders, so it cannot have left an
-           inbox's write lock or the barrier held.  In every other case
-           (a rank killed, wedged, found dead or silent) the survivors are
-           stopped too and every rank counts as respawned;
-        3. the standing fabric is healed
-           (:meth:`~repro.pro.backends.process.ProcessFabric.heal`):
-           inboxes drained and disposed, barrier reset -- or inboxes and
-           barrier replaced, when every rank is respawned;
-        4. replacement workers are spawned for the respawned ranks only,
-           each over a fresh pipe.
+        * With no suspect, every rank -- process, pipe, warm transport,
+          PID and the inbox it reads -- is kept.  An idle rank holds no
+          inbox lock and is outside the barrier, so the fabric is healed
+          around them
+          (:meth:`~repro.pro.backends.process.ProcessFabric.heal`: inboxes
+          drained and disposed, barrier reset) and nothing is spawned.
+        * Any suspect may have died holding an inbox's write lock or the
+          barrier's, so every rank is stopped (:meth:`_stop`: sent the
+          shutdown sentinel, joined, and terminated only if it does not
+          exit within the shutdown grace; a rank blocked in the barrier
+          or in a receive was released when the run aborted the fabric).
+          Straggler results of the poisoned epoch are swept from the
+          pipes without waiting, disposing undecoded values: each stopped
+          rank's pipe ends in an end of file, after a record a killed
+          rank left half-written too.  The fabric then replaces the
+          inboxes and the barrier, and every rank respawns over a fresh
+          pipe.
 
         Determinism is untouched: the machine rebuilds every rank's stream
-        per attempt, so the replayed epoch -- on the mixed fleet of
-        survivors and replacements -- is bit-identical to a fault-free
-        run.
+        per attempt, so the replayed epoch -- on kept ranks or on a fresh
+        fleet -- is bit-identical to a fault-free run.
         """
         if not self.in_owner_process:
             return False
@@ -791,26 +784,18 @@ class WorkerPool:
     def _heal_locked(self) -> bool:
         if self._closed:
             return False
-        suspects = set(self._suspect_ranks)
-        suspects.update(rank for rank, proc in enumerate(self._workers)
-                        if not proc.is_alive())
-        if self._poison_reason is None and not suspects:
+        lost = bool(self._suspect_ranks) or not all(
+            proc.is_alive() for proc in self._workers)
+        if self._poison_reason is None and not lost:
             return True
         started = time.perf_counter()
-        if not self._stop(sorted(suspects)):
+        respawned = list(range(self.n_procs)) if lost else []
+        if not self._stop(respawned):
             return False  # unkillable worker: this fleet is lost
-        if not all(rank in self._failed_ranks
-                   and self._workers[rank].exitcode == 0 for rank in suspects):
-            survivors = sorted(set(range(self.n_procs)) - suspects)
-            if not self._stop(survivors):
-                return False
-            suspects.update(survivors)
-        respawned = sorted(suspects)
-        self.fabric.heal(respawned)
+        self.fabric.heal(replace=lost)
         for rank in respawned:
             self._spawn(rank)
         self._suspect_ranks.clear()
-        self._failed_ranks.clear()
         self._poison_reason = None
         record_event("pool-heal", respawned=respawned,
                      heal_ms=round((time.perf_counter() - started) * 1e3, 3),
@@ -846,10 +831,11 @@ class WorkerPool:
             atexit.unregister(self.close)
             if not self.in_owner_process:
                 return  # inherited handle: the owner reaps the resources
-            self._stop(range(len(self._workers)))
+            stopped = self._stop(range(len(self._workers)))
             # Unlink in-flight and by-reference segments on the fabric.
             self.fabric.shutdown(
-                drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0)
+                drain_timeout=scale_timeout(0.25) if self.poisoned else 0.0,
+                ranks_stopped=stopped)
         finally:
             if locked:
                 self._run_lock.release()
@@ -899,7 +885,7 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     Returns the cached standing fleet when one exists for the key
     ``(n_procs, transport.cache_key(), timeout, start_method)``.  A
     *poisoned* cached fleet is first healed in place
-    (:meth:`WorkerPool.heal`: ranks that only saw the failure stay warm);
+    (:meth:`WorkerPool.heal`: ranks that reported their failure stay warm);
     when healing fails -- or the fleet is closed or inherited
     across a fork -- it is evicted, closed and replaced by a fresh spawn,
     so a crashed run degrades one call and the cache recovers itself
@@ -932,9 +918,10 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
             return pool
         if (pool is not None and pool.in_owner_process
                 and not pool.closed and pool.poisoned):
-            # Heal in place before evict-and-respawn: the warm survivors
-            # (and their transports) are kept when the failure allows it.  Healing under the cache lock is acceptable --
-            # poison is rare, and the bounded reap beats a full respawn.
+            # Heal in place before evict-and-respawn: the warm ranks (and
+            # their transports) are kept when none of them died.  Healing
+            # under the cache lock is acceptable -- poison is rare, and the
+            # bounded reap beats a full respawn.
             try:
                 healed = pool.heal()
             except Exception:  # pragma: no cover - healing is best effort

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
+import os
 import queue as _pyqueue
 import threading
 import time
@@ -102,6 +103,56 @@ def finishes_within(target: Callable[[], object], bound: float, *,
     worker.start()
     worker.join(timeout=bound)
     return not worker.is_alive()
+
+
+def _retire(inbox, *, ranks_stopped: bool = True) -> None:
+    """Close an inbox no rank will use again, and end its parent feeder.
+
+    The parent's queue feeder thread of ``inbox`` -- started by the
+    poison pills of :meth:`ProcessFabric.abort` -- ends at the close
+    sentinel, after its pending pills.  A killed rank can keep it from
+    getting there for good: by leaving the inbox's write lock held, or
+    the pipe full of a message that no rank will read.  Once every rank
+    has stopped (``ranks_stopped``), the parent is the only process left
+    to read the pipe and its feeder the only one to write it, so the
+    pipe is emptied while the feeder works, through a copy of the read
+    end (the feeder closes the original as it ends).  A write lock still
+    held while the pipe is kept empty is held by a dead rank, and is
+    released on its behalf.  With a rank still alive, the inbox is only
+    closed.
+    """
+    feeder = inbox._thread
+    if (not ranks_stopped or inbox._wlock is None  # no write lock on Windows
+            or feeder is None or not feeder.is_alive()):
+        inbox.close()
+        inbox.cancel_join_thread()
+        return
+    reader = os.dup(inbox._reader.fileno())
+    os.set_blocking(reader, False)
+    try:
+        until = time.monotonic() + scale_timeout(0.2)
+        while not inbox._wlock.acquire(timeout=0.005):
+            _empty_pipe(reader)
+            if time.monotonic() > until:
+                break  # no pill write holds it: a dead rank does
+        inbox._wlock.release()
+        inbox.close()
+        inbox.cancel_join_thread()
+        until = time.monotonic() + scale_timeout(1.0)
+        while feeder.is_alive() and time.monotonic() < until:
+            _empty_pipe(reader)
+            feeder.join(timeout=0.005)
+    finally:
+        os.close(reader)
+
+
+def _empty_pipe(fd: int) -> None:
+    """Read and drop what a non-blocking pipe read end ``fd`` holds."""
+    try:
+        while os.read(fd, 1 << 16):
+            pass
+    except BlockingIOError:
+        pass
 
 
 class ProcessFabric:
@@ -255,55 +306,57 @@ class ProcessFabric:
         """
         return self.transport.is_shared(array)
 
-    def heal(self, respawned_ranks: Sequence[int]) -> None:
+    def heal(self, *, replace: bool) -> None:
         """Restore a *standing* fabric after a failed epoch (pool supervision).
 
-        Called by :meth:`~repro.pro.backends.pool.WorkerPool.heal` once the
-        failed epoch's workers have stopped and before replacements start
-        for ``respawned_ranks``:
+        Called by :meth:`~repro.pro.backends.pool.WorkerPool.heal` with no
+        run in flight -- with ``replace`` once every rank has stopped and
+        before the whole fleet respawns:
 
         * every inbox is swept, without waiting, and the undelivered
           records handed to ``transport.dispose`` (the poisoned epoch's
           in-flight payloads must not pin shared-memory segments for the
           fabric's remaining lifetime) -- safe because no run is in flight
-          and idle survivors only read their pipes to the pool;
-        * when every rank is respawned, the inboxes and the barrier are
-          replaced by fresh ones: a rank that died inside a queue or
-          barrier operation -- ``os._exit`` or a kill while its queue
-          feeder thread held an inbox's write lock -- leaves that lock held
-          for good, and no live process could ever release it.  The pool
-          respawns every rank whenever a suspect did not end normally;
-        * otherwise survivors keep using them, and the barrier, broken by
-          ``abort()``, is reset for reuse.  Every stopped rank ended
-          through ``multiprocessing``'s normal exit, which joins its queue
-          feeders, so it holds no lock of theirs.
+          and idle ranks only read their pipes to the pool;
+        * with ``replace``, the inboxes and the barrier are replaced by
+          fresh ones: a rank that died inside a queue or barrier
+          operation -- ``os._exit`` or a kill while its queue feeder
+          thread held an inbox's write lock -- leaves that lock held for
+          good, and no live process could ever release it.  The pool
+          replaces them whenever a rank died, exited or went silent; the
+          retired inboxes are closed by :func:`_retire`;
+        * without it, every rank reported and idles on its pipe, holding
+          no inbox or barrier lock: the ranks keep the inboxes, and the
+          barrier, broken by ``abort()``, is reset for reuse.
 
         The replacements need nothing else: a rank's transport holds no
         state that outlives the messages it sent.
         """
-        # The suspects have exited, so what they sent is in the pipes
-        # already; a survivor's send still being flushed lands under the
+        # Stopped ranks have exited, so what they sent is in the pipes
+        # already; a kept rank's send still being flushed lands under the
         # poisoned epoch's tag, which quarantines it, and close() disposes
         # it if no rank reads it.  Hence no wait.
         self._drain_inboxes(0.0, name="pro-fabric-heal-drain")
-        if set(respawned_ranks) >= set(range(self.n_procs)):
+        if replace:
             stale, self._inboxes = (self._inboxes,
                                     [self._mp.Queue() for _ in range(self.n_procs)])
             self._barrier = self._mp.Barrier(self.n_procs)
             for inbox in stale:
-                inbox.close()
-                inbox.cancel_join_thread()
+                _retire(inbox)
             return
         try:
             self._barrier.reset()
         except Exception:  # pragma: no cover - a broken reset fails the heal later
             pass
 
-    def shutdown(self, *, drain_timeout: float = 0.0) -> None:
+    def shutdown(self, *, drain_timeout: float = 0.0,
+                 ranks_stopped: bool = True) -> None:
         """Drain undelivered messages and release their transport resources.
 
-        Called by the worker pool's ``close()`` after the workers have
-        stopped -- on success, failure, abort and timeout paths alike.
+        Called by the worker pool's ``close()`` after stopping the workers
+        -- on success, failure, abort and timeout paths alike; it passes
+        ``ranks_stopped=False`` when a worker refused to die, so no lock
+        that worker may hold is touched (see :func:`_retire`).
         Every record still sitting in an inbox is handed to
         ``transport.dispose`` so out-of-band payloads (shared-memory
         segments) are unlinked rather than leaked.
@@ -334,8 +387,7 @@ class ProcessFabric:
         except Exception:  # pragma: no cover - unlinking is best effort
             pass
         for inbox in self._inboxes:
-            inbox.close()
-            inbox.cancel_join_thread()
+            _retire(inbox, ranks_stopped=ranks_stopped)
 
     def _drain_inboxes(self, drain_timeout: float, *, name: str) -> None:
         """Dispose every undelivered record, on an abandonable thread."""
@@ -488,10 +540,10 @@ class ProcessBackend(ExecutionBackend):
 
         Called by :func:`~repro.pro.resilience.run_with_recovery` between
         attempts.  Backend-private pools are healed through
-        :meth:`~repro.pro.backends.pool.WorkerPool.heal` -- the ranks that
-        failed are respawned, and those that only saw the failure keep
-        their processes when no rank was killed; a pool that cannot be
-        healed is dropped so the next run builds a fresh one.  Pools
+        :meth:`~repro.pro.backends.pool.WorkerPool.heal` -- every rank
+        that reported keeps its process, and the whole fleet respawns
+        only when a rank died, exited or went silent; a pool that cannot
+        be healed is dropped so the next run builds a fresh one.  Pools
         borrowed from the process-wide cache are left to the cache, which
         heals or evicts them on the next lookup.  Cold runs leave nothing
         standing, so a non-persistent backend always returns True.

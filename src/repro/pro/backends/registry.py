@@ -154,9 +154,9 @@ work:
   :class:`~repro.util.errors.DeadlineError` when it expires.
 * **Self-healing.**  A backend with standing state overrides
   ``heal() -> bool``, called between attempts: return True once the next
-  run can proceed on a clean substrate (the process backend respawns the
-  failed ranks of its poisoned pools, keeping the ranks that only saw
-  the failure when no rank was killed -- see ``WorkerPool.heal``), or False
+  run can proceed on a clean substrate (the process backend keeps every
+  rank of its poisoned pools that reported its failure, and respawns the
+  whole fleet when a rank died -- see ``WorkerPool.heal``), or False
   to make the resilience layer fall through to its degradation chain
   (``fallback=("thread", "inline")``-style) instead of retrying.  The
   base class's ``heal()`` returns True: a backend without

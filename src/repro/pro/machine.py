@@ -421,8 +421,8 @@ def resolve_machine(
         drivers into their programs.
     ``retry``
         Transient-failure recovery: an attempt count or a
-        :class:`~repro.pro.resilience.RetryPolicy`.  Crashed ranks are
-        respawned and the run replayed with the same per-rank streams.
+        :class:`~repro.pro.resilience.RetryPolicy`.  The run is replayed
+        with the same per-rank streams, after dead ranks are respawned.
     ``telemetry``
         A :class:`~repro.pro.telemetry.Telemetry` recorder; every run
         appends one :class:`~repro.pro.telemetry.FleetReport`.

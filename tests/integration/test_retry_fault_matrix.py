@@ -3,9 +3,9 @@
 Every committed chaos plan (:func:`repro.pro.resilience.committed_chaos_plans`)
 must recover on every backend cell under ``RetryPolicy(max_attempts=2)`` with
 output bit-identical to a fault-free run -- including the process backend's
-supervised standing fleets, where recovery respawns only the failed ranks
-into the live fabric, rather than rebuilding the world, unless a rank was
-killed.  The suite also
+supervised standing fleets, where recovery keeps every rank that reported
+its failure and respawns the whole fleet only when a rank died.  The suite
+also
 pins the contracts around recovery: retries disabled stays poison-and-raise,
 worker tracebacks are chained into the caller's exception, deadlines surface
 as a typed bounded error, degradation falls back across backends without
@@ -13,6 +13,7 @@ changing results, and healing leaks no shared-memory resources.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -88,6 +89,15 @@ def _raise_from_a_cause(ctx):
             raise KeyError("the root cause on rank 1")
         except KeyError as cause:
             raise ValueError("the effect on rank 1") from cause
+    ctx.comm.barrier()
+    return ctx.rank
+
+
+def _rank1_killed_once(ctx, marker):
+    # SIGKILL, so no exit path runs: the first attempt loses rank 1.
+    if ctx.rank == 1 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
     ctx.comm.barrier()
     return ctx.rank
 
@@ -172,37 +182,42 @@ class TestChaosPlanMatrix:
 
 
 class TestSupervisionMechanics:
-    def test_heal_respawns_only_the_dead_ranks(self):
-        # The program has no cross-rank dependency, so when rank 1 crashes
-        # its siblings still finish their epoch and keep serving their
-        # queues; heal() must respawn rank 1 into the standing fabric and
-        # leave the surviving ranks' processes untouched.
+    def test_raising_rank_keeps_its_process(self):
+        # Rank 1's program raises in run 1; its siblings still finish the
+        # epoch (no cross-rank dependency).  Every rank reported and none
+        # died, so heal() respawns nothing: every process is kept, and the
+        # next run on the kept fleet matches the thread backend's.
         machine, _wrapper = _faulty_machine(
-            "process", [CrashRank(rank=1, at_op=0)], retry=None,
+            "process", [CrashRank(rank=1, at_op=0, at_run=1)], retry=None,
             timeout=scale_timeout(8), persistent=True)
+        reference = PROMachine(P, seed=SEED, backend="thread")
         try:
-            # _rank_pid_program performs no fabric ops, so the every-run
-            # crash cannot fire on the pid snapshots.
-            before = dict(machine.run(_rank_pid_program).results)
+            before = dict(machine.run(_rank_pid_program).results)  # run 0
             pool = machine.backend.backend._pools[P]  # unwrap the fault layer
             with pytest.raises(TransientBackendError, match="rank 1"):
-                machine.run(_independent_rank_program)
+                machine.run(_independent_rank_program)  # run 1 raises
             assert pool.poisoned
+            seq = event_seq()
             assert pool.heal()
+            heals = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
             assert not pool.poisoned
+            replay = machine.run(_chaos_program).results  # run 2
             after = dict(machine.run(_rank_pid_program).results)
         finally:
             machine.close()
-        assert after[1] != before[1]  # the crashed rank was respawned...
-        for rank in (0, 2, 3):
-            assert after[rank] == before[rank]  # ...its siblings were not
+        # A failed run draws its streams too: runs 0 and 1 are stand-ins.
+        reference.run(_rank_pid_program)
+        reference.run(_rank_pid_program)
+        assert replay == reference.run(_chaos_program).results
+        assert [e["respawned"] for e in heals] == [[]]
+        assert after == before  # no rank died, so every rank kept its pid
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_ranks_that_only_saw_the_poison_keep_their_process(self, p):
-        # Rank 1 crashes inside Algorithm 1; its siblings only see the
-        # abort (a poison pill or the broken barrier), report it and keep
-        # looping.  So heal() respawns rank 1 alone into the kept fabric,
-        # and the replay on that mixed fleet matches the thread backend.
+        # Rank 1 raises inside Algorithm 1; its siblings only see the
+        # abort (a poison pill or the broken barrier).  Every rank reports
+        # and keeps looping, so heal() respawns nothing, and the replay on
+        # the kept fleet matches the thread backend.
         inputs = np.arange(20_000)
         wrapper = FaultInjectingBackend(
             "process", [CrashRank(rank=1, at_op=1, at_run=1)], persistent=True)
@@ -219,11 +234,8 @@ class TestSupervisionMechanics:
         finally:
             machine.close()
         expected = random_permutation(inputs, machine=reference)
-        assert [e["respawned"] for e in heals] == [[1]]
-        assert after[1] != before[1]
-        for rank in range(p):
-            if rank != 1:
-                assert after[rank] == before[rank]
+        assert [e["respawned"] for e in heals] == [[]]
+        assert after == before
         assert np.array_equal(out, expected)
 
     def test_heal_after_every_rank_reported_does_not_wait(self):
@@ -321,22 +333,28 @@ class TestSupervisionMechanics:
         assert text.count("Traceback (most recent call last)") == 2
         assert "raise KeyError(\"the root cause on rank 1\")" in text
 
-    def test_a_respawned_rank_does_not_chain_the_callers_failure(self):
-        # Heal forks rank 1's replacement while the caller is recovering
-        # from the first attempt's failure.  That failure must not become
-        # the context of the errors the new rank raises later.
-        machine, _wrapper = _faulty_machine(
-            "process", [CrashRank(rank=1, at_op=0, at_run=0)], retry=2,
-            timeout=scale_timeout(8), persistent=True)
+    def test_a_respawned_rank_does_not_chain_the_callers_failure(self, tmp_path):
+        # Rank 1 is killed mid-epoch, so heal forks the whole fleet while
+        # the caller is recovering from the first attempt's failure.  That
+        # failure must not become the context of the errors the new rank 1
+        # raises later.
+        machine = PROMachine(P, seed=SEED, backend="process", persistent=True,
+                             retry=2, timeout=scale_timeout(8))
         try:
-            machine.run(_chaos_program)  # crashes once, heals, replays
+            pids = dict(machine.run(_rank_pid_program).results)
+            seq = event_seq()
+            # Killed once, healed, replayed.
+            machine.run(_rank1_killed_once, str(tmp_path / "killed"))
+            heals = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
+            assert [e["respawned"] for e in heals] == [list(range(P))]
+            assert dict(machine.run(_rank_pid_program).results)[1] != pids[1]
             with pytest.raises(BackendError, match="rank 1") as excinfo:
                 machine.run(_raise_original_sin)
         finally:
             machine.close()
         text = str(excinfo.value.__cause__.__cause__)
         assert "original sin on rank 1" in text
-        assert "InjectedFault" not in text
+        assert "without reporting a result" not in text
         assert "During handling of the above exception" not in text
 
     def test_deadline_is_typed_and_bounded(self):

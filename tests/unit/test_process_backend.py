@@ -199,8 +199,8 @@ class TestProcessFabric:
     def test_heal_replaces_a_wedged_inbox_when_no_rank_survives(self):
         # A rank that dies while its queue feeder holds an inbox's write
         # lock leaves the lock held for good, so a send into that inbox
-        # never arrives.  A heal that keeps a survivor keeps the inboxes it
-        # uses; one that respawns every rank replaces them.
+        # never arrives.  A heal that keeps the ranks keeps the inboxes
+        # they use; one that respawns every rank replaces them.
         fork = multiprocessing.get_context("fork")
         fabric = ProcessFabric(2, timeout=scale_timeout(2.0), mp_context=fork)
         try:
@@ -210,9 +210,9 @@ class TestProcessFabric:
             holder.join(scale_timeout(5.0))
             assert not fabric._inboxes[1]._wlock.acquire(timeout=0.05)
             kept = list(fabric._inboxes)
-            fabric.heal([1])
+            fabric.heal(replace=False)
             assert fabric._inboxes == kept
-            fabric.heal([0, 1])
+            fabric.heal(replace=True)
             fabric.put(0, 1, "t", "after heal")
             assert fabric.get(0, 1, "t", []) == "after heal"
         finally:

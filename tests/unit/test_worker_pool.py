@@ -8,10 +8,12 @@ full lifecycle.
 
 import gc
 import os
+import select
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -63,6 +65,13 @@ def _raise_program(ctx):
     return ctx.rank
 
 
+def _system_exit_program(ctx):
+    if ctx.rank == 1:
+        raise SystemExit(3)
+    ctx.comm.barrier()
+    return ctx.rank
+
+
 def _count_program(ctx):
     assert isinstance(ctx.rng, CountingRNG)
     ctx.rng.random(5)
@@ -72,6 +81,22 @@ def _count_program(ctx):
 def _sigkill_holding_inbox_program(ctx):
     if ctx.rank == 1:
         ctx.comm._fabric._inboxes[0]._wlock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    ctx.comm.barrier()
+    return ctx.rank
+
+
+def _sigkill_mid_message_program(ctx):
+    # Rank 1 streams a message larger than a pipe into rank 0's inbox and
+    # dies once the pipe is full: rank 0 waits in the barrier and never
+    # reads it, so the inbox stays full and its write lock held.
+    if ctx.rank == 1:
+        ctx.comm.send(b"x" * (1 << 18), 0, tag="big")
+        writer = ctx.comm._fabric._inboxes[0]._writer.fileno()
+        deadline = time.monotonic() + scale_timeout(10)
+        while (select.select([], [writer], [], 0)[1]  # until the pipe is full
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
         os.kill(os.getpid(), signal.SIGKILL)
     ctx.comm.barrier()
     return ctx.rank
@@ -337,23 +362,34 @@ class TestPoolFailure:
             assert time.monotonic() < deadline, "a rank outlived its caller"
             time.sleep(0.05)
 
-    def test_killed_rank_makes_heal_replace_the_whole_fleet(self):
+    @pytest.mark.parametrize("program, transport", [
+        (_sigkill_holding_inbox_program, "sharedmem"),
+        (_sigkill_mid_message_program, "pickle"),
+    ], ids=["lock-held", "pipe-full"])
+    def test_killed_rank_makes_heal_replace_the_whole_fleet(self, program,
+                                                             transport):
         # Rank 1 dies by SIGKILL holding rank 0's inbox write lock, as a
-        # rank killed while its queue feeder writes would.  Its siblings
-        # only see the broken barrier, so they report and keep their
-        # processes; but a killed rank may leave any inbox or the barrier
-        # wedged, so heal() must stop them too, replace the inboxes and
-        # the barrier, and respawn every rank.
-        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
+        # rank killed while its queue feeder writes would -- with the
+        # inbox's pipe empty, or full of the message it was writing.  Its
+        # siblings only see the broken barrier, so they report and keep
+        # their processes; but a killed rank may leave any inbox or the
+        # barrier wedged, so heal() must stop them too, replace the
+        # inboxes and the barrier, and respawn every rank.
+        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5),
+                                      backend_options={"transport": transport})
         try:
             before = machine.run(_rank_pid_program).results
             pool = machine.backend._pools[3]
             fabric = pool.fabric
             inboxes, barrier = list(fabric._inboxes), fabric._barrier
             with pytest.raises(TransientBackendError, match="rank 1"):
-                machine.run(_sigkill_holding_inbox_program)
+                machine.run(program)
             assert pool._suspect_ranks == {1}
             assert pool._workers[0].is_alive() and pool._workers[2].is_alive()
+            # The parent's abort pills started a feeder thread for the
+            # wedged inbox, which waits for the dead rank's lock.
+            feeders = {inbox._thread for inbox in inboxes} - {None}
+            assert inboxes[0]._thread in feeders
             seq = event_seq()
             assert pool.heal()
             heal = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
@@ -364,6 +400,33 @@ class TestPoolFailure:
             assert not {pid for _, pid in after} & {pid for _, pid in before}
             # The replay sends into rank 0's inbox, which the dead rank
             # wedged: it reaches the result only through a fresh inbox.
+            assert machine.run(_allreduce_program).results == [3, 3, 3]
+            # No thread of the retired inboxes outlives the heal.
+            deadline = time.monotonic() + scale_timeout(5)
+            while feeders & set(threading.enumerate()):
+                assert time.monotonic() < deadline, "a retired feeder is stuck"
+                time.sleep(0.01)
+        finally:
+            machine.close()
+
+    def test_rank_exiting_on_system_exit_makes_heal_replace_the_whole_fleet(self):
+        # SystemExit is no Exception: rank 1 reports it and exits, so heal()
+        # cannot keep the fleet around it and respawns every rank.
+        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
+        try:
+            before = machine.run(_rank_pid_program).results
+            pool = machine.backend._pools[3]
+            with pytest.raises(SystemExit):
+                machine.run(_system_exit_program)
+            assert pool._suspect_ranks == {1}
+            pool._workers[1].join(timeout=scale_timeout(5))
+            assert pool._workers[1].exitcode is not None  # it exited
+            seq = event_seq()
+            assert pool.heal()
+            heal = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
+            assert [e["respawned"] for e in heal] == [[0, 1, 2]]
+            after = machine.run(_rank_pid_program).results
+            assert not {pid for _, pid in after} & {pid for _, pid in before}
             assert machine.run(_allreduce_program).results == [3, 3, 3]
         finally:
             machine.close()
@@ -481,6 +544,51 @@ class TestPoolShutdown:
         assert "leaked" not in proc.stderr, proc.stderr
         prefix = f"psm_{int(proc.stdout.split()[0]):x}_"
         assert not {name for name in _shm_names() if name.startswith(prefix)}
+
+    def test_kept_rank_leaks_nothing_of_its_failed_epoch(self):
+        """A rank whose program raised keeps its process; the heal, the
+        replay and two more runs under ``sharedmem`` must match the thread
+        backend bit for bit and leave no segment name and no
+        ``resource_tracker`` warning behind (checked in a subprocess, as
+        the tracker warns at interpreter exit)."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.core.permutation import random_permutation
+            from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
+            from repro.pro.backends.pool import clear_default_pools
+            from repro.pro.machine import PROMachine
+            from repro.pro.telemetry import event_seq, events_since
+
+            data = np.arange(30_000)
+            faulty = FaultInjectingBackend(
+                "process", [CrashRank(rank=1, at_op=1, at_run=1)],
+                transport="sharedmem", persistent=True)
+            machine = PROMachine(3, seed=4, backend=faulty, retry=2)
+            reference = PROMachine(3, seed=4, backend="thread")
+            seq = event_seq()
+            for run in range(4):  # run 1 raises, heals and replays
+                out = random_permutation(data, machine=machine)
+                assert np.array_equal(
+                    out, random_permutation(data, machine=reference)), run
+            heals = [e["respawned"] for e in events_since(seq)
+                     if e["kind"] == "pool-heal"]
+            assert heals == [[]], heals
+            del out
+            machine.close()
+            clear_default_pools()
+        """)
+        before = _shm_names()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error",
+             "-W", "default::UserWarning:multiprocessing.resource_tracker",
+             "-c", script],
+            capture_output=True, text=True, env=_src_env(),
+            timeout=scale_timeout(120),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
+        assert not _shm_names() - before
 
 
 def _shm_names():
