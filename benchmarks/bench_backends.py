@@ -1,13 +1,11 @@
-"""Backend and transport comparison: inline vs thread vs process wall-time.
+"""Backend comparison: inline vs thread vs process wall-time.
 
 Times the two driver-level workloads -- communication-matrix sampling on a
 PRO machine and the distributed permutation (Algorithm 1) -- on every
-execution backend, for the process backend on *both* payload transports
-(``pickle`` queue buffers vs ``sharedmem`` zero-copy segments), and for
-each transport both *cold* (fresh processes per run) and *persistent*
-(runs dispatched to a standing worker pool), at several ``(n, p)``
-points.  A third workload, ``dispatch``, runs a trivial program so that
-nothing but the per-run fixed cost is measured: for cold variants that is
+execution backend, for the process backend both *cold* (fresh processes
+per run) and *persistent* (runs dispatched to a standing worker pool), at
+several ``(n, p)`` points.  A third workload, ``dispatch``, runs a
+trivial program so that nothing but the per-run fixed cost is measured: for cold variants that is
 machine construction plus process spawn, for persistent variants the
 task-queue dispatch to the standing pool.  A fourth, ``warm_driver``,
 measures what a plain repeated *top-level driver call* costs: its
@@ -20,15 +18,15 @@ whole failed-attempt + heal + bit-identical replay sequence -- for
 persistent variants against a standing supervised pool (only the dead
 rank respawns), for cold variants against per-run process spawns.  Run
 with ``--benchmark-json`` to get the same pytest-benchmark JSON shape as
-the rest of the suite (one record per (workload, backend, transport,
-persistent, n, p) with the parameters echoed in ``extra_info``).
+the rest of the suite (one record per (workload, backend, persistent, n,
+p) with the parameters echoed in ``extra_info``).
 
 Reading the numbers: the thread backend wins at small in-process problem
 sizes (rank start-up is microseconds and NumPy releases the GIL), while
 the cold process backend pays process spawn plus payload movement per
-run.  The transport dimension isolates the *serialisation* share of that
-overhead (sharedmem ships every bulk payload with one copy in and a
-zero-copy view out); the persistent dimension isolates the *spawn* share:
+run.  Two gates isolate the *serialisation* share of that overhead
+(shared-memory segments against the in-band path, :func:`in_band`);
+the persistent dimension isolates the *spawn* share:
 a standing pool pays it once, so the acceptance gate of ISSUE 3 is that
 the persistent pool's per-run dispatch overhead is at least 5x lower than
 cold-spawn at the ``dispatch`` point on a multi-core box.
@@ -37,7 +35,7 @@ Direct execution writes the tracked perf-trajectory artifact::
 
     PYTHONPATH=src python benchmarks/bench_backends.py --json benchmarks/BENCH_backends.json
 
-producing per-(workload, backend, transport, persistent, n, p) median
+producing per-(workload, backend, persistent, n, p) median
 wall times so that future PRs can diff the trajectory
 (``benchmarks/check_bench_regression.py`` is the CI smoke gate doing
 exactly that for the 1M / p=4 cell and the persistent crash-recovery
@@ -45,6 +43,7 @@ cells).
 """
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
@@ -59,11 +58,14 @@ except ImportError:  # pragma: no cover - direct execution without pytest
 
 from repro.core.parallel_matrix import sample_matrix_parallel
 from repro.core.permutation import random_permutation
+from repro.pro.backends import sharedmem
+from repro.pro.backends.process import ProcessBackend
+from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 
 #: (n_items, n_procs) grid; inline only participates where p == 1.
 POINTS = [(20_000, 1), (20_000, 2), (20_000, 4), (100_000, 4), (1_000_000, 4)]
-#: The acceptance point of the transport comparison (ISSUE 2).
+#: The acceptance point of the shared-memory vs in-band comparison.
 BIG_POINT = (1_000_000, 8)
 #: The per-run fixed-cost workload runs a trivial program at this point.
 DISPATCH_POINT = (0, 4)
@@ -72,24 +74,38 @@ DISPATCH_POINT = (0, 4)
 WARM_DRIVER_POINT = (2_000, 4)
 #: The crash-to-recovered latency point (the canonical chaos p).
 CRASH_RECOVERY_POINT = (20_000, 4)
-#: (backend, transport, persistent) variants; None means no transport.
+#: (backend, persistent) variants.
 VARIANTS = [
-    ("inline", None, False),
-    ("thread", None, False),
-    ("process", "pickle", False),
-    ("process", "sharedmem", False),
-    ("process", "pickle", True),
-    ("process", "sharedmem", True),
+    ("inline", False),
+    ("thread", False),
+    ("process", False),
+    ("process", True),
 ]
 
 
-def _variant_id(backend, transport, persistent=False):
-    vid = backend if transport is None else f"{backend}-{transport}"
-    return f"{vid}-persistent" if persistent else vid
+def _variant_id(backend, persistent=False):
+    return f"{backend}-persistent" if persistent else backend
 
 
-def _machine_options(transport):
-    return {} if transport is None else {"transport": transport}
+@contextlib.contextmanager
+def in_band():
+    """The process backend's degrade path: no shared memory in any process.
+
+    Ranks forked inside the block inherit it, so a run moves every bulk
+    byte -- arguments, exchange pieces and results -- in-band through
+    its pipes, as on a host without ``/dev/shm``.  The default pool
+    cache is cleared on entry and exit, so no fleet crosses the border.
+    """
+    from repro.pro.backends.pool import clear_default_pools
+
+    clear_default_pools()
+    saved = sharedmem._shm_module, sharedmem._PROBE
+    sharedmem._shm_module, sharedmem._PROBE = None, (None, False)
+    try:
+        yield
+    finally:
+        clear_default_pools()
+        sharedmem._shm_module, sharedmem._PROBE = saved
 
 
 def _trivial_program(ctx):
@@ -97,37 +113,34 @@ def _trivial_program(ctx):
     return ctx.rank
 
 
-def _run_matrix(backend, transport, n_items, n_procs, machine=None):
+def _run_matrix(backend, n_items, n_procs, machine=None):
     row_sums = np.full(n_procs, n_items // n_procs, dtype=np.int64)
     matrix, _ = sample_matrix_parallel(
         row_sums, algorithm="alg6" if n_procs > 1 else "root",
         machine=machine,
         backend=None if machine is not None else backend,
-        transport=None if machine is not None else transport,
         seed=None if machine is not None else 0,
     )
     return matrix
 
 
-def _run_permutation(backend, transport, n_items, n_procs, machine=None):
+def _run_permutation(backend, n_items, n_procs, machine=None):
     data = np.arange(n_items, dtype=np.int64)
     return random_permutation(
         data, n_procs=n_procs, machine=machine,
         backend=None if machine is not None else backend,
-        transport=None if machine is not None else transport,
         seed=None if machine is not None else 0,
     )
 
 
-def _run_dispatch(backend, transport, n_items, n_procs, machine=None):
+def _run_dispatch(backend, n_items, n_procs, machine=None):
     if machine is not None:
         return machine.run(_trivial_program).results
-    cold = PROMachine(n_procs, seed=0, backend=backend,
-                      backend_options=_machine_options(transport))
+    cold = PROMachine(n_procs, seed=0, backend=backend)
     return cold.run(_trivial_program).results
 
 
-def _run_warm_driver(backend, transport, n_items, n_procs, *, persistent):
+def _run_warm_driver(backend, n_items, n_procs, *, persistent):
     """One *top-level driver call* (no pre-built machine).
 
     This is the workload the default pool cache exists for: with
@@ -137,11 +150,10 @@ def _run_warm_driver(backend, transport, n_items, n_procs, *, persistent):
     """
     data = np.arange(n_items, dtype=np.int64)
     return random_permutation(data, n_procs=n_procs, backend=backend,
-                              transport=transport, seed=0,
-                              persistent=persistent)
+                              seed=0, persistent=persistent)
 
 
-def _crash_recovery_runner(backend, transport, persistent, n_items, n_procs):
+def _crash_recovery_runner(backend, persistent, n_items, n_procs):
     """``(callable, closer)`` timing one crash + heal + bit-exact replay.
 
     ``runs_started`` accumulates on a fault wrapper, so every call wraps
@@ -154,16 +166,13 @@ def _crash_recovery_runner(backend, transport, persistent, n_items, n_procs):
     from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
     from repro.pro.backends.registry import get_backend
 
-    options = _machine_options(transport)
-    inner = (get_backend(backend, persistent=True, **options)
-             if persistent else None)
+    inner = get_backend(backend, persistent=True) if persistent else None
     data = np.arange(n_items, dtype=np.int64)
 
     def call():
         faulty = FaultInjectingBackend(
             inner if inner is not None else backend,
-            [CrashRank(rank=1, at_op=1, at_run=0)],
-            **({} if inner is not None else options))
+            [CrashRank(rank=1, at_op=1, at_run=0)])
         machine = PROMachine(n_procs, seed=0, backend=faulty, retry=2)
         try:
             return random_permutation(data, machine=machine)
@@ -184,7 +193,7 @@ WORKLOADS = {"matrix": _run_matrix, "permutation": _run_permutation,
              "crash_recovery": _crash_recovery_runner}
 
 
-def make_runner(workload, backend, transport, persistent, n_items, n_procs):
+def make_runner(workload, backend, persistent, n_items, n_procs):
     """Build ``(callable, closer)`` for one benchmark cell.
 
     Cold variants construct their machinery inside every call (that is the
@@ -197,8 +206,7 @@ def make_runner(workload, backend, transport, persistent, n_items, n_procs):
     so later cells start cold.
     """
     if workload == "crash_recovery":
-        return _crash_recovery_runner(backend, transport, persistent,
-                                      n_items, n_procs)
+        return _crash_recovery_runner(backend, persistent, n_items, n_procs)
     if workload == "warm_driver":
         from repro.pro.backends.pool import clear_default_pools
 
@@ -206,24 +214,21 @@ def make_runner(workload, backend, transport, persistent, n_items, n_procs):
         clear_default_pools()  # this cell starts from a cold cache
 
         def call():
-            return _run_warm_driver(backend, transport, n_items, n_procs,
-                                    persistent=mode)
+            return _run_warm_driver(backend, n_items, n_procs, persistent=mode)
 
         return call, clear_default_pools
     fn = WORKLOADS[workload]
     if not persistent:
-        return (lambda: fn(backend, transport, n_items, n_procs)), (lambda: None)
-    machine = PROMachine(n_procs, seed=0, backend=backend,
-                         backend_options=_machine_options(transport),
-                         persistent=True)
-    return (lambda: fn(backend, transport, n_items, n_procs, machine=machine),
+        return (lambda: fn(backend, n_items, n_procs)), (lambda: None)
+    machine = PROMachine(n_procs, seed=0, backend=backend, persistent=True)
+    return (lambda: fn(backend, n_items, n_procs, machine=machine),
             machine.close)
 
 
-def median_seconds(workload, backend, transport, n_items, n_procs,
+def median_seconds(workload, backend, n_items, n_procs,
                    *, persistent=False, rounds=3, warmup=1):
     """Median wall time of ``rounds`` runs after ``warmup`` throwaway runs."""
-    runner, closer = make_runner(workload, backend, transport, persistent,
+    runner, closer = make_runner(workload, backend, persistent,
                                  n_items, n_procs)
     try:
         for _ in range(warmup):
@@ -248,16 +253,16 @@ if pytest is not None:
             pytest.skip("the inline backend only runs single-rank machines")
 
     @pytest.mark.benchmark(group="backends-matrix")
-    @pytest.mark.parametrize("backend,transport,persistent", VARIANTS,
+    @pytest.mark.parametrize("backend,persistent", VARIANTS,
                              ids=[_variant_id(*v) for v in VARIANTS])
     @pytest.mark.parametrize("n_items,n_procs", POINTS[:4])
-    def test_benchmark_matrix_sampling_backends(benchmark, backend, transport,
+    def test_benchmark_matrix_sampling_backends(benchmark, backend,
                                                 persistent, n_items, n_procs):
         _skip_if_incompatible(backend, n_procs)
-        benchmark.extra_info.update({"backend": backend, "transport": transport,
+        benchmark.extra_info.update({"backend": backend,
                                      "persistent": persistent,
                                      "n": n_items, "p": n_procs})
-        runner, closer = make_runner("matrix", backend, transport, persistent,
+        runner, closer = make_runner("matrix", backend, persistent,
                                      n_items, n_procs)
         try:
             matrix = benchmark.pedantic(runner, rounds=3, iterations=1,
@@ -267,16 +272,16 @@ if pytest is not None:
         assert matrix.sum() == n_procs * (n_items // n_procs)
 
     @pytest.mark.benchmark(group="backends-permutation")
-    @pytest.mark.parametrize("backend,transport,persistent", VARIANTS,
+    @pytest.mark.parametrize("backend,persistent", VARIANTS,
                              ids=[_variant_id(*v) for v in VARIANTS])
     @pytest.mark.parametrize("n_items,n_procs", POINTS[:4])
-    def test_benchmark_permutation_backends(benchmark, backend, transport,
+    def test_benchmark_permutation_backends(benchmark, backend,
                                             persistent, n_items, n_procs):
         _skip_if_incompatible(backend, n_procs)
-        benchmark.extra_info.update({"backend": backend, "transport": transport,
+        benchmark.extra_info.update({"backend": backend,
                                      "persistent": persistent,
                                      "n": n_items, "p": n_procs})
-        runner, closer = make_runner("permutation", backend, transport,
+        runner, closer = make_runner("permutation", backend,
                                      persistent, n_items, n_procs)
         try:
             out = benchmark.pedantic(runner, rounds=3, iterations=1,
@@ -289,26 +294,27 @@ if pytest is not None:
         """Smoke-level determinism check inside the benchmark suite."""
         row_sums = np.full(4, 500, dtype=np.int64)
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=9)
-        for backend, transport, persistent in VARIANTS[2:]:
+        for backend, persistent in VARIANTS[2:]:
             matrix, _ = sample_matrix_parallel(
-                row_sums, backend=backend, transport=transport,
-                persistent=persistent, seed=9,
+                row_sums, backend=backend, persistent=persistent, seed=9,
             )
-            assert np.array_equal(reference, matrix), (backend, transport,
-                                                       persistent)
+            assert np.array_equal(reference, matrix), (backend, persistent)
 
     def test_sharedmem_halves_process_overhead():
-        """ISSUE 2 acceptance: >= 2x lower process overhead at 1M / p=8.
+        """>= 2x lower process overhead than the in-band path at 1M / p=8.
 
         Overhead is the process-backend wall time in excess of the thread
         backend on the same workload (the thread backend shares the
         address space, so the excess is process spawn + payload movement).
-        On boxes without real parallelism the overhead is dominated by
-        scheduler churn among p oversubscribed processes -- a cost no
-        payload transport can influence -- so the 2x gate only applies
-        where the process backend can actually run its ranks in parallel;
-        elsewhere the weaker monotone property (sharedmem never slower)
-        is asserted and the transport-isolated 2x gate below still runs.
+        The in-band path is the degrade path (:func:`in_band`); a
+        ``min_bytes`` alone would still pass Algorithm 1's vectors by
+        reference.  On boxes without real parallelism the overhead is
+        dominated by scheduler churn among p oversubscribed processes --
+        a cost no payload path can influence -- so the 2x gate only
+        applies where the process backend can actually run its ranks in
+        parallel; elsewhere the weaker monotone property (sharedmem never
+        slower) is asserted and the payload-isolated 2x gate below still
+        runs.
         """
         import os
 
@@ -316,43 +322,45 @@ if pytest is not None:
         parallel_box = (os.cpu_count() or 1) >= 4
         attempts = []
         for _ in range(3):  # best-of-3 measurement passes (noise shield)
-            thread = median_seconds("permutation", "thread", None, n_items, n_procs)
-            pickle_t = median_seconds("permutation", "process", "pickle",
-                                      n_items, n_procs)
-            shm_t = median_seconds("permutation", "process", "sharedmem",
-                                   n_items, n_procs)
-            pickle_overhead = max(pickle_t - thread, 0.0)
+            thread = median_seconds("permutation", "thread", n_items, n_procs)
+            with in_band():
+                in_band_t = median_seconds("permutation", "process",
+                                           n_items, n_procs)
+            shm_t = median_seconds("permutation", "process", n_items, n_procs)
+            in_band_overhead = max(in_band_t - thread, 0.0)
             shm_overhead = max(shm_t - thread, 0.0)
             attempts.append(
-                f"sharedmem overhead {shm_overhead:.3f}s vs pickle "
-                f"{pickle_overhead:.3f}s (thread reference {thread:.3f}s)"
+                f"sharedmem overhead {shm_overhead:.3f}s vs in-band "
+                f"{in_band_overhead:.3f}s (thread reference {thread:.3f}s)"
             )
             if parallel_box:
-                if shm_overhead * 2 <= pickle_overhead:
+                if shm_overhead * 2 <= in_band_overhead:
                     break
-            elif shm_t <= pickle_t * 1.05:
+            elif shm_t <= in_band_t * 1.05:
                 break
         else:
             raise AssertionError("; ".join(attempts))
 
     def test_sharedmem_halves_payload_movement_overhead():
-        """Transport-isolated 2x gate: shipping the 1M-element result blocks.
+        """Payload-isolated 2x gate: shipping the 1M-element result blocks.
 
         Each rank returns its n/p block of a 1M-element vector to the
         caller -- exactly the bulk collection of a permutation run, with
         no compute to dilute the signal.  The payload-movement overhead
         (workload time minus a trivial run on the *same* backend and
         transport, i.e. minus spawn and synchronisation) must be at least
-        2x smaller with zero-copy segments than with queue pickling; this
-        holds on a single core too, because the cost is pure data
-        movement.
+        2x smaller with zero-copy segments than in-band, through the pipe
+        (a ``min_bytes`` above the block's size); this holds on a single
+        core too, because the cost is pure data movement.
         """
         n_items, n_procs = BIG_POINT
         block = n_items // n_procs
+        min_bytes = {"sharedmem": 8192, "in-band": block * 8 + 1}
 
-        def run_result_workload(transport, payload_items):
-            machine = PROMachine(n_procs, seed=0, backend="process",
-                                 backend_options={"transport": transport})
+        def run_result_workload(path, payload_items):
+            transport = SharedMemoryTransport(min_bytes=min_bytes[path])
+            machine = PROMachine(n_procs, seed=0,
+                                 backend=ProcessBackend(transport=transport))
 
             def program(ctx):
                 return np.zeros(payload_items, dtype=np.int64)
@@ -368,12 +376,12 @@ if pytest is not None:
         attempts = []
         for _ in range(3):  # best-of-3 measurement passes (noise shield)
             overheads = {}
-            for transport in ("pickle", "sharedmem"):
-                loaded = run_result_workload(transport, block)
-                trivial = run_result_workload(transport, 1)
-                overheads[transport] = max(loaded - trivial, 1e-9)
+            for path in min_bytes:
+                loaded = run_result_workload(path, block)
+                trivial = run_result_workload(path, 1)
+                overheads[path] = max(loaded - trivial, 1e-9)
             attempts.append(overheads)
-            if overheads["sharedmem"] * 2 <= overheads["pickle"]:
+            if overheads["sharedmem"] * 2 <= overheads["in-band"]:
                 break
         else:
             raise AssertionError(f"payload overhead never halved: {attempts}")
@@ -398,9 +406,9 @@ if pytest is not None:
         attempts = []
         try:
             for _ in range(3):  # best-of-3 measurement passes (noise shield)
-                cold = median_seconds("warm_driver", "process", "sharedmem",
+                cold = median_seconds("warm_driver", "process",
                                       n_items, n_procs, rounds=5)
-                warm = median_seconds("warm_driver", "process", "sharedmem",
+                warm = median_seconds("warm_driver", "process",
                                       n_items, n_procs, persistent=True,
                                       rounds=5)
                 attempts.append(
@@ -417,8 +425,7 @@ if pytest is not None:
             # no encoded byte at all.
             clear_default_pools()
             for _ in range(4):
-                _run_warm_driver("process", "sharedmem", 200_000, n_procs,
-                                 persistent=None)
+                _run_warm_driver("process", 200_000, n_procs, persistent=None)
             pools = list(default_pools().values())
             assert len(pools) == 1, pools
             stats = pools[0].fabric.transport.stats
@@ -441,9 +448,9 @@ if pytest is not None:
         n_items, n_procs = DISPATCH_POINT
         attempts = []
         for _ in range(3):
-            cold = median_seconds("dispatch", "process", "sharedmem",
+            cold = median_seconds("dispatch", "process",
                                   n_items, n_procs, rounds=5)
-            warm = median_seconds("dispatch", "process", "sharedmem",
+            warm = median_seconds("dispatch", "process",
                                   n_items, n_procs, persistent=True, rounds=5)
             attempts.append(f"cold {cold * 1e3:.2f}ms vs warm {warm * 1e3:.2f}ms")
             if warm * 5 <= cold:
@@ -477,13 +484,13 @@ def collect_records(*, rounds=3):
         else:
             points = grid
         for n_items, n_procs in points:
-            for backend, transport, persistent in VARIANTS:
+            for backend, persistent in VARIANTS:
                 if backend == "inline" and n_procs != 1:
                     continue
                 if workload == "warm_driver" and backend != "process":
                     continue  # the workload isolates process-spawn cost
                 seconds = median_seconds(
-                    workload, backend, transport, n_items, n_procs,
+                    workload, backend, n_items, n_procs,
                     persistent=persistent, rounds=rounds,
                 )
                 if backend == "thread":
@@ -491,7 +498,6 @@ def collect_records(*, rounds=3):
                 records.append({
                     "workload": workload,
                     "backend": backend,
-                    "transport": transport,
                     "persistent": persistent,
                     "n": n_items,
                     "p": n_procs,
@@ -508,11 +514,11 @@ def collect_records(*, rounds=3):
     return records
 
 
-def _workload_speedup(records, workload, transport="sharedmem"):
-    """Cold / warm median ratio of one workload's cells (or None)."""
+def _workload_speedup(records, workload):
+    """Cold / warm median ratio of one workload's process cells (or None)."""
     by_key = {}
     for r in records:
-        if r["workload"] == workload and r["transport"] == transport:
+        if r["workload"] == workload and r["backend"] == "process":
             by_key[bool(r.get("persistent"))] = r["median_seconds"]
     if True in by_key and False in by_key and by_key[True] > 0:
         return by_key[False] / by_key[True]
@@ -527,7 +533,7 @@ def dispatch_speedup(records):
 def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
     """Observed fallback rate of the warm default fleet.
 
-    ``runs`` permutations on one persistent process+sharedmem machine
+    ``runs`` permutations on one persistent process machine
     with a :class:`~repro.pro.telemetry.Telemetry` recorder attached,
     summarised into the repatriated per-rank encode counts and the
     transport's in-band fallback rate.
@@ -536,7 +542,6 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
 
     telemetry = Telemetry()
     machine = PROMachine(n_procs, seed=0, backend="process",
-                         backend_options={"transport": "sharedmem"},
                          persistent=True, telemetry=telemetry)
     try:
         data = np.arange(n_items, dtype=np.int64)
@@ -561,7 +566,7 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Write the tracked backend/transport perf artifact."
+        description="Write the tracked backend perf artifact."
     )
     parser.add_argument("--json", required=True,
                         help="output path, e.g. benchmarks/BENCH_backends.json")
@@ -570,10 +575,10 @@ def main(argv=None):
     records = collect_records(rounds=args.rounds)
     payload = {
         "suite": "bench_backends",
-        "schema": 5,
+        "schema": 6,
         "rounds": args.rounds,
         # Schema 5: observed fallback rate of a warm fleet (repatriated
-        # telemetry).
+        # telemetry).  Schema 6: records carry no transport.
         "fleet_telemetry": fleet_telemetry_cells(),
         "records": records,
     }
@@ -598,13 +603,11 @@ def main(argv=None):
     with open(args.json, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    by_key = {(r["workload"], r["backend"], r["transport"],
-               r.get("persistent", False), r["n"], r["p"]): r for r in records}
-    big = {t: by_key.get(("permutation", "process", t, False) + BIG_POINT)
-           for t in ("pickle", "sharedmem")}
-    if all(big.values()):
-        print(f"1M/p=8 permutation: pickle {big['pickle']['median_seconds']:.3f}s, "
-              f"sharedmem {big['sharedmem']['median_seconds']:.3f}s")
+    big = [r for r in records if r["workload"] == "permutation"
+           and r["backend"] == "process" and not r["persistent"]
+           and (r["n"], r["p"]) == BIG_POINT]
+    if big:
+        print(f"1M/p=8 permutation: process {big[0]['median_seconds']:.3f}s")
     if speedup is not None:
         print(f"dispatch overhead: persistent pool {speedup:.1f}x cheaper "
               "than cold spawn")

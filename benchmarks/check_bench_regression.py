@@ -90,7 +90,7 @@ def warm_dispatch_overhead(*, rounds=100, trials=3, **option):
     _n, p = DISPATCH_POINT
     ratios = []
     for _ in range(trials):
-        fleet = get_backend("process", transport="sharedmem", persistent=True)
+        fleet = get_backend("process", persistent=True)
         machines = [PROMachine(p, seed=0, backend=fleet, **extra)
                     for extra in ({}, option)]
         times = ([], [])
@@ -132,8 +132,7 @@ def gated_cells(tracked_records):
 
 def remeasure(record, *, rounds):
     return median_seconds(
-        record["workload"], record["backend"], record.get("transport"),
-        record["n"], record["p"],
+        record["workload"], record["backend"], record["n"], record["p"],
         persistent=bool(record.get("persistent", False)), rounds=rounds,
     )
 
@@ -196,7 +195,7 @@ def main(argv=None):
     for record in cells:
         variant = "-".join(
             str(part) for part in (
-                record["workload"], record["backend"], record.get("transport"),
+                record["workload"], record["backend"],
                 "persistent" if record.get("persistent") else "cold",
             ) if part
         )

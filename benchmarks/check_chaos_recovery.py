@@ -2,8 +2,9 @@
 
 Sweeps the committed chaos plans
 (:func:`repro.pro.resilience.committed_chaos_plans`) across the backend
-matrix -- ``{thread, sim, process} x {sharedmem, pickle} x {persistent,
-cold}`` at the canonical ``p = 4`` -- under ``RetryPolicy(max_attempts=2)``.
+matrix -- ``thread``, ``sim``, and ``process`` cold and persistent: 4 plans
+x 4 cells = 16 cells at the canonical ``p = 4`` -- under
+``RetryPolicy(max_attempts=2)``.
 Each cell injects the plan's fault on the first attempt and must (a)
 complete, (b) spend exactly one retry, and (c) return results
 bit-identical to a fault-free reference run (results are
@@ -46,14 +47,12 @@ from repro.util.timeouts import scale_timeout
 P = 4  # the rank count the committed plans address
 SEED = 20030607
 
-#: (backend, transport, persistent) cells of the sweep.
+#: (backend, persistent) cells of the sweep.
 CELLS = [
-    ("thread", None, False),
-    ("sim", None, False),
-    ("process", "sharedmem", False),
-    ("process", "pickle", False),
-    ("process", "sharedmem", True),
-    ("process", "pickle", True),
+    ("thread", False),
+    ("sim", False),
+    ("process", False),
+    ("process", True),
 ]
 
 def _chaos_program(ctx):
@@ -66,9 +65,8 @@ def _chaos_program(ctx):
     return value, gathered
 
 
-def _cell_id(backend, transport, persistent):
-    vid = backend if transport is None else f"{backend}-{transport}"
-    return f"{vid}-persistent" if persistent else vid
+def _cell_id(backend, persistent):
+    return f"{backend}-persistent" if persistent else backend
 
 
 def run_sweep(*, fleet_reports=None):
@@ -90,11 +88,9 @@ def run_sweep(*, fleet_reports=None):
     policy = RetryPolicy(max_attempts=2)
     reports, failures = [], []
     for plan_name in sorted(plans):
-        for backend, transport, persistent in CELLS:
-            cell = _cell_id(backend, transport, persistent)
-            options = {} if transport is None else {"transport": transport}
-            if persistent:
-                options["persistent"] = True
+        for backend, persistent in CELLS:
+            cell = _cell_id(backend, persistent)
+            options = {"persistent": True} if persistent else {}
             wrapper = FaultInjectingBackend(backend, plans[plan_name], **options)
             telemetry = Telemetry() if fleet_reports is not None else None
             # The timeout bounds how long a dropped message takes to

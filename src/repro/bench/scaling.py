@@ -168,7 +168,6 @@ def measured_scaling_table(
     repeats: int = 1,
     matrix_algorithm: str = "root",
     backend: str = "thread",
-    transport: str | None = None,
 ) -> list[dict]:
     """Measured scaling of the real implementation on ``backend``.
 
@@ -192,8 +191,7 @@ def measured_scaling_table(
     }]
     for p in proc_counts:
         p = check_positive_int(p, "proc count")
-        options = {} if transport is None else {"transport": transport}
-        machine = PROMachine(p, seed=seed, backend=backend, backend_options=options)
+        machine = PROMachine(p, seed=seed, backend=backend)
 
         def run_once():
             return random_permutation(

@@ -45,13 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--schedule-seed) or inline (p == 1 only); results are "
              "seed-identical across backends (the in-process matrix "
              "algorithms reject it)")
-    transport_kwargs = dict(
-        choices=["sharedmem", "pickle"], default=None,
-        help="payload transport of the process backend: sharedmem (zero-copy "
-             "shared-memory segments, the default) or pickle (queue-borne "
-             "buffers); rejected for other backends, seed-identical results",
-    )
-    machine_flags.add_argument("--transport", **transport_kwargs)
     machine_flags.add_argument(
         "--persistent", action=argparse.BooleanOptionalAction, default=None,
         help="standing worker pool of the process backend: the p rank "
@@ -142,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated processor counts for --measure")
     scaling.add_argument("--backend", choices=["thread", "process"], default="thread",
                          help="execution backend for --measure runs")
-    scaling.add_argument("--transport", **transport_kwargs)
 
     uniformity = sub.add_parser("uniformity", help="chi-square uniformity test of the parallel permutation")
     uniformity.add_argument("--n", type=int, default=4, help="permutation size (<= 8 for the exhaustive test)")
@@ -250,9 +242,8 @@ def _build_machine(args, telemetry):
     from repro.pro.machine import PROMachine
 
     backend = args.backend or "thread"
-    backend_options = {name: value for name, value in (
-        ("transport", args.transport), ("schedule_seed", args.schedule_seed),
-    ) if value is not None}
+    backend_options = ({} if args.schedule_seed is None
+                       else {"schedule_seed": args.schedule_seed})
     persistent = backend == "process" if args.persistent is None else args.persistent
     return PROMachine(
         args.procs, seed=args.seed, backend=backend,
@@ -308,8 +299,7 @@ def _cmd_matrix(args) -> int:
         sizes, targets, parallel=parallel,
         algorithm=args.algorithm if args.algorithm != "sequential" or parallel else None,
         # The API rejects the machine flags for the in-process path.
-        backend=args.backend, transport=args.transport,
-        persistent=args.persistent, schedule_seed=args.schedule_seed,
+        backend=args.backend, persistent=args.persistent, schedule_seed=args.schedule_seed,
         kernels=args.kernels, retry=_resolve_retry(args), telemetry=telemetry,
         seed=args.seed,
     )
@@ -373,7 +363,6 @@ def _cmd_scaling(args) -> int:
         procs = _parse_sizes(args.procs, "--procs")
         rows = measured_scaling_table(
             args.measure, proc_counts=procs, repeats=1, backend=args.backend,
-            transport=args.transport,
         )
         print(format_scaling_rows(
             rows, seconds_key="measured_seconds",

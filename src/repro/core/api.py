@@ -82,7 +82,7 @@ def sample_communication_matrix(
         Hypergeometric sampling method (``"auto"``, ``"hin"``, ``"hrua"``,
         ``"numpy"``).
     machine_options:
-        ``backend``, ``transport``, ``persistent``, ``schedule_seed``,
+        ``backend``, ``persistent``, ``schedule_seed``,
         ``retry`` and ``telemetry`` for the parallel path, forwarded with
         ``seed`` and ``kernels`` to
         :func:`~repro.pro.machine.resolve_machine`, which documents them.

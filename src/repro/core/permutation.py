@@ -321,7 +321,7 @@ def permute_distributed(
     sizes); the second element of the returned pair is the machine's
     :class:`~repro.pro.machine.RunResult`.  When the backend's ``empty``
     hook provides an output vector (thread, sim, inline, and process with
-    the ``sharedmem`` transport) the blocks are consecutive views of it.
+    shared memory) the blocks are consecutive views of it.
 
     Examples
     --------
@@ -352,9 +352,9 @@ def random_permutation(
     ``distribution``) and permuted by Algorithm 1 on a PRO machine.  This is
     the "just permute my array" entry point of the library.  The ranks
     assemble the result in place, each in its slice of one output vector
-    from the backend's ``empty`` hook -- on the process backend with the
-    ``sharedmem`` transport a shared segment, returned as is -- and only
-    where the hook declines (``pickle`` transport, object dtypes) are the
+    from the backend's ``empty`` hook -- on the process backend a shared
+    segment, returned as is -- and only where the hook declines (object
+    dtypes, a host without shared memory) are the
     permuted blocks glued back together here.  ``machine_options`` are
     forwarded to
     :func:`~repro.pro.machine.resolve_machine`, which documents them.

@@ -13,7 +13,7 @@ loads only what it uses: importing this package loads the registry and the
 thread and inline backends, and a thread or matrix caller never loads the
 process stack (``multiprocessing``, shared memory, the worker pool).  The
 package's other names (:class:`ProcessBackend`, :class:`SimBackend`, the
-transports, the pool and the fault classes) load their module on first
+transport, the pool and the fault classes) load their module on first
 access.  Third-party backends still register when their module is imported.
 
 Built-in backends:
@@ -44,13 +44,12 @@ delayed messages, barrier timeouts and mid-transfer aborts, and
 :func:`~repro.pro.backends.faults.shrink_schedule` minimises a failing sim
 interleaving to a short reproducer.
 
-The process backend additionally takes a *payload transport*
-(``transport="sharedmem" | "pickle"``, see
-:mod:`repro.pro.backends.transport`): the queue fabric carries only small
-control records while bulk NumPy payloads travel through shared-memory
-segments (zero-copy on the receive side; one segment per bulk message,
-and by reference for memory the parent allocated) or, with
-``"pickle"``, through the queue pipe as raw buffers.  With
+The process backend's queue fabric carries only small control records
+while bulk NumPy payloads travel through shared-memory segments
+(:class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`: zero-copy
+on the receive side, one segment per bulk message, and by reference for
+memory the parent allocated), or in-band in the record where segments
+cannot be created.  With
 ``persistent=True`` the backend runs on a standing
 :class:`~repro.pro.backends.pool.WorkerPool` of long-lived daemon ranks,
 amortising process spawn across runs (the module-level :func:`~repro.pro.backends.pool.pool`
@@ -61,7 +60,7 @@ from the process-wide default pool cache
 ``persistent=False`` forces the cold path.
 
 See :mod:`repro.pro.backends.registry` for the backend contract (fabric
-semantics, error-propagation rules, transport sub-contract) and for how to
+semantics, error-propagation rules, payload rules) and for how to
 register your own.
 """
 
@@ -87,9 +86,6 @@ from repro.pro.backends.inline import InlineBackend
 _LAZY = {
     "ProcessBackend": "process",
     "ProcessFabric": "process",
-    "PayloadTransport": "transport",
-    "PickleTransport": "transport",
-    "resolve_transport": "transport",
     "SharedMemoryTransport": "sharedmem",
     "WorkerPool": "pool",
     "SimBackend": "sim",
@@ -156,13 +152,10 @@ __all__ = [
     "InlineBackend",
     "ProcessBackend",
     "ProcessFabric",
-    "PayloadTransport",
-    "PickleTransport",
     "SharedMemoryTransport",
     "available_backends",
     "backend_capabilities",
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "resolve_transport",
 ]

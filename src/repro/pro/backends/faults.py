@@ -353,7 +353,7 @@ class FaultInjectingBackend(ExecutionBackend):
         A :class:`FaultPlan` or a sequence of fault records.
     **backend_options:
         Forwarded to the backend factory when ``backend`` is a name (e.g.
-        ``transport="pickle"`` or ``schedule_seed=7``).
+        ``start_method="spawn"`` or ``schedule_seed=7``).
 
     The wrapper leaves fabric construction to the inner backend (so the
     process backend keeps its real fabric, transports, pools) and only

@@ -14,7 +14,7 @@ standing pool makes the backend behave that way:
   back up it, so cost reports stay backend-independent;
 * the per-rank RNG streams are still built *in the parent* for every run
   (by the machine), so a fixed machine seed is bit-identical to a cold
-  run -- and to every other backend and transport.
+  run -- and to every other backend.
 
 The parent closes a rank's end of the pipe right after the spawn, so the
 rank is the pipe's only writer towards the parent: a rank that dies
@@ -50,13 +50,10 @@ lambdas.  An unserialisable program raises
 
 Bulk arguments are encoded through the payload transport's
 ``encode_shared`` once **per run**, into one record every rank decodes:
-the default ``sharedmem`` stages them in one by-reference segment that
-every rank attaches -- one memcpy total, unlinked by ``end_run`` once the
-run has returned -- and the in-band ``pickle`` encodes them once into
-the record itself.  A fork still inherits the arguments for free, so with the
-in-band ``pickle`` transport large-argument workloads can be slower
-than cold fork -- prefer ``sharedmem``, or keep huge constant state out
-of the per-run arguments.
+it stages them in one by-reference segment that every rank attaches --
+one memcpy total, unlinked by ``end_run`` once the run has returned --
+or, where segments cannot be created, encodes them once in-band into the
+record itself.
 
 Crash semantics and supervision
 -------------------------------
@@ -121,8 +118,7 @@ from multiprocessing.connection import wait as _wait
 from typing import Callable, Sequence
 
 from repro.pro.backends.process import ProcessFabric
-from repro.pro.backends.sharedmem import release_parked
-from repro.pro.backends.transport import resolve_transport
+from repro.pro.backends.sharedmem import release_parked, transport_or_default
 from repro.pro.communicator import Communicator
 from repro.pro.resilience import current_deadline
 from repro.pro.telemetry import capture_rank_telemetry, record_event
@@ -268,7 +264,10 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
     inherited through ``fork`` -- and exits after it.
 
     A failing epoch aborts the fabric (siblings fail fast) and reports the
-    failure.  A standing rank whose epoch ended in any ``Exception`` --
+    failure -- unless the rank's receive consumed a poison pill of the
+    epoch: that pill proves an abort already broke the barrier and pilled
+    every inbox, so a second one would only leave ``p`` more pills for
+    heal to drain.  A standing rank whose epoch ended in any ``Exception`` --
     raised by its program, or a
     :class:`~repro.util.errors.CommunicationError` that a sibling's
     failure caused -- reports ``_KEPT``, drops the epoch's views and
@@ -276,6 +275,8 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
     everything it uses.  A rank that raised a ``BaseException`` outside
     ``Exception`` reports ``_EXITS`` and *exits*, as does every rank of
     a one-epoch pool; heal() replaces the whole fleet after such an exit.
+    A standing rank that leaves on the sentinel or an end of file stops
+    waiting for its inbox feeders first (:func:`_leave`).
     """
     while True:
         task = epoch_task
@@ -283,19 +284,21 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
             try:
                 raw = pipe.recv_bytes()
             except EOFError:
-                return  # the pool's process is gone
+                raw = b""  # the pool's process is gone
             if not raw:
+                _leave(fabric)
                 return
             task = pickle.loads(raw)
         try:
             _run_epoch(rank, fabric, pipe, task, epoch_task is None)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
-            try:
-                # Siblings blocked in the barrier or in a receive fail fast
-                # and report through their own error paths.
-                fabric.abort()
-            except Exception:
-                pass
+            if fabric.pilled_epoch != task[0]:
+                try:
+                    # Siblings blocked in the barrier or in a receive fail
+                    # fast and report through their own error paths.
+                    fabric.abort()
+                except Exception:
+                    pass
             stays = epoch_task is None and isinstance(exc, Exception)
             try:
                 pipe.send((task[0], _KEPT if stays else _EXITS,
@@ -313,6 +316,28 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
             return
 
 
+def _leave(fabric: ProcessFabric) -> None:
+    """Let a rank's exit skip the join of its inbox feeders.
+
+    A ``multiprocessing`` process joins its queue feeder threads as it
+    exits.  A feeder holding a message -- an abort pill, say -- for an
+    inbox whose write lock a killed sibling left held never finishes, so
+    that join would run out the pool's shutdown grace and get the rank
+    terminated.  The feeders get a short bound to flush instead.  What
+    they could not write is not needed: no run is in flight when a rank
+    leaves on the shutdown sentinel or an end of file, heal replaces the
+    inboxes after any such stop, and ``close()`` disposes what is left in
+    them.
+    """
+    until = time.monotonic() + scale_timeout(0.05)
+    for inbox in fabric._inboxes:
+        feeder = inbox._thread
+        if feeder is not None:
+            inbox.close()
+            feeder.join(timeout=max(until - time.monotonic(), 0.0))
+        inbox.cancel_join_thread()
+
+
 class WorkerPool:
     """``p`` daemon ranks sharing one fabric: a standing fleet or one cold run.
 
@@ -326,8 +351,8 @@ class WorkerPool:
         The ``multiprocessing`` context to spawn workers from (the
         backend passes its configured start method's context).
     transport:
-        Payload transport instance shared by the fabric and the result
-        path (see :mod:`repro.pro.backends.transport`).
+        The :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`
+        shared by the fabric and the result path (default: a fresh one).
     shutdown_grace:
         Seconds :meth:`close` waits for workers to exit before
         terminating them.
@@ -883,7 +908,9 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     """The process-wide warm :class:`WorkerPool` for this configuration.
 
     Returns the cached standing fleet when one exists for the key
-    ``(n_procs, transport.cache_key(), timeout, start_method)``.  A
+    ``(n_procs, transport.cache_key(), timeout, start_method)``;
+    ``transport`` defaults to a fresh
+    :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`.  A
     *poisoned* cached fleet is first healed in place
     (:meth:`WorkerPool.heal`: ranks that reported their failure stay warm);
     when healing fails -- or the fleet is closed or inherited
@@ -907,7 +934,7 @@ def get_default_pool(n_procs: int, *, timeout: float = 60.0, mp_context=None,
     >>> from repro.pro.backends.pool import clear_default_pools
     >>> clear_default_pools()              # explicit teardown (atexit does too)
     """
-    transport = resolve_transport(transport)
+    transport = transport_or_default(transport)
     key = (int(n_procs), transport.cache_key(), float(timeout), start_method)
     evicted: list = []
     with _DEFAULT_POOLS_LOCK:
@@ -988,7 +1015,7 @@ atexit.register(clear_default_pools)
 
 
 @contextmanager
-def pool(n_procs: int, *, transport=None, **machine_options):
+def pool(n_procs: int, **machine_options):
     """Context manager: a persistent process machine, closed on exit.
 
     ::
@@ -999,8 +1026,8 @@ def pool(n_procs: int, *, transport=None, **machine_options):
             for _ in range(100):
                 machine.run(program)   # spawn paid once, not 100 times
 
-    ``transport`` selects the fleet's payload transport; every other
-    keyword argument is forwarded to :class:`~repro.pro.machine.PROMachine`
+    Every keyword argument is forwarded to
+    :class:`~repro.pro.machine.PROMachine`
     (e.g. ``seed=``, ``timeout=``, ``retry=`` to heal and replay transient
     failures, ``telemetry=`` for one
     :class:`~repro.pro.telemetry.FleetReport` per run, or
@@ -1009,13 +1036,8 @@ def pool(n_procs: int, *, transport=None, **machine_options):
     """
     from repro.pro.machine import PROMachine
 
-    backend_options = machine_options.pop("backend_options", {})
-    if transport is not None:
-        backend_options = {**backend_options, "transport": transport}
-    machine = PROMachine(
-        n_procs, backend="process", persistent=True,
-        backend_options=backend_options, **machine_options,
-    )
+    machine = PROMachine(n_procs, backend="process", persistent=True,
+                         **machine_options)
     try:
         yield machine
     finally:

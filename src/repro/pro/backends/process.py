@@ -15,17 +15,17 @@ Design points:
   streams *in the parent* (exactly as for the inline and thread backends)
   and ships each rank its own generator, so for a fixed machine seed the
   results are bit-identical across the inline, thread and process backends
-  -- and across payload transports, which never touch the streams.
-* **Pluggable payload transport.**  The queues carry only small control
-  records; how the payload bytes cross the address-space gap is decided by
-  a :class:`~repro.pro.backends.transport.PayloadTransport`:
-  ``transport="sharedmem"`` (default) ships bulk NumPy arrays through
-  ``multiprocessing.shared_memory`` segments with zero-copy views on the
-  receive side, ``transport="pickle"`` keeps everything in the queue pipe
-  as ``(dtype, shape, bytes)`` buffer records.  Results shipped back to
-  the caller use the same transport; with ``sharedmem`` a result lying in
-  a segment the caller allocated through :meth:`ProcessBackend.empty`
-  comes back by reference, uncopied.
+  -- and whichever way the payload bytes travel, which never touches the
+  streams.
+* **Shared-memory payloads.**  The queues carry only small control
+  records; the
+  :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport` ships bulk
+  NumPy arrays through ``multiprocessing.shared_memory`` segments with
+  zero-copy views on the receive side, and keeps small ones -- and every
+  one where segments cannot be created -- in-band.  Results shipped back
+  to the caller use the same transport: a result lying in a segment the
+  caller allocated through :meth:`ProcessBackend.empty` comes back by
+  reference, uncopied.
 * **One execution path.**  Every run executes on a
   :class:`~repro.pro.backends.pool.WorkerPool`, which owns the worker
   entry point, result collection, cost repatriation and shutdown (see
@@ -68,7 +68,11 @@ import time
 from typing import Callable, Sequence
 
 from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
-from repro.pro.backends.transport import PayloadTransport, resolve_transport
+from repro.pro.backends.sharedmem import (
+    SharedMemoryTransport,
+    ensure_resource_tracker,
+    transport_or_default,
+)
 from repro.util.errors import (
     BackendError,
     CommunicationError,
@@ -167,20 +171,15 @@ class ProcessFabric:
     """
 
     def __init__(self, n_procs: int, *, timeout: float = 60.0, mp_context=None,
-                 transport: str | PayloadTransport | None = None):
+                 transport: SharedMemoryTransport | None = None):
         if n_procs < 1:
             raise ValidationError(f"n_procs must be >= 1, got {n_procs}")
         self.n_procs = n_procs
         self.timeout = timeout
-        self.transport = resolve_transport(transport)
-        if self.transport.uses_shared_memory:
-            # The resource tracker must exist before the rank processes
-            # fork so that all of them share it (see
-            # ensure_resource_tracker); in-band transports never touch
-            # shared memory and skip the tracker daemon entirely.
-            from repro.pro.backends.sharedmem import ensure_resource_tracker
-
-            ensure_resource_tracker()
+        self.transport = transport_or_default(transport)
+        # The resource tracker must exist before the rank processes fork
+        # so that all of them share it (see ensure_resource_tracker).
+        ensure_resource_tracker()
         self._mp = mp_context if mp_context is not None else multiprocessing.get_context()
         self._inboxes = [self._mp.Queue() for _ in range(n_procs)]
         self._barrier = self._mp.Barrier(n_procs)
@@ -193,6 +192,9 @@ class ProcessFabric:
         #: parks under its own epoch until the worker clears stale state
         #: at the next dispatch (see ``_rank_main`` in the pool module).
         self.epoch = 0
+        #: The epoch whose poison pill a receive of this process consumed:
+        #: an abort of that epoch has pilled every inbox already.
+        self.pilled_epoch = None
 
     def put(self, src: int, dst: int, tag, payload) -> None:
         """Deposit a message; never blocks (queues are unbounded).
@@ -254,6 +256,7 @@ class ProcessFabric:
                 # outlived its epoch (deposited while this rank was idle)
                 # is stale and ignored.
                 if record == self.epoch:
+                    self.pilled_epoch = record
                     raise attach_wait_context(
                         CommunicationError(
                             f"rank {dst} abandoned a receive from rank {src}: "
@@ -299,11 +302,9 @@ class ProcessFabric:
                 pass
 
     def is_shared(self, array) -> bool:
-        """True when every rank maps ``array``'s memory (the transport decides).
-
-        With ``sharedmem``: only arrays in a by-reference segment the
-        ranks' parent created; with ``pickle``: nothing.
-        """
+        """True when every rank maps ``array``'s memory: only arrays in a
+        by-reference segment the ranks' parent created (the transport
+        decides)."""
         return self.transport.is_shared(array)
 
     def heal(self, *, replace: bool) -> None:
@@ -336,7 +337,8 @@ class ProcessFabric:
         # already; a kept rank's send still being flushed lands under the
         # poisoned epoch's tag, which quarantines it, and close() disposes
         # it if no rank reads it.  Hence no wait.
-        self._drain_inboxes(0.0, name="pro-fabric-heal-drain")
+        self._drain_inboxes(0.0, name="pro-fabric-heal-drain",
+                            ranks_stopped=replace)
         if replace:
             stale, self._inboxes = (self._inboxes,
                                     [self._mp.Queue() for _ in range(self.n_procs)])
@@ -370,16 +372,15 @@ class ProcessFabric:
         Reading records back can block indefinitely: a worker terminated
         mid-``put`` of a large in-band record leaves a *truncated* message
         whose body ``Queue.get`` waits on forever (its timeout only covers
-        the readiness poll, not the body read -- even the sharedmem
-        transport queues multi-KB in-band bodies for sub-``min_bytes``
-        arrays and when segment creation degrades to the inline codec).
-        Two defences: transports without shared memory hold nothing
-        out-of-band and are not drained at all, and the drain of the
-        others runs on a watchdog thread that is abandoned -- with
-        the stranded segments left to the resource tracker's exit-time
-        cleanup, which is what it is for -- rather than hanging the caller.
+        the readiness poll, not the body read -- the transport queues
+        multi-KB in-band bodies for sub-``min_bytes`` arrays and when
+        segment creation degrades to the inline codec).  So the drain runs
+        on a watchdog thread that is abandoned -- with the stranded
+        segments left to the resource tracker's exit-time cleanup, which
+        is what it is for -- rather than hanging the caller.
         """
-        self._drain_inboxes(drain_timeout, name="pro-fabric-drain")
+        self._drain_inboxes(drain_timeout, name="pro-fabric-drain",
+                            ranks_stopped=ranks_stopped)
         # Settle the by-reference segments of a run that never returned:
         # its staging copies go, and its outputs are never recycled.
         try:
@@ -389,11 +390,24 @@ class ProcessFabric:
         for inbox in self._inboxes:
             _retire(inbox, ranks_stopped=ranks_stopped)
 
-    def _drain_inboxes(self, drain_timeout: float, *, name: str) -> None:
-        """Dispose every undelivered record, on an abandonable thread."""
-        if self.transport.uses_shared_memory:
-            finishes_within(lambda: self._drain_and_dispose(drain_timeout),
-                            scale_timeout(2.0) + drain_timeout, name=name)
+    def _drain_inboxes(self, drain_timeout: float, *, name: str,
+                       ranks_stopped: bool) -> None:
+        """Dispose every undelivered record, on an abandonable thread.
+
+        Once every rank has stopped, only the parent's own pills -- each
+        written whole -- can still arrive, so a record that cannot be read
+        at once was torn by a rank killed mid-write.  The read ends then
+        turn non-blocking (the inboxes are being retired), and reading a
+        torn record fails at once instead of waiting out the watchdog.
+        """
+        if ranks_stopped:
+            for inbox in self._inboxes:
+                try:
+                    os.set_blocking(inbox._reader.fileno(), False)
+                except OSError:  # pragma: no cover - platforms without it
+                    pass
+        finishes_within(lambda: self._drain_and_dispose(drain_timeout),
+                        scale_timeout(2.0) + drain_timeout, name=name)
 
     def _drain_and_dispose(self, drain_timeout: float) -> None:
         """Body of the inbox drain (see :meth:`shutdown` for ``drain_timeout``)."""
@@ -435,11 +449,8 @@ class ProcessBackend(ExecutionBackend):
         Seconds to wait for worker processes to exit after the run has
         finished (or failed) before terminating them.
     transport:
-        Payload transport name or instance: ``"sharedmem"`` (default;
-        zero-copy shared-memory segments for bulk arrays, transparent
-        fallback to the pickle codec where shared memory is unavailable)
-        or ``"pickle"`` (everything through the queue pipe).  Results are
-        bit-identical across transports for a fixed machine seed.
+        A :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`
+        (default: a fresh one), to choose its ``min_bytes``.
     persistent:
         When False (default), every run is a cold pool that lives for one
         epoch: its ranks are spawned for the run, get program and
@@ -460,7 +471,7 @@ class ProcessBackend(ExecutionBackend):
         this backend instance, released by :meth:`close`.  ``"process"``:
         the **process-wide default pool cache**
         (:func:`repro.pro.backends.pool.get_default_pool`) -- warm fleets
-        keyed by ``(p, transport, timeout, start method)`` are shared by
+        keyed by ``(p, min_bytes, timeout, start method)`` are shared by
         every backend instance that asks, survive :meth:`close`, and are
         torn down by :func:`repro.pro.backends.pool.clear_default_pools`
         or at interpreter exit.  This is what makes repeated driver calls
@@ -474,7 +485,7 @@ class ProcessBackend(ExecutionBackend):
     )
 
     def __init__(self, *, start_method: str | None = None, shutdown_grace: float = 5.0,
-                 transport: str | PayloadTransport | None = "sharedmem",
+                 transport: SharedMemoryTransport | None = None,
                  persistent: bool = False, pool_scope: str = "backend"):
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -490,7 +501,7 @@ class ProcessBackend(ExecutionBackend):
             )
         self.start_method = start_method
         self.shutdown_grace = float(shutdown_grace)
-        self.transport = resolve_transport(transport)
+        self.transport = transport_or_default(transport)
         self.persistent = bool(persistent)
         self.pool_scope = pool_scope
         self._mp = multiprocessing.get_context(start_method)
@@ -566,9 +577,9 @@ class ProcessBackend(ExecutionBackend):
     def empty(self, shape, dtype):
         """An array the ranks can fill in place, or ``None`` (see the registry).
 
-        Delegates to the transport: ``sharedmem`` allocates it in a
-        shared segment whose arrays cross by reference, ``pickle``
-        declines, and the caller then keeps the copying path.
+        Delegates to the transport, which allocates it in a shared segment
+        whose arrays cross by reference, or declines (object dtypes, no
+        shared memory) and leaves the caller on the copying path.
         """
         return self.transport.empty(shape, dtype)
 

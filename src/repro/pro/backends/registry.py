@@ -32,23 +32,25 @@ nothing across runs:
     is the rank-side sharing predicate: True only when every rank of the
     run sees a rank's writes to ``array`` (in-process and sim fabrics:
     always; the process fabric: arrays in a by-reference segment of the
-    ranks' parent, per its transport).  Algorithm 1 writes its exchange
+    ranks' parent).  Algorithm 1 writes its exchange
     pieces straight into the receivers' output slices when it holds for
     all of them.
 ``empty(shape, dtype)``
     Allocate an array the ranks can fill in place when it is passed to
     them as an argument, or return ``None`` when they cannot.  Default:
     ``np.empty`` (the ranks share the caller's memory); the process
-    backend asks its transport, whose ``sharedmem`` segment arrays cross
-    by reference and whose ``pickle`` declines.  Algorithm 1's drivers
+    backend asks its transport for a shared segment whose arrays cross
+    by reference.  Algorithm 1's drivers
     allocate their output vector here and keep it only if every rank's
     result occupies exactly the slice it was handed.
 ``persistent``
     True when the backend keeps a standing worker fleet across runs
     (default ``False``; see the persistence sub-contract).
 ``transport``
-    The :class:`~repro.pro.backends.transport.PayloadTransport` of an
-    out-of-address-space backend, read by telemetry; default ``None``.
+    The payload transport of an out-of-address-space backend (the
+    process backend's
+    :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`), read
+    by telemetry for its ``name`` and ``stats``; default ``None``.
 ``close()``
     Release what the backend holds across runs; idempotent.  Default: a
     no-op.
@@ -76,24 +78,22 @@ CostRecorder` state and random-variate counts back to the caller and fold
 them into the contexts before ``run`` returns, so that cost reports stay
 backend-independent.
 
-Transport sub-contract (out-of-address-space backends)
-------------------------------------------------------
-How payload bytes cross the address-space gap is itself pluggable: such a
-backend should accept a ``transport=`` option (``"sharedmem"``,
-``"pickle"`` or a :class:`~repro.pro.backends.transport.PayloadTransport`
-instance, resolved through
-:func:`~repro.pro.backends.transport.resolve_transport`) and honour three
-rules:
+Payload rules (out-of-address-space backends)
+--------------------------------------------
+How payload bytes cross the address-space gap is the backend's own
+business; the process backend uses one transport,
+:class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`, with the
+in-band codec of :mod:`repro.pro.backends.transport` as its degrade
+path.  Whatever a backend does must honour three rules:
 
-* the queue/control channel carries only small records -- bulk array bytes
-  go through the transport (``"sharedmem"`` ships them through
-  ``multiprocessing.shared_memory`` segments with zero-copy receive views,
-  ``"pickle"`` keeps the historic in-band buffer codec);
-* transports never touch the random streams, so a fixed machine seed stays
-  bit-identical across transports as well as across backends;
+* the queue/control channel carries only small records -- bulk array
+  bytes travel out of band (shared-memory segments with zero-copy
+  receive views) wherever the platform allows;
+* moving bytes never touches the random streams, so a fixed machine seed
+  stays bit-identical across backends;
 * every record that is *not* decoded (abort, timeout, crash) must be
-  handed to ``transport.dispose`` during fabric shutdown so out-of-band
-  resources are released (see ``ProcessFabric.shutdown``).
+  released during fabric shutdown so out-of-band resources do not leak
+  (see ``ProcessFabric.shutdown``).
 
 Persistence sub-contract (standing worker fleets)
 -------------------------------------------------
@@ -122,7 +122,8 @@ private ones -- this is what makes the drivers' repeated
 ``backend="process"`` calls warm by default.  Shared fleets survive the
 backend's ``close()`` (the cache owns them: poison-on-failure eviction,
 LRU cap, ``clear_default_pools()`` plus an ``atexit`` hook), and the
-transport's ``cache_key()`` decides which configurations may share one.
+transport's ``cache_key()`` (its ``min_bytes``) decides which
+configurations may share one.
 
 Resilience sub-contract (retry, deadlines, self-healing)
 --------------------------------------------------------
@@ -174,7 +175,7 @@ to preserve two properties that make it backend-invariant:
 * tiers draw raw words from the rank's own bit generator (see
   :mod:`repro.core.kernels.wordstream`), so a backend that ships per-rank
   streams correctly gets tier bit-exactness for free: a fixed seed is
-  identical across every backend x transport x persistence x tier cell;
+  identical across every backend x persistence x tier cell;
 * each rank notes the tier it actually ran (and its one-time JIT warm-up
   cost) on its :class:`~repro.pro.cost.CostRecorder`
   (``note_kernel_tier``), so backends that repatriate recorder state --
@@ -364,7 +365,7 @@ _BUILTINS: dict[str, tuple[str, str, str]] = {
                "one Python thread per rank sharing the caller's address space"),
     "process": ("repro.pro.backends.process", "ProcessBackend",
                 "one OS process per rank; true parallelism, queue fabric with "
-                "pluggable payload transport (sharedmem default, pickle)"),
+                "shared-memory payloads"),
     "sim": ("repro.pro.backends.sim", "SimBackend",
             "all ranks stepped cooperatively under a seedable, "
             "replayable deterministic schedule (single execution baton)"),
@@ -457,7 +458,7 @@ def resolve_backend(backend: str | ExecutionBackend, **options) -> ExecutionBack
 
     This is what :class:`~repro.pro.machine.PROMachine` calls: strings go
     through the registry (with ``options`` forwarded to the factory, e.g.
-    ``transport="sharedmem"`` for the process backend), and
+    ``start_method="spawn"`` for the process backend), and
     :class:`ExecutionBackend` instances are accepted as-is.  Any other
     object -- given, or built by a registered factory -- and options that
     a backend's factory does not understand are rejected with a
@@ -476,7 +477,7 @@ def resolve_backend(backend: str | ExecutionBackend, **options) -> ExecutionBack
             ) from None
     elif options:
         raise ValidationError(
-            "backend options (e.g. transport=) only apply when the backend is "
+            "backend options (e.g. start_method=) only apply when the backend is "
             "given by name; configure a backend instance directly instead"
         )
     if not isinstance(backend, ExecutionBackend):

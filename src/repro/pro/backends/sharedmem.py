@@ -1,11 +1,11 @@
-"""Zero-copy shared-memory payload transport for the process backend.
+"""The process backend's payload transport: shared-memory segments.
 
 The queue fabric of :class:`~repro.pro.backends.process.ProcessFabric`
-keeps carrying small control records, but with this transport the *bytes*
-of every bulk NumPy payload travel through a
-``multiprocessing.shared_memory`` segment instead of the queue pipe.
-Arrays smaller than ``min_bytes`` and non-array values stay inline in the
-record via the pickle codec.  Bytes move under two rules:
+carries small control records; with this transport the *bytes* of every
+bulk NumPy payload travel through a ``multiprocessing.shared_memory``
+segment instead of the queue pipe.  Arrays smaller than ``min_bytes`` and
+non-array values stay inline in the record (the in-band codec of
+:mod:`repro.pro.backends.transport`).  Bytes move under two rules:
 
 * **Fabric messages** (``encode``): all bulk arrays of one message are
   copied once into a fresh segment of their own (at 64-byte aligned
@@ -14,7 +14,8 @@ record via the pickle codec.  Bytes move under two rules:
   it, immediately *unlinks* its name (POSIX keeps the memory alive while
   mapped) and returns **zero-copy writable views**, each watched by a
   :class:`weakref.finalize` that closes the mapping after the last one
-  dies.
+  dies.  A rank that sends a view into a by-reference segment sends a
+  copy.
 * **Memory the parent allocated** crosses by reference.  ``empty`` puts
   an array in a segment of the parent's own; arrays inside it cross in
   dispatched arguments and in returned results as ``(segment, offset,
@@ -22,7 +23,10 @@ record via the pickle codec.  Bytes move under two rules:
   parent's memory and the parent gets its own array's slices back.  A
   run's other bulk arguments (``encode_shared``) are copied once into a
   *staging* segment of the same kind, so every rank -- and every attempt
-  of a retried run -- attaches the one copy.
+  of a retried run -- attaches the one copy.  Algorithm 1 writes its
+  exchange pieces straight into an output vector from ``empty`` (its
+  ranks see ``is_shared`` hold for every slice), so a single-attempt
+  driver call encodes no bulk byte.
 
 The parent names its by-reference segments ``psm_<pid hex>_<counter
 hex>``; a name is never reused while the parent lives, so a mapping kept
@@ -70,8 +74,10 @@ as it does a segment abandoned by a hard-crashed run (which is exactly
 what the tracker is for).
 
 When shared memory is unavailable (no ``/dev/shm``, permissions, exotic
-platforms) the transport degrades transparently to the pickle codec; the
-probe runs once per process and is re-run after a ``fork``.
+platforms) the transport degrades transparently to the in-band codec,
+and ``empty`` declines; the probe runs once per process and is re-run
+after a ``fork``.  When creating a segment fails later (``/dev/shm``
+full), that payload goes in-band and ``oversize_fallbacks`` counts it.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ from repro.pro.backends.transport import (
     SHMREF,
     SHMSEG,
     SHMVIEW,
-    PayloadTransport,
+    TransportStats,
     walk_decode,
     walk_encode,
 )
@@ -100,7 +106,7 @@ try:  # pragma: no cover - the stdlib module exists on all supported platforms
 except ImportError:  # pragma: no cover
     _shm_module = None
 
-__all__ = ["SharedMemoryTransport", "shared_memory_available"]
+__all__ = ["SharedMemoryTransport", "shared_memory_available", "transport_or_default"]
 
 #: Byte alignment of array slots inside a segment (cache-line sized).
 _ALIGN = 64
@@ -434,8 +440,14 @@ def _unlink_by_name(name: str) -> None:
     seg.close()
 
 
-class SharedMemoryTransport(PayloadTransport):
+class SharedMemoryTransport:
     """Ship bulk array payloads through shared-memory segments.
+
+    The fabric calls ``encode``/``decode`` for every message and a rank's
+    result, ``encode_shared`` for a run's dispatched arguments, and
+    ``dispose`` for every record it drops undecoded (shutdown, abort,
+    heal); the worker pool calls ``end_run`` after each run that
+    returned.  ``stats`` counts the traffic.
 
     Parameters
     ----------
@@ -443,15 +455,15 @@ class SharedMemoryTransport(PayloadTransport):
         Arrays smaller than this stay inline in the queue record (the
         per-segment syscalls only pay off for bulk payloads).  The default
         of 8 KiB keeps control traffic on the fast path while every block
-        of a realistically sized permutation goes zero-copy.
+        of a realistically sized permutation goes zero-copy.  Tests and
+        benchmarks set it: 16 sends nearly every array through segments,
+        a value above a payload's size keeps that payload in-band.
     """
 
     name = "sharedmem"
-    #: Tells the fabric to start the shared resource tracker pre-fork.
-    uses_shared_memory = True
 
     def __init__(self, *, min_bytes: int = 8192):
-        super().__init__()
+        self.stats = TransportStats()
         self.min_bytes = int(min_bytes)
         if self.min_bytes < 1:
             raise ValidationError(
@@ -468,6 +480,7 @@ class SharedMemoryTransport(PayloadTransport):
         self._staged: list = []
 
     def cache_key(self) -> tuple:
+        """Equal keys mean interchangeable transports (the pool cache key)."""
         return ("sharedmem", self.min_bytes)
 
     # -- encoding -----------------------------------------------------------
@@ -618,7 +631,7 @@ class SharedMemoryTransport(PayloadTransport):
     def _in_band(self, payload):
         """The inline record of ``payload``: segment creation failed."""
         self.stats.oversize_fallbacks += 1
-        return walk_encode(payload, lambda arr: None)
+        return walk_encode(payload)
 
     def encode(self, payload, *, by_reference: bool = False):
         """Encode one message; ``by_reference`` marks a rank's returned result.
@@ -630,7 +643,7 @@ class SharedMemoryTransport(PayloadTransport):
         """
         self.stats.encode_calls += 1
         if not shared_memory_available():
-            return walk_encode(payload, lambda arr: None)
+            return walk_encode(payload)
 
         slabs, offsets, cursor, inner = self._pack(
             payload, "result" if by_reference else None)
@@ -662,7 +675,7 @@ class SharedMemoryTransport(PayloadTransport):
         self._settle(returned=False)
         self.stats.shared_encode_calls += 1
         if not shared_memory_available():
-            return walk_encode(payload, lambda arr: None)
+            return walk_encode(payload)
         slabs, _offsets, cursor, inner = self._pack(payload, "dispatch")
         if not slabs:
             return inner
@@ -713,3 +726,19 @@ class SharedMemoryTransport(PayloadTransport):
         if isinstance(record, tuple) and record and record[0] == SHMSEG:
             _unlink_by_name(record[1])
 
+
+
+def transport_or_default(transport) -> SharedMemoryTransport:
+    """``transport``, or a fresh :class:`SharedMemoryTransport` for ``None``.
+
+    The process backend, its worker pool and its fabric take nothing
+    else: the keyword exists to choose ``min_bytes``.
+    """
+    if transport is None:
+        return SharedMemoryTransport()
+    if not isinstance(transport, SharedMemoryTransport):
+        raise ValidationError(
+            "transport must be a SharedMemoryTransport instance, got "
+            f"{type(transport).__name__}"
+        )
+    return transport

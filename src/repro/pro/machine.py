@@ -116,7 +116,7 @@ class PROMachine:
     backend_options:
         Extra keyword arguments forwarded to the backend factory when
         ``backend`` is a name, e.g.
-        ``backend="process", backend_options={"transport": "sharedmem"}``.
+        ``backend="process", backend_options={"start_method": "spawn"}``.
         Rejected (``ValidationError``) when ``backend`` is an instance or
         when the factory does not understand an option.
     topology:
@@ -374,7 +374,6 @@ def resolve_machine(
     machine: PROMachine | None = None,
     backend: str | object | None = None,
     seed=None,
-    transport: str | object | None = None,
     persistent: bool | None = None,
     schedule_seed: int | None = None,
     kernels: str | None = None,
@@ -401,9 +400,6 @@ def resolve_machine(
         Seed of the per-rank streams.  A fixed seed is bit-identical across
         every combination of the other options, retried, degraded and
         telemetry-collected runs included.
-    ``transport``
-        Payload transport of the process backend (``"sharedmem"`` or
-        ``"pickle"``); rejected for backends without the option.
     ``persistent``
         Tri-state standing-fleet control of the process backend.  The
         default (``None``) already runs **warm**: the machine borrows a keyed
@@ -445,9 +441,9 @@ def resolve_machine(
     """
     if machine is not None:
         given = [name for name, value in (
-            ("backend", backend), ("seed", seed), ("transport", transport),
-            ("persistent", persistent), ("schedule_seed", schedule_seed),
-            ("kernels", kernels), ("retry", retry), ("telemetry", telemetry),
+            ("backend", backend), ("seed", seed), ("persistent", persistent),
+            ("schedule_seed", schedule_seed), ("kernels", kernels),
+            ("retry", retry), ("telemetry", telemetry),
         ) if value is not None]
         if given:
             raise ValidationError(
@@ -456,8 +452,6 @@ def resolve_machine(
             )
         return machine
     options = {}
-    if transport is not None:
-        options["transport"] = transport
     if schedule_seed is not None:
         options["schedule_seed"] = schedule_seed
     name = "thread" if backend is None else backend

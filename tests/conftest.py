@@ -9,6 +9,8 @@ either passes always or fails always for a given code version).
 import numpy as np
 import pytest
 
+from repro.pro.backends import sharedmem
+from repro.pro.backends.pool import clear_default_pools
 from repro.pro.machine import PROMachine
 
 
@@ -40,3 +42,28 @@ def machine4():
 def machine5():
     """A 5-processor PRO machine (odd, non power of two) with a fixed seed."""
     return PROMachine(5, seed=404)
+
+
+@pytest.fixture
+def no_shared_memory(monkeypatch):
+    """A host without ``/dev/shm``: the process backend's degrade path.
+
+    Segment creation is unavailable in this process and in every process
+    it forks afterwards, so the transport sends every array in-band and
+    ``empty`` declines.  Warm default fleets are closed on both sides, so
+    none forked with shared memory serves the test and none forked
+    without it outlives it.
+    """
+    clear_default_pools()
+    monkeypatch.setattr(sharedmem, "_shm_module", None)
+    monkeypatch.setattr(sharedmem, "_PROBE", (None, False))
+    yield
+    clear_default_pools()
+
+
+@pytest.fixture(params=["sharedmem", "degrade"])
+def payload_path(request):
+    """Each way the process backend's payloads cross: segments, or in-band."""
+    if request.param == "degrade":
+        request.getfixturevalue("no_shared_memory")
+    return request.param

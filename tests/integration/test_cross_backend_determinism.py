@@ -4,8 +4,9 @@ The per-rank random streams are derived in the parent machine and shipped to
 wherever the rank executes, so the inline, thread, process and sim backends
 must produce exactly the same matrices and permutations for a fixed seed.
 These tests pin that contract (it is what makes each backend a drop-in
-replacement rather than a different sampler) across every payload transport
-(``pickle`` / ``sharedmem``), both persistence modes of the process backend
+replacement rather than a different sampler) across both ways payload bytes
+cross (shared-memory segments, and the in-band degrade path of hosts
+without shared memory), both persistence modes of the process backend
 (cold one-epoch pool vs the standing worker pool), and the sim backend's
 schedule seeds (interleavings must never change results; the exhaustive
 schedule sweep lives in ``tests/simulation/``).
@@ -23,7 +24,9 @@ import pytest
 from repro.core.api import sample_communication_matrix
 from repro.core.parallel_matrix import sample_matrix_parallel
 from repro.core.permutation import random_permutation
+from repro.pro.backends.process import ProcessBackend
 from repro.pro.machine import PROMachine
+from repro.pro.telemetry import Telemetry
 from repro.util.errors import ValidationError
 
 ALGORITHMS = ["alg5", "alg6", "root"]
@@ -116,52 +119,51 @@ class TestMatrixDeterminism:
             )
 
 
-class TestTransportDeterminism:
-    """pickle vs sharedmem payload transport: bit-identical for a fixed seed.
+class TestDegradePath:
+    """Hosts without shared memory: every payload in-band, bit-identical.
 
-    The transports only move bytes; they never touch the per-rank random
-    streams, so every (backend, transport) combination must agree exactly.
+    With segment creation unavailable in every process of the run -- the
+    module is gone before the ranks fork -- the transport sends every
+    array inside its record and ``empty`` declines, so Algorithm 1 sends
+    its pieces instead of writing them into a shared output vector.  The
+    random streams never see the difference.
     """
 
-    TRANSPORTS = ["pickle", "sharedmem"]
+    @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
+                             ids=lambda v: "persistent" if v else "cold")
+    @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
+    def test_permutation_identical_to_thread(self, no_shared_memory,
+                                             matrix_algorithm, persistent):
+        data = np.arange(40_000, dtype=np.int64)  # 80 KB pieces: bulk
+        reference = random_permutation(data, n_procs=4, backend="thread",
+                                       matrix_algorithm=matrix_algorithm, seed=77)
+        backend = ProcessBackend(persistent=persistent)
+        assert backend.empty(4, np.int64) is None
+        telemetry = Telemetry()
+        machine = PROMachine(4, seed=77, backend=backend, telemetry=telemetry)
+        try:
+            out = random_permutation(data, machine=machine,
+                                     matrix_algorithm=matrix_algorithm)
+        finally:
+            machine.close()
+        assert np.array_equal(reference, out)
+        report = telemetry.last.to_dict()
+        assert report["parent_transport"]["segments_created"] == 0
+        for rank in report["ranks"]:
+            assert rank["transport"]["encode_calls"] > 0
+            assert rank["transport"]["segments_created"] == 0
 
-    def test_matrix_identical_across_transports(self):
+    @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
+                             ids=lambda v: "persistent" if v else "cold")
+    def test_matrix_identical_to_thread(self, no_shared_memory, persistent):
         row_sums = np.arange(1, 5) * 7
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=404)
-        for transport in self.TRANSPORTS:
-            matrix, _ = sample_matrix_parallel(
-                row_sums, backend="process", transport=transport, seed=404
-            )
-            assert np.array_equal(reference, matrix), transport
-
-    @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
-    def test_permutation_identical_across_transports(self, matrix_algorithm):
-        data = np.arange(4000, dtype=np.int64)
-        outputs = [
-            random_permutation(data, n_procs=4, backend="thread",
-                               matrix_algorithm=matrix_algorithm, seed=77)
-        ]
-        outputs += [
-            random_permutation(data, n_procs=4, backend="process",
-                               transport=transport,
-                               matrix_algorithm=matrix_algorithm, seed=77)
-            for transport in self.TRANSPORTS
-        ]
-        for out in outputs[1:]:
-            assert np.array_equal(outputs[0], out)
-        assert sorted(outputs[0].tolist()) == list(range(4000))
-
-    def test_transport_rejected_for_thread_backend(self):
-        with pytest.raises(ValidationError, match="does not accept"):
-            sample_matrix_parallel([4, 4], backend="thread", transport="sharedmem")
-
-    def test_api_level_transport_parity(self):
-        matrices = [
-            sample_communication_matrix([9, 9, 9], parallel=True, backend="process",
-                                        transport=transport, seed=55)
-            for transport in self.TRANSPORTS
-        ]
-        assert np.array_equal(matrices[0], matrices[1])
+        machine = PROMachine(4, seed=404, backend=ProcessBackend(persistent=persistent))
+        try:
+            matrix, _ = sample_matrix_parallel(row_sums, machine=machine)
+        finally:
+            machine.close()
+        assert np.array_equal(reference, matrix)
 
 
 class TestPersistentDeterminism:
@@ -170,46 +172,38 @@ class TestPersistentDeterminism:
     Persistence only changes where the ranks live and how runs reach them
     (rank pipes vs fork-per-run); the per-rank streams are still built
     in the parent for every run, so every {inline, thread, process} x
-    {pickle, sharedmem} x {persistent, cold} combination must agree.
+    {persistent, cold} combination must agree.
     """
-
-    TRANSPORTS = ["pickle", "sharedmem"]
 
     @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
                              ids=lambda v: "persistent" if v else "cold")
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_matrix_identical_across_persistence(self, transport, persistent):
+    def test_matrix_identical_across_persistence(self, persistent):
         row_sums = np.arange(1, 5) * 6
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=321)
         matrix, _ = sample_matrix_parallel(
-            row_sums, backend="process", transport=transport,
-            persistent=persistent, seed=321,
+            row_sums, backend="process", persistent=persistent, seed=321,
         )
-        assert np.array_equal(reference, matrix), (transport, persistent)
+        assert np.array_equal(reference, matrix), persistent
 
     @pytest.mark.parametrize("persistent", PERSISTENT_MODES)
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
     def test_permutation_identical_across_persistence(self, matrix_algorithm,
-                                                      transport, persistent):
+                                                      persistent):
         data = np.arange(3000, dtype=np.int64)
         reference = random_permutation(data, n_procs=4, backend="thread",
                                        matrix_algorithm=matrix_algorithm, seed=88)
         out = random_permutation(data, n_procs=4, backend="process",
-                                 transport=transport, persistent=persistent,
+                                 persistent=persistent,
                                  matrix_algorithm=matrix_algorithm, seed=88)
-        assert np.array_equal(reference, out), (transport, persistent)
+        assert np.array_equal(reference, out), persistent
         assert sorted(out.tolist()) == list(range(3000))
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_run_sequences_agree_between_modes(self, transport):
-        """k runs on one standing pool == k cold runs, same seed."""
+    def test_run_sequences_agree_between_modes(self, payload_path):
+        """k runs on one standing pool == k cold runs, same seed, either path."""
         if True not in PERSISTENT_MODES:
             pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
-        options = {"transport": transport}
-        persistent = PROMachine(3, seed=17, backend="process",
-                                backend_options=options, persistent=True)
-        cold = PROMachine(3, seed=17, backend="process", backend_options=options)
+        persistent = PROMachine(3, seed=17, backend="process", persistent=True)
+        cold = PROMachine(3, seed=17, backend="process")
         try:
             for iteration in range(3):
                 a = random_permutation(np.arange(900), machine=persistent)
@@ -359,13 +353,10 @@ class TestWarmDriverDeterminism:
     pool cache (``persistent=None`` means warm); ``persistent=False``
     forces the historic cold spawn.  Warmth changes where the ranks live,
     never what they draw, so a k-call sequence of warm driver calls must
-    equal the same k cold calls seed by seed -- across both transports.
+    equal the same k cold calls seed by seed.
     """
 
-    TRANSPORTS = ["pickle", "sharedmem"]
-
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_k_driver_calls_warm_equals_cold(self, transport):
+    def test_k_driver_calls_warm_equals_cold(self, payload_path):
         if True not in PERSISTENT_MODES:
             pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
         from repro.pro.backends.pool import clear_default_pools, default_pools
@@ -374,13 +365,11 @@ class TestWarmDriverDeterminism:
         try:
             for k, seed in enumerate((301, 302, 303)):
                 warm = random_permutation(np.arange(2500), n_procs=4,
-                                          backend="process",
-                                          transport=transport, seed=seed)
+                                          backend="process", seed=seed)
                 cold = random_permutation(np.arange(2500), n_procs=4,
-                                          backend="process",
-                                          transport=transport, seed=seed,
+                                          backend="process", seed=seed,
                                           persistent=False)
-                assert np.array_equal(warm, cold), (transport, k)
+                assert np.array_equal(warm, cold), k
             assert len(default_pools()) == 1  # all warm calls shared one fleet
         finally:
             clear_default_pools()

@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.permutation import random_permutation
 from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
-from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 from repro.pro.resilience import RetryPolicy, committed_chaos_plans
 from repro.pro.telemetry import event_seq, events_since
@@ -43,15 +42,6 @@ SEED = 1729
 P = 4  # the canonical rank count the committed chaos plans address
 
 PLANS = committed_chaos_plans()
-
-#: (transport, persistent) cells of the process backend.
-PROCESS_CELLS = [
-    ("sharedmem", False),
-    ("pickle", False),
-    ("sharedmem", True),
-    ("pickle", True),
-]
-
 
 # Module-level programs: the process cells pickle them into the rank pipes.
 def _chaos_program(ctx):
@@ -74,6 +64,16 @@ def _independent_rank_program(ctx):
     # cross-rank dependency: siblings of a crashed rank still succeed.
     ctx.comm.send(ctx.rank, ctx.rank, tag="self")
     return ctx.comm.recv(ctx.rank, tag="self"), os.getpid()
+
+
+def _siblings_receive_from_rank0(ctx):
+    # Every sibling parks in a receive from rank 0, whose first send
+    # CrashRank(rank=0, at_op=0) turns into a raise.
+    if ctx.rank == 0:
+        for dst in range(1, ctx.comm.size):
+            ctx.comm.send(float(ctx.rng.random()), dst, tag="x")
+        return None
+    return ctx.comm.recv(0, tag="x"), float(ctx.rng.random())
 
 
 def _raise_original_sin(ctx):
@@ -123,10 +123,9 @@ def _faulty_machine(backend, faults, *, retry, timeout, **backend_options):
     return machine, wrapper
 
 
-def _clean_reference(backend, *, runs=1, **backend_options):
+def _clean_reference(backend, *, runs=1):
     """The fault-free results the recovered run must reproduce exactly."""
     machine = PROMachine(P, seed=SEED, backend=backend,
-                         backend_options=backend_options or None,
                          timeout=scale_timeout(20))
     try:
         results = [machine.run(_chaos_program).results for _ in range(runs)]
@@ -149,17 +148,17 @@ class TestChaosPlanMatrix:
         assert recovered.cost_report.retries == 1
         assert recovered.results == _clean_reference(backend)[0]
 
-    @pytest.mark.parametrize("transport,persistent", PROCESS_CELLS)
-    def test_process_cells_recover_from_crash(self, transport, persistent):
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_process_cells_recover_from_crash(self, persistent, payload_path):
         machine, wrapper = _faulty_machine(
             "process", PLANS["crash-rank1-mid"], retry=2,
-            timeout=scale_timeout(8), transport=transport, persistent=persistent)
+            timeout=scale_timeout(8), persistent=persistent)
         try:
             recovered = machine.run(_chaos_program)
             again = machine.run(_chaos_program)  # the healed fleet keeps serving
         finally:
             machine.close()
-        reference = _clean_reference("process", runs=2, transport=transport)
+        reference = _clean_reference("process", runs=2)
         assert wrapper.runs_started == 3  # fault, replay, second run
         assert recovered.cost_report.retries == 1
         assert recovered.cost_report.recovery_seconds > 0.0
@@ -171,7 +170,7 @@ class TestChaosPlanMatrix:
     def test_persistent_fleet_recovers_every_committed_plan(self, plan):
         machine, wrapper = _faulty_machine(
             "process", PLANS[plan], retry=2, timeout=scale_timeout(4),
-            transport="sharedmem", persistent=True)
+            persistent=True)
         try:
             recovered = machine.run(_chaos_program)
         finally:
@@ -238,6 +237,33 @@ class TestSupervisionMechanics:
         assert after == before
         assert np.array_equal(out, expected)
 
+    def test_only_the_failing_rank_pills_the_inboxes(self, monkeypatch):
+        # Rank 0 raises and aborts: one pill per inbox.  Its three siblings
+        # each consume theirs in a receive and fail too, but the pill
+        # proves the abort happened, so they do not abort again (that left
+        # 17-18 records at p=4 for heal to drain).  Only rank 0's own pill
+        # is left, and the replay on the kept fleet stays bit-identical.
+        machine, _wrapper = _faulty_machine(
+            "process", [CrashRank(rank=0, at_op=0, at_run=1)], retry=None,
+            timeout=scale_timeout(8), persistent=True)
+        reference = PROMachine(P, seed=SEED, backend="thread")
+        try:
+            machine.run(_rank_pid_program)  # run 0
+            pool = machine.backend.backend._pools[P]
+            with pytest.raises(TransientBackendError, match="rank 0"):
+                machine.run(_siblings_receive_from_rank0)  # run 1 raises
+            drained = []
+            monkeypatch.setattr(pool.fabric.transport, "dispose", drained.append)
+            assert pool.heal()
+            monkeypatch.undo()
+            replay = machine.run(_siblings_receive_from_rank0).results  # run 2
+        finally:
+            machine.close()
+        assert len(drained) <= 1, drained
+        reference.run(_rank_pid_program)
+        reference.run(_rank_pid_program)
+        assert replay == reference.run(_siblings_receive_from_rank0).results
+
     def test_heal_after_every_rank_reported_does_not_wait(self):
         # Every rank reported (the crashed one raised), so the epoch is
         # fully accounted for and heal() has nothing to wait for.
@@ -268,8 +294,7 @@ class TestSupervisionMechanics:
         policy = RetryPolicy(max_attempts=1, deadline=scale_timeout(0.5))
         machine = PROMachine(
             2, seed=SEED, backend="process", persistent=True, retry=policy,
-            timeout=scale_timeout(20),
-            backend_options={"transport": SharedMemoryTransport()})
+            timeout=scale_timeout(20))
         try:
             with pytest.raises(DeadlineError):
                 machine.run(_rank0_reports_late, scale_timeout(1.0))

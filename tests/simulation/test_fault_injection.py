@@ -177,11 +177,8 @@ class TestProcessFaults:
     timeout of the starved ranks, so the class is marked ``slow``.
     """
 
-    @pytest.mark.parametrize("transport", ["pickle", "sharedmem"])
-    def test_rank_crash(self, transport):
-        backend = FaultInjectingBackend(
-            "process", [CrashRank(rank=1, at_op=1)], transport=transport,
-        )
+    def test_rank_crash(self, payload_path):
+        backend = FaultInjectingBackend("process", [CrashRank(rank=1, at_op=1)])
         with pytest.raises(BackendError, match="rank 1"):
             PROMachine(2, seed=0, backend=backend,
                        timeout=scale_timeout(2)).run(_bulk_exchange, 2000)

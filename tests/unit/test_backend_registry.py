@@ -20,7 +20,7 @@ from repro.pro.backends import (
     resolve_backend,
 )
 from repro.pro.backends.registry import unregister_backend
-from repro.pro.backends.transport import PayloadTransport, TransportStats, resolve_transport
+from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 from repro.util.errors import ValidationError
 from repro.util.timeouts import scale_timeout
@@ -37,23 +37,13 @@ def run_python(script: str) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=scale_timeout(60))
 
 
-@pytest.mark.parametrize("kind, name", [("backend", name) for name in available_backends()]
-                         + [("transport", name) for name in ("pickle", "sharedmem")])
-def test_builtins_subclass_their_base_class_with_its_defaults(kind, name):
-    if kind == "transport":
-        transport = resolve_transport(name)
-        assert isinstance(transport, PayloadTransport)
-        assert isinstance(transport.stats, TransportStats)
-        assert transport.uses_shared_memory is (name == "sharedmem")
-        assert transport.cache_key() == resolve_transport(name).cache_key()
-        hash(transport.cache_key())
-        record = transport.encode(np.arange(4), by_reference=True)
-        assert np.array_equal(transport.decode(record), np.arange(4))
-        return
+@pytest.mark.parametrize("name", available_backends())
+def test_builtins_subclass_their_base_class_with_its_defaults(name):
     backend = get_backend(name)
     assert isinstance(backend, ExecutionBackend)
     assert backend.persistent is False
-    assert backend.transport is None or isinstance(backend.transport, PayloadTransport)
+    assert (backend.transport is None
+            or isinstance(backend.transport, SharedMemoryTransport))
     assert backend.heal() is True  # nothing standing to heal
     backend.close()
     backend.close()  # idempotent
@@ -179,8 +169,8 @@ class TestResolveBackend:
             unregister_backend("duck-test")
 
     def test_options_forwarded_to_named_factories(self):
-        backend = resolve_backend("process", transport="pickle")
-        assert backend.transport.name == "pickle"
+        backend = resolve_backend("process", shutdown_grace=1.5)
+        assert backend.shutdown_grace == 1.5
 
     def test_unsupported_options_rejected_with_message(self):
         with pytest.raises(ValidationError, match="does not accept"):

@@ -25,18 +25,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_transport_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["permute", "--n", "10", "--backend", "process", "--transport", "sharedmem"]
-        )
-        assert args.transport == "sharedmem"
-        assert build_parser().parse_args(["permute", "--n", "10"]).transport is None
-
-    def test_transport_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["permute", "--n", "10", "--transport", "carrier-pigeon"]
-            )
+    @pytest.mark.parametrize("command", [
+        ["permute", "--n", "10"], ["matrix", "--sizes", "5,5"], ["stats"],
+        ["scaling", "--measure", "100"],
+    ], ids=lambda command: command[0])
+    def test_transport_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--transport", "pickle"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
     def test_persistent_flag_parsed(self):
         args = build_parser().parse_args(
@@ -88,9 +85,9 @@ class TestCommands:
         assert "permuted 60 items" in capsys.readouterr().out
 
     @pytest.mark.subprocess
-    def test_permute_process_transport(self, capsys):
+    def test_permute_process_backend(self, capsys):
         code = main(["permute", "--n", "200", "--procs", "2", "--seed", "1",
-                     "--backend", "process", "--transport", "sharedmem"])
+                     "--backend", "process"])
         assert code == 0
         assert "permuted 200 items" in capsys.readouterr().out
 
@@ -102,11 +99,6 @@ class TestCommands:
         assert code == 0
         assert "run 3/3" in out
         assert "process persistent backend" in out
-
-    def test_transport_rejected_for_thread_backend(self):
-        with pytest.raises(ValidationError, match="does not accept"):
-            main(["permute", "--n", "50", "--backend", "thread",
-                  "--transport", "sharedmem"])
 
     def test_permute_sim_schedule_seed(self, capsys):
         code = main(["permute", "--n", "300", "--procs", "4", "--seed", "1",
@@ -161,10 +153,9 @@ class TestCommands:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.subprocess
-    def test_matrix_process_transport(self, capsys):
+    def test_matrix_process_backend(self, capsys):
         code = main(["matrix", "--sizes", "6,6", "--algorithm", "root",
-                     "--backend", "process", "--transport", "pickle",
-                     "--seed", "3"])
+                     "--backend", "process", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "row sums   : [6, 6]" in out
@@ -176,10 +167,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "row sums   : [5, 5]" in out
-
-    def test_matrix_transport_rejected_on_sequential_path(self):
-        with pytest.raises(ValidationError, match="parallel"):
-            main(["matrix", "--sizes", "5,5", "--transport", "pickle"])
 
     def test_matrix_persistent_rejected_on_sequential_path(self):
         with pytest.raises(ValidationError, match="parallel"):
@@ -249,9 +236,9 @@ class TestCommands:
 
     @pytest.mark.subprocess
     @pytest.mark.slow
-    def test_scaling_measured_with_transport(self, capsys):
+    def test_scaling_measured_on_process_backend(self, capsys):
         code = main(["scaling", "--measure", "3000", "--procs", "2",
-                     "--backend", "process", "--transport", "pickle"])
+                     "--backend", "process"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Measured on this machine" in out
@@ -304,11 +291,11 @@ class TestPoolContextManagerErrorPaths:
             with pool(0, seed=0):
                 pass  # pragma: no cover - never entered
 
-    def test_invalid_transport_raises_before_spawning(self):
+    def test_transport_option_raises_before_spawning(self):
         from repro.pro.backends.pool import pool
 
-        with pytest.raises(ValidationError, match="transport"):
-            with pool(2, seed=0, transport="carrier-pigeon"):
+        with pytest.raises(TypeError, match="transport"):
+            with pool(2, seed=0, transport="pickle"):
                 pass  # pragma: no cover - never entered
 
     def test_machine_usable_again_after_context_exit(self):

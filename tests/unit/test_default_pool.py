@@ -25,7 +25,7 @@ from repro.pro.backends.pool import (
     default_pools,
     get_default_pool,
 )
-from repro.pro.backends.transport import resolve_transport
+from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import resolve_machine
 from repro.util.errors import BackendError
 from repro.util.timeouts import scale_timeout
@@ -149,21 +149,22 @@ class TestKeyedIsolation:
         sizes = sorted(pool.n_procs for pool in pools.values())
         assert sizes == [2, 3]
 
-    def test_different_transports_get_different_fleets(self):
-        random_permutation(np.arange(1000), n_procs=2, backend="process",
-                           transport="sharedmem", seed=0)
-        random_permutation(np.arange(1000), n_procs=2, backend="process",
-                           transport="pickle", seed=0)
-        pools = default_pools()
-        assert len(pools) == 2
-        names = sorted(pool.fabric.transport.name for pool in pools.values())
-        assert names == ["pickle", "sharedmem"]
+    def test_different_min_bytes_get_different_fleets(self):
+        timeout = scale_timeout(20)
+        default = get_default_pool(2, timeout=timeout)
+        assert get_default_pool(2, timeout=timeout,
+                                transport=SharedMemoryTransport()) is default
+        small = get_default_pool(2, timeout=timeout,
+                                 transport=SharedMemoryTransport(min_bytes=16))
+        assert small is not default
+        assert sorted(pool.fabric.transport.min_bytes
+                      for pool in default_pools().values()) == [16, 8192]
 
     def test_lru_cap_closes_coldest_fleet(self, monkeypatch):
         # The package's ``pool`` attribute is the context manager, so the
         # module holding the cap is reached through sys.modules.
         monkeypatch.setattr(sys.modules[get_default_pool.__module__], "_DEFAULT_POOL_CAP", 2)
-        transport = resolve_transport("sharedmem")
+        transport = SharedMemoryTransport()
         pools = [get_default_pool(p, timeout=scale_timeout(20),
                                   transport=transport) for p in (1, 2, 3)]
         assert pools[0].closed  # evicted as least recently used

@@ -9,8 +9,8 @@ Three layers of protection, none of which needs the mkdocs toolchain:
   script, the ``pool()`` example through doctest -- so the front page
   cannot silently rot;
 * the public driver/API surface's docstring examples run under doctest
-  (every public callable documents ``backend=`` / ``transport=`` /
-  ``persistent=`` / ``schedule_seed=`` with a runnable example).
+  (every public callable documents ``backend=`` / ``persistent=`` /
+  ``schedule_seed=`` with a runnable example).
 """
 
 import doctest
@@ -120,7 +120,7 @@ class TestDocstringExamples:
             assert ">>>" in fn.__doc__, fn.__name__
         options = [name for name, param in inspect.signature(resolve_machine).parameters.items()
                    if param.kind is inspect.Parameter.KEYWORD_ONLY and name != "machine"]
-        assert len(options) == 8
+        assert len(options) == 7
         for option in options:
             assert f"``{option}``" in resolve_machine.__doc__, option
         assert ">>>" in resolve_machine.__doc__

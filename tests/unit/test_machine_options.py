@@ -31,7 +31,6 @@ from repro.util.errors import ValidationError
 OPTION_VALUES = {
     "backend": "thread",
     "seed": 123,
-    "transport": "sharedmem",
     "persistent": True,
     "schedule_seed": 3,
     "kernels": "numpy",
@@ -87,6 +86,15 @@ def test_misspelled_option_is_a_type_error(driver):
         DRIVERS[driver](bakend="thread")
 
 
+@pytest.mark.parametrize("entry", ["resolve_machine", *DRIVERS])
+def test_transport_is_no_machine_option(entry):
+    # The process backend has one payload transport: no driver selects it.
+    call = (DRIVERS[entry] if entry in DRIVERS
+            else lambda **kw: resolve_machine(2, **kw))
+    with pytest.raises(TypeError, match="transport"):
+        call(backend="process", transport="pickle")
+
+
 @pytest.mark.parametrize("baseline", [
     lambda **kw: sort_based_permutation(np.arange(6), **kw),
     lambda **kw: parallel_sample_sort([np.arange(3), np.arange(3, 6)], **kw),
@@ -101,7 +109,7 @@ class TestSequentialPath:
     """``parallel=False`` samples in the caller and takes no machine options."""
 
     @pytest.mark.parametrize("option", [
-        "backend", "transport", "persistent", "schedule_seed", "retry", "telemetry",
+        "backend", "persistent", "schedule_seed", "retry", "telemetry",
     ])
     def test_machine_option_is_rejected(self, option):
         with pytest.raises(ValidationError, match=f"{option}: only for parallel=True"):
@@ -114,3 +122,7 @@ class TestSequentialPath:
     def test_misspelled_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="bakend"):
             sample_communication_matrix([4, 4], bakend="thread")
+
+    def test_transport_is_a_type_error(self):
+        with pytest.raises(TypeError, match="transport"):
+            sample_communication_matrix([4, 4], seed=0, transport="pickle")

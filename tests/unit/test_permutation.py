@@ -531,18 +531,23 @@ class TestSharedSegmentAssembly:
             assert np.array_equal(a, b)
         assert np.array_equal(blocks[0], np.arange(9_000))
 
-    def test_pickle_and_object_dtype_concatenate(self, monkeypatch):
+    def test_degrade_path_and_object_dtype_concatenate(self, monkeypatch):
+        from repro.pro.backends import sharedmem
+
         data = np.arange(12_345)
         words = np.array([f"w{i}" for i in range(501)], dtype=object)
         expected = [random_permutation(x, n_procs=2, backend="thread", seed=3)
                     for x in (data, words)]
         calls = _count_concatenate(monkeypatch)
-        pickled = random_permutation(data, n_procs=2, backend="process",
-                                     transport="pickle", seed=3)
+        with monkeypatch.context() as no_shared_memory:  # a cold fleet forks it
+            no_shared_memory.setattr(sharedmem, "_shm_module", None)
+            no_shared_memory.setattr(sharedmem, "_PROBE", (None, False))
+            in_band = random_permutation(data, n_procs=2, backend="process",
+                                         persistent=False, seed=3)
         objects = random_permutation(words, n_procs=2, backend="process", seed=3)
         assert calls == [2, 2]
-        assert pickled.dtype == data.dtype and objects.dtype == words.dtype
-        assert np.array_equal(pickled, expected[0])
+        assert in_band.dtype == data.dtype and objects.dtype == words.dtype
+        assert np.array_equal(in_band, expected[0])
         assert objects.tolist() == expected[1].tolist()
         random_permutation(data, n_procs=2, backend="process", seed=3)
         assert calls == [2, 2]  # sharedmem with a plain dtype stays in place

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.pro.backends.process import ProcessBackend, ProcessFabric
-from repro.pro.backends.transport import PickleTransport
+from repro.pro.backends.transport import walk_decode, walk_encode
 from repro.pro.machine import PROMachine
 from repro.rng.counting import CountingRNG
 from repro.util.errors import BackendError, ValidationError
@@ -23,8 +23,7 @@ def _die_holding(lock):
 
 
 def _roundtrip(payload):
-    codec = PickleTransport()
-    return codec.decode(codec.encode(payload))
+    return walk_decode(walk_encode(payload))
 
 
 class TestPayloadCodec:
@@ -190,7 +189,7 @@ class TestProcessFabric:
     def test_empty_inbox_drain_waits_one_timeout_not_one_per_inbox(self):
         # drain_timeout is one deadline for the whole drain: eight empty
         # inboxes must not wait it out eight times.
-        fabric = ProcessFabric(8, transport="sharedmem")
+        fabric = ProcessFabric(8)
         timeout = scale_timeout(0.25)
         started = time.monotonic()
         fabric.shutdown(drain_timeout=timeout)

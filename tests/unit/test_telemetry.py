@@ -13,13 +13,15 @@ The contract under test (the telemetry/repatriation sub-contract in
   event-sourced and windowed into the run's ``FleetReport``;
 * collection is passive -- attaching a recorder never perturbs results
   (the determinism grid at the bottom pins this bit-exactly across
-  backend x transport x persistence).
+  backend x persistence).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.permutation import random_permutation
+from repro.pro.backends.process import ProcessBackend
+from repro.pro.backends.sharedmem import SharedMemoryTransport
 from repro.pro.machine import PROMachine
 from repro.pro.telemetry import (
     EVENT_KINDS,
@@ -40,11 +42,9 @@ P = 4
 SEED = 20030607
 
 
-def _run_with_telemetry(backend, transport=None, *, persistent=False, runs=1):
+def _run_with_telemetry(backend, *, persistent=False, runs=1):
     telemetry = Telemetry()
-    options = {} if transport is None else {"transport": transport}
-    machine = PROMachine(P, seed=SEED, backend=backend,
-                         backend_options=options, persistent=persistent,
+    machine = PROMachine(P, seed=SEED, backend=backend, persistent=persistent,
                          telemetry=telemetry)
     try:
         data = np.arange(N_ITEMS, dtype=np.int64)
@@ -144,7 +144,6 @@ class TestProcessRepatriation:
     def test_cold_sharedmem_counters_and_segments_survive(self):
         telemetry = Telemetry()
         machine = PROMachine(P, seed=SEED, backend="process",
-                             backend_options={"transport": "sharedmem"},
                              telemetry=telemetry)
         try:
             result = machine.run(_bulk_exchange_program)
@@ -190,16 +189,23 @@ class TestProcessRepatriation:
                 assert rank_record["transport"]["segments_created"] == 0
                 assert rank_record["transport"]["bytes_encoded"] == 0
 
-    def test_cold_pickle_counters_without_rings(self):
-        telemetry, _ = _run_with_telemetry("process", "pickle")
-        payload = telemetry.last.to_dict()
-        for rank_record in payload["ranks"]:
+    def test_cold_in_band_counters_without_rings(self):
+        # A min_bytes above every piece keeps the bulk messages in-band.
+        telemetry = Telemetry()
+        backend = ProcessBackend(transport=SharedMemoryTransport(min_bytes=1 << 40))
+        machine = PROMachine(P, seed=SEED, backend=backend, telemetry=telemetry)
+        try:
+            result = machine.run(_bulk_exchange_program)
+        finally:
+            machine.close()
+        assert result.results == [list(range(P))] * P
+        for rank_record in telemetry.last.to_dict()["ranks"]:
             assert rank_record["transport"]["encode_calls"] > 0
+            assert rank_record["transport"]["segments_created"] == 0
             assert "ring" not in rank_record
 
     def test_persistent_pool_counters_accumulate_and_encode_once(self):
-        telemetry, _ = _run_with_telemetry("process", "sharedmem",
-                                           persistent=True, runs=3)
+        telemetry, _ = _run_with_telemetry("process", persistent=True, runs=3)
         assert len(telemetry) == 3
         first, last = telemetry.reports[0].to_dict(), telemetry.last.to_dict()
         # Standing workers carry running totals: later >= earlier.
@@ -222,7 +228,7 @@ class TestRecoveryEvents:
         telemetry = Telemetry()
         faulty = FaultInjectingBackend(
             "process", [CrashRank(rank=1, at_op=1, at_run=0)],
-            transport="sharedmem", persistent=True)
+            persistent=True)
         machine = PROMachine(P, seed=SEED, backend=faulty, retry=2,
                              telemetry=telemetry)
         try:
@@ -257,14 +263,14 @@ class TestValidation:
             PROMachine(2, telemetry=object())
 
 
-#: (backend, transport, persistent) cells of the determinism guard.
+#: (backend, persistent, payload path) cells of the determinism guard.
 GRID = [
-    ("thread", None, False),
-    ("sim", None, False),
-    ("process", "sharedmem", False),
-    ("process", "pickle", False),
-    ("process", "sharedmem", True),
-    ("process", "pickle", True),
+    ("thread", False, None),
+    ("sim", False, None),
+    ("process", False, None),
+    ("process", True, None),
+    ("process", False, "degrade"),
+    ("process", True, "degrade"),
 ]
 
 
@@ -272,16 +278,18 @@ class TestTelemetryNeverPerturbsResults:
     """Satellite 5: collection is passive, bit-exactly."""
 
     @pytest.mark.subprocess  # process cells spawn fleets
-    @pytest.mark.parametrize("backend,transport,persistent", GRID,
+    @pytest.mark.parametrize("backend,persistent,path", GRID,
                              ids=["-".join(str(p) for p in cell if p)
-                                  or cell[0] for cell in GRID])
+                                  for cell in GRID])
     def test_fixed_seed_identical_with_and_without_telemetry(
-            self, backend, transport, persistent):
+            self, backend, persistent, path, request):
+        if path == "degrade":
+            request.getfixturevalue("no_shared_memory")
         data = np.arange(20_000, dtype=np.int64)
 
         def run(telemetry):
             return random_permutation(
-                data, n_procs=P, backend=backend, transport=transport,
+                data, n_procs=P, backend=backend,
                 persistent=persistent, seed=SEED, telemetry=telemetry)
 
         plain = run(None)

@@ -1,11 +1,12 @@
-"""Contract tests for the payload transports of the process backend.
+"""Contract tests for the payload transport of the process backend.
 
-Every transport must round-trip arbitrary payloads (arrays of any dtype,
-nested containers, empty and huge arrays, plain objects), release
-out-of-band resources for records that are never decoded (abort and
-timeout paths), and never touch the random streams.  The shared-memory
-transport additionally promises zero-copy receive views and a transparent
-fallback to the pickle codec when segments cannot be created.
+The transport must round-trip arbitrary payloads (arrays of any dtype,
+nested containers, empty and huge arrays, plain objects) through its
+segments and through its in-band codec alike, release out-of-band
+resources for records that are never decoded (abort and timeout paths),
+and never touch the random streams.  It promises zero-copy receive views
+and a transparent fallback to the in-band codec when segments cannot be
+created.
 """
 
 import gc
@@ -19,30 +20,36 @@ import numpy as np
 import pytest
 
 from repro.pro.backends import sharedmem as sharedmem_module
-from repro.pro.backends.pool import clear_default_pools
+from repro.pro.backends.pool import WorkerPool, clear_default_pools, get_default_pool
 from repro.pro.backends.process import ProcessBackend, ProcessFabric
 from repro.pro.backends.sharedmem import (
     SharedMemoryTransport,
     shared_memory_available,
+    transport_or_default,
 )
-from repro.pro.backends.transport import (
-    SHMSEG,
-    SHMVIEW,
-    PickleTransport,
-    resolve_transport,
-)
+from repro.pro.backends.transport import SHMSEG, SHMVIEW, walk_decode
 from repro.pro.machine import PROMachine
 from repro.util.errors import BackendError, CommunicationError, ValidationError
 from repro.util.timeouts import scale_timeout
 
-TRANSPORTS = ["pickle", "sharedmem"]
+#: The ways a payload crosses: bulk arrays in segments; in-band because
+#: every array is under ``min_bytes``; in-band because the host has no
+#: shared memory (the degrade path).
+PATHS = ["sharedmem", "in-band", "degrade"]
 
 
-def make_transport(name):
-    if name == "sharedmem":
-        # A tiny threshold so even small test arrays exercise the segments.
-        return SharedMemoryTransport(min_bytes=16)
-    return resolve_transport(name)
+@pytest.fixture
+def make_transport(request):
+    def make(path):
+        if path == "sharedmem":
+            # A tiny threshold so even small test arrays exercise the segments.
+            return SharedMemoryTransport(min_bytes=16)
+        if path == "degrade":
+            request.getfixturevalue("no_shared_memory")
+            return SharedMemoryTransport(min_bytes=16)
+        # A threshold above every test payload keeps all of it in the record.
+        return SharedMemoryTransport(min_bytes=1 << 40)
+    return make
 
 
 def shm_segments(prefix="psm_"):
@@ -75,43 +82,36 @@ PAYLOADS = [
 ]
 
 
-class TestResolveTransport:
-    @pytest.mark.parametrize("name, cls", [("pickle", PickleTransport),
-                                           ("sharedmem", SharedMemoryTransport)])
-    def test_names_build_fresh_builtins(self, name, cls):
-        first, second = resolve_transport(name), resolve_transport(name)
-        assert type(first) is cls and first.name == name
-        assert first is not second  # one instance per resolution
+class TestTransportOption:
+    @pytest.mark.subprocess
+    def test_everything_defaults_to_a_fresh_shared_memory_transport(self):
+        backend = ProcessBackend()
+        fabric = ProcessFabric(1)
+        worker_pool = WorkerPool(1, timeout=scale_timeout(20))
+        default = get_default_pool(1, timeout=scale_timeout(20))
+        try:
+            transports = [backend.transport, fabric.transport,
+                          worker_pool.fabric.transport, default.fabric.transport]
+            assert all(type(t) is SharedMemoryTransport for t in transports)
+            assert len({id(t) for t in transports}) == 4
+            assert {t.min_bytes for t in transports} == {8192}
+        finally:
+            fabric.shutdown()
+            worker_pool.close()
+            clear_default_pools()
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValidationError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
+    def test_instance_passes_through(self):
+        transport = SharedMemoryTransport(min_bytes=16)
+        assert transport_or_default(transport) is transport
+        assert ProcessBackend(transport=transport).transport is transport
 
-    def test_resolve_none_gives_pickle(self):
-        assert isinstance(resolve_transport(None), PickleTransport)
-
-    def test_resolve_instance_passthrough(self):
-        transport = SharedMemoryTransport()
-        assert resolve_transport(transport) is transport
-
-    def test_resolve_rejects_non_transport(self):
-        with pytest.raises(ValidationError, match="PayloadTransport"):
-            resolve_transport(object())
-
-    def test_resolve_rejects_duck_typed_transport(self):
-        class DuckTransport:
-            name = "duck"
-
-            def encode(self, payload, *, by_reference=False):
-                return payload
-
-            def decode(self, record):
-                return record
-
-        with pytest.raises(ValidationError, match="PayloadTransport"):
-            resolve_transport(DuckTransport())
-        with pytest.raises(ValidationError, match="PayloadTransport"):
-            ProcessBackend(transport=DuckTransport())
+    @pytest.mark.parametrize("value", ["pickle", "sharedmem", object()],
+                             ids=["pickle", "sharedmem", "object"])
+    def test_anything_else_rejected(self, value):
+        with pytest.raises(ValidationError, match="SharedMemoryTransport"):
+            transport_or_default(value)
+        with pytest.raises(ValidationError, match="SharedMemoryTransport"):
+            ProcessBackend(transport=value)
 
     def test_min_bytes_validated(self):
         with pytest.raises(ValidationError):
@@ -123,9 +123,9 @@ class TestResolveTransport:
         with pytest.raises(TypeError, match=option):
             SharedMemoryTransport(**{option: 1})
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_contract_carries_no_acknowledgements(self, transport_name):
-        transport = make_transport(transport_name)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_contract_carries_no_acknowledgements(self, path, make_transport):
+        transport = make_transport(path)
         payload = np.arange(100, dtype=np.int64)
         with pytest.raises(TypeError, match="ring"):
             transport.encode(payload, ring=0)
@@ -140,11 +140,15 @@ class TestResolveTransport:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("payload", PAYLOADS, ids=range(len(PAYLOADS)))
-    def test_payload_roundtrip(self, transport_name, payload):
-        transport = make_transport(transport_name)
-        out = transport.decode(transport.encode(payload))
+    def test_payload_roundtrip(self, path, make_transport, payload):
+        transport = make_transport(path)
+        record = transport.encode(payload)
+        assert (record[0] == SHMSEG) <= (path == "sharedmem")
+        assert (transport.stats.segments_created > 0) <= (path == "sharedmem")
+        assert transport.stats.oversize_fallbacks == 0
+        out = transport.decode(record)
 
         def compare(a, b):
             if isinstance(a, np.ndarray):
@@ -165,30 +169,30 @@ class TestRoundTrip:
 
         compare(payload, out)
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_structured_dtype_preserved(self, transport_name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_structured_dtype_preserved(self, path, make_transport):
         dtype = np.dtype([("key", np.int64), ("value", np.float64)])
         data = np.zeros(400, dtype=dtype)
         data["key"] = np.arange(400)
         data["value"] = np.arange(400) * 0.5
-        transport = make_transport(transport_name)
+        transport = make_transport(path)
         out = transport.decode(transport.encode(data))
         assert out.dtype == dtype
         assert np.array_equal(out["key"], data["key"])
         assert np.allclose(out["value"], data["value"])
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_object_arrays_survive(self, transport_name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_object_arrays_survive(self, path, make_transport):
         payload = np.array(["a", ("tuple",), None], dtype=object)
-        transport = make_transport(transport_name)
+        transport = make_transport(path)
         out = transport.decode(transport.encode(payload))
         assert out.dtype == object
         assert out.tolist() == payload.tolist()
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_decoded_arrays_are_writable_and_private(self, transport_name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_decoded_arrays_are_writable_and_private(self, path, make_transport):
         original = np.arange(2048, dtype=np.int64)
-        transport = make_transport(transport_name)
+        transport = make_transport(path)
         out = transport.decode(transport.encode(original))
         out[0] = -99  # must not raise
         assert original[0] == 0
@@ -250,7 +254,7 @@ class TestSharedMemoryLifecycle:
         monkeypatch.setattr(sharedmem_module, "_PROBE", (os.getpid(), True))
         record = transport.encode(np.arange(1000, dtype=np.int64))
         assert record[0] != SHMSEG
-        assert np.array_equal(PickleTransport().decode(record), np.arange(1000))
+        assert np.array_equal(walk_decode(record), np.arange(1000))
         # The bulk payload went in-band: the one fallback left to count.
         assert transport.stats.oversize_fallbacks == 1
 
@@ -334,10 +338,10 @@ class TestPerMessageSegments:
 
 
 class TestFabricIntegration:
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_put_get_roundtrip(self, transport_name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_put_get_roundtrip(self, path, make_transport):
         fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
-                               transport=make_transport(transport_name))
+                               transport=make_transport(path))
         try:
             payload = {"data": np.arange(3000, dtype=np.int64), "tag": "x"}
             fabric.put(0, 1, "t", payload)
@@ -379,11 +383,11 @@ class TestFabricIntegration:
         fabric.shutdown(drain_timeout=scale_timeout(0.5))
         assert shm_segments() == before
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
+    @pytest.mark.parametrize("path", PATHS)
     def test_self_message_is_a_private_copy_that_skips_the_inbox(
-            self, transport_name):
+            self, path, make_transport):
         fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
-                               transport=make_transport(transport_name))
+                               transport=make_transport(path))
         try:
             payload = np.arange(3000, dtype=np.int64)
             fabric.put(1, 1, "self", payload)
@@ -395,14 +399,14 @@ class TestFabricIntegration:
         finally:
             fabric.shutdown()
 
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_self_receive_survives_a_sibling_poison_pill(self, transport_name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_self_receive_survives_a_sibling_poison_pill(self, path, make_transport):
         # A failing sibling poisons every inbox, and its pill may reach an
         # inbox before the message the rank sent itself; that rank must
         # still receive its own message, while a receive from another rank
         # still fails fast.
         fabric = ProcessFabric(2, timeout=scale_timeout(5.0),
-                               transport=make_transport(transport_name))
+                               transport=make_transport(path))
         try:
             fabric.epoch = 3
             fabric.abort()
@@ -414,20 +418,14 @@ class TestFabricIntegration:
         finally:
             fabric.shutdown()
 
-    def test_fabric_name_reports_transport(self):
-        fabric = ProcessFabric(1, transport="pickle")
-        try:
-            assert fabric.transport.name == "pickle"
-        finally:
-            fabric.shutdown()
-
 
 class TestBackendIntegration:
-    @pytest.mark.parametrize("transport_name", TRANSPORTS)
-    def test_machine_runs_with_transport(self, transport_name):
-        machine = PROMachine(3, seed=4, backend="process",
-                             backend_options={"transport": transport_name})
-        assert machine.backend.transport.name == transport_name
+    @pytest.mark.parametrize("path", PATHS)
+    def test_machine_runs_with_transport(self, path, make_transport):
+        transport = make_transport(path)
+        machine = PROMachine(3, seed=4,
+                             backend=ProcessBackend(transport=transport))
+        assert machine.backend.transport is transport
 
         def program(ctx):
             gathered = ctx.comm.allgather(np.full(2000, ctx.rank, dtype=np.int64))
@@ -453,10 +451,6 @@ class TestBackendIntegration:
         with pytest.raises(BackendError, match="rank 0"):
             machine.run(program)
         assert shm_segments() - before == set()
-
-    def test_unknown_transport_name_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessBackend(transport="bogus")
 
     def test_non_process_backend_rejects_transport_option(self):
         with pytest.raises(ValidationError, match="does not accept"):
@@ -525,16 +519,9 @@ class TestMultiConsumerSegments:
         monkeypatch.setattr(sharedmem_module._shm_module, "SharedMemory", boom)
         monkeypatch.setattr(sharedmem_module, "_PROBE", (os.getpid(), True))
         record = transport.encode_shared(np.arange(512, dtype=np.int64), 2)
-        assert np.array_equal(PickleTransport().decode(record), np.arange(512))
+        assert np.array_equal(walk_decode(record), np.arange(512))
         assert transport.stats.oversize_fallbacks == 1
         assert transport.stats.segments_created == 0
-
-    def test_pickle_transport_encode_shared_is_inband(self):
-        transport = PickleTransport()
-        record = transport.encode_shared(np.arange(100), 3)
-        for _ in range(3):
-            assert np.array_equal(transport.decode(record), np.arange(100))
-        assert transport.stats.shared_encode_calls == 1
 
     def test_n_consumers_validated(self):
         with pytest.raises(ValidationError):
@@ -605,10 +592,12 @@ class TestByReferenceArrays:
         assert not own_segments() - before
         assert not sharedmem_module._BYREF
 
-    def test_declines_object_dtype_and_in_band_transports(self):
+    def test_declines_object_dtype_and_hosts_without_shared_memory(
+            self, monkeypatch):
         assert SharedMemoryTransport().empty(4, object) is None
-        assert PickleTransport().empty(4, np.int64) is None
-        assert ProcessBackend(transport="pickle").empty(4, np.int64) is None
+        monkeypatch.setattr(sharedmem_module, "_PROBE", (os.getpid(), False))
+        assert SharedMemoryTransport().empty(4, np.int64) is None
+        assert ProcessBackend().empty(4, np.int64) is None
 
     def test_names_never_repeat(self):
         transport = SharedMemoryTransport(min_bytes=16)
@@ -851,7 +840,7 @@ class TestSharingPredicate:
 
     @pytest.mark.parametrize("persistent", [False, True], ids=["cold", "warm"])
     def test_only_the_parents_segments_are_shared(self, persistent):
-        backend = ProcessBackend(transport="sharedmem", persistent=persistent)
+        backend = ProcessBackend(persistent=persistent)
         out = backend.empty(2048, np.int64)
         private = np.zeros(2048, dtype=np.int64)  # forked or copied: private
         machine = PROMachine(2, seed=0, backend=backend)
@@ -862,12 +851,15 @@ class TestSharingPredicate:
             machine.close()
         assert results == [[True, True, False, True]] * 2
 
-    def test_in_band_transport_shares_nothing(self):
-        # A cold fork inherits the segment's mapping, but the pickle
-        # fabric gives no sharing guarantee, so it answers no.
-        out = ProcessBackend(transport="sharedmem").empty(2048, np.int64)
-        machine = PROMachine(2, seed=0, backend="process",
-                             backend_options={"transport": "pickle"})
+    def test_degrade_path_shares_nothing(self, monkeypatch):
+        # Without shared memory ``empty`` declines, so the caller's output
+        # vector is its own memory, which a fork only copies.
+        monkeypatch.setattr(sharedmem_module, "_shm_module", None)
+        monkeypatch.setattr(sharedmem_module, "_PROBE", (None, False))
+        backend = ProcessBackend()
+        assert backend.empty(2048, np.int64) is None
+        out = np.zeros(2048, dtype=np.int64)
+        machine = PROMachine(2, seed=0, backend=backend)
         try:
             results = machine.run(_sharing, [out[:1024], out[1024:]]).results
         finally:

@@ -208,8 +208,7 @@ class TestPoolReuse:
             assert machine.persistent
             assert machine.run(_allreduce_program).results == [1, 1]
         # exiting the context closed the fleet; the next run respawns it
-        with pool(2, seed=9, transport="pickle") as machine:
-            assert machine.backend.transport.name == "pickle"
+        with pool(2, seed=9) as machine:
             assert machine.run(_allreduce_program).results == [1, 1]
 
 
@@ -245,7 +244,8 @@ class TestPoolFailure:
 
     @pytest.mark.parametrize("persistent", [True, False])
     def test_rank_killed_mid_result_surfaces_at_once(self, persistent):
-        # Rank 1 writes half of its 32 MB result record and is then
+        # Rank 1 writes half of its 32 MB result record -- a bytes value,
+        # which crosses in-band, inside the record -- and is then
         # SIGKILLed.  The parent must read the torn record as the end of
         # the rank's pipe and raise, not wait forever for the rest of it.
         # The scenario runs in its own process session, so that a hung
@@ -258,8 +258,6 @@ class TestPoolFailure:
             import sys
             import time
             from multiprocessing import connection
-
-            import numpy as np
 
             from repro.pro.machine import PROMachine
             from repro.util.errors import TransientBackendError
@@ -278,12 +276,11 @@ class TestPoolFailure:
             def program(ctx):
                 if ctx.rank == 1:
                     connection.Connection._send = torn_send
-                return np.zeros(4_000_000)
+                return bytes(32_000_000)
 
             persistent = sys.argv[1] == "True"
             machine = PROMachine(2, seed=0, backend="process",
-                                 persistent=persistent, timeout=60.0,
-                                 backend_options={"transport": "pickle"})
+                                 persistent=persistent, timeout=60.0)
             try:
                 if persistent:
                     machine.run(warm)
@@ -362,21 +359,21 @@ class TestPoolFailure:
             assert time.monotonic() < deadline, "a rank outlived its caller"
             time.sleep(0.05)
 
-    @pytest.mark.parametrize("program, transport", [
-        (_sigkill_holding_inbox_program, "sharedmem"),
-        (_sigkill_mid_message_program, "pickle"),
+    @pytest.mark.parametrize("program", [
+        _sigkill_holding_inbox_program, _sigkill_mid_message_program,
     ], ids=["lock-held", "pipe-full"])
-    def test_killed_rank_makes_heal_replace_the_whole_fleet(self, program,
-                                                             transport):
+    def test_killed_rank_makes_heal_replace_the_whole_fleet(self, program):
         # Rank 1 dies by SIGKILL holding rank 0's inbox write lock, as a
         # rank killed while its queue feeder writes would -- with the
-        # inbox's pipe empty, or full of the message it was writing.  Its
-        # siblings only see the broken barrier, so they report and keep
-        # their processes; but a killed rank may leave any inbox or the
-        # barrier wedged, so heal() must stop them too, replace the
-        # inboxes and the barrier, and respawn every rank.
-        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5),
-                                      backend_options={"transport": transport})
+        # inbox's pipe empty, or full of the in-band message it was
+        # writing.  Its siblings only see the broken barrier, so they
+        # report and keep their processes; but a killed rank may leave any
+        # inbox or the barrier wedged, so heal() must stop them too,
+        # replace the inboxes and the barrier, and respawn every rank.
+        # The stopped survivors' abort pills wait for the dead rank's lock
+        # in their inbox feeders; they must exit at once on the shutdown
+        # sentinel anyway, not be terminated after the shutdown grace.
+        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
         try:
             before = machine.run(_rank_pid_program).results
             pool = machine.backend._pools[3]
@@ -390,8 +387,12 @@ class TestPoolFailure:
             # wedged inbox, which waits for the dead rank's lock.
             feeders = {inbox._thread for inbox in inboxes} - {None}
             assert inboxes[0]._thread in feeders
+            stopped = list(pool._workers)
             seq = event_seq()
+            started = time.monotonic()
             assert pool.heal()
+            assert time.monotonic() - started < scale_timeout(1.0)
+            assert [proc.exitcode for proc in stopped] == [0, -signal.SIGKILL, 0]
             heal = [e for e in events_since(seq) if e["kind"] == "pool-heal"]
             assert [e["respawned"] for e in heal] == [[0, 1, 2]]
             assert not set(fabric._inboxes) & set(inboxes)
@@ -562,7 +563,7 @@ class TestPoolShutdown:
             data = np.arange(30_000)
             faulty = FaultInjectingBackend(
                 "process", [CrashRank(rank=1, at_op=1, at_run=1)],
-                transport="sharedmem", persistent=True)
+                persistent=True)
             machine = PROMachine(3, seed=4, backend=faulty, retry=2)
             reference = PROMachine(3, seed=4, backend="thread")
             seq = event_seq()
@@ -643,7 +644,7 @@ class TestStagedDispatch:
         before = _shm_names()
         faulty = FaultInjectingBackend(
             "process", [CrashRank(rank=1, at_op=1, at_run=0)],
-            transport="sharedmem", persistent=True)
+            persistent=True)
         machine = PROMachine(p, seed=5, backend=faulty, retry=2)
         try:
             out = random_permutation(data, machine=machine)
