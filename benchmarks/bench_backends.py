@@ -113,24 +113,30 @@ def _trivial_program(ctx):
     return ctx.rank
 
 
+def _machine_options(backend, machine):
+    """The standing ``machine``, or the options of a cold call.
+
+    A cold call passes ``persistent=False``: left unset, the process
+    backend would borrow the warm default pool and time a dispatch.
+    """
+    if machine is not None:
+        return {"machine": machine}
+    return {"backend": backend, "seed": 0, "persistent": False}
+
+
 def _run_matrix(backend, n_items, n_procs, machine=None):
     row_sums = np.full(n_procs, n_items // n_procs, dtype=np.int64)
     matrix, _ = sample_matrix_parallel(
         row_sums, algorithm="alg6" if n_procs > 1 else "root",
-        machine=machine,
-        backend=None if machine is not None else backend,
-        seed=None if machine is not None else 0,
+        **_machine_options(backend, machine),
     )
     return matrix
 
 
 def _run_permutation(backend, n_items, n_procs, machine=None):
     data = np.arange(n_items, dtype=np.int64)
-    return random_permutation(
-        data, n_procs=n_procs, machine=machine,
-        backend=None if machine is not None else backend,
-        seed=None if machine is not None else 0,
-    )
+    return random_permutation(data, n_procs=n_procs,
+                              **_machine_options(backend, machine))
 
 
 def _run_dispatch(backend, n_items, n_procs, machine=None):
@@ -582,18 +588,12 @@ def main(argv=None):
         "fleet_telemetry": fleet_telemetry_cells(),
         "records": records,
     }
-    # Schema 4: the artifact also carries the kernel-tier throughput cells
-    # written by bench_kernels.py; carry them over instead of dropping them
-    # every time the backend grid is re-measured.
+    # The artifact's other keys (bench_kernels.py's cells) are kept.
     try:
         with open(args.json) as fh:
-            previous = json.load(fh)
+            payload = {**json.load(fh), **payload}
     except (OSError, ValueError):
-        previous = {}
-    for key in ("kernel_records", "kernel_speedup_matrix_tree",
-                "kernel_speedup_row_cut"):
-        if key in previous:
-            payload[key] = previous[key]
+        pass
     speedup = dispatch_speedup(records)
     if speedup is not None:
         payload["dispatch_speedup_persistent_vs_cold"] = round(speedup, 2)

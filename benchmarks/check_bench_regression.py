@@ -3,8 +3,9 @@
 Re-runs the 1M-item / p=4 permutation cell of ``bench_backends.py`` for
 every variant present in the tracked ``benchmarks/BENCH_backends.json``
 (plus the dispatch-overhead cell, which guards the persistent pool's
-raison d'etre, and the persistent crash-recovery cells, which guard the
-supervisor's heal latency), writes the fresh measurements as a JSON artifact for the
+raison d'etre, the persistent crash-recovery cells, which guard the
+supervisor's heal latency, and the two NumPy sampling cells of
+``bench_kernels.py``), writes the fresh measurements as a JSON artifact for the
 workflow to upload, and fails only when a fresh median exceeds the
 tracked one by more than ``--factor`` (default 3x -- generous on purpose:
 shared CI runners are noisy, and the gate is meant to catch "the backend
@@ -137,24 +138,6 @@ def remeasure(record, *, rounds):
     )
 
 
-def gated_kernel_cells(tracked):
-    """Kernel-tier cells (schema 4) whose tier resolves the same way here.
-
-    A cell recorded with an active numba tier on a host where the request
-    now degrades to NumPy (or vice versa) is not comparable -- the gate
-    skips it rather than mistaking a tier change for a perf change.
-    """
-    from repro.core.kernels import reset_kernels, resolve_kernels
-
-    cells = []
-    for record in tracked.get("kernel_records", []):
-        reset_kernels()
-        if resolve_kernels(record["kernels"]).name == record.get("tier_active"):
-            cells.append(record)
-    reset_kernels()
-    return cells
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tracked", default="benchmarks/BENCH_backends.json",
@@ -201,12 +184,9 @@ def main(argv=None):
         )
         judge(variant, record, remeasure(record, rounds=args.rounds))
 
-    for record in gated_kernel_cells(tracked):
-        seconds = bench_kernels.median_seconds(
-            record["workload"], record["kernels"], rounds=args.rounds
-        )
-        judge(f"kernels-{record['workload']}-{record['kernels']}",
-              record, seconds)
+    for record in tracked.get("kernel_records", []):
+        seconds = bench_kernels.median_seconds(record["workload"], rounds=args.rounds)
+        judge(f"kernels-{record['workload']}", record, seconds)
 
     from repro.pro.telemetry import Telemetry
 

@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
              "each K replays one deterministic schedule; rejected for other "
              "backends, seed-identical results under every schedule")
     machine_flags.add_argument(
-        "--kernels", choices=["auto", "numba", "numpy"], default=None,
-        help="kernel tier of the sampling hot path: auto (default; compiled "
-             "numba kernels when importable, NumPy otherwise), numba or "
-             "numpy; unset defers to REPRO_KERNELS; seed-identical results "
-             "across tiers")
-    machine_flags.add_argument(
         "--retries", type=int, default=None, metavar="K",
         help="total attempts a run gets against transient backend failures "
              "(crashed ranks, broken barriers): the supervised worker pool "
@@ -93,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(with --persistent the spawn cost is paid once)")
     permute.add_argument("--head", type=int, default=10, help="how many output items to print")
     permute.add_argument("--verbose", action="store_true",
-                         help="also print the fleet report (per-rank kernel "
-                              "tiers, transport counters and "
-                              "resilience events repatriated with the results)")
+                         help="also print the fleet report (per-rank transport "
+                              "counters and resilience events repatriated "
+                              "with the results)")
     permute.add_argument("--telemetry-json", **telemetry_json_kwargs)
 
     matrix = sub.add_parser("matrix", parents=[machine_flags],
@@ -248,7 +242,7 @@ def _build_machine(args, telemetry):
     return PROMachine(
         args.procs, seed=args.seed, backend=backend,
         backend_options=backend_options, persistent=persistent,
-        count_random_variates=True, kernels=args.kernels,
+        count_random_variates=True,
         retry=_resolve_retry(args), telemetry=telemetry,
     )
 
@@ -281,7 +275,7 @@ def _cmd_permute(args) -> int:
     print(f"first {min(args.head, args.n)} output items: {out[:args.head].tolist()}")
     print(run.cost_report.summary_table())
     # One formatting path for per-rank details: the FleetReport renders the
-    # kernel tiers, transport counters and resilience events in one place.
+    # transport counters and resilience events in one place.
     if args.verbose and telemetry is not None and telemetry.last is not None:
         print(telemetry.last.summary())
     _dump_telemetry_json(telemetry, args.telemetry_json)
@@ -300,7 +294,7 @@ def _cmd_matrix(args) -> int:
         algorithm=args.algorithm if args.algorithm != "sequential" or parallel else None,
         # The API rejects the machine flags for the in-process path.
         backend=args.backend, persistent=args.persistent, schedule_seed=args.schedule_seed,
-        kernels=args.kernels, retry=_resolve_retry(args), telemetry=telemetry,
+        retry=_resolve_retry(args), telemetry=telemetry,
         seed=args.seed,
     )
     print(f"communication matrix ({len(sizes)} x {len(targets) if targets else len(sizes)}), "

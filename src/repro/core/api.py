@@ -35,7 +35,6 @@ def sample_communication_matrix(
     parallel: bool = False,
     machine: PROMachine | None = None,
     algorithm: str | None = None,
-    kernels: str | None = None,
     seed=None,
     rng=None,
     method: str = "auto",
@@ -63,11 +62,6 @@ def sample_communication_matrix(
         ``"batched"`` (vectorized :class:`~repro.core.engine.SamplerEngine`
         kernels; same law, fastest for large marginals).
         Parallel path: ``"alg5"``, ``"alg6"`` (default) or ``"root"``.
-    kernels:
-        Kernel tier for the sampling hot path
-        (``"auto"``/``"numba"``/``"numpy"``; ``None`` defers to
-        ``REPRO_KERNELS``).  Applies to both paths and is bit-identical
-        across tiers for a fixed seed; see :mod:`repro.core.kernels`.
     seed, rng:
         Randomness source.  Precedence is explicit:
 
@@ -84,7 +78,7 @@ def sample_communication_matrix(
     machine_options:
         ``backend``, ``persistent``, ``schedule_seed``,
         ``retry`` and ``telemetry`` for the parallel path, forwarded with
-        ``seed`` and ``kernels`` to
+        ``seed`` to
         :func:`~repro.pro.machine.resolve_machine`, which documents them.
         The sequential path runs no machine and rejects them, as it
         rejects ``machine``.
@@ -124,7 +118,7 @@ def sample_communication_matrix(
         generator = rng if rng is not None else seed
         return commmatrix.sample_matrix(
             row_sums, col_sums if col_sums is not None else row_sums,
-            generator, method=method, strategy=strategy, kernels=kernels,
+            generator, method=method, strategy=strategy,
         )
     if rng is not None:
         raise ValidationError(
@@ -133,6 +127,6 @@ def sample_communication_matrix(
         )
     matrix, _ = sample_matrix_parallel(
         row_sums, col_sums, machine=machine, algorithm=algorithm or "alg6",
-        method=method, kernels=kernels, seed=seed, **machine_options,
+        method=method, seed=seed, **machine_options,
     )
     return matrix

@@ -166,7 +166,6 @@ def sample_matrix(
     *,
     method: str = "auto",
     strategy: str = "sequential",
-    kernels=None,
 ) -> np.ndarray:
     """Sample a communication matrix (Problem 2).
 
@@ -175,19 +174,14 @@ def sample_matrix(
     with the vectorized kernels of the
     :class:`~repro.core.engine.SamplerEngine`: ``O(log p * log p')`` NumPy
     calls instead of ``p * p'`` scalar Python calls); all three produce the
-    same distribution.  ``kernels`` selects the kernel tier of the
-    ``"batched"`` strategy (see :mod:`repro.core.kernels`; bit-identical
-    across tiers); the scalar strategies draw one variate at a time and
-    ignore it.
+    same distribution.
     """
     if strategy == "sequential":
         return sample_matrix_sequential(row_sums, col_sums, rng, method=method)
     if strategy == "recursive":
         return sample_matrix_recursive(row_sums, col_sums, rng, method=method)
     if strategy == "batched":
-        return get_engine(method, kernels=kernels).sample_matrix_batched(
-            row_sums, col_sums, rng
-        )
+        return get_engine(method).sample_matrix_batched(row_sums, col_sums, rng)
     raise ValidationError(
         f"unknown strategy {strategy!r}; use 'sequential', 'recursive' or 'batched'"
     )

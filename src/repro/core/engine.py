@@ -107,40 +107,15 @@ class SamplerEngine:
     hin_threshold:
         Transformed sample size below which ``"auto"`` picks the inverse
         method.
-    kernels:
-        Kernel-tier request (``"auto"``/``"numba"``/``"numpy"``, a tier
-        object, or ``None`` to defer to ``REPRO_KERNELS``); see
-        :mod:`repro.core.kernels`.  The batched kernels and
-        :meth:`draw_many` consult the resolved tier first and fall back to
-        the NumPy paths whenever it declines -- results are bit-identical
-        either way.
     """
 
-    def __init__(
-        self,
-        method: str = "auto",
-        *,
-        hin_threshold: int = _HIN_THRESHOLD,
-        kernels=None,
-    ):
+    def __init__(self, method: str = "auto", *, hin_threshold: int = _HIN_THRESHOLD):
         if method not in VALID_METHODS:
             raise ValidationError(
                 f"unknown method {method!r}; use auto, hin, hrua or numpy"
             )
         self.method = method
         self.hin_threshold = check_nonnegative_int(hin_threshold, "hin_threshold")
-        if kernels is not None:
-            from repro.core.kernels import normalize_kernels
-
-            normalize_kernels(kernels)  # eager name validation; resolution stays lazy
-        self.kernels = kernels
-
-    def _resolve_tier(self):
-        # Resolved lazily per call (not cached on the engine) so shared
-        # engines honour REPRO_KERNELS changes and reset_kernels() in tests.
-        from repro.core.kernels import resolve_kernels
-
-        return resolve_kernels(self.kernels)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"SamplerEngine(method={self.method!r})"
@@ -205,9 +180,6 @@ class SamplerEngine:
         if trivial is not None:
             return np.full(size, trivial, dtype=np.int64)
         rng = _kernel_rng(rng)
-        result = self._resolve_tier().repeat_hypergeometric(rng, w, b, t, size)
-        if result is not None:
-            return result
         return np.asarray(rng.hypergeometric(w, b, t, size), dtype=np.int64)
 
     # -- batched kernels -------------------------------------------------------
@@ -244,7 +216,7 @@ class SamplerEngine:
             )
         return out
 
-    def multivariate_batch(self, n_draws, class_sizes, rng=None, *, _tier=None) -> np.ndarray:
+    def multivariate_batch(self, n_draws, class_sizes, rng=None, *, _valid=False) -> np.ndarray:
         """Draw a batch of independent multivariate hypergeometric vectors.
 
         ``class_sizes`` is a ``(B, L)`` array and ``n_draws`` a scalar or a
@@ -257,10 +229,10 @@ class SamplerEngine:
         entries, mismatched shapes and overdrawn urns raise
         :class:`~repro.util.errors.ValidationError`.
         """
-        if _tier is not None:
+        if _valid:
             # A level of sample_matrix_batched: its arrays are valid by
-            # construction and it resolved the tier once for the matrix.
-            return self._split_batch(n_draws, class_sizes, rng, _tier)
+            # construction and its rng is already a generator.
+            return self._split_batch(n_draws, class_sizes, rng)
         self._check_batched_method()
         sizes = as_int_array(class_sizes, "class_sizes", ndim=2)
         n_batch, n_classes = sizes.shape
@@ -276,14 +248,10 @@ class SamplerEngine:
             raise ValidationError("cannot draw more balls than an urn contains")
         if n_classes == 0:
             return np.zeros((n_batch, 0), dtype=np.int64)
-        return self._split_batch(draws, sizes, _kernel_rng(rng), self._resolve_tier())
+        return self._split_batch(draws, sizes, _kernel_rng(rng))
 
-    def _split_batch(self, draws, sizes, rng, tier) -> np.ndarray:
+    def _split_batch(self, draws, sizes, rng) -> np.ndarray:
         """The splitting trees of :meth:`multivariate_batch` on valid input."""
-        compiled = tier.multivariate_batch(rng, draws, sizes)
-        if compiled is not None:
-            return compiled
-
         # Segment [lo, hi) of the splitting tree keeps its draw count in
         # column lo; splitting it at mid moves the right half's share to
         # column mid, so the leaves end in place.  Only segments of two or
@@ -327,11 +295,6 @@ class SamplerEngine:
         if rows.size == 0 or cols.size == 0:
             return matrix
         rng = _kernel_rng(rng)
-        tier = self._resolve_tier()
-        compiled = tier.sample_matrix(rng, rows, cols)
-        if compiled is not None:
-            return compiled
-
         row_prefix = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(rows, out=row_prefix[1:])
         # Row lo of ``matrix`` holds the column capacities reserved for the
@@ -344,7 +307,7 @@ class SamplerEngine:
             mid = (lo + hi) // 2
             caps = matrix[lo]
             to_up = self.multivariate_batch(row_prefix[hi] - row_prefix[mid], caps, rng,
-                                            _tier=tier)
+                                            _valid=True)
             matrix[lo] = caps - to_up
             matrix[mid] = to_up
             lo, hi = _split_level(lo, mid, hi)
@@ -354,32 +317,20 @@ class SamplerEngine:
 # ----------------------------------------------------------------------------
 # Shared engine instances
 # ----------------------------------------------------------------------------
-_ENGINES: dict[tuple, SamplerEngine] = {}
+_ENGINES: dict[str, SamplerEngine] = {}
 
 
-def get_engine(method: str | SamplerEngine = "auto", *, kernels=None) -> SamplerEngine:
-    """Shared :class:`SamplerEngine` for ``(method, kernels)`` (instances pass through).
+def get_engine(method: str | SamplerEngine = "auto") -> SamplerEngine:
+    """Shared :class:`SamplerEngine` for ``method`` (instances pass through).
 
     This is the single point every sampling entry point resolves its
     ``method=`` argument through, so the selection policy lives in exactly
-    one place.  ``kernels`` selects the kernel tier the engine consults
-    (see :mod:`repro.core.kernels`); passing it alongside a pre-built
-    engine is rejected because the engine already owns a tier choice.
+    one place.
     """
     if isinstance(method, SamplerEngine):
-        if kernels is not None:
-            raise ValidationError(
-                "kernels= cannot be combined with a pre-built SamplerEngine; "
-                "construct the engine with kernels= instead"
-            )
         return method
-    if kernels is not None and not isinstance(kernels, str):
-        # Tier objects are not hashable cache keys; build a private engine.
-        return SamplerEngine(method, kernels=kernels)
-    key = (method, kernels)
-    engine = _ENGINES.get(key)
+    engine = _ENGINES.get(method)
     if engine is None:
-        # raises ValidationError for unknown method/kernels names
-        engine = SamplerEngine(method, kernels=kernels)
-        _ENGINES[key] = engine
+        engine = SamplerEngine(method)  # raises ValidationError for unknown names
+        _ENGINES[method] = engine
     return engine

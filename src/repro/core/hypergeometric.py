@@ -372,14 +372,11 @@ def _draw(t: int, w: int, b: int, rng, engine) -> int:
 def sample_many(t: int, w: int, b: int, size: int, rng=None, *, method: str = "auto") -> np.ndarray:
     """Draw ``size`` i.i.d. variates of ``h(t, w, b)`` as an ``int64`` array.
 
-    For the scalar strategies (``"hin"``/``"hrua"``, or ``"auto"`` resolving
-    to one of them) the uniforms for the whole batch are pre-drawn in one
-    raw-word block and consumed by the blocked samplers of
-    :mod:`repro.core.kernels.portable` -- bit-identical, per draw, to the
-    per-call loop it replaces, including the per-call uniform counts seen by
-    a :class:`~repro.rng.counting.CountingRNG` and an active
-    :class:`SampleRecorder`.  Generators the word stream cannot drive (and
-    ``method="numpy"``) keep the scalar loop.
+    The same as ``size`` calls of :func:`sample`, variate for variate: the
+    same values, the same stream position, the same per-call uniform counts
+    on a :class:`~repro.rng.counting.CountingRNG` and the same entries in an
+    active :class:`SampleRecorder`.  The parameters are validated and the
+    engine looked up once, and trivial parameters skip the loop.
     """
     from repro.core.engine import get_engine  # deferred: engine imports this module
 
@@ -387,33 +384,14 @@ def sample_many(t: int, w: int, b: int, size: int, rng=None, *, method: str = "a
     size = check_nonnegative_int(size, "size")
     rng = default_rng(rng) if not hasattr(rng, "random") else rng
     t, w, b = _validate_parameters(t, w, b)
-    recorder = _active_recorder()
 
     trivial = _trivial_sample(t, w, b)
     if trivial is not None:
+        recorder = _active_recorder()
         if recorder is not None:
             for _ in range(size):
                 recorder.record(0)
         return np.full(size, trivial, dtype=np.int64)
-
-    concrete = engine.resolve_method(t)
-    if concrete in ("hin", "hrua") and size > 0:
-        from repro.core.kernels import wordstream
-
-        gen = wordstream.supported_generator(rng)
-        if gen is not None:
-            out, used = wordstream.blocked_scalar_many(gen, concrete, t, w, b, size)
-            counting = rng is not gen and hasattr(rng, "uniforms_drawn")
-            if counting:
-                # The replaced loop made one rng.random() call per uniform.
-                total_used = int(used.sum())
-                rng.uniforms_drawn += total_used
-                rng.calls += total_used
-            if recorder is not None:
-                for u in used:
-                    recorder.record(int(u) if counting else 0)
-            return out
-
     return np.array([_draw(t, w, b, rng, engine) for _ in range(size)], dtype=np.int64)
 
 

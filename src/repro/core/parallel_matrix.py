@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core import commmatrix, multivariate
 from repro.core.engine import get_engine
-from repro.core.kernels import resolve_kernels
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
 from repro.util.validation import check_marginals
@@ -83,13 +82,6 @@ def resolve_tile_strategy(tile_strategy: str, method: str) -> str:
     return "batched" if method in ("auto", "numpy") else "sequential"
 
 
-def _note_kernel_tier(ctx: ProcessorContext, kernels):
-    """Resolve the kernel tier and record it in this rank's cost record."""
-    tier = resolve_kernels(kernels)
-    ctx.cost.note_kernel_tier(tier.name, tier.warmup_seconds)
-    return tier
-
-
 def _validate_inputs(ctx: ProcessorContext, row_sums, col_sums) -> tuple[np.ndarray, np.ndarray]:
     rows, cols, _ = check_marginals(row_sums, col_sums)
     if rows.size != ctx.n_procs:
@@ -125,7 +117,7 @@ def column_prefixes(ctx: ProcessorContext, row) -> np.ndarray:
 # Algorithm 5: head-splitting with a log factor
 # ----------------------------------------------------------------------------
 def algorithm5_program(
-    ctx: ProcessorContext, row_sums, col_sums, *, method: str = "auto", kernels=None,
+    ctx: ProcessorContext, row_sums, col_sums, *, method: str = "auto",
     column_prefix: bool = False,
 ):
     """SPMD program: return row ``ctx.rank`` of a random communication matrix.
@@ -134,13 +126,10 @@ def algorithm5_program(
     ``ctx.n_procs`` (one source block per processor); ``col_sums`` may have
     any length ``p'``.  Only the *values* on processor ``ctx.rank`` are used
     for the processor's own decisions, but every processor is given the full
-    (O(p)-sized) marginal vectors, as the PRO model permits.  ``kernels`` is
-    accepted for program-signature uniformity and recorded in the cost
-    record; the algorithm itself draws through the scalar samplers.  With
-    ``column_prefix=True`` (``p' = p`` only) the program returns
+    (O(p)-sized) marginal vectors, as the PRO model permits.  The algorithm
+    draws through the scalar samplers.  With ``column_prefix=True`` (``p' = p`` only) the program returns
     ``(row, column_prefixes(ctx, row))``.
     """
-    _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
     engine = get_engine(method)
     rank, p = ctx.rank, ctx.n_procs
@@ -211,7 +200,6 @@ def algorithm6_program(
     *,
     method: str = "auto",
     tile_strategy: str = "auto",
-    kernels=None,
     column_prefix: bool = False,
 ):
     """SPMD program: return row ``ctx.rank`` of a random communication matrix.
@@ -222,13 +210,10 @@ def algorithm6_program(
     selects the step-3 sampler (``"auto"`` -- the default, resolving to the
     vectorized batched engine kernel, the hot path for large tiles --
     ``"sequential"``, ``"recursive"`` or ``"batched"``); all choices draw
-    from the same law.  ``kernels`` selects the kernel tier the step-3
-    batched sampler runs on (bit-identical across tiers) and is recorded in
-    the rank's cost record.  With ``column_prefix=True`` (``p' = p``
+    from the same law.  With ``column_prefix=True`` (``p' = p``
     only) the program returns ``(row, column_prefixes(ctx, row))``.
     """
     tile_strategy = resolve_tile_strategy(tile_strategy, method)
-    kernels = _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
     engine = get_engine(method)
     rank, p = ctx.rank, ctx.n_procs
@@ -281,7 +266,7 @@ def algorithm6_program(
     if beta[1] is None:
         beta[1] = np.zeros(col_hi - col_lo, dtype=np.int64)
     tile = commmatrix.sample_matrix(
-        beta[0], beta[1], ctx.rng, method=method, strategy=tile_strategy, kernels=kernels
+        beta[0], beta[1], ctx.rng, method=method, strategy=tile_strategy
     )
     ctx.log_compute(tile.size)
 
@@ -311,7 +296,6 @@ def root_scatter_program(
     *,
     method: str = "auto",
     tile_strategy: str = "auto",
-    kernels=None,
     column_prefix: bool = False,
 ):
     """SPMD program: processor 0 samples the whole matrix, rows are scattered.
@@ -320,19 +304,17 @@ def root_scatter_program(
     long as ``p^2`` is small compared with the local data size ``n / p``
     (exactly the regime of the paper's experiments).  ``tile_strategy``
     selects the root's sampler (``"auto"`` default -- the vectorized
-    ``"batched"`` engine kernel -- ``"sequential"`` or ``"recursive"``) and
-    ``kernels`` the kernel tier it runs on (bit-identical across tiers).
+    ``"batched"`` engine kernel -- ``"sequential"`` or ``"recursive"``).
     With ``column_prefix=True`` the root scatters ``(row, prefixes)``
     pairs -- the exclusive column sums of :func:`column_prefixes`, which
     it holds already -- and the program returns that pair: the same
     messages, ``p`` more words each.
     """
     tile_strategy = resolve_tile_strategy(tile_strategy, method)
-    kernels = _note_kernel_tier(ctx, kernels)
     rows, cols = _validate_inputs(ctx, row_sums, col_sums)
     if ctx.rank == 0:
         matrix = commmatrix.sample_matrix(
-            rows, cols, ctx.rng, method=method, strategy=tile_strategy, kernels=kernels
+            rows, cols, ctx.rng, method=method, strategy=tile_strategy
         )
         ctx.log_compute(matrix.size)
         row_payloads = [matrix[i, :] for i in range(ctx.n_procs)]
@@ -427,10 +409,7 @@ def sample_matrix_parallel(
     else:
         extra = {}
     try:
-        run = machine.run(
-            program, rows, cols, method=method,
-            kernels=machine.kernels, **extra,
-        )
+        run = machine.run(program, rows, cols, method=method, **extra)
     finally:
         if owns_machine:
             # Releases call-private resources only: fleets borrowed from

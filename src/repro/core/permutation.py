@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocks import BlockDistribution
-from repro.core.kernels import resolve_kernels
 from repro.core.parallel_matrix import MATRIX_ALGORITHMS
 from repro.pro.machine import PROMachine, ProcessorContext, RunResult, resolve_machine
 from repro.util.errors import ValidationError
@@ -52,37 +51,26 @@ __all__ = [
 ]
 
 
-def local_shuffle(values: np.ndarray, rng, kernels=None, *, out=None) -> np.ndarray:
+def local_shuffle(values: np.ndarray, rng, *, out=None) -> np.ndarray:
     """Return ``values`` uniformly shuffled using ``rng``.
 
     Accepts both plain NumPy generators and
     :class:`~repro.rng.counting.CountingRNG` wrappers; the Fisher-Yates cost
-    of ``len(values) - 1`` variates is what the wrapper records.  ``kernels``
-    selects the kernel tier (see :mod:`repro.core.kernels`); the compiled
-    tier draws the Fisher-Yates permutation with a jitted kernel and gathers
-    ``values`` through it -- bit-identical to ``rng.shuffle`` on the same
-    seed -- and any tier that declines falls back to the in-place shuffle.
+    of ``len(values) - 1`` variates is what the wrapper records.  The
+    shuffle is ``rng.shuffle``, in place on a copy or on ``out``.
 
     Without ``out`` the result is a fresh array and ``values`` is left
     alone.  With ``out`` (an array shaped like ``values``, or ``values``
     itself) the shuffled items are written into ``out``, which is returned;
-    ``out is values`` shuffles in place without any full-size copy on the
-    NumPy path.  Both forms consume ``rng`` identically, so they agree bit
-    for bit.
+    ``out is values`` shuffles in place without any full-size copy.  Both
+    forms consume ``rng`` identically, so they agree bit for bit.
     """
     arr = np.asarray(values)
-    n = arr.shape[0]
-    perm = resolve_kernels(kernels).permutation(rng, n) if n > 1 else None
-    if perm is not None:
-        if out is None:
-            return arr[perm]
-        out[...] = arr[perm]  # through a temporary: ``out`` may alias ``arr``
-        return out
     if out is None:
         out = arr.copy()
     elif out is not arr:
         out[...] = arr
-    if n > 1:
+    if arr.shape[0] > 1:
         rng.shuffle(out)
     return out
 
@@ -128,7 +116,6 @@ def parallel_permutation_program(
     *,
     matrix_algorithm: str = "root",
     method: str = "auto",
-    kernels=None,
     out=None,
 ) -> np.ndarray:
     """SPMD program implementing Algorithm 1.
@@ -149,10 +136,6 @@ def parallel_permutation_program(
         variant used in the paper's experiments), ``"alg5"`` or ``"alg6"``.
     method:
         Hypergeometric sampling method forwarded to the samplers.
-    kernels:
-        Kernel-tier request (see :mod:`repro.core.kernels`); resolved once
-        per rank, recorded in the rank's cost record, and forwarded to the
-        shuffles and the matrix program.  Bit-identical across tiers.
     out:
         Optional sequence of ``ctx.n_procs`` writable arrays, ``out[i]``
         sized like target block ``i``: the caller-owned slices of the
@@ -191,13 +174,8 @@ def parallel_permutation_program(
     # Every rank sees the same ``out``, so every rank takes the same branch.
     one_sided = out is not None and all(ctx.comm.is_shared(o) for o in out)
 
-    # Resolve the kernel tier once per rank; the cost record carries which
-    # tier actually ran here (and its JIT warm-up cost) back to the parent.
-    tier = resolve_kernels(kernels)
-    ctx.cost.note_kernel_tier(tier.name, tier.warmup_seconds)
-
     # Superstep 1: local shuffle.
-    shuffled = local_shuffle(local, ctx.rng, kernels=tier)
+    shuffled = local_shuffle(local, ctx.rng)
     ctx.log_compute(len(shuffled))
     ctx.cost.allocate(len(shuffled))
     ctx.comm.barrier()
@@ -208,17 +186,17 @@ def parallel_permutation_program(
     matrix_program = MATRIX_ALGORITHMS[matrix_algorithm]
     if one_sided:
         my_row, prefixes = matrix_program(ctx, source_sizes, targets, method=method,
-                                          kernels=tier, column_prefix=True)
+                                          column_prefix=True)
         ctx.comm.alltoallv(cut_rows(shuffled, my_row), out=out, offsets=prefixes)
     else:
-        my_row = matrix_program(ctx, source_sizes, targets, method=method, kernels=tier)
+        my_row = matrix_program(ctx, source_sizes, targets, method=method)
         received = ctx.comm.alltoallv(cut_rows(shuffled, my_row))
     ctx.comm.barrier()
 
     # Superstep 3: shuffle the destination block in place -- the slice the
     # senders wrote, or the received pieces gathered in source order.
     dest = out[ctx.rank] if one_sided else np.concatenate(received)
-    result = local_shuffle(dest, ctx.rng, kernels=tier, out=dest)
+    result = local_shuffle(dest, ctx.rng, out=dest)
     ctx.log_compute(len(result))
     ctx.cost.allocate(len(result))
     return result
@@ -288,7 +266,6 @@ def _permute(blocks, machine, target_sizes, matrix_algorithm, method, machine_op
             target_sizes,
             matrix_algorithm=matrix_algorithm,
             method=method,
-            kernels=machine.kernels,
             out=out,
         )
     finally:

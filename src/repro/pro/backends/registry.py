@@ -164,24 +164,6 @@ work:
   standing state is retried on the fresh fabric the machine builds per
   attempt.
 
-Kernel-tier sub-contract (sampling hot paths)
----------------------------------------------
-Orthogonal to *where* ranks execute, the programs they run select a
-sampling **kernel tier** through :mod:`repro.core.kernels` (the machine's
-``kernels=`` kwarg rides into the programs; ``REPRO_KERNELS`` is the
-ambient default).  Backends never interpret the request -- they only have
-to preserve two properties that make it backend-invariant:
-
-* tiers draw raw words from the rank's own bit generator (see
-  :mod:`repro.core.kernels.wordstream`), so a backend that ships per-rank
-  streams correctly gets tier bit-exactness for free: a fixed seed is
-  identical across every backend x persistence x tier cell;
-* each rank notes the tier it actually ran (and its one-time JIT warm-up
-  cost) on its :class:`~repro.pro.cost.CostRecorder`
-  (``note_kernel_tier``), so backends that repatriate recorder state --
-  which out-of-address-space backends must do anyway, see above -- also
-  repatriate the per-rank tier choice for ``CostReport.kernel_tiers()``.
-
 Telemetry/repatriation sub-contract (fleet observability)
 ---------------------------------------------------------
 The machine's ``telemetry=`` kwarg (a

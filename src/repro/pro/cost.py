@@ -80,14 +80,12 @@ class CostRecorder:
         self._supersteps: list[SuperstepCost] = [SuperstepCost()]
         self.memory_words_peak = 0
         self._memory_words_current = 0
-        self.kernel_tier: str | None = None
-        self.kernel_warmup_seconds = 0.0
         #: Observability blob repatriated with the recorder: out-of-process
         #: workers set this to the capture of
         #: :func:`repro.pro.telemetry.capture_rank_telemetry` just before
-        #: queueing their result record, exactly like ``note_kernel_tier``
-        #: rides here -- anything attached to the recorder crosses the
-        #: address-space gap with no wire-format change.  ``None`` for
+        #: queueing their result record -- anything attached to the
+        #: recorder crosses the address-space gap with no wire-format
+        #: change.  ``None`` for
         #: in-address-space ranks (the parent reports zeroed counters).
         self.telemetry: dict | None = None
 
@@ -137,17 +135,6 @@ class CostRecorder:
         """Record ``words`` of memory released."""
         self._memory_words_current = max(0, self._memory_words_current - int(words))
 
-    def note_kernel_tier(self, name: str, warmup_seconds: float = 0.0) -> None:
-        """Record which sampling kernel tier this rank actually ran.
-
-        Programs call this after resolving their ``kernels=`` request (see
-        :mod:`repro.core.kernels`), so the parent can report the tier -- and
-        the one-time JIT warm-up cost it paid -- per rank even when the rank
-        executed in another process.
-        """
-        self.kernel_tier = str(name)
-        self.kernel_warmup_seconds = float(warmup_seconds)
-
     # -- summaries ------------------------------------------------------------
     def total(self) -> SuperstepCost:
         """Sum of all supersteps."""
@@ -169,8 +156,6 @@ class CostRecorder:
             "messages_received": tot.messages_received,
             "random_variates": tot.random_variates,
             "memory_words_peak": self.memory_words_peak,
-            "kernel_tier": self.kernel_tier,
-            "kernel_warmup_seconds": self.kernel_warmup_seconds,
         }
 
 
@@ -307,16 +292,14 @@ class CostReport:
         """Number of supersteps of the longest-running processor."""
         return max(len(rec.supersteps) for rec in self.recorders)
 
-    def kernel_tiers(self) -> list[tuple[str | None, float]]:
-        """Per-rank ``(kernel_tier, warmup_seconds)`` pairs, ordered by rank.
+    def kernel_tiers(self) -> list[tuple[str, float]]:
+        """``("numpy", 0.0)`` per rank: the samplers have one path.
 
-        ``kernel_tier`` is ``None`` for ranks whose program never noted a
-        tier (programs that predate the kernel registry, or plain compute
-        programs with no sampling hot path).
+        Kept for ``perfbench/workloads.py``, which prints one
+        ``(tier, warmup)`` pair per rank in its host line; ROADMAP item 6
+        removes it with that field.
         """
-        return [
-            (rec.kernel_tier, rec.kernel_warmup_seconds) for rec in self.recorders
-        ]
+        return [("numpy", 0.0)] * len(self.recorders)
 
     # -- BSP/PRO-style predicted time ----------------------------------------
     def predicted_time(

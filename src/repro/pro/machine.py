@@ -151,14 +151,6 @@ class PROMachine:
         and are released by
         :func:`repro.pro.backends.pool.clear_default_pools` or at
         interpreter exit).
-    kernels:
-        Kernel-tier request for the sampling hot paths
-        (``"auto"``/``"numba"``/``"numpy"``; ``None`` defers to the
-        ``REPRO_KERNELS`` environment variable).  The machine itself only
-        validates and stores it; the drivers forward :attr:`kernels` into
-        the programs they run, where each rank resolves it against
-        :mod:`repro.core.kernels`.  Bit-identical across tiers for a
-        fixed seed.
     retry:
         Recovery policy for transient backend failures: ``None`` (default)
         keeps today's fail-fast behaviour, an ``int`` gives that many
@@ -189,7 +181,6 @@ class PROMachine:
         count_random_variates: bool = False,
         timeout: float = 60.0,
         persistent: bool = False,
-        kernels: str | None = None,
         retry: int | RetryPolicy | None = None,
         telemetry=None,
     ):
@@ -204,14 +195,6 @@ class PROMachine:
                 "(an object with a record(report) method) or None"
             )
         self.telemetry = telemetry
-        if kernels is not None:
-            # Validate the request eagerly (unknown names fail at machine
-            # construction, not mid-run on a worker); resolution to an
-            # actual tier happens per rank inside the programs.
-            from repro.core.kernels import normalize_kernels
-
-            kernels = normalize_kernels(kernels)
-        self.kernels = kernels
         if persistent:
             if not isinstance(backend, str):
                 raise ValidationError(
@@ -376,7 +359,6 @@ def resolve_machine(
     seed=None,
     persistent: bool | None = None,
     schedule_seed: int | None = None,
-    kernels: str | None = None,
     retry: int | RetryPolicy | None = None,
     telemetry=None,
 ) -> PROMachine:
@@ -411,10 +393,6 @@ def resolve_machine(
     ``schedule_seed``
         Rank-interleaving seed of the sim backend; every schedule yields the
         same results.  Rejected for backends without the option.
-    ``kernels``
-        Kernel tier of the sampling hot path (``"auto"``/``"numba"``/
-        ``"numpy"``; ``None`` defers to ``REPRO_KERNELS``), forwarded by the
-        drivers into their programs.
     ``retry``
         Transient-failure recovery: an attempt count or a
         :class:`~repro.pro.resilience.RetryPolicy`.  The run is replayed
@@ -442,8 +420,8 @@ def resolve_machine(
     if machine is not None:
         given = [name for name, value in (
             ("backend", backend), ("seed", seed), ("persistent", persistent),
-            ("schedule_seed", schedule_seed), ("kernels", kernels),
-            ("retry", retry), ("telemetry", telemetry),
+            ("schedule_seed", schedule_seed), ("retry", retry),
+            ("telemetry", telemetry),
         ) if value is not None]
         if given:
             raise ValidationError(
@@ -463,6 +441,6 @@ def resolve_machine(
         options["pool_scope"] = "process"
     return PROMachine(
         n_procs, seed=seed, backend=name,
-        backend_options=options, persistent=warm, kernels=kernels,
+        backend_options=options, persistent=warm,
         retry=retry, telemetry=telemetry,
     )

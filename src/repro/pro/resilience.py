@@ -305,7 +305,6 @@ def _run_on_fallback(machine: "PROMachine", name: str, program, args, kwargs,
         topology=machine.topology,
         count_random_variates=machine.count_random_variates,
         timeout=machine.timeout,
-        kernels=machine.kernels,
     )
     try:
         return fallback._attempt(program, args, kwargs, children, deadline=deadline)

@@ -1,8 +1,8 @@
 """Fleet-wide observability: repatriated telemetry and structured run events.
 
-Per-rank transport counters, kernel-tier choices, pool lifecycle and
-resilience events all *exist* somewhere in the fleet --
-but most of them are born inside worker processes and would die there.
+Per-rank transport counters, pool lifecycle and resilience events all
+*exist* somewhere in the fleet -- but most of them are born inside worker
+processes and would die there.
 This module repatriates them along the same path the cost contract already
 guarantees for RNG accounting:
 
@@ -138,9 +138,7 @@ class FleetReport:
     Examples
     --------
     >>> report = FleetReport(backend="thread", n_procs=1,
-    ...                      ranks=[{"rank": 0, "transport": zeroed_transport_stats(),
-    ...                              "kernel_tier": None,
-    ...                              "kernel_warmup_seconds": 0.0}])
+    ...                      ranks=[{"rank": 0, "transport": zeroed_transport_stats()}])
     >>> sorted(report.to_dict())
     ['backend', 'events', 'n_procs', 'parent_transport', 'ranks', 'resilience', 'schema', 'transport', 'wall_clock_seconds']
     >>> report.to_dict()["ranks"][0]["transport"]["encode_calls"]
@@ -148,7 +146,7 @@ class FleetReport:
     """
 
     #: Version stamp of the ``to_dict()`` JSON shape; bump on breaking change.
-    SCHEMA = 3
+    SCHEMA = 4
 
     def __init__(
         self,
@@ -185,8 +183,6 @@ class FleetReport:
             ranks.append({
                 "rank": recorder.rank,
                 "transport": dict(blob.get("transport") or zeroed_transport_stats()),
-                "kernel_tier": recorder.kernel_tier,
-                "kernel_warmup_seconds": recorder.kernel_warmup_seconds,
             })
         return cls(
             backend=machine.backend.name,
@@ -227,15 +223,6 @@ class FleetReport:
             f"p={self.n_procs} wall={self.wall_clock_seconds * 1e3:.1f}ms"
         ]
         for rank in self.ranks:
-            tier = rank.get("kernel_tier")
-            if tier is None:
-                lines.append(f"rank {rank['rank']}: kernel tier not recorded")
-            else:
-                warmup = float(rank.get("kernel_warmup_seconds") or 0.0)
-                lines.append(
-                    f"rank {rank['rank']}: kernel tier {tier} "
-                    f"(JIT warm-up {warmup * 1e3:.1f} ms)"
-                )
             stats = rank.get("transport") or {}
             lines.append(
                 f"rank {rank['rank']}: transport "

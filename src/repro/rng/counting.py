@@ -106,12 +106,12 @@ class CountingRNG:
         self._generator.shuffle(x)
 
     def hypergeometric(self, ngood, nbad, nsample, size=None):
-        """NumPy's hypergeometric sampler (oracle and batched-kernel path).
+        """NumPy's hypergeometric sampler (the oracle and the batched engine).
 
         Charged one uniform per scalar sample drawn -- always the broadcast
         size of the call: with ``size=None`` the broadcast shape of the
         three parameter arrays (the vectorized form the batched engine
-        kernels and ``SamplerEngine.draw_many`` use), with an explicit
+        levels and ``SamplerEngine.draw_many`` use), with an explicit
         ``size`` the broadcast of that shape with the parameters.  The true
         uniform consumption of the library's own scalar samplers is what
         :mod:`repro.core.hypergeometric` reports.

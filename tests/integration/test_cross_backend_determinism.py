@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import sample_communication_matrix
+from repro.core.commmatrix import sample_matrix
 from repro.core.parallel_matrix import sample_matrix_parallel
 from repro.core.permutation import random_permutation
 from repro.pro.backends.process import ProcessBackend
@@ -253,97 +254,54 @@ class TestPermutationDeterminism:
             sample_matrix_parallel([4, 4], backend="thread", schedule_seed=3)
 
 
-class TestKernelTierDeterminism:
-    """REPRO_KERNELS axis: kernel tiers never change what a seed produces.
+class TestFixedSeedAcrossEntryPoints:
+    """One seed, one result: across backends, repeated calls and entry points."""
 
-    The compiled tier consumes raw words from the same per-rank bit
-    generators the NumPy code would have used (see
-    ``repro.core.kernels.wordstream``), so every backend x tier cell of the
-    grid must agree bit for bit -- whether the tier is requested per call
-    (``kernels=``) or process-wide (the ``REPRO_KERNELS`` environment
-    variable).  The CI numba cell reruns this module with
-    ``REPRO_KERNELS=numba`` to pin the compiled tier against these same
-    seeds; without numba ``"auto"``/``"numba"`` degrade to the NumPy tier,
-    which keeps the cells meaningful (equal by construction) rather than
-    skipped.
-    """
-
-    KERNEL_TIERS = ["numpy", "auto", "numba"]
-
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        from repro.core.kernels import reset_kernels
-
-        reset_kernels()
-        yield
-        reset_kernels()
-
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
     @pytest.mark.parametrize("backend", MULTI_RANK_BACKENDS)
-    def test_matrix_identical_across_tiers_and_backends(self, backend, kernels):
-        reference, _ = sample_matrix_parallel([5, 6, 7], backend="thread",
-                                              seed=808, kernels="numpy")
-        matrix, _ = sample_matrix_parallel([5, 6, 7], backend=backend,
-                                           seed=808, kernels=kernels)
-        assert np.array_equal(reference, matrix), (backend, kernels)
+    def test_matrix_identical_across_backends(self, backend):
+        reference, _ = sample_matrix_parallel([5, 6, 7], backend="thread", seed=808)
+        matrix, _ = sample_matrix_parallel([5, 6, 7], backend=backend, seed=808)
+        assert np.array_equal(reference, matrix), backend
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_inline_backend_agrees_at_p1(self, kernels):
-        reference, _ = sample_matrix_parallel([12], [5, 7], backend="inline",
-                                              seed=808, kernels="numpy")
-        matrix, _ = sample_matrix_parallel([12], [5, 7], backend="inline",
-                                           seed=808, kernels=kernels)
-        assert np.array_equal(reference, matrix), kernels
+    def test_inline_backend_agrees_with_thread_at_p1(self):
+        reference, _ = sample_matrix_parallel([12], [5, 7], backend="thread", seed=808)
+        matrix, _ = sample_matrix_parallel([12], [5, 7], backend="inline", seed=808)
+        assert np.array_equal(reference, matrix)
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
+    @pytest.mark.parametrize("backend", MULTI_RANK_BACKENDS)
     @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
-    def test_permutation_identical_across_tiers(self, matrix_algorithm, kernels):
+    def test_permutation_identical_across_backends(self, matrix_algorithm, backend):
         data = np.arange(2000, dtype=np.int64)
         reference = random_permutation(data, n_procs=4, backend="thread",
-                                       matrix_algorithm=matrix_algorithm,
-                                       seed=909, kernels="numpy")
-        out = random_permutation(data, n_procs=4, backend="thread",
-                                 matrix_algorithm=matrix_algorithm,
-                                 seed=909, kernels=kernels)
-        assert np.array_equal(reference, out), kernels
+                                       matrix_algorithm=matrix_algorithm, seed=909)
+        out = random_permutation(data, n_procs=4, backend=backend,
+                                 matrix_algorithm=matrix_algorithm, seed=909)
+        assert np.array_equal(reference, out), backend
         assert sorted(out.tolist()) == list(range(2000))
 
-    @pytest.mark.parametrize("kernels", KERNEL_TIERS)
-    def test_environment_variable_matches_explicit_request(self, kernels,
-                                                           monkeypatch):
-        explicit = random_permutation(np.arange(600), n_procs=3, seed=515,
-                                      kernels=kernels)
-        monkeypatch.setenv("REPRO_KERNELS", kernels)
-        from repro.core.kernels import reset_kernels
+    def test_default_backend_call_is_repeatable(self):
+        first = random_permutation(np.arange(600), n_procs=3, seed=515)
+        assert np.array_equal(first, random_permutation(np.arange(600), n_procs=3, seed=515))
 
-        reset_kernels()
-        ambient = random_permutation(np.arange(600), n_procs=3, seed=515)
-        assert np.array_equal(explicit, ambient), kernels
+    @pytest.mark.parametrize("value", ["numpy", "auto", "numba", "bogus"])
+    def test_retired_kernels_variable_changes_nothing(self, value, monkeypatch):
+        # REPRO_KERNELS once selected a compiled tier; nothing reads it now.
+        reference = random_permutation(np.arange(600), n_procs=3, seed=515)
+        matrix = sample_communication_matrix([8, 8, 8], algorithm="batched", seed=626)
+        monkeypatch.setenv("REPRO_KERNELS", value)
+        assert np.array_equal(reference,
+                              random_permutation(np.arange(600), n_procs=3, seed=515))
+        assert np.array_equal(matrix, sample_communication_matrix(
+            [8, 8, 8], algorithm="batched", seed=626))
 
-    def test_tier_repatriated_through_process_backend(self):
-        _, run = sample_matrix_parallel(
-            [6, 6, 6], seed=42, backend="process", persistent=False,
-            kernels="numpy",
-        )
-        tiers = run.cost_report.kernel_tiers()
-        assert [tier for tier, _ in tiers] == ["numpy"] * 3
-
-    def test_api_level_tier_parity(self):
-        matrices = [
-            sample_communication_matrix([8, 8, 8], parallel=True,
-                                        backend="thread", seed=626,
-                                        kernels=kernels)
-            for kernels in self.KERNEL_TIERS
-        ]
-        for matrix in matrices[1:]:
-            assert np.array_equal(matrices[0], matrix)
-        sequential = [
-            sample_communication_matrix([8, 8, 8], algorithm="batched",
-                                        seed=626, kernels=kernels)
-            for kernels in self.KERNEL_TIERS
-        ]
-        for matrix in sequential[1:]:
-            assert np.array_equal(sequential[0], matrix)
+    def test_api_level_matches_the_drivers(self):
+        parallel = sample_communication_matrix([8, 8, 8], parallel=True,
+                                               backend="thread", seed=626)
+        driver, _ = sample_matrix_parallel([8, 8, 8], backend="thread", seed=626)
+        assert np.array_equal(parallel, driver)
+        sequential = sample_communication_matrix([8, 8, 8], algorithm="batched", seed=626)
+        direct = sample_matrix([8, 8, 8], [8, 8, 8], 626, strategy="batched")
+        assert np.array_equal(sequential, direct)
 
 
 class TestWarmDriverDeterminism:

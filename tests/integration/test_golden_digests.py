@@ -14,8 +14,7 @@ The batched matrix sampler (``algorithm="batched"``) and the engine's
 ``multivariate_batch`` are pinned the same way, together with the next raw
 word of the generator after the call, so a change to how either walks its
 splitting tree -- the order or parameters of its hypergeometric draws, or
-how many it makes -- cannot pass unnoticed.  These run on the ambient
-kernel tier, so the compiled tier is held to the same digests.
+how many it makes -- cannot pass unnoticed.
 """
 
 import hashlib

@@ -12,13 +12,13 @@ output, on the generator state afterwards and on the variates a
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import SamplerEngine
 from repro.rng.counting import CountingRNG
 
-#: The NumPy tier, so the array-form levels run even where numba is present.
-_ENGINE = SamplerEngine("auto", kernels="numpy")
+_ENGINE = SamplerEngine("auto")
 
 
 def loop_block(rng, ngood, nbad, nsample):
@@ -175,3 +175,44 @@ class TestArrayFormTree:
         assert np.array_equal(out, loop_sample_matrix(rows, rows, ref))
         _assert_same_stream(mine, ref)
         assert mine.total_variates == 255 * 255
+
+
+class TestFixedGrids:
+    """The same contract on hand-picked edge cases and every bit generator."""
+
+    @pytest.mark.parametrize("draws,sizes", [
+        ([14, 6], [[5, 0, 7, 3, 11], [2, 2, 2, 2, 2]]),
+        ([1], [[1]]),
+        ([0, 10], [[0, 4], [5, 5]]),
+        ([200], [[50, 60, 40, 80]]),
+    ], ids=["two-urns", "one-ball", "empty-draw", "full-draw"])
+    def test_multivariate_batch_matches_loop(self, draws, sizes):
+        mine, ref = _pair(4000 + len(sizes[0]))
+        out = _ENGINE.multivariate_batch(draws, sizes, mine)
+        assert np.array_equal(out, loop_multivariate_batch(draws, sizes, ref))
+        _assert_same_stream(mine, ref)
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([7, 5, 3, 9, 0, 12], [6, 6, 6, 6, 6, 6]),
+        ([12], [5, 7]),
+        ([3, 3], [6]),
+        ([40, 30, 20, 10], [25, 25, 25, 25]),
+    ], ids=["zero-row", "one-row", "one-column", "square"])
+    def test_sample_matrix_matches_loop(self, rows, cols):
+        mine, ref = _pair(5000 + len(rows))
+        out = _ENGINE.sample_matrix_batched(rows, cols, mine)
+        assert np.array_equal(out, loop_sample_matrix(rows, cols, ref))
+        _assert_same_stream(mine, ref)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+        np.random.Philox, np.random.SFC64,
+    ], ids=lambda bg: bg.__name__)
+    def test_sample_matrix_on_every_bit_generator(self, bit_generator):
+        mine = CountingRNG(np.random.Generator(bit_generator(9)))
+        ref = CountingRNG(np.random.Generator(bit_generator(9)))
+        out = _ENGINE.sample_matrix_batched([70, 50, 30], [60, 40, 50], mine)
+        assert np.array_equal(out, loop_sample_matrix([70, 50, 30], [60, 40, 50], ref))
+        # Some bit generators keep array state, so compare what they draw next.
+        assert (mine.total_variates, mine.calls) == (ref.total_variates, ref.calls)
+        assert np.array_equal(mine.generator.random(4), ref.generator.random(4))

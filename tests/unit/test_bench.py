@@ -176,35 +176,50 @@ class TestFigure1:
         assert lines[1].startswith("v'")
 
 
+def _load_benchmark(name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestKernelArtifactMerge:
-    @staticmethod
-    def _bench_kernels():
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_kernels.py"
-        spec = importlib.util.spec_from_file_location("bench_kernels", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_merge_keeps_a_newer_schema(self, tmp_path):
+    def test_merge_replaces_only_the_kernel_cells(self, tmp_path):
         import json
 
         artifact = tmp_path / "BENCH.json"
-        artifact.write_text(json.dumps({"suite": "bench_backends", "schema": 5,
-                                        "records": [{"kept": True}]}))
-        cell = {"workload": "matrix_tree", "kernels": "numpy", "tier_active": "numpy",
-                "units": 1, "median_seconds": 0.5, "samples_per_second": 2}
-        self._bench_kernels().merge_into_artifact(artifact, [cell])
+        artifact.write_text(json.dumps({"suite": "bench_backends", "schema": 6,
+                                        "records": [{"kept": True}],
+                                        "kernel_records": [{"stale": True}]}))
+        cell = {"workload": "matrix_tree", "units": 1, "median_seconds": 0.5,
+                "samples_per_second": 2}
+        _load_benchmark("bench_kernels").merge_into_artifact(artifact, [cell])
         payload = json.loads(artifact.read_text())
-        assert payload["schema"] == 5
-        assert payload["records"] == [{"kept": True}]
-        assert payload["kernel_records"] == [cell]
+        assert payload == {"suite": "bench_backends", "schema": 6,
+                           "records": [{"kept": True}], "kernel_records": [cell]}
 
-    def test_merge_into_a_missing_artifact_writes_schema_4(self, tmp_path):
+    def test_merge_into_a_missing_artifact(self, tmp_path):
         import json
 
         artifact = tmp_path / "BENCH.json"
-        self._bench_kernels().merge_into_artifact(artifact, [])
-        assert json.loads(artifact.read_text())["schema"] == 4
+        _load_benchmark("bench_kernels").merge_into_artifact(artifact, [])
+        assert json.loads(artifact.read_text())["kernel_records"] == []
+
+
+def test_cold_backend_cells_leave_no_warm_pool():
+    """A cold process cell spawns its own ranks instead of borrowing the
+    default pool, so it measures a cold call and leaves no fleet behind."""
+    from repro.pro.backends.pool import clear_default_pools, default_pools
+
+    bench_backends = _load_benchmark("bench_backends")
+    clear_default_pools()
+    try:
+        bench_backends.median_seconds("permutation", "process", 1000, 2, rounds=1)
+        bench_backends.median_seconds("matrix", "process", 1000, 2, rounds=1)
+        assert default_pools() == {}
+    finally:
+        clear_default_pools()

@@ -35,6 +35,15 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["permute", "--n", "10"], ["matrix", "--sizes", "5,5"], ["stats"],
+    ], ids=lambda command: command[0])
+    def test_kernels_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--kernels", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
+
     def test_persistent_flag_parsed(self):
         args = build_parser().parse_args(
             ["permute", "--n", "10", "--backend", "process", "--persistent",
@@ -330,7 +339,7 @@ class TestStatsAndTelemetry:
                      "--backend", "thread"]) == 0
         out = capsys.readouterr().out
         assert "fleet report: backend=thread" in out
-        assert "kernel tier" in out
+        assert "rank 1: transport" in out
         assert "resilience: no retries" in out
 
     def test_stats_json_dumps_every_report(self, tmp_path, capsys):
@@ -343,7 +352,7 @@ class TestStatsAndTelemetry:
         reports = json.loads(path.read_text())
         assert len(reports) == 3
         for report in reports:
-            assert report["schema"] == 3
+            assert report["schema"] == 4
             assert len(report["ranks"]) == 2
         assert "3 fleet report(s)" in capsys.readouterr().out
 
@@ -353,7 +362,7 @@ class TestStatsAndTelemetry:
         out = capsys.readouterr().out
         # One formatting path: the verbose block IS FleetReport.summary().
         assert "fleet report: backend=thread" in out
-        assert "rank 0: kernel tier" in out
+        assert "rank 0: transport" in out
         assert "rank 1: transport" in out
 
     def test_permute_telemetry_json_writes_the_report(self, tmp_path, capsys):
@@ -363,7 +372,7 @@ class TestStatsAndTelemetry:
         assert main(["permute", "--n", "2000", "--procs", "2",
                      "--telemetry-json", str(path)]) == 0
         report = json.loads(path.read_text())
-        assert report["schema"] == 3 and report["n_procs"] == 2
+        assert report["schema"] == 4 and report["n_procs"] == 2
         assert f"fleet report written to {path}" in capsys.readouterr().out
 
     def test_matrix_sequential_rejects_telemetry_json(self):

@@ -160,3 +160,10 @@ class TestCostReport:
         d = self._two_rank_report().as_dict()
         assert d["n_procs"] == 2
         assert d["compute_ops_total"] == 200
+
+    def test_kernel_tiers_reads_numpy_per_rank(self):
+        # The one path perfbench's host line still reads; see repro.core.kernels.
+        from repro.core.kernels import resolve_kernels
+
+        assert self._two_rank_report().kernel_tiers() == [("numpy", 0.0)] * 2
+        assert resolve_kernels(None).name == "numpy"

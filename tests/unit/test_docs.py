@@ -35,7 +35,7 @@ class TestDocsSite:
     def test_site_skeleton_exists(self):
         assert (REPO / "mkdocs.yml").exists()
         for page in ("index.md", "architecture.md", "warm-pools.md",
-                     "kernels.md", "writing-a-backend.md",
+                     "writing-a-backend.md",
                      "determinism-and-faults.md", "observability.md",
                      "cli.md"):
             assert (REPO / "docs" / page).exists(), page
@@ -120,7 +120,7 @@ class TestDocstringExamples:
             assert ">>>" in fn.__doc__, fn.__name__
         options = [name for name, param in inspect.signature(resolve_machine).parameters.items()
                    if param.kind is inspect.Parameter.KEYWORD_ONLY and name != "machine"]
-        assert len(options) == 7
+        assert len(options) == 6
         for option in options:
             assert f"``{option}``" in resolve_machine.__doc__, option
         assert ">>>" in resolve_machine.__doc__

@@ -37,6 +37,13 @@ class TestEngineConstruction:
         with pytest.raises(ValidationError):
             get_engine("bogus")
 
+    @pytest.mark.parametrize("build", [SamplerEngine, get_engine],
+                             ids=["SamplerEngine", "get_engine"])
+    def test_kernels_is_no_engine_option(self, build):
+        # The engine has one path, NumPy's: there is no kernel tier to select.
+        with pytest.raises(TypeError, match="kernels"):
+            build("auto", kernels="numpy")
+
     @pytest.mark.parametrize("threshold", [7.9, -1, True, "7"])
     def test_hin_threshold_must_be_a_count(self, threshold):
         # int() once turned 7.9 into 7.
@@ -240,13 +247,12 @@ class TestBatchedMatrix:
         # far more than the handful of vectorized calls that produce them.
         assert rng.uniforms_drawn > 8
 
-    def test_one_validation_and_one_tier_resolution_per_call(self, monkeypatch):
+    def test_one_validation_per_call(self, monkeypatch):
         # The row tree's levels still go through multivariate_batch by name
-        # (perfbench times it there), but neither re-validate the marginals
-        # nor re-resolve the kernel tier.
-        engine = SamplerEngine(kernels="numpy")
-        calls = {"tier": 0, "levels": 0, "vector": 0}
-        resolve, level = SamplerEngine._resolve_tier, SamplerEngine.multivariate_batch
+        # (perfbench times it there), but do not re-validate the marginals.
+        engine = SamplerEngine()
+        calls = {"levels": 0, "vector": 0}
+        level = SamplerEngine.multivariate_batch
         convert = validation.as_int_array
 
         def counting(key, fn):
@@ -255,16 +261,14 @@ class TestBatchedMatrix:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(SamplerEngine, "_resolve_tier", counting("tier", resolve))
         monkeypatch.setattr(SamplerEngine, "multivariate_batch", counting("levels", level))
         monkeypatch.setattr(validation, "as_int_array", counting("vector", convert))
         rows = cols = np.full(8, 20, dtype=np.int64)
-        expected = SamplerEngine(kernels="numpy").sample_matrix_batched(
-            rows, cols, np.random.default_rng(3))
-        calls.update(tier=0, levels=0, vector=0)
+        expected = SamplerEngine().sample_matrix_batched(rows, cols, np.random.default_rng(3))
+        calls.update(levels=0, vector=0)
         matrix = engine.sample_matrix_batched(rows, cols, np.random.default_rng(3))
         assert np.array_equal(matrix, expected)
-        assert calls == {"tier": 1, "levels": 3, "vector": 2}
+        assert calls == {"levels": 3, "vector": 2}
 
 
 @pytest.mark.parametrize("call", [

@@ -191,3 +191,61 @@ class TestCountingAndRecorder:
                 hg.sample(12, 30, 30, rng)
         assert outer.n_calls == 1
         assert inner.n_calls == 1
+
+
+class TestSampleMany:
+    """sample_many(size=k) is k calls of sample(), variate for variate."""
+
+    @pytest.mark.parametrize(
+        "t,w,b,method",
+        [
+            (5, 20, 30, "hin"),
+            (12, 7, 40, "hin"),
+            (3, 100, 2, "hin"),
+            (40, 60, 50, "hrua"),
+            (200, 150, 170, "hrua"),
+            (90, 45, 50, "hrua"),
+            (12, 30, 25, "auto"),
+            (7, 9, 8, "auto"),
+            (450, 300, 400, "auto"),
+            (6, 10, 12, "numpy"),
+        ],
+    )
+    def test_equals_repeated_sample(self, t, w, b, method):
+        c1, c2 = CountingRNG(np.random.default_rng(11)), CountingRNG(np.random.default_rng(11))
+        r1 = hg.SampleRecorder(keep_per_call=True)
+        r2 = hg.SampleRecorder(keep_per_call=True)
+        with r1:
+            many = hg.sample_many(t, w, b, size=40, rng=c1, method=method)
+        with r2:
+            loop = [hg.sample(t, w, b, c2, method=method) for _ in range(40)]
+        assert many.dtype == np.int64
+        assert many.tolist() == loop
+        assert (c1.uniforms_drawn, c1.calls) == (c2.uniforms_drawn, c2.calls)
+        assert r1.per_call == r2.per_call
+        assert np.array_equal(c1.random(8), c2.random(8))
+
+    def test_plain_generator_records_zero_uniforms(self):
+        with hg.SampleRecorder(keep_per_call=True) as rec:
+            hg.sample_many(5, 20, 30, size=4, rng=np.random.default_rng(0))
+        assert rec.per_call == [0, 0, 0, 0]
+        assert rec.n_calls == 4
+
+    def test_trivial_parameters_draw_nothing(self):
+        rng = CountingRNG(np.random.default_rng(0))
+        with hg.SampleRecorder(keep_per_call=True) as rec:
+            out = hg.sample_many(0, 5, 5, size=3, rng=rng)
+        assert out.tolist() == [0, 0, 0]
+        assert rec.per_call == [0, 0, 0]
+        assert rng.calls == 0
+
+
+class TestLogBinomialMemoization:
+    def test_repeated_parameters_hit_the_cache(self):
+        hg._log_binomial.cache_clear()
+        hg.pmf(3, 6, 10, 12)
+        info_first = hg._log_binomial.cache_info()
+        hg.pmf(3, 6, 10, 12)
+        info_second = hg._log_binomial.cache_info()
+        assert info_second.hits > info_first.hits
+        assert info_second.misses == info_first.misses

@@ -33,7 +33,6 @@ OPTION_VALUES = {
     "seed": 123,
     "persistent": True,
     "schedule_seed": 3,
-    "kernels": "numpy",
     "retry": 2,
     "telemetry": Telemetry(),
 }
@@ -95,6 +94,15 @@ def test_transport_is_no_machine_option(entry):
         call(backend="process", transport="pickle")
 
 
+@pytest.mark.parametrize("entry", ["resolve_machine", *DRIVERS])
+def test_kernels_is_no_machine_option(entry):
+    # The samplers have one path, NumPy's: there is no kernel tier to select.
+    call = (DRIVERS[entry] if entry in DRIVERS
+            else lambda **kw: resolve_machine(2, **kw))
+    with pytest.raises(TypeError, match="kernels"):
+        call(kernels="numpy")
+
+
 @pytest.mark.parametrize("baseline", [
     lambda **kw: sort_based_permutation(np.arange(6), **kw),
     lambda **kw: parallel_sample_sort([np.arange(3), np.arange(3, 6)], **kw),
@@ -126,3 +134,7 @@ class TestSequentialPath:
     def test_transport_is_a_type_error(self):
         with pytest.raises(TypeError, match="transport"):
             sample_communication_matrix([4, 4], seed=0, transport="pickle")
+
+    def test_kernels_is_a_type_error(self):
+        with pytest.raises(TypeError, match="kernels"):
+            sample_communication_matrix([4, 4], seed=0, kernels="numpy")

@@ -40,48 +40,23 @@ class TestLocalShuffle:
         assert local_shuffle(np.array([7]), rng).tolist() == [7]
 
 
-class _DrawingTier:
-    """A kernel tier that serves ``permutation()``, as the compiled tier does."""
-
-    name = "drawing"
-    warmup_seconds = 0.0
-
-    def __init__(self):
-        self.calls = []
-
-    def warm_up(self):
-        return self
-
-    def permutation(self, rng, n):
-        self.calls.append(n)
-        return rng.permutation(n)
-
-
 class TestLocalShuffleInPlace:
-    @pytest.mark.parametrize("kernels", [None, _DrawingTier()], ids=["numpy", "gather"])
     @pytest.mark.parametrize("dtype", [np.int64, object])
-    def test_out_matches_the_copying_path(self, kernels, dtype):
+    def test_out_matches_the_copying_path(self, dtype):
         values = np.arange(257).astype(dtype)
-        expected = local_shuffle(values, np.random.default_rng(5), kernels)
+        expected = local_shuffle(values, np.random.default_rng(5))
         out = np.empty_like(values)
-        result = local_shuffle(values, np.random.default_rng(5), kernels, out=out)
+        result = local_shuffle(values, np.random.default_rng(5), out=out)
         assert result is out
         assert np.array_equal(out, expected)
         assert np.array_equal(values, np.arange(257))  # the source is left alone
 
-    @pytest.mark.parametrize("kernels", [None, _DrawingTier()], ids=["numpy", "gather"])
-    def test_out_may_be_the_input(self, kernels):
-        expected = local_shuffle(np.arange(257), np.random.default_rng(6), kernels)
+    def test_out_may_be_the_input(self):
+        expected = local_shuffle(np.arange(257), np.random.default_rng(6))
         values = np.arange(257)
-        result = local_shuffle(values, np.random.default_rng(6), kernels, out=values)
+        result = local_shuffle(values, np.random.default_rng(6), out=values)
         assert result is values
         assert np.array_equal(values, expected)
-
-    def test_gather_path_is_taken(self):
-        tier = _DrawingTier()
-        values = np.arange(257)
-        local_shuffle(values, np.random.default_rng(7), tier, out=values)
-        assert tier.calls == [257]
 
     def test_empty_and_single_in_place(self, rng):
         empty, single = np.empty(0), np.array([7])
@@ -570,7 +545,7 @@ class TestSharedSegmentAssembly:
         marker.touch()  # disarmed for the warm-up run
         real_shuffle = permutation.local_shuffle
 
-        def dying_shuffle(values, rng, kernels=None, *, out=None):
+        def dying_shuffle(values, rng, *, out=None):
             if (out is not None
                     and multiprocessing.current_process().name == "pro-pool-1"):
                 try:
@@ -581,7 +556,7 @@ class TestSharedSegmentAssembly:
                     os.close(fd)
                     time.sleep(0.2)  # let rank 0 finish writing its slice
                     os._exit(1)
-            return real_shuffle(values, rng, kernels, out=out)
+            return real_shuffle(values, rng, out=out)
 
         monkeypatch.setattr(permutation, "local_shuffle", dying_shuffle)
         machine = PROMachine(2, seed=17, backend="process", persistent=True,
@@ -749,13 +724,12 @@ class TestProgramValidation:
 
 def test_import_loads_the_rank_modules():
     """A rank forked from a parent that only imported the driver finds the
-    engine, the kernel registry and its tiers already loaded, so a rank
-    respawned by heal() imports nothing on its first epoch."""
+    engine already loaded, so a rank respawned by heal() imports nothing on
+    its first epoch; the perfbench-only ``repro.core.kernels`` stays unloaded."""
     script = ("import sys, repro.core.permutation; "
-              "missing = {'repro.core.engine', 'repro.core.kernels', "
-              "'repro.core.kernels.numba_tier', 'repro.core.kernels.numpy_tier'}"
-              " - set(sys.modules); "
-              "assert not missing, missing")
+              "assert 'repro.core.engine' in sys.modules; "
+              "kernels = [m for m in sys.modules if m.startswith('repro.core.kernels')]; "
+              "assert not kernels, kernels")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
