@@ -2,34 +2,36 @@
 
 Times the two driver-level workloads -- communication-matrix sampling on a
 PRO machine and the distributed permutation (Algorithm 1) -- on every
-execution backend, for the process backend both *cold* (fresh processes
-per run) and *persistent* (runs dispatched to a standing worker pool), at
-several ``(n, p)`` points.  A third workload, ``dispatch``, runs a
-trivial program so that nothing but the per-run fixed cost is measured: for cold variants that is
-machine construction plus process spawn, for persistent variants the
-task-queue dispatch to the standing pool.  A fourth, ``warm_driver``,
-measures what a plain repeated *top-level driver call* costs: its
-persistent variant is the warm-by-default path through the process-wide
-default pool cache (ISSUE 5), its cold variant the same call with
-``persistent=False``.  A fifth, ``crash_recovery``, measures
-crash-to-recovered latency: every timed call injects a first-attempt
-rank crash (``CrashRank`` ``at_run=0``) under ``retry=2`` and times the
-whole failed-attempt + heal + bit-identical replay sequence -- for
-persistent variants against a standing supervised pool (only the dead
-rank respawns), for cold variants against per-run process spawns.  Run
-with ``--benchmark-json`` to get the same pytest-benchmark JSON shape as
-the rest of the suite (one record per (workload, backend, persistent, n,
-p) with the parameters echoed in ``extra_info``).
+execution backend, for the process backend both *cold* (a fresh machine
+per call: spawn, run and close) and *persistent* (runs dispatched to one
+standing machine's fleet), at several ``(n, p)`` points.  A third
+workload, ``dispatch``, runs a trivial program so that nothing but the
+per-run fixed cost is measured: for cold variants that is machine
+construction plus process spawn and shutdown, for persistent variants the
+dispatch to the standing pool.  A fourth, ``warm_driver``, measures what
+a plain repeated *top-level driver call* costs: its persistent variant is
+the warm-by-default path through the process-wide default pool cache,
+its cold variant the same permutation on a fresh machine per call.  A
+fifth, ``crash_recovery``, measures crash-to-recovered latency: every
+timed call injects a first-attempt rank crash (``CrashRank``
+``at_run=0``) under ``retry=2`` and times the whole failed-attempt +
+heal + bit-identical replay sequence -- for persistent variants against
+a standing supervised pool (the raising rank keeps its process), for
+cold variants against a fresh machine per call.  The ``persistent``
+field of every record labels the variant.  Run with ``--benchmark-json``
+to get the same pytest-benchmark JSON shape as the rest of the suite
+(one record per (workload, backend, persistent, n, p) with the
+parameters echoed in ``extra_info``).
 
 Reading the numbers: the thread backend wins at small in-process problem
 sizes (rank start-up is microseconds and NumPy releases the GIL), while
-the cold process backend pays process spawn plus payload movement per
-run.  Two gates isolate the *serialisation* share of that overhead
+the cold process variant pays process spawn plus payload movement per
+call.  Two gates isolate the *serialisation* share of that overhead
 (shared-memory segments against the in-band path, :func:`in_band`);
-the persistent dimension isolates the *spawn* share:
-a standing pool pays it once, so the acceptance gate of ISSUE 3 is that
-the persistent pool's per-run dispatch overhead is at least 5x lower than
-cold-spawn at the ``dispatch`` point on a multi-core box.
+the persistent dimension isolates the *spawn* share: a standing pool
+pays it once, so one gate is that the persistent pool's per-run dispatch
+overhead is at least 5x lower than a fresh machine's at the ``dispatch``
+point.
 
 Direct execution writes the tracked perf-trajectory artifact::
 
@@ -74,7 +76,8 @@ DISPATCH_POINT = (0, 4)
 WARM_DRIVER_POINT = (2_000, 4)
 #: The crash-to-recovered latency point (the canonical chaos p).
 CRASH_RECOVERY_POINT = (20_000, 4)
-#: (backend, persistent) variants.
+#: (backend, persistent) variants; ``persistent=False`` is a fresh machine
+#: per call.
 VARIANTS = [
     ("inline", False),
     ("thread", False),
@@ -109,54 +112,43 @@ def in_band():
 
 
 def _trivial_program(ctx):
-    """Module-level no-op rank program (picklable for the persistent pool)."""
+    """Module-level no-op rank program (picklable for the rank pipes)."""
     return ctx.rank
 
 
-def _machine_options(backend, machine):
-    """The standing ``machine``, or the options of a cold call.
-
-    A cold call passes ``persistent=False``: left unset, the process
-    backend would borrow the warm default pool and time a dispatch.
-    """
-    if machine is not None:
-        return {"machine": machine}
-    return {"backend": backend, "seed": 0, "persistent": False}
-
-
-def _run_matrix(backend, n_items, n_procs, machine=None):
+def _run_matrix(backend, n_items, n_procs, machine):
     row_sums = np.full(n_procs, n_items // n_procs, dtype=np.int64)
     matrix, _ = sample_matrix_parallel(
-        row_sums, algorithm="alg6" if n_procs > 1 else "root",
-        **_machine_options(backend, machine),
+        row_sums, algorithm="alg6" if n_procs > 1 else "root", machine=machine,
     )
     return matrix
 
 
-def _run_permutation(backend, n_items, n_procs, machine=None):
+def _run_permutation(backend, n_items, n_procs, machine):
     data = np.arange(n_items, dtype=np.int64)
-    return random_permutation(data, n_procs=n_procs,
-                              **_machine_options(backend, machine))
+    return random_permutation(data, n_procs=n_procs, machine=machine)
 
 
-def _run_dispatch(backend, n_items, n_procs, machine=None):
-    if machine is not None:
-        return machine.run(_trivial_program).results
-    cold = PROMachine(n_procs, seed=0, backend=backend)
-    return cold.run(_trivial_program).results
+def _run_dispatch(backend, n_items, n_procs, machine):
+    return machine.run(_trivial_program).results
 
 
-def _run_warm_driver(backend, n_items, n_procs, *, persistent):
-    """One *top-level driver call* (no pre-built machine).
+def _run_warm_driver(backend, n_items, n_procs, machine=None):
+    """One permutation call: a *top-level driver call* without ``machine``.
 
-    This is the workload the default pool cache exists for: with
-    ``persistent=None`` the call transparently borrows the process-wide
-    warm fleet (the tentpole of ISSUE 5); ``persistent=False`` forces the
-    historic cold spawn per call.
+    The driver call is the workload the default pool cache exists for:
+    it transparently borrows the process-wide warm fleet.
     """
+    if machine is not None:
+        return _run_permutation(backend, n_items, n_procs, machine)
     data = np.arange(n_items, dtype=np.int64)
-    return random_permutation(data, n_procs=n_procs, backend=backend,
-                              seed=0, persistent=persistent)
+    return random_permutation(data, n_procs=n_procs, backend=backend, seed=0)
+
+
+def _on_fresh_machine(fn, backend, n_items, n_procs):
+    """One cold call: spawn a fresh machine, run ``fn`` on it and close it."""
+    with PROMachine(n_procs, seed=0, backend=backend) as machine:
+        return fn(backend, n_items, n_procs, machine)
 
 
 def _crash_recovery_runner(backend, persistent, n_items, n_procs):
@@ -172,7 +164,7 @@ def _crash_recovery_runner(backend, persistent, n_items, n_procs):
     from repro.pro.backends.faults import CrashRank, FaultInjectingBackend
     from repro.pro.backends.registry import get_backend
 
-    inner = get_backend(backend, persistent=True) if persistent else None
+    inner = get_backend(backend) if persistent else None
     data = np.arange(n_items, dtype=np.int64)
 
     def call():
@@ -202,33 +194,30 @@ WORKLOADS = {"matrix": _run_matrix, "permutation": _run_permutation,
 def make_runner(workload, backend, persistent, n_items, n_procs):
     """Build ``(callable, closer)`` for one benchmark cell.
 
-    Cold variants construct their machinery inside every call (that is the
-    cost being measured); persistent variants build one standing machine
-    up front -- the pool spawn happens on the warmup run -- and each call
-    times a dispatch to the warm pool.  The ``warm_driver`` workload has
-    no pre-built machine at all: its persistent variant measures what a
-    plain repeated driver call costs now that the default pool cache
-    keeps the fleet warm between calls, and its closer clears the cache
-    so later cells start cold.
+    Cold variants build a fresh machine inside every call and close it
+    after the call (spawn, run and close: that is the cost being
+    measured); persistent variants build one standing machine up front --
+    the pool spawn happens on the warmup run -- and each call times a
+    dispatch to the warm pool.  The persistent ``warm_driver`` variant has
+    no pre-built machine at all: it measures what a plain repeated driver
+    call costs now that the default pool cache keeps the fleet warm
+    between calls, and its closer clears the cache so later cells start
+    cold.
     """
     if workload == "crash_recovery":
         return _crash_recovery_runner(backend, persistent, n_items, n_procs)
+    fn = WORKLOADS[workload]
+    if not persistent:
+        return ((lambda: _on_fresh_machine(fn, backend, n_items, n_procs)),
+                (lambda: None))
     if workload == "warm_driver":
         from repro.pro.backends.pool import clear_default_pools
 
-        mode = None if persistent else False
         clear_default_pools()  # this cell starts from a cold cache
-
-        def call():
-            return _run_warm_driver(backend, n_items, n_procs, persistent=mode)
-
-        return call, clear_default_pools
-    fn = WORKLOADS[workload]
-    if not persistent:
-        return (lambda: fn(backend, n_items, n_procs)), (lambda: None)
-    machine = PROMachine(n_procs, seed=0, backend=backend, persistent=True)
-    return (lambda: fn(backend, n_items, n_procs, machine=machine),
-            machine.close)
+        return ((lambda: _run_warm_driver(backend, n_items, n_procs)),
+                clear_default_pools)
+    machine = PROMachine(n_procs, seed=0, backend=backend)
+    return (lambda: fn(backend, n_items, n_procs, machine), machine.close)
 
 
 def median_seconds(workload, backend, n_items, n_procs,
@@ -300,11 +289,11 @@ if pytest is not None:
         """Smoke-level determinism check inside the benchmark suite."""
         row_sums = np.full(4, 500, dtype=np.int64)
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=9)
-        for backend, persistent in VARIANTS[2:]:
-            matrix, _ = sample_matrix_parallel(
-                row_sums, backend=backend, persistent=persistent, seed=9,
-            )
-            assert np.array_equal(reference, matrix), (backend, persistent)
+        with PROMachine(4, seed=9, backend="process") as fresh:
+            cold, _ = sample_matrix_parallel(row_sums, machine=fresh)
+        warm, _ = sample_matrix_parallel(row_sums, backend="process", seed=9)
+        assert np.array_equal(reference, cold)
+        assert np.array_equal(reference, warm)
 
     def test_sharedmem_halves_process_overhead():
         """>= 2x lower process overhead than the in-band path at 1M / p=8.
@@ -357,7 +346,9 @@ if pytest is not None:
         transport, i.e. minus spawn and synchronisation) must be at least
         2x smaller with zero-copy segments than in-band, through the pipe
         (a ``min_bytes`` above the block's size); this holds on a single
-        core too, because the cost is pure data movement.
+        core too, because the cost is pure data movement.  Every timed
+        call is a cold one -- a fresh machine: spawn, run and close -- so
+        the ranks ship their blocks from fresh address spaces.
         """
         n_items, n_procs = BIG_POINT
         block = n_items // n_procs
@@ -365,18 +356,18 @@ if pytest is not None:
 
         def run_result_workload(path, payload_items):
             transport = SharedMemoryTransport(min_bytes=min_bytes[path])
-            machine = PROMachine(n_procs, seed=0,
-                                 backend=ProcessBackend(transport=transport))
 
             def program(ctx):
                 return np.zeros(payload_items, dtype=np.int64)
 
             times = []
-            machine.run(program)  # warmup
-            for _ in range(9):
+            for round_ in range(10):  # the first round is a warmup
                 start = time.perf_counter()
-                machine.run(program)
-                times.append(time.perf_counter() - start)
+                with PROMachine(n_procs, seed=0,
+                                backend=ProcessBackend(transport=transport)) as machine:
+                    machine.run(program)
+                if round_:
+                    times.append(time.perf_counter() - start)
             return min(times)
 
         attempts = []
@@ -393,12 +384,12 @@ if pytest is not None:
             raise AssertionError(f"payload overhead never halved: {attempts}")
 
     def test_warm_driver_beats_cold_3x_and_encodes_once_per_run():
-        """ISSUE 5 acceptance: warm-by-default driver calls >= 3x cheaper.
+        """Warm-by-default driver calls >= 3x cheaper than a fresh machine.
 
         Plain repeated driver calls (``backend="process"``, nothing else)
-        now borrow the process-wide warm fleet; the same call with
-        ``persistent=False`` pays machine build + p process spawns every
-        time.  At the small warm-driver point the fixed cost dominates,
+        borrow the process-wide warm fleet; the same call on a fresh
+        machine pays machine build, p process spawns and their shutdown
+        every time.  At the small warm-driver point the fixed cost dominates,
         so the warm:cold ratio is the cache's raison d'etre.  The warm
         path must also encode each run's dispatch arguments exactly once
         per call, not once per rank; since the driver stages its input in
@@ -431,7 +422,7 @@ if pytest is not None:
             # no encoded byte at all.
             clear_default_pools()
             for _ in range(4):
-                _run_warm_driver("process", 200_000, n_procs, persistent=None)
+                _run_warm_driver("process", 200_000, n_procs)
             pools = list(default_pools().values())
             assert len(pools) == 1, pools
             stats = pools[0].fabric.transport.stats
@@ -442,12 +433,12 @@ if pytest is not None:
             clear_default_pools()
 
     def test_persistent_pool_cuts_dispatch_overhead_5x():
-        """ISSUE 3 acceptance: warm-pool dispatch >= 5x cheaper than cold spawn.
+        """Warm-pool dispatch >= 5x cheaper than a fresh machine per call.
 
         The ``dispatch`` workload runs a trivial program, so its wall time
-        *is* the per-run fixed cost: machine construction plus p process
-        spawns for the cold backend, a task-queue round-trip to the
-        standing pool for the persistent one.  Spawn costs do not shrink
+        *is* the per-run fixed cost: machine construction, p process
+        spawns and their shutdown for the cold variant, a pipe round-trip
+        to the standing pool for the persistent one.  Spawn costs do not shrink
         on small boxes, so the gate applies everywhere; a best-of-3 shield
         absorbs scheduler noise.
         """
@@ -539,7 +530,7 @@ def dispatch_speedup(records):
 def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
     """Observed fallback rate of the warm default fleet.
 
-    ``runs`` permutations on one persistent process machine
+    ``runs`` permutations on one process machine
     with a :class:`~repro.pro.telemetry.Telemetry` recorder attached,
     summarised into the repatriated per-rank encode counts and the
     transport's in-band fallback rate.
@@ -548,7 +539,7 @@ def fleet_telemetry_cells(*, n_items=100_000, n_procs=4, runs=3):
 
     telemetry = Telemetry()
     machine = PROMachine(n_procs, seed=0, backend="process",
-                         persistent=True, telemetry=telemetry)
+                         telemetry=telemetry)
     try:
         data = np.arange(n_items, dtype=np.int64)
         for _ in range(runs):
@@ -610,10 +601,10 @@ def main(argv=None):
         print(f"1M/p=8 permutation: process {big[0]['median_seconds']:.3f}s")
     if speedup is not None:
         print(f"dispatch overhead: persistent pool {speedup:.1f}x cheaper "
-              "than cold spawn")
+              "than a fresh machine")
     if warm_speedup is not None:
         print(f"warm driver calls: default pool cache {warm_speedup:.1f}x "
-              "cheaper than cold driver calls")
+              "cheaper than a fresh machine per call")
     print(f"wrote {len(records)} records to {args.json}")
     return 0
 

@@ -2,7 +2,7 @@
 
 Re-runs the 1M-item / p=4 permutation cell of ``bench_backends.py`` for
 every variant present in the tracked ``benchmarks/BENCH_backends.json``
-(plus the dispatch-overhead cell, which guards the persistent pool's
+(plus the dispatch-overhead cell, which guards the standing pool's
 raison d'etre, the persistent crash-recovery cells, which guard the
 supervisor's heal latency, and the two NumPy sampling cells of
 ``bench_kernels.py``), writes the fresh measurements as a JSON artifact for the
@@ -66,7 +66,7 @@ TELEMETRY_FACTOR = 1.05
 def warm_dispatch_overhead(*, rounds=100, trials=3, **option):
     """Best-of-``trials`` ratio of a warm dispatch with ``option`` to one without.
 
-    Each trial stands up one persistent fleet at the dispatch point and
+    Each trial stands up one standing fleet at the dispatch point and
     two machines that dispatch to it, one plain and one built with
     ``option`` (``retry=2`` for supervision, ``telemetry=Telemetry()`` for
     observation), and warms the fleet outside the timing.  It then times
@@ -91,7 +91,7 @@ def warm_dispatch_overhead(*, rounds=100, trials=3, **option):
     _n, p = DISPATCH_POINT
     ratios = []
     for _ in range(trials):
-        fleet = get_backend("process", persistent=True)
+        fleet = get_backend("process")
         machines = [PROMachine(p, seed=0, backend=fleet, **extra)
                     for extra in ({}, option)]
         times = ([], [])

@@ -2,19 +2,23 @@
 
 Sweeps the committed chaos plans
 (:func:`repro.pro.resilience.committed_chaos_plans`) across the backend
-matrix -- ``thread``, ``sim``, and ``process`` cold and persistent: 4 plans
-x 4 cells = 16 cells at the canonical ``p = 4`` -- under
+matrix -- ``thread``, ``sim``, and ``process`` on a private fleet and on
+the default pool cache the drivers borrow: 4 plans x 4 cells = 16 cells at
+the canonical ``p = 4`` -- under
 ``RetryPolicy(max_attempts=2)``.
 Each cell injects the plan's fault on the first attempt and must (a)
 complete, (b) spend exactly one retry, and (c) return results
 bit-identical to a fault-free reference run (results are
 backend-invariant for a fixed seed, so one clean thread run references
-every cell).  A persistent process cell must also (d) heal in scope:
-its ``pool-heal`` events respawn no rank.  Every committed plan raises
+every cell).  A process cell must also (d) heal in scope: its
+``pool-heal`` events respawn no rank.  The default-pool cell heals the
+cached fleet in place on the replay's lookup
+(:func:`~repro.pro.backends.pool.get_default_pool`), the path every
+driver call takes.  Every committed plan raises
 (a crashed rank, a dropped message, a barrier timeout) rather than
 kills, and a rank that raised, like one that only saw the abort,
 reports and keeps its process; only a rank that dies makes heal respawn
-the fleet.  Writes the per-cell outcomes, with each persistent cell's
+the fleet.  Writes the per-cell outcomes, with each process cell's
 observed respawn set and heal time (``heal_ms``), as a JSON artifact
 for the workflow to upload.
 
@@ -39,6 +43,7 @@ import sys
 import time
 
 from repro.pro.backends.faults import FaultInjectingBackend
+from repro.pro.backends.pool import clear_default_pools
 from repro.pro.machine import PROMachine
 from repro.pro.resilience import RetryPolicy, committed_chaos_plans
 from repro.pro.telemetry import event_seq, events_since
@@ -47,13 +52,14 @@ from repro.util.timeouts import scale_timeout
 P = 4  # the rank count the committed plans address
 SEED = 20030607
 
-#: (backend, persistent) cells of the sweep.
+#: (cell, backend, backend options) of the sweep.
 CELLS = [
-    ("thread", False),
-    ("sim", False),
-    ("process", False),
-    ("process", True),
+    ("thread", "thread", {}),
+    ("sim", "sim", {}),
+    ("process-default-pool", "process", {"pool_scope": "process"}),
+    ("process-private", "process", {}),
 ]
+
 
 def _chaos_program(ctx):
     # One surface per committed fault class: an rng draw (stream parity
@@ -63,10 +69,6 @@ def _chaos_program(ctx):
     gathered = ctx.comm.alltoall([value * (j + 1) for j in range(ctx.comm.size)])
     ctx.comm.barrier()
     return value, gathered
-
-
-def _cell_id(backend, persistent):
-    return f"{backend}-persistent" if persistent else backend
 
 
 def run_sweep(*, fleet_reports=None):
@@ -88,9 +90,10 @@ def run_sweep(*, fleet_reports=None):
     policy = RetryPolicy(max_attempts=2)
     reports, failures = [], []
     for plan_name in sorted(plans):
-        for backend, persistent in CELLS:
-            cell = _cell_id(backend, persistent)
-            options = {"persistent": True} if persistent else {}
+        for cell, backend, options in CELLS:
+            shared = options.get("pool_scope") == "process"
+            if shared:
+                clear_default_pools()  # the cell spawns its own cached fleet
             wrapper = FaultInjectingBackend(backend, plans[plan_name], **options)
             telemetry = Telemetry() if fleet_reports is not None else None
             # The timeout bounds how long a dropped message takes to
@@ -105,6 +108,8 @@ def run_sweep(*, fleet_reports=None):
                     result = machine.run(_chaos_program)
                 finally:
                     machine.close()
+                    if shared:
+                        clear_default_pools()
                 if result.results != reference:
                     verdict = "WRONG RESULTS"
                     detail = "recovered output differs from the fault-free run"
@@ -117,7 +122,7 @@ def run_sweep(*, fleet_reports=None):
                 detail = repr(exc)
             elapsed = time.perf_counter() - started
             scope = {}
-            if backend == "process" and persistent:
+            if backend == "process":
                 heals = [event for event in events_since(seq)
                          if event["kind"] == "pool-heal"]
                 scope = {

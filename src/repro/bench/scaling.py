@@ -177,7 +177,8 @@ def measured_scaling_table(
     one GIL for the non-NumPy parts, so like the paper's shared-memory runs
     the exchange does not scale linearly -- which is exactly the effect T1
     documents; the process backend removes the GIL from the equation at the
-    price of per-run process start-up and serialised exchanges.
+    price of serialised exchanges (its standing fleet is spawned once per
+    processor count and closed after that count's measurement).
     """
     n_items = check_positive_int(n_items, "n_items")
     rng = default_rng(seed)
@@ -191,14 +192,14 @@ def measured_scaling_table(
     }]
     for p in proc_counts:
         p = check_positive_int(p, "proc count")
-        machine = PROMachine(p, seed=seed, backend=backend)
+        with PROMachine(p, seed=seed, backend=backend) as machine:
 
-        def run_once():
-            return random_permutation(
-                data, n_procs=p, machine=machine, matrix_algorithm=matrix_algorithm
-            )
+            def run_once():
+                return random_permutation(
+                    data, n_procs=p, machine=machine, matrix_algorithm=matrix_algorithm
+                )
 
-        res = measure_seconds(run_once, repeats=repeats)
+            res = measure_seconds(run_once, repeats=repeats)
         rows.append({
             "n_procs": p,
             "measured_seconds": res["best_seconds"],

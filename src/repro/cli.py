@@ -41,17 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     machine_flags.add_argument(
         "--backend", choices=["thread", "process", "sim", "inline"], default=None,
         help="execution backend: thread (default), process (one OS process per "
-             "rank), sim (all ranks stepped under a deterministic schedule, see "
+             "rank, on a standing pool spawned once and reused by every "
+             "run), sim (all ranks stepped under a deterministic schedule, see "
              "--schedule-seed) or inline (p == 1 only); results are "
              "seed-identical across backends (the in-process matrix "
              "algorithms reject it)")
-    machine_flags.add_argument(
-        "--persistent", action=argparse.BooleanOptionalAction, default=None,
-        help="standing worker pool of the process backend: the p rank "
-             "processes are spawned once and "
-             "reused by every run.  This is the DEFAULT for --backend "
-             "process (warm drivers); --no-persistent forces a cold spawn "
-             "per run; seed-identical results either way")
     machine_flags.add_argument(
         "--schedule-seed", type=int, default=None, metavar="K",
         help="rank-interleaving seed of the sim backend (--backend sim): "
@@ -68,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the whole run including retries; when it "
              "expires the run fails with a DeadlineError instead of waiting "
-             "out communication timeouts (requires --retries)")
+             "out communication timeouts; without --retries the run gets "
+             "one attempt")
     telemetry_json_kwargs = dict(
         type=str, default=None, metavar="PATH",
         help="write the run's FleetReport (per-rank transport counters, "
@@ -84,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     permute.add_argument("--matrix-algorithm", choices=["root", "alg5", "alg6"], default="root")
     permute.add_argument("--repeats", type=int, default=1,
                          help="how many permutations to run on the same machine "
-                              "(with --persistent the spawn cost is paid once)")
+                              "(a process backend pays its spawn cost once)")
     permute.add_argument("--head", type=int, default=10, help="how many output items to print")
     permute.add_argument("--verbose", action="store_true",
                          help="also print the fleet report (per-rank transport "
@@ -229,26 +224,18 @@ def _dump_telemetry_json(telemetry, path) -> None:
 def _build_machine(args, telemetry):
     """The machine the permute/stats flags describe, counting random variates.
 
-    Warm by default: an unset --persistent means the process backend runs
-    on a standing pool (spawned once, reused by every --repeats run);
-    --no-persistent forces a cold spawn per run.
+    A process backend runs on a private standing pool, spawned once and
+    reused by every --repeats run.
     """
     from repro.pro.machine import PROMachine
 
-    backend = args.backend or "thread"
     backend_options = ({} if args.schedule_seed is None
                        else {"schedule_seed": args.schedule_seed})
-    persistent = backend == "process" if args.persistent is None else args.persistent
     return PROMachine(
-        args.procs, seed=args.seed, backend=backend,
-        backend_options=backend_options, persistent=persistent,
-        count_random_variates=True,
+        args.procs, seed=args.seed, backend=args.backend or "thread",
+        backend_options=backend_options, count_random_variates=True,
         retry=_resolve_retry(args), telemetry=telemetry,
     )
-
-
-def _describe_backend(machine) -> str:
-    return f"{machine.backend.name}{' persistent' if machine.persistent else ''} backend"
 
 
 def _cmd_permute(args) -> int:
@@ -268,7 +255,7 @@ def _cmd_permute(args) -> int:
             label = (f"run {iteration + 1}/{repeats}: " if repeats > 1 else "")
             print(f"{label}permuted {args.n} items on {args.procs} virtual processors "
                   f"in {run.wall_clock_seconds * 1e3:.1f} ms (wall clock, "
-                  f"{_describe_backend(machine)})")
+                  f"{machine.backend.name} backend)")
     finally:
         machine.close()
     out = np.concatenate([np.asarray(b) for b in out_blocks]) if args.n else np.empty(0, dtype=np.int64)
@@ -293,7 +280,7 @@ def _cmd_matrix(args) -> int:
         sizes, targets, parallel=parallel,
         algorithm=args.algorithm if args.algorithm != "sequential" or parallel else None,
         # The API rejects the machine flags for the in-process path.
-        backend=args.backend, persistent=args.persistent, schedule_seed=args.schedule_seed,
+        backend=args.backend, schedule_seed=args.schedule_seed,
         retry=_resolve_retry(args), telemetry=telemetry,
         seed=args.seed,
     )
@@ -323,7 +310,7 @@ def _cmd_stats(args) -> int:
         machine.close()
     print(f"permuted {args.n} items x {max(int(args.repeats), 1)} run(s) on "
           f"{args.procs} virtual processors "
-          f"({_describe_backend(machine)})")
+          f"({machine.backend.name} backend)")
     print(telemetry.last.summary())
     if args.json is not None:
         import json

@@ -76,7 +76,7 @@ def sample_communication_matrix(
         Hypergeometric sampling method (``"auto"``, ``"hin"``, ``"hrua"``,
         ``"numpy"``).
     machine_options:
-        ``backend``, ``persistent``, ``schedule_seed``,
+        ``backend``, ``schedule_seed``,
         ``retry`` and ``telemetry`` for the parallel path, forwarded with
         ``seed`` to
         :func:`~repro.pro.machine.resolve_machine`, which documents them.

@@ -49,15 +49,14 @@ while bulk NumPy payloads travel through shared-memory segments
 (:class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`: zero-copy
 on the receive side, one segment per bulk message, and by reference for
 memory the parent allocated), or in-band in the record where segments
-cannot be created.  With
-``persistent=True`` the backend runs on a standing
+cannot be created.  The
+backend runs every run on a standing
 :class:`~repro.pro.backends.pool.WorkerPool` of long-lived daemon ranks,
 amortising process spawn across runs (the module-level :func:`~repro.pro.backends.pool.pool`
-context manager wraps the whole machine lifecycle).  Driver calls are
-*warm by default*: with ``backend="process"`` they borrow a keyed fleet
-from the process-wide default pool cache
-(:func:`~repro.pro.backends.pool.get_default_pool`) unless
-``persistent=False`` forces the cold path.
+context manager wraps the whole machine lifecycle).  Driver calls with
+``backend="process"`` borrow a keyed fleet from the process-wide default
+pool cache (:func:`~repro.pro.backends.pool.get_default_pool`), so they
+are warm from the second call on.
 
 See :mod:`repro.pro.backends.registry` for the backend contract (fabric
 semantics, error-propagation rules, payload rules) and for how to

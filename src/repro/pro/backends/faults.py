@@ -20,7 +20,7 @@ fabric each rank sees:
   rebinds its communicator to a :class:`_RankFaultView` proxy that counts
   the rank's fabric operations and fires the plan's faults at the right
   moment.  The wrapper and the plan are picklable, so injection works
-  unchanged through the process backend and the persistent worker pool;
+  unchanged through the process backend's worker pool;
 * under the sim backend a fault that stalls a receiver is *proved* as a
   deadlock instantly instead of burning the communication timeout, which
   is what makes fault sweeps affordable in unit-test time.
@@ -358,7 +358,7 @@ class FaultInjectingBackend(ExecutionBackend):
     The wrapper leaves fabric construction to the inner backend (so the
     process backend keeps its real fabric, transports, pools) and only
     wraps the dispatched program; every other hook of the backend
-    contract -- capabilities, ``persistent``, ``transport``, ``empty``,
+    contract -- capabilities, ``transport``, ``empty``,
     ``close()``, ``heal()`` -- is delegated, as is any other public
     attribute (a sim backend's ``last_schedule``, say).  Pass an instance
     of this class as ``PROMachine(..., backend=...)``.
@@ -380,10 +380,6 @@ class FaultInjectingBackend(ExecutionBackend):
     @property
     def capabilities(self):
         return self._backend.capabilities
-
-    @property
-    def persistent(self) -> bool:
-        return self._backend.persistent
 
     @property
     def transport(self):

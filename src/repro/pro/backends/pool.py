@@ -13,36 +13,27 @@ standing pool makes the backend behave that way:
   arguments -- and the rank's result, cost record and variate count come
   back up it, so cost reports stay backend-independent;
 * the per-rank RNG streams are still built *in the parent* for every run
-  (by the machine), so a fixed machine seed is bit-identical to a cold
-  run -- and to every other backend.
+  (by the machine), so a fixed machine seed is bit-identical on every
+  fleet -- and on every other backend.
 
 The parent closes a rank's end of the pipe right after the spawn, so the
 rank is the pipe's only writer towards the parent: a rank that dies
 halfway through writing a record leaves an end of file, which the parent
 reads as "no result", never a read that waits forever.
 
-A *cold* run (``persistent=False``) is a pool that lives for one epoch
-(:meth:`WorkerPool._one_epoch`): it adopts the fabric the backend built
-for the run's contexts, spawns its ranks inside :meth:`WorkerPool.run`
-with the epoch in their spawn arguments, collects through the same
-:meth:`WorkerPool._collect` and is closed right after.  Under ``fork``
-the ranks inherit program and arguments without pickling, so cold runs
-accept closures.  Standing and one-epoch pools share one worker entry
-point and one collect, poison and failure path.
-
 Determinism contract
 --------------------
-``PROMachine(seed=s, persistent=True)`` run ``k`` times produces exactly
-the same ``k`` results as ``PROMachine(seed=s)`` (cold) run ``k`` times:
-persistence changes *where* the ranks live, never what they draw.
+A machine with seed ``s`` run ``k`` times produces exactly the same ``k``
+results whether its fleet is fresh for every call, private to the
+machine or borrowed from the default pool cache after any number of
+earlier runs: where the ranks live never changes what they draw.
 ``tests/integration/test_cross_backend_determinism.py`` and the pool
 lifecycle tests pin this.
 
 Serialisation
 -------------
-A standing pool's programs and arguments cross the rank's pipe, so
-they must be picklable even on ``fork`` platforms (a cold run inherits
-them through the fork instead).  All the library's SPMD programs are
+Programs and arguments cross the rank's pipe, so they must be picklable
+even on ``fork`` platforms.  All the library's SPMD programs are
 module-level functions and qualify; when ``cloudpickle`` is installed it
 is used as a fallback serialiser, which widens support to closures and
 lambdas.  An unserialisable program raises
@@ -195,15 +186,14 @@ def _portable_exception(exc: BaseException) -> BaseException:
 
 #: Status of a rank's result record ``(epoch, status, payload)``.
 #: ``_DONE``: the payload is ``(encoded value, cost, variates)``.
-#: ``_KEPT``: the standing rank's epoch raised the payload ``Exception``
+#: ``_KEPT``: the rank's epoch raised the payload ``Exception``
 #: -- its own code's, or a sibling's failure seen as a
 #: :class:`CommunicationError` -- and the rank keeps its process.
 #: ``_EXITS``: the rank exits after reporting the payload exception.
 _DONE, _EXITS, _KEPT = "done", "exits", "kept"
 
 
-def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
-               standing: bool) -> None:
+def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task) -> None:
     """Run one epoch's program on ``rank`` and send its ``_DONE`` record."""
     epoch, rng, cost, program, args_record, wait_timeout = task
     # Scope this run's message tags to its epoch and drop anything a
@@ -215,15 +205,11 @@ def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
     # inside the remaining budget instead of the standing default.
     fabric.timeout = wait_timeout
     fabric._parked.clear()
-    if standing:
-        program = pickle.loads(program)
-        # Bulk arguments travel out-of-band through the payload transport
-        # (the control record above stays small); with the shared-memory
-        # transport the worker gets zero-copy views of the parent's
-        # segments.
-        args, kwargs = fabric.transport.decode(args_record)
-    else:
-        args, kwargs = args_record
+    program = pickle.loads(program)
+    # Bulk arguments travel out-of-band through the payload transport
+    # (the control record above stays small); with the shared-memory
+    # transport the worker gets zero-copy views of the parent's segments.
+    args, kwargs = fabric.transport.decode(args_record)
     # Rebuild the context around the fabric: communicator state (parked
     # messages, collective counters) starts fresh every epoch.
     from repro.pro.machine import ProcessorContext
@@ -237,7 +223,7 @@ def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
     # A result may cross by reference when it lies in memory the parent
     # owns (see the transport contract).
     encoded = fabric.transport.encode(value, by_reference=True)
-    # Counters accumulate across epochs in a standing worker; the snapshot
+    # Counters accumulate across a rank's epochs; the snapshot
     # repatriates the running totals with this epoch's result record (the
     # parent reports the latest view).
     ctx.cost.telemetry = capture_rank_telemetry(fabric)
@@ -248,49 +234,43 @@ def _run_epoch(rank: int, fabric: ProcessFabric, pipe, task,
     # epochs.
 
 
-def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
+def _rank_main(rank: int, fabric: ProcessFabric, pipe) -> None:
     """Main loop of one rank (module-level for spawn support).
 
-    A standing rank (``epoch_task`` is ``None``) blocks on its pipe; an
-    empty message, or an end of file, is the shutdown sentinel.  The end
-    of file comes when the pool's process has died: a forked rank holds no
-    copy of any rank pipe's parent end (an after-fork hook that
-    :meth:`WorkerPool._spawn` registers closes them as it starts), so
-    standing ranks never outlive their parent.  Each
-    task carries one pickled run-epoch: the rank's fresh context pieces,
-    the pickled program and the encoded arguments.
-    A rank of a one-epoch pool gets its single epoch as ``epoch_task``
-    instead -- the program and ``(args, kwargs)`` as plain objects,
-    inherited through ``fork`` -- and exits after it.
+    The rank blocks on its pipe; an empty message, or an end of file, is
+    the shutdown sentinel.  The end of file comes when the pool's process
+    has died: a forked rank holds no copy of any rank pipe's parent end
+    (an after-fork hook that :meth:`WorkerPool._spawn` registers closes
+    them as it starts), so ranks never outlive their parent.  Each task
+    carries one pickled run-epoch: the rank's fresh context pieces, the
+    pickled program and the encoded arguments.
 
     A failing epoch aborts the fabric (siblings fail fast) and reports the
     failure -- unless the rank's receive consumed a poison pill of the
     epoch: that pill proves an abort already broke the barrier and pilled
     every inbox, so a second one would only leave ``p`` more pills for
-    heal to drain.  A standing rank whose epoch ended in any ``Exception`` --
+    heal to drain.  A rank whose epoch ended in any ``Exception`` --
     raised by its program, or a
     :class:`~repro.util.errors.CommunicationError` that a sibling's
     failure caused -- reports ``_KEPT``, drops the epoch's views and
     goes back to its pipe, keeping its process: the next epoch rebuilds
     everything it uses.  A rank that raised a ``BaseException`` outside
-    ``Exception`` reports ``_EXITS`` and *exits*, as does every rank of
-    a one-epoch pool; heal() replaces the whole fleet after such an exit.
-    A standing rank that leaves on the sentinel or an end of file stops
-    waiting for its inbox feeders first (:func:`_leave`).
+    ``Exception`` reports ``_EXITS`` and *exits*; heal() replaces the
+    whole fleet after such an exit.  A rank that leaves on the sentinel or
+    an end of file stops waiting for its inbox feeders first
+    (:func:`_leave`).
     """
     while True:
-        task = epoch_task
-        if task is None:
-            try:
-                raw = pipe.recv_bytes()
-            except EOFError:
-                raw = b""  # the pool's process is gone
-            if not raw:
-                _leave(fabric)
-                return
-            task = pickle.loads(raw)
         try:
-            _run_epoch(rank, fabric, pipe, task, epoch_task is None)
+            raw = pipe.recv_bytes()
+        except EOFError:
+            raw = b""  # the pool's process is gone
+        if not raw:
+            _leave(fabric)
+            return
+        task = pickle.loads(raw)
+        try:
+            _run_epoch(rank, fabric, pipe, task)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             if fabric.pilled_epoch != task[0]:
                 try:
@@ -299,7 +279,7 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
                     fabric.abort()
                 except Exception:
                     pass
-            stays = epoch_task is None and isinstance(exc, Exception)
+            stays = isinstance(exc, Exception)
             try:
                 pipe.send((task[0], _KEPT if stays else _EXITS,
                            _portable_exception(exc)))
@@ -312,8 +292,6 @@ def _rank_main(rank: int, fabric: ProcessFabric, pipe, epoch_task) -> None:
             # idles without mapping them.
             traceback.clear_frames(exc.__traceback__)
             fabric._parked.clear()
-        if epoch_task is not None:
-            return
 
 
 def _leave(fabric: ProcessFabric) -> None:
@@ -339,14 +317,14 @@ def _leave(fabric: ProcessFabric) -> None:
 
 
 class WorkerPool:
-    """``p`` daemon ranks sharing one fabric: a standing fleet or one cold run.
+    """A standing fleet: ``p`` daemon ranks sharing one fabric.
 
     Parameters
     ----------
     n_procs:
         Number of ranks; fixed for the pool's lifetime.
     timeout:
-        Communication timeout of the standing fabric (seconds).
+        Communication timeout of the fabric (seconds).
     mp_context:
         The ``multiprocessing`` context to spawn workers from (the
         backend passes its configured start method's context).
@@ -356,9 +334,6 @@ class WorkerPool:
     shutdown_grace:
         Seconds :meth:`close` waits for workers to exit before
         terminating them.
-
-    The constructor spawns a standing fleet; a cold run builds its pool
-    with :meth:`_one_epoch` instead.
     """
 
     def __init__(self, n_procs: int, *, timeout: float = 60.0, mp_context=None,
@@ -367,34 +342,11 @@ class WorkerPool:
             raise ValidationError(f"n_procs must be >= 1, got {n_procs}")
         import multiprocessing
 
-        mp = mp_context if mp_context is not None else multiprocessing.get_context()
-        self._adopt(ProcessFabric(n_procs, timeout=timeout, mp_context=mp,
-                                  transport=transport), mp, shutdown_grace)
-        self._standing = True
-        for rank in range(self.n_procs):
-            self._spawn(rank)
-        record_event("pool-spawn", n_procs=self.n_procs, epoch=self._epoch)
-        atexit.register(self.close)
-
-    @classmethod
-    def _one_epoch(cls, fabric: ProcessFabric, mp_context,
-                   shutdown_grace: float) -> "WorkerPool":
-        """A pool for one cold run over ``fabric``, already wired to its contexts.
-
-        It has no ranks yet: :meth:`run` spawns them with the epoch in
-        their spawn arguments.  It records no lifecycle events and
-        registers no ``atexit`` hook -- the backend closes it as soon as
-        the run returns.
-        """
-        one_epoch = cls.__new__(cls)
-        one_epoch._adopt(fabric, mp_context, shutdown_grace)
-        return one_epoch
-
-    def _adopt(self, fabric: ProcessFabric, mp, shutdown_grace: float) -> None:
-        """Initialise the state every pool keeps around its ``fabric``."""
-        self.fabric = fabric
-        self.n_procs = int(fabric.n_procs)
-        self.timeout = float(fabric.timeout)
+        self._mp = mp_context if mp_context is not None else multiprocessing.get_context()
+        self.fabric = ProcessFabric(n_procs, timeout=timeout, mp_context=self._mp,
+                                    transport=transport)
+        self.n_procs = int(n_procs)
+        self.timeout = float(timeout)
         self.shutdown_grace = float(shutdown_grace)
         #: Process that spawned the fleet: only it may run or reap the
         #: workers (a forked child inherits this object but must not
@@ -405,10 +357,6 @@ class WorkerPool:
         #: hitting the same default-cache fleet) serialise here instead
         #: of corrupting each other's dispatch.
         self._run_lock = threading.Lock()
-        self._mp = mp  # kept for heal(): replacements spawn from the same context
-        #: False on a one-epoch pool, whose ranks get their epoch as spawn
-        #: arguments and which records no lifecycle events.
-        self._standing = False
         #: Per rank: its worker process and the parent's end of its pipe.
         self._workers: list = []
         self._pipes: list = []
@@ -418,8 +366,12 @@ class WorkerPool:
         #: any of them makes heal() respawn the whole fleet.
         self._suspect_ranks: set = set()
         self._closed = False
+        for rank in range(self.n_procs):
+            self._spawn(rank)
+        record_event("pool-spawn", n_procs=self.n_procs, epoch=self._epoch)
+        atexit.register(self.close)
 
-    def _spawn(self, rank: int, epoch_task=None) -> None:
+    def _spawn(self, rank: int) -> None:
         """Start ``rank``'s worker over a fresh pipe (replacing any old one)."""
         with _SPAWN_LOCK:
             pipe, rank_end = self._mp.Pipe()
@@ -428,7 +380,7 @@ class WorkerPool:
             # file once the parent is gone.
             _mp_util.register_after_fork(pipe, type(pipe).close)
             proc = self._mp.Process(
-                target=_rank_main, args=(rank, self.fabric, rank_end, epoch_task),
+                target=_rank_main, args=(rank, self.fabric, rank_end),
                 name=f"pro-pool-{rank}", daemon=True,
             )
             proc.start()
@@ -453,8 +405,7 @@ class WorkerPool:
     def _poison(self, reason: str) -> None:
         if self._poison_reason is None:
             self._poison_reason = reason
-            if self._standing:
-                record_event("pool-poison", reason=reason, epoch=self._epoch)
+            record_event("pool-poison", reason=reason, epoch=self._epoch)
 
     @property
     def in_owner_process(self) -> bool:
@@ -462,7 +413,7 @@ class WorkerPool:
         return self._owner_pid == os.getpid()
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the standing ranks (stable across runs; for tests)."""
+        """PIDs of the ranks (stable across runs; for tests)."""
         return [proc.pid for proc in self._workers]
 
     # -- running ------------------------------------------------------------
@@ -490,7 +441,7 @@ class WorkerPool:
             raise BackendError("the worker pool is closed; build a new machine")
         if self._poison_reason is not None:
             # Transient: heal() can lift the poison, so retry policies may
-            # treat a poisoned standing fleet as recoverable substrate.
+            # treat a poisoned fleet as recoverable substrate.
             raise TransientBackendError(
                 f"the worker pool is poisoned ({self._poison_reason}); "
                 "build a new machine to continue"
@@ -516,16 +467,7 @@ class WorkerPool:
         run_deadline = current_deadline()
         wait_timeout = (self.timeout if run_deadline is None
                         else run_deadline.clamp(self.timeout))
-        if self._standing:
-            self._dispatch(epoch, contexts, program, args, kwargs,
-                           wait_timeout)
-        else:
-            # One-epoch pool: the epoch rides the ranks' spawn arguments,
-            # so under fork program and arguments are inherited, never
-            # pickled.
-            for rank, ctx in enumerate(contexts):
-                self._spawn(rank, (epoch, ctx.rng, ctx.cost, program,
-                                   (args, kwargs), wait_timeout))
+        self._dispatch(epoch, contexts, program, args, kwargs, wait_timeout)
 
         outcomes = self._collect(epoch, n)
         failed = []
@@ -570,7 +512,7 @@ class WorkerPool:
 
     def _dispatch(self, epoch: int, contexts: Sequence, program: Callable,
                   args: tuple, kwargs: dict, wait_timeout: float) -> None:
-        """Send one pickled run-epoch record down each standing rank's pipe."""
+        """Send one pickled run-epoch record down each rank's pipe."""
         n = len(contexts)
         # Serialise the whole epoch in the parent before sending anything:
         # a task that cannot be pickled must raise here, as a clear
@@ -596,7 +538,7 @@ class WorkerPool:
                 except Exception:
                     pass
             raise BackendError(
-                "persistent process runs dispatch the program and its "
+                "process runs dispatch the program and its "
                 "arguments through a pipe, so they must be picklable "
                 "(module-level functions work; installing cloudpickle widens "
                 f"this to closures): {type(exc).__name__}: {exc}"
@@ -638,12 +580,6 @@ class WorkerPool:
             if run_deadline is not None:
                 if run_deadline.expired:
                     self._abandon(n, outcomes, f"run {epoch} exceeded its deadline")
-                    if not self._standing:
-                        # A one-epoch pool is closed right after this run:
-                        # stop its ranks now, so the error surfaces within
-                        # the deadline instead of after close()'s join grace.
-                        for proc in self._workers:
-                            proc.terminate()
                     raise DeadlineError(
                         f"run {epoch} exceeded its {run_deadline.seconds:g}s "
                         f"deadline with {n - len(outcomes)} rank(s) still "
@@ -850,9 +786,7 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            if self._standing:
-                record_event("pool-close", n_procs=self.n_procs,
-                             epoch=self._epoch)
+            record_event("pool-close", n_procs=self.n_procs, epoch=self._epoch)
             atexit.unregister(self.close)
             if not self.in_owner_process:
                 return  # inherited handle: the owner reaps the resources
@@ -891,7 +825,7 @@ class WorkerPool:
 # transport configuration (via transport.cache_key()), communication
 # timeout and multiprocessing start method.  Determinism is untouched:
 # per-rank streams are still built by each machine per run, so a fixed
-# seed is bit-identical warm or cold.
+# seed is bit-identical on a borrowed fleet and on a fresh one.
 
 #: key -> WorkerPool, in least-recently-used order (front = coldest).
 _DEFAULT_POOLS: "OrderedDict[tuple, WorkerPool]" = OrderedDict()
@@ -985,8 +919,8 @@ def clear_default_pools() -> None:
     """Close every fleet in the process-wide default pool cache.
 
     Idempotent, registered with ``atexit``, and safe to call between
-    measurements or tests to force the next driver call back onto the
-    cold path.  Fleets currently borrowed by a live machine are closed
+    measurements or tests to make the next driver call spawn a fresh
+    fleet.  Fleets currently borrowed by a live machine are closed
     too (their next ``run()`` raises ``BackendError``); build a new
     machine -- or just call the driver again -- to respawn.  In a forked
     child the inherited handles are only dropped -- the owning process
@@ -1016,7 +950,7 @@ atexit.register(clear_default_pools)
 
 @contextmanager
 def pool(n_procs: int, **machine_options):
-    """Context manager: a persistent process machine, closed on exit.
+    """Context manager: a process machine with a private fleet, closed on exit.
 
     ::
 
@@ -1031,13 +965,12 @@ def pool(n_procs: int, **machine_options):
     (e.g. ``seed=``, ``timeout=``, ``retry=`` to heal and replay transient
     failures, ``telemetry=`` for one
     :class:`~repro.pro.telemetry.FleetReport` per run, or
-    ``count_random_variates=True``); the backend is always the persistent
-    process backend.
+    ``count_random_variates=True``); the backend is always the process
+    backend.
     """
     from repro.pro.machine import PROMachine
 
-    machine = PROMachine(n_procs, backend="process", persistent=True,
-                         **machine_options)
+    machine = PROMachine(n_procs, backend="process", **machine_options)
     try:
         yield machine
     finally:

@@ -26,19 +26,15 @@ Design points:
   to the caller use the same transport: a result lying in a segment the
   caller allocated through :meth:`ProcessBackend.empty` comes back by
   reference, uncopied.
-* **One execution path.**  Every run executes on a
-  :class:`~repro.pro.backends.pool.WorkerPool`, which owns the worker
-  entry point, result collection, cost repatriation and shutdown (see
-  :mod:`repro.pro.backends.pool`) and talks to each rank over one duplex
-  pipe of its own.  A *cold* run (``persistent=False``,
-  the default) is a pool that lives for one epoch: it adopts the fabric
-  :meth:`ProcessBackend.create_fabric` built for the run's contexts,
-  spawns the ranks with the epoch in their spawn arguments, collects
-  their results and closes.  With ``persistent=True`` the pool is a
-  standing fleet of long-lived daemon processes that keep their fabric
-  endpoints alive across runs, and successive programs are dispatched
-  as lightweight run-epoch records (picklable programs,
-  poison-on-failure crash semantics, explicit or atexit shutdown).
+* **One execution path.**  Every run executes on a standing
+  :class:`~repro.pro.backends.pool.WorkerPool` of long-lived daemon
+  ranks, which owns the worker entry point, result collection, cost
+  repatriation and shutdown (see :mod:`repro.pro.backends.pool`) and
+  talks to each rank over one duplex pipe of its own.  The ranks keep
+  their fabric endpoints alive across runs, and successive programs are
+  dispatched as lightweight run-epoch records (picklable programs,
+  poison-on-failure crash semantics, explicit, collection-time or atexit
+  shutdown).
 * **Error propagation** mirrors the thread backend: a failing rank aborts
   the fabric -- :meth:`ProcessFabric.abort` breaks the barrier and puts a
   poison pill in every inbox, so siblings blocked in ``barrier()`` or
@@ -51,10 +47,10 @@ Design points:
   record is *disposed*, so shared-memory segments of in-flight messages
   are unlinked instead of leaking (no ``resource_tracker`` warnings).
 
-The backend prefers the ``fork`` start method (cheap; cold runs inherit
-program and arguments through the fork, so closures are allowed); on
-platforms without it, ``spawn`` is used and programs/arguments must be
-picklable.
+The backend prefers the ``fork`` start method (cheap); on platforms
+without it, ``spawn`` is used.  Either way programs and arguments cross
+each rank's pipe pickled (``cloudpickle``, when installed, widens this to
+closures).
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ import os
 import queue as _pyqueue
 import threading
 import time
+import weakref
 from typing import Callable, Sequence
 
 from repro.pro.backends.registry import BackendCapabilities, ExecutionBackend
@@ -217,15 +214,11 @@ class ProcessFabric:
         """Fetch the next message from ``src`` to ``dst`` carrying ``tag``.
 
         ``pending`` (the communicator-owned parking list of the in-process
-        fabric) is honoured for interface compatibility but the fabric parks
-        internally, keyed by source *and* tag, because one inbox serves all
-        sources.
+        fabric) is part of the fabric interface but unused here: the fabric
+        parks internally, keyed by source *and* tag, because one inbox
+        serves all sources.
         """
         tag = (self.epoch, tag)
-        for idx, (msg_tag, payload) in enumerate(pending):
-            if msg_tag == tag:
-                pending.pop(idx)
-                return payload
         bucket = self._parked.get((src, tag))
         if bucket:
             return bucket.pop(0)
@@ -308,7 +301,7 @@ class ProcessFabric:
         return self.transport.is_shared(array)
 
     def heal(self, *, replace: bool) -> None:
-        """Restore a *standing* fabric after a failed epoch (pool supervision).
+        """Restore the fabric after a failed epoch (pool supervision).
 
         Called by :meth:`~repro.pro.backends.pool.WorkerPool.heal` with no
         run in flight -- with ``replace`` once every rank has stopped and
@@ -452,23 +445,15 @@ class ProcessBackend(ExecutionBackend):
         A :class:`~repro.pro.backends.sharedmem.SharedMemoryTransport`
         (default: a fresh one), to choose its ``min_bytes``.
     persistent:
-        When False (default), every run is a cold pool that lives for one
-        epoch: its ranks are spawned for the run, get program and
-        arguments through their spawn arguments (inherited, not pickled,
-        under ``fork``) and exit after it.  When True, ranks run on a
-        standing :class:`~repro.pro.backends.pool.WorkerPool` of
-        long-lived daemon processes instead: the pool (one per
-        ``n_procs``) is created on the first run and reused by every later
-        run, amortising process spawn.  Programs and arguments must then be
-        picklable even under ``fork`` (they travel through each rank's
-        pipe; ``cloudpickle`` widens this to closures when installed).
-        Results stay bit-identical to the non-persistent path for a fixed
-        machine seed.  Call :meth:`close` (or let the pool's ``atexit``
-        hook run) to release the workers; a failed run *poisons* the pool
-        and subsequent runs raise :class:`~repro.util.errors.BackendError`.
+        Accepted for the frozen perfbench harness only, whose recovery
+        phase calls ``get_backend("process", persistent=True)``; ``True``
+        is ignored (every run uses a standing fleet) and ``False`` raises
+        :class:`~repro.util.errors.ValidationError`.  The keyword goes
+        with ROADMAP item 6's next benchmark change.
     pool_scope:
-        Where persistent pools live.  ``"backend"`` (default): private to
-        this backend instance, released by :meth:`close`.  ``"process"``:
+        Where the fleets live.  ``"backend"`` (default): private to this
+        backend instance, released by :meth:`close` or once the backend
+        is garbage-collected.  ``"process"``:
         the **process-wide default pool cache**
         (:func:`repro.pro.backends.pool.get_default_pool`) -- warm fleets
         keyed by ``(p, min_bytes, timeout, start method)`` are shared by
@@ -486,7 +471,7 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(self, *, start_method: str | None = None, shutdown_grace: float = 5.0,
                  transport: SharedMemoryTransport | None = None,
-                 persistent: bool = False, pool_scope: str = "backend"):
+                 persistent: bool = True, pool_scope: str = "backend"):
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
@@ -495,6 +480,11 @@ class ProcessBackend(ExecutionBackend):
                 f"start method {start_method!r} is not available on this platform; "
                 f"choose from {methods}"
             )
+        if not persistent:
+            raise ValidationError(
+                "persistent=False is retired: the cold one-epoch path is "
+                "gone and every process run uses a standing fleet"
+            )
         if pool_scope not in ("backend", "process"):
             raise ValidationError(
                 f"pool_scope must be 'backend' or 'process', got {pool_scope!r}"
@@ -502,10 +492,14 @@ class ProcessBackend(ExecutionBackend):
         self.start_method = start_method
         self.shutdown_grace = float(shutdown_grace)
         self.transport = transport_or_default(transport)
-        self.persistent = bool(persistent)
         self.pool_scope = pool_scope
         self._mp = multiprocessing.get_context(start_method)
         self._pools: dict = {}  # n_procs -> WorkerPool
+        if pool_scope == "backend":
+            # A dropped backend holds no processes: its private fleets close
+            # once it is collected.  The finalizer holds the dict, never
+            # ``self``, or the backend could not be collected at all.
+            weakref.finalize(self, _close_pools, self._pools)
 
     def _pool(self, n_procs: int, *, timeout: float):
         """The standing pool for ``n_procs`` ranks, created on first use.
@@ -542,8 +536,7 @@ class ProcessBackend(ExecutionBackend):
         by ``clear_default_pools()`` or the interpreter-exit hook.
         """
         if self.pool_scope == "backend":
-            for pool in self._pools.values():
-                pool.close()
+            _close_pools(self._pools)
         self._pools.clear()
 
     def heal(self) -> bool:
@@ -556,8 +549,7 @@ class ProcessBackend(ExecutionBackend):
         only when a rank died, exited or went silent; a pool that cannot
         be healed is dropped so the next run builds a fresh one.  Pools
         borrowed from the process-wide cache are left to the cache, which
-        heals or evicts them on the next lookup.  Cold runs leave nothing
-        standing, so a non-persistent backend always returns True.
+        heals or evicts them on the next lookup.
         """
         if self.pool_scope == "process":
             # The default cache owns them; drop our references so _pool()
@@ -584,19 +576,15 @@ class ProcessBackend(ExecutionBackend):
         return self.transport.empty(shape, dtype)
 
     def create_fabric(self, n_procs: int, *, timeout: float) -> ProcessFabric:
-        """Build (or, when persistent, reuse) the multiprocess message fabric."""
-        if self.persistent:
-            return self._pool(n_procs, timeout=timeout).fabric
-        return ProcessFabric(n_procs, timeout=timeout, mp_context=self._mp,
-                             transport=self.transport)
+        """The fabric of the standing fleet for ``n_procs`` (spawned on first use)."""
+        return self._pool(n_procs, timeout=timeout).fabric
 
     # -- running ------------------------------------------------------------
     def run(self, contexts: Sequence, program: Callable, args: tuple, kwargs: dict) -> list:
         """Execute ``program(ctx, *args, **kwargs)`` with one process per rank.
 
-        A persistent backend dispatches the run to its standing pool; a
-        cold run is a one-epoch pool over the contexts' fabric, closed on
-        every exit path.
+        The run is dispatched to the standing pool whose fabric the
+        contexts were built around.
         """
         n = len(contexts)
         if n == 0:
@@ -608,20 +596,20 @@ class ProcessBackend(ExecutionBackend):
                 "create the machine with backend='process' instead of passing "
                 "contexts built for another backend"
             )
-        if not self.persistent:
-            cold = _pool_module.WorkerPool._one_epoch(fabric, self._mp, self.shutdown_grace)
-            try:
-                return cold.run(contexts, program, args, kwargs)
-            finally:
-                cold.close()
         pool = self._pools.get(n)
         if pool is None or pool.fabric is not fabric:
             raise BackendError(
-                "persistent runs need contexts wired to the pool's standing "
+                "process runs need contexts wired to the pool's standing "
                 "fabric; build them through the machine (create_fabric) "
                 "rather than reusing contexts from another run"
             )
         return pool.run(contexts, program, args, kwargs)
+
+
+def _close_pools(pools: dict) -> None:
+    """Close every fleet in ``pools`` (a backend's private fleets)."""
+    for pool in list(pools.values()):
+        pool.close()
 
 
 # The worker pool imports this module's fabric, so it is bound as a module

@@ -43,9 +43,6 @@ nothing across runs:
     by reference.  Algorithm 1's drivers
     allocate their output vector here and keep it only if every rank's
     result occupies exactly the slice it was handed.
-``persistent``
-    True when the backend keeps a standing worker fleet across runs
-    (default ``False``; see the persistence sub-contract).
 ``transport``
     The payload transport of an out-of-address-space backend (the
     process backend's
@@ -97,15 +94,13 @@ path.  Whatever a backend does must honour three rules:
 
 Persistence sub-contract (standing worker fleets)
 -------------------------------------------------
-A backend that can amortise its rank start-up across runs should accept a
-``persistent=True`` factory option (the machine's ``persistent=True``
-kwarg forwards it) and honour three rules, modelled by the process
-backend's :class:`~repro.pro.backends.pool.WorkerPool`:
+A backend that keeps standing state across runs -- the process backend
+runs every run on a standing
+:class:`~repro.pro.backends.pool.WorkerPool` -- honours four rules:
 
 * per-rank RNG streams are still built by the machine in the parent for
-  *every* run, so a fixed seed stays bit-identical between persistent and
-  cold execution (the process backend runs a cold run as a one-epoch
-  ``WorkerPool``, so both share one execution path);
+  *every* run, so a fixed seed stays bit-identical whichever fleet
+  serves the run, fresh or after any number of earlier runs;
 * a failed run poisons the standing fleet (subsequent runs raise
   :class:`~repro.util.errors.BackendError`) rather than silently reusing
   communication state that may hold stray messages; a *supervised* fleet
@@ -113,7 +108,9 @@ backend's :class:`~repro.pro.backends.pool.WorkerPool`:
   poison explicitly -- poison-by-default stays the contract;
 * the backend overrides the idempotent ``close()`` (wired to
   ``PROMachine.close`` and an ``atexit`` hook) to release every
-  out-of-band resource the fleet held, and sets ``persistent``.
+  out-of-band resource the fleet held;
+* a dropped backend holds no processes: its private fleets are closed
+  once it is garbage-collected, ``close()`` or not.
 
 A backend may additionally accept ``pool_scope="process"`` to borrow its
 fleets from the process-wide default pool cache
@@ -176,7 +173,7 @@ gap with the existing result record, with no wire-format change.  Rules:
 * an out-of-address-space backend snapshots each rank's transport
   counters onto ``ctx.cost.telemetry``
   (:func:`~repro.pro.telemetry.capture_rank_telemetry`) just before the
-  rank's result record is queued -- cold and persistent runs alike;
+  rank's result record is queued;
 * in-address-space backends (inline/thread/sim) attach nothing; the
   parent reports a **zeroed** transport section for their ranks rather
   than omitting it, so the report schema is backend-invariant;
@@ -305,8 +302,6 @@ class ExecutionBackend:
 
     name = "abstract"
     capabilities = BackendCapabilities()
-    #: True when the backend keeps a standing worker fleet across runs.
-    persistent = False
     #: The payload transport of an out-of-address-space backend.
     transport = None
 

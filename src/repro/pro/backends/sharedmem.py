@@ -526,8 +526,8 @@ class SharedMemoryTransport:
         Any other memory of a rank is its own, even where it looks like a
         slice of one buffer: a ``fork`` hands each rank a copy-on-write
         image of the parent's private arrays.  A staged copy of the run's
-        private arguments does not count either, so a rank's answer is
-        the same on a cold run, where the arguments are its own.
+        private arguments does not count either: the run's arguments are
+        each rank's own.
         """
         found = _byref_mapping(np.asarray(array))
         return (found is not None and found[1].shared

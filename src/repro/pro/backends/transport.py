@@ -45,7 +45,7 @@ class TransportStats:
     """Monotonic per-instance counters (observability, tests, bench gates).
 
     The transport exposes one as its ``stats`` attribute.  The
-    interesting invariants they pin: persistent dispatch encodes bulk
+    interesting invariants they pin: pool dispatch encodes bulk
     arguments **once per run** (``shared_encode_calls`` grows by one per
     ``run()``, not by ``p``), ``segments_created`` counts message and
     staging segments, and ``oversize_fallbacks`` counts the bulk

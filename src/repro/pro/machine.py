@@ -119,6 +119,20 @@ class PROMachine:
         ``backend="process", backend_options={"start_method": "spawn"}``.
         Rejected (``ValidationError``) when ``backend`` is an instance or
         when the factory does not understand an option.
+
+        The process backend runs every ``run()`` on a *standing* worker
+        fleet (a :class:`~repro.pro.backends.pool.WorkerPool` of ``p``
+        daemon ranks spawned on the first run), so start-up is paid once
+        per machine; programs and arguments must be picklable.  The fleet
+        is private to the machine: :meth:`close` (or the machine's
+        context manager, or :func:`repro.pro.backends.pool.pool`) releases
+        it, and so does dropping the machine.  Pass
+        ``backend_options={"pool_scope": "process"}`` to borrow the
+        process-wide default pool cache instead (what the drivers do for
+        their warm-by-default calls; such fleets survive :meth:`close`
+        and are released by
+        :func:`repro.pro.backends.pool.clear_default_pools` or at
+        interpreter exit).
     topology:
         Interconnect model used by the analytic time predictions; a
         :class:`~repro.pro.topology.Topology` instance or a name
@@ -130,27 +144,6 @@ class PROMachine:
     timeout:
         Seconds a blocking receive or barrier waits before declaring a
         deadlock.
-    persistent:
-        When True the machine runs on a *standing* worker fleet instead of
-        paying backend start-up per run -- currently supported by the
-        process backend, whose :class:`~repro.pro.backends.pool.WorkerPool`
-        keeps ``p`` daemon ranks alive across ``run()`` calls.  Results stay bit-identical to the
-        non-persistent machine for a fixed seed, because the per-rank
-        streams are still derived in the parent on every run.  Requires a
-        backend *name* (the flag is forwarded as the factory option
-        ``persistent=True``; backends without the option reject it), and
-        programs/arguments must be picklable.  Call :meth:`close` (or use
-        the machine as a context manager, or the module-level
-        :func:`repro.pro.backends.pool.pool` helper) to release the
-        workers; they are also reaped by an ``atexit`` hook.
-
-        The fleet is private to this machine by default; pass
-        ``backend_options={"pool_scope": "process"}`` to borrow the
-        process-wide default pool cache instead (what the drivers do for
-        their warm-by-default calls; such fleets survive :meth:`close`
-        and are released by
-        :func:`repro.pro.backends.pool.clear_default_pools` or at
-        interpreter exit).
     retry:
         Recovery policy for transient backend failures: ``None`` (default)
         keeps today's fail-fast behaviour, an ``int`` gives that many
@@ -180,7 +173,6 @@ class PROMachine:
         topology: str | Topology = "fully-connected",
         count_random_variates: bool = False,
         timeout: float = 60.0,
-        persistent: bool = False,
         retry: int | RetryPolicy | None = None,
         telemetry=None,
     ):
@@ -195,14 +187,6 @@ class PROMachine:
                 "(an object with a record(report) method) or None"
             )
         self.telemetry = telemetry
-        if persistent:
-            if not isinstance(backend, str):
-                raise ValidationError(
-                    "persistent=True only applies when the backend is given by "
-                    "name; configure a backend instance with persistent=True "
-                    "directly instead"
-                )
-            backend_options = {**(backend_options or {}), "persistent": True}
 
         if isinstance(topology, Topology):
             if topology.n_nodes != self.n_procs:
@@ -304,21 +288,15 @@ class PROMachine:
         return result
 
     # -- lifecycle ----------------------------------------------------------------
-    @property
-    def persistent(self) -> bool:
-        """True when the machine's backend keeps a standing worker fleet."""
-        return self.backend.persistent
-
     def close(self) -> None:
         """Release backend resources held across runs (idempotent).
 
-        Only persistent backends hold any (the process backend's standing
-        worker pools); for every other configuration this is a no-op.
-        Running a persistent machine again after ``close`` simply spawns a
-        fresh fleet -- but a *poisoned* fleet (a worker crashed) is not
-        replaced: every later run raises
-        :class:`~repro.util.errors.BackendError` until the machine is
-        rebuilt.
+        Only the process backend holds any (its private standing worker
+        pools); for every other backend this is a no-op.  Running the
+        machine again after ``close`` simply spawns a fresh fleet -- but a
+        *poisoned* fleet (a worker crashed) is not replaced: every later
+        run raises :class:`~repro.util.errors.BackendError` until the
+        machine is healed (``retry=``) or rebuilt.
         """
         self.backend.close()
 
@@ -357,7 +335,6 @@ def resolve_machine(
     machine: PROMachine | None = None,
     backend: str | object | None = None,
     seed=None,
-    persistent: bool | None = None,
     schedule_seed: int | None = None,
     retry: int | RetryPolicy | None = None,
     telemetry=None,
@@ -377,19 +354,14 @@ def resolve_machine(
     ``backend``
         A registered backend name -- ``"thread"`` (the default),
         ``"process"``, ``"sim"`` or ``"inline"`` (``n_procs == 1`` only) --
-        or a backend instance.
+        or a backend instance.  A ``"process"`` machine runs **warm**: it
+        borrows a keyed standing fleet from the process-wide default pool
+        cache (:func:`repro.pro.backends.pool.get_default_pool`), so
+        repeated driver calls stop paying ``p`` process spawns each.
     ``seed``
         Seed of the per-rank streams.  A fixed seed is bit-identical across
         every combination of the other options, retried, degraded and
         telemetry-collected runs included.
-    ``persistent``
-        Tri-state standing-fleet control of the process backend.  The
-        default (``None``) already runs **warm**: the machine borrows a keyed
-        standing fleet from the process-wide default pool cache
-        (:func:`repro.pro.backends.pool.get_default_pool`), so repeated
-        driver calls stop paying ``p`` process spawns each.  ``False``
-        forces a cold spawn per call; ``True`` makes the warm request
-        explicit and is rejected by backends without the option.
     ``schedule_seed``
         Rank-interleaving seed of the sim backend; every schedule yields the
         same results.  Rejected for backends without the option.
@@ -412,14 +384,12 @@ def resolve_machine(
     >>> machine = resolve_machine(2, seed=0)          # thread backend
     >>> machine.n_procs
     2
-    >>> resolve_machine(4, backend="process").persistent  # warm by default
-    True
-    >>> resolve_machine(4, backend="process", persistent=False).persistent
-    False
+    >>> resolve_machine(4, backend="process").backend.pool_scope  # warm
+    'process'
     """
     if machine is not None:
         given = [name for name, value in (
-            ("backend", backend), ("seed", seed), ("persistent", persistent),
+            ("backend", backend), ("seed", seed),
             ("schedule_seed", schedule_seed), ("retry", retry),
             ("telemetry", telemetry),
         ) if value is not None]
@@ -433,14 +403,11 @@ def resolve_machine(
     if schedule_seed is not None:
         options["schedule_seed"] = schedule_seed
     name = "thread" if backend is None else backend
-    # Warm-by-default: unless the caller forces the cold path, process
-    # machines built by the drivers share the process-wide default pool
-    # cache instead of spawning p ranks per call.
-    warm = (name == "process") if persistent is None else bool(persistent)
-    if warm and name == "process":
+    # Process machines built by the drivers share the process-wide default
+    # pool cache instead of spawning p ranks per call.
+    if name == "process":
         options["pool_scope"] = "process"
     return PROMachine(
-        n_procs, seed=seed, backend=name,
-        backend_options=options, persistent=warm,
+        n_procs, seed=seed, backend=name, backend_options=options,
         retry=retry, telemetry=telemetry,
     )

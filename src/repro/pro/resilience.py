@@ -19,7 +19,7 @@ machine and its backends:
   barriers, communication timeouts, injected faults) are retried; program
   exceptions are fatal because the replay is deterministic and would
   simply fail again.  Between attempts the backend's ``heal()``
-  hook runs, which is how a poisoned persistent
+  hook runs, which is how a poisoned standing
   :class:`~repro.pro.backends.pool.WorkerPool` respawns its dead ranks in
   place instead of being thrown away.
 * :class:`Deadline` and the :func:`current_deadline` thread-local --

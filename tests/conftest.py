@@ -11,6 +11,7 @@ import pytest
 
 from repro.pro.backends import sharedmem
 from repro.pro.backends.pool import clear_default_pools
+from repro.pro.backends.process import ProcessBackend
 from repro.pro.machine import PROMachine
 
 
@@ -67,3 +68,20 @@ def payload_path(request):
     if request.param == "degrade":
         request.getfixturevalue("no_shared_memory")
     return request.param
+
+
+@pytest.fixture(params=["backend", "process"], ids=["private", "borrowed"])
+def process_backend(request):
+    """A process backend on each kind of standing fleet.
+
+    ``private`` owns its fleet (``pool_scope="backend"``); ``borrowed``
+    takes one from the process-wide default pool cache, as the drivers do.
+    A fleet only changes where the ranks live, so every test on this
+    fixture must see the same results on both.  The backend is closed and
+    the cache cleared on both sides of the test, so no fleet outlives it.
+    """
+    clear_default_pools()
+    backend = ProcessBackend(pool_scope=request.param)
+    yield backend
+    backend.close()
+    clear_default_pools()

@@ -6,17 +6,13 @@ must produce exactly the same matrices and permutations for a fixed seed.
 These tests pin that contract (it is what makes each backend a drop-in
 replacement rather than a different sampler) across both ways payload bytes
 cross (shared-memory segments, and the in-band degrade path of hosts
-without shared memory), both persistence modes of the process backend
-(cold one-epoch pool vs the standing worker pool), and the sim backend's
-schedule seeds (interleavings must never change results; the exhaustive
-schedule sweep lives in ``tests/simulation/``).
+without shared memory), the process backend's fleets (private, borrowed
+from the default pool cache, fresh or after earlier runs), and the sim
+backend's schedule seeds (interleavings must never change results; the
+exhaustive schedule sweep lives in ``tests/simulation/``).
 
-The CI determinism matrix runs this module once per OS runner and
-persistence mode; set ``REPRO_PERSISTENT=0`` or ``1`` to narrow the
-process-backend cells to one mode (unset runs both).
+The CI determinism matrix runs this module once per OS runner.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -25,7 +21,6 @@ from repro.core.api import sample_communication_matrix
 from repro.core.commmatrix import sample_matrix
 from repro.core.parallel_matrix import sample_matrix_parallel
 from repro.core.permutation import random_permutation
-from repro.pro.backends.process import ProcessBackend
 from repro.pro.machine import PROMachine
 from repro.pro.telemetry import Telemetry
 from repro.util.errors import ValidationError
@@ -33,17 +28,6 @@ from repro.util.errors import ValidationError
 ALGORITHMS = ["alg5", "alg6", "root"]
 MULTI_RANK_BACKENDS = ["thread", "process", "sim"]
 ALL_BACKENDS = ["inline", "thread", "process", "sim"]
-
-
-def _persistent_modes() -> list:
-    forced = os.environ.get("REPRO_PERSISTENT")
-    if forced is None or forced == "":
-        return [False, True]
-    return [forced not in ("0", "false", "no")]
-
-
-#: Process-backend persistence modes exercised by this run (see module doc).
-PERSISTENT_MODES = _persistent_modes()
 
 
 class TestMatrixDeterminism:
@@ -130,18 +114,16 @@ class TestDegradePath:
     random streams never see the difference.
     """
 
-    @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
-                             ids=lambda v: "persistent" if v else "cold")
     @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
     def test_permutation_identical_to_thread(self, no_shared_memory,
-                                             matrix_algorithm, persistent):
+                                             process_backend, matrix_algorithm):
         data = np.arange(40_000, dtype=np.int64)  # 80 KB pieces: bulk
         reference = random_permutation(data, n_procs=4, backend="thread",
                                        matrix_algorithm=matrix_algorithm, seed=77)
-        backend = ProcessBackend(persistent=persistent)
-        assert backend.empty(4, np.int64) is None
+        assert process_backend.empty(4, np.int64) is None
         telemetry = Telemetry()
-        machine = PROMachine(4, seed=77, backend=backend, telemetry=telemetry)
+        machine = PROMachine(4, seed=77, backend=process_backend,
+                             telemetry=telemetry)
         try:
             out = random_permutation(data, machine=machine,
                                      matrix_algorithm=matrix_algorithm)
@@ -154,12 +136,10 @@ class TestDegradePath:
             assert rank["transport"]["encode_calls"] > 0
             assert rank["transport"]["segments_created"] == 0
 
-    @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
-                             ids=lambda v: "persistent" if v else "cold")
-    def test_matrix_identical_to_thread(self, no_shared_memory, persistent):
+    def test_matrix_identical_to_thread(self, no_shared_memory, process_backend):
         row_sums = np.arange(1, 5) * 7
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=404)
-        machine = PROMachine(4, seed=404, backend=ProcessBackend(persistent=persistent))
+        machine = PROMachine(4, seed=404, backend=process_backend)
         try:
             matrix, _ = sample_matrix_parallel(row_sums, machine=machine)
         finally:
@@ -168,63 +148,50 @@ class TestDegradePath:
 
 
 class TestPersistentDeterminism:
-    """Standing worker pool vs cold runs: bit-identical for a fixed seed.
+    """Standing worker fleets: bit-identical for a fixed seed.
 
-    Persistence only changes where the ranks live and how runs reach them
-    (rank pipes vs fork-per-run); the per-rank streams are still built
-    in the parent for every run, so every {inline, thread, process} x
-    {persistent, cold} combination must agree.
+    A fleet only changes where the ranks live; the per-rank streams are
+    still built in the parent for every run, so a fleet that served
+    earlier runs must agree with a fresh one and with the thread backend,
+    whether the fleet is private or borrowed from the default pool cache.
     """
 
-    @pytest.mark.parametrize("persistent", PERSISTENT_MODES,
-                             ids=lambda v: "persistent" if v else "cold")
-    def test_matrix_identical_across_persistence(self, persistent):
+    def test_matrix_identical_across_persistence(self, process_backend):
         row_sums = np.arange(1, 5) * 6
         reference, _ = sample_matrix_parallel(row_sums, backend="thread", seed=321)
-        matrix, _ = sample_matrix_parallel(
-            row_sums, backend="process", persistent=persistent, seed=321,
-        )
-        assert np.array_equal(reference, matrix), persistent
+        matrix, _ = sample_matrix_parallel(row_sums, backend=process_backend,
+                                           seed=321)
+        assert np.array_equal(reference, matrix)
 
-    @pytest.mark.parametrize("persistent", PERSISTENT_MODES)
     @pytest.mark.parametrize("matrix_algorithm", ALGORITHMS)
     def test_permutation_identical_across_persistence(self, matrix_algorithm,
-                                                      persistent):
+                                                      process_backend):
         data = np.arange(3000, dtype=np.int64)
         reference = random_permutation(data, n_procs=4, backend="thread",
                                        matrix_algorithm=matrix_algorithm, seed=88)
-        out = random_permutation(data, n_procs=4, backend="process",
-                                 persistent=persistent,
+        out = random_permutation(data, n_procs=4, backend=process_backend,
                                  matrix_algorithm=matrix_algorithm, seed=88)
-        assert np.array_equal(reference, out), persistent
+        assert np.array_equal(reference, out)
         assert sorted(out.tolist()) == list(range(3000))
 
     def test_run_sequences_agree_between_modes(self, payload_path):
-        """k runs on one standing pool == k cold runs, same seed, either path."""
-        if True not in PERSISTENT_MODES:
-            pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
-        persistent = PROMachine(3, seed=17, backend="process", persistent=True)
-        cold = PROMachine(3, seed=17, backend="process")
+        """k runs on one standing fleet == k runs on a fleet closed after each."""
+        standing = PROMachine(3, seed=17, backend="process")
+        fresh = PROMachine(3, seed=17, backend="process")
         try:
             for iteration in range(3):
-                a = random_permutation(np.arange(900), machine=persistent)
-                b = random_permutation(np.arange(900), machine=cold)
+                a = random_permutation(np.arange(900), machine=standing)
+                b = random_permutation(np.arange(900), machine=fresh)
+                fresh.close()  # the next call spawns a fresh fleet
                 assert np.array_equal(a, b), iteration
         finally:
-            persistent.close()
-
-    def test_persistent_rejected_for_thread_backend(self):
-        with pytest.raises(ValidationError, match="does not accept"):
-            sample_matrix_parallel([4, 4], backend="thread", persistent=True)
+            standing.close()
 
     def test_api_level_persistent_parity(self):
-        if True not in PERSISTENT_MODES:
-            pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
         reference = sample_communication_matrix([7, 7, 7], parallel=True,
                                                 backend="thread", seed=61)
         matrix = sample_communication_matrix([7, 7, 7], parallel=True,
-                                             backend="process",
-                                             persistent=True, seed=61)
+                                             backend="process", seed=61)
         assert np.array_equal(reference, matrix)
 
 
@@ -305,18 +272,16 @@ class TestFixedSeedAcrossEntryPoints:
 
 
 class TestWarmDriverDeterminism:
-    """Warm-by-default drivers vs the forced-cold path: bit-identical.
+    """Warm-by-default drivers vs a fresh fleet per call: bit-identical.
 
     Driver calls with ``backend="process"`` reuse the process-wide default
-    pool cache (``persistent=None`` means warm); ``persistent=False``
-    forces the historic cold spawn.  Warmth changes where the ranks live,
-    never what they draw, so a k-call sequence of warm driver calls must
-    equal the same k cold calls seed by seed.
+    pool cache.  Warmth changes where the ranks live, never what they
+    draw, so a k-call sequence of warm driver calls must equal the same k
+    calls on a fresh private machine, closed after each call, seed by
+    seed.
     """
 
     def test_k_driver_calls_warm_equals_cold(self, payload_path):
-        if True not in PERSISTENT_MODES:
-            pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
         from repro.pro.backends.pool import clear_default_pools, default_pools
 
         clear_default_pools()
@@ -324,17 +289,15 @@ class TestWarmDriverDeterminism:
             for k, seed in enumerate((301, 302, 303)):
                 warm = random_permutation(np.arange(2500), n_procs=4,
                                           backend="process", seed=seed)
-                cold = random_permutation(np.arange(2500), n_procs=4,
-                                          backend="process", seed=seed,
-                                          persistent=False)
+                with PROMachine(4, seed=seed, backend="process") as fresh:
+                    cold = random_permutation(np.arange(2500), n_procs=4,
+                                              machine=fresh)
                 assert np.array_equal(warm, cold), k
             assert len(default_pools()) == 1  # all warm calls shared one fleet
         finally:
             clear_default_pools()
 
     def test_warm_matrix_matches_thread_reference(self):
-        if True not in PERSISTENT_MODES:
-            pytest.skip("persistent cells disabled by REPRO_PERSISTENT")
         reference, _ = sample_matrix_parallel([5, 6, 7], backend="thread",
                                               seed=99)
         warm, _ = sample_matrix_parallel([5, 6, 7], backend="process", seed=99)

@@ -7,9 +7,6 @@ These cells pin the SHA-256 of ``random_permutation(arange(n), p, seed=s)``
 to the values recorded before Algorithm 1 assembled its output in place;
 any change to what a fixed seed produces must update them on purpose.
 
-``REPRO_PERSISTENT=0`` or ``1`` narrows the process-backend cells to one
-persistence mode (unset runs both), as in the cross-backend grid.
-
 The batched matrix sampler (``algorithm="batched"``) and the engine's
 ``multivariate_batch`` are pinned the same way, together with the next raw
 word of the generator after the call, so a change to how either walks its
@@ -18,7 +15,6 @@ how many it makes -- cannot pass unnoticed.
 """
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -26,6 +22,7 @@ import pytest
 from repro.core.api import sample_communication_matrix
 from repro.core.engine import get_engine
 from repro.core.permutation import random_permutation
+from repro.pro.machine import PROMachine
 
 #: (n, p, matrix algorithm, seed) -> SHA-256 of the int64 output bytes.
 GOLDEN = {
@@ -42,23 +39,25 @@ GOLDEN = {
 }
 
 
-def _backend_cells() -> list:
-    forced = os.environ.get("REPRO_PERSISTENT")
-    modes = [False, True] if not forced else [forced not in ("0", "false", "no")]
-    cells = [pytest.param("thread", {}, id="thread"),
-             pytest.param("sim", {}, id="sim")]
-    cells += [pytest.param("process", {"persistent": mode},
-                           id="process-persistent" if mode else "process-cold")
-              for mode in modes]
-    return cells
-
-
-@pytest.mark.parametrize("backend, options", _backend_cells())
+@pytest.mark.parametrize("backend", ["thread", "sim", "process"])
 @pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
-def test_output_matches_golden_digest(cell, backend, options):
+def test_output_matches_golden_digest(cell, backend):
     n, p, algorithm, seed = cell
     out = random_permutation(np.arange(n, dtype=np.int64), p, backend=backend,
-                             matrix_algorithm=algorithm, seed=seed, **options)
+                             matrix_algorithm=algorithm, seed=seed)
+    assert out.dtype == np.int64 and out.shape == (n,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_private_fleet_matches_golden_digest(cell):
+    """The ``process`` cell above borrows the drivers' warm fleet; a fresh
+    private fleet, spawned for the call and closed after it, must draw
+    the same."""
+    n, p, algorithm, seed = cell
+    with PROMachine(p, seed=seed, backend="process") as machine:
+        out = random_permutation(np.arange(n, dtype=np.int64),
+                                 matrix_algorithm=algorithm, machine=machine)
     assert out.dtype == np.int64 and out.shape == (n,)
     assert hashlib.sha256(out.tobytes()).hexdigest() == GOLDEN[cell]
 

@@ -148,11 +148,13 @@ class TestChaosPlanMatrix:
         assert recovered.cost_report.retries == 1
         assert recovered.results == _clean_reference(backend)[0]
 
-    @pytest.mark.parametrize("persistent", [False, True])
-    def test_process_cells_recover_from_crash(self, persistent, payload_path):
+    def test_process_cells_recover_from_crash(self, payload_path,
+                                              process_backend):
+        # A private fleet heals in place; a borrowed one is healed or
+        # replaced by the default pool cache on the replay's lookup.
         machine, wrapper = _faulty_machine(
-            "process", PLANS["crash-rank1-mid"], retry=2,
-            timeout=scale_timeout(8), persistent=persistent)
+            process_backend, PLANS["crash-rank1-mid"], retry=2,
+            timeout=scale_timeout(8))
         try:
             recovered = machine.run(_chaos_program)
             again = machine.run(_chaos_program)  # the healed fleet keeps serving
@@ -169,8 +171,7 @@ class TestChaosPlanMatrix:
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_persistent_fleet_recovers_every_committed_plan(self, plan):
         machine, wrapper = _faulty_machine(
-            "process", PLANS[plan], retry=2, timeout=scale_timeout(4),
-            persistent=True)
+            "process", PLANS[plan], retry=2, timeout=scale_timeout(4))
         try:
             recovered = machine.run(_chaos_program)
         finally:
@@ -188,7 +189,7 @@ class TestSupervisionMechanics:
         # next run on the kept fleet matches the thread backend's.
         machine, _wrapper = _faulty_machine(
             "process", [CrashRank(rank=1, at_op=0, at_run=1)], retry=None,
-            timeout=scale_timeout(8), persistent=True)
+            timeout=scale_timeout(8))
         reference = PROMachine(P, seed=SEED, backend="thread")
         try:
             before = dict(machine.run(_rank_pid_program).results)  # run 0
@@ -219,7 +220,7 @@ class TestSupervisionMechanics:
         # the kept fleet matches the thread backend.
         inputs = np.arange(20_000)
         wrapper = FaultInjectingBackend(
-            "process", [CrashRank(rank=1, at_op=1, at_run=1)], persistent=True)
+            "process", [CrashRank(rank=1, at_op=1, at_run=1)])
         machine = PROMachine(p, seed=SEED, backend=wrapper, retry=2,
                              timeout=scale_timeout(8))
         reference = PROMachine(p, seed=SEED, backend="thread")
@@ -245,7 +246,7 @@ class TestSupervisionMechanics:
         # is left, and the replay on the kept fleet stays bit-identical.
         machine, _wrapper = _faulty_machine(
             "process", [CrashRank(rank=0, at_op=0, at_run=1)], retry=None,
-            timeout=scale_timeout(8), persistent=True)
+            timeout=scale_timeout(8))
         reference = PROMachine(P, seed=SEED, backend="thread")
         try:
             machine.run(_rank_pid_program)  # run 0
@@ -269,7 +270,7 @@ class TestSupervisionMechanics:
         # fully accounted for and heal() has nothing to wait for.
         machine, _wrapper = _faulty_machine(
             "process", [CrashRank(rank=1, at_op=0)], retry=None,
-            timeout=scale_timeout(8), persistent=True)
+            timeout=scale_timeout(8))
         try:
             machine.run(_rank_pid_program)
             pool = machine.backend.backend._pools[P]
@@ -293,7 +294,7 @@ class TestSupervisionMechanics:
         before = set(os.listdir(shm))
         policy = RetryPolicy(max_attempts=1, deadline=scale_timeout(0.5))
         machine = PROMachine(
-            2, seed=SEED, backend="process", persistent=True, retry=policy,
+            2, seed=SEED, backend="process", retry=policy,
             timeout=scale_timeout(20))
         try:
             with pytest.raises(DeadlineError):
@@ -310,7 +311,7 @@ class TestSupervisionMechanics:
     def test_retries_disabled_stays_poison_and_raise(self):
         machine, _wrapper = _faulty_machine(
             "process", [CrashRank(rank=0, at_op=0)], retry=None,
-            timeout=scale_timeout(8), persistent=True)
+            timeout=scale_timeout(8))
         try:
             with pytest.raises(TransientBackendError, match="rank 0"):
                 machine.run(_chaos_program)
@@ -363,7 +364,7 @@ class TestSupervisionMechanics:
         # the caller is recovering from the first attempt's failure.  That
         # failure must not become the context of the errors the new rank 1
         # raises later.
-        machine = PROMachine(P, seed=SEED, backend="process", persistent=True,
+        machine = PROMachine(P, seed=SEED, backend="process",
                              retry=2, timeout=scale_timeout(8))
         try:
             pids = dict(machine.run(_rank_pid_program).results)
@@ -382,9 +383,9 @@ class TestSupervisionMechanics:
         assert "without reporting a result" not in text
         assert "During handling of the above exception" not in text
 
-    def test_deadline_is_typed_and_bounded(self):
+    def test_deadline_is_typed_and_bounded(self, process_backend):
         policy = RetryPolicy(max_attempts=1, deadline=1.0)
-        machine = PROMachine(P, seed=SEED, backend="process", persistent=True,
+        machine = PROMachine(P, seed=SEED, backend=process_backend,
                              retry=policy, timeout=scale_timeout(30))
         started = time.monotonic()
         try:
@@ -399,21 +400,6 @@ class TestSupervisionMechanics:
             machine.close()
         assert elapsed < scale_timeout(5)
 
-    def test_cold_deadline_is_typed_and_bounded(self):
-        # A cold run closes its one-epoch pool before the error reaches the
-        # caller, so the bound covers reaping the stalled rank too.
-        policy = RetryPolicy(max_attempts=1, deadline=1.0)
-        machine = PROMachine(P, seed=SEED, backend="process", persistent=False,
-                             retry=policy, timeout=scale_timeout(30))
-        try:
-            started = time.monotonic()
-            with pytest.raises(DeadlineError, match="deadline"):
-                machine.run(_rank0_stalls)
-            elapsed = time.monotonic() - started
-        finally:
-            machine.close()
-        assert elapsed < scale_timeout(5)
-
     def test_fallback_degrades_process_to_thread_bit_identical(self):
         # The crash fires on every run, so the process backend can never
         # succeed; the run must land on the thread backend with the same
@@ -421,7 +407,7 @@ class TestSupervisionMechanics:
         policy = RetryPolicy(max_attempts=1, fallback=("thread",))
         machine, _wrapper = _faulty_machine(
             "process", [CrashRank(rank=2, at_op=0)], retry=policy,
-            timeout=scale_timeout(8), persistent=True)
+            timeout=scale_timeout(8))
         try:
             degraded = machine.run(_chaos_program)
         finally:
@@ -457,8 +443,7 @@ class TestHealLeaksNothing:
                 return value, gathered
 
             faulty = FaultInjectingBackend(
-                "process", [CrashRank(rank=1, at_op=1, at_run=0)],
-                persistent=True)
+                "process", [CrashRank(rank=1, at_op=1, at_run=0)])
             machine = PROMachine(4, seed=7, backend=faulty, retry=2,
                                  timeout=scale_timeout(8))
             recovered = machine.run(program).results

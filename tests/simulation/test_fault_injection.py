@@ -193,9 +193,7 @@ class TestProcessFaults:
                        timeout=scale_timeout(2)).run(_bulk_exchange, 50_000)
 
     def test_faulted_persistent_pool_is_poisoned(self):
-        backend = FaultInjectingBackend(
-            "process", [CrashRank(rank=0, at_op=0)], persistent=True,
-        )
+        backend = FaultInjectingBackend("process", [CrashRank(rank=0, at_op=0)])
         machine = PROMachine(2, seed=0, backend=backend,
                              timeout=scale_timeout(10))
         try:

@@ -41,7 +41,6 @@ def run_python(script: str) -> subprocess.CompletedProcess:
 def test_builtins_subclass_their_base_class_with_its_defaults(name):
     backend = get_backend(name)
     assert isinstance(backend, ExecutionBackend)
-    assert backend.persistent is False
     assert (backend.transport is None
             or isinstance(backend.transport, SharedMemoryTransport))
     assert backend.heal() is True  # nothing standing to heal

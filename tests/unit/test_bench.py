@@ -211,7 +211,7 @@ class TestKernelArtifactMerge:
 
 
 def test_cold_backend_cells_leave_no_warm_pool():
-    """A cold process cell spawns its own ranks instead of borrowing the
+    """A cold process cell runs on a fresh machine instead of borrowing the
     default pool, so it measures a cold call and leaves no fleet behind."""
     from repro.pro.backends.pool import clear_default_pools, default_pools
 

@@ -44,13 +44,15 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
-    def test_persistent_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["permute", "--n", "10", "--backend", "process", "--persistent",
-             "--repeats", "3"]
-        )
-        assert args.persistent and args.repeats == 3
-        assert not build_parser().parse_args(["permute", "--n", "10"]).persistent
+    @pytest.mark.parametrize("command", [
+        ["permute", "--n", "10"], ["matrix", "--sizes", "5,5"], ["stats"],
+    ], ids=lambda command: command[0])
+    def test_persistent_flag_is_a_usage_error(self, command, capsys):
+        # Every process run uses a standing fleet: there is no mode to pick.
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--backend", "process", "--persistent"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --persistent" in capsys.readouterr().err
 
     def test_schedule_seed_parsed_on_permute_and_matrix(self):
         args = build_parser().parse_args(
@@ -78,6 +80,14 @@ class TestParser:
         defaults = build_parser().parse_args(["permute", "--n", "10"])
         assert defaults.retries is None and defaults.deadline is None
 
+    def test_deadline_alone_is_one_bounded_attempt(self):
+        from repro.cli import _resolve_retry
+        from repro.pro.resilience import RetryPolicy
+
+        args = build_parser().parse_args(["permute", "--n", "10", "--deadline", "1"])
+        assert _resolve_retry(args) == RetryPolicy(max_attempts=1, deadline=1.0)
+        assert main(["permute", "--n", "10", "--procs", "2", "--deadline", "1"]) == 0
+
 
 class TestCommands:
     def test_permute(self, capsys):
@@ -101,13 +111,13 @@ class TestCommands:
         assert "permuted 200 items" in capsys.readouterr().out
 
     @pytest.mark.subprocess
-    def test_permute_persistent_repeats(self, capsys):
+    def test_permute_process_repeats(self, capsys):
         code = main(["permute", "--n", "200", "--procs", "2", "--seed", "1",
-                     "--backend", "process", "--persistent", "--repeats", "3"])
+                     "--backend", "process", "--repeats", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "run 3/3" in out
-        assert "process persistent backend" in out
+        assert "process backend" in out
 
     def test_permute_sim_schedule_seed(self, capsys):
         code = main(["permute", "--n", "300", "--procs", "4", "--seed", "1",
@@ -170,16 +180,12 @@ class TestCommands:
         assert "row sums   : [6, 6]" in out
 
     @pytest.mark.subprocess
-    def test_matrix_persistent_pool(self, capsys):
+    def test_matrix_process_backend_alg6(self, capsys):
         code = main(["matrix", "--sizes", "5,5", "--algorithm", "alg6",
-                     "--backend", "process", "--persistent", "--seed", "3"])
+                     "--backend", "process", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "row sums   : [5, 5]" in out
-
-    def test_matrix_persistent_rejected_on_sequential_path(self):
-        with pytest.raises(ValidationError, match="parallel"):
-            main(["matrix", "--sizes", "5,5", "--persistent"])
 
     def test_matrix_schedule_seed_rejected_on_sequential_path(self):
         with pytest.raises(ValidationError, match="parallel"):

@@ -5,7 +5,7 @@ Contract (see :mod:`repro.pro.backends.pool`): driver calls with
 (pid-stable across calls), different configurations get different fleets,
 a poisoned fleet is evicted and respawned, ``clear_default_pools()`` and
 the interpreter-exit hook release everything leak-free, and warm calls
-stay bit-identical to the cold path for a fixed seed.  Bulk dispatch
+stay bit-identical to a fresh private fleet for a fixed seed.  Bulk dispatch
 arguments are encoded once per *run*, not once per rank (one staging
 segment), pinned here through the transport counters.
 """
@@ -26,7 +26,7 @@ from repro.pro.backends.pool import (
     get_default_pool,
 )
 from repro.pro.backends.sharedmem import SharedMemoryTransport
-from repro.pro.machine import resolve_machine
+from repro.pro.machine import PROMachine, resolve_machine
 from repro.util.errors import BackendError
 from repro.util.timeouts import scale_timeout
 
@@ -80,28 +80,30 @@ class TestWarmDrivers:
         sample_matrix_parallel([9, 9, 9], backend="process", seed=2)
         assert _default_pool_pids() == pids1  # same (p, transport) key
 
-    def test_persistent_false_forces_cold_path(self):
-        random_permutation(np.arange(1000), n_procs=2, backend="process",
-                           seed=0, persistent=False)
-        assert default_pools() == {}  # nothing cached: the call was cold
+    def test_private_machine_leaves_the_cache_empty(self):
+        with PROMachine(2, backend="process", seed=0) as machine:
+            random_permutation(np.arange(1000), machine=machine)
+        assert default_pools() == {}  # the fleet was the machine's own
 
-    def test_explicit_persistent_true_uses_the_shared_fleet(self):
+    def test_process_scope_machine_uses_the_shared_fleet(self):
+        with PROMachine(2, backend="process", seed=0,
+                        backend_options={"pool_scope": "process"}) as machine:
+            random_permutation(np.arange(1000), machine=machine)
+        pids = _default_pool_pids()  # close() left the borrowed fleet warm
         random_permutation(np.arange(1000), n_procs=2, backend="process",
-                           seed=0, persistent=True)
-        pids = _default_pool_pids()
-        random_permutation(np.arange(1000), n_procs=2, backend="process",
-                           seed=0)  # implicit warm default: same fleet
+                           seed=0)  # the driver borrows the same fleet
         assert _default_pool_pids() == pids
 
     def test_warm_calls_bit_identical_to_cold_k_call_sequence(self):
-        # k warm driver calls == k cold driver calls, call by call: the
-        # standing fleet changes where ranks live, never what they draw.
+        # k warm driver calls == k calls on a fresh private fleet, closed
+        # after each call: the standing fleet changes where ranks live,
+        # never what they draw.
         for seed in (11, 12, 13):
             warm = random_permutation(np.arange(3000), n_procs=4,
                                       backend="process", seed=seed)
-            cold = random_permutation(np.arange(3000), n_procs=4,
-                                      backend="process", seed=seed,
-                                      persistent=False)
+            with PROMachine(4, backend="process", seed=seed) as fresh:
+                cold = random_permutation(np.arange(3000), n_procs=4,
+                                          machine=fresh)
             thread = random_permutation(np.arange(3000), n_procs=4,
                                         backend="thread", seed=seed)
             assert np.array_equal(warm, cold), seed
@@ -234,9 +236,9 @@ class TestSharing:
         assert not errors, errors
         assert len(default_pools()) == 1
         for tid, out in results.items():
-            cold = random_permutation(np.arange(5000), n_procs=2,
-                                      backend="process", seed=100 + tid,
-                                      persistent=False)
+            with PROMachine(2, backend="process", seed=100 + tid) as fresh:
+                cold = random_permutation(np.arange(5000), n_procs=2,
+                                          machine=fresh)
             assert np.array_equal(out, cold), tid
 
     def test_close_waits_for_an_inflight_run(self):
@@ -247,9 +249,7 @@ class TestSharing:
         import threading
         import time
 
-        from repro.pro.machine import PROMachine
-
-        machine = PROMachine(2, backend="process", persistent=True,
+        machine = PROMachine(2, backend="process",
                              timeout=scale_timeout(20))
         outcome: dict = {}
 

@@ -9,7 +9,7 @@ Three layers of protection, none of which needs the mkdocs toolchain:
   script, the ``pool()`` example through doctest -- so the front page
   cannot silently rot;
 * the public driver/API surface's docstring examples run under doctest
-  (every public callable documents ``backend=`` / ``persistent=`` /
+  (every public callable documents ``backend=`` /
   ``schedule_seed=`` with a runnable example).
 """
 
@@ -120,7 +120,7 @@ class TestDocstringExamples:
             assert ">>>" in fn.__doc__, fn.__name__
         options = [name for name, param in inspect.signature(resolve_machine).parameters.items()
                    if param.kind is inspect.Parameter.KEYWORD_ONLY and name != "machine"]
-        assert len(options) == 6
+        assert len(options) == 5
         for option in options:
             assert f"``{option}``" in resolve_machine.__doc__, option
         assert ">>>" in resolve_machine.__doc__

@@ -30,17 +30,8 @@ class TestConstruction:
             PROMachine(2, backend="inline")
         assert PROMachine(1, backend="inline").n_procs == 1
 
-    def test_persistent_requires_backend_name(self):
-        with pytest.raises(ValidationError, match="persistent"):
-            PROMachine(1, backend=InlineBackend(), persistent=True)
-
-    def test_persistent_rejected_by_backends_without_pools(self):
-        with pytest.raises(ValidationError, match="does not accept"):
-            PROMachine(2, backend="thread", persistent=True)
-
     def test_close_and_context_manager_are_noops_in_process(self):
         machine = PROMachine(2, seed=0)
-        assert not machine.persistent
         machine.close()
         machine.close()  # idempotent
         with PROMachine(2, seed=0) as scoped:

@@ -23,6 +23,7 @@ from repro.core.permutation import (
     random_permutation,
     random_permutation_indices,
 )
+from repro.pro.backends.pool import pool
 from repro.pro.machine import PROMachine, resolve_machine
 from repro.pro.telemetry import Telemetry
 from repro.util.errors import ValidationError
@@ -31,14 +32,10 @@ from repro.util.errors import ValidationError
 OPTION_VALUES = {
     "backend": "thread",
     "seed": 123,
-    "persistent": True,
     "schedule_seed": 3,
     "retry": 2,
     "telemetry": Telemetry(),
 }
-
-#: ``persistent=False`` is not ``None`` either, so it is rejected too.
-MACHINE_PLUS_OPTION = [*OPTION_VALUES.items(), ("persistent", False)]
 
 DRIVERS = {
     "permute_distributed":
@@ -65,8 +62,8 @@ def test_resolve_machine_signature_is_the_allow_list():
     assert keyword_only == ["machine", *OPTION_VALUES]
 
 
-@pytest.mark.parametrize("name, value", MACHINE_PLUS_OPTION,
-                         ids=[f"{name}={value!r}" for name, value in MACHINE_PLUS_OPTION])
+@pytest.mark.parametrize("name, value", OPTION_VALUES.items(),
+                         ids=[f"{name}={value!r}" for name, value in OPTION_VALUES.items()])
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_machine_plus_option_is_rejected(driver, name, value, machine):
     with pytest.raises(ValidationError, match=f"machine or {name}, not both"):
@@ -85,22 +82,22 @@ def test_misspelled_option_is_a_type_error(driver):
         DRIVERS[driver](bakend="thread")
 
 
-@pytest.mark.parametrize("entry", ["resolve_machine", *DRIVERS])
-def test_transport_is_no_machine_option(entry):
-    # The process backend has one payload transport: no driver selects it.
-    call = (DRIVERS[entry] if entry in DRIVERS
-            else lambda **kw: resolve_machine(2, **kw))
-    with pytest.raises(TypeError, match="transport"):
-        call(backend="process", transport="pickle")
+#: Retired machine options, each with a value it used to take.  The process
+#: backend has one payload transport, the samplers one path (NumPy's), and
+#: every process run one execution mode (a standing fleet).
+RETIRED_OPTIONS = {"transport": "pickle", "kernels": "numpy", "persistent": True}
 
 
-@pytest.mark.parametrize("entry", ["resolve_machine", *DRIVERS])
-def test_kernels_is_no_machine_option(entry):
-    # The samplers have one path, NumPy's: there is no kernel tier to select.
+@pytest.mark.parametrize("option", RETIRED_OPTIONS)
+@pytest.mark.parametrize("entry", ["resolve_machine", "PROMachine", "pool", *DRIVERS])
+def test_retired_option_is_a_type_error(entry, option):
     call = (DRIVERS[entry] if entry in DRIVERS
-            else lambda **kw: resolve_machine(2, **kw))
-    with pytest.raises(TypeError, match="kernels"):
-        call(kernels="numpy")
+            else (lambda **kw: resolve_machine(2, **kw)) if entry == "resolve_machine"
+            else (lambda **kw: PROMachine(2, **kw)) if entry == "PROMachine"
+            # pool() always picks the process backend and builds on entry
+            else lambda backend, **kw: pool(2, **kw).__enter__())
+    with pytest.raises(TypeError, match=option):
+        call(backend="process", **{option: RETIRED_OPTIONS[option]})
 
 
 @pytest.mark.parametrize("baseline", [
@@ -117,7 +114,7 @@ class TestSequentialPath:
     """``parallel=False`` samples in the caller and takes no machine options."""
 
     @pytest.mark.parametrize("option", [
-        "backend", "persistent", "schedule_seed", "retry", "telemetry",
+        "backend", "schedule_seed", "retry", "telemetry",
     ])
     def test_machine_option_is_rejected(self, option):
         with pytest.raises(ValidationError, match=f"{option}: only for parallel=True"):
@@ -131,10 +128,8 @@ class TestSequentialPath:
         with pytest.raises(TypeError, match="bakend"):
             sample_communication_matrix([4, 4], bakend="thread")
 
-    def test_transport_is_a_type_error(self):
-        with pytest.raises(TypeError, match="transport"):
-            sample_communication_matrix([4, 4], seed=0, transport="pickle")
-
-    def test_kernels_is_a_type_error(self):
-        with pytest.raises(TypeError, match="kernels"):
-            sample_communication_matrix([4, 4], seed=0, kernels="numpy")
+    @pytest.mark.parametrize("option", RETIRED_OPTIONS)
+    def test_retired_option_is_a_type_error(self, option):
+        with pytest.raises(TypeError, match=option):
+            sample_communication_matrix([4, 4], seed=0,
+                                        **{option: RETIRED_OPTIONS[option]})

@@ -354,8 +354,7 @@ class TestSharedSegmentAssembly:
         yield
         clear_default_pools()
 
-    @pytest.mark.parametrize("persistent", [None, False], ids=["warm", "cold"])
-    def test_output_is_the_segment_vector(self, monkeypatch, persistent):
+    def test_output_is_the_segment_vector(self, monkeypatch, process_backend):
         from repro.pro.backends import sharedmem
         from repro.pro.backends.pool import clear_default_pools
 
@@ -363,12 +362,12 @@ class TestSharedSegmentAssembly:
         expected = random_permutation(data, n_procs=3, backend="thread", seed=5)
         _forbid_concatenate(monkeypatch)
         before = _linked_segments()
-        out = random_permutation(data, n_procs=3, backend="process", seed=5,
-                                 persistent=persistent)
+        out = random_permutation(data, n_procs=3, backend=process_backend, seed=5)
         name = _segment_of(out)
         assert name is not None and out.base is not None
         # Linked while the array lives; no staging name is left.
         assert _linked_segments() - before == {name}
+        process_backend.close()  # the output outlives its fleet
         clear_default_pools()
         assert name in _linked_segments()
         assert np.array_equal(out, expected)
@@ -391,22 +390,18 @@ class TestSharedSegmentAssembly:
                 return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
 
             before = linked()
-            for persistent in (None, False):
-                out = random_permutation(np.arange(30_000), n_procs=2,
-                                         backend="process", seed=1,
-                                         persistent=persistent)
-                assert sorted(out.tolist()) == list(range(30_000))
-                (name,) = sharedmem._BYREF
-                assert linked() - before == {name}  # no staging name left
-                del out
-                gc.collect()
-                assert not sharedmem._BYREF, sharedmem._BYREF
-                # A warm output is parked for the next call; a cold one
-                # was never dispatched, so its name went with it.
-                parked = [entry.seg.name for entry in sharedmem._PARKED]
-                assert parked == ([name] if persistent is None else [])
-                clear_default_pools()
-                assert not linked() - before, linked() - before
+            out = random_permutation(np.arange(30_000), n_procs=2,
+                                     backend="process", seed=1)
+            assert sorted(out.tolist()) == list(range(30_000))
+            (name,) = sharedmem._BYREF
+            assert linked() - before == {name}  # no staging name left
+            del out
+            gc.collect()
+            assert not sharedmem._BYREF, sharedmem._BYREF
+            # The output is parked for the next call until the pools go.
+            assert [entry.seg.name for entry in sharedmem._PARKED] == [name]
+            clear_default_pools()
+            assert not linked() - before, linked() - before
         """)
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
@@ -466,12 +461,12 @@ class TestSharedSegmentAssembly:
         before = _linked_segments()
         if failure == "crash":
             backend = FaultInjectingBackend(
-                "process", [CrashRank(rank=1, at_op=1)], persistent=True)
+                "process", [CrashRank(rank=1, at_op=1)])
             machine = PROMachine(2, seed=3, backend=backend)
             error = BackendError
         else:
             machine = PROMachine(
-                2, seed=3, backend="process", persistent=True,
+                2, seed=3, backend="process",
                 retry=RetryPolicy(max_attempts=1, deadline=scale_timeout(0.5)),
                 timeout=scale_timeout(20))
             error = DeadlineError
@@ -514,11 +509,11 @@ class TestSharedSegmentAssembly:
         expected = [random_permutation(x, n_procs=2, backend="thread", seed=3)
                     for x in (data, words)]
         calls = _count_concatenate(monkeypatch)
-        with monkeypatch.context() as no_shared_memory:  # a cold fleet forks it
+        with monkeypatch.context() as no_shared_memory:  # a private fleet forks it
             no_shared_memory.setattr(sharedmem, "_shm_module", None)
             no_shared_memory.setattr(sharedmem, "_PROBE", (None, False))
-            in_band = random_permutation(data, n_procs=2, backend="process",
-                                         persistent=False, seed=3)
+            with PROMachine(2, seed=3, backend="process") as machine:
+                in_band = random_permutation(data, machine=machine)
         objects = random_permutation(words, n_procs=2, backend="process", seed=3)
         assert calls == [2, 2]
         assert in_band.dtype == data.dtype and objects.dtype == words.dtype
@@ -559,7 +554,7 @@ class TestSharedSegmentAssembly:
             return real_shuffle(values, rng, out=out)
 
         monkeypatch.setattr(permutation, "local_shuffle", dying_shuffle)
-        machine = PROMachine(2, seed=17, backend="process", persistent=True,
+        machine = PROMachine(2, seed=17, backend="process",
                              retry=2, timeout=scale_timeout(20))
         try:
             random_permutation(data, machine=machine)  # spawns the pool warm
@@ -612,7 +607,7 @@ class TestSharedSegmentAssembly:
             return received
 
         monkeypatch.setattr(Communicator, "alltoallv", dying_alltoallv)
-        machine = PROMachine(p, seed=17, backend="process", persistent=True,
+        machine = PROMachine(p, seed=17, backend="process",
                              retry=2, timeout=scale_timeout(20))
         try:
             permute_distributed(blocks, target_sizes=targets, machine=machine,

@@ -133,27 +133,13 @@ class TestProcessBackendRuns:
             ctx.comm.barrier()
 
         before = set(multiprocessing.active_children())
+        machine = PROMachine(3, seed=0, backend="process",
+                             timeout=scale_timeout(15))
         with pytest.raises(BackendError, match="rank 1"):
-            PROMachine(3, seed=0, backend="process",
-                       timeout=scale_timeout(15)).run(program)
-        # The failed cold run reaped every rank it spawned.
+            machine.run(program)
+        # Closing the failed machine reaps every rank it spawned.
+        machine.close()
         assert set(multiprocessing.active_children()) - before == set()
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="needs the fork start method")
-    def test_cold_run_inherits_closures_without_cloudpickle(self, monkeypatch):
-        # A cold run's epoch reaches its ranks through their spawn
-        # arguments, so under fork a closure is inherited, never pickled.
-        import importlib
-
-        # (the package re-exports the pool() context manager as "pool")
-        pool_module = importlib.import_module("repro.pro.backends.pool")
-        monkeypatch.setattr(pool_module, "_cloudpickle", None)
-        weights = np.arange(10, dtype=np.int64)
-        machine = PROMachine(2, seed=0, backend="process", persistent=False,
-                             backend_options={"start_method": "fork"})
-        results = machine.run(lambda ctx: int(weights[ctx.rank::2].sum())).results
-        assert results == [20, 25]
 
     def test_mismatched_fabric_rejected(self):
         backend = ProcessBackend()
@@ -165,6 +151,19 @@ class TestProcessBackendRuns:
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ValidationError):
             ProcessBackend(start_method="no-such-method")
+
+    def test_persistent_keyword_is_a_perfbench_shim(self):
+        # Only perfbench still passes persistent=True; there is no cold mode.
+        from repro.pro.backends.registry import get_backend
+
+        backend = get_backend("process", persistent=True)
+        try:
+            machine = PROMachine(2, seed=0, backend=backend)
+            assert machine.run(lambda ctx: ctx.rank).results == [0, 1]
+        finally:
+            backend.close()
+        with pytest.raises(ValidationError, match="retired"):
+            ProcessBackend(persistent=False)
 
 
 class TestProcessFabric:

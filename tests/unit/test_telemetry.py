@@ -5,15 +5,14 @@ The contract under test (the telemetry/repatriation sub-contract in
 
 * out-of-address-space ranks snapshot their transport counters onto the
   cost recorder, so the numbers survive the
-  worker->parent gap on both cold (one-epoch pool) and persistent process
-  runs;
+  worker->parent gap, on a fleet's first run and on its later ones;
 * in-address-space backends (inline/thread/sim) report the same counter
   keys **zeroed** rather than omitting them;
 * lifecycle transitions (pool spawn/heal, retries, degradations) are
   event-sourced and windowed into the run's ``FleetReport``;
 * collection is passive -- attaching a recorder never perturbs results
   (the determinism grid at the bottom pins this bit-exactly across
-  backend x persistence).
+  backends and payload paths).
 """
 
 import numpy as np
@@ -42,10 +41,9 @@ P = 4
 SEED = 20030607
 
 
-def _run_with_telemetry(backend, *, persistent=False, runs=1):
+def _run_with_telemetry(backend, *, runs=1):
     telemetry = Telemetry()
-    machine = PROMachine(P, seed=SEED, backend=backend, persistent=persistent,
-                         telemetry=telemetry)
+    machine = PROMachine(P, seed=SEED, backend=backend, telemetry=telemetry)
     try:
         data = np.arange(N_ITEMS, dtype=np.int64)
         for _ in range(runs):
@@ -198,7 +196,7 @@ class TestProcessRepatriation:
             assert "ring" not in rank_record
 
     def test_persistent_pool_counters_accumulate_and_encode_once(self):
-        telemetry, _ = _run_with_telemetry("process", persistent=True, runs=3)
+        telemetry, _ = _run_with_telemetry("process", runs=3)
         assert len(telemetry) == 3
         first, last = telemetry.reports[0].to_dict(), telemetry.last.to_dict()
         # Standing workers carry running totals: later >= earlier.
@@ -220,8 +218,7 @@ class TestRecoveryEvents:
 
         telemetry = Telemetry()
         faulty = FaultInjectingBackend(
-            "process", [CrashRank(rank=1, at_op=1, at_run=0)],
-            persistent=True)
+            "process", [CrashRank(rank=1, at_op=1, at_run=0)])
         machine = PROMachine(P, seed=SEED, backend=faulty, retry=2,
                              telemetry=telemetry)
         try:
@@ -256,14 +253,12 @@ class TestValidation:
             PROMachine(2, telemetry=object())
 
 
-#: (backend, persistent, payload path) cells of the determinism guard.
+#: (backend, payload path) cells of the determinism guard.
 GRID = [
-    ("thread", False, None),
-    ("sim", False, None),
-    ("process", False, None),
-    ("process", True, None),
-    ("process", False, "degrade"),
-    ("process", True, "degrade"),
+    ("thread", None),
+    ("sim", None),
+    ("process", None),
+    ("process", "degrade"),
 ]
 
 
@@ -271,25 +266,47 @@ class TestTelemetryNeverPerturbsResults:
     """Satellite 5: collection is passive, bit-exactly."""
 
     @pytest.mark.subprocess  # process cells spawn fleets
-    @pytest.mark.parametrize("backend,persistent,path", GRID,
-                             ids=["-".join(str(p) for p in cell if p)
+    @pytest.mark.parametrize("backend,path", GRID,
+                             ids=["-".join(p for p in cell if p)
                                   for cell in GRID])
     def test_fixed_seed_identical_with_and_without_telemetry(
-            self, backend, persistent, path, request):
+            self, backend, path, request):
         if path == "degrade":
             request.getfixturevalue("no_shared_memory")
         data = np.arange(20_000, dtype=np.int64)
 
         def run(telemetry):
             return random_permutation(
-                data, n_procs=P, backend=backend,
-                persistent=persistent, seed=SEED, telemetry=telemetry)
+                data, n_procs=P, backend=backend, seed=SEED,
+                telemetry=telemetry)
 
         plain = run(None)
         telemetry = Telemetry()
         observed = run(telemetry)
         assert np.array_equal(plain, observed)
         assert len(telemetry) == 1  # the recorder did collect a report
+
+    @pytest.mark.subprocess
+    @pytest.mark.parametrize("path", [None, "degrade"],
+                             ids=["sharedmem", "degrade"])
+    def test_private_fleet_identical_with_and_without_telemetry(
+            self, path, request):
+        # The grid's process cells borrow the drivers' warm fleet; here
+        # every run spawns a private fleet and closes it after the call.
+        if path == "degrade":
+            request.getfixturevalue("no_shared_memory")
+        data = np.arange(20_000, dtype=np.int64)
+
+        def run(telemetry):
+            with PROMachine(P, seed=SEED, backend="process",
+                            telemetry=telemetry) as machine:
+                return random_permutation(data, machine=machine)
+
+        plain = run(None)
+        telemetry = Telemetry()
+        observed = run(telemetry)
+        assert np.array_equal(plain, observed)
+        assert len(telemetry) == 1
 
     def test_inline_backend_at_p1(self):
         data = np.arange(5_000, dtype=np.int64)

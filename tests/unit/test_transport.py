@@ -448,8 +448,11 @@ class TestBackendIntegration:
             ctx.comm.barrier()
             return ctx.rank
 
-        with pytest.raises(BackendError, match="rank 0"):
-            machine.run(program)
+        try:
+            with pytest.raises(BackendError, match="rank 0"):
+                machine.run(program)
+        finally:
+            machine.close()  # the poisoned fleet's inboxes hold the payload
         assert shm_segments() - before == set()
 
     def test_non_process_backend_rejects_transport_option(self):
@@ -838,12 +841,10 @@ def _sharing(ctx, arrays):
 class TestSharingPredicate:
     """A rank shares only memory in a by-reference segment of its parent."""
 
-    @pytest.mark.parametrize("persistent", [False, True], ids=["cold", "warm"])
-    def test_only_the_parents_segments_are_shared(self, persistent):
-        backend = ProcessBackend(persistent=persistent)
-        out = backend.empty(2048, np.int64)
+    def test_only_the_parents_segments_are_shared(self, process_backend):
+        out = process_backend.empty(2048, np.int64)
         private = np.zeros(2048, dtype=np.int64)  # forked or copied: private
-        machine = PROMachine(2, seed=0, backend=backend)
+        machine = PROMachine(2, seed=0, backend=process_backend)
         try:
             results = machine.run(_sharing, [out[:1024], out[1024:], private,
                                              out[:0]]).results

@@ -1,4 +1,4 @@
-"""Lifecycle tests for the persistent worker pool of the process backend.
+"""Lifecycle tests for the standing worker pool of the process backend.
 
 The pool's contract (see :mod:`repro.pro.backends.pool`): spawn once and
 reuse across runs with bit-identical results for a fixed seed, poison the
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.permutation import random_permutation
-from repro.pro.backends.pool import WorkerPool, pool
+from repro.pro.backends.pool import WorkerPool, clear_default_pools, pool
 from repro.pro.machine import PROMachine
 from repro.pro.telemetry import event_seq, events_since
 from repro.rng.counting import CountingRNG
@@ -139,14 +139,14 @@ def _running(pid):
         return True
 
 
-def _persistent_machine(n, **kwargs):
+def _process_machine(n, **kwargs):
     kwargs.setdefault("timeout", scale_timeout(20))
-    return PROMachine(n, backend="process", persistent=True, **kwargs)
+    return PROMachine(n, backend="process", **kwargs)
 
 
 class TestPoolReuse:
     def test_workers_survive_across_runs(self):
-        machine = _persistent_machine(3, seed=0)
+        machine = _process_machine(3, seed=0)
         try:
             first = machine.run(_rank_pid_program).results
             second = machine.run(_rank_pid_program).results
@@ -158,22 +158,22 @@ class TestPoolReuse:
             machine.close()
 
     def test_three_runs_seed_identical_to_fresh_machine(self):
-        # Persistence must not change what the ranks draw: k runs of a
-        # persistent machine replay exactly the k runs of a fresh
-        # non-persistent machine built from the same seed.
-        persistent = _persistent_machine(4, seed=2024)
-        fresh = PROMachine(4, seed=2024, backend="process",
-                           timeout=scale_timeout(20))
+        # A standing fleet must not change what the ranks draw: k runs on
+        # one fleet replay exactly the k runs of a machine built from the
+        # same seed whose fleet is closed after every run.
+        standing = _process_machine(4, seed=2024)
+        fresh = _process_machine(4, seed=2024)
         try:
             for iteration in range(3):
-                a = random_permutation(np.arange(3000), machine=persistent)
+                a = random_permutation(np.arange(3000), machine=standing)
                 b = random_permutation(np.arange(3000), machine=fresh)
+                fresh.close()  # the next run spawns a fresh fleet
                 assert np.array_equal(a, b), iteration
         finally:
-            persistent.close()
+            standing.close()
 
     def test_consecutive_runs_draw_fresh_randomness(self):
-        machine = _persistent_machine(2, seed=5)
+        machine = _process_machine(2, seed=5)
         try:
             first = machine.run(_draw_program).results
             second = machine.run(_draw_program).results
@@ -185,8 +185,8 @@ class TestPoolReuse:
         # Run 1 succeeds while leaving an unconsumed message (111) in
         # rank 1's inbox; run 2 sends 222 under the same tag and receives.
         # The standing fabric must deliver run 2's message, exactly like a
-        # cold run's fresh fabric would -- message tags are epoch-scoped.
-        machine = _persistent_machine(2, seed=0)
+        # fresh fabric would -- message tags are epoch-scoped.
+        machine = _process_machine(2, seed=0)
         try:
             machine.run(_send_unconsumed_program, 111)
             results = machine.run(_send_and_recv_program, 222).results
@@ -195,7 +195,7 @@ class TestPoolReuse:
             machine.close()
 
     def test_collectives_and_accounting_through_pool(self):
-        machine = _persistent_machine(3, seed=1, count_random_variates=True)
+        machine = _process_machine(3, seed=1, count_random_variates=True)
         try:
             assert machine.run(_allreduce_program).results == [3, 3, 3]
             report = machine.run(_count_program).cost_report
@@ -205,7 +205,7 @@ class TestPoolReuse:
 
     def test_pool_context_manager(self):
         with pool(2, seed=9) as machine:
-            assert machine.persistent
+            assert machine.backend.pool_scope == "backend"  # a private fleet
             assert machine.run(_allreduce_program).results == [1, 1]
         # exiting the context closed the fleet; the next run respawns it
         with pool(2, seed=9) as machine:
@@ -214,7 +214,7 @@ class TestPoolReuse:
 
 class TestPoolFailure:
     def test_worker_crash_poisons_pool(self):
-        machine = _persistent_machine(2, seed=0)
+        machine = _process_machine(2, seed=0)
         try:
             with pytest.raises(BackendError):
                 machine.run(_crash_program)
@@ -223,16 +223,16 @@ class TestPoolFailure:
         finally:
             machine.close()
 
-    @pytest.mark.parametrize("persistent", [True, False])
-    def test_hard_killed_rank_surfaces_at_once(self, persistent):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_hard_killed_rank_surfaces_at_once(self, warm):
         # The parent watches the worker sentinels, so the death is seen at
         # once; its sibling, parked in the barrier, is released by the
         # abort and reports.  Every rank is then accounted for, and the
-        # run raises without waiting out any grace period.
-        machine = PROMachine(2, seed=0, backend="process",
-                             persistent=persistent, timeout=scale_timeout(20))
+        # run raises without waiting out any grace period -- on a fleet
+        # that served a run before, and on the first run of a fresh one.
+        machine = _process_machine(2, seed=0)
         try:
-            if persistent:
+            if warm:
                 machine.run(_rank_pid_program)  # a standing, warm fleet
             started = time.monotonic()
             with pytest.raises(TransientBackendError, match="rank 1"):
@@ -242,8 +242,8 @@ class TestPoolFailure:
             machine.close()
         assert elapsed < scale_timeout(0.5)
 
-    @pytest.mark.parametrize("persistent", [True, False])
-    def test_rank_killed_mid_result_surfaces_at_once(self, persistent):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_rank_killed_mid_result_surfaces_at_once(self, warm):
         # Rank 1 writes half of its 32 MB result record -- a bytes value,
         # which crosses in-band, inside the record -- and is then
         # SIGKILLed.  The parent must read the torn record as the end of
@@ -278,11 +278,10 @@ class TestPoolFailure:
                     connection.Connection._send = torn_send
                 return bytes(32_000_000)
 
-            persistent = sys.argv[1] == "True"
-            machine = PROMachine(2, seed=0, backend="process",
-                                 persistent=persistent, timeout=60.0)
+            warm_first = sys.argv[1] == "True"
+            machine = PROMachine(2, seed=0, backend="process", timeout=60.0)
             try:
-                if persistent:
+                if warm_first:
                     machine.run(warm)
                 started = time.monotonic()
                 try:
@@ -294,7 +293,7 @@ class TestPoolFailure:
             print("children", len(multiprocessing.active_children()))
         """)
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(persistent)],
+            [sys.executable, "-c", script, str(warm)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=_src_env(), start_new_session=True,
         )
@@ -319,7 +318,7 @@ class TestPoolFailure:
             assert time.monotonic() < deadline, "a rank outlived its parent"
             time.sleep(0.05)
 
-    def test_standing_ranks_exit_when_their_caller_is_killed(self):
+    def test_ranks_exit_when_their_caller_is_killed(self):
         # The caller starts a warm fleet, prints its rank pids and
         # SIGKILLs itself, so no exit path of its own runs.  Each rank
         # must then read an end of file on its pipe and exit -- releasing
@@ -335,8 +334,7 @@ class TestPoolFailure:
             def warm(ctx):
                 return os.getpid()
 
-            machine = PROMachine(2, seed=0, backend="process",
-                                 persistent=True, timeout=60.0)
+            machine = PROMachine(2, seed=0, backend="process", timeout=60.0)
             print(*machine.run(warm).results, flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
         """)
@@ -373,7 +371,7 @@ class TestPoolFailure:
         # The stopped survivors' abort pills wait for the dead rank's lock
         # in their inbox feeders; they must exit at once on the shutdown
         # sentinel anyway, not be terminated after the shutdown grace.
-        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
+        machine = _process_machine(3, seed=0, timeout=scale_timeout(5))
         try:
             before = machine.run(_rank_pid_program).results
             pool = machine.backend._pools[3]
@@ -413,7 +411,7 @@ class TestPoolFailure:
     def test_rank_exiting_on_system_exit_makes_heal_replace_the_whole_fleet(self):
         # SystemExit is no Exception: rank 1 reports it and exits, so heal()
         # cannot keep the fleet around it and respawns every rank.
-        machine = _persistent_machine(3, seed=0, timeout=scale_timeout(5))
+        machine = _process_machine(3, seed=0, timeout=scale_timeout(5))
         try:
             before = machine.run(_rank_pid_program).results
             pool = machine.backend._pools[3]
@@ -433,7 +431,7 @@ class TestPoolFailure:
             machine.close()
 
     def test_program_exception_poisons_pool(self):
-        machine = _persistent_machine(3, seed=0)
+        machine = _process_machine(3, seed=0)
         try:
             with pytest.raises(BackendError, match="rank 0"):
                 machine.run(_raise_program)
@@ -442,13 +440,14 @@ class TestPoolFailure:
         finally:
             machine.close()
 
-    def test_unpicklable_program_raises_without_poisoning(self):
-        try:
-            import cloudpickle  # noqa: F401
-            pytest.skip("cloudpickle widens pickling to closures")
-        except ImportError:
-            pass
-        machine = _persistent_machine(2, seed=0)
+    def test_unpicklable_program_raises_without_poisoning(self, monkeypatch):
+        # Without cloudpickle a closure cannot cross the rank pipes.
+        import importlib
+
+        # (the package re-exports the pool() context manager as "pool")
+        pool_module = importlib.import_module("repro.pro.backends.pool")
+        monkeypatch.setattr(pool_module, "_cloudpickle", None)
+        machine = _process_machine(2, seed=0)
         try:
             captured = []
             with pytest.raises(BackendError, match="picklable"):
@@ -461,7 +460,7 @@ class TestPoolFailure:
     def test_unpicklable_argument_raises_cleanly(self):
         import threading
 
-        machine = _persistent_machine(2, seed=0)
+        machine = _process_machine(2, seed=0)
         try:
             with pytest.raises(BackendError, match="picklable"):
                 machine.run(_rank_pid_program, threading.Lock())
@@ -472,7 +471,7 @@ class TestPoolFailure:
 
 class TestPoolShutdown:
     def test_close_is_idempotent(self):
-        machine = _persistent_machine(2, seed=0)
+        machine = _process_machine(2, seed=0)
         machine.run(_allreduce_program)
         backend_pool = machine.backend._pools[2]
         machine.close()
@@ -481,12 +480,46 @@ class TestPoolShutdown:
         assert backend_pool.closed
 
     def test_run_after_close_respawns_fleet(self):
-        machine = _persistent_machine(2, seed=0)
+        machine = _process_machine(2, seed=0)
         first_pids = {pid for _r, pid in machine.run(_rank_pid_program).results}
         machine.close()
         second_pids = {pid for _r, pid in machine.run(_rank_pid_program).results}
         machine.close()
         assert first_pids.isdisjoint(second_pids)
+
+    def test_dropped_machine_holds_no_processes(self):
+        # A machine dropped without close() releases its private fleet as
+        # soon as it is collected.
+        machine = _process_machine(2, seed=0)
+        machine.run(_allreduce_program)
+        pids = machine.backend._pools[2].worker_pids()
+        assert all(_running(pid) for pid in pids)
+        del machine
+        gc.collect()
+        deadline = time.monotonic() + scale_timeout(5)
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "a dropped machine kept its ranks"
+            time.sleep(0.05)
+
+    def test_dropped_borrowing_machine_leaves_the_shared_fleet_warm(self):
+        # The finalizer closes private fleets only: a fleet borrowed from
+        # the default pool cache belongs to the cache, and a later machine
+        # of the same key gets the same ranks.
+        clear_default_pools()
+        try:
+            machine = _process_machine(2, seed=0,
+                                       backend_options={"pool_scope": "process"})
+            machine.run(_allreduce_program)
+            pids = machine.backend._pools[2].worker_pids()
+            del machine
+            gc.collect()
+            assert all(_running(pid) for pid in pids)
+            again = _process_machine(2, seed=0,
+                                     backend_options={"pool_scope": "process"})
+            assert sorted(pid for _r, pid in again.run(_rank_pid_program).results) \
+                == sorted(pids)
+        finally:
+            clear_default_pools()
 
     def test_direct_pool_run_validates_contexts(self):
         worker_pool = WorkerPool(2, timeout=scale_timeout(10))
@@ -518,7 +551,7 @@ class TestPoolShutdown:
             from repro.core.permutation import random_permutation
 
             print(os.getpid())
-            machine = PROMachine(3, seed=1, backend="process", persistent=True)
+            machine = PROMachine(3, seed=1, backend="process")
             for _ in range(3):
                 out = random_permutation(np.arange(20_000), machine=machine)
                 assert out.shape == (20_000,)
@@ -562,8 +595,7 @@ class TestPoolShutdown:
 
             data = np.arange(30_000)
             faulty = FaultInjectingBackend(
-                "process", [CrashRank(rank=1, at_op=1, at_run=1)],
-                persistent=True)
+                "process", [CrashRank(rank=1, at_op=1, at_run=1)])
             machine = PROMachine(3, seed=4, backend=faulty, retry=2)
             reference = PROMachine(3, seed=4, backend="thread")
             seq = event_seq()
@@ -643,8 +675,7 @@ class TestStagedDispatch:
         expected = random_permutation(data, machine=PROMachine(p, seed=5))
         before = _shm_names()
         faulty = FaultInjectingBackend(
-            "process", [CrashRank(rank=1, at_op=1, at_run=0)],
-            persistent=True)
+            "process", [CrashRank(rank=1, at_op=1, at_run=0)])
         machine = PROMachine(p, seed=5, backend=faulty, retry=2)
         try:
             out = random_permutation(data, machine=machine)
@@ -682,7 +713,7 @@ class TestStagedDispatch:
             return real_map(seg, creator, shared)
 
         monkeypatch.setattr(sharedmem, "_map_byref", counting_map)
-        machine = PROMachine(2, seed=0, backend="process", persistent=True)
+        machine = PROMachine(2, seed=0, backend="process")
         try:
             machine.run(_held_segments_program)  # spawn before allocating
             outs = [machine.backend.empty(size, np.int64)
@@ -740,7 +771,7 @@ class TestStagedDispatch:
     def test_heal_then_success_leaves_no_staging_name(self):
         blocks = [np.arange(20_000, dtype=np.int64) + rank for rank in range(2)]
         before = _shm_names()
-        machine = PROMachine(2, seed=0, backend="process", persistent=True)
+        machine = PROMachine(2, seed=0, backend="process")
         try:
             with pytest.raises(BackendError, match="rank 1"):
                 machine.run(_sum_unless_failing_program, blocks, True)
